@@ -1,11 +1,11 @@
 # Developer entry points. `make check` is the pre-merge gate: vet, the full
 # test suite, and the race detector over the concurrency-heavy packages
 # (replication and transport are where the primary/backup/heartbeat
-# goroutines interleave).
+# goroutines interleave; debug sessions clone tracked VMs across goroutines).
 
 GO ?= go
 
-.PHONY: build test vet race check bench bench-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual
+.PHONY: build test vet race check bench bench-smoke bench-spine-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual
 
 build:
 	$(GO) build ./...
@@ -17,7 +17,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/replication/... ./internal/transport/... ./internal/simtest/...
+	$(GO) test -race ./internal/replication/... ./internal/transport/... ./internal/simtest/... ./internal/debug/...
 
 # Clock-injection rule (DESIGN.md): no naked time.Now/time.Sleep/... in
 # library code — time comes from an injected clock.Clock, or clock.Real.*
@@ -82,7 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzProgramBinary -fuzztime 10s ./internal/bytecode
 	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 10s ./internal/bytecode
 
-check: vet clock-lint build test race bench-smoke fuzz-smoke sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke golden-dual
+check: vet clock-lint build test race bench-smoke bench-spine-smoke fuzz-smoke sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke golden-dual
 
 # The dual-mode golden gate: the full golden program suite and the
 # replication event log, bit-identical between the switch and threaded
@@ -97,3 +97,10 @@ bench:
 # compile or crash without paying for a real measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The benchmark spine (BENCHMARK.json, benchmark/) is its own module, which
+# the root `go vet ./...` and `go test ./...` do not descend into: vet and
+# test it against this tree, so a vm or replication API change cannot break
+# it unnoticed.
+bench-spine-smoke:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...

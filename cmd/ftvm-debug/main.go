@@ -92,14 +92,15 @@ func run() error {
 }
 
 func runDiff(pathA, pathB string, opts debug.Options) error {
+	// Open's errors already name the file; they are printed as they come.
 	a, err := debug.Open(pathA, opts)
 	if err != nil {
-		return fmt.Errorf("%s: %w", pathA, err)
+		return err
 	}
 	defer a.Close()
 	b, err := debug.Open(pathB, opts)
 	if err != nil {
-		return fmt.Errorf("%s: %w", pathB, err)
+		return err
 	}
 	defer b.Close()
 

@@ -4,7 +4,7 @@ package ftvm_test
 // program suite (every benchmark at scale 1 plus the deterministic fuzzgen
 // slice — the same 31 programs TestExecGolden pins) is executed under both
 // dispatch engines and every observable — console output, the Stats
-// counters, and the §4.2 per-bytecode rolling progress checksums — must be
+// counters, and the §4.2 rolling control-path checksums — must be
 // identical between DispatchSwitch and DispatchThreaded. TestExecGolden pins
 // the default engine against testdata; this gate pins the two engines
 // against each other, so a divergence is attributed to the engine and not to

@@ -2,8 +2,10 @@ package ftvm_test
 
 // Golden execution test for the decode-once pipeline: the observable
 // behaviour of the interpreter — console output, the Stats counters, and the
-// §4.2 per-bytecode progress checksums — is pinned to testdata captured from
-// the pre-predecode interpreter. Any resolved-IR rewrite must reproduce it
+// §4.2 control-path checksums — is pinned to testdata. Console and Stats were
+// captured from the pre-predecode interpreter and have never changed; the
+// checksums were regenerated once, when the fold became per counted branch
+// instead of per bytecode. Any resolved-IR rewrite must reproduce all three
 // bit-for-bit; regenerate with `go test -run TestExecGolden -update` only
 // when the observable semantics deliberately change.
 

@@ -83,7 +83,7 @@ const fuseWidth = 11 // C-variants per ALU op before the L-variants start
 // method, index-aligned with Program.Methods (nil for native stubs).
 //
 // Methods is the faithful one-op-per-bytecode form, used whenever per-
-// bytecode observation is required (progress tracking, exact replay). Fused
+// bytecode observation is required (exact replay tails, pair profiling). Fused
 // is the same code with adjacent push+ALU pairs collapsed into
 // superinstructions; both arrays are index-aligned per pc, so the
 // interpreter can switch between them at any dispatch boundary.

@@ -381,9 +381,9 @@ func (b *Backup) Recover(cfg RecoverConfig) (*vm.VM, *RecoveryReport, error) {
 		Coordinator:     coord,
 		GCThreshold:     cfg.GCThreshold,
 		MaxInstructions: cfg.MaxInstructions,
-		// The replaying backup maintains the same per-bytecode progress
-		// bookkeeping the primary did (it must detect the recorded switch
-		// points and, after recovery, act as the new primary).
+		// The replaying backup keeps the same control-path checksum the
+		// primary did (it must verify the recorded switch points and, after
+		// recovery, act as the new primary).
 		TrackProgress: b.mode == ModeSched,
 		Dispatch:      cfg.Dispatch,
 	})

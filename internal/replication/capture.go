@@ -17,7 +17,7 @@ import (
 // the time-travel debugger can reconstruct any intermediate machine state
 // offline. Layout:
 //
-//	magic "FTLOG\x01"
+//	magic "FTLOG", then the format version byte (logVersion)
 //	header varints: ProgHash, EnvSeed, PolicySeed, MinQuantum, MaxQuantum,
 //	                Mode, Dispatch, Epoch, MaxInstructions, GCThreshold
 //	uvarint program length, then the bytecode.EncodeBytes image
@@ -35,11 +35,21 @@ import (
 // capture of a clean run therefore replays as a crash at its final record,
 // which is exactly the debugger's model — run the log out, then inspect.
 
-// logMagic identifies an .ftlog file; the final byte is the format version.
-var logMagic = []byte("FTLOG\x01")
+// logMagic identifies an .ftlog file; the byte after it is the format
+// version. Version 2 keeps version 1's layout but its Switch records carry
+// the per-branch control-path checksum (vm.ProgressSnapshot), which a
+// version-1 log's per-bytecode values can never match — so an old capture is
+// refused here, by version, not as a divergence deep inside a replay.
+const (
+	logMagic   = "FTLOG"
+	logVersion = 2
+)
 
 // ErrNotLog reports that a file is not an .ftlog capture.
 var ErrNotLog = errors.New("not an ftlog capture file")
+
+// ErrLogVersion reports an .ftlog capture of another format version.
+var ErrLogVersion = errors.New("unsupported ftlog format version")
 
 // LogHeader records the initial conditions of the captured run.
 type LogHeader struct {
@@ -92,7 +102,7 @@ func EncodeLog(hdr LogHeader, prog *bytecode.Program, records []wire.Record) ([]
 	}
 	hdr.ProgHash = HashProgram(img)
 
-	out := append([]byte(nil), logMagic...)
+	out := append([]byte(logMagic), logVersion)
 	var tmp [binary.MaxVarintLen64]byte
 	uv := func(v uint64) { out = append(out, tmp[:binary.PutUvarint(tmp[:], v)]...) }
 	sv := func(v int64) { out = append(out, tmp[:binary.PutVarint(tmp[:], v)]...) }
@@ -136,10 +146,13 @@ func EncodeLog(hdr LogHeader, prog *bytecode.Program, records []wire.Record) ([]
 // complete record, so partial captures fail loudly instead of replaying a
 // silently shortened history.
 func DecodeLog(b []byte) (*Log, error) {
-	if len(b) < len(logMagic) || string(b[:len(logMagic)]) != string(logMagic) {
+	if len(b) <= len(logMagic) || string(b[:len(logMagic)]) != logMagic {
 		return nil, ErrNotLog
 	}
-	c := logCursor{b: b, off: len(logMagic)}
+	if v := b[len(logMagic)]; v != logVersion {
+		return nil, fmt.Errorf("%w: file is version %d, this build reads version %d; capture the log again", ErrLogVersion, v, logVersion)
+	}
+	c := logCursor{b: b, off: len(logMagic) + 1}
 
 	var hdr LogHeader
 	var err error

@@ -8,10 +8,9 @@
 // covered.
 //
 // The fuzz corpus (small 1-20, medium 1-5) runs under all three replication
-// modes; the six benchmarks run under ModeLock (untracked, so the multi-
-// million-instruction bodies stay cheap — the tracked path for the benchmarks
-// is exercised by the root capture gate, and the final state snapshot in the
-// log still hashes their entire heap).
+// modes; the six benchmarks run under ModeLock, and mtrt — the only one that
+// reschedules threads, so the only one whose log carries Switch records and
+// their checksums — under ModeSched as well.
 package replication_test
 
 import (
@@ -29,9 +28,9 @@ import (
 	"repro/internal/wire"
 )
 
-// runPairLogBytes runs a clean primary/backup pair with the given engine and
-// returns the backup's logged record stream re-encoded to bytes.
-func runPairLogBytes(t *testing.T, prog *ftvm.Program, mode ftvm.Mode, d vm.Dispatch) []byte {
+// runPairRecords runs a clean primary/backup pair with the given engine and
+// returns the backup's logged record stream.
+func runPairRecords(t *testing.T, prog *ftvm.Program, mode ftvm.Mode, d vm.Dispatch) []wire.Record {
 	t.Helper()
 	pEnd, bEnd := transport.Pipe(4096)
 	primary, err := replication.NewPrimary(replication.PrimaryConfig{
@@ -75,8 +74,14 @@ func runPairLogBytes(t *testing.T, prog *ftvm.Program, mode ftvm.Mode, d vm.Disp
 	if outcome != replication.OutcomePrimaryCompleted {
 		t.Fatalf("%v/%v: outcome %v", mode, d, outcome)
 	}
+	return backup.Store().Records()
+}
+
+// runPairLogBytes is runPairRecords re-encoded to bytes.
+func runPairLogBytes(t *testing.T, prog *ftvm.Program, mode ftvm.Mode, d vm.Dispatch) []byte {
+	t.Helper()
 	var buf wire.Buffer
-	for _, r := range backup.Store().Records() {
+	for _, r := range runPairRecords(t, prog, mode, d) {
 		if err := buf.Append(r); err != nil {
 			t.Fatalf("re-encode %s: %v", r.Type(), err)
 		}
@@ -133,5 +138,10 @@ func TestDispatchDualModeEventLog(t *testing.T) {
 		t.Run(fmt.Sprintf("bench/%s/%v", name, ftvm.ModeLock), func(t *testing.T) {
 			requireSameLog(t, prog, ftvm.ModeLock)
 		})
+		if name == "mtrt" {
+			t.Run(fmt.Sprintf("bench/%s/%v", name, ftvm.ModeSched), func(t *testing.T) {
+				requireSameLog(t, prog, ftvm.ModeSched)
+			})
+		}
 	}
 }

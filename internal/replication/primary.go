@@ -277,24 +277,16 @@ func (p *Primary) PickNext(_ *vm.VM, runnable []*vm.Thread, cur *vm.Thread) (*vm
 
 // OnDescheduled implements vm.Coordinator: in sched mode, log a thread
 // scheduling record (br_cnt, pc_off, mon_cnt, l_asn, next t_id).
-func (p *Primary) OnDescheduled(v *vm.VM, prev, next *vm.Thread) error {
+func (p *Primary) OnDescheduled(_ *vm.VM, prev, next *vm.Thread) error {
 	if p.mode != ModeSched || prev == nil {
 		return nil
 	}
+	// A descheduled thread stands flushed at a block edge or a blocking op,
+	// so its progress indicators are read off it here, not kept per bytecode.
 	br, methodIdx, pcOff, mon, lasn := snapshotProgress(prev)
-	var chk uint64
-	if v != nil && v.TrackingProgress() {
-		// Read the snapshot the interpreter published after the last
-		// bytecode (the paper's per-bytecode thread-object update).
-		br = prev.Progress.BrCnt
-		methodIdx = prev.Progress.Method
-		pcOff = prev.Progress.PC
-		mon = prev.Progress.MonCnt
-		chk = prev.Progress.Chk
-	}
 	p.recSwitch = wire.Switch{
 		TID: prev.VTID, BrCnt: br, MethodIdx: methodIdx, PCOff: pcOff,
-		MonCnt: mon, LASN: lasn, Reason: uint8(prev.State()), Chk: chk, NextTID: next.VTID,
+		MonCnt: mon, LASN: lasn, Reason: uint8(prev.State()), Chk: prev.Progress.Chk, NextTID: next.VTID,
 	}
 	err := p.appendTimed(&p.recSwitch, true)
 	p.metrics.switchRecords.Add(1)

@@ -106,8 +106,8 @@ func (e *ReplayEngine) Mode() Mode { return e.mode }
 // replay VM must execute against the same registry.
 func (e *ReplayEngine) Natives() *native.Registry { return e.natives }
 
-// TrackProgress reports whether the replay VM needs per-bytecode progress
-// bookkeeping (scheduling replay cross-checks recorded switch positions).
+// TrackProgress reports whether the replay VM must keep control-path
+// checksums (scheduling replay cross-checks them at recorded switches).
 func (e *ReplayEngine) TrackProgress() bool { return e.mode == ModeSched }
 
 // Clone deep-copies the engine mid-replay: the partially-consumed analysis,

@@ -144,10 +144,10 @@ func (c *schedReplay) verifySwitch(t *vm.Thread, rec *wire.Switch) error {
 	if lasn != rec.LASN {
 		return divergence("thread %s waits at l_asn %d, log says %d", t.VTID, lasn, rec.LASN)
 	}
-	// Chk is zero when the primary ran without per-bytecode progress
-	// tracking (legacy logs); otherwise every pc the thread visited must
-	// fold to the same checksum.
-	if rec.Chk != 0 && t.Progress.Chk != rec.Chk {
+	// Every counted branch the thread executed must have folded to the same
+	// checksum. No value means "unchecked": a thread that has not branched
+	// yet carries the non-zero seed, so a zeroed field is a divergence too.
+	if t.Progress.Chk != rec.Chk {
 		return divergence("thread %s control-path checksum %x != recorded %x",
 			t.VTID, t.Progress.Chk, rec.Chk)
 	}

@@ -4,17 +4,26 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bytecode"
 	"repro/internal/env"
+	"repro/internal/programs"
 )
 
-// mallocsDuring returns the number of Go heap allocations performed by f.
-func mallocsDuring(f func()) uint64 {
+// allocsDuring returns the number and total size of the Go heap allocations
+// performed by f.
+func allocsDuring(f func()) (mallocs, bytes uint64) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// mallocsDuring returns the number of Go heap allocations performed by f.
+func mallocsDuring(f func()) uint64 {
+	n, _ := allocsDuring(f)
+	return n
 }
 
 // TestSConstAllocFree pins the decode-once property that pushing a string
@@ -94,19 +103,91 @@ end
 `
 	p := buildProgram(t, src)
 	for _, d := range []Dispatch{DispatchThreaded, DispatchSwitch} {
-		v, err := New(Config{Program: p, Env: env.New(1), MaxInstructions: 50_000_000, Dispatch: d})
-		if err != nil {
-			t.Fatalf("new vm (%v): %v", d, err)
-		}
-		n := mallocsDuring(func() {
-			if err := v.Run(); err != nil {
-				t.Fatalf("run (%v): %v", d, err)
+		for _, track := range []bool{false, true} {
+			v, err := New(Config{Program: p, Env: env.New(1), MaxInstructions: 50_000_000, Dispatch: d, TrackProgress: track})
+			if err != nil {
+				t.Fatalf("new vm (%v): %v", d, err)
 			}
-		})
-		// ~3.9M executed instructions: one allocation per iteration (or per
-		// block) would show up as hundreds of thousands.
-		if n > 1000 {
-			t.Errorf("%v: hot loop performed %d allocations, want bounded setup-only (<1000)", d, n)
+			n := mallocsDuring(func() {
+				if err := v.Run(); err != nil {
+					t.Fatalf("run (%v): %v", d, err)
+				}
+			})
+			// ~3.9M executed instructions: one allocation per iteration (or
+			// per block, or per folded branch) would show up as hundreds of
+			// thousands.
+			if n > 1000 {
+				t.Errorf("%v track=%v: hot loop performed %d allocations, want bounded setup-only (<1000)", d, track, n)
+			}
+		}
+	}
+}
+
+// TestTrackedSharesFastTier pins the two halves of "tracking rides the fast
+// tier". Same work: a tracked run of each benchmark program executes exactly
+// the instructions, branches and everything else in Stats that an untracked
+// run does. Same code: a tracked VM is built from the one closure stream an
+// untracked VM has, plus one small wrapper closure per branch-flagged slot —
+// never a second compilation of the program.
+func TestTrackedSharesFastTier(t *testing.T) {
+	for _, name := range programs.Names() {
+		p, err := programs.Compile(name, 1)
+		if err != nil {
+			t.Fatalf("compile %s: %v", name, err)
+		}
+		res, err := bytecode.Predecode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, branchSlots, methods := 0, 0, 0
+		for _, code := range res.Wide {
+			if code != nil {
+				methods++
+			}
+			slots += len(code)
+			for _, in := range code {
+				if in.Branch {
+					branchSlots++
+				}
+			}
+		}
+		build := func(track bool, d Dispatch) (v *VM, mallocs, bytes uint64) {
+			var err error
+			mallocs, bytes = allocsDuring(func() {
+				v, err = New(Config{
+					Program: p, Env: env.New(1), TrackProgress: track, Dispatch: d,
+					Coordinator: NewDefaultCoordinator(NewSeededPolicy(5, 1024, 8192)),
+				})
+			})
+			if err != nil {
+				t.Fatalf("%s: new vm: %v", name, err)
+			}
+			return v, mallocs, bytes
+		}
+		// The switch engine compiles no closures, so it is the zero point.
+		_, noStream, _ := build(true, DispatchSwitch)
+		plain, plainMallocs, plainBytes := build(false, DispatchThreaded)
+		tracked, trackedMallocs, trackedBytes := build(true, DispatchThreaded)
+		// One stream is at most a closure per slot and a slot array per
+		// method; a wrapper is a code pointer and the wrapped closure, 16
+		// bytes, on the branch-flagged slots only.
+		const slack = 64
+		if limit := uint64(slots + methods + branchSlots + slack); trackedMallocs-noStream > limit {
+			t.Errorf("%s: the tracked VM's closures took %d allocations; one stream of %d slots in %d methods with %d wrappers allows %d",
+				name, trackedMallocs-noStream, slots, methods, branchSlots, limit)
+		}
+		if trackedMallocs > plainMallocs+uint64(branchSlots)+slack || trackedBytes > plainBytes+16*uint64(branchSlots+slack) {
+			t.Errorf("%s: tracked vm.New made %d allocations / %d bytes, untracked %d / %d; %d wrappers allow %d / %d more",
+				name, trackedMallocs, trackedBytes, plainMallocs, plainBytes, branchSlots, branchSlots, 16*branchSlots)
+		}
+		if err := plain.Run(); err != nil {
+			t.Fatalf("%s untracked: %v", name, err)
+		}
+		if err := tracked.Run(); err != nil {
+			t.Fatalf("%s tracked: %v", name, err)
+		}
+		if plain.Stats() != tracked.Stats() {
+			t.Errorf("%s: tracked run did different work\nuntracked: %+v\n  tracked: %+v", name, plain.Stats(), tracked.Stats())
 		}
 	}
 }

@@ -10,7 +10,7 @@ import "repro/internal/heap"
 // instead of replaying from zero.
 //
 // Shared (immutable after construction): the program, the resolved and
-// fused code, the threaded compilations, the interned-string table, the
+// fused code, the threaded compilation, the interned-string table, the
 // native registry, and the static method indexes. Deep-copied: the heap
 // (Ref numbering preserved, so the shared interned table stays valid), the
 // environment and process, statics, threads (frames, locals, stacks,
@@ -55,7 +55,6 @@ func (vm *VM) CloneSuspended(coord Coordinator) *VM {
 
 		dispatch: vm.dispatch,
 		tcode:    vm.tcode,
-		tslow:    vm.tslow,
 		pairs:    vm.pairs,
 	}
 	// Threads first (monitor remapping needs them); blockedOn is patched

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/env"
-	"repro/internal/heap"
 	"repro/internal/native"
 )
 
@@ -175,98 +174,4 @@ func TestSeededPolicyDeterminism(t *testing.T) {
 			t.Fatalf("quantum %d outside [10,100]", qa)
 		}
 	}
-}
-
-// progressChecker verifies, at every context switch, that the per-bytecode
-// published snapshot agrees with the thread's live state — the invariant the
-// scheduling records depend on.
-type progressChecker struct {
-	*DefaultCoordinator
-	t        *testing.T
-	switches int
-}
-
-func (p *progressChecker) OnDescheduled(v *VM, prev, next *Thread) error {
-	if prev == nil {
-		return nil
-	}
-	p.switches++
-	snap := prev.Progress
-	if snap.BrCnt != prev.BrCnt {
-		p.t.Errorf("snapshot br %d != live %d", snap.BrCnt, prev.BrCnt)
-	}
-	if snap.MonCnt != prev.MonCnt {
-		p.t.Errorf("snapshot mon %d != live %d", snap.MonCnt, prev.MonCnt)
-	}
-	if f := prev.Top(); f != nil {
-		if snap.Method != f.Method || snap.PC != f.PC {
-			p.t.Errorf("snapshot pos (%d,%d) != live (%d,%d)", snap.Method, snap.PC, f.Method, f.PC)
-		}
-	} else if snap.Method != -1 || snap.PC != -1 {
-		p.t.Errorf("dead thread snapshot pos (%d,%d), want (-1,-1)", snap.Method, snap.PC)
-	}
-	return nil
-}
-
-func TestProgressSnapshotConsistency(t *testing.T) {
-	p := buildProgram(t, printNative+`
-static M.l
-class L d
-method worker 0 void
-  iconst 0
-  store 0
-loop:
-  load 0
-  iconst 200
-  icmp
-  jz out
-  gets M.l
-  menter
-  gets M.l
-  mexit
-  load 0
-  iconst 1
-  iadd
-  store 0
-  jmp loop
-out:
-  ret
-end
-method main 0 void
-  new L
-  puts M.l
-  spawn worker 0
-  store 0
-  spawn worker 0
-  store 1
-  load 0
-  join
-  load 1
-  join
-  ret
-end`)
-	pc := &progressChecker{DefaultCoordinator: NewDefaultCoordinator(NewSeededPolicy(3, 32, 128)), t: t}
-	v, err := New(Config{Program: p, Env: env.New(1), Coordinator: pc, TrackProgress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if pc.switches < 5 {
-		t.Fatalf("only %d switches; the checker barely ran", pc.switches)
-	}
-	// The rolling control-path checksum must be non-zero and differ across
-	// threads (they executed different interleavings of the same code).
-	chks := map[uint64]bool{}
-	for _, th := range v.Threads() {
-		if th.Progress.Chk == 0 {
-			t.Errorf("thread %s has zero checksum", th.VTID)
-		}
-		chks[th.Progress.Chk] = true
-	}
-	if len(chks) < 2 {
-		t.Error("checksums should differ across threads")
-	}
-	_ = heap.NullRef
 }

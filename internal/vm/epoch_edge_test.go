@@ -13,6 +13,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bytecode"
 	"repro/internal/env"
 )
 
@@ -188,5 +189,112 @@ end
 		if sw.console != "100\n" {
 			t.Fatalf("quantum %d-%d: console %q, want 100", q.lo, q.hi, sw.console)
 		}
+	}
+}
+
+// exactProbe issues one exact-replay target for the main thread, notes where
+// that slice left it, then lets the program run out.
+type exactProbe struct {
+	*DefaultCoordinator
+	target SliceTarget
+	issued bool
+	stop   *exactStop
+}
+
+type exactStop struct {
+	br, instr, chk uint64
+	pc             int32
+	depth          int
+}
+
+func (p *exactProbe) PickNext(v *VM, runnable []*Thread, _ *Thread) (*Thread, SliceTarget, error) {
+	t := runnable[0]
+	if !p.issued {
+		p.issued = true
+		return t, p.target, nil
+	}
+	if p.stop == nil {
+		f := t.Top()
+		p.stop = &exactStop{br: t.BrCnt, instr: v.Stats().Instructions, chk: t.Progress.Chk, pc: f.PC, depth: len(f.Stack)}
+	}
+	return t, RunUntilBlocked(), nil
+}
+
+// TestExactTargetSweepAcrossEngines replays a preemption at every (br_cnt, pc)
+// of the loop's first iterations, tracked, on both engines. The threaded
+// engine runs such a slice on the wide stream up to the block edge where
+// br_cnt reaches the target and hands the tail to runSlice, so the recorded
+// position may lie at a group lead, in the interior of a wide group, or —
+// for the (br_cnt, pc) pairs the program never visits — nowhere, in which case
+// the slice overshoots by one branch. Wherever it stops, both engines must
+// stop there with the same instruction count and the same running checksum,
+// and finish with the same counters.
+func TestExactTargetSweepAcrossEngines(t *testing.T) {
+	p := buildProgram(t, epochLoop)
+	res, err := bytecode.Predecode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From the second iteration on (br_cnt >= 2) control enters the loop body
+	// by the back edge, so the groups that execute are the ones a walk from
+	// the loop head finds.
+	code, wide := res.Methods[p.Entry], res.Wide[p.Entry]
+	head := int(code[len(code)-2].A) // the closing jmp's target
+	interior := make([]bool, len(wide))
+	for pc := head; pc < len(wide); {
+		w := 1
+		if wi, ok := bytecode.WideOpInfo(wide[pc].Op); ok {
+			w = int(wi.Width)
+			for i := pc + 1; i < pc+w; i++ {
+				interior[i] = true
+			}
+		} else if wide[pc].Op >= bytecode.OpIAddC && wide[pc].Op <= bytecode.OpICmpL {
+			w = 2
+		}
+		pc += w
+	}
+
+	landed, landedInterior := 0, 0
+	for br := uint64(0); br <= 7; br++ {
+		for pc := int32(0); pc < int32(len(wide)); pc++ {
+			type outcome struct {
+				stop  exactStop
+				stats Stats
+				chk   uint64
+			}
+			run := func(d Dispatch) outcome {
+				probe := &exactProbe{
+					DefaultCoordinator: NewDefaultCoordinator(nil),
+					target:             SliceTarget{Br: br, Exact: true, Method: p.Entry, PC: pc, StopRunnable: true},
+				}
+				v, err := New(Config{Program: p, Env: env.New(1), Coordinator: probe, TrackProgress: true, Dispatch: d})
+				if err != nil {
+					t.Fatalf("new vm (%v): %v", d, err)
+				}
+				if err := v.Run(); err != nil {
+					t.Fatalf("br=%d pc=%d (%v): %v", br, pc, d, err)
+				}
+				if probe.stop == nil {
+					t.Fatalf("br=%d pc=%d (%v): the exact slice ran the program out", br, pc, d)
+				}
+				return outcome{stop: *probe.stop, stats: v.Stats(), chk: v.Threads()[0].Progress.Chk}
+			}
+			sw, th := run(DispatchSwitch), run(DispatchThreaded)
+			if sw != th {
+				t.Fatalf("exact target br=%d pc=%d: engines diverged\n  switch: %+v\nthreaded: %+v", br, pc, sw, th)
+			}
+			switch {
+			case sw.stop.br == br && sw.stop.pc == pc:
+				landed++
+				if br >= 2 && interior[pc] {
+					landedInterior++
+				}
+			case sw.stop.br != br+1:
+				t.Fatalf("exact target br=%d pc=%d: missed slice stopped at br_cnt %d, want the next block edge", br, pc, sw.stop.br)
+			}
+		}
+	}
+	if landed < 30 || landedInterior < 10 {
+		t.Fatalf("%d targets landed, %d of them inside a wide group; the sweep does not cover the hand-off", landed, landedInterior)
 	}
 }

@@ -185,13 +185,13 @@ func writeValue(b *strings.Builder, hp *heap.Heap, v heap.Value) {
 	}
 }
 
-// fnv1a is the 64-bit FNV-1a hash (matches the rolling-checksum constant
-// used by ProgressSnapshot.Chk).
+// fnv1a is the 64-bit FNV-1a hash (the parameters ProgressSnapshot.Chk
+// folds with).
 func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= 1099511628211
+		h *= fnvPrime64
 	}
 	return h
 }

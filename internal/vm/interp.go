@@ -88,15 +88,14 @@ func (vm *VM) strAt(v heap.Value) (string, error) {
 // else stays in it. The cached pc/stack are written back to the frame
 // (`flushed`) at every exit, so the frame is always current whenever anything
 // outside the loop — GC root scan, fatal-error reporting, coordinator
-// callbacks, progress publication — can observe it. When per-bytecode
-// progress publication is on (§4.2) or the slice replays an exact target,
-// every instruction takes the boundary path so the published
-// snapshot/checksum sequence and stop points are bit-identical to the
-// historical per-instruction scheduler loop.
+// callbacks reading the §4.2 progress indicators off the thread — can
+// observe it. When the slice replays an exact target, every instruction
+// takes the boundary path so the stop-position check runs per instruction.
 //
-// Instruction and branch counters, the instruction budget, and the §4.2
-// progress checksum are maintained after every executed instruction exactly
-// as before; the Kill flag is (still) sampled at each instruction boundary,
+// Instruction and branch counters and the instruction budget are maintained
+// after every executed instruction; under TrackProgress the control-path
+// checksum folds after every counted branch (see ProgressSnapshot), whatever
+// path the slice takes. The Kill flag is sampled at each boundary,
 // and the GC trigger is re-checked after every allocating instruction — the
 // only instructions that can flip it. Within a slice br_cnt only changes on
 // branch-flagged instructions, and budget targets always lie strictly above
@@ -104,7 +103,10 @@ func (vm *VM) strAt(v heap.Value) (string, error) {
 // stops the slice at exactly the same instruction as the historical
 // every-instruction check.
 func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
-	slow := vm.trackProgress || target.Exact || vm.pairs != nil
+	slow := target.Exact || vm.pairs != nil
+	// watch: some post-instruction bookkeeping exists at all — the boundary
+	// path, or the checksum fold of a tracked VM, which stays on the fast path.
+	watch := slow || vm.trackProgress
 	capv := vm.instrCap
 	if capv == 0 {
 		capv = ^uint64(0)
@@ -155,6 +157,9 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 			// this instruction's bookkeeping.
 			flushed := false
 			brk := false
+			// rolledBack: a native call the coordinator gated (or whose
+			// monitor was contended) undid its br_cnt tick; it re-executes.
+			rolledBack := false
 			switch in.Op {
 			case bytecode.OpNop:
 				pc++
@@ -718,7 +723,9 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 			case bytecode.OpCall:
 				f.PC, f.Stack = pc, stack
 				flushed, brk = true, true
+				br := t.BrCnt
 				err = vm.doCall(t, f, in.A)
+				rolledBack = t.BrCnt != br
 			case bytecode.OpRet, bytecode.OpRetV:
 				f.PC, f.Stack = pc, stack
 				flushed, brk = true, true
@@ -1137,34 +1144,28 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				return vm.fatal(t, err)
 			}
 			// Post-instruction bookkeeping, in the historical order.
-			if slow {
-				if vm.pairs != nil {
-					if prevOp != bytecode.OpInvalid {
-						vm.pairs.Add(prevOp, in.Op)
+			if watch {
+				if slow {
+					if vm.pairs != nil {
+						if prevOp != bytecode.OpInvalid {
+							vm.pairs.Add(prevOp, in.Op)
+						}
+						prevOp = in.Op
 					}
-					prevOp = in.Op
+					if !flushed {
+						f.PC, f.Stack = pc, stack
+						flushed = true
+					}
+					brk = true
 				}
-				if !flushed {
-					f.PC, f.Stack = pc, stack
-					flushed = true
-				}
-				brk = true
-				if vm.trackProgress {
-					// Publish the progress indicators into the thread object
-					// after every bytecode (§4.2) — the scheduling records
-					// read them — and fold the position into the control-path
-					// checksum.
-					if tf := t.Top(); tf != nil {
-						t.Progress.Method = tf.Method
-						t.Progress.PC = tf.PC
+				if in.Branch && vm.trackProgress && !rolledBack {
+					// The tick stands: fold the position the branch left the
+					// thread at. Ops that flushed may have changed the frame.
+					if flushed {
+						t.foldTop()
 					} else {
-						t.Progress.Method = -1
-						t.Progress.PC = -1
+						t.Progress.fold(f.Method, pc)
 					}
-					t.Progress.BrCnt = t.BrCnt
-					t.Progress.MonCnt = t.MonCnt
-					t.Progress.Chk = t.Progress.Chk*1099511628211 ^
-						(uint64(uint32(t.Progress.Method))<<32 | uint64(uint32(t.Progress.PC)))
 				}
 			}
 			icnt++

@@ -112,8 +112,8 @@ type Thread struct {
 
 	yielded bool
 
-	// Progress is the per-bytecode snapshot published when the VM runs
-	// with TrackProgress (replicated thread scheduling).
+	// Progress carries the control-path checksum a TrackProgress VM
+	// maintains (replicated thread scheduling).
 	Progress ProgressSnapshot
 
 	// Progress counters (§4.2).
@@ -184,15 +184,38 @@ func childVTID(parent *Thread) string {
 	return parent.VTID + "." + strconv.Itoa(parent.childCount)
 }
 
-// ProgressSnapshot is the thread-object progress record maintained after
-// every bytecode under TrackProgress (§4.2). Chk is a rolling checksum of
-// the thread's control path (every pc visited); the backup cross-checks it
-// at each replayed switch, so divergence anywhere inside a scheduling
-// interval is caught, not just divergence of the interval endpoints.
+// 64-bit FNV-1a parameters. The offset basis also seeds every thread's
+// control-path checksum: a thread descheduled before its first branch carries
+// it, so no legitimate checksum is the zero value of a cleared record field.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// ProgressSnapshot is the part of the §4.2 progress record that cannot be
+// read off the thread at a stop point (method, pc offset, br_cnt and mon_cnt
+// can: threads are only descheduled flushed, at block edges and blocking
+// ops). Chk is a rolling checksum of the thread's control path, maintained
+// under TrackProgress: once per executed branch-counted instruction whose
+// br_cnt tick stands (no fault, no native call rolled back for a retry — so
+// folds == br_cnt) it folds the (method, pc) of the top frame as that
+// instruction leaves it, -1/-1 when no frame is left. Between two ticks
+// execution is straight-line, so the folded positions determine every pc
+// visited; the backup cross-checks Chk at each replayed switch and so catches
+// divergence inside a scheduling interval, not just at its endpoints.
 type ProgressSnapshot struct {
-	Method int32
-	PC     int32
-	BrCnt  uint64
-	MonCnt uint64
-	Chk    uint64
+	Chk uint64
+}
+
+func (p *ProgressSnapshot) fold(method, pc int32) {
+	p.Chk = p.Chk*fnvPrime64 ^ (uint64(uint32(method))<<32 | uint64(uint32(pc)))
+}
+
+// foldTop folds the position of t's top frame. The frame must be flushed.
+func (t *Thread) foldTop() {
+	if f := t.Top(); f != nil {
+		t.Progress.fold(f.Method, f.PC)
+	} else {
+		t.Progress.fold(-1, -1)
+	}
 }

@@ -24,17 +24,19 @@ import (
 // boundary — a branch was executed, the op needs the outer loop (frame
 // change, blocking, possible GC), or it faulted.
 //
-// Two compilations exist per method. tcode is built from Resolved.Wide (the
-// wide-fusion superinstruction stream) and runs untracked fast slices; tslow
-// is built from Resolved.Methods (the faithful one-op-per-bytecode stream)
-// and runs progress-tracked and exact-replay slices, publishing the §4.2
-// progress snapshot and checksum after every bytecode exactly like the
-// switch loop's slow path.
+// One compilation exists per method: tcode, built from Resolved.Wide (the
+// wide-fusion superinstruction stream). It runs every slice — untracked,
+// progress-tracked and the free-running part of exact replay. A tracked VM
+// (Config.TrackProgress) differs only in its branch-flagged slots, which
+// compileThreaded wraps in trackBranch to fold the control-path checksum;
+// an untracked VM's stream has no trace of tracking.
 //
 // Epoch-based branch counter. The kill flag, the preemption target and the
 // instruction budget are checked only at block boundaries (every loop
-// contains a branch, so the latency is bounded), even in progress-tracked
-// mode. Within a block br_cnt cannot change (only branch-flagged
+// contains a branch, so the latency is bounded). A thread is therefore only
+// ever descheduled with its frame flushed at a block edge or a blocking op,
+// which is where the §4.2 progress indicators are read off it (see
+// ProgressSnapshot). Within a block br_cnt cannot change (only branch-flagged
 // instructions bump it, and every branch ends its block), and budget targets
 // lie strictly above the entry br_cnt, so the block-boundary check stops the
 // slice at exactly the same instruction as the historical per-instruction
@@ -105,14 +107,10 @@ func (c *tctx) branchTick() {
 	c.branch = true
 }
 
-// step finishes a successfully executed single instruction: count it and, in
-// tracked mode, publish the §4.2 progress indicators. exit=true ends the
-// block (branch or brk op).
+// step finishes a successfully executed single instruction. exit=true ends
+// the block (branch or brk op).
 func (c *tctx) step(exit bool) bool {
 	c.icnt++
-	if c.vm.trackProgress {
-		c.publish()
-	}
 	return !exit
 }
 
@@ -129,45 +127,40 @@ func (c *tctx) contBr() bool {
 // stepBr finishes a successfully executed single branch instruction.
 func (c *tctx) stepBr() bool {
 	c.icnt++
-	if c.vm.trackProgress {
-		c.publish()
-	}
 	return c.contBr()
 }
 
-// publish mirrors the switch loop's slow-path bookkeeping: flush the frame
-// (unless an op that handed the frame to a helper already did), then publish
-// the progress snapshot and fold the position into the control-path checksum.
-func (c *tctx) publish() {
-	if !c.flushed {
-		c.f.PC, c.f.Stack = c.pc, c.stack
+// trackBranch wraps a branch-flagged slot of a tracked VM's stream: when the
+// instruction's br_cnt tick stands (no fault; a gated native call rolls its
+// tick back) it folds the position it left the thread at into the
+// control-path checksum, by the same rule as runSlice. Ops that flushed the
+// frame (call, return, join) may have changed it, so they fold the thread's
+// top frame; for the rest the cached pc is the truth.
+func trackBranch(op tclosure) tclosure {
+	return func(c *tctx) bool {
+		t := c.t
+		br := t.BrCnt
+		cont := op(c)
+		if c.err == nil && t.BrCnt != br {
+			if c.flushed {
+				t.foldTop()
+			} else {
+				t.Progress.fold(c.f.Method, c.pc)
+			}
+		}
+		return cont
 	}
-	t := c.t
-	if tf := t.Top(); tf != nil {
-		t.Progress.Method = tf.Method
-		t.Progress.PC = tf.PC
-	} else {
-		t.Progress.Method = -1
-		t.Progress.PC = -1
-	}
-	t.Progress.BrCnt = t.BrCnt
-	t.Progress.MonCnt = t.MonCnt
-	t.Progress.Chk = t.Progress.Chk*1099511628211 ^
-		(uint64(uint32(t.Progress.Method))<<32 | uint64(uint32(t.Progress.PC)))
 }
 
-// runThreaded executes one scheduling slice on the threaded engine. The
-// boundary checks run in the switch loop's historical order (error, kill,
-// preemption target, yield, brk), so every stop lands on the same
-// instruction with the same flushed state.
+// runThreaded executes one scheduling slice on the threaded engine. Every
+// boundary first writes the cached pc/stack and instruction count back, so
+// whatever follows (a stop, a hand-off to runSlice, a GC) sees the thread as
+// it stands; the checks then run in the switch loop's historical order
+// (error, kill, preemption target, yield, brk).
 func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 	capv := vm.instrCap
 	if capv == 0 {
 		capv = ^uint64(0)
-	}
-	streams := vm.tcode
-	if vm.trackProgress || target.Exact {
-		streams = vm.tslow
 	}
 	c := &vm.tc
 	c.vm = vm
@@ -176,28 +169,24 @@ func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 	c.brTarget = target.Br
 	for {
 		if vm.halted || t.state != StateRunnable || vm.killed.Load() {
-			vm.stats.Instructions = c.icnt
 			return nil
 		}
 		if target.Exact && t.BrCnt >= target.Br {
 			// Inside the stop epoch (or past it): the slice tail needs
 			// per-instruction stop-position checks. Delegate to the
 			// reference engine.
-			vm.stats.Instructions = c.icnt
 			return vm.runSlice(t, target)
 		}
 		if vm.hp.NeedsGC() {
 			if err := vm.runGC(t); err != nil {
-				vm.stats.Instructions = c.icnt
 				return vm.fatal(t, err)
 			}
 		}
 		f := &t.frames[len(t.frames)-1]
-		tm := &streams[f.Method]
+		tm := &vm.tcode[f.Method]
 		if c.icnt+tm.margin > capv {
 			// Near the instruction budget: the reference engine's
 			// per-dispatch check decides the exact faulting instruction.
-			vm.stats.Instructions = c.icnt
 			return vm.runSlice(t, target)
 		}
 		c.icap = capv - tm.margin
@@ -206,60 +195,39 @@ func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 		c.stack = f.Stack
 		c.pc = f.PC
 		code := tm.code
-	inner:
 		for {
 			for code[c.pc](c) {
 			}
-			flushed, brk, branch := c.flushed, c.brk, c.branch
+			// An op that flushed may have changed the frame stack under f.
+			if !c.flushed {
+				f.PC, f.Stack = c.pc, c.stack
+			}
+			vm.stats.Instructions = c.icnt
+			brk, branch := c.brk, c.branch
 			c.flushed, c.brk, c.branch = false, false, false
 			if c.err != nil {
-				vm.stats.Instructions = c.icnt
-				if !flushed {
-					f.PC, f.Stack = c.pc, c.stack
-				}
 				err := c.err
 				c.err = nil
 				return vm.fatal(t, err)
 			}
 			if vm.killed.Load() {
-				vm.stats.Instructions = c.icnt
-				if !flushed {
-					f.PC, f.Stack = c.pc, c.stack
-				}
 				return nil
 			}
 			if target.Exact {
 				if t.BrCnt >= target.Br {
-					vm.stats.Instructions = c.icnt
-					if !flushed {
-						f.PC, f.Stack = c.pc, c.stack
-					}
 					return vm.runSlice(t, target)
 				}
 			} else if branch && t.BrCnt >= target.Br {
-				vm.stats.Instructions = c.icnt
-				if !flushed {
-					f.PC, f.Stack = c.pc, c.stack
-				}
 				return nil
 			}
 			if t.yielded {
 				t.yielded = false
-				vm.stats.Instructions = c.icnt
-				if !flushed {
-					f.PC, f.Stack = c.pc, c.stack
-				}
 				return nil
 			}
 			if brk {
-				if !flushed {
-					f.PC, f.Stack = c.pc, c.stack
-				}
-				break inner
+				break
 			}
 			if c.icnt+tm.margin > capv {
-				f.PC, f.Stack = c.pc, c.stack
-				vm.stats.Instructions = c.icnt
 				return vm.runSlice(t, target)
 			}
 		}
@@ -267,7 +235,8 @@ func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 }
 
 // compileThreaded compiles one resolved stream set (per-method, index-aligned
-// with prog.Methods; nil for natives) into closure arrays.
+// with prog.Methods; nil for natives) into closure arrays. Tracking is
+// decided here, once, so an untracked VM pays nothing for it.
 func (vm *VM) compileThreaded(streams [][]bytecode.RInstr) []tmethod {
 	out := make([]tmethod, len(streams))
 	for mi, code := range streams {
@@ -277,6 +246,9 @@ func (vm *VM) compileThreaded(streams [][]bytecode.RInstr) []tmethod {
 		cl := make([]tclosure, len(code))
 		for pc := range code {
 			cl[pc] = vm.compileOp(code[pc])
+			if vm.trackProgress && code[pc].Branch {
+				cl[pc] = trackBranch(cl[pc])
+			}
 		}
 		out[mi] = tmethod{code: cl, margin: uint64(len(code)) + 16}
 	}
@@ -671,7 +643,7 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 
 // compileBase builds the closure for a base (unfused) opcode. Each body is a
 // direct transcription of the corresponding runSlice case; step() supplies
-// the shared post-instruction bookkeeping (count, tracked-mode publication).
+// the shared post-instruction bookkeeping.
 func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 	switch in.Op {
 	case bytecode.OpNop:

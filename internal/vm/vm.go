@@ -50,12 +50,13 @@ type Config struct {
 	// pressure. The fault-tolerant default is false: soft references are
 	// treated as strong so replicas cannot diverge on cache hits (§4.3).
 	SoftRefsCollectable bool
-	// TrackProgress makes the interpreter publish each thread's progress
-	// indicators (method, pc offset, br_cnt, mon_cnt) into the thread
-	// object after every bytecode — the bookkeeping replicated thread
-	// scheduling requires ("this requires an update to the thread object
-	// after executing every bytecode", §4.2). This per-instruction cost is
-	// what dominates the Misc overhead in Figure 4.
+	// TrackProgress makes the interpreter maintain each thread's
+	// control-path checksum (Thread.Progress.Chk, folded once per counted
+	// branch) — the bookkeeping replicated thread scheduling requires. The
+	// paper updates the whole progress record after every bytecode (§4.2)
+	// because its interpreter can be preempted anywhere; here threads are
+	// only descheduled flushed, at block edges and blocking operations, and
+	// the rest of the record is read off them there.
 	TrackProgress bool
 	// Dispatch selects the interpreter engine: DispatchThreaded (default)
 	// runs the subroutine-threaded engine with wide superinstruction fusion
@@ -113,8 +114,9 @@ type VM struct {
 	// rcode is the decode-once form of prog: per-method resolved code,
 	// index-aligned with prog.Methods (nil for natives). rfused is the same
 	// code with superinstruction fusion applied, used by slices that need no
-	// per-bytecode observation. interned holds the pre-allocated heap string
-	// for every StrPool entry, so executing sconst never allocates.
+	// per-bytecode observation (all but exact replay and pair profiling).
+	// interned holds the pre-allocated heap string for every StrPool entry,
+	// so executing sconst never allocates.
 	rcode    [][]bytecode.RInstr
 	rfused   [][]bytecode.RInstr
 	interned []heap.Ref
@@ -128,12 +130,11 @@ type VM struct {
 	instrCap      uint64
 	stats         Stats
 
-	// dispatch selects the engine; tcode/tslow are the subroutine-threaded
-	// compilations (wide-fused and faithful unfused) built when dispatch is
+	// dispatch selects the engine; tcode is the subroutine-threaded
+	// compilation of the wide-fused stream, built when dispatch is
 	// DispatchThreaded. tc is the reusable threaded execution context.
 	dispatch Dispatch
 	tcode    []tmethod
-	tslow    []tmethod
 	tc       tctx
 
 	// pairs, when set, forces the counting slow path (see Config.PairCounter).
@@ -209,12 +210,9 @@ func New(cfg Config) (*VM, error) {
 		v.interned[i] = ref
 	}
 	if v.dispatch == DispatchThreaded {
-		// Compile both threaded streams after interning: sconst closures
-		// capture the interned refs directly. tcode executes the wide-fused
-		// variant (fast slices), tslow the faithful per-bytecode variant
-		// (progress tracking and exact replay).
+		// Compile after interning: sconst closures capture the interned
+		// refs directly.
 		v.tcode = v.compileThreaded(res.Wide)
-		v.tslow = v.compileThreaded(res.Methods)
 	}
 	return v, nil
 }
@@ -286,9 +284,6 @@ func bindNatives(p *bytecode.Program, reg *native.Registry) error {
 	return nil
 }
 
-// TrackingProgress reports whether per-bytecode progress publication is on.
-func (vm *VM) TrackingProgress() bool { return vm.trackProgress }
-
 // Program returns the (augmented) program under execution.
 func (vm *VM) Program() *bytecode.Program { return vm.prog }
 
@@ -356,7 +351,8 @@ func (vm *VM) newThread(parent *Thread, method int32, args []heap.Value) (*Threa
 	if err != nil {
 		return nil, err
 	}
-	t := &Thread{Slot: slot, VTID: vtid, Ref: ref, state: StateRunnable}
+	t := &Thread{Slot: slot, VTID: vtid, Ref: ref, state: StateRunnable,
+		Progress: ProgressSnapshot{Chk: fnvOffset64}}
 	t.pushFrame(vm.prog.Methods[method], method, args)
 	vm.threads = append(vm.threads, t)
 	if parent != nil {

@@ -11,8 +11,9 @@
 # does not match this lint.
 #
 # Exempt: _test.go files (real-time tests are audited in DESIGN.md),
-# internal/simtest/** (the clock implementation itself), and main packages
-# under cmd/** (CLIs report wall time to humans).
+# internal/simtest/** (the clock implementation itself), main packages
+# under cmd/** (CLIs report wall time to humans), and benchmark/** (its own
+# module, a main package whose whole job is to time the library from outside).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,7 @@ files=$(find . -name '*.go' \
     ! -name '*_test.go' \
     ! -path './internal/simtest/*' \
     ! -path './cmd/*' \
+    ! -path './benchmark/*' \
     -print | sort)
 
 # Self-check: the clock-sensitive packages must be in the scan set. The

@@ -7,8 +7,9 @@
 # every time: the debugger's view of an execution is a pure function of the
 # log. Then captures a second log under a different network seed and checks
 # that -diff finds a first diverging branch position between two captures of
-# genuinely different executions, and that -diff of a log against itself
-# reports identity.
+# genuinely different executions, that -diff of a log against itself reports
+# identity, and that a capture of an older format version is refused by
+# version.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -74,5 +75,17 @@ if go run ./cmd/ftvm-debug -diff "$tmp/a.ftlog" "$tmp/b.ftlog" > "$tmp/ab" 2>/de
 fi
 grep -q '^diverged at position' "$tmp/ab" || {
     echo "debug-smoke: -diff did not locate a diverging position" >&2; cat "$tmp/ab" >&2; exit 1; }
+
+# A capture of the previous format version (same file, version byte 1) is
+# refused by version, in the REPL and in -diff, with the decoder's own words.
+{ printf 'FTLOG\001'; tail -c +7 "$tmp/a.ftlog"; } > "$tmp/old.ftlog"
+want="ftvm-debug: $tmp/old.ftlog: unsupported ftlog format version: file is version 1, this build reads version 2; capture the log again"
+for args in "$tmp/old.ftlog" "-diff $tmp/a.ftlog $tmp/old.ftlog"; do
+    if go run ./cmd/ftvm-debug $args < /dev/null > /dev/null 2> "$tmp/olderr"; then
+        echo "debug-smoke: a version-1 capture was accepted ($args)" >&2; exit 1
+    fi
+    grep -qxF "$want" "$tmp/olderr" || {
+        echo "debug-smoke: version-1 capture not refused by version ($args)" >&2; cat "$tmp/olderr" >&2; exit 1; }
+done
 
 echo "debug-smoke: ok"
