@@ -1,7 +1,9 @@
 # Developer entry points. `make check` is the pre-merge gate: vet, the full
 # test suite, and the race detector over the concurrency-heavy packages
 # (replication and transport are where the primary/backup/heartbeat
-# goroutines interleave; debug sessions clone tracked VMs across goroutines).
+# goroutines interleave; debug sessions clone tracked VMs across goroutines;
+# consensus replicas, fleet shards and the view service share state between
+# their own actors and their callers).
 
 GO ?= go
 
@@ -17,7 +19,8 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/replication/... ./internal/transport/... ./internal/simtest/... ./internal/debug/...
+	$(GO) test -race ./internal/replication/... ./internal/transport/... ./internal/simtest/... ./internal/debug/... \
+		./internal/consensus/... ./internal/fleet/... ./internal/viewsvc/...
 
 # Clock-injection rule (DESIGN.md): no naked time.Now/time.Sleep/... in
 # library code — time comes from an injected clock.Clock, or clock.Real.*
@@ -69,18 +72,24 @@ debug-smoke:
 # deterministic harness: the pair table (PR 1-3 bugs), the view-change
 # table (epoch/promotion bugs), the fleet table (at-most-once /
 # state-transfer bugs), and the consensus table (leader-kill-mid-commit /
-# stale-term / split-vote classes). See internal/simtest/replayseeds_test.go,
-# viewsweep_test.go, fleetsweep_test.go, and consensusreplayseeds_test.go.
+# stale-term / split-vote classes) — all four through the same ParseKey + Run
+# path `ftvm-sim -replay` takes. See internal/simtest/replayseeds_test.go.
 replay-seeds:
-	$(GO) test -run 'TestReplaySeeds|TestViewReplaySeeds|TestFleetReplaySeeds|TestConsensusReplaySeeds' -v ./internal/simtest
+	$(GO) test -run 'TestReplaySeeds' -v ./internal/simtest
 
 # Bounded fuzzing pass: the differential smoke quota (a few hundred generated
 # programs cross-checked standalone/replicated/failover) plus a short burst of
-# each native fuzz target. `go test -fuzz` accepts one target per invocation.
+# each native fuzz target — one per format that crosses a trust boundary:
+# program images, assembler text, wire frames/acks/record batches, .ftlog
+# captures. `go test -fuzz` accepts one target per invocation.
 fuzz-smoke:
 	$(GO) test -short ./internal/fuzzgen
 	$(GO) test -run '^$$' -fuzz FuzzProgramBinary -fuzztime 10s ./internal/bytecode
 	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 10s ./internal/bytecode
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeAck$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeAll$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeLog$$' -fuzztime 5s ./internal/replication
 
 check: vet clock-lint build test race bench-smoke bench-spine-smoke fuzz-smoke sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke golden-dual
 

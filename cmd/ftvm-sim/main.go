@@ -35,12 +35,12 @@
 // followers, open finite partition windows on the leader lane, inject
 // stale-term frames, and vary the election seed to force contested votes.
 //
-// -replay dispatches on the key's parsed field structure
-// (simtest.ClassifyReplayKey): a "clients" field means a fleet combo, "who"
-// means a consensus combo, "kill1" means a view combo, and anything else is a
-// pair combo. Unknown, ambiguous, or malformed fields are rejected up front
-// with an error naming the offending field. Pair replays accept -capture to
-// write the backup's replication log as a .ftlog for ftvm-debug.
+// All four sweeps and -replay go through the one engine in internal/simtest:
+// simtest.ParseKey reads the kind off the key's field structure (a "clients"
+// field means a fleet combo, "who" a consensus combo, "kill1" a view combo,
+// anything else a pair combo) and rejects unknown, repeated, ambiguous or
+// malformed fields with an error naming the field. Pair replays accept
+// -capture to write the backup's replication log as a .ftlog for ftvm-debug.
 //
 // On any divergence the sweep prints the failing combo's trace line and the
 // single -replay string that reproduces it; exit status is non-zero.
@@ -91,158 +91,80 @@ func run() error {
 		return fmt.Errorf("-capture requires -replay with a pair combo key")
 	}
 
-	size, err := fuzzgen.SizeByName(*sizeName)
-	if err != nil {
+	cfg := simtest.SweepConfig{Clients: *clients}
+	switch {
+	case *fleetSw:
+		cfg.Kind = simtest.KindFleet
+	case *consens:
+		cfg.Kind = simtest.KindConsensus
+	case *view:
+		cfg.Kind = simtest.KindView
+	}
+	var err error
+	if cfg.Size, err = fuzzgen.SizeByName(*sizeName); err != nil {
 		return err
 	}
-	var progSeeds []uint64
 	for i := 0; i < *progs; i++ {
-		progSeeds = append(progSeeds, *start+uint64(i))
+		cfg.Seeds = append(cfg.Seeds, *start+uint64(i))
 	}
-	var netSeeds []int64
 	for i := 0; i < *nets; i++ {
-		netSeeds = append(netSeeds, int64(i+1))
+		cfg.NetSeeds = append(cfg.NetSeeds, int64(i+1))
 	}
-	var killSends []int
 	if *kills != "" {
 		for _, f := range strings.Split(*kills, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
 				return fmt.Errorf("bad -kills entry %q: %w", f, err)
 			}
-			killSends = append(killSends, n)
+			cfg.Kills = append(cfg.Kills, n)
 		}
 	}
-
 	var logf func(string)
 	if *verbose {
 		logf = func(line string) { fmt.Println(line) }
 	}
 
-	var (
-		combos   int
-		elapsed  time.Duration
-		trace    []string
-		failures []string
-	)
-	if *fleetSw {
-		cfg := simtest.FleetSweepConfig{Seeds: progSeeds, Clients: *clients}
-		res := simtest.RunFleetSweep(cfg, logf)
-		combos, elapsed, trace = res.Combos, res.Elapsed, res.Trace
-		for _, f := range res.Failures {
-			failures = append(failures, fmt.Sprintf("FAIL %s\n  replay: %s", f.TraceLine(), f.ReplayCommand()))
-		}
-	} else if *consens {
-		cfg := simtest.ConsensusSweepConfig{
-			Size: size, ProgSeeds: progSeeds, NetSeeds: netSeeds, KillSends: killSends,
-		}
-		res := simtest.RunConsensusSweep(cfg, logf)
-		combos, elapsed, trace = res.Combos, res.Elapsed, res.Trace
-		for _, f := range res.Failures {
-			failures = append(failures, fmt.Sprintf("FAIL %s\n  replay: %s", f.TraceLine(), f.ReplayCommand()))
-		}
-	} else if *view {
-		cfg := simtest.ViewSweepConfig{
-			Size: size, ProgSeeds: progSeeds, NetSeeds: netSeeds, Kill1Sends: killSends,
-		}
-		res := simtest.RunViewSweep(cfg, logf)
-		combos, elapsed, trace = res.Combos, res.Elapsed, res.Trace
-		for _, f := range res.Failures {
-			failures = append(failures, fmt.Sprintf("FAIL %s\n  replay: %s", f.TraceLine(), f.ReplayCommand()))
-		}
-	} else {
-		cfg := simtest.SweepConfig{
-			Size: size, ProgSeeds: progSeeds, NetSeeds: netSeeds, KillSends: killSends,
-		}
-		res := simtest.RunSweep(cfg, logf)
-		combos, elapsed, trace = res.Combos, res.Elapsed, res.Trace
-		for _, f := range res.Failures {
-			failures = append(failures, fmt.Sprintf("FAIL %s\n  replay: %s", f.TraceLine(), f.ReplayCommand()))
-		}
-	}
-
+	res := simtest.RunSweep(cfg, logf)
 	if *tracePth != "" {
-		data := strings.Join(trace, "\n") + "\n"
+		data := strings.Join(res.Trace, "\n") + "\n"
 		if err := atomicio.WriteFile(*tracePth, []byte(data), 0o644); err != nil {
 			return err
 		}
 	}
 	fmt.Printf("swept %d combos (%d program seeds, %d net seeds, size %s) in %v wall: %d failures\n",
-		combos, *progs, *nets, size, elapsed.Round(time.Millisecond), len(failures))
-	for _, f := range failures {
-		fmt.Println(f)
+		res.Combos, *progs, *nets, cfg.Size, res.Elapsed.Round(time.Millisecond), len(res.Failures))
+	for _, f := range res.Failures {
+		fmt.Printf("FAIL %s\n  replay: %s\n", f.TraceLine(), f.ReplayCommand())
 	}
-	if n := len(failures); n > 0 {
-		return fmt.Errorf("%d of %d combos diverged", n, combos)
+	if n := len(res.Failures); n > 0 {
+		return fmt.Errorf("%d of %d combos diverged", n, res.Combos)
 	}
 	return nil
 }
 
 func runReplay(key, capture string) error {
-	kind, kerr := simtest.ClassifyReplayKey(key)
-	if kerr != nil {
-		return kerr
-	}
-	if capture != "" && kind != simtest.ReplayPair {
-		return fmt.Errorf("-capture only applies to pair combos, not %s keys", kind)
-	}
-	var (
-		line, detail string
-		err          error
-		ref, console []string
-	)
-	switch kind {
-	case simtest.ReplayFleet:
-		cb, perr := simtest.ParseFleetCombo(key)
-		if perr != nil {
-			return perr
-		}
-		out := simtest.RunFleetCombo(cb)
-		fmt.Println(out.TraceLine())
-		if out.Err != nil {
-			return out.Err
-		}
-		if out.Detail != "" {
-			return fmt.Errorf("invariant failure: %s", out.Detail)
-		}
-		return nil
-	case simtest.ReplayConsensus:
-		cb, perr := simtest.ParseConsensusCombo(key)
-		if perr != nil {
-			return perr
-		}
-		out := simtest.RunConsensusCombo(cb, nil, nil)
-		line, detail, err, ref, console = out.TraceLine(), out.Detail, out.Err, out.Ref, out.Console
-	case simtest.ReplayView:
-		cb, perr := simtest.ParseViewCombo(key)
-		if perr != nil {
-			return perr
-		}
-		out := simtest.RunViewCombo(cb, nil, nil)
-		line, detail, err, ref, console = out.TraceLine(), out.Detail, out.Err, out.Ref, out.Console
-	default:
-		cb, perr := simtest.ParseCombo(key)
-		if perr != nil {
-			return perr
-		}
-		cb.Capture = capture
-		out := simtest.RunCombo(cb, nil, nil)
-		line, detail, err, ref, console = out.TraceLine(), out.Detail, out.Err, out.Ref, out.Console
-	}
-	fmt.Println(line)
+	sc, err := simtest.ParseKey(key)
 	if err != nil {
 		return err
 	}
-	if detail != "" {
+	if capture != "" {
+		cb, ok := sc.(*simtest.Combo)
+		if !ok {
+			return fmt.Errorf("-capture only applies to pair combos, not %s keys", sc.Kind())
+		}
+		cb.Capture = capture
+	}
+	out := simtest.Run(sc)
+	fmt.Println(out.TraceLine())
+	if out.Err == nil && out.Detail != "" && len(out.Ref)+len(out.Console) > 0 {
 		fmt.Println("reference console:")
-		for _, ln := range ref {
+		for _, ln := range out.Ref {
 			fmt.Printf("  %s\n", ln)
 		}
 		fmt.Println("simulated console:")
-		for _, ln := range console {
+		for _, ln := range out.Console {
 			fmt.Printf("  %s\n", ln)
 		}
-		return fmt.Errorf("divergence: %s", detail)
 	}
-	return nil
+	return out.Failure()
 }

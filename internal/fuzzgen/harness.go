@@ -140,8 +140,8 @@ func (c *Config) derive(seed uint64) params {
 // position carries over by index — frame sends in the simulator versus
 // logged records in the live harness — so the schedule is analogous rather
 // than identical; the value is a fully deterministic reproduction vehicle
-// for the same program, mode, and fault family. The format is parsed by
-// simtest.ParseCombo (pinned by a round-trip test there).
+// for the same program, mode, and fault family. The format is a pair key of
+// simtest.ParseKey (pinned by TestFuzzReplayKeyParses there).
 func SimReplayKey(f *Failure) string {
 	pr := (&Config{}).derive(f.Seed)
 	kill, fault, at := pr.killAt, "none", 0

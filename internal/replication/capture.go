@@ -187,7 +187,7 @@ func DecodeLog(b []byte) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := c.take(int(plen), "program image")
+	img, err := c.take(plen, "program image")
 	if err != nil {
 		return nil, err
 	}
@@ -275,11 +275,15 @@ func (c *logCursor) sv(what string) (int64, error) {
 	return v, nil
 }
 
-func (c *logCursor) take(n int, what string) ([]byte, error) {
-	if n < 0 || c.off+n > len(c.b) {
-		return nil, fmt.Errorf("ftlog: header %s cut short", what)
+// take returns the next n bytes. n comes from the file, so it is compared
+// against what is left as a uint64: converted to int and added to the offset
+// first, a length near 1<<63 wraps negative, passes the check and panics in
+// the slice expression.
+func (c *logCursor) take(n uint64, what string) ([]byte, error) {
+	if left := uint64(len(c.b) - c.off); n > left {
+		return nil, fmt.Errorf("ftlog: header %s cut short: length %d, %d bytes left", what, n, left)
 	}
-	v := c.b[c.off : c.off+n]
-	c.off += n
+	v := c.b[c.off : c.off+int(n)]
+	c.off += int(n)
 	return v, nil
 }

@@ -54,32 +54,30 @@ func silentBackup(t *testing.T, clk clock.Clock, ep transport.Endpoint, ackUntil
 	return &wg
 }
 
-// TestBackupLostDuringOutputCommit: the backup stops acknowledging right
-// before an output commit. The primary must not hang on the pessimistic wait
-// (the pre-AckTimeout behaviour): within AckTimeout it declares the backup
-// lost, surfaces ErrBackupLost, and — critically for exactly-once — the
-// uncommitted output is never performed, while already-committed outputs
-// stay performed exactly once. On the virtual clock the detection latency is
-// asserted exactly: the run takes at least AckTimeout and at most AckTimeout
-// plus a little message latency, in simulated time.
-func TestBackupLostDuringOutputCommit(t *testing.T) {
+// runAgainstSilentBackup runs faultProgram on the virtual clock under a primary
+// built from pc (completed with the link, policy and clock) whose backup acks
+// only the first output commit ("start") and then wedges. It returns the
+// primary, the environment, the run's duration in virtual time and its error.
+//
+// The test body holds the clock (Attach) from before the backup actor starts
+// until the VM actor is spawned. Without that the backup is, for a while, the
+// only actor, and parked: virtual time free-runs through its 2s receive
+// timeout while the bare test goroutine is still building the primary, the
+// backup exits, and the *first* commit then times out (console = [], seen in
+// 21 of 400 runs before the hold, 0 of 400 after).
+func runAgainstSilentBackup(t *testing.T, netSeed int64, pc PrimaryConfig) (*Primary, *env.Env, time.Duration, error) {
+	t.Helper()
 	prog := mustAssemble(t, faultProgram)
 	clk := clock.NewVirtual()
 	defer clk.Watchdog(30 * time.Second)()
+	clk.Attach()
 	environ := env.New(1234)
-	pEnd, bEnd := simnet.Link(clk, simnet.Config{Seed: 99})
-	// Ack only the first output commit ("start"); the second commit hangs.
+	pEnd, bEnd := simnet.Link(clk, simnet.Config{Seed: netSeed})
 	wg := silentBackup(t, clk, bEnd, 1)
 
-	const ackTimeout = 200 * time.Millisecond
-	primary, err := NewPrimary(PrimaryConfig{
-		Mode:       ModeLock,
-		Endpoint:   pEnd,
-		Policy:     vm.NewSeededPolicy(77, 64, 512),
-		FlushEvery: 4,
-		AckTimeout: ackTimeout,
-		Clock:      clk,
-	})
+	pc.Mode, pc.Endpoint, pc.FlushEvery, pc.Clock = ModeLock, pEnd, 4, clk
+	pc.Policy = vm.NewSeededPolicy(77, 64, 512)
+	primary, err := NewPrimary(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +95,23 @@ func TestBackupLostDuringOutputCommit(t *testing.T) {
 		runErr = pvm.Run()
 		elapsed = clk.Since(start)
 	})
+	clk.Detach()
 	done.Wait()
 	wg.Wait()
+	return primary, environ, elapsed, runErr
+}
+
+// TestBackupLostDuringOutputCommit: the backup stops acknowledging right
+// before an output commit. The primary must not hang on the pessimistic wait
+// (the pre-AckTimeout behaviour): within AckTimeout it declares the backup
+// lost, surfaces ErrBackupLost, and — critically for exactly-once — the
+// uncommitted output is never performed, while already-committed outputs
+// stay performed exactly once. On the virtual clock the detection latency is
+// asserted exactly: the run takes at least AckTimeout and at most AckTimeout
+// plus a little message latency, in simulated time.
+func TestBackupLostDuringOutputCommit(t *testing.T) {
+	const ackTimeout = 200 * time.Millisecond
+	primary, environ, elapsed, runErr := runAgainstSilentBackup(t, 99, PrimaryConfig{AckTimeout: ackTimeout})
 
 	if !errors.Is(runErr, ErrBackupLost) {
 		t.Fatalf("run error = %v, want ErrBackupLost", runErr)
@@ -147,36 +160,10 @@ func TestDegradeOnBackupLoss(t *testing.T) {
 	}
 	want := canonicalize(refEnv.Console().Lines())
 
-	clk := clock.NewVirtual()
-	defer clk.Watchdog(30 * time.Second)()
-	environ := env.New(1234)
-	pEnd, bEnd := simnet.Link(clk, simnet.Config{Seed: 7})
-	wg := silentBackup(t, clk, bEnd, 1)
-	primary, err := NewPrimary(PrimaryConfig{
-		Mode:                ModeLock,
-		Endpoint:            pEnd,
-		Policy:              vm.NewSeededPolicy(77, 64, 512),
-		FlushEvery:          4,
+	primary, environ, _, runErr := runAgainstSilentBackup(t, 7, PrimaryConfig{
 		AckTimeout:          150 * time.Millisecond,
 		DegradeOnBackupLoss: true,
-		Clock:               clk,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pvm, err := vm.New(vm.Config{Program: prog, Env: environ, Coordinator: primary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runErr error
-	var done sync.WaitGroup
-	done.Add(1)
-	clk.Go(func() {
-		defer done.Done()
-		runErr = pvm.Run()
-	})
-	done.Wait()
-	wg.Wait()
 	if runErr != nil {
 		t.Fatalf("degraded run must complete, got %v", runErr)
 	}

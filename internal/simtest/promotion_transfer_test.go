@@ -17,10 +17,7 @@ import (
 // schedules; this sweeps the whole position space for a fixed workload.
 func TestPromotionTransferSurvivesKillAtEveryTailPosition(t *testing.T) {
 	const progSeed = 5
-	prog, ref, err := comboProgram(Combo{ProgSeed: progSeed, Size: fuzzgen.SizeSmall})
-	if err != nil {
-		t.Fatal(err)
-	}
+	refs := references{} // one compile and reference run for the whole table
 
 	// The position space is discovered, not assumed: keep killing one send
 	// later until the kill falls past the promoted primary's final message
@@ -32,19 +29,18 @@ func TestPromotionTransferSurvivesKillAtEveryTailPosition(t *testing.T) {
 		for k2 := 1; k2 <= positionCap; k2++ {
 			pastEnd := true
 			for _, deliver := range []bool{false, true} {
-				cb := ViewCombo{
-					ProgSeed: progSeed, Size: fuzzgen.SizeSmall, Mode: mode,
+				out := refs.run(&ViewCombo{
+					ProgCombo: ProgCombo{ProgSeed: progSeed, Size: fuzzgen.SizeSmall, Mode: mode,
+						NetSeed: 1, ReorderNum: 1, ReorderDen: 8},
 					Kill1AtSend: 3, Kill1Deliver: false,
 					Kill2AtSend: k2, Kill2Deliver: deliver,
-					NetSeed: 1, ReorderNum: 1, ReorderDen: 8,
-				}
-				out := RunViewCombo(cb, prog, ref)
+				})
 				if out.Failed() {
 					t.Errorf("tail position %d (deliver=%t, mode=%s):\n%s\nreplay: %s",
 						k2, deliver, mode, out.TraceLine(), out.ReplayCommand())
 					continue
 				}
-				r := out.Result
+				r := out.Result.(*ViewClusterResult)
 				switch {
 				case !r.Killed2:
 					missed++ // position past the schedule's last send

@@ -25,13 +25,13 @@ import (
 
 func takeoverProgram(t *testing.T) (*ftvm.Program, []string, Combo) {
 	t.Helper()
-	cb := Combo{ProgSeed: 3, Size: fuzzgen.SizeSmall, Mode: ftvm.ModeLock,
-		NetSeed: 5, ReorderNum: 1, ReorderDen: 8}
-	prog, ref, err := comboProgram(cb)
-	if err != nil {
-		t.Fatal(err)
+	cb := Combo{ProgCombo: ProgCombo{ProgSeed: 3, Size: fuzzgen.SizeSmall, Mode: ftvm.ModeLock,
+		NetSeed: 5, ReorderNum: 1, ReorderDen: 8}}
+	ref := newReference(cb.ProgSeed, cb.Size)
+	if ref.err != nil {
+		t.Fatal(ref.err)
 	}
-	return prog, ref, cb
+	return ref.prog, ref.console, cb
 }
 
 func mustAgree(t *testing.T, ref, got []string, what string) {
@@ -48,7 +48,7 @@ func mustAgree(t *testing.T, ref, got []string, what string) {
 func TestTakeoverEmptyLogTail(t *testing.T) {
 	prog, ref, cb := takeoverProgram(t)
 	cb.KillAtSend = 1 // first frame dies with the primary
-	res, err := RunCluster(cb.clusterConfig(prog))
+	res, err := RunCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTakeoverMidFlush(t *testing.T) {
 	prog, ref, cb := takeoverProgram(t)
 	cb.KillAtSend = 3
 	cb.KillDeliver = true // the fatal frame reaches the backup
-	res, err := RunCluster(cb.clusterConfig(prog))
+	res, err := RunCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTakeoverMidFlush(t *testing.T) {
 func TestDoubleTakeover(t *testing.T) {
 	prog, ref, cb := takeoverProgram(t)
 	cb.KillAtSend = 4
-	res, err := RunCluster(cb.clusterConfig(prog))
+	res, err := RunCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,12 @@ func TestDoubleTakeover(t *testing.T) {
 	}
 	mustAgree(t, ref, res.Console, "first takeover output")
 
-	env2 := env.New(cb.envSeed())
+	envSeed, _, recoverSeed := deriveSeeds(cb.ProgSeed)
+	env2 := env.New(envSeed)
 	_, report2, err := res.backup.Recover(replication.RecoverConfig{
 		Program: prog,
 		Env:     env2,
-		Policy:  vm.NewSeededPolicy(cb.recoverSeed()^1, 100, 900),
+		Policy:  vm.NewSeededPolicy(recoverSeed^1, 100, 900),
 	})
 	if err != nil {
 		t.Fatalf("second takeover: %v", err)
@@ -134,11 +135,11 @@ func TestClusterResultStable(t *testing.T) {
 		sort.Strings(lines)
 		return strings.Join(lines, "\n")
 	}
-	first, err := RunCluster(cb.clusterConfig(prog))
+	first, err := RunCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunCluster(cb.clusterConfig(prog))
+	second, err := RunCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,18 +16,14 @@ import (
 func viewProgram(t *testing.T) (*ftvm.Program, []string, ViewCombo) {
 	t.Helper()
 	prog, ref, pairCb := takeoverProgram(t)
-	cb := ViewCombo{
-		ProgSeed: pairCb.ProgSeed, Size: pairCb.Size, Mode: pairCb.Mode,
-		NetSeed: pairCb.NetSeed, ReorderNum: pairCb.ReorderNum, ReorderDen: pairCb.ReorderDen,
-	}
-	return prog, ref, cb
+	return prog, ref, ViewCombo{ProgCombo: pairCb.ProgCombo}
 }
 
 // TestViewClusterClean: no failures — the pair completes under view 1, n3 is
 // never recruited, and the output matches the failure-free reference.
 func TestViewClusterClean(t *testing.T) {
 	prog, ref, cb := viewProgram(t)
-	res, err := RunViewCluster(cb.viewClusterConfig(prog))
+	res, err := RunViewCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +44,7 @@ func TestViewClusterClean(t *testing.T) {
 func TestViewClusterPromotionRecruitsBackup(t *testing.T) {
 	prog, ref, cb := viewProgram(t)
 	cb.Kill1AtSend = 4
-	res, err := RunViewCluster(cb.viewClusterConfig(prog))
+	res, err := RunViewCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +79,7 @@ func TestViewClusterSurvivesSequentialFailures(t *testing.T) {
 	cb.Kill1AtSend = 3
 	cb.Kill2AtSend = 6
 	cb.Kill2Deliver = true
-	res, err := RunViewCluster(cb.viewClusterConfig(prog))
+	res, err := RunViewCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +101,7 @@ func TestViewClusterKillDuringTransfer(t *testing.T) {
 	prog, ref, cb := viewProgram(t)
 	cb.Kill1AtSend = 4
 	cb.Kill2AtSend = 1 // the transfer's first frame dies with n2
-	res, err := RunViewCluster(cb.viewClusterConfig(prog))
+	res, err := RunViewCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +123,7 @@ func TestViewClusterRejectsStaleEpochFrame(t *testing.T) {
 	prog, ref, cb := viewProgram(t)
 	cb.Kill1AtSend = 4
 	cb.InjectStale = true
-	res, err := RunViewCluster(cb.viewClusterConfig(prog))
+	res, err := RunViewCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +148,7 @@ func TestViewClusterRejectsStaleEpochFrame(t *testing.T) {
 func TestViewClusterDoubleTakeoverGuard(t *testing.T) {
 	prog, _, cb := viewProgram(t)
 	cb.Kill1AtSend = 4
-	res, err := RunViewCluster(cb.viewClusterConfig(prog))
+	res, err := RunViewCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +176,7 @@ func TestCorruptAckDesync(t *testing.T) {
 	prog, ref, cb := takeoverProgram(t)
 	cb.FaultKind = transport.FaultCorruptRecv
 	cb.FaultAt = 1
-	res, err := RunCluster(cb.clusterConfig(prog))
+	res, err := RunCluster(cb, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

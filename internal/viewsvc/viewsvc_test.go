@@ -176,6 +176,10 @@ func TestWaitViewAlreadySatisfiedAndMultipleWaiters(t *testing.T) {
 
 	var wg sync.WaitGroup
 	views := make([]View, 2)
+	// Hold the clock while actors launch: a waiter that parks before the
+	// reporter exists would be every actor there is, parked, with nothing
+	// scheduled — which the clock rightly calls a deadlock.
+	clk.Attach()
 	for i := range views {
 		wg.Add(1)
 		i := i
@@ -188,6 +192,7 @@ func TestWaitViewAlreadySatisfiedAndMultipleWaiters(t *testing.T) {
 		clk.Sleep(10 * time.Millisecond)
 		_, _ = s.ReportFailure("n2", "n1")
 	})
+	clk.Detach()
 	wg.Wait()
 	for i, v := range views {
 		if v.Num != 2 {
