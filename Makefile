@@ -3,11 +3,13 @@
 # (replication and transport are where the primary/backup/heartbeat
 # goroutines interleave; debug sessions clone tracked VMs across goroutines;
 # consensus replicas, fleet shards and the view service share state between
-# their own actors and their callers).
+# their own actors and their callers; the root package's one replicated-run
+# body is where the VM, the log site's serve goroutine and the kill poller
+# meet).
 
 GO ?= go
 
-.PHONY: build test vet race check bench bench-smoke bench-spine-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual
+.PHONY: build test vet race loc check bench bench-smoke bench-spine-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual
 
 build:
 	$(GO) build ./...
@@ -21,6 +23,12 @@ vet:
 race:
 	$(GO) test -race ./internal/replication/... ./internal/transport/... ./internal/simtest/... ./internal/debug/... \
 		./internal/consensus/... ./internal/fleet/... ./internal/viewsvc/...
+	$(GO) test -race -run 'Replicated|Failover|Warm|MeasureReplay' .
+
+# The three line counts ROADMAP.md tracks (root-module non-test Go, its
+# tests, benchmark/), produced by a command instead of by hand.
+loc:
+	./scripts/loc.sh
 
 # Clock-injection rule (DESIGN.md): no naked time.Now/time.Sleep/... in
 # library code — time comes from an injected clock.Clock, or clock.Real.*

@@ -55,9 +55,6 @@ func run() error {
 	if *capture != "" && *mode == "" {
 		return fmt.Errorf("-capture requires -mode (only replicated runs log events)")
 	}
-	if *capture != "" && *warm {
-		return fmt.Errorf("-capture is not supported with -warm (the warm backup consumes records as they stream)")
-	}
 	opts := ftvm.Options{EnvSeed: *seed, PolicySeed: *polSeed, MaxInstructions: *maxIns, CaptureLog: *capture}
 
 	var console []string

@@ -6,6 +6,7 @@ package ftvm
 // guarantee restated for majority commit.
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -96,7 +97,8 @@ func TestMeasureReplayConsensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := func() *env.Env { return env.New(5) }
-	primary, replay, err := MeasureReplay(prog, ModeLock, Options{Backend: BackendConsensus}, factory)
+	capture := filepath.Join(t.TempDir(), "replay.ftlog")
+	primary, replay, err := MeasureReplay(prog, ModeLock, Options{Backend: BackendConsensus, CaptureLog: capture}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,4 +111,5 @@ func TestMeasureReplayConsensus(t *testing.T) {
 	if replay.Elapsed <= 0 {
 		t.Fatal("no replay timing")
 	}
+	checkCapture(t, capture, ModeLock, replay.Report.RecordsInLog)
 }

@@ -287,10 +287,17 @@ func KillAfterRecords(n int) KillTrigger {
 	return func(logged int) bool { return logged >= n }
 }
 
+// ErrWarmOption is returned (wrapped, naming the option) by RunWarmReplicated
+// for an option a warm backup cannot honour: BackendConsensus, because the
+// warm backup is the pair's backup executing, and CaptureLog, because it
+// consumes records as they stream and keeps no log to write.
+var ErrWarmOption = errors.New("ftvm: option not supported with a warm backup")
+
 // RunReplicated executes prog under primary-backup replication to clean
 // completion (no failure injected).
 func RunReplicated(prog *Program, mode Mode, opts Options) (*ReplicatedResult, error) {
-	return runReplicated(prog, mode, opts, nil)
+	res, _, err := run(prog, mode, opts, nil, false)
+	return res, err
 }
 
 // RunWithFailover executes prog replicated, kills the primary when the
@@ -300,319 +307,102 @@ func RunWithFailover(prog *Program, mode Mode, trigger KillTrigger, opts Options
 	if trigger == nil {
 		return nil, errors.New("ftvm: nil kill trigger")
 	}
-	return runReplicated(prog, mode, opts, trigger)
+	res, _, err := run(prog, mode, opts, trigger, false)
+	return res, err
 }
 
-func runReplicated(prog *Program, mode Mode, opts Options, trigger KillTrigger) (*ReplicatedResult, error) {
-	if opts.Backend == BackendConsensus {
-		res, _, err := runConsensus(prog, mode, opts, trigger)
-		return res, err
-	}
+// logSite is where a replicated run's log goes while the primary executes —
+// the one thing that differs between a cold pair, a warm pair and a consensus
+// cluster. run drives every kind through this seam; building a site fills in
+// the transport half of the primary's configuration.
+type logSite interface {
+	// logged is the number of records logged so far, for the kill trigger.
+	logged() int
+	// kill fail-stops what dies with the primary's process besides its VM.
+	kill()
+	// wait joins the site once the primary has stopped.
+	wait() (*siteLog, error)
+	// close releases the site.
+	close()
+}
+
+// siteLog is what a log site hands back when the run is over.
+type siteLog struct {
+	outcome   replication.ServeOutcome
+	stats     replication.BackupStats
+	consensus []consensus.Stats
+	// records returns the logged stream, for the capture file and an
+	// offline replay; nil where none is kept (warm).
+	records func() []wire.Record
+	// backup is the replica that already holds the log and recovers from it;
+	// nil means recovery loads records into an offline backup.
+	backup *replication.Backup
+	// warm is set by a warm site, whose backup has finished the program by
+	// itself: there is nothing left to recover.
+	warm *replication.WarmResult
+}
+
+// run is the one replicated-run body: primary, VM, log site, kill poller,
+// result, capture, recovery. Every exported run function is a wrapper of it,
+// so every one reads every option.
+func run(prog *Program, mode Mode, opts Options, trigger KillTrigger, warm bool) (*ReplicatedResult, *siteLog, error) {
 	opts.fill()
 	clk := opts.clock()
 	environ := opts.environment()
-	pEnd, bEnd := opts.newPipe()
-
-	primary, err := replication.NewPrimary(replication.PrimaryConfig{
+	pc := replication.PrimaryConfig{
 		Mode:                mode,
-		Endpoint:            pEnd,
 		Policy:              vm.NewSeededPolicy(opts.PolicySeed, opts.MinQuantum, opts.MaxQuantum),
 		FlushEvery:          opts.FlushEvery,
 		HeartbeatEvery:      opts.Heartbeat,
 		AckTimeout:          opts.AckTimeout,
 		DegradeOnBackupLoss: opts.DegradeOnBackupLoss,
 		Clock:               opts.Clock,
-	})
-	if err != nil {
-		return nil, err
 	}
-	machine, err := vm.New(vm.Config{
+	var site logSite
+	var err error
+	switch {
+	case warm && opts.Backend == BackendConsensus:
+		return nil, nil, fmt.Errorf("%w: BackendConsensus", ErrWarmOption)
+	case warm && opts.CaptureLog != "":
+		return nil, nil, fmt.Errorf("%w: CaptureLog", ErrWarmOption)
+	case warm:
+		site, err = opts.pairSite(&pc, opts.recoverConfig(prog, environ))
+	case opts.Backend == BackendConsensus:
+		site, err = opts.consensusSite(&pc)
+	default:
+		site, err = opts.pairSite(&pc, nil)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	defer site.close()
+	primary, err := replication.NewPrimary(pc)
+	if err != nil {
+		return nil, nil, err
+	}
+	machine, err := primary.NewVM(vm.Config{
 		Program:         prog,
 		Env:             environ,
-		Coordinator:     primary,
 		GCThreshold:     opts.GCThreshold,
 		MaxInstructions: opts.MaxInstructions,
-		TrackProgress:   mode == ModeSched,
 		Dispatch:        opts.Dispatch,
 	})
 	if err != nil {
-		return nil, err
-	}
-	backup, err := replication.NewBackup(replication.BackupConfig{Mode: mode, Endpoint: bEnd, Clock: opts.Clock})
-	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Helper goroutines are spawned through the clock and joined via clock
 	// Flags so the whole structure also works under an injected virtual
 	// clock (bare channel joins would stall simulated time).
-	serveDone := clock.NewFlag(clk)
-	var outcome replication.ServeOutcome
-	var serveErr error
-	clk.Go(func() {
-		defer serveDone.Set()
-		outcome, serveErr = backup.Serve()
-	})
-
-	killDone := clock.NewFlag(clk)
-	if trigger != nil {
-		clk.Go(func() {
-			defer killDone.Set()
-			for !serveDone.IsSet() {
-				if trigger(backup.Store().Len()) {
-					machine.Kill()
-					return
-				}
-				clk.Sleep(50 * time.Microsecond)
-			}
-		})
-	} else {
-		killDone.Set()
-	}
-
-	t0 := clk.Now()
-	runErr := machine.Run()
-	elapsed := clk.Since(t0)
-	serveDone.Wait()
-	killDone.Wait()
-
-	res := &ReplicatedResult{
-		Stats:   machine.Stats(),
-		Console: environ.Console().Lines(),
-		Elapsed: elapsed,
-		Env:     environ,
-		Primary: primary.Metrics(),
-		Backup:  backup.Stats(),
-		Outcome: outcome,
-		Killed:  machine.Killed(),
-	}
-	if opts.CaptureLog != "" {
-		if cerr := writeCapture(opts.CaptureLog, prog, mode, opts, backup.Store().Records()); cerr != nil {
-			return res, fmt.Errorf("capture log: %w", cerr)
-		}
-	}
-	if serveErr != nil {
-		return res, fmt.Errorf("backup serve: %w", serveErr)
-	}
-	if runErr != nil && !machine.Killed() {
-		return res, fmt.Errorf("primary run: %w", runErr)
-	}
-
-	if trigger == nil {
-		if outcome != replication.OutcomePrimaryCompleted {
-			return res, fmt.Errorf("unexpected backup outcome %v", outcome)
-		}
-		return res, nil
-	}
-
-	// The primary may have completed before the trigger fired — including the
-	// race where the trigger observes the final record count just as the VM
-	// halts and the kill lands on an already-finished machine. The backup can
-	// only report a clean completion after the halt marker shipped, which in
-	// turn happens only after every output commit succeeded, so a completed
-	// outcome wins over the kill flag.
-	if !machine.Killed() || outcome == replication.OutcomePrimaryCompleted {
-		return res, nil
-	}
-	if !outcome.Failed() {
-		return res, fmt.Errorf("primary killed but backup observed %v", outcome)
-	}
-	r0 := clk.Now()
-	_, report, err := backup.Recover(replication.RecoverConfig{
-		Program:         prog,
-		Env:             environ,
-		Policy:          vm.NewSeededPolicy(opts.PolicySeed^0x5DEECE66D, opts.MinQuantum, opts.MaxQuantum),
-		GCThreshold:     opts.GCThreshold,
-		MaxInstructions: opts.MaxInstructions,
-		Dispatch:        opts.Dispatch,
-	})
-	res.RecoveryElapsed = clk.Since(r0)
-	res.Recovery = report
-	res.Console = environ.Console().Lines()
-	if err != nil {
-		return res, fmt.Errorf("recovery: %w", err)
-	}
-	return res, nil
-}
-
-// ReplayResult describes a backup replay measurement (the "backup" columns
-// of Figure 2: the time for the backup to replay events from the log).
-type ReplayResult struct {
-	Elapsed time.Duration
-	Report  *replication.RecoveryReport
-}
-
-// MeasureReplay runs prog replicated to completion while capturing the full
-// log, then replays the entire execution at a fresh backup against a fresh
-// copy of the environment. It returns the primary-side result and the replay
-// measurement. envFactory must produce identically-seeded environments.
-func MeasureReplay(prog *Program, mode Mode, opts Options, envFactory func() *env.Env) (*ReplicatedResult, *ReplayResult, error) {
-	if envFactory == nil {
-		return nil, nil, errors.New("ftvm: nil environment factory")
-	}
-	if opts.Backend == BackendConsensus {
-		return measureConsensusReplay(prog, mode, opts, envFactory)
-	}
-	opts.fill()
-	clk := opts.clock()
-	opts.Env = envFactory()
-	pEnd, bEnd := opts.newPipe()
-	primary, err := replication.NewPrimary(replication.PrimaryConfig{
-		Mode:       mode,
-		Endpoint:   pEnd,
-		Policy:     vm.NewSeededPolicy(opts.PolicySeed, opts.MinQuantum, opts.MaxQuantum),
-		FlushEvery: opts.FlushEvery,
-		AckTimeout: opts.AckTimeout,
-		Clock:      opts.Clock,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	machine, err := vm.New(vm.Config{
-		Program:         prog,
-		Env:             opts.Env,
-		Coordinator:     primary,
-		GCThreshold:     opts.GCThreshold,
-		MaxInstructions: opts.MaxInstructions,
-		TrackProgress:   mode == ModeSched,
-		Dispatch:        opts.Dispatch,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	backup, err := replication.NewBackup(replication.BackupConfig{Mode: mode, Endpoint: bEnd, Clock: opts.Clock})
-	if err != nil {
-		return nil, nil, err
-	}
-	serveDone := clock.NewFlag(clk)
-	var outcome replication.ServeOutcome
-	var serveErr error
-	clk.Go(func() {
-		defer serveDone.Set()
-		outcome, serveErr = backup.Serve()
-	})
-	t0 := clk.Now()
-	runErr := machine.Run()
-	elapsed := clk.Since(t0)
-	serveDone.Wait()
-	res := &ReplicatedResult{
-		Stats:   machine.Stats(),
-		Console: opts.Env.Console().Lines(),
-		Elapsed: elapsed,
-		Env:     opts.Env,
-		Primary: primary.Metrics(),
-		Backup:  backup.Stats(),
-		Outcome: outcome,
-	}
-	if runErr != nil {
-		return res, nil, fmt.Errorf("primary run: %w", runErr)
-	}
-	if serveErr != nil {
-		return res, nil, fmt.Errorf("backup serve: %w", serveErr)
-	}
-
-	// Replay the full log at a fresh backup over a fresh environment. The
-	// clean-halt marker is stripped so the replayer treats the log as a
-	// crash at the very end (the paper's backup replay measurement).
-	replayBackup, err := replication.NewBackup(replication.BackupConfig{Mode: mode, Endpoint: nopEndpoint{}})
-	if err != nil {
-		return res, nil, err
-	}
-	if err := replayBackup.LoadRecords(backup.Store().Records()); err != nil {
-		return res, nil, err
-	}
-	r0 := clk.Now()
-	_, report, err := replayBackup.Recover(replication.RecoverConfig{
-		Program:         prog,
-		Env:             envFactory(),
-		Policy:          vm.NewSeededPolicy(opts.PolicySeed^0x5DEECE66D, opts.MinQuantum, opts.MaxQuantum),
-		GCThreshold:     opts.GCThreshold,
-		MaxInstructions: opts.MaxInstructions,
-		Dispatch:        opts.Dispatch,
-	})
-	replay := &ReplayResult{Elapsed: clk.Since(r0), Report: report}
-	if err != nil {
-		return res, replay, fmt.Errorf("replay: %w", err)
-	}
-	return res, replay, nil
-}
-
-// consensusLeaderWait bounds each leader-election wait in the consensus
-// path; generous because on a virtual clock it costs nothing and on the wall
-// clock elections settle in tens of milliseconds.
-const consensusLeaderWait = 10 * time.Second
-
-// runConsensus is runReplicated over the consensus coordination path: a
-// 3-replica replicated log stands where the pair's backup channel stood, the
-// VM runs colocated with the elected leader, and a kill takes out VM and
-// leader together. It also returns the committed record stream (from a
-// surviving replica) so MeasureReplay can re-execute it.
-func runConsensus(prog *Program, mode Mode, opts Options, trigger KillTrigger) (*ReplicatedResult, []wire.Record, error) {
-	opts.fill()
-	clk := opts.clock()
-	environ := opts.environment()
-	cluster, err := consensus.NewCluster(consensus.Config{
-		Seed:         opts.ConsensusSeed,
-		Clock:        opts.Clock,
-		PipeCapacity: opts.PipeCapacity,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	cluster.Start()
-	defer cluster.Stop()
-	leader, err := cluster.WaitLeader(consensusLeaderWait)
-	if err != nil {
-		return nil, nil, err
-	}
-	be := consensus.NewBackend(leader, opts.AckTimeout)
-	primary, err := replication.NewPrimary(replication.PrimaryConfig{
-		Mode:                mode,
-		Backend:             be,
-		Policy:              vm.NewSeededPolicy(opts.PolicySeed, opts.MinQuantum, opts.MaxQuantum),
-		FlushEvery:          opts.FlushEvery,
-		DegradeOnBackupLoss: opts.DegradeOnBackupLoss,
-		Clock:               opts.Clock,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	machine, err := vm.New(vm.Config{
-		Program:         prog,
-		Env:             environ,
-		Coordinator:     primary,
-		GCThreshold:     opts.GCThreshold,
-		MaxInstructions: opts.MaxInstructions,
-		TrackProgress:   mode == ModeSched,
-		Dispatch:        opts.Dispatch,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// The kill trigger counts committed records — the consensus analogue of
-	// "records the backup has logged" — by incrementally decoding committed
-	// entry payloads at the leader.
 	runDone := clock.NewFlag(clk)
 	killDone := clock.NewFlag(clk)
 	if trigger != nil {
 		clk.Go(func() {
 			defer killDone.Set()
-			var seen uint64
-			count := 0
 			for !runDone.IsSet() {
-				payloads, commit := cluster.CommittedPayloads(leader.ID(), seen)
-				seen = commit
-				for _, p := range payloads {
-					if recs, derr := wire.DecodeAll(p); derr == nil {
-						count += len(recs)
-					}
-				}
-				if trigger(count) {
-					// The process hosting both the VM and the leader replica
-					// fail-stops; the survivors must elect and recover.
+				if trigger(site.logged()) {
 					machine.Kill()
-					cluster.Kill(leader.ID())
+					site.kill()
 					return
 				}
 				clk.Sleep(50 * time.Microsecond)
@@ -627,131 +417,265 @@ func runConsensus(prog *Program, mode Mode, opts Options, trigger KillTrigger) (
 	elapsed := clk.Since(t0)
 	runDone.Set()
 	killDone.Wait()
+	log, siteErr := site.wait()
 
 	res := &ReplicatedResult{
-		Stats:   machine.Stats(),
-		Console: environ.Console().Lines(),
-		Elapsed: elapsed,
-		Env:     environ,
-		Primary: primary.Metrics(),
-		Killed:  machine.Killed(),
+		Stats:     machine.Stats(),
+		Console:   environ.Console().Lines(),
+		Elapsed:   elapsed,
+		Env:       environ,
+		Primary:   primary.Metrics(),
+		Backup:    log.stats,
+		Outcome:   log.outcome,
+		Killed:    machine.Killed(),
+		Consensus: log.consensus,
 	}
-	for i := 0; i < cluster.Size(); i++ {
-		res.Consensus = append(res.Consensus, cluster.Replica(i).Snapshot())
+	if siteErr != nil {
+		return res, log, siteErr
 	}
-
-	// Read the committed log back from a surviving replica — after a kill
-	// that means waiting out a fresh election (whose barrier commit fences
-	// every entry that survived).
-	source := leader
-	if source.Stopped() {
-		source, err = cluster.WaitLeader(consensusLeaderWait)
-		if err != nil {
-			detail := ""
-			for i := 0; i < cluster.Size(); i++ {
-				detail += fmt.Sprintf(" [%d %+v stopped=%v]", i, cluster.Replica(i).Snapshot(), cluster.Replica(i).Stopped())
-			}
-			return res, nil, fmt.Errorf("consensus failover: %w;%s", err, detail)
-		}
-	}
-	recs, err := cluster.CommittedRecords(source.ID())
-	if err != nil {
-		return res, nil, fmt.Errorf("consensus log: %w", err)
-	}
-	res.Backup = replication.BackupStats{RecordsLogged: uint64(len(recs))}
 	if opts.CaptureLog != "" {
-		if cerr := writeCapture(opts.CaptureLog, prog, mode, opts, recs); cerr != nil {
-			return res, recs, fmt.Errorf("capture log: %w", cerr)
+		if cerr := writeCapture(opts.CaptureLog, prog, mode, opts, log.records()); cerr != nil {
+			return res, log, fmt.Errorf("capture log: %w", cerr)
 		}
 	}
-	halted := false
-	for _, r := range recs {
-		if _, ok := r.(*wire.Halt); ok {
-			halted = true
-		}
-	}
-
 	if runErr != nil && !machine.Killed() {
-		res.Outcome = replication.OutcomePrimaryFailed
-		return res, recs, fmt.Errorf("primary run: %w", runErr)
+		return res, log, fmt.Errorf("primary run: %w", runErr)
 	}
-	if trigger == nil {
-		if !halted {
-			res.Outcome = replication.OutcomePrimaryFailed
-			return res, recs, errors.New("consensus run finished without a committed halt")
-		}
-		res.Outcome = replication.OutcomePrimaryCompleted
-		return res, recs, nil
-	}
-	// Same race as the pair path: a committed halt means every output commit
-	// succeeded before the kill landed, so the run counts as completed.
-	if !machine.Killed() || halted {
-		res.Outcome = replication.OutcomePrimaryCompleted
-		return res, recs, nil
+	// The primary may have completed before the trigger fired — including the
+	// race where the trigger observes the final record count just as the VM
+	// halts and the kill lands on an already-finished machine. The log can
+	// only hold a clean halt after the halt marker shipped, which in turn
+	// happens only after every output commit succeeded, so a completed
+	// outcome wins over the kill flag.
+	switch {
+	case log.outcome == replication.OutcomePrimaryCompleted, trigger != nil && !machine.Killed():
+		return res, log, nil
+	case !machine.Killed() || !log.outcome.Failed():
+		return res, log, fmt.Errorf("primary killed=%v but the log site observed %v", machine.Killed(), log.outcome)
+	case log.warm != nil:
+		return res, log, nil
 	}
 
-	// Recovery: load the survivors' committed prefix into a cold backup and
-	// re-execute log-gated against the same environment, exactly as a
-	// promoted pair backup would.
-	res.Outcome = replication.OutcomePrimaryFailed
-	replayBackup, err := replication.NewBackup(replication.BackupConfig{Mode: mode, Endpoint: nopEndpoint{}})
-	if err != nil {
-		return res, recs, err
+	backup := log.backup
+	if backup == nil {
+		if backup, err = offlineBackup(mode, log.records()); err != nil {
+			return res, log, fmt.Errorf("recovery load: %w", err)
+		}
+		res.Backup = backup.Stats()
 	}
-	if err := replayBackup.LoadRecords(recs); err != nil {
-		return res, recs, fmt.Errorf("consensus recovery load: %w", err)
-	}
-	r0 := clk.Now()
-	_, report, err := replayBackup.Recover(replication.RecoverConfig{
-		Program:         prog,
-		Env:             environ,
-		Policy:          vm.NewSeededPolicy(opts.PolicySeed^0x5DEECE66D, opts.MinQuantum, opts.MaxQuantum),
-		GCThreshold:     opts.GCThreshold,
-		MaxInstructions: opts.MaxInstructions,
-		Dispatch:        opts.Dispatch,
-	})
-	res.RecoveryElapsed = clk.Since(r0)
-	res.Recovery = report
+	replay, err := opts.replayAt(backup, prog, environ)
+	res.Recovery, res.RecoveryElapsed = replay.Report, replay.Elapsed
 	res.Console = environ.Console().Lines()
-	res.Backup = replayBackup.Stats()
-	if err != nil {
-		return res, recs, fmt.Errorf("recovery: %w", err)
-	}
-	return res, recs, nil
+	return res, log, err
 }
 
-// measureConsensusReplay is MeasureReplay over the consensus path: a clean
-// consensus-backed run, then a full replay of the committed record stream at
-// a fresh backup over a fresh environment.
-func measureConsensusReplay(prog *Program, mode Mode, opts Options, envFactory func() *env.Env) (*ReplicatedResult, *ReplayResult, error) {
-	opts.fill()
-	clk := opts.clock()
-	opts.Env = envFactory()
-	res, recs, err := runConsensus(prog, mode, opts, nil)
-	if err != nil {
-		return res, nil, err
-	}
-	replayBackup, err := replication.NewBackup(replication.BackupConfig{Mode: mode, Endpoint: nopEndpoint{}})
-	if err != nil {
-		return res, nil, err
-	}
-	if err := replayBackup.LoadRecords(recs); err != nil {
-		return res, nil, err
-	}
-	r0 := clk.Now()
-	_, report, err := replayBackup.Recover(replication.RecoverConfig{
+// recoverConfig is how every backup of a run replays: the run's program and
+// VM limits, under a scheduling policy seeded differently from the primary's
+// — only the log makes the two agree.
+func (o *Options) recoverConfig(prog *Program, environ *env.Env) *replication.RecoverConfig {
+	return &replication.RecoverConfig{
 		Program:         prog,
-		Env:             envFactory(),
-		Policy:          vm.NewSeededPolicy(opts.PolicySeed^0x5DEECE66D, opts.MinQuantum, opts.MaxQuantum),
-		GCThreshold:     opts.GCThreshold,
-		MaxInstructions: opts.MaxInstructions,
-		Dispatch:        opts.Dispatch,
-	})
-	replay := &ReplayResult{Elapsed: clk.Since(r0), Report: report}
-	if err != nil {
-		return res, replay, fmt.Errorf("replay: %w", err)
+		Env:             environ,
+		Policy:          vm.NewSeededPolicy(o.PolicySeed^recoveryPolicyFold, o.MinQuantum, o.MaxQuantum),
+		GCThreshold:     o.GCThreshold,
+		MaxInstructions: o.MaxInstructions,
+		Dispatch:        o.Dispatch,
 	}
-	return res, replay, nil
+}
+
+// recoveryPolicyFold derives the recovery policy's seed from the primary's.
+const recoveryPolicyFold = 0x5DEECE66D
+
+// offlineBackup stands up a cold backup that holds records and speaks to
+// nobody: the replica a committed consensus log, or a captured clean run, is
+// replayed at.
+func offlineBackup(mode Mode, records []wire.Record) (*replication.Backup, error) {
+	backup, err := replication.NewBackup(replication.BackupConfig{Mode: mode})
+	if err != nil {
+		return nil, err
+	}
+	return backup, backup.LoadRecords(records)
+}
+
+// replayAt recovers at backup against environ and times it.
+func (o *Options) replayAt(backup *replication.Backup, prog *Program, environ *env.Env) (*ReplayResult, error) {
+	clk := o.clock()
+	r0 := clk.Now()
+	_, report, err := backup.Recover(*o.recoverConfig(prog, environ))
+	return &ReplayResult{Elapsed: clk.Since(r0), Report: report}, err
+}
+
+// pairSite is the paper's log site: one backup at the far end of a channel.
+// It is cold (it logs, and recovers afterwards if asked) unless warmCfg is
+// set, in which case it executes the program under warmCfg as records arrive.
+type pairSite struct {
+	pEnd  transport.Endpoint
+	count func() int
+	done  *clock.Flag
+	log   siteLog
+	err   error
+}
+
+// pairSite builds the backup and starts it serving; it waits in Recv until
+// the primary exists and speaks.
+func (o *Options) pairSite(pc *replication.PrimaryConfig, warmCfg *replication.RecoverConfig) (logSite, error) {
+	pEnd, bEnd := o.newPipe()
+	pc.Endpoint = pEnd
+	s := &pairSite{pEnd: pEnd, done: clock.NewFlag(o.clock())}
+	cfg := replication.BackupConfig{Mode: pc.Mode, Endpoint: bEnd, Clock: o.Clock}
+	var serve func()
+	if warmCfg != nil {
+		warm, err := replication.NewWarmBackup(cfg)
+		if err != nil {
+			return nil, err
+		}
+		s.count = warm.Logged
+		serve = func() {
+			var res *replication.WarmResult
+			if _, res, s.err = warm.Run(*warmCfg); res != nil {
+				s.log.warm, s.log.outcome, s.log.stats = res, res.Outcome, res.Serve
+			}
+		}
+	} else {
+		backup, err := replication.NewBackup(cfg)
+		if err != nil {
+			return nil, err
+		}
+		s.count = backup.Store().Len
+		serve = func() {
+			s.log.outcome, s.err = backup.Serve()
+			s.log.stats, s.log.records, s.log.backup = backup.Stats(), backup.Store().Records, backup
+		}
+	}
+	o.clock().Go(func() {
+		defer s.done.Set()
+		serve()
+	})
+	return s, nil
+}
+
+func (s *pairSite) logged() int { return s.count() }
+func (s *pairSite) kill()       {}
+
+// close releases a backup still waiting in Recv when the run never started.
+func (s *pairSite) close() { _ = s.pEnd.Close() }
+
+func (s *pairSite) wait() (*siteLog, error) {
+	s.done.Wait()
+	return &s.log, s.err
+}
+
+// consensusLeaderWait bounds each leader-election wait in the consensus
+// path; generous because on a virtual clock it costs nothing and on the wall
+// clock elections settle in tens of milliseconds.
+const consensusLeaderWait = 10 * time.Second
+
+// consensusSite stands a 3-replica replicated log where the pair's backup
+// channel stood: the VM runs colocated with the elected leader, and a kill
+// takes out VM and leader together — the process hosting both fail-stops; the
+// survivors must elect and recover.
+type consensusSite struct {
+	cluster *consensus.Cluster
+	leader  *consensus.Replica
+	// The kill trigger counts committed records — the consensus analogue of
+	// "records the backup has logged" — by incrementally decoding committed
+	// entry payloads at the leader.
+	seen  uint64
+	count int
+}
+
+func (o *Options) consensusSite(pc *replication.PrimaryConfig) (logSite, error) {
+	cluster, err := consensus.NewCluster(consensus.Config{
+		Seed:         o.ConsensusSeed,
+		Clock:        o.Clock,
+		PipeCapacity: o.PipeCapacity,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cluster.Start()
+	leader, err := cluster.WaitLeader(consensusLeaderWait)
+	if err != nil {
+		cluster.Stop()
+		return nil, err
+	}
+	pc.Backend = consensus.NewBackend(leader, pc.AckTimeout)
+	return &consensusSite{cluster: cluster, leader: leader}, nil
+}
+
+func (s *consensusSite) kill()  { s.cluster.Kill(s.leader.ID()) }
+func (s *consensusSite) close() { s.cluster.Stop() }
+
+func (s *consensusSite) logged() int {
+	payloads, commit := s.cluster.CommittedPayloads(s.leader.ID(), s.seen)
+	s.seen = commit
+	for _, p := range payloads {
+		if recs, err := wire.DecodeAll(p); err == nil {
+			s.count += len(recs)
+		}
+	}
+	return s.count
+}
+
+// wait reads the committed log back from a surviving replica — after a kill
+// that means waiting out a fresh election (whose barrier commit fences every
+// entry that survived). The outcome is read off the log: completed if it
+// holds the clean-halt marker, failed if not.
+func (s *consensusSite) wait() (*siteLog, error) {
+	log := &siteLog{outcome: replication.OutcomePrimaryFailed}
+	for i := 0; i < s.cluster.Size(); i++ {
+		log.consensus = append(log.consensus, s.cluster.Replica(i).Snapshot())
+	}
+	source := s.leader
+	if source.Stopped() {
+		var err error
+		if source, err = s.cluster.WaitLeader(consensusLeaderWait); err != nil {
+			return log, fmt.Errorf("consensus failover: %w; replicas at the end of the run: %+v", err, log.consensus)
+		}
+	}
+	recs, err := s.cluster.CommittedRecords(source.ID())
+	if err != nil {
+		return log, fmt.Errorf("consensus log: %w", err)
+	}
+	log.stats.RecordsLogged = uint64(len(recs))
+	log.records = func() []wire.Record { return recs }
+	for _, r := range recs {
+		if _, ok := r.(*wire.Halt); ok {
+			log.outcome = replication.OutcomePrimaryCompleted
+		}
+	}
+	return log, nil
+}
+
+// ReplayResult describes a backup replay measurement (the "backup" columns
+// of Figure 2: the time for the backup to replay events from the log).
+type ReplayResult struct {
+	Elapsed time.Duration
+	Report  *replication.RecoveryReport
+}
+
+// MeasureReplay runs prog replicated to completion while capturing the full
+// log, then replays the entire execution at a fresh backup against a fresh
+// copy of the environment: the clean-halt marker is dropped on load, so the
+// replayer treats the log as a crash at the very end (the paper's backup
+// replay measurement). It returns the primary-side result and the replay
+// measurement. envFactory must produce identically-seeded environments.
+func MeasureReplay(prog *Program, mode Mode, opts Options, envFactory func() *env.Env) (*ReplicatedResult, *ReplayResult, error) {
+	if envFactory == nil {
+		return nil, nil, errors.New("ftvm: nil environment factory")
+	}
+	opts.fill()
+	opts.Env = envFactory()
+	res, log, err := run(prog, mode, opts, nil, false)
+	if err != nil {
+		return res, nil, err
+	}
+	backup, err := offlineBackup(mode, log.records())
+	if err != nil {
+		return res, nil, err
+	}
+	replay, err := opts.replayAt(backup, prog, envFactory())
+	return res, replay, err
 }
 
 // writeCapture writes an .ftlog capture of a replicated run. The header's
@@ -761,7 +685,7 @@ func measureConsensusReplay(prog *Program, mode Mode, opts Options, envFactory f
 func writeCapture(path string, prog *Program, mode Mode, opts Options, records []wire.Record) error {
 	return replication.WriteLogFile(path, replication.LogHeader{
 		EnvSeed:         opts.EnvSeed,
-		PolicySeed:      opts.PolicySeed ^ 0x5DEECE66D,
+		PolicySeed:      opts.PolicySeed ^ recoveryPolicyFold,
 		MinQuantum:      opts.MinQuantum,
 		MaxQuantum:      opts.MaxQuantum,
 		Mode:            mode,
@@ -776,10 +700,3 @@ func Natives() *native.Registry { return native.StdLib() }
 
 // Handlers returns the default side-effect handler set.
 func Handlers() *sehandler.Set { return sehandler.DefaultSet() }
-
-// nopEndpoint satisfies transport.Endpoint for an offline replay backup.
-type nopEndpoint struct{}
-
-func (nopEndpoint) Send([]byte) error                  { return nil }
-func (nopEndpoint) Recv(time.Duration) ([]byte, error) { return nil, transport.ErrClosed }
-func (nopEndpoint) Close() error                       { return nil }

@@ -1,8 +1,10 @@
 package ftvm
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/env"
 	"repro/internal/replication"
@@ -111,7 +113,10 @@ func TestMeasureReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := func() *env.Env { return env.New(5) }
-	primary, replay, err := MeasureReplay(prog, ModeLock, Options{}, factory)
+	capture := filepath.Join(t.TempDir(), "replay.ftlog")
+	// Heartbeat and CaptureLog were dropped by the pair path's own copy of
+	// the run body before there was one run body.
+	primary, replay, err := MeasureReplay(prog, ModeLock, Options{CaptureLog: capture, Heartbeat: time.Millisecond}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +128,20 @@ func TestMeasureReplay(t *testing.T) {
 	}
 	if replay.Elapsed <= 0 {
 		t.Fatal("no replay timing")
+	}
+	checkCapture(t, capture, ModeLock, replay.Report.RecordsInLog)
+}
+
+// checkCapture requires path to hold a decodable capture of a mode run with
+// the given number of replayable records.
+func checkCapture(t *testing.T, path string, mode Mode, records int) {
+	t.Helper()
+	l, err := replication.ReadLogFile(path)
+	if err != nil {
+		t.Fatalf("capture not decodable: %v", err)
+	}
+	if l.Header.Mode != mode || len(l.Records) != records {
+		t.Fatalf("capture holds mode %v, %d records; want %v, %d", l.Header.Mode, len(l.Records), mode, records)
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/env"
-	"repro/internal/native"
 	"repro/internal/replication"
-	"repro/internal/sehandler"
 	"repro/internal/vm"
 	"repro/internal/wire"
 )
@@ -24,9 +22,8 @@ import (
 // visit) and replays forward from it, so reverse-stepping costs at most one
 // checkpoint interval of re-execution rather than a replay from zero.
 type Session struct {
-	log     *replication.Log
-	opts    Options
-	natives *native.Registry
+	log  *replication.Log
+	opts Options
 
 	cur    *machine
 	snaps  []*snapshot // ascending position; snaps[0] is position 0
@@ -83,7 +80,7 @@ func OpenLog(l *replication.Log, opts Options) (*Session, error) {
 	if opts.Every == 0 {
 		opts.Every = DefaultEvery
 	}
-	s := &Session{log: l, opts: opts, natives: native.StdLib()}
+	s := &Session{log: l, opts: opts}
 	if err := s.boot(); err != nil {
 		return nil, err
 	}
@@ -94,13 +91,14 @@ func OpenLog(l *replication.Log, opts Options) (*Session, error) {
 	return s, nil
 }
 
-// boot builds a fresh machine from the log's initial conditions, mirroring
-// the backup's recovery path: engine, VM, handler-state install, volatile
-// restore, then run — pausing immediately at position 0.
+// boot builds a fresh machine from the log's initial conditions through the
+// backup's own replay set-up (replication.ReplayEngine: engine, VM,
+// handler-state install, volatile restore) with the stepper wrapped around
+// its coordinator, then runs it — pausing immediately at position 0.
 func (s *Session) boot() error {
 	hdr := s.log.Header
 	policy := vm.NewSeededPolicy(hdr.PolicySeed, hdr.MinQuantum, hdr.MaxQuantum)
-	eng, err := replication.NewReplayEngine(hdr.Mode, s.log.Records, nil, s.natives, policy)
+	eng, err := replication.NewReplayEngine(hdr.Mode, s.log.Records, nil, nil, policy)
 	if err != nil {
 		return err
 	}
@@ -109,39 +107,23 @@ func (s *Session) boot() error {
 	if s.opts.OverrideDispatch {
 		dispatch = s.opts.Dispatch
 	}
-	environ := env.New(hdr.EnvSeed)
-	v, err := vm.New(vm.Config{
+	v, err := eng.NewVM(replication.RecoverConfig{
 		Program:         s.log.Prog,
-		Env:             environ,
-		Natives:         s.natives,
-		Coordinator:     st,
+		Env:             env.New(hdr.EnvSeed),
 		GCThreshold:     int(hdr.GCThreshold),
 		MaxInstructions: hdr.MaxInstructions,
-		TrackProgress:   eng.TrackProgress(),
 		Dispatch:        dispatch,
-	})
+	}, st)
 	if err != nil {
 		return fmt.Errorf("debug vm: %w", err)
 	}
-	installHandlers(v, eng.Handlers())
-	if err := eng.Handlers().RestoreAll(sehandler.Ctx{Heap: v.Heap(), Env: environ, Proc: v.Process()}); err != nil {
-		return fmt.Errorf("restore volatile state: %w", err)
+	if err := eng.Restore(v); err != nil {
+		return err
 	}
 	s.start(&machine{v: v, eng: eng, st: st, done: make(chan error, 1)}, func() error {
 		return v.Run()
 	})
 	return nil
-}
-
-// installHandlers mirrors recovery's handler-state install: natives consult
-// the handler set's translators through the VM's handler-state table.
-func installHandlers(v *vm.VM, handlers *sehandler.Set) {
-	for _, name := range handlers.Names() {
-		h, _ := handlers.Get(name)
-		if st := h.State(); st != nil {
-			v.SetHandlerState(name, st)
-		}
-	}
 }
 
 // start launches the machine's run goroutine (initial pause target is 0,
@@ -299,16 +281,7 @@ func (s *Session) restoreNearest(pos uint64) error {
 	st.setCacheState(sn.cache)
 	st.target = sn.pos
 	v := sn.v.CloneSuspended(st)
-	// Rebind cloned handlers to the cloned machine: refill the VM's
-	// handler-state table and re-attach the process (Restore already ran in
-	// the lineage; a clone must not restore again).
-	installHandlers(v, eng.Handlers())
-	for _, name := range eng.Handlers().Names() {
-		h, _ := eng.Handlers().Get(name)
-		if b, ok := h.(interface{ Bind(*env.Process) }); ok {
-			b.Bind(v.Process())
-		}
-	}
+	eng.Rebind(v)
 
 	s.Close()
 	s.start(&machine{v: v, eng: eng, st: st, done: make(chan error, 1)}, func() error {

@@ -134,25 +134,22 @@ func (r *replica) suffixFrom(rec int) []byte {
 	return r.log[r.recOffsets[rec]:]
 }
 
-// deliverFrame is the backup's receive path: decode the frame, gate it on the
-// epoch, classify its sequence, log fresh records, and ack. A frame from a
-// stale epoch is dropped without an ack — the silence that starves a deposed
-// primary's output commit. Returns the ack bytes (nil for silence) and
-// whether anything was appended to the log.
+// deliverFrame is the backup's receive path: take the shared admission
+// verdict (wire.SeqGate.AdmitFrame — the same policy the VM pair's backup
+// runs), log fresh records, and ack. A frame from another epoch is dropped
+// without an ack — the silence that starves a deposed primary's output
+// commit — and so is anything the channel mangled or lost a frame before:
+// the sender retransmits or the directory reseats. Returns the ack bytes (nil
+// for silence) and whether anything was appended to the log.
 func (r *replica) deliverFrame(f *Fleet, b []byte) (ack []byte, logged bool) {
-	frame, err := wire.DecodeFrame(b)
-	if err != nil {
-		return nil, false
-	}
-	if frame.Epoch != r.epoch {
+	frame, verdict := r.gate.AdmitFrame(b, r.epoch)
+	switch verdict {
+	case wire.StaleEpoch, wire.FutureEpoch:
 		f.counters.StaleFrames++
 		return nil, false
-	}
-	dup, gap := r.gate.Admit(frame.Seq)
-	if gap {
+	case wire.Corrupt, wire.Gap:
 		return nil, false
-	}
-	if dup {
+	case wire.Duplicate:
 		// Already logged (the ack was lost): re-ack without re-logging.
 		if frame.AckWanted {
 			return wire.EncodeAck(r.epoch, r.gate.Last()), false

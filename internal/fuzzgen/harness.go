@@ -387,11 +387,7 @@ func (c *Config) runFaultyPair(prog *ftvm.Program, pr params) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
-	pvm, err := vm.New(vm.Config{
-		Program: prog, Env: environ, Coordinator: primary,
-		MaxInstructions: c.maxInstructions(),
-		TrackProgress:   pr.repMode == ftvm.ModeSched,
-	})
+	pvm, err := primary.NewVM(vm.Config{Program: prog, Env: environ, MaxInstructions: c.maxInstructions()})
 	if err != nil {
 		return nil, err
 	}

@@ -19,11 +19,11 @@ import (
 // batch may be considered logged for the purposes of releasing an output
 // (§3.4's pessimism).
 //
-// Two implementations exist: the paper's primary/backup pair (PairBackend,
-// extracted verbatim from the pre-PR8 monolithic primary: frame sequencing,
-// the ack loop, heartbeats, and the two-sided failure detector), and the
-// 3-replica consensus-backed replicated log (internal/consensus), whose
-// commit rule is majority replication in the leader's term.
+// Two implementations exist: the paper's primary/backup pair (PairBackend:
+// frame sequencing, the ack loop, heartbeats, and the two-sided failure
+// detector), and the 3-replica consensus-backed replicated log
+// (internal/consensus), whose commit rule is majority replication in the
+// leader's term.
 //
 // Contract:
 //
@@ -74,8 +74,7 @@ type PairBackendConfig struct {
 // PairBackend is the paper's coordination path: frames shipped over one
 // channel to a cold backup, sequenced contiguously, with output commit
 // defined as "the backup acknowledged this frame" and a two-sided failure
-// detector (ack timeout / transport closure → backup lost). The code is the
-// pre-PR8 primary's transport half, moved verbatim.
+// detector (ack timeout / transport closure → backup lost).
 //
 // A PairBackend is passive until adopted by a Primary: heartbeats start when
 // NewPrimary takes ownership (so metrics land in the owning primary's

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bytecode"
-	"repro/internal/env"
 	"repro/internal/native"
 	"repro/internal/sehandler"
 	"repro/internal/simtest/clock"
@@ -61,13 +59,16 @@ var ErrNoRecoveryNeeded = errors.New("primary completed cleanly; nothing to reco
 type BackupConfig struct {
 	// Mode must match the primary's.
 	Mode Mode
-	// Endpoint receives log frames and sends acks (required).
+	// Endpoint receives log frames and sends acks. Nil makes an offline
+	// backup, fed by LoadRecords only (replay of a captured or committed
+	// log); its Serve returns an error.
 	Endpoint transport.Endpoint
 	// Handlers are the side-effect handlers (sehandler.DefaultSet if nil);
 	// must be the same set the primary runs.
 	Handlers *sehandler.Set
 	// Natives maps record signatures to definitions for handler routing
-	// (native.StdLib if nil).
+	// (native.StdLib if nil). It must define every native the handlers
+	// manage; the constructors refuse a registry that does not.
 	Natives *native.Registry
 	// FailureTimeout: receiving nothing for this long counts as a primary
 	// failure (0 = rely on transport closure only).
@@ -86,9 +87,13 @@ type BackupConfig struct {
 	Epoch uint64
 }
 
-// BackupStats counts serve-loop activity.
+// BackupStats counts serve-loop activity. The fields mean the same thing
+// for a cold and a warm backup: both run the one receive loop.
 type BackupStats struct {
-	FramesReceived  uint64
+	FramesReceived uint64
+	// RecordsLogged counts every record handed to the sink: all that were
+	// admitted except heartbeats, the clean-halt marker included — cold and
+	// warm alike.
 	RecordsLogged   uint64
 	AcksSent        uint64
 	Heartbeats      uint64
@@ -99,73 +104,61 @@ type BackupStats struct {
 	StaleEpochs     uint64 // frames from a deposed primary's epoch (dropped, never acked)
 }
 
-// Backup is the cold backup: during normal operation it logs records (and
-// routes handler state to side-effect handlers); on primary failure it
-// re-executes the program gated by the log.
-type Backup struct {
-	mode     Mode
-	ep       transport.Endpoint
-	handlers *sehandler.Set
-	natives  *native.Registry
-	timeout  time.Duration
-	epoch    uint64
-	clk      clock.Clock
+// receiver is the backup's half of the channel, and the one receive loop:
+// admit each frame (wire.SeqGate.AdmitFrame), decode its batch, fold handler
+// state through the paper's receive method, hand the batch to a sink,
+// acknowledge. A cold backup's sink appends to its LogStore; a warm backup's
+// feeds the analysis its replay VM is executing against. Everything else —
+// the counters, the failed / timed-out / completed verdict, what is and is
+// not acknowledged — is the same backup seen at two moments, and is written
+// here only.
+type receiver struct {
+	cfg BackupConfig // as given, defaults filled in
 
-	store *LogStore
+	// sink takes one admitted frame's records, liveness-only ones removed,
+	// in arrival order; the slice is the sink's to keep.
+	sink  func([]wire.Record) error
 	stats BackupStats
 }
 
-// NewBackup builds a backup replica.
-func NewBackup(cfg BackupConfig) (*Backup, error) {
-	if cfg.Endpoint == nil {
-		return nil, errors.New("backup: nil endpoint")
-	}
+// newReceiver validates cfg and fills its defaults. who names the replica
+// kind in errors. The handler set is checked against the registry here, so a
+// registry that lacks a handler-managed native is refused before any frame
+// arrives rather than at the first receive.
+func newReceiver(cfg BackupConfig, who string) (receiver, error) {
 	if cfg.Mode != ModeLock && cfg.Mode != ModeSched && cfg.Mode != ModeLockInterval {
-		return nil, fmt.Errorf("backup: bad mode %d", cfg.Mode)
+		return receiver{}, fmt.Errorf("%s: bad mode %d", who, cfg.Mode)
 	}
-	h := cfg.Handlers
-	if h == nil {
-		h = sehandler.DefaultSet()
+	if cfg.Handlers == nil {
+		cfg.Handlers = sehandler.DefaultSet()
 	}
-	reg := cfg.Natives
-	if reg == nil {
-		reg = native.StdLib()
+	if cfg.Natives == nil {
+		cfg.Natives = native.StdLib()
 	}
-	return &Backup{
-		mode:     cfg.Mode,
-		ep:       cfg.Endpoint,
-		handlers: h,
-		natives:  reg,
-		timeout:  cfg.FailureTimeout,
-		epoch:    cfg.Epoch,
-		clk:      clock.Or(cfg.Clock),
-		store:    NewLogStore(),
-	}, nil
+	if err := cfg.Handlers.RegisterAll(cfg.Natives); err != nil {
+		return receiver{}, fmt.Errorf("%s: %w", who, err)
+	}
+	return receiver{cfg: cfg}, nil
 }
 
-// Epoch returns the view number this backup serves in.
-func (b *Backup) Epoch() uint64 { return b.epoch }
-
-// Store exposes the logged records (tests, diagnostics).
-func (b *Backup) Store() *LogStore { return b.store }
-
 // Stats returns a copy of the serve-loop counters.
-func (b *Backup) Stats() BackupStats { return b.stats }
+func (r *receiver) Stats() BackupStats { return r.stats }
 
-// Serve runs the logging loop until the primary completes or fails. It is
-// the "cold" half of the backup: records are stored (and side-effect
-// handler state accumulated via receive), nothing is executed.
+// serve runs the receive loop until the primary completes or fails.
 //
 // The loop distinguishes how the primary was lost. Transport closure or a
-// corrupted/ gapped frame stream is OutcomePrimaryFailed; heartbeat silence
+// corrupted / gapped frame stream is OutcomePrimaryFailed; heartbeat silence
 // (nothing received for FailureTimeout on a still-open channel) is
 // OutcomePrimaryTimedOut. Both demand recovery — the logged prefix stays
 // consistent in every case, because no record past a gap or a corrupt frame
-// is ever appended.
-func (b *Backup) Serve() (ServeOutcome, error) {
+// ever reaches the sink.
+func (r *receiver) serve() (ServeOutcome, error) {
+	if r.cfg.Endpoint == nil {
+		return 0, errors.New("backup serve: no endpoint (an offline backup only loads and replays)")
+	}
 	var gate wire.SeqGate
 	for {
-		msg, err := b.ep.Recv(b.timeout)
+		msg, err := r.cfg.Endpoint.Recv(r.cfg.FailureTimeout)
 		if errors.Is(err, transport.ErrClosed) {
 			return OutcomePrimaryFailed, nil
 		}
@@ -175,80 +168,44 @@ func (b *Backup) Serve() (ServeOutcome, error) {
 		if err != nil {
 			return 0, fmt.Errorf("backup receive: %w", err)
 		}
-		frame, err := wire.DecodeFrame(msg)
-		if err != nil {
-			// A frame that does not parse means the channel mangled data in
-			// flight; nothing after it can be trusted.
-			b.stats.CorruptFrames++
+		frame, verdict := gate.AdmitFrame(msg, r.cfg.Epoch)
+		switch verdict {
+		case wire.Corrupt:
+			r.stats.CorruptFrames++
 			return OutcomePrimaryFailed, nil
-		}
-		if frame.Epoch < b.epoch {
-			// A deposed primary is still shipping frames from an older view.
-			// Drop them without acknowledging — an ack here would let the
-			// stale sender count an output as committed against a
-			// configuration that has already moved on. Checked before the
-			// sequence gate: stale frames belong to another epoch's numbering
-			// and must not poison this view's dup/gap accounting.
-			b.stats.StaleEpochs++
+		case wire.StaleEpoch:
+			r.stats.StaleEpochs++
 			continue
-		}
-		if frame.Epoch > b.epoch {
-			// The configuration moved past us while we were logging — a
-			// primary from a future view exists. This replica's log is no
-			// longer authoritative; surface it as a failed primary so the
-			// caller re-enters the view machinery rather than acking records
-			// it cannot place.
+		case wire.FutureEpoch:
+			// Surface it as a failed primary so the caller re-enters the view
+			// machinery.
 			return OutcomePrimaryFailed, nil
-		}
-		if dup, gap := gate.Admit(frame.Seq); dup {
-			// Re-delivered frame: its records are already in the log. Drop
-			// them, but re-acknowledge so a primary waiting on this seq is
-			// not stranded by a lost ack.
-			b.stats.DuplicateFrames++
-			if frame.AckWanted {
-				if err := b.ep.Send(wire.EncodeAck(b.epoch, frame.Seq)); err != nil {
-					return OutcomePrimaryFailed, nil
-				}
-				b.stats.AcksSent++
+		case wire.Gap:
+			r.stats.SeqGaps++
+			return OutcomePrimaryFailed, nil
+		case wire.Duplicate:
+			r.stats.DuplicateFrames++
+			if frame.AckWanted && r.ack(frame.Seq) != nil {
+				return OutcomePrimaryFailed, nil
 			}
 			continue
-		} else if gap {
-			// At least one frame is gone for good: log records are missing
-			// and the channel is no longer trustworthy. Declare failure while
-			// the logged prefix is still consistent.
-			b.stats.SeqGaps++
-			return OutcomePrimaryFailed, nil
 		}
-		b.stats.FramesReceived++
+		r.stats.FramesReceived++
 		records, err := wire.DecodeAll(frame.Payload)
 		if err != nil {
-			b.stats.CorruptFrames++
+			r.stats.CorruptFrames++
 			return OutcomePrimaryFailed, nil
 		}
-		halted := false
-		for _, r := range records {
-			switch rec := r.(type) {
-			case *wire.Heartbeat:
-				b.stats.Heartbeats++
-				continue
-			case *wire.Halt:
-				halted = true
-			case *wire.NativeResult:
-				if err := b.routeReceive(rec); err != nil {
-					return 0, err
-				}
-			}
-			b.store.Append(r)
-			b.stats.RecordsLogged++
+		halted, err := r.ingest(records, false)
+		if err != nil {
+			return 0, err
 		}
 		if frame.AckWanted {
-			if err := b.ep.Send(wire.EncodeAck(b.epoch, frame.Seq)); err != nil {
-				if errors.Is(err, transport.ErrClosed) {
-					return OutcomePrimaryFailed, nil
-				}
+			if err := r.ack(frame.Seq); errors.Is(err, transport.ErrClosed) {
+				return OutcomePrimaryFailed, nil
+			} else if err != nil {
 				return 0, fmt.Errorf("send ack %d: %w", frame.Seq, err)
 			}
-			b.stats.AcksSent++
 		}
 		if halted {
 			return OutcomePrimaryCompleted, nil
@@ -256,84 +213,101 @@ func (b *Backup) Serve() (ServeOutcome, error) {
 	}
 }
 
+func (r *receiver) ack(seq uint64) error {
+	if err := r.cfg.Endpoint.Send(wire.EncodeAck(r.cfg.Epoch, seq)); err != nil {
+		return err
+	}
+	r.stats.AcksSent++
+	return nil
+}
+
+// ingest is the one record-ingest loop, for a batch that arrived in a frame
+// and for one loaded from a captured log alike: heartbeats are counted and
+// dropped, handler state is delivered to its side-effect handler, and what
+// remains is counted and handed to the sink. records is compacted in place.
+// A clean-halt marker is a record like any other (RecordsLogged counts it)
+// unless dropHalt is set — loading a log for replay drops it so that the log
+// reads as a crash at its end. halted reports whether one was seen.
+func (r *receiver) ingest(records []wire.Record, dropHalt bool) (halted bool, err error) {
+	keep := records[:0]
+	for _, rec := range records {
+		switch rec := rec.(type) {
+		case *wire.Heartbeat:
+			r.stats.Heartbeats++
+			continue
+		case *wire.Halt:
+			halted = true
+			if dropHalt {
+				continue
+			}
+		case *wire.NativeResult:
+			if err := r.routeReceive(rec); err != nil {
+				return halted, err
+			}
+		}
+		keep = append(keep, rec)
+	}
+	r.stats.RecordsLogged += uint64(len(keep))
+	return halted, r.sink(keep)
+}
+
+// routeReceive delivers handler state to the managing side-effect handler as
+// it arrives (the paper's receive method, which may compress it).
+func (r *receiver) routeReceive(rec *wire.NativeResult) error {
+	if len(rec.HandlerData) == 0 {
+		return nil
+	}
+	def, ok := r.cfg.Natives.Lookup(rec.Sig)
+	if !ok {
+		return fmt.Errorf("log references unknown native %q", rec.Sig)
+	}
+	h := r.cfg.Handlers.ForDef(def)
+	if h == nil {
+		return fmt.Errorf("native %q logged handler data but has no handler", rec.Sig)
+	}
+	r.stats.ReceiveRoutings++
+	return h.Receive(rec.HandlerData)
+}
+
+// Backup is the cold backup: during normal operation it logs records (and
+// routes handler state to side-effect handlers); on primary failure it
+// re-executes the program gated by the log.
+type Backup struct {
+	receiver
+	store *LogStore
+}
+
+// NewBackup builds a backup replica. A nil Endpoint makes an offline backup:
+// it can LoadRecords and Recover, and Serve returns an error.
+func NewBackup(cfg BackupConfig) (*Backup, error) {
+	r, err := newReceiver(cfg, "backup")
+	if err != nil {
+		return nil, err
+	}
+	b := &Backup{receiver: r, store: NewLogStore()}
+	b.sink = func(records []wire.Record) error {
+		b.store.Append(records...)
+		return nil
+	}
+	return b, nil
+}
+
+// Store exposes the logged records (tests, diagnostics).
+func (b *Backup) Store() *LogStore { return b.store }
+
+// Serve runs the logging loop until the primary completes or fails. It is
+// the "cold" half of the backup: records are stored (and side-effect
+// handler state accumulated via receive), nothing is executed.
+func (b *Backup) Serve() (ServeOutcome, error) { return b.serve() }
+
 // LoadRecords feeds records into the backup as if they had arrived over the
 // transport (handler state is routed through receive); clean-halt markers
 // are dropped so a subsequent Recover treats the log as a crash at its end.
 // It is used to stand up an offline replay backup from a captured log.
 func (b *Backup) LoadRecords(records []wire.Record) error {
-	for _, r := range records {
-		switch rec := r.(type) {
-		case *wire.Halt, *wire.Heartbeat:
-			continue
-		case *wire.NativeResult:
-			if err := b.routeReceive(rec); err != nil {
-				return err
-			}
-		}
-		b.store.Append(r)
-		b.stats.RecordsLogged++
-	}
-	return nil
-}
-
-// routeReceive delivers handler state to the managing side-effect handler as
-// it arrives (the paper's receive method, which may compress it).
-func (b *Backup) routeReceive(rec *wire.NativeResult) error {
-	if len(rec.HandlerData) == 0 {
-		return nil
-	}
-	def, ok := b.natives.Lookup(rec.Sig)
-	if !ok {
-		return fmt.Errorf("log references unknown native %q", rec.Sig)
-	}
-	h := b.handlers.ForDef(def)
-	if h == nil {
-		return fmt.Errorf("native %q logged handler data but has no handler", rec.Sig)
-	}
-	b.stats.ReceiveRoutings++
-	return h.Receive(rec.HandlerData)
-}
-
-// RecoverConfig configures the recovery execution.
-type RecoverConfig struct {
-	// Program is the same program the primary ran (required).
-	Program *bytecode.Program
-	// Env is the shared environment (required).
-	Env *env.Env
-	// Policy drives the backup's own scheduling during and after recovery
-	// (deliberately independent of the primary's; defaults per mode).
-	Policy vm.SchedPolicy
-	// GCThreshold / MaxInstructions are passed to the VM.
-	GCThreshold     int
-	MaxInstructions uint64
-	// Dispatch selects the recovery VM's interpreter engine. Replay is
-	// engine-agnostic (both engines produce bit-identical logs), so any
-	// log can be recovered under either engine.
-	Dispatch vm.Dispatch
-	// OnVM, when set, receives the recovery VM right after construction and
-	// before it runs. The simulation harness uses it to install kill handles
-	// so a promoted primary can die at an exact frame position.
-	OnVM func(*vm.VM)
-	// Tail, when set, makes the recovering replica a *promoted* primary: every
-	// event past the recovered log — live lock acquisitions, scheduling
-	// decisions, native results, and the re-committed uncertain output — is
-	// teed through this outgoing Primary to a freshly recruited backup, whose
-	// log (snapshot prefix + tail) becomes a faithful continuation of the old
-	// one. Nil for a plain standalone recovery.
-	Tail *Primary
-}
-
-// RecoveryReport summarises what recovery did.
-type RecoveryReport struct {
-	RecordsInLog     int
-	FedResults       uint64
-	Reinvoked        uint64
-	SkippedOutputs   uint64
-	TestedOutputs    uint64
-	LiveInvokes      uint64
-	GatedWakeups     uint64
-	ReplayedSwitches uint64
-	VMStats          vm.Stats
+	// ingest compacts its argument; the caller keeps its slice.
+	_, err := b.ingest(append([]wire.Record(nil), records...), true)
+	return err
 }
 
 // Recover re-executes the program from the initial state, gated by the log,
@@ -344,87 +318,33 @@ func (b *Backup) Recover(cfg RecoverConfig) (*vm.VM, *RecoveryReport, error) {
 	if cfg.Program == nil || cfg.Env == nil {
 		return nil, nil, errors.New("recover: nil program or environment")
 	}
-	a, err := analyze(b.store.Records())
+	eng, err := b.replayEngine(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("analyze log: %w", err)
+		return nil, nil, err
 	}
-	if a.cleanHalt {
+	if eng.a.cleanHalt {
 		return nil, nil, ErrNoRecoveryNeeded
 	}
-	var coord vm.Coordinator
-	var nr *nativeReplay
-	var lr *lockReplay
-	var sr *schedReplay
-	var ir *intervalReplay
-	switch b.mode {
-	case ModeLock:
-		lr = newLockReplay(a, b.handlers, cfg.Policy)
-		lr.tail = cfg.Tail
-		nr = lr.nr
-		coord = lr
-	case ModeSched:
-		sr = newSchedReplay(a, b.handlers, cfg.Policy)
-		sr.tail = cfg.Tail
-		nr = sr.nr
-		coord = sr
-	case ModeLockInterval:
-		ir = newIntervalReplay(a, b.handlers, cfg.Policy)
-		ir.tail = cfg.Tail
-		nr = ir.nr
-		coord = ir
-	}
-	nr.tail = cfg.Tail
-	v, err := vm.New(vm.Config{
-		Program:         cfg.Program,
-		Env:             cfg.Env,
-		Natives:         b.natives,
-		Coordinator:     coord,
-		GCThreshold:     cfg.GCThreshold,
-		MaxInstructions: cfg.MaxInstructions,
-		// The replaying backup keeps the same control-path checksum the
-		// primary did (it must verify the recorded switch points and, after
-		// recovery, act as the new primary).
-		TrackProgress: b.mode == ModeSched,
-		Dispatch:      cfg.Dispatch,
-	})
+	v, err := eng.NewVM(cfg, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("recovery vm: %w", err)
 	}
-	if cfg.OnVM != nil {
-		cfg.OnVM(v)
-	}
-	// Install handler state so natives can translate volatile identifiers,
-	// then rebuild volatile environment state (restore, run exactly once).
-	for _, name := range b.handlers.Names() {
-		h, _ := b.handlers.Get(name)
-		if st := h.State(); st != nil {
-			v.SetHandlerState(name, st)
-		}
-	}
-	if err := b.handlers.RestoreAll(sehandler.Ctx{Heap: v.Heap(), Env: cfg.Env, Proc: v.Process()}); err != nil {
-		return nil, nil, fmt.Errorf("restore volatile state: %w", err)
+	if err := eng.Restore(v); err != nil {
+		return nil, nil, err
 	}
 	runErr := v.Run()
-	report := &RecoveryReport{
-		RecordsInLog:   b.store.Len(),
-		FedResults:     nr.FedResults,
-		Reinvoked:      nr.Reinvoked,
-		SkippedOutputs: nr.SkippedOuts,
-		TestedOutputs:  nr.TestedOuts,
-		LiveInvokes:    nr.LiveInvokes,
-		VMStats:        v.Stats(),
-	}
-	if lr != nil {
-		report.GatedWakeups = lr.GatedWakeups
-	}
-	if sr != nil {
-		report.ReplayedSwitches = sr.Replayed
-	}
-	if ir != nil {
-		report.GatedWakeups = ir.GatedWakeups
-	}
+	report := eng.Report(v, b.store.Len())
 	if runErr != nil {
 		return v, report, fmt.Errorf("recovery execution: %w", runErr)
 	}
 	return v, report, nil
+}
+
+// replayEngine indexes the closed log and builds the replay set-up over it.
+func (b *Backup) replayEngine(cfg RecoverConfig) (*ReplayEngine, error) {
+	a, err := analyze(b.store.Records())
+	if err != nil {
+		return nil, fmt.Errorf("analyze log: %w", err)
+	}
+	return newReplayEngine(&b.cfg, a, cfg.Policy, cfg.Tail), nil
 }

@@ -142,85 +142,109 @@ func TestChannelFaultSweep(t *testing.T) {
 
 	for _, mode := range []Mode{ModeLock, ModeSched, ModeLockInterval} {
 		for _, fc := range cases {
-			name := fmt.Sprintf("%v/%v@%d", mode, fc.kind, fc.at)
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				environ := env.New(seeds.env)
-				pa, pb := transport.Pipe(4096)
-				faulty := transport.NewFaulty(pa, transport.FaultPlan{Kind: fc.kind, At: fc.at}, seeds.faulty)
-				primary, err := NewPrimary(PrimaryConfig{
-					Mode:       mode,
-					Endpoint:   faulty,
-					Policy:     vm.NewSeededPolicy(seeds.policy, 64, 512),
-					FlushEvery: 4, // tiny batches: many frames, mid-protocol faults
-					AckTimeout: 150 * time.Millisecond,
-				})
-				if err != nil {
-					t.Fatal(err)
+			// Both backups sit behind the same receive loop; the warm one is
+			// the second column of the table.
+			for _, warm := range []bool{false, true} {
+				name := fmt.Sprintf("%v/%v@%d", mode, fc.kind, fc.at)
+				if warm {
+					name += "/warm"
 				}
-				pvm, err := vm.New(vm.Config{
-					Program: prog, Env: environ, Coordinator: primary,
-					TrackProgress: mode == ModeSched,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				backup, err := NewBackup(BackupConfig{
-					Mode:           mode,
-					Endpoint:       pb,
-					FailureTimeout: 150 * time.Millisecond,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				done := make(chan struct{})
-				var outcome ServeOutcome
-				go func() {
-					defer close(done)
-					outcome, _ = backup.Serve()
-					if outcome.Failed() {
-						// A real failover tears the channel down; this also
-						// unblocks a primary still waiting on an ack.
-						_ = pb.Close()
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					environ := env.New(seeds.env)
+					pa, pb := transport.Pipe(4096)
+					faulty := transport.NewFaulty(pa, transport.FaultPlan{Kind: fc.kind, At: fc.at}, seeds.faulty)
+					primary, err := NewPrimary(PrimaryConfig{
+						Mode:       mode,
+						Endpoint:   faulty,
+						Policy:     vm.NewSeededPolicy(seeds.policy, 64, 512),
+						FlushEvery: 4, // tiny batches: many frames, mid-protocol faults
+						AckTimeout: 150 * time.Millisecond,
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}()
-				start := time.Now()
-				runErr := pvm.Run()
-				<-done
-				// Two-sided detection must bound every wait: with 150ms
-				// timeouts on both sides nothing may take seconds.
-				if el := time.Since(start); el > 5*time.Second {
-					t.Fatalf("pair took %v; failure detection did not bound the wait", el)
-				}
+					pvm, err := primary.NewVM(vm.Config{Program: prog, Env: environ})
+					if err != nil {
+						t.Fatal(err)
+					}
+					bcfg := BackupConfig{Mode: mode, Endpoint: pb, FailureTimeout: 150 * time.Millisecond}
+					// The recovery runs under a deliberately different
+					// scheduling policy.
+					rcfg := RecoverConfig{Program: prog, Env: environ, Policy: vm.NewSeededPolicy(seeds.recover, 100, 900)}
+					done := make(chan struct{})
+					var outcome ServeOutcome
+					var backup *Backup
+					var warmErr error
+					if warm {
+						// The warm backup serves and executes in one call: it is
+						// already running when the channel fails, and goes on.
+						wb, err := NewWarmBackup(bcfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						go func() {
+							defer close(done)
+							var res *WarmResult
+							if _, res, warmErr = wb.Run(rcfg); res != nil {
+								outcome = res.Outcome
+							}
+						}()
+					} else {
+						if backup, err = NewBackup(bcfg); err != nil {
+							t.Fatal(err)
+						}
+						go func() {
+							defer close(done)
+							outcome, _ = backup.Serve()
+							if outcome.Failed() {
+								// A real failover tears the channel down; this
+								// also unblocks a primary still waiting on an
+								// ack.
+								_ = pb.Close()
+							}
+						}()
+					}
+					start := time.Now()
+					runErr := pvm.Run()
+					<-done
+					// Two-sided detection must bound every wait: with 150ms
+					// timeouts on both sides nothing may take seconds.
+					if el := time.Since(start); el > 5*time.Second {
+						t.Fatalf("pair took %v; failure detection did not bound the wait", el)
+					}
+					if warmErr != nil {
+						t.Fatalf("warm backup after %v: %v", outcome, warmErr)
+					}
 
-				if outcome == OutcomePrimaryCompleted {
-					// Last-ack window: a fault can eat the final halt-sync ack,
-					// so the backup sees a clean halt while the primary reports
-					// the backup lost. The console is complete on both sides
-					// (the halt marker only ships after every output commit),
-					// so only *other* primary errors are failures here.
-					if runErr != nil && !errors.Is(runErr, ErrBackupLost) {
-						t.Fatalf("backup saw clean halt but primary failed: %v", runErr)
+					if outcome == OutcomePrimaryCompleted {
+						// Last-ack window: a fault can eat the final halt-sync
+						// ack, so the backup sees a clean halt while the primary
+						// reports the backup lost. The console is complete on
+						// both sides (the halt marker only ships after every
+						// output commit), so only *other* primary errors are
+						// failures here.
+						if runErr != nil && !errors.Is(runErr, ErrBackupLost) {
+							t.Fatalf("backup saw clean halt but primary failed: %v", runErr)
+						}
+						if got := canonicalize(environ.Console().Lines()); got != want {
+							t.Fatalf("completed-run output mismatch:\n%s\nvs want\n%s", got, want)
+						}
+						return
+					}
+					// The channel fault surfaced as a primary failure (closure,
+					// gap, corruption, or silence): the cold backup recovers; the
+					// warm one has finished the program already.
+					if !warm {
+						if _, _, err := backup.Recover(rcfg); err != nil {
+							t.Fatalf("recover after %v: %v", outcome, err)
+						}
 					}
 					if got := canonicalize(environ.Console().Lines()); got != want {
-						t.Fatalf("completed-run output mismatch:\n%s\nvs want\n%s", got, want)
+						t.Fatalf("recovered output mismatch after %v:\n%s\nvs want\n%s", outcome, got, want)
 					}
-					return
-				}
-				// The channel fault surfaced as a primary failure (closure,
-				// gap, corruption, or silence): recover on the backup, with a
-				// deliberately different scheduling policy.
-				if _, _, err := backup.Recover(RecoverConfig{
-					Program: prog,
-					Env:     environ,
-					Policy:  vm.NewSeededPolicy(seeds.recover, 100, 900),
-				}); err != nil {
-					t.Fatalf("recover after %v: %v", outcome, err)
-				}
-				if got := canonicalize(environ.Console().Lines()); got != want {
-					t.Fatalf("recovered output mismatch after %v:\n%s\nvs want\n%s", outcome, got, want)
-				}
-			})
+				})
+			}
 		}
 	}
 }

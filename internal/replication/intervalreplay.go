@@ -1,8 +1,6 @@
 package replication
 
 import (
-	"repro/internal/heap"
-	"repro/internal/native"
 	"repro/internal/sehandler"
 	"repro/internal/vm"
 )
@@ -15,13 +13,11 @@ import (
 // program is deterministic, the interval sequence totally orders all
 // acquisitions without per-acquisition records, lock ids, or id maps.
 type intervalReplay struct {
+	*nativeReplay
 	policy   vm.SchedPolicy
-	nr       *nativeReplay
-	a        *analysis
 	idx      int
 	consumed uint64
 	lidNext  int64
-	tail     *Primary // promotion: live events tee to the new backup
 
 	// GatedWakeups counts threads admitted by Poll.
 	GatedWakeups uint64
@@ -33,11 +29,7 @@ func newIntervalReplay(a *analysis, handlers *sehandler.Set, policy vm.SchedPoli
 	if policy == nil {
 		policy = vm.NewSeededPolicy(0x696e74, 1024, 8192)
 	}
-	return &intervalReplay{
-		policy: policy,
-		nr:     newNativeReplay(a, handlers),
-		a:      a,
-	}
+	return &intervalReplay{nativeReplay: newNativeReplay(a, handlers), policy: policy}
 }
 
 func (c *intervalReplay) drained() bool {
@@ -105,17 +97,6 @@ func (c *intervalReplay) OnAcquired(v *vm.VM, t *vm.Thread, m *vm.Monitor) error
 	return nil
 }
 
-// NativeReady implements vm.Coordinator: gate intercepted natives whose
-// records have not arrived yet (warm backup).
-func (c *intervalReplay) NativeReady(_ *vm.VM, t *vm.Thread, _ *native.Def) bool {
-	return c.nr.ready(t)
-}
-
-// InvokeNative implements vm.Coordinator.
-func (c *intervalReplay) InvokeNative(v *vm.VM, t *vm.Thread, def *native.Def, args []heap.Value) ([]heap.Value, error) {
-	return c.nr.invoke(v, t, def, args)
-}
-
 // Poll implements vm.Coordinator: admit the gated thread whose turn arrived.
 func (c *intervalReplay) Poll(v *vm.VM) (bool, error) {
 	progress := false
@@ -127,7 +108,7 @@ func (c *intervalReplay) Poll(v *vm.VM) (bool, error) {
 		var err error
 		if t.BlockedOn() == nil {
 			// Gated before an intercepted native call (warm backup).
-			ok = c.nr.ready(t)
+			ok = c.ready(t)
 		} else {
 			ok, err = c.turnOf(t)
 		}
@@ -141,15 +122,4 @@ func (c *intervalReplay) Poll(v *vm.VM) (bool, error) {
 		}
 	}
 	return progress, nil
-}
-
-// OnIdle implements vm.Coordinator.
-func (c *intervalReplay) OnIdle(*vm.VM) (bool, error) { return false, nil }
-
-// OnHalt implements vm.Coordinator.
-func (c *intervalReplay) OnHalt(v *vm.VM, runErr error) error {
-	if c.tail != nil {
-		return c.tail.OnHalt(v, runErr)
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package replication
 
 import (
-	"repro/internal/heap"
-	"repro/internal/native"
 	"repro/internal/sehandler"
 	"repro/internal/vm"
 	"repro/internal/wire"
@@ -17,11 +15,9 @@ import (
 // maps; threads acquiring a not-yet-identified lock wait until the map is
 // matched or, when no maps remain, assign a fresh id (end-of-recovery rule).
 type lockReplay struct {
+	*nativeReplay
 	policy  vm.SchedPolicy
-	nr      *nativeReplay
-	a       *analysis
 	lidNext int64
-	tail    *Primary // promotion: live events tee to the new backup
 
 	// GatedWakeups counts threads admitted by Poll (recovery diagnostics).
 	GatedWakeups uint64
@@ -33,16 +29,12 @@ func newLockReplay(a *analysis, handlers *sehandler.Set, policy vm.SchedPolicy) 
 	if policy == nil {
 		policy = vm.NewSeededPolicy(0x6261636b7570, 1024, 8192) // distinct default seed
 	}
-	return &lockReplay{
-		policy: policy,
-		nr:     newNativeReplay(a, handlers),
-		a:      a,
-	}
+	return &lockReplay{nativeReplay: newNativeReplay(a, handlers), policy: policy}
 }
 
 // recoveryDone reports whether every logged event has been consumed.
 func (c *lockReplay) recoveryDone() bool {
-	return c.a.lockPending == 0 && c.a.idmapPending == 0 && c.nr.drained()
+	return c.a.lockPending == 0 && c.a.idmapPending == 0 && c.drained()
 }
 
 // head returns t's next recorded acquisition, if any.
@@ -174,17 +166,6 @@ func (c *lockReplay) OnAcquired(v *vm.VM, t *vm.Thread, m *vm.Monitor) error {
 	return nil
 }
 
-// NativeReady implements vm.Coordinator: gate intercepted natives whose
-// records have not arrived yet (warm backup).
-func (c *lockReplay) NativeReady(_ *vm.VM, t *vm.Thread, _ *native.Def) bool {
-	return c.nr.ready(t)
-}
-
-// InvokeNative implements vm.Coordinator.
-func (c *lockReplay) InvokeNative(v *vm.VM, t *vm.Thread, def *native.Def, args []heap.Value) ([]heap.Value, error) {
-	return c.nr.invoke(v, t, def, args)
-}
-
 // Poll implements vm.Coordinator: admit gated threads whose recorded turn
 // has arrived.
 func (c *lockReplay) Poll(v *vm.VM) (bool, error) {
@@ -198,7 +179,7 @@ func (c *lockReplay) Poll(v *vm.VM) (bool, error) {
 		var err error
 		if m == nil {
 			// Gated before an intercepted native call (warm backup).
-			ok = c.nr.ready(t)
+			ok = c.ready(t)
 		} else {
 			ok, err = c.canAcquire(t, m)
 		}
@@ -212,16 +193,4 @@ func (c *lockReplay) Poll(v *vm.VM) (bool, error) {
 		}
 	}
 	return progress, nil
-}
-
-// OnIdle implements vm.Coordinator: Poll already ran this iteration, so an
-// idle scheduler means genuine deadlock (or divergence).
-func (c *lockReplay) OnIdle(*vm.VM) (bool, error) { return false, nil }
-
-// OnHalt implements vm.Coordinator.
-func (c *lockReplay) OnHalt(v *vm.VM, runErr error) error {
-	if c.tail != nil {
-		return c.tail.OnHalt(v, runErr)
-	}
-	return nil
 }

@@ -8,8 +8,9 @@ import (
 	"repro/internal/wire"
 )
 
-// nativeReplay is the backup-side native-method machinery shared by both
-// replay coordinators (§4.1): it feeds logged results to the program,
+// nativeReplay is what the three replay coordinators have in common, and
+// each embeds it: the indexed log, the promotion tail, and the backup-side
+// native-method machinery (§4.1) — it feeds logged results to the program,
 // re-invokes natives that must reproduce volatile output, and gives the
 // uncertain final output exactly-once semantics via the handler's test
 // method (§4.4). Side-effect handler state was already accumulated by the
@@ -20,10 +21,11 @@ type nativeReplay struct {
 	a        *analysis
 
 	// tail, when set, is the promoted replica's own outgoing primary: every
-	// native event past the recovered log — and the uncertain final output,
-	// which must be re-committed against the new configuration — is routed
-	// through it so the new backup's log stays a faithful continuation of the
-	// old one (the state-transfer tail of a view change).
+	// event past the recovered log — lock acquisitions, scheduling decisions,
+	// native results, and the uncertain final output, which must be
+	// re-committed against the new configuration — is routed through it so
+	// the new backup's log stays a faithful continuation of the old one (the
+	// state-transfer tail of a view change).
 	tail *Primary
 
 	// Recovery counters for the harness/tests.
@@ -40,6 +42,27 @@ func newNativeReplay(a *analysis, handlers *sehandler.Set) *nativeReplay {
 
 func (nr *nativeReplay) ctx(v *vm.VM) sehandler.Ctx {
 	return sehandler.Ctx{Heap: v.Heap(), Env: v.Environment(), Proc: v.Process()}
+}
+
+// NativeReady implements vm.Coordinator for every replay coordinator: gate
+// intercepted natives whose records have not arrived yet (warm backup).
+func (nr *nativeReplay) NativeReady(_ *vm.VM, t *vm.Thread, _ *native.Def) bool { return nr.ready(t) }
+
+// InvokeNative implements vm.Coordinator.
+func (nr *nativeReplay) InvokeNative(v *vm.VM, t *vm.Thread, def *native.Def, args []heap.Value) ([]heap.Value, error) {
+	return nr.invoke(v, t, def, args)
+}
+
+// OnIdle implements vm.Coordinator: Poll already ran this iteration, so an
+// idle scheduler means genuine deadlock (or divergence).
+func (nr *nativeReplay) OnIdle(*vm.VM) (bool, error) { return false, nil }
+
+// OnHalt implements vm.Coordinator.
+func (nr *nativeReplay) OnHalt(v *vm.VM, runErr error) error {
+	if nr.tail != nil {
+		return nr.tail.OnHalt(v, runErr)
+	}
+	return nil
 }
 
 // drained reports whether every logged native event has been consumed and

@@ -94,9 +94,9 @@ type Primary struct {
 	clk        clock.Clock
 
 	// beSelfTimed marks the internally-adopted pair backend, which accounts
-	// its own communication/pessimism metrics (verbatim pre-split placement,
-	// keeping the Figure 3/4 decomposition byte-stable). External backends
-	// are timed generically around Ship.
+	// its own communication/pessimism metrics (around the send and the ack
+	// wait, which is what the Figure 3/4 decomposition means). External
+	// backends are timed generically around Ship.
 	beSelfTimed bool
 
 	buf wire.Buffer
@@ -171,6 +171,16 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	}
 	p.be = be
 	return p, nil
+}
+
+// NewVM builds the VM this primary coordinates. cfg's Coordinator and
+// TrackProgress are set here: a scheduling primary logs each switch with the
+// descheduled thread's control-path checksum (§4.2), so its VM must keep one;
+// lock-mode VMs need not pay for it.
+func (p *Primary) NewVM(cfg vm.Config) (*vm.VM, error) {
+	cfg.Coordinator = p
+	cfg.TrackProgress = p.mode == ModeSched
+	return vm.New(cfg)
 }
 
 // Metrics returns a snapshot of the overhead decomposition. Safe to call

@@ -38,10 +38,10 @@ type Promotion struct {
 // primary's traffic rejectable everywhere.
 func PreparePromotion(b *Backup, rcfg RecoverConfig, tailCfg PrimaryConfig) (*Promotion, error) {
 	if tailCfg.Mode == 0 {
-		tailCfg.Mode = b.mode
+		tailCfg.Mode = b.cfg.Mode
 	}
-	if tailCfg.Mode != b.mode {
-		return nil, fmt.Errorf("promotion: tail mode %d != backup mode %d", tailCfg.Mode, b.mode)
+	if tailCfg.Mode != b.cfg.Mode {
+		return nil, fmt.Errorf("promotion: tail mode %d != backup mode %d", tailCfg.Mode, b.cfg.Mode)
 	}
 	epoch := tailCfg.Epoch
 	if tailCfg.Backend != nil {
@@ -49,9 +49,9 @@ func PreparePromotion(b *Backup, rcfg RecoverConfig, tailCfg PrimaryConfig) (*Pr
 		// is ignored by NewPrimary, so validate what will actually be stamped.
 		epoch = tailCfg.Backend.Epoch()
 	}
-	if epoch <= b.epoch {
+	if epoch <= b.cfg.Epoch {
 		return nil, fmt.Errorf("promotion: tail epoch %d must exceed the old view's epoch %d",
-			epoch, b.epoch)
+			epoch, b.cfg.Epoch)
 	}
 	tail, err := NewPrimary(tailCfg)
 	if err != nil {

@@ -3,18 +3,63 @@ package replication
 import (
 	"fmt"
 
+	"repro/internal/bytecode"
+	"repro/internal/env"
 	"repro/internal/native"
 	"repro/internal/sehandler"
 	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
-// ReplayEngine packages the backup's replay machinery for offline use: the
-// indexed log analysis, the mode-specific coordinator, and the side-effect
-// handler set with the receive-state already folded in. Recover builds the
-// same pieces internally and then runs to completion; the debugger instead
-// needs them as a value it can hand to a VM, pause, clone for a checkpoint,
-// and resume — so the engine exposes exactly that.
+// RecoverConfig configures the recovery execution.
+type RecoverConfig struct {
+	// Program is the same program the primary ran (required).
+	Program *bytecode.Program
+	// Env is the shared environment (required).
+	Env *env.Env
+	// Policy drives the backup's own scheduling during and after recovery
+	// (deliberately independent of the primary's; defaults per mode).
+	Policy vm.SchedPolicy
+	// GCThreshold / MaxInstructions are passed to the VM.
+	GCThreshold     int
+	MaxInstructions uint64
+	// Dispatch selects the recovery VM's interpreter engine. Replay is
+	// engine-agnostic (both engines produce bit-identical logs), so any
+	// log can be recovered under either engine.
+	Dispatch vm.Dispatch
+	// OnVM, when set, receives the recovery VM right after construction and
+	// before it runs. The simulation harness uses it to install kill handles
+	// so a promoted primary can die at an exact frame position.
+	OnVM func(*vm.VM)
+	// Tail, when set, makes the recovering replica a *promoted* primary: every
+	// event past the recovered log — live lock acquisitions, scheduling
+	// decisions, native results, and the re-committed uncertain output — is
+	// teed through this outgoing Primary to a freshly recruited backup, whose
+	// log (snapshot prefix + tail) becomes a faithful continuation of the old
+	// one. Nil for a plain standalone recovery.
+	Tail *Primary
+}
+
+// RecoveryReport summarises what recovery did.
+type RecoveryReport struct {
+	RecordsInLog     int
+	FedResults       uint64
+	Reinvoked        uint64
+	SkippedOutputs   uint64
+	TestedOutputs    uint64
+	LiveInvokes      uint64
+	GatedWakeups     uint64
+	ReplayedSwitches uint64
+	VMStats          vm.Stats
+}
+
+// ReplayEngine is the one replay set-up: the indexed log, the mode's replay
+// coordinator over it, the side-effect handler set with the receive-state
+// folded in, the replay VM built the way replay needs it, and the report of
+// what replay did. A cold backup's Recover builds one over its closed log and
+// runs it to completion; a warm backup builds one over the log it is still
+// receiving; the debugger builds one from a capture and needs it as a value
+// it can pause, clone for a checkpoint, and resume.
 type ReplayEngine struct {
 	mode     Mode
 	natives  *native.Registry
@@ -24,91 +69,130 @@ type ReplayEngine struct {
 	coord    vm.Coordinator
 }
 
-// NewReplayEngine indexes a captured record stream and builds the replay
-// coordinator for it. handlers defaults to sehandler.DefaultSet and natives
-// to native.StdLib; policy drives the replay's own scheduling (per-mode
-// seeded default if nil). Halt and heartbeat records are dropped, exactly
-// as LoadRecords drops them, so a log captured from a clean run replays as
-// a crash at its end rather than refusing to replay at all.
-func NewReplayEngine(mode Mode, records []wire.Record, handlers *sehandler.Set, natives *native.Registry, policy vm.SchedPolicy) (*ReplayEngine, error) {
-	if mode != ModeLock && mode != ModeSched && mode != ModeLockInterval {
-		return nil, fmt.Errorf("replay engine: invalid mode %d", mode)
-	}
-	if handlers == nil {
-		handlers = sehandler.DefaultSet()
-	}
-	if natives == nil {
-		natives = native.StdLib()
-	}
-	if err := handlers.RegisterAll(natives); err != nil {
-		return nil, err
-	}
-	a := newAnalysis()
-	for _, r := range records {
-		switch rec := r.(type) {
-		case *wire.Halt, *wire.Heartbeat:
-			continue
-		case *wire.NativeResult:
-			// The paper's receive method: handler state folds into the
-			// managing handler as it arrives.
-			if len(rec.HandlerData) > 0 {
-				def, ok := natives.Lookup(rec.Sig)
-				if !ok {
-					return nil, fmt.Errorf("log references unknown native %q", rec.Sig)
-				}
-				h := handlers.ForDef(def)
-				if h == nil {
-					return nil, fmt.Errorf("native %q logged handler data but has no handler", rec.Sig)
-				}
-				if err := h.Receive(rec.HandlerData); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := a.add(r); err != nil {
-			return nil, fmt.Errorf("analyze log: %w", err)
-		}
-	}
-	a.close()
-	e := &ReplayEngine{mode: mode, natives: natives, handlers: handlers, a: a}
-	e.buildCoord(policy)
-	return e, nil
-}
-
-func (e *ReplayEngine) buildCoord(policy vm.SchedPolicy) {
+// newReplayEngine builds the replay coordinator of the backup's mode over a
+// (closed or still open). cfg is the backup's, defaults filled in; its
+// handlers must already hold whatever receive-state the records in a carried.
+// tail, when set, makes the replay a promoted primary's.
+func newReplayEngine(cfg *BackupConfig, a *analysis, policy vm.SchedPolicy, tail *Primary) *ReplayEngine {
+	e := &ReplayEngine{mode: cfg.Mode, natives: cfg.Natives, handlers: cfg.Handlers, a: a}
 	switch e.mode {
 	case ModeLock:
-		lr := newLockReplay(e.a, e.handlers, policy)
-		e.nr = lr.nr
-		e.coord = lr
+		lr := newLockReplay(a, e.handlers, policy)
+		e.nr, e.coord = lr.nativeReplay, lr
 	case ModeSched:
-		sr := newSchedReplay(e.a, e.handlers, policy)
-		e.nr = sr.nr
-		e.coord = sr
+		sr := newSchedReplay(a, e.handlers, policy)
+		e.nr, e.coord = sr.nativeReplay, sr
 	case ModeLockInterval:
-		ir := newIntervalReplay(e.a, e.handlers, policy)
-		e.nr = ir.nr
-		e.coord = ir
+		ir := newIntervalReplay(a, e.handlers, policy)
+		e.nr, e.coord = ir.nativeReplay, ir
+	}
+	e.nr.tail = tail
+	return e
+}
+
+// NewReplayEngine indexes a captured record stream and builds the replay
+// set-up for it, exactly as an offline backup given the stream through
+// LoadRecords would: handler state folds into its handler, halt and
+// heartbeat records are dropped, so a log captured from a clean run replays
+// as a crash at its end rather than refusing to replay at all. handlers
+// defaults to sehandler.DefaultSet and natives to native.StdLib; policy
+// drives the replay's own scheduling (per-mode seeded default if nil).
+func NewReplayEngine(mode Mode, records []wire.Record, handlers *sehandler.Set, natives *native.Registry, policy vm.SchedPolicy) (*ReplayEngine, error) {
+	b, err := NewBackup(BackupConfig{Mode: mode, Handlers: handlers, Natives: natives})
+	if err != nil {
+		return nil, err
+	}
+	if err := b.LoadRecords(records); err != nil {
+		return nil, err
+	}
+	return b.replayEngine(RecoverConfig{Policy: policy})
+}
+
+// NewVM builds the VM that replays under this engine and installs the
+// handlers' state in it, so natives can translate volatile identifiers. coord
+// is what the VM is to run under when the engine's own coordinator has to be
+// wrapped (the warm backup's feed lock, the debugger's stepper); nil means
+// the engine's coordinator as it is.
+func (e *ReplayEngine) NewVM(cfg RecoverConfig, coord vm.Coordinator) (*vm.VM, error) {
+	if coord == nil {
+		coord = e.coord
+	}
+	v, err := vm.New(vm.Config{
+		Program:         cfg.Program,
+		Env:             cfg.Env,
+		Natives:         e.natives,
+		Coordinator:     coord,
+		GCThreshold:     cfg.GCThreshold,
+		MaxInstructions: cfg.MaxInstructions,
+		// A scheduling replay keeps the control-path checksum the primary
+		// kept: it must verify the recorded switch points and, past the log's
+		// end, act as the new primary.
+		TrackProgress: e.mode == ModeSched,
+		Dispatch:      cfg.Dispatch,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if cfg.OnVM != nil {
+		cfg.OnVM(v)
+	}
+	e.Rebind(v)
+	return v, nil
+}
+
+// Rebind attaches the engine's handlers to v: v's handler-state table is
+// filled from them, and a handler that holds the replaying process is pointed
+// at v's. NewVM does it for the VM it builds; a VM cloned from a checkpoint
+// needs it again, against the cloned engine (and no second Restore: that ran
+// in the lineage).
+func (e *ReplayEngine) Rebind(v *vm.VM) {
+	for _, name := range e.handlers.Names() {
+		h, _ := e.handlers.Get(name)
+		if st := h.State(); st != nil {
+			v.SetHandlerState(name, st)
+		}
+		if b, ok := h.(interface{ Bind(*env.Process) }); ok {
+			b.Bind(v.Process())
+		}
 	}
 }
 
-// Coordinator returns the replay coordinator to install in the VM.
+// Restore rebuilds volatile environment state through the handlers (the
+// paper's restore, §4.4). It runs exactly once per replay, before the replay
+// goes live past the end of the log.
+func (e *ReplayEngine) Restore(v *vm.VM) error {
+	err := e.handlers.RestoreAll(sehandler.Ctx{Heap: v.Heap(), Env: v.Environment(), Proc: v.Process()})
+	if err != nil {
+		return fmt.Errorf("restore volatile state: %w", err)
+	}
+	return nil
+}
+
+// Report summarises what the replay of v did so far; recordsInLog is the
+// caller's count of the log it replayed.
+func (e *ReplayEngine) Report(v *vm.VM, recordsInLog int) *RecoveryReport {
+	report := &RecoveryReport{
+		RecordsInLog:   recordsInLog,
+		FedResults:     e.nr.FedResults,
+		Reinvoked:      e.nr.Reinvoked,
+		SkippedOutputs: e.nr.SkippedOuts,
+		TestedOutputs:  e.nr.TestedOuts,
+		LiveInvokes:    e.nr.LiveInvokes,
+		VMStats:        v.Stats(),
+	}
+	switch c := e.coord.(type) {
+	case *lockReplay:
+		report.GatedWakeups = c.GatedWakeups
+	case *schedReplay:
+		report.ReplayedSwitches = c.Replayed
+	case *intervalReplay:
+		report.GatedWakeups = c.GatedWakeups
+	}
+	return report
+}
+
+// Coordinator returns the replay coordinator, for a caller that wraps it.
 func (e *ReplayEngine) Coordinator() vm.Coordinator { return e.coord }
-
-// Handlers returns the engine's side-effect handler set (receive-state
-// folded in; Restore-able against the replay VM's environment).
-func (e *ReplayEngine) Handlers() *sehandler.Set { return e.handlers }
-
-// Mode returns the replication mode the log was captured under.
-func (e *ReplayEngine) Mode() Mode { return e.mode }
-
-// Natives returns the registry the engine's handlers registered into; the
-// replay VM must execute against the same registry.
-func (e *ReplayEngine) Natives() *native.Registry { return e.natives }
-
-// TrackProgress reports whether the replay VM must keep control-path
-// checksums (scheduling replay cross-checks them at recorded switches).
-func (e *ReplayEngine) TrackProgress() bool { return e.mode == ModeSched }
 
 // Clone deep-copies the engine mid-replay: the partially-consumed analysis,
 // the coordinator's cursor state, and the handler set. A VM cloned at the
@@ -121,45 +205,23 @@ func (e *ReplayEngine) Clone() (*ReplayEngine, error) {
 		return nil, err
 	}
 	a := e.a.clone()
-	c := &ReplayEngine{mode: e.mode, natives: e.natives, handlers: handlers, a: a}
+	nr := e.nr.cloneWith(a, handlers)
+	c := &ReplayEngine{mode: e.mode, natives: e.natives, handlers: handlers, a: a, nr: nr}
+	// Beyond the shared base and the policy, a coordinator's cursor state is
+	// plain values: copy the struct and replace those two.
 	switch cur := e.coord.(type) {
 	case *lockReplay:
-		lr := &lockReplay{
-			policy:       clonePolicy(cur.policy),
-			nr:           cur.nr.cloneWith(a, handlers),
-			a:            a,
-			lidNext:      cur.lidNext,
-			GatedWakeups: cur.GatedWakeups,
-		}
-		c.nr = lr.nr
-		c.coord = lr
+		cp := *cur
+		cp.nativeReplay, cp.policy = nr, clonePolicy(cur.policy)
+		c.coord = &cp
 	case *schedReplay:
-		sr := &schedReplay{
-			nr:            cur.nr.cloneWith(a, handlers),
-			a:             a,
-			idx:           cur.idx,
-			expect:        cur.expect,
-			forced:        cur.forced,
-			livePolicy:    clonePolicy(cur.livePolicy),
-			lidNext:       cur.lidNext,
-			strict:        cur.strict,
-			pendingSwitch: cur.pendingSwitch,
-			Replayed:      cur.Replayed,
-		}
-		c.nr = sr.nr
-		c.coord = sr
+		cp := *cur
+		cp.nativeReplay, cp.livePolicy = nr, clonePolicy(cur.livePolicy)
+		c.coord = &cp
 	case *intervalReplay:
-		ir := &intervalReplay{
-			policy:       clonePolicy(cur.policy),
-			nr:           cur.nr.cloneWith(a, handlers),
-			a:            a,
-			idx:          cur.idx,
-			consumed:     cur.consumed,
-			lidNext:      cur.lidNext,
-			GatedWakeups: cur.GatedWakeups,
-		}
-		c.nr = ir.nr
-		c.coord = ir
+		cp := *cur
+		cp.nativeReplay, cp.policy = nr, clonePolicy(cur.policy)
+		c.coord = &cp
 	default:
 		return nil, fmt.Errorf("replay engine: cannot clone coordinator %T", e.coord)
 	}
@@ -182,21 +244,10 @@ func clonePolicy(p vm.SchedPolicy) vm.SchedPolicy {
 // re-slices, and a closed log never appends — and the id maps are copied
 // deeply because AssignLID deletes from them.
 func (a *analysis) clone() *analysis {
-	c := &analysis{
-		open:          a.open,
-		last:          a.last,
-		nativeQ:       make(map[string][]wire.Record, len(a.nativeQ)),
-		lockQ:         make(map[string][]*wire.LockAcq, len(a.lockQ)),
-		idmaps:        make(map[string]map[uint64]*wire.IDMap, len(a.idmaps)),
-		intervals:     a.intervals,
-		switches:      a.switches,
-		uncertain:     a.uncertain,
-		nativePending: a.nativePending,
-		lockPending:   a.lockPending,
-		idmapPending:  a.idmapPending,
-		maxLID:        a.maxLID,
-		cleanHalt:     a.cleanHalt,
-	}
+	c := *a
+	c.nativeQ = make(map[string][]wire.Record, len(a.nativeQ))
+	c.lockQ = make(map[string][]*wire.LockAcq, len(a.lockQ))
+	c.idmaps = make(map[string]map[uint64]*wire.IDMap, len(a.idmaps))
 	for k, v := range a.nativeQ {
 		c.nativeQ[k] = v
 	}
@@ -210,20 +261,14 @@ func (a *analysis) clone() *analysis {
 		}
 		c.idmaps[k] = m
 	}
-	return c
+	return &c
 }
 
 // cloneWith copies the native-replay machinery against a cloned analysis
 // and handler set. The tail is never carried over: a debugger clone is not
 // a promoted primary.
 func (nr *nativeReplay) cloneWith(a *analysis, handlers *sehandler.Set) *nativeReplay {
-	return &nativeReplay{
-		handlers:    handlers,
-		a:           a,
-		FedResults:  nr.FedResults,
-		Reinvoked:   nr.Reinvoked,
-		SkippedOuts: nr.SkippedOuts,
-		TestedOuts:  nr.TestedOuts,
-		LiveInvokes: nr.LiveInvokes,
-	}
+	c := *nr
+	c.handlers, c.a, c.tail = handlers, a, nil
+	return &c
 }

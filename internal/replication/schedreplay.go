@@ -1,8 +1,6 @@
 package replication
 
 import (
-	"repro/internal/heap"
-	"repro/internal/native"
 	"repro/internal/sehandler"
 	"repro/internal/vm"
 	"repro/internal/wire"
@@ -18,15 +16,13 @@ import (
 // (it may have interacted with the environment); once its logged native
 // events are reproduced the VM continues under a live policy.
 type schedReplay struct {
-	nr         *nativeReplay
-	a          *analysis
+	*nativeReplay
 	idx        int
 	expect     string // vtid that should be running per the chain
 	forced     bool   // the final record's NextTID was dispatched post-drain
 	livePolicy vm.SchedPolicy
 	lidNext    int64
 	strict     bool
-	tail       *Primary // promotion: live events tee to the new backup
 	// pendingSwitch suppresses one tail tee: consuming the final switch
 	// record leaves idx == len(switches), but the VM's OnDescheduled call for
 	// that very switch arrives *after* PickNext consumed it — the record is
@@ -44,11 +40,10 @@ func newSchedReplay(a *analysis, handlers *sehandler.Set, policy vm.SchedPolicy)
 		policy = vm.NewSeededPolicy(0x7363686564, 1024, 8192)
 	}
 	return &schedReplay{
-		nr:         newNativeReplay(a, handlers),
-		a:          a,
-		expect:     "0", // the chain starts at the main thread
-		livePolicy: policy,
-		strict:     true,
+		nativeReplay: newNativeReplay(a, handlers),
+		expect:       "0", // the chain starts at the main thread
+		livePolicy:   policy,
+		strict:       true,
 	}
 }
 
@@ -181,37 +176,15 @@ func (c *schedReplay) AssignLID(*vm.VM, *vm.Thread, *vm.Monitor) (int64, bool, e
 // OnAcquired implements vm.Coordinator.
 func (c *schedReplay) OnAcquired(*vm.VM, *vm.Thread, *vm.Monitor) error { return nil }
 
-// NativeReady implements vm.Coordinator: gate intercepted natives whose
-// records have not arrived yet (warm backup).
-func (c *schedReplay) NativeReady(_ *vm.VM, t *vm.Thread, _ *native.Def) bool {
-	return c.nr.ready(t)
-}
-
-// InvokeNative implements vm.Coordinator.
-func (c *schedReplay) InvokeNative(v *vm.VM, t *vm.Thread, def *native.Def, args []heap.Value) ([]heap.Value, error) {
-	return c.nr.invoke(v, t, def, args)
-}
-
 // Poll implements vm.Coordinator: admit native-gated threads whose records
 // arrived (warm backup; the dispatch chain still controls who runs).
 func (c *schedReplay) Poll(v *vm.VM) (bool, error) {
 	progress := false
 	for _, t := range v.Threads() {
-		if t.State() == vm.StateGated && t.BlockedOn() == nil && c.nr.ready(t) {
+		if t.State() == vm.StateGated && t.BlockedOn() == nil && c.ready(t) {
 			v.Ungate(t)
 			progress = true
 		}
 	}
 	return progress, nil
-}
-
-// OnIdle implements vm.Coordinator.
-func (c *schedReplay) OnIdle(*vm.VM) (bool, error) { return false, nil }
-
-// OnHalt implements vm.Coordinator.
-func (c *schedReplay) OnHalt(v *vm.VM, runErr error) error {
-	if c.tail != nil {
-		return c.tail.OnHalt(v, runErr)
-	}
-	return nil
 }

@@ -131,7 +131,7 @@ func TestAnalyzeCleanHalt(t *testing.T) {
 }
 
 func TestWarmFeedCounts(t *testing.T) {
-	f := newWarmFeed(sehandler.DefaultSet(), clock.Real)
+	f := newWarmFeed(clock.Real)
 	if f.Fed() != 0 {
 		t.Fatal("fresh feed non-empty")
 	}

@@ -12,33 +12,40 @@ import (
 // primary"). It is written by the backup's serve loop and read — after the
 // primary fails — by the replay coordinators.
 type LogStore struct {
-	mu      sync.Mutex
-	records []wire.Record
+	mu sync.Mutex
+	// batches holds each Append's slice as it came (one per admitted frame):
+	// no growing array is re-copied, so what a run allocates here is linear
+	// in its record count instead of stepping at the array's growth points.
+	batches [][]wire.Record
+	n       int
 }
 
 // NewLogStore returns an empty store.
 func NewLogStore() *LogStore { return &LogStore{} }
 
-// Append adds records in arrival order.
+// Append adds records in arrival order; the store keeps the slice.
 func (s *LogStore) Append(recs ...wire.Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.records = append(s.records, recs...)
+	s.batches = append(s.batches, recs)
+	s.n += len(recs)
 }
 
 // Len returns the number of stored records.
 func (s *LogStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.records)
+	return s.n
 }
 
-// Records returns the stored records (the caller must not mutate them).
+// Records returns the stored records as one slice (a copy).
 func (s *LogStore) Records() []wire.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]wire.Record, len(s.records))
-	copy(out, s.records)
+	out := make([]wire.Record, 0, s.n)
+	for _, b := range s.batches {
+		out = append(out, b...)
+	}
 	return out
 }
 

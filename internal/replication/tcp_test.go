@@ -37,16 +37,19 @@ func TestReplicationOverTCP(t *testing.T) {
 	}
 	backupEnd := lr.ep
 
+	// The primary dies at its third log frame: positioned by the send, not by
+	// polling the backup's log, which a fast primary outruns.
+	var pvm *vm.VM
 	primary, err := NewPrimary(PrimaryConfig{
 		Mode:       ModeLock,
-		Endpoint:   primaryEnd,
+		Endpoint:   &fuseEndpoint{Endpoint: primaryEnd, n: 3, fire: func() { pvm.Kill() }},
 		Policy:     vm.NewSeededPolicy(11, 64, 512),
 		FlushEvery: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pvm, err := vm.New(vm.Config{Program: prog, Env: environ, Coordinator: primary})
+	pvm, err = vm.New(vm.Config{Program: prog, Env: environ, Coordinator: primary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +66,6 @@ func TestReplicationOverTCP(t *testing.T) {
 	var outcome ServeOutcome
 	var serveErr error
 	go func() { defer close(done); outcome, serveErr = backup.Serve() }()
-	go func() {
-		for backup.Store().Len() < 40 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		pvm.Kill()
-	}()
 	_ = pvm.Run()
 	<-done
 	if serveErr != nil {

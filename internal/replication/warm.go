@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/heap"
 	"repro/internal/native"
-	"repro/internal/sehandler"
 	"repro/internal/simtest/clock"
-	"repro/internal/transport"
 	"repro/internal/vm"
 	"repro/internal/wire"
 )
@@ -25,16 +22,8 @@ import (
 // past the end of the log, so takeover latency is the remaining replay gap
 // rather than a full re-execution.
 type WarmBackup struct {
-	mode     Mode
-	ep       transport.Endpoint
-	handlers *sehandler.Set
-	natives  *native.Registry
-	timeout  time.Duration
-	epoch    uint64
-	clk      clock.Clock
-
-	feed  *warmFeed
-	stats BackupStats
+	receiver
+	feed *warmFeed
 }
 
 // warmFeed is the shared, incrementally-fed log view: the serve goroutine
@@ -49,16 +38,17 @@ type warmFeed struct {
 	a    *analysis
 	fed  int
 
-	vmachine *vm.VM
-	handlers *sehandler.Set
-	restored bool
+	// restore rebuilds volatile environment state against the replay VM; set
+	// by Run once that VM exists, consumed by close.
+	restore func() error
 }
 
-func newWarmFeed(handlers *sehandler.Set, clk clock.Clock) *warmFeed {
-	return &warmFeed{a: newAnalysis(), handlers: handlers, slot: clk.NewWaitSlot()}
+func newWarmFeed(clk clock.Clock) *warmFeed {
+	return &warmFeed{a: newAnalysis(), slot: clk.NewWaitSlot()}
 }
 
-// append indexes records and wakes the replay side.
+// append indexes records and wakes the replay side; it is the warm backup's
+// sink.
 func (f *warmFeed) append(records []wire.Record) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -87,11 +77,8 @@ func (f *warmFeed) close() error {
 	defer f.mu.Unlock()
 	f.a.close()
 	var err error
-	if !f.restored && f.vmachine != nil {
-		f.restored = true
-		err = f.handlers.RestoreAll(sehandler.Ctx{
-			Heap: f.vmachine.Heap(), Env: f.vmachine.Environment(), Proc: f.vmachine.Process(),
-		})
+	if f.restore != nil {
+		err, f.restore = f.restore(), nil
 	}
 	f.slot.Signal()
 	return err
@@ -103,6 +90,9 @@ func (f *warmFeed) close() error {
 type warmCoordinator struct {
 	feed  *warmFeed
 	inner vm.Coordinator
+	// sawClosed is set by the first OnIdle that finds the feed closed (VM
+	// goroutine only).
+	sawClosed bool
 }
 
 var _ vm.Coordinator = (*warmCoordinator)(nil)
@@ -160,19 +150,28 @@ func (w *warmCoordinator) Poll(v *vm.VM) (bool, error) {
 // outside the mutex; the slot's latching makes a change between the unlock
 // and the park a wakeup rather than a lost signal, and a stale latched
 // wakeup only costs one spurious retry (the VM re-checks and idles again).
+//
+// The scheduler found nothing runnable before it called here, and the feed
+// may have closed in between — which makes every thread waiting for a record
+// that will now never come ready. So the first idle that sees the feed closed
+// asks for one more look; the feed cannot change after that, and a second one
+// is a deadlock.
 func (w *warmCoordinator) OnIdle(v *vm.VM) (bool, error) {
 	w.feed.mu.Lock()
-	if retry, err := w.inner.OnIdle(v); retry || err != nil {
-		w.feed.mu.Unlock()
-		return retry, err
-	}
-	if !w.feed.a.open {
-		w.feed.mu.Unlock()
-		return false, nil
-	}
+	retry, err := w.inner.OnIdle(v)
+	open := w.feed.a.open
 	w.feed.mu.Unlock()
-	w.feed.slot.Park(0)
-	return true, nil
+	switch {
+	case retry || err != nil:
+		return retry, err
+	case open:
+		w.feed.slot.Park(0)
+		return true, nil
+	case !w.sawClosed:
+		w.sawClosed = true
+		return true, nil
+	}
+	return false, nil
 }
 
 func (w *warmCoordinator) OnHalt(v *vm.VM, runErr error) error {
@@ -186,28 +185,13 @@ func NewWarmBackup(cfg BackupConfig) (*WarmBackup, error) {
 	if cfg.Endpoint == nil {
 		return nil, errors.New("warm backup: nil endpoint")
 	}
-	if cfg.Mode != ModeLock && cfg.Mode != ModeSched && cfg.Mode != ModeLockInterval {
-		return nil, fmt.Errorf("warm backup: bad mode %d", cfg.Mode)
+	r, err := newReceiver(cfg, "warm backup")
+	if err != nil {
+		return nil, err
 	}
-	h := cfg.Handlers
-	if h == nil {
-		h = sehandler.DefaultSet()
-	}
-	reg := cfg.Natives
-	if reg == nil {
-		reg = native.StdLib()
-	}
-	clk := clock.Or(cfg.Clock)
-	return &WarmBackup{
-		mode:     cfg.Mode,
-		ep:       cfg.Endpoint,
-		handlers: h,
-		natives:  reg,
-		timeout:  cfg.FailureTimeout,
-		epoch:    cfg.Epoch,
-		clk:      clk,
-		feed:     newWarmFeed(h, clk),
-	}, nil
+	w := &WarmBackup{receiver: r, feed: newWarmFeed(clock.Or(cfg.Clock))}
+	w.sink = w.feed.append
+	return w, nil
 }
 
 // Logged returns the number of records fed to the replay so far (kill
@@ -234,45 +218,12 @@ func (w *WarmBackup) Run(cfg RecoverConfig) (*vm.VM, *WarmResult, error) {
 	if cfg.Program == nil || cfg.Env == nil {
 		return nil, nil, errors.New("warm backup: nil program or environment")
 	}
-	var coord vm.Coordinator
-	var nr *nativeReplay
-	var lr *lockReplay
-	var sr *schedReplay
-	var ir *intervalReplay
-	switch w.mode {
-	case ModeLock:
-		lr = newLockReplay(w.feed.a, w.handlers, cfg.Policy)
-		nr = lr.nr
-		coord = lr
-	case ModeSched:
-		sr = newSchedReplay(w.feed.a, w.handlers, cfg.Policy)
-		nr = sr.nr
-		coord = sr
-	case ModeLockInterval:
-		ir = newIntervalReplay(w.feed.a, w.handlers, cfg.Policy)
-		nr = ir.nr
-		coord = ir
-	}
-	machine, err := vm.New(vm.Config{
-		Program:         cfg.Program,
-		Env:             cfg.Env,
-		Natives:         w.natives,
-		Coordinator:     &warmCoordinator{feed: w.feed, inner: coord},
-		GCThreshold:     cfg.GCThreshold,
-		MaxInstructions: cfg.MaxInstructions,
-		TrackProgress:   w.mode == ModeSched,
-		Dispatch:        cfg.Dispatch,
-	})
+	eng := newReplayEngine(&w.cfg, w.feed.a, cfg.Policy, nil)
+	machine, err := eng.NewVM(cfg, &warmCoordinator{feed: w.feed, inner: eng.Coordinator()})
 	if err != nil {
 		return nil, nil, fmt.Errorf("warm vm: %w", err)
 	}
-	for _, name := range w.handlers.Names() {
-		h, _ := w.handlers.Get(name)
-		if st := h.State(); st != nil {
-			machine.SetHandlerState(name, st)
-		}
-	}
-	w.feed.vmachine = machine
+	w.feed.restore = func() error { return eng.Restore(machine) }
 
 	// The serve goroutine is spawned through the clock (it blocks in
 	// Endpoint.Recv, which a simulated transport parks clock-visibly), and
@@ -280,159 +231,35 @@ func (w *WarmBackup) Run(cfg RecoverConfig) (*vm.VM, *WarmResult, error) {
 	// the replay VM finishes, serve may still be waiting out its
 	// FailureTimeout, which under a virtual clock only expires if this
 	// goroutine's wait is visible too.
-	type serveRes struct {
-		outcome ServeOutcome
-		err     error
-	}
-	var sr2 serveRes
-	serveDone := clock.NewFlag(w.clk)
-	w.clk.Go(func() {
+	var outcome ServeOutcome
+	var serveErr error
+	clk := clock.Or(w.cfg.Clock)
+	serveDone := clock.NewFlag(clk)
+	clk.Go(func() {
 		defer serveDone.Set()
-		outcome, err := w.serve()
-		if cerr := w.feed.close(); cerr != nil && err == nil {
-			err = cerr
+		outcome, serveErr = w.serve()
+		if cerr := w.feed.close(); cerr != nil && serveErr == nil {
+			serveErr = cerr
 		}
-		sr2 = serveRes{outcome, err}
 	})
 
-	caughtUp := false
 	runErr := machine.Run()
 	serveDone.Wait()
-	if sr2.err != nil {
-		return machine, nil, fmt.Errorf("warm serve: %w", sr2.err)
+	if serveErr != nil {
+		return machine, nil, fmt.Errorf("warm serve: %w", serveErr)
 	}
 	w.feed.mu.Lock()
-	caughtUp = w.feed.a.nativePending == 0 && w.feed.a.lockPending == 0
+	caughtUp := w.feed.a.nativePending == 0 && w.feed.a.lockPending == 0
 	w.feed.mu.Unlock()
 
-	report := &RecoveryReport{
-		RecordsInLog:   int(w.stats.RecordsLogged),
-		FedResults:     nr.FedResults,
-		Reinvoked:      nr.Reinvoked,
-		SkippedOutputs: nr.SkippedOuts,
-		TestedOutputs:  nr.TestedOuts,
-		LiveInvokes:    nr.LiveInvokes,
-		VMStats:        machine.Stats(),
-	}
-	if lr != nil {
-		report.GatedWakeups = lr.GatedWakeups
-	}
-	if sr != nil {
-		report.ReplayedSwitches = sr.Replayed
-	}
-	if ir != nil {
-		report.GatedWakeups = ir.GatedWakeups
-	}
 	res := &WarmResult{
-		Outcome:         sr2.outcome,
+		Outcome:         outcome,
 		Serve:           w.stats,
-		Replay:          report,
+		Replay:          eng.Report(machine, int(w.stats.RecordsLogged)),
 		CaughtUpAtClose: caughtUp,
 	}
 	if runErr != nil {
 		return machine, res, fmt.Errorf("warm execution: %w", runErr)
 	}
 	return machine, res, nil
-}
-
-// serve is the warm logging loop: like Backup.Serve but feeding the live
-// analysis (and the side-effect handlers) as records arrive. It applies the
-// same two-sided failure discrimination: closure / gap / corruption is
-// OutcomePrimaryFailed, heartbeat silence is OutcomePrimaryTimedOut.
-func (w *WarmBackup) serve() (ServeOutcome, error) {
-	var gate wire.SeqGate
-	for {
-		msg, err := w.ep.Recv(w.timeout)
-		if errors.Is(err, transport.ErrClosed) {
-			return OutcomePrimaryFailed, nil
-		}
-		if errors.Is(err, transport.ErrTimeout) {
-			return OutcomePrimaryTimedOut, nil
-		}
-		if err != nil {
-			return 0, fmt.Errorf("warm receive: %w", err)
-		}
-		frame, err := wire.DecodeFrame(msg)
-		if err != nil {
-			w.stats.CorruptFrames++
-			return OutcomePrimaryFailed, nil
-		}
-		if frame.Epoch < w.epoch {
-			// Deposed primary's traffic: drop without acking (see
-			// Backup.Serve — an ack would commit outputs against a
-			// configuration that has moved on).
-			w.stats.StaleEpochs++
-			continue
-		}
-		if frame.Epoch > w.epoch {
-			return OutcomePrimaryFailed, nil
-		}
-		if dup, gap := gate.Admit(frame.Seq); dup {
-			w.stats.DuplicateFrames++
-			if frame.AckWanted {
-				if err := w.ep.Send(wire.EncodeAck(w.epoch, frame.Seq)); err != nil {
-					return OutcomePrimaryFailed, nil
-				}
-				w.stats.AcksSent++
-			}
-			continue
-		} else if gap {
-			w.stats.SeqGaps++
-			return OutcomePrimaryFailed, nil
-		}
-		w.stats.FramesReceived++
-		records, err := wire.DecodeAll(frame.Payload)
-		if err != nil {
-			w.stats.CorruptFrames++
-			return OutcomePrimaryFailed, nil
-		}
-		halted := false
-		keep := records[:0]
-		for _, r := range records {
-			switch rec := r.(type) {
-			case *wire.Heartbeat:
-				w.stats.Heartbeats++
-				continue
-			case *wire.Halt:
-				halted = true
-				continue
-			case *wire.NativeResult:
-				if len(rec.HandlerData) > 0 {
-					if err := w.routeReceive(rec); err != nil {
-						return 0, err
-					}
-				}
-			}
-			keep = append(keep, r)
-			w.stats.RecordsLogged++
-		}
-		if err := w.feed.append(keep); err != nil {
-			return 0, err
-		}
-		if frame.AckWanted {
-			if err := w.ep.Send(wire.EncodeAck(w.epoch, frame.Seq)); err != nil {
-				if errors.Is(err, transport.ErrClosed) {
-					return OutcomePrimaryFailed, nil
-				}
-				return 0, fmt.Errorf("warm ack %d: %w", frame.Seq, err)
-			}
-			w.stats.AcksSent++
-		}
-		if halted {
-			return OutcomePrimaryCompleted, nil
-		}
-	}
-}
-
-func (w *WarmBackup) routeReceive(rec *wire.NativeResult) error {
-	def, ok := w.natives.Lookup(rec.Sig)
-	if !ok {
-		return fmt.Errorf("log references unknown native %q", rec.Sig)
-	}
-	h := w.handlers.ForDef(def)
-	if h == nil {
-		return fmt.Errorf("native %q logged handler data but has no handler", rec.Sig)
-	}
-	w.stats.ReceiveRoutings++
-	return h.Receive(rec.HandlerData)
 }

@@ -143,12 +143,10 @@ func (c *clusterBase) newPrimaryVM(clk *clock.Virtual, environ *env.Env, pc repl
 	if err != nil {
 		return nil, err
 	}
-	return vm.New(vm.Config{
+	return primary.NewVM(vm.Config{
 		Program:         c.Program,
 		Env:             environ,
-		Coordinator:     primary,
 		MaxInstructions: maxInstructions,
-		TrackProgress:   c.Mode == ftvm.ModeSched,
 		Dispatch:        c.Dispatch,
 	})
 }

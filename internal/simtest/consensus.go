@@ -329,8 +329,7 @@ func runConsensusCluster(clk *clock.Virtual, cfg *clusterBase, cb *ConsensusComb
 	// Recovery: load the survivors' committed prefix into a cold backup and
 	// re-execute log-gated against the same environment.
 	res.Recovered = true
-	idle, _ := transport.Pipe(1) // never spoken on; Recover reads only the log
-	replay, err := replication.NewBackup(replication.BackupConfig{Mode: cfg.Mode, Endpoint: idle, Clock: clk})
+	replay, err := replication.NewBackup(replication.BackupConfig{Mode: cfg.Mode, Clock: clk})
 	if err != nil {
 		return res, err
 	}

@@ -57,6 +57,12 @@ type Config struct {
 	// because its interpreter can be preempted anywhere; here threads are
 	// only descheduled flushed, at block edges and blocking operations, and
 	// the rest of the record is read off them there.
+	//
+	// Product code does not set it: the two places that know whether a run
+	// replicates scheduling decide — replication.Primary.NewVM for a primary
+	// and replication.ReplayEngine.NewVM for every replay. The field stays
+	// exported only because benchmark/ builds tracked standalone VMs with it
+	// (ROADMAP item 1d removes it in a benchmark PR).
 	TrackProgress bool
 	// Dispatch selects the interpreter engine: DispatchThreaded (default)
 	// runs the subroutine-threaded engine with wide superinstruction fusion

@@ -157,6 +157,60 @@ func (g *SeqGate) Admit(seq uint64) (dup, gap bool) {
 // Last returns the highest admitted frame sequence.
 func (g *SeqGate) Last() uint64 { return g.last }
 
+// Admission is what a log-holding replica must do with one incoming message.
+// Every receiver of a sequenced frame stream (the VM pair's backup, cold or
+// warm, and a fleet shard's backup) takes its verdict from AdmitFrame, so the
+// policy is written once; how a verdict is counted and reported is the
+// receiver's business.
+type Admission uint8
+
+const (
+	// Fresh: the expected next frame of the receiver's epoch. Log its payload
+	// and acknowledge it if asked.
+	Fresh Admission = iota
+	// Duplicate: already logged (a retransmission, a misbehaving middle box).
+	// Drop the payload, but re-acknowledge if asked, so a sender whose ack was
+	// lost is not stranded.
+	Duplicate
+	// StaleEpoch: sent by a deposed primary still shipping from an older view.
+	// Drop it and never acknowledge — an ack would let the stale sender count
+	// an output as committed against a configuration that has moved on.
+	StaleEpoch
+	// FutureEpoch: a primary of a later view exists; this receiver's log is no
+	// longer the authoritative one and it must not acknowledge records it
+	// cannot place.
+	FutureEpoch
+	// Gap: at least one frame before it is gone for good. Log records are
+	// missing; nothing after this point can be trusted.
+	Gap
+	// Corrupt: the bytes do not parse as a frame — the channel mangled data in
+	// flight; nothing after it can be trusted either.
+	Corrupt
+)
+
+// AdmitFrame decodes msg and classifies it for a receiver serving in epoch.
+// The epoch is checked before the sequence: frames of another epoch belong to
+// another numbering and must not disturb this view's dup/gap accounting. The
+// frame is nil only for Corrupt; only a Fresh frame advances the gate.
+func (g *SeqGate) AdmitFrame(msg []byte, epoch uint64) (*Frame, Admission) {
+	frame, err := DecodeFrame(msg)
+	switch {
+	case err != nil:
+		return nil, Corrupt
+	case frame.Epoch < epoch:
+		return frame, StaleEpoch
+	case frame.Epoch > epoch:
+		return frame, FutureEpoch
+	}
+	switch dup, gap := g.Admit(frame.Seq); {
+	case dup:
+		return frame, Duplicate
+	case gap:
+		return frame, Gap
+	}
+	return frame, Fresh
+}
+
 // EncodeAck serialises an acknowledgement for frame seq under epoch. The ack
 // echoes the receiver's epoch so a primary can discard acknowledgements from
 // a configuration it no longer (or does not yet) belong to.

@@ -240,6 +240,38 @@ func TestSeqGate(t *testing.T) {
 	}
 }
 
+// TestAdmitFrame pins the one admission policy every log-holding receiver
+// runs: the verdict for each class of message, that the epoch is judged before
+// the sequence, and that only a fresh frame advances the gate.
+func TestAdmitFrame(t *testing.T) {
+	const epoch = 2
+	msg := func(seq, ep uint64) []byte { return EncodeFrame(&Frame{Seq: seq, Epoch: ep, Payload: []byte{1}}) }
+	var g SeqGate
+	for _, tc := range []struct {
+		name string
+		msg  []byte
+		want Admission
+		last uint64
+	}{
+		{"first frame", msg(1, epoch), Fresh, 1},
+		{"next frame", msg(2, epoch), Fresh, 2},
+		{"seen again", msg(1, epoch), Duplicate, 2},
+		{"one missing", msg(4, epoch), Gap, 2},
+		{"sequence zero", msg(0, epoch), Gap, 2},
+		{"older epoch, next sequence", msg(3, epoch-1), StaleEpoch, 2},
+		{"older epoch, would-be gap", msg(9, epoch-1), StaleEpoch, 2},
+		{"newer epoch, next sequence", msg(3, epoch+1), FutureEpoch, 2},
+		{"truncated", msg(3, epoch)[:2], Corrupt, 2},
+		{"trailing bytes", append(msg(3, epoch), 0), Corrupt, 2},
+		{"the stream goes on", msg(3, epoch), Fresh, 3},
+	} {
+		frame, got := g.AdmitFrame(tc.msg, epoch)
+		if got != tc.want || g.Last() != tc.last || (frame == nil) != (tc.want == Corrupt) {
+			t.Errorf("%s: verdict %d, gate at %d, frame %v; want verdict %d, gate at %d", tc.name, got, g.Last(), frame, tc.want, tc.last)
+		}
+	}
+}
+
 // TestSeqGateZero: sequence numbers start at 1, so a frame claiming seq 0 is
 // corrupt. Classifying it as a harmless dup (the old `seq <= last` shortcut)
 // would drop it silently and leave the gate believing the channel is fine.

@@ -1,13 +1,10 @@
 package ftvm
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/env"
 	"repro/internal/replication"
-	"repro/internal/simtest/clock"
-	"repro/internal/vm"
 )
 
 // WarmResult describes a warm-replicated run: the primary's metrics plus the
@@ -28,97 +25,22 @@ type WarmResult struct {
 // (semi-active replication — the paper's "keeping the backup updated would
 // require only minor modifications", §1). With a non-nil trigger the primary
 // is killed mid-run; the warm backup, already mid-execution, finishes the
-// program with the usual exactly-once output guarantees.
+// program with the usual exactly-once output guarantees. A warm backup is the
+// pair's backup: Options.Backend == BackendConsensus and Options.CaptureLog
+// are refused with ErrWarmOption.
 func RunWarmReplicated(prog *Program, mode Mode, trigger KillTrigger, opts Options) (*WarmResult, error) {
-	opts.fill()
-	clk := opts.clock()
-	environ := opts.environment()
-	pEnd, bEnd := opts.newPipe()
-
-	primary, err := replication.NewPrimary(replication.PrimaryConfig{
-		Mode:                mode,
-		Endpoint:            pEnd,
-		Policy:              vm.NewSeededPolicy(opts.PolicySeed, opts.MinQuantum, opts.MaxQuantum),
-		FlushEvery:          opts.FlushEvery,
-		HeartbeatEvery:      opts.Heartbeat,
-		AckTimeout:          opts.AckTimeout,
-		DegradeOnBackupLoss: opts.DegradeOnBackupLoss,
-		Clock:               opts.Clock,
-	})
-	if err != nil {
+	res, log, err := run(prog, mode, opts, trigger, true)
+	if res == nil {
 		return nil, err
 	}
-	machine, err := vm.New(vm.Config{
-		Program:         prog,
-		Env:             environ,
-		Coordinator:     primary,
-		GCThreshold:     opts.GCThreshold,
-		MaxInstructions: opts.MaxInstructions,
-		TrackProgress:   mode == ModeSched,
-		Dispatch:        opts.Dispatch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	warm, err := replication.NewWarmBackup(replication.BackupConfig{Mode: mode, Endpoint: bEnd, Clock: opts.Clock})
-	if err != nil {
-		return nil, err
-	}
-
-	// Goroutines are spawned through the clock and joined via clock Flags so
-	// the same structure runs under a virtual clock (see Options.Clock).
-	var warmRes *replication.WarmResult
-	var warmErr error
-	warmDone := clock.NewFlag(clk)
-	clk.Go(func() {
-		defer warmDone.Set()
-		_, warmRes, warmErr = warm.Run(replication.RecoverConfig{
-			Program:         prog,
-			Env:             environ,
-			Policy:          vm.NewSeededPolicy(opts.PolicySeed^0x5DEECE66D, opts.MinQuantum, opts.MaxQuantum),
-			GCThreshold:     opts.GCThreshold,
-			MaxInstructions: opts.MaxInstructions,
-			Dispatch:        opts.Dispatch,
-		})
-	})
-
-	stopTrigger := clock.NewFlag(clk)
-	if trigger != nil {
-		clk.Go(func() {
-			for !stopTrigger.IsSet() {
-				if trigger(warm.Logged()) {
-					machine.Kill()
-					return
-				}
-				clk.Sleep(50 * time.Microsecond)
-			}
-		})
-	}
-
-	t0 := clk.Now()
-	runErr := machine.Run()
-	elapsed := clk.Since(t0)
-	stopTrigger.Set()
-	warmDone.Wait()
-
-	res := &WarmResult{
-		PrimaryStats:   machine.Stats(),
-		PrimaryElapsed: elapsed,
-		Primary:        primary.Metrics(),
-		Killed:         machine.Killed(),
-		Console:        environ.Console().Lines(),
-		Env:            environ,
-	}
-	if warmRes != nil {
-		res.Outcome = warmRes.Outcome
-		res.Warm = warmRes
-	}
-	if runErr != nil && !machine.Killed() {
-		return res, fmt.Errorf("primary run: %w", runErr)
-	}
-	if warmErr != nil {
-		return res, fmt.Errorf("warm backup: %w", warmErr)
-	}
-	res.Console = environ.Console().Lines()
-	return res, nil
+	return &WarmResult{
+		PrimaryStats:   res.Stats,
+		PrimaryElapsed: res.Elapsed,
+		Primary:        res.Primary,
+		Outcome:        res.Outcome,
+		Killed:         res.Killed,
+		Warm:           log.warm,
+		Console:        res.Console,
+		Env:            res.Env,
+	}, err
 }

@@ -1,6 +1,8 @@
 package ftvm
 
 import (
+	"errors"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/replication"
@@ -118,6 +120,25 @@ func TestWarmReplicatedFailover(t *testing.T) {
 		}
 		if !landed {
 			t.Errorf("%v: kill never landed in 10 attempts", mode)
+		}
+	}
+}
+
+// TestWarmRejectsUnsupportedOptions: a warm run used to run a plain pair when
+// asked for the consensus backend, and to write no capture when asked for
+// one. Both are refused by name now.
+func TestWarmRejectsUnsupportedOptions(t *testing.T) {
+	prog, err := CompileSource("warm", facadeProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]Options{
+		"BackendConsensus": {Backend: BackendConsensus},
+		"CaptureLog":       {CaptureLog: filepath.Join(t.TempDir(), "warm.ftlog")},
+	} {
+		res, err := RunWarmReplicated(prog, ModeLock, nil, opts)
+		if res != nil || !errors.Is(err, ErrWarmOption) {
+			t.Errorf("%s: result %v, error %v; want nil and ErrWarmOption", name, res, err)
 		}
 	}
 }
