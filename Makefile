@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race loc check bench bench-smoke bench-spine-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual
+.PHONY: build test vet race loc loc-check check bench bench-smoke bench-spine-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual
 
 build:
 	$(GO) build ./...
@@ -25,10 +25,18 @@ race:
 		./internal/consensus/... ./internal/fleet/... ./internal/viewsvc/...
 	$(GO) test -race -run 'Replicated|Failover|Warm|MeasureReplay' .
 
-# The three line counts ROADMAP.md tracks (root-module non-test Go, its
-# tests, benchmark/), produced by a command instead of by hand.
+# The line counts ROADMAP.md tracks (root-module non-test Go and internal/vm's
+# share of it, the tests, benchmark/), produced by a command instead of by
+# hand.
 loc:
 	./scripts/loc.sh
+
+# The ratchet on the tracked number: root-module non-test Go lines may not
+# exceed the figure recorded by the last PR that lowered it (PR 18). A PR
+# that adds must remove as much; a PR that removes more lowers LOC_MAX.
+LOC_MAX = 28597
+loc-check:
+	./scripts/loc.sh $(LOC_MAX)
 
 # Clock-injection rule (DESIGN.md): no naked time.Now/time.Sleep/... in
 # library code — time comes from an injected clock.Clock, or clock.Real.*
@@ -99,7 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeAll$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeLog$$' -fuzztime 5s ./internal/replication
 
-check: vet clock-lint build test race bench-smoke bench-spine-smoke fuzz-smoke sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke golden-dual
+check: vet clock-lint loc-check build test race bench-smoke bench-spine-smoke fuzz-smoke sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke golden-dual
 
 # The dual-mode golden gate: the full golden program suite and the
 # replication event log, bit-identical between the switch and threaded

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bytecode/pairfreq"
 	"repro/internal/harness"
 	"repro/internal/vm"
 )
@@ -81,9 +82,13 @@ func run() error {
 
 	if *pairFreq {
 		fmt.Fprintf(os.Stderr, "profiling opcode pairs over %v (scale %d)...\n", benchNames(cfg), *scale)
-		dyn, static, err := harness.PairFreq(cfg)
+		perProg, static, err := harness.PairFreq(cfg)
 		if err != nil {
 			return err
+		}
+		dyn := &pairfreq.Counter{}
+		for _, c := range perProg {
+			dyn.Merge(c)
 		}
 		fmt.Printf("executed pairs (%d total):\n%s\n", dyn.Total(), dyn.Table(*pairTop))
 		fmt.Printf("static pairs (%d total):\n%s", static.Total(), static.Table(*pairTop))

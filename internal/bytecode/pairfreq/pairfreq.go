@@ -1,7 +1,7 @@
 // Package pairfreq counts opcode-pair frequencies: how often instruction B
 // immediately follows instruction A, either statically (adjacent slots in
 // compiled method bodies) or dynamically (consecutive executed instructions,
-// counted by the interpreter's slow path under vm.Config.PairCounter).
+// counted by the interpreter's reference loop under vm.Config.PairCounter).
 //
 // The counts feed the superinstruction fusion table in package bytecode:
 // `ftvm-bench -pairfreq` dumps the executed-pair ranking over the six
@@ -20,7 +20,7 @@ import (
 
 // nOps bounds the opcode space the counter tracks. Base opcodes only: fused
 // superinstructions never appear in the streams being counted (static code is
-// pre-fusion, and the dynamic hook runs on the unfused slow path).
+// pre-fusion, and the dynamic hook runs on the reference loop).
 const nOps = int(bytecode.OpHalt) + 1
 
 // Counter accumulates pair counts. The zero value is ready to use. Not
@@ -44,6 +44,22 @@ func (c *Counter) Add(a, b bytecode.Opcode) {
 
 // Total returns the number of pairs recorded.
 func (c *Counter) Total() uint64 { return c.total }
+
+// OpCount returns how often op was executed, read off the pair counts: an
+// instruction is the first element of one pair and the second of another,
+// except at the two ends of a scheduling slice, so the larger of the two sums
+// loses neither end.
+func (c *Counter) OpCount(op bytecode.Opcode) uint64 {
+	if int(op) >= nOps {
+		return 0
+	}
+	var first, second uint64
+	for o := 0; o < nOps; o++ {
+		first += c.counts[op][o]
+		second += c.counts[o][op]
+	}
+	return max(first, second)
+}
 
 // Merge adds every count of other into c.
 func (c *Counter) Merge(other *Counter) {

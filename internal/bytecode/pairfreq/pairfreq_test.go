@@ -5,7 +5,9 @@
 // pins both the top of the ranking and the rank that justifies each fused
 // family, so the fusion set can only widen or shrink together with the data
 // that motivates it. The static shape of the wide tier is pinned separately
-// by TestWideOpsPinned in package bytecode.
+// by TestWideOpsPinned in package bytecode. The same run backs the
+// interpreter's hot/cold split: an opcode in vm's cold table must stay under
+// coldShare of the executed instructions of every one of the six programs.
 package pairfreq_test
 
 import (
@@ -16,7 +18,14 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/bytecode/pairfreq"
 	"repro/internal/harness"
+	"repro/internal/programs"
+	"repro/internal/vm"
 )
+
+// coldShare is the bar of vm's cold table (cold.go): an opcode may share one
+// generic execution path only while it is under this fraction of the executed
+// instructions of each benchmark program.
+const coldShare = 0.005
 
 // topPairsPinned is the head of the executed-pair ranking over all six
 // benchmarks at scale 1 (default harness seeds). Regenerate with
@@ -59,9 +68,23 @@ func TestFusionSetPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pair-frequency profile is not -short")
 	}
-	dyn, _, err := harness.PairFreq(harness.Config{})
+	perProg, _, err := harness.PairFreq(harness.Config{})
 	if err != nil {
 		t.Fatalf("PairFreq: %v", err)
+	}
+	dyn := &pairfreq.Counter{}
+	for _, name := range programs.Names() {
+		c := perProg[name]
+		dyn.Merge(c)
+		for op := bytecode.OpNop; op <= bytecode.OpHalt; op++ {
+			if !vm.IsCold(op) {
+				continue
+			}
+			if share := float64(c.OpCount(op)) / float64(c.Total()); share >= coldShare {
+				t.Errorf("cold opcode %s is %.2f%% of %s's executed instructions (bar %.1f%%): give it a case in both engines",
+					op, share*100, name, coldShare*100)
+			}
+		}
 	}
 	top := dyn.Top(len(topPairsPinned))
 	if os.Getenv("FTVM_GOLDEN_PRINT") != "" {

@@ -36,9 +36,9 @@ type RInstr struct {
 	F float64
 }
 
-// Fused superinstructions. These exist only in resolved code — Predecode
-// emits them, they are never serialized, assembled, or verified — and only in
-// the Fused variant used by the interpreter's fast path. Each one executes an
+// Pair superinstructions. These exist only in resolved code — the wide-fusion
+// DP (widefuse.go) emits them into Resolved.Wide where no wider group fits;
+// they are never serialized, assembled, or verified. Each one executes an
 // operand-push (iconst with the constant in I, or load with the slot in A)
 // and the following integer ALU op in a single dispatch, advancing the pc by
 // two and counting two instructions. The slot of the second instruction keeps
@@ -81,42 +81,17 @@ const fuseWidth = 11 // C-variants per ALU op before the L-variants start
 
 // Resolved is the decode-once form of a program: one resolved code slice per
 // method, index-aligned with Program.Methods (nil for native stubs).
-//
-// Methods is the faithful one-op-per-bytecode form, used whenever per-
-// bytecode observation is required (exact replay tails, pair profiling). Fused
-// is the same code with adjacent push+ALU pairs collapsed into
-// superinstructions; both arrays are index-aligned per pc, so the
-// interpreter can switch between them at any dispatch boundary.
 type Resolved struct {
+	// Methods is the faithful one-op-per-bytecode form: the reference switch
+	// loop runs it, and with it everything that needs per-bytecode
+	// observation (exact replay tails, near-budget tails, pair profiling).
 	Methods [][]RInstr
-	Fused   [][]RInstr
 	// Wide is the wide-fusion variant consumed by the threaded engine:
 	// multi-instruction superinstruction groups chosen by DP segmentation
 	// over the benchmark-derived pair/idiom table (widefuse.go). Index-
-	// aligned per pc like Fused; interior slots keep executable content so
+	// aligned per pc with Methods; interior slots keep executable content so
 	// jumps into the middle of a group stay valid.
 	Wide [][]RInstr
-}
-
-// fuse builds the superinstruction variant of code. The first instruction of
-// a fused pair is replaced; the second keeps its original op so it remains a
-// valid jump target.
-func fuse(code []RInstr) []RInstr {
-	out := make([]RInstr, len(code))
-	copy(out, code)
-	for pc := 0; pc+1 < len(code); pc++ {
-		d, ok := fuseDelta[code[pc+1].Op]
-		if !ok {
-			continue
-		}
-		switch code[pc].Op {
-		case OpIConst:
-			out[pc] = RInstr{Op: OpIAddC + d, I: code[pc].I}
-		case OpLoad:
-			out[pc] = RInstr{Op: OpIAddC + fuseWidth + d, A: code[pc].A}
-		}
-	}
-	return out
 }
 
 func predecodeErr(m *Method, pc int, format string, args ...any) error {
@@ -133,7 +108,6 @@ func predecodeErr(m *Method, pc int, format string, args ...any) error {
 func Predecode(p *Program) (*Resolved, error) {
 	res := &Resolved{
 		Methods: make([][]RInstr, len(p.Methods)),
-		Fused:   make([][]RInstr, len(p.Methods)),
 		Wide:    make([][]RInstr, len(p.Methods)),
 	}
 	for mi, m := range p.Methods {
@@ -207,7 +181,6 @@ func Predecode(p *Program) (*Resolved, error) {
 			code[pc] = r
 		}
 		res.Methods[mi] = code
-		res.Fused[mi] = fuse(code)
 		res.Wide[mi] = widefuse(code)
 	}
 	return res, nil

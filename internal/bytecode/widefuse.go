@@ -21,11 +21,11 @@ package bytecode
 //   - compare-value idioms: the same epilogues without the trailing jump
 //     (the relation's boolean pushed instead).
 //
-// Like the pair tier (fuse), wide fusion is per-slot: every pc holds the
-// best group *starting at that pc*, so jumping into the middle of a group
-// lands on a valid instruction stream. Group selection is a right-to-left
-// dynamic program minimizing dispatches along the fallthrough chain
-// (greedy longest-match strands epilogue tails; see TestWideFuseDP).
+// Wide fusion is per-slot: every pc holds the best group *starting at that
+// pc*, so jumping into the middle of a group lands on a valid instruction
+// stream. Group selection is a right-to-left dynamic program minimizing
+// dispatches along the fallthrough chain (greedy longest-match strands
+// epilogue tails; see TestWideFuseDP).
 //
 // Hard rule: a wide group must be observationally identical to its unfused
 // expansion — same stack/local effects, same branch-counter positions, same
@@ -322,7 +322,7 @@ func wideCands(code []RInstr, pc int) []wcand {
 	baseTerminal := in0.Op == OpJmp || in0.Op == OpRet || in0.Op == OpRetV || in0.Op == OpHalt
 	cands := []wcand{{in: in0, width: 1, terminal: baseTerminal}}
 
-	// Pair tier (same matches as fuse()).
+	// Pair tier: iconst/load + ALU (the OpI*C / OpI*L opcodes).
 	if pc+1 < n {
 		if d, ok := fuseDelta[code[pc+1].Op]; ok {
 			switch in0.Op {

@@ -206,24 +206,26 @@ func RunBenchmark(name string, cfg Config) (*BenchResult, error) {
 }
 
 // PairFreq runs every configured benchmark once (baseline, unreplicated)
-// under the pair-frequency profiler and returns the merged dynamic
-// (executed-pair) and static (adjacent-slot) counters. The dynamic counter is
-// what sizes the superinstruction fusion table: profiling forces the unfused
-// switch slow path so the stream is base opcodes only.
-func PairFreq(cfg Config) (dynamic, static *pairfreq.Counter, err error) {
+// under the pair-frequency profiler and returns each program's dynamic
+// (executed-pair) counter by name, and the merged static (adjacent-slot)
+// counter. The dynamic counters are what size the superinstruction fusion
+// table (merged) and the interpreter's cold table (per program): profiling
+// runs the reference loop, so the stream is base opcodes only.
+func PairFreq(cfg Config) (dynamic map[string]*pairfreq.Counter, static *pairfreq.Counter, err error) {
 	cfg.fill()
-	dynamic, static = &pairfreq.Counter{}, &pairfreq.Counter{}
+	dynamic, static = map[string]*pairfreq.Counter{}, &pairfreq.Counter{}
 	for _, name := range cfg.Benchmarks {
 		prog, err := programs.Compile(name, cfg.Scale)
 		if err != nil {
 			return nil, nil, err
 		}
 		static.AddProgram(prog)
+		dynamic[name] = &pairfreq.Counter{}
 		machine, err := vm.New(vm.Config{
 			Program:     prog,
 			Env:         env.New(cfg.EnvSeed),
 			Coordinator: vm.NewDefaultCoordinator(vm.NewSeededPolicy(cfg.PolicySeed, 1024, 8192)),
-			PairCounter: dynamic,
+			PairCounter: dynamic[name],
 		})
 		if err != nil {
 			return nil, nil, err

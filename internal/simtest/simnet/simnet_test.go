@@ -220,6 +220,10 @@ func TestDeterminism(t *testing.T) {
 		a, b := Link(v, Config{Seed: 42, ReorderNum: 1, ReorderDen: 4})
 		var done sync.WaitGroup
 		done.Add(2)
+		// Hold the clock until both actors exist: a sender that parks before
+		// the receiver is launched would otherwise be the only actor, and
+		// virtual time would advance under a receiver that has not started.
+		v.Attach()
 		v.Go(func() {
 			defer done.Done()
 			for i := 0; i < 25; i++ {
@@ -245,6 +249,7 @@ func TestDeterminism(t *testing.T) {
 				log = append(log, fmt.Sprintf("%s@%v", msg, v.Elapsed()))
 			}
 		})
+		v.Detach()
 		done.Wait()
 		return strings.Join(log, "\n")
 	}

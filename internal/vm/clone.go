@@ -43,7 +43,6 @@ func (vm *VM) CloneSuspended(coord Coordinator) *VM {
 		handlerState: make(map[string]any),
 
 		rcode:    vm.rcode,
-		rfused:   vm.rfused,
 		interned: vm.interned,
 
 		halted:        vm.halted,

@@ -3,10 +3,10 @@ package vm
 import "fmt"
 
 // Dispatch selects the interpreter engine. The zero value is the threaded
-// engine: every caller that does not opt out runs (and therefore gates) the
-// fast tier, while DispatchSwitch keeps the historical switch loop available
-// as the bit-identity reference for the dual-mode golden and differential
-// suites.
+// engine, the one fast engine: every caller that does not opt out runs (and
+// therefore gates) it. DispatchSwitch runs every slice on the reference loop
+// — one opcode per bytecode, no superinstructions — which the dual-mode
+// golden and differential suites compare the fast engine against.
 type Dispatch uint8
 
 const (
@@ -14,7 +14,7 @@ const (
 	// of specialized closures over wide-fused superinstructions, with the
 	// epoch-based branch counter (threaded.go).
 	DispatchThreaded Dispatch = iota
-	// DispatchSwitch is the historical decode-once switch loop (interp.go).
+	// DispatchSwitch is the reference switch loop (interp.go).
 	DispatchSwitch
 )
 
@@ -29,7 +29,8 @@ func (d Dispatch) String() string {
 	}
 }
 
-// ParseDispatch parses the -dispatch / FTVM_DISPATCH spelling of a Dispatch.
+// ParseDispatch parses the spelling of a Dispatch that the CLIs' -dispatch
+// flag and the simulator's dispatch= replay-key field use ("" = threaded).
 func ParseDispatch(s string) (Dispatch, error) {
 	switch s {
 	case "threaded", "":
@@ -45,8 +46,8 @@ func ParseDispatch(s string) (Dispatch, error) {
 func (vm *VM) Dispatch() Dispatch { return vm.dispatch }
 
 // runSliceDispatch routes a slice to the configured engine. Pair-frequency
-// profiling always runs the switch slow path: the dynamic pair stream must
-// see original opcodes, not superinstructions.
+// profiling always runs the reference loop: the dynamic pair stream must see
+// original opcodes, not superinstructions.
 func (vm *VM) runSliceDispatch(t *Thread, target SliceTarget) error {
 	if vm.dispatch == DispatchSwitch || vm.pairs != nil {
 		return vm.runSlice(t, target)

@@ -3,7 +3,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/bytecode"
 	"repro/internal/heap"
@@ -73,39 +72,49 @@ func (vm *VM) strAt(v heap.Value) (string, error) {
 	return vm.hp.StringAt(v.R)
 }
 
-// runSlice interprets t until preemption, blocking, death or halt. With an
-// exact target (replay), the slice stops only when the thread reaches the
-// recorded (br_cnt, method, pc) position; reaching the branch count at a
-// different position keeps executing the (branch-free, hence br_cnt-stable)
-// tail until the position matches.
+// runSlice is the reference loop: it interprets t, one opcode per bytecode
+// (vm.rcode, never a superinstruction), until preemption, blocking, death or
+// halt. The switch engine (DispatchSwitch) runs every slice on it; the
+// threaded engine hands it the two tails that need per-instruction
+// resolution (exact replay, near-budget), and the pair profiler counts on it.
+// Its speed is not a target — the dual-engine gates compare the fast engine
+// against it, so what matters is that it stays the plainest statement of
+// each opcode. With an exact target (replay), the slice stops only when the
+// thread reaches the recorded (br_cnt, method, pc) position; reaching the
+// branch count at a different position keeps executing the (branch-free,
+// hence br_cnt-stable) tail until the position matches.
 //
-// This is the decode-once hot loop. The resolved code of the active frame,
-// the pc, and the operand stack are cached in locals so straight-line
-// bytecodes run without touching the frame, and the dispatch-boundary work
-// (GC trigger, replay position checks, frame re-cache) is hoisted out of the
-// inner loop. Ops that change the frame stack, block the thread, or allocate
-// (and may therefore trip the GC threshold) leave the inner loop; everything
-// else stays in it. The cached pc/stack are written back to the frame
-// (`flushed`) at every exit, so the frame is always current whenever anything
-// outside the loop — GC root scan, fatal-error reporting, coordinator
-// callbacks reading the §4.2 progress indicators off the thread — can
-// observe it. When the slice replays an exact target, every instruction
-// takes the boundary path so the stop-position check runs per instruction.
+// The resolved code of the active frame, the pc, and the operand stack are
+// cached in locals so straight-line bytecodes run without touching the
+// frame, and the dispatch-boundary work (GC trigger, replay position checks,
+// frame re-cache) is hoisted out of the inner loop. Ops that change the
+// frame stack, block the thread, or allocate (and may therefore trip the GC
+// threshold) leave the inner loop; everything else stays in it. The cached
+// pc/stack are written back to the frame (`flushed`) at every exit, so the
+// frame is always current whenever anything outside the loop — GC root scan,
+// fatal-error reporting, coordinator callbacks reading the §4.2 progress
+// indicators off the thread — can observe it. When the slice replays an exact
+// target, every instruction takes the boundary path so the stop-position
+// check runs per instruction.
 //
 // Instruction and branch counters and the instruction budget are maintained
-// after every executed instruction; under TrackProgress the control-path
-// checksum folds after every counted branch (see ProgressSnapshot), whatever
-// path the slice takes. The Kill flag is sampled at each boundary,
-// and the GC trigger is re-checked after every allocating instruction — the
-// only instructions that can flip it. Within a slice br_cnt only changes on
+// after every executed instruction, so ErrInstrBudget is raised at exactly
+// cap+1; under TrackProgress the control-path checksum folds after every
+// counted branch (see ProgressSnapshot), whatever path the slice takes. The
+// order of the post-instruction block is part of the contract the threaded
+// engine mirrors (fold, count, budget, kill, target, yield, brk): change it
+// in both or in neither. The Kill flag is sampled at each boundary, and the
+// GC trigger is re-checked after every allocating instruction — the only
+// instructions that can flip it. Within a slice br_cnt only changes on
 // branch-flagged instructions, and budget targets always lie strictly above
 // the entry br_cnt (quantum ≥ 1), so checking the budget only after branches
 // stops the slice at exactly the same instruction as the historical
 // every-instruction check.
 func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
+	// slow: every instruction takes the boundary path (stop-position check,
+	// pair count). watch: some post-instruction bookkeeping exists at all —
+	// that, or the checksum fold of a tracked VM.
 	slow := target.Exact || vm.pairs != nil
-	// watch: some post-instruction bookkeeping exists at all — the boundary
-	// path, or the checksum fold of a tracked VM, which stays on the fast path.
 	watch := slow || vm.trackProgress
 	capv := vm.instrCap
 	if capv == 0 {
@@ -138,9 +147,6 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 		}
 		f := &t.frames[len(t.frames)-1]
 		code := vm.rcode[f.Method]
-		if !slow {
-			code = vm.rfused[f.Method]
-		}
 		pc := f.PC
 		stack := f.Stack
 		locals := f.Locals
@@ -161,9 +167,6 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 			// monitor was contended) undid its br_cnt tick; it re-executes.
 			rolledBack := false
 			switch in.Op {
-			case bytecode.OpNop:
-				pc++
-
 			case bytecode.OpIConst:
 				stack = append(stack, heap.IntVal(in.I))
 				pc++
@@ -178,15 +181,8 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 			case bytecode.OpNull:
 				stack = append(stack, heap.Null())
 				pc++
-			case bytecode.OpPop:
-				stack = stack[:len(stack)-1]
-				pc++
 			case bytecode.OpDup:
 				stack = append(stack, stack[len(stack)-1])
-				pc++
-			case bytecode.OpSwap:
-				n := len(stack)
-				stack[n-1], stack[n-2] = stack[n-2], stack[n-1]
 				pc++
 
 			case bytecode.OpLoad:
@@ -316,248 +312,6 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				stack[n-1] = heap.IntVal(-a.I)
 				pc++
 
-			// Fused superinstructions (fast path only): an iconst (constant
-			// in in.I) or load (slot in in.A) plus the following ALU op in
-			// one dispatch. Each counts the folded push (icnt++) before any
-			// error so a type fault charges exactly the instructions the
-			// unfused pair would have.
-			case bytecode.OpIAddC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I + in.I)
-				pc += 2
-			case bytecode.OpISubC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I - in.I)
-				pc += 2
-			case bytecode.OpIMulC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I * in.I)
-				pc += 2
-			case bytecode.OpIDivC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				if in.I == 0 {
-					err = errDivByZero
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I / in.I)
-				pc += 2
-			case bytecode.OpIRemC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				if in.I == 0 {
-					err = errDivByZero
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I % in.I)
-				pc += 2
-			case bytecode.OpIAndC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I & in.I)
-				pc += 2
-			case bytecode.OpIOrC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I | in.I)
-				pc += 2
-			case bytecode.OpIXorC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I ^ in.I)
-				pc += 2
-			case bytecode.OpIShlC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I << (uint64(in.I) & 63))
-				pc += 2
-			case bytecode.OpIShrC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I >> (uint64(in.I) & 63))
-				pc += 2
-			case bytecode.OpICmpC:
-				icnt++
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindInt {
-					err = notInt(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(cmpInt(a.I, in.I))
-				pc += 2
-			case bytecode.OpIAddL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I + b.I)
-				pc += 2
-			case bytecode.OpISubL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I - b.I)
-				pc += 2
-			case bytecode.OpIMulL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I * b.I)
-				pc += 2
-			case bytecode.OpIDivL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				if b.I == 0 {
-					err = errDivByZero
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I / b.I)
-				pc += 2
-			case bytecode.OpIRemL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				if b.I == 0 {
-					err = errDivByZero
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I % b.I)
-				pc += 2
-			case bytecode.OpIAndL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I & b.I)
-				pc += 2
-			case bytecode.OpIOrL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I | b.I)
-				pc += 2
-			case bytecode.OpIXorL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I ^ b.I)
-				pc += 2
-			case bytecode.OpIShlL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I << (uint64(b.I) & 63))
-				pc += 2
-			case bytecode.OpIShrL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				stack[n-1] = heap.IntVal(a.I >> (uint64(b.I) & 63))
-				pc += 2
-			case bytecode.OpICmpL:
-				icnt++
-				n := len(stack)
-				a, b := stack[n-1], locals[in.A]
-				if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-					err = intOpErr(a, b)
-					break
-				}
-				stack[n-1] = heap.IntVal(cmpInt(a.I, b.I))
-				pc += 2
-
 			case bytecode.OpFAdd:
 				n := len(stack)
 				b, a := stack[n-1], stack[n-2]
@@ -598,15 +352,6 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				stack[n-2] = heap.FloatVal(a.F / b.F)
 				stack = stack[:n-1]
 				pc++
-			case bytecode.OpFNeg:
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindFloat {
-					err = notFloat(a)
-					break
-				}
-				stack[n-1] = heap.FloatVal(-a.F)
-				pc++
 
 			case bytecode.OpI2F:
 				n := len(stack)
@@ -616,15 +361,6 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 					break
 				}
 				stack[n-1] = heap.FloatVal(float64(a.I))
-				pc++
-			case bytecode.OpF2I:
-				n := len(stack)
-				a := stack[n-1]
-				if a.Kind != heap.KindFloat {
-					err = notFloat(a)
-					break
-				}
-				stack[n-1] = heap.IntVal(int64(a.F))
 				pc++
 
 			case bytecode.OpICmp:
@@ -649,28 +385,6 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				case a.F < b.F:
 					res = -1
 				case a.F > b.F:
-					res = 1
-				}
-				stack[n-2] = heap.IntVal(res)
-				stack = stack[:n-1]
-				pc++
-			case bytecode.OpSCmp:
-				n := len(stack)
-				sb, serr := vm.strAt(stack[n-1])
-				if serr != nil {
-					err = serr
-					break
-				}
-				sa, serr := vm.strAt(stack[n-2])
-				if serr != nil {
-					err = serr
-					break
-				}
-				var res int64
-				switch {
-				case sa < sb:
-					res = -1
-				case sa > sb:
 					res = 1
 				}
 				stack[n-2] = heap.IntVal(res)
@@ -731,16 +445,6 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				flushed, brk = true, true
 				err = vm.doReturn(t, in.Op == bytecode.OpRetV)
 
-			case bytecode.OpNew:
-				// Field count and finalizer flag were folded in at predecode.
-				r, aerr := vm.hp.AllocRecord(in.A, int(in.I), in.B != 0)
-				if aerr != nil {
-					err = aerr
-					break
-				}
-				stack = append(stack, heap.RefVal(r))
-				pc++
-				brk = vm.hp.NeedsGC()
 			case bytecode.OpGetF:
 				n := len(stack)
 				rv := stack[n-1]
@@ -771,36 +475,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 			case bytecode.OpGetS:
 				stack = append(stack, vm.statics[in.A])
 				pc++
-			case bytecode.OpPutS:
-				n := len(stack) - 1
-				vm.statics[in.A] = stack[n]
-				stack = stack[:n]
-				pc++
 
-			case bytecode.OpNewArr:
-				n := len(stack)
-				nv := stack[n-1]
-				if nv.Kind != heap.KindInt {
-					err = notInt(nv)
-					break
-				}
-				var r heap.Ref
-				var aerr error
-				switch in.A {
-				case bytecode.ElemInt:
-					r, aerr = vm.hp.AllocIntArr(int(nv.I))
-				case bytecode.ElemFloat:
-					r, aerr = vm.hp.AllocFloatArr(int(nv.I))
-				default:
-					r, aerr = vm.hp.AllocRefArr(int(nv.I))
-				}
-				if aerr != nil {
-					err = aerr
-					break
-				}
-				stack[n-1] = heap.RefVal(r)
-				pc++
-				brk = vm.hp.NeedsGC()
 			case bytecode.OpALoad:
 				n := len(stack)
 				iv, rv := stack[n-1], stack[n-2]
@@ -837,51 +512,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				}
 				stack = stack[:n-3]
 				pc++
-			case bytecode.OpALen:
-				n := len(stack)
-				rv := stack[n-1]
-				if rv.Kind != heap.KindRef {
-					err = notRef(rv)
-					break
-				}
-				ln, gerr := vm.hp.ArrLen(rv.R)
-				if gerr != nil {
-					err = gerr
-					break
-				}
-				stack[n-1] = heap.IntVal(int64(ln))
-				pc++
 
-			case bytecode.OpSLen:
-				n := len(stack)
-				s, serr := vm.strAt(stack[n-1])
-				if serr != nil {
-					err = serr
-					break
-				}
-				stack[n-1] = heap.IntVal(int64(len(s)))
-				pc++
-			case bytecode.OpSCat:
-				n := len(stack)
-				sb, serr := vm.strAt(stack[n-1])
-				if serr != nil {
-					err = serr
-					break
-				}
-				sa, serr := vm.strAt(stack[n-2])
-				if serr != nil {
-					err = serr
-					break
-				}
-				r, aerr := vm.hp.AllocString(sa + sb)
-				if aerr != nil {
-					err = aerr
-					break
-				}
-				stack[n-2] = heap.RefVal(r)
-				stack = stack[:n-1]
-				pc++
-				brk = vm.hp.NeedsGC()
 			case bytecode.OpSIdx:
 				n := len(stack)
 				iv := stack[n-1]
@@ -900,103 +531,6 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				}
 				stack[n-2] = heap.IntVal(int64(s[iv.I]))
 				stack = stack[:n-1]
-				pc++
-			case bytecode.OpSSub:
-				n := len(stack)
-				ev, sv := stack[n-1], stack[n-2]
-				if ev.Kind != heap.KindInt {
-					err = notInt(ev)
-					break
-				}
-				if sv.Kind != heap.KindInt {
-					err = notInt(sv)
-					break
-				}
-				s, serr := vm.strAt(stack[n-3])
-				if serr != nil {
-					err = serr
-					break
-				}
-				start, end := sv.I, ev.I
-				if start < 0 || end < start || end > int64(len(s)) {
-					err = fmt.Errorf("substring [%d,%d) of %d: %w", start, end, len(s), heap.ErrIndexOOB)
-					break
-				}
-				r, aerr := vm.hp.AllocString(s[start:end])
-				if aerr != nil {
-					err = aerr
-					break
-				}
-				stack[n-3] = heap.RefVal(r)
-				stack = stack[:n-2]
-				pc++
-				brk = vm.hp.NeedsGC()
-			case bytecode.OpI2S:
-				n := len(stack)
-				av := stack[n-1]
-				if av.Kind != heap.KindInt {
-					err = notInt(av)
-					break
-				}
-				r, aerr := vm.hp.AllocString(strconv.FormatInt(av.I, 10))
-				if aerr != nil {
-					err = aerr
-					break
-				}
-				stack[n-1] = heap.RefVal(r)
-				pc++
-				brk = vm.hp.NeedsGC()
-			case bytecode.OpF2S:
-				n := len(stack)
-				av := stack[n-1]
-				if av.Kind != heap.KindFloat {
-					err = notFloat(av)
-					break
-				}
-				r, aerr := vm.hp.AllocString(strconv.FormatFloat(av.F, 'g', -1, 64))
-				if aerr != nil {
-					err = aerr
-					break
-				}
-				stack[n-1] = heap.RefVal(r)
-				pc++
-				brk = vm.hp.NeedsGC()
-			case bytecode.OpS2I:
-				n := len(stack)
-				s, serr := vm.strAt(stack[n-1])
-				if serr != nil {
-					err = serr
-					break
-				}
-				nv, perr := strconv.ParseInt(s, 10, 64)
-				if perr != nil {
-					nv = 0
-				}
-				stack[n-1] = heap.IntVal(nv)
-				pc++
-			case bytecode.OpChr:
-				n := len(stack)
-				av := stack[n-1]
-				if av.Kind != heap.KindInt {
-					err = notInt(av)
-					break
-				}
-				r, aerr := vm.hp.AllocString(string([]byte{byte(av.I)}))
-				if aerr != nil {
-					err = aerr
-					break
-				}
-				stack[n-1] = heap.RefVal(r)
-				pc++
-				brk = vm.hp.NeedsGC()
-			case bytecode.OpHashStr:
-				n := len(stack)
-				s, serr := vm.strAt(stack[n-1])
-				if serr != nil {
-					err = serr
-					break
-				}
-				stack[n-1] = heap.IntVal(fnv64(s))
 				pc++
 
 			case bytecode.OpMEnter:
@@ -1031,110 +565,17 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 					break
 				}
 				f.PC = pc + 1
-			case bytecode.OpWait:
-				f.PC, f.Stack = pc, stack
-				flushed, brk = true, true
-				rv := stack[len(stack)-1]
-				if rv.Kind != heap.KindRef {
-					err = notRef(rv)
-					break
-				}
-				if t.reacquiring {
-					done, rerr := vm.reacquireAfterWait(t, rv.R)
-					if rerr != nil {
-						err = rerr
-						break
-					}
-					if done {
-						f.Stack = f.Stack[:len(f.Stack)-1] // wait completed
-						f.PC = pc + 1
-					}
-				} else {
-					vm.stats.WaitOps++
-					if werr := vm.monWait(t, rv.R); werr != nil {
-						err = werr
-						break
-					}
-					// Now waiting; PC unchanged.
-				}
-			case bytecode.OpNotify, bytecode.OpNotifyAll:
-				f.PC, f.Stack = pc, stack
-				flushed, brk = true, true
-				rv := stack[len(stack)-1]
-				if rv.Kind != heap.KindRef {
-					err = notRef(rv)
-					break
-				}
-				f.Stack = f.Stack[:len(f.Stack)-1]
-				nn := 1
-				if in.Op == bytecode.OpNotifyAll {
-					nn = -1
-				}
-				vm.stats.NotifyOps++
-				if merr := vm.monNotify(t, rv.R, nn); merr != nil {
-					err = merr
-					break
-				}
-				f.PC = pc + 1
-
-			case bytecode.OpSpawn:
-				if t.finalizerDepth > 0 {
-					err = errors.New("finalizer spawned a thread (violates §4.3 determinism assumption)")
-					break
-				}
-				base := len(stack) - int(in.B)
-				child, serr := vm.newThread(t, in.A, stack[base:])
-				if serr != nil {
-					err = serr
-					break
-				}
-				stack = append(stack[:base], heap.RefVal(child.Ref))
-				pc++
-				brk = vm.hp.NeedsGC()
-			case bytecode.OpJoin:
-				f.PC, f.Stack = pc, stack
-				flushed, brk = true, true
-				rv := stack[len(stack)-1]
-				if rv.Kind != heap.KindRef {
-					err = notRef(rv)
-					break
-				}
-				if _, gerr := vm.hp.GetKind(rv.R, heap.ObjThread); gerr != nil {
-					err = fmt.Errorf("join: %w", gerr)
-					break
-				}
-				f.Stack = f.Stack[:len(f.Stack)-1]
-				f.PC = pc + 1 // return past the join
-				t.pushFrame(vm.prog.Methods[vm.joinIdx], vm.joinIdx, []heap.Value{heap.RefVal(rv.R)})
-			case bytecode.OpYield:
-				t.yielded = true
-				brk = true
-				pc++
-			case bytecode.OpAlive:
-				n := len(stack)
-				rv := stack[n-1]
-				if rv.Kind != heap.KindRef {
-					err = notRef(rv)
-					break
-				}
-				obj, gerr := vm.hp.GetKind(rv.R, heap.ObjThread)
-				if gerr != nil {
-					err = fmt.Errorf("alive: %w", gerr)
-					break
-				}
-				stack[n-1] = heap.BoolVal(!vm.threads[obj.Class].logicallyDead)
-				pc++
-			case bytecode.OpMarkDead:
-				t.logicallyDead = true
-				pc++
-
-			case bytecode.OpHalt:
-				pc++
-				vm.halted = true
-				brk = true
 
 			default:
-				err = fmt.Errorf("unimplemented opcode %s", in.Op)
+				// Everything else is a cold opcode (cold.go): one body shared
+				// with the threaded engine, run on the flushed frame; it
+				// faults on an opcode that is not in its table either. After a
+				// brk the reloaded pc/stack are dead (f may even dangle): the
+				// boundary re-caches them from the top frame.
+				f.PC, f.Stack = pc, stack
+				flushed = true
+				brk, err = vm.execCold(t, f, in)
+				pc, stack = f.PC, f.Stack
 			}
 			if err != nil {
 				vm.stats.Instructions = icnt

@@ -1,15 +1,15 @@
 package vm
 
 import (
-	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/bytecode"
 	"repro/internal/heap"
 )
 
-// The subroutine-threaded engine (Options.Dispatch = threaded, the default).
+// The fast engine: subroutine threading (Options.Dispatch = threaded, the
+// default). runSlice (interp.go) is the reference loop; this file is the one
+// place opcodes are specialised for speed.
 //
 // Each predecoded method is compiled once, at VM construction, into an array
 // of per-slot closures (tmethod.code): one specialized closure per resolved
@@ -31,6 +31,12 @@ import (
 // compileThreaded wraps in trackBranch to fold the control-path checksum;
 // an untracked VM's stream has no trace of tracking.
 //
+// Three kinds of closure fill the slots: wide groups (compileWide), pairs
+// (compilePair) and single opcodes. A single opcode gets its own closure in
+// compileBase, mirroring its runSlice case, unless it is in the cold table
+// (cold.go: measured rare in every benchmark program); those share one
+// generic closure (compileCold) over the same body the reference loop runs.
+//
 // Epoch-based branch counter. The kill flag, the preemption target and the
 // instruction budget are checked only at block boundaries (every loop
 // contains a branch, so the latency is bounded). A thread is therefore only
@@ -41,8 +47,8 @@ import (
 // lie strictly above the entry br_cnt, so the block-boundary check stops the
 // slice at exactly the same instruction as the historical per-instruction
 // check. Two cases genuinely need per-instruction resolution, and both are
-// delegated to the reference switch engine (runSlice) at a boundary, which
-// makes them bit-identical by construction:
+// delegated to the reference loop (runSlice) at a boundary, which makes them
+// bit-identical by construction:
 //
 //   - exact replay epochs: while t.BrCnt < target.Br no stop position can
 //     match, so the threaded engine runs freely; the boundary that reaches
@@ -50,15 +56,13 @@ import (
 //     the per-instruction (method, pc) stop checks;
 //   - budget exhaustion: when fewer than one method body's worth of budget
 //     remains (tmethod.margin), the slice tail runs under runSlice, whose
-//     per-dispatch check faults at exactly the historical instruction — even
-//     mid-fused-pair.
+//     one-op-per-bytecode stream raises ErrInstrBudget at exactly cap+1
+//     executed instructions.
 //
-// Fault identity. A wide group that faults materializes the unfused state
-// first — the lead pushes it folded, the pc of the faulting instruction, the
-// instructions completed before the fault — so a fatal error reports the
-// same position and counters as the faithful stream. (The pair tier keeps
-// the switch engine's pair fault behavior: the folded push is counted but
-// not materialized.)
+// Fault identity. A wide group or pair that faults materializes the unfused
+// state first — the lead pushes it folded, the pc of the faulting
+// instruction, the instructions completed before the fault — so a fatal error
+// reports the same position and counters as the reference loop.
 
 // tclosure executes one resolved instruction (or superinstruction group).
 // It returns true to continue the current basic block, false at a boundary.
@@ -329,12 +333,24 @@ func (vm *VM) compileOp(in bytecode.RInstr) tclosure {
 	if in.Op >= bytecode.OpIAddC && in.Op <= bytecode.OpICmpL {
 		return compilePair(in)
 	}
+	if IsCold(in.Op) {
+		return compileCold(in)
+	}
 	return vm.compileBase(in)
 }
 
-// compilePair builds the pair-fusion tier closures (iconst/load + ALU in one
-// dispatch). Fault accounting matches the switch engine's pair cases: the
-// folded push is counted (icnt+1) before any error.
+// pairFault materializes the unfused state of a faulting pair, like the wide
+// groups do: the folded push b executed (on the stack, counted, pc past it)
+// and the ALU op behind it faulted with err.
+func (c *tctx) pairFault(b heap.Value, err error) bool {
+	c.stack = append(c.stack, b)
+	c.pc++
+	c.icnt++
+	c.err = err
+	return false
+}
+
+// compilePair builds the pair closures (iconst/load + ALU in one dispatch).
 func compilePair(in bytecode.RInstr) tclosure {
 	if in.Op >= bytecode.OpIAddL {
 		p := pairALU[in.Op-bytecode.OpIAddL]
@@ -344,14 +360,10 @@ func compilePair(in bytecode.RInstr) tclosure {
 			n := len(c.stack)
 			a, b := c.stack[n-1], c.locals[slot]
 			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.icnt++
-				c.err = intOpErr(a, b)
-				return false
+				return c.pairFault(b, intOpErr(a, b))
 			}
 			if div && b.I == 0 {
-				c.icnt++
-				c.err = errDivByZero
-				return false
+				return c.pairFault(b, errDivByZero)
 			}
 			c.stack[n-1] = heap.IntVal(fn(a.I, b.I))
 			c.pc += 2
@@ -366,14 +378,10 @@ func compilePair(in bytecode.RInstr) tclosure {
 		n := len(c.stack)
 		a := c.stack[n-1]
 		if a.Kind != heap.KindInt {
-			c.icnt++
-			c.err = notInt(a)
-			return false
+			return c.pairFault(heap.IntVal(k), notInt(a))
 		}
 		if div && k == 0 {
-			c.icnt++
-			c.err = errDivByZero
-			return false
+			return c.pairFault(heap.IntVal(k), errDivByZero)
 		}
 		c.stack[n-1] = heap.IntVal(fn(a.I, k))
 		c.pc += 2
@@ -646,11 +654,6 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 // the shared post-instruction bookkeeping.
 func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 	switch in.Op {
-	case bytecode.OpNop:
-		return func(c *tctx) bool {
-			c.pc++
-			return c.step(false)
-		}
 	case bytecode.OpIConst:
 		v := heap.IntVal(in.I)
 		return func(c *tctx) bool {
@@ -680,22 +683,9 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 			c.pc++
 			return c.step(false)
 		}
-	case bytecode.OpPop:
-		return func(c *tctx) bool {
-			c.stack = c.stack[:len(c.stack)-1]
-			c.pc++
-			return c.step(false)
-		}
 	case bytecode.OpDup:
 		return func(c *tctx) bool {
 			c.stack = append(c.stack, c.stack[len(c.stack)-1])
-			c.pc++
-			return c.step(false)
-		}
-	case bytecode.OpSwap:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			c.stack[n-1], c.stack[n-2] = c.stack[n-2], c.stack[n-1]
 			c.pc++
 			return c.step(false)
 		}
@@ -792,18 +782,6 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 			c.pc++
 			return c.step(false)
 		}
-	case bytecode.OpFNeg:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			a := c.stack[n-1]
-			if a.Kind != heap.KindFloat {
-				c.err = notFloat(a)
-				return false
-			}
-			c.stack[n-1] = heap.FloatVal(-a.F)
-			c.pc++
-			return c.step(false)
-		}
 
 	case bytecode.OpI2F:
 		return func(c *tctx) bool {
@@ -814,18 +792,6 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				return false
 			}
 			c.stack[n-1] = heap.FloatVal(float64(a.I))
-			c.pc++
-			return c.step(false)
-		}
-	case bytecode.OpF2I:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			a := c.stack[n-1]
-			if a.Kind != heap.KindFloat {
-				c.err = notFloat(a)
-				return false
-			}
-			c.stack[n-1] = heap.IntVal(int64(a.F))
 			c.pc++
 			return c.step(false)
 		}
@@ -856,31 +822,6 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 			case a.F < b.F:
 				res = -1
 			case a.F > b.F:
-				res = 1
-			}
-			c.stack[n-2] = heap.IntVal(res)
-			c.stack = c.stack[:n-1]
-			c.pc++
-			return c.step(false)
-		}
-	case bytecode.OpSCmp:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			sb, serr := c.vm.strAt(c.stack[n-1])
-			if serr != nil {
-				c.err = serr
-				return false
-			}
-			sa, serr := c.vm.strAt(c.stack[n-2])
-			if serr != nil {
-				c.err = serr
-				return false
-			}
-			var res int64
-			switch {
-			case sa < sb:
-				res = -1
-			case sa > sb:
 				res = 1
 			}
 			c.stack[n-2] = heap.IntVal(res)
@@ -959,19 +900,6 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 			return c.step(true)
 		}
 
-	case bytecode.OpNew:
-		cls, nf, fin := in.A, int(in.I), in.B != 0
-		return func(c *tctx) bool {
-			r, aerr := c.vm.hp.AllocRecord(cls, nf, fin)
-			if aerr != nil {
-				c.err = aerr
-				return false
-			}
-			c.stack = append(c.stack, heap.RefVal(r))
-			c.pc++
-			c.brk = c.vm.hp.NeedsGC()
-			return c.step(c.brk)
-		}
 	case bytecode.OpGetF:
 		fld := int(in.A)
 		return func(c *tctx) bool {
@@ -1014,44 +942,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 			c.pc++
 			return c.step(false)
 		}
-	case bytecode.OpPutS:
-		slot := in.A
-		return func(c *tctx) bool {
-			n := len(c.stack) - 1
-			c.vm.statics[slot] = c.stack[n]
-			c.stack = c.stack[:n]
-			c.pc++
-			return c.step(false)
-		}
 
-	case bytecode.OpNewArr:
-		kind := in.A
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			nv := c.stack[n-1]
-			if nv.Kind != heap.KindInt {
-				c.err = notInt(nv)
-				return false
-			}
-			var r heap.Ref
-			var aerr error
-			switch kind {
-			case bytecode.ElemInt:
-				r, aerr = c.vm.hp.AllocIntArr(int(nv.I))
-			case bytecode.ElemFloat:
-				r, aerr = c.vm.hp.AllocFloatArr(int(nv.I))
-			default:
-				r, aerr = c.vm.hp.AllocRefArr(int(nv.I))
-			}
-			if aerr != nil {
-				c.err = aerr
-				return false
-			}
-			c.stack[n-1] = heap.RefVal(r)
-			c.pc++
-			c.brk = c.vm.hp.NeedsGC()
-			return c.step(c.brk)
-		}
 	case bytecode.OpALoad:
 		return func(c *tctx) bool {
 			n := len(c.stack)
@@ -1094,69 +985,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 			c.pc++
 			return c.step(false)
 		}
-	case bytecode.OpALen:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			rv := c.stack[n-1]
-			if rv.Kind != heap.KindRef {
-				c.err = notRef(rv)
-				return false
-			}
-			ln, gerr := c.vm.hp.ArrLen(rv.R)
-			if gerr != nil {
-				c.err = gerr
-				return false
-			}
-			c.stack[n-1] = heap.IntVal(int64(ln))
-			c.pc++
-			return c.step(false)
-		}
 
-	default:
-		return vm.compileBaseMisc(in)
-	}
-}
-
-// compileBaseMisc continues compileBase: string, monitor, thread and
-// lifecycle opcodes (cold relative to the ALU/control tier).
-func (vm *VM) compileBaseMisc(in bytecode.RInstr) tclosure {
-	switch in.Op {
-	case bytecode.OpSLen:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			s, serr := c.vm.strAt(c.stack[n-1])
-			if serr != nil {
-				c.err = serr
-				return false
-			}
-			c.stack[n-1] = heap.IntVal(int64(len(s)))
-			c.pc++
-			return c.step(false)
-		}
-	case bytecode.OpSCat:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			sb, serr := c.vm.strAt(c.stack[n-1])
-			if serr != nil {
-				c.err = serr
-				return false
-			}
-			sa, serr := c.vm.strAt(c.stack[n-2])
-			if serr != nil {
-				c.err = serr
-				return false
-			}
-			r, aerr := c.vm.hp.AllocString(sa + sb)
-			if aerr != nil {
-				c.err = aerr
-				return false
-			}
-			c.stack[n-2] = heap.RefVal(r)
-			c.stack = c.stack[:n-1]
-			c.pc++
-			c.brk = c.vm.hp.NeedsGC()
-			return c.step(c.brk)
-		}
 	case bytecode.OpSIdx:
 		return func(c *tctx) bool {
 			n := len(c.stack)
@@ -1176,121 +1005,6 @@ func (vm *VM) compileBaseMisc(in bytecode.RInstr) tclosure {
 			}
 			c.stack[n-2] = heap.IntVal(int64(s[iv.I]))
 			c.stack = c.stack[:n-1]
-			c.pc++
-			return c.step(false)
-		}
-	case bytecode.OpSSub:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			ev, sv := c.stack[n-1], c.stack[n-2]
-			if ev.Kind != heap.KindInt {
-				c.err = notInt(ev)
-				return false
-			}
-			if sv.Kind != heap.KindInt {
-				c.err = notInt(sv)
-				return false
-			}
-			s, serr := c.vm.strAt(c.stack[n-3])
-			if serr != nil {
-				c.err = serr
-				return false
-			}
-			start, end := sv.I, ev.I
-			if start < 0 || end < start || end > int64(len(s)) {
-				c.err = fmt.Errorf("substring [%d,%d) of %d: %w", start, end, len(s), heap.ErrIndexOOB)
-				return false
-			}
-			r, aerr := c.vm.hp.AllocString(s[start:end])
-			if aerr != nil {
-				c.err = aerr
-				return false
-			}
-			c.stack[n-3] = heap.RefVal(r)
-			c.stack = c.stack[:n-2]
-			c.pc++
-			c.brk = c.vm.hp.NeedsGC()
-			return c.step(c.brk)
-		}
-	case bytecode.OpI2S:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			av := c.stack[n-1]
-			if av.Kind != heap.KindInt {
-				c.err = notInt(av)
-				return false
-			}
-			r, aerr := c.vm.hp.AllocString(strconv.FormatInt(av.I, 10))
-			if aerr != nil {
-				c.err = aerr
-				return false
-			}
-			c.stack[n-1] = heap.RefVal(r)
-			c.pc++
-			c.brk = c.vm.hp.NeedsGC()
-			return c.step(c.brk)
-		}
-	case bytecode.OpF2S:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			av := c.stack[n-1]
-			if av.Kind != heap.KindFloat {
-				c.err = notFloat(av)
-				return false
-			}
-			r, aerr := c.vm.hp.AllocString(strconv.FormatFloat(av.F, 'g', -1, 64))
-			if aerr != nil {
-				c.err = aerr
-				return false
-			}
-			c.stack[n-1] = heap.RefVal(r)
-			c.pc++
-			c.brk = c.vm.hp.NeedsGC()
-			return c.step(c.brk)
-		}
-	case bytecode.OpS2I:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			s, serr := c.vm.strAt(c.stack[n-1])
-			if serr != nil {
-				c.err = serr
-				return false
-			}
-			nv, perr := strconv.ParseInt(s, 10, 64)
-			if perr != nil {
-				nv = 0
-			}
-			c.stack[n-1] = heap.IntVal(nv)
-			c.pc++
-			return c.step(false)
-		}
-	case bytecode.OpChr:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			av := c.stack[n-1]
-			if av.Kind != heap.KindInt {
-				c.err = notInt(av)
-				return false
-			}
-			r, aerr := c.vm.hp.AllocString(string([]byte{byte(av.I)}))
-			if aerr != nil {
-				c.err = aerr
-				return false
-			}
-			c.stack[n-1] = heap.RefVal(r)
-			c.pc++
-			c.brk = c.vm.hp.NeedsGC()
-			return c.step(c.brk)
-		}
-	case bytecode.OpHashStr:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			s, serr := c.vm.strAt(c.stack[n-1])
-			if serr != nil {
-				c.err = serr
-				return false
-			}
-			c.stack[n-1] = heap.IntVal(fnv64(s))
 			c.pc++
 			return c.step(false)
 		}
@@ -1335,137 +1049,6 @@ func (vm *VM) compileBaseMisc(in bytecode.RInstr) tclosure {
 			f.PC = c.pc + 1
 			return c.step(true)
 		}
-	case bytecode.OpWait:
-		return func(c *tctx) bool {
-			f := c.f
-			f.PC, f.Stack = c.pc, c.stack
-			c.flushed, c.brk = true, true
-			rv := c.stack[len(c.stack)-1]
-			if rv.Kind != heap.KindRef {
-				c.err = notRef(rv)
-				return false
-			}
-			if c.t.reacquiring {
-				done, rerr := c.vm.reacquireAfterWait(c.t, rv.R)
-				if rerr != nil {
-					c.err = rerr
-					return false
-				}
-				if done {
-					f.Stack = f.Stack[:len(f.Stack)-1] // wait completed
-					f.PC = c.pc + 1
-				}
-			} else {
-				c.vm.stats.WaitOps++
-				if werr := c.vm.monWait(c.t, rv.R); werr != nil {
-					c.err = werr
-					return false
-				}
-				// Now waiting; PC unchanged.
-			}
-			return c.step(true)
-		}
-	case bytecode.OpNotify, bytecode.OpNotifyAll:
-		nn := 1
-		if in.Op == bytecode.OpNotifyAll {
-			nn = -1
-		}
-		return func(c *tctx) bool {
-			f := c.f
-			f.PC, f.Stack = c.pc, c.stack
-			c.flushed, c.brk = true, true
-			rv := c.stack[len(c.stack)-1]
-			if rv.Kind != heap.KindRef {
-				c.err = notRef(rv)
-				return false
-			}
-			f.Stack = f.Stack[:len(f.Stack)-1]
-			c.vm.stats.NotifyOps++
-			if merr := c.vm.monNotify(c.t, rv.R, nn); merr != nil {
-				c.err = merr
-				return false
-			}
-			f.PC = c.pc + 1
-			return c.step(true)
-		}
-
-	case bytecode.OpSpawn:
-		mi, nargs := in.A, int(in.B)
-		return func(c *tctx) bool {
-			c.branchTick()
-			if c.t.finalizerDepth > 0 {
-				c.err = errFinalizerSpawn()
-				return false
-			}
-			base := len(c.stack) - nargs
-			child, serr := c.vm.newThread(c.t, mi, c.stack[base:])
-			if serr != nil {
-				c.err = serr
-				return false
-			}
-			c.stack = append(c.stack[:base], heap.RefVal(child.Ref))
-			c.pc++
-			c.brk = c.vm.hp.NeedsGC()
-			return c.step(true)
-		}
-	case bytecode.OpJoin:
-		return func(c *tctx) bool {
-			c.branchTick()
-			f := c.f
-			f.PC, f.Stack = c.pc, c.stack
-			c.flushed, c.brk = true, true
-			rv := c.stack[len(c.stack)-1]
-			if rv.Kind != heap.KindRef {
-				c.err = notRef(rv)
-				return false
-			}
-			if _, gerr := c.vm.hp.GetKind(rv.R, heap.ObjThread); gerr != nil {
-				c.err = fmt.Errorf("join: %w", gerr)
-				return false
-			}
-			f.Stack = f.Stack[:len(f.Stack)-1]
-			f.PC = c.pc + 1 // return past the join
-			c.t.pushFrame(c.vm.prog.Methods[c.vm.joinIdx], c.vm.joinIdx, []heap.Value{heap.RefVal(rv.R)})
-			return c.step(true)
-		}
-	case bytecode.OpYield:
-		return func(c *tctx) bool {
-			c.t.yielded = true
-			c.brk = true
-			c.pc++
-			return c.step(true)
-		}
-	case bytecode.OpAlive:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			rv := c.stack[n-1]
-			if rv.Kind != heap.KindRef {
-				c.err = notRef(rv)
-				return false
-			}
-			obj, gerr := c.vm.hp.GetKind(rv.R, heap.ObjThread)
-			if gerr != nil {
-				c.err = fmt.Errorf("alive: %w", gerr)
-				return false
-			}
-			c.stack[n-1] = heap.BoolVal(!c.vm.threads[obj.Class].logicallyDead)
-			c.pc++
-			return c.step(false)
-		}
-	case bytecode.OpMarkDead:
-		return func(c *tctx) bool {
-			c.t.logicallyDead = true
-			c.pc++
-			return c.step(false)
-		}
-
-	case bytecode.OpHalt:
-		return func(c *tctx) bool {
-			c.pc++
-			c.vm.halted = true
-			c.brk = true
-			return c.step(true)
-		}
 
 	default:
 		err := fmt.Errorf("unimplemented opcode %s", in.Op)
@@ -1476,7 +1059,27 @@ func (vm *VM) compileBaseMisc(in bytecode.RInstr) tclosure {
 	}
 }
 
-// errFinalizerSpawn is the cold-path error for OpSpawn inside a finalizer.
-func errFinalizerSpawn() error {
-	return errors.New("finalizer spawned a thread (violates §4.3 determinism assumption)")
+// compileCold builds the one generic closure every cold opcode (cold.go) gets:
+// flush the cached pc/stack, run the shared body on the frame, reload. in is
+// captured once here, so executing the closure allocates nothing.
+func compileCold(in bytecode.RInstr) tclosure {
+	return func(c *tctx) bool {
+		if in.Branch {
+			c.branchTick()
+		}
+		f := c.f
+		f.PC, f.Stack = c.pc, c.stack
+		brk, err := c.vm.execCold(c.t, f, &in)
+		if err != nil {
+			c.err, c.flushed = err, true
+			return false
+		}
+		if brk {
+			// The frame holds the truth and may no longer be the top one.
+			c.flushed, c.brk = true, true
+		} else {
+			c.pc, c.stack = f.PC, f.Stack
+		}
+		return c.step(brk || in.Branch)
+	}
 }

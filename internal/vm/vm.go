@@ -66,14 +66,15 @@ type Config struct {
 	TrackProgress bool
 	// Dispatch selects the interpreter engine: DispatchThreaded (default)
 	// runs the subroutine-threaded engine with wide superinstruction fusion
-	// and the epoch-based branch counter; DispatchSwitch runs the historical
+	// and the epoch-based branch counter; DispatchSwitch runs the reference
 	// switch loop. Both engines are bit-identical on every replication-
 	// visible surface (see threaded.go).
 	Dispatch Dispatch
 	// PairCounter, when non-nil, records every executed opcode pair into the
-	// counter. Counting runs on the unfused switch slow path regardless of
-	// Dispatch (the dynamic pair stream feeds the fusion table, so it must
-	// see original opcodes), making it a profiling mode, not a serving mode.
+	// counter. Counting runs on the reference loop regardless of Dispatch
+	// (the dynamic pair stream feeds the fusion table and the cold table, so
+	// it must see original opcodes), making it a profiling mode, not a
+	// serving mode.
 	PairCounter *pairfreq.Counter
 }
 
@@ -117,14 +118,12 @@ type VM struct {
 
 	handlerState map[string]any
 
-	// rcode is the decode-once form of prog: per-method resolved code,
-	// index-aligned with prog.Methods (nil for natives). rfused is the same
-	// code with superinstruction fusion applied, used by slices that need no
-	// per-bytecode observation (all but exact replay and pair profiling).
-	// interned holds the pre-allocated heap string for every StrPool entry,
-	// so executing sconst never allocates.
+	// rcode is the decode-once form of prog: per-method resolved code, one
+	// op per bytecode, index-aligned with prog.Methods (nil for natives) —
+	// the stream the reference loop (runSlice) executes. interned holds the
+	// pre-allocated heap string for every StrPool entry, so executing sconst
+	// never allocates.
 	rcode    [][]bytecode.RInstr
-	rfused   [][]bytecode.RInstr
 	interned []heap.Ref
 
 	cur           *Thread
@@ -143,7 +142,8 @@ type VM struct {
 	tcode    []tmethod
 	tc       tctx
 
-	// pairs, when set, forces the counting slow path (see Config.PairCounter).
+	// pairs, when set, runs every slice on the reference loop, counting
+	// (see Config.PairCounter).
 	pairs *pairfreq.Counter
 }
 
@@ -203,7 +203,6 @@ func New(cfg Config) (*VM, error) {
 		return nil, err
 	}
 	v.rcode = res.Methods
-	v.rfused = res.Fused
 	// Pre-intern the string pool: one allocation per program string at load
 	// time, zero per sconst execution. The interned objects are permanent GC
 	// roots (see runGC).
