@@ -578,8 +578,8 @@ type consensusSite struct {
 	cluster *consensus.Cluster
 	leader  *consensus.Replica
 	// The kill trigger counts committed records — the consensus analogue of
-	// "records the backup has logged" — by incrementally decoding committed
-	// entry payloads at the leader.
+	// "records the backup has logged" — by walking newly committed entry
+	// payloads at the leader (a payload that does not parse counts zero).
 	seen  uint64
 	count int
 }
@@ -610,9 +610,8 @@ func (s *consensusSite) logged() int {
 	payloads, commit := s.cluster.CommittedPayloads(s.leader.ID(), s.seen)
 	s.seen = commit
 	for _, p := range payloads {
-		if recs, err := wire.DecodeAll(p); err == nil {
-			s.count += len(recs)
-		}
+		n, _ := wire.Count(p)
+		s.count += n
 	}
 	return s.count
 }

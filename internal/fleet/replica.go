@@ -101,27 +101,16 @@ func (r *replica) appendLog(rec *wire.ClientOp) {
 	r.logged++
 }
 
-// rebuildOffsets recomputes recOffsets from the log bytes by re-encoding each
-// decoded record (the encoding is deterministic, so the lengths match the
-// stored bytes). A replica needs offsets only once it serves as primary; logs
-// adopted at promotion arrive without them.
+// rebuildOffsets recomputes recOffsets by walking the log bytes. A replica
+// needs offsets only once it serves as primary; logs adopted at promotion
+// arrive without them.
 func (r *replica) rebuildOffsets() {
-	recs, err := wire.DecodeAll(r.log)
-	if err != nil {
-		panic(fmt.Sprintf("fleet: rebuilding offsets over undecodable shard %d log: %v", r.shard, err))
-	}
 	r.recOffsets = r.recOffsets[:0]
-	off := 0
-	for _, rec := range recs {
-		r.recOffsets = append(r.recOffsets, off)
-		r.enc.Reset()
-		if err := r.enc.Append(rec); err != nil {
-			panic(fmt.Sprintf("fleet: re-encode log record: %v", err))
+	for d := wire.NewDecoder(r.log); d.More(); {
+		r.recOffsets = append(r.recOffsets, d.Offset())
+		if _, err := d.Skip(); err != nil {
+			panic(fmt.Sprintf("fleet: rebuilding offsets over undecodable shard %d log: %v", r.shard, err))
 		}
-		off += len(r.enc.Bytes())
-	}
-	if off != len(r.log) {
-		panic(fmt.Sprintf("fleet: shard %d offset rebuild covered %d of %d log bytes", r.shard, off, len(r.log)))
 	}
 }
 
@@ -157,11 +146,11 @@ func (r *replica) deliverFrame(f *Fleet, b []byte) (ack []byte, logged bool) {
 		return nil, false
 	}
 	r.log = append(r.log, frame.Payload...)
-	recs, err := wire.DecodeAll(frame.Payload)
+	n, err := wire.Count(frame.Payload)
 	if err != nil {
 		panic(fmt.Sprintf("fleet: backup logged undecodable payload: %v", err))
 	}
-	r.logged += len(recs)
+	r.logged += n
 	if frame.AckWanted {
 		return wire.EncodeAck(r.epoch, frame.Seq), true
 	}

@@ -133,10 +133,10 @@ func TestPrimaryExternalBackend(t *testing.T) {
 		t.Fatalf("Epoch() = %d, want backend's 42", p.Epoch())
 	}
 	// Two appends hit FlushEvery and ship one async batch.
-	if err := p.append(&wire.IDMap{LID: 1, TID: "t1", TASN: 1}); err != nil {
+	if err := p.append(&wire.IDMap{LID: 1, TID: "t1", TASN: 1}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.append(&wire.LockAcq{TID: "t1", TASN: 1, LID: 1, LASN: 1}); err != nil {
+	if err := p.append(&wire.LockAcq{TID: "t1", TASN: 1, LID: 1, LASN: 1}, false); err != nil {
 		t.Fatal(err)
 	}
 	if len(fb.ships) != 1 || fb.commits != 0 {
@@ -169,7 +169,7 @@ func TestPrimaryExternalBackend(t *testing.T) {
 	if !p.BackupLost() {
 		t.Fatal("BackupLost() false after backend latched")
 	}
-	if err := p.append(&wire.Halt{}); !errors.Is(err, ErrBackupLost) {
+	if err := p.append(&wire.Halt{}, false); !errors.Is(err, ErrBackupLost) {
 		t.Fatalf("append after loss: %v", err)
 	}
 	if !p.Metrics().BackupLost {
@@ -189,7 +189,7 @@ func TestPrimaryExternalBackendDegrade(t *testing.T) {
 		t.Fatalf("degraded commit flush surfaced %v", err)
 	}
 	// Post-loss appends vanish silently (unreplicated continuation).
-	if err := p.append(&wire.Halt{}); err != nil {
+	if err := p.append(&wire.Halt{}, false); err != nil {
 		t.Fatalf("degraded append surfaced %v", err)
 	}
 }

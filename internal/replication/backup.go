@@ -105,21 +105,30 @@ type BackupStats struct {
 }
 
 // receiver is the backup's half of the channel, and the one receive loop:
-// admit each frame (wire.SeqGate.AdmitFrame), decode its batch, fold handler
+// admit each frame (wire.SeqGate.AdmitFrame), parse its batch, fold handler
 // state through the paper's receive method, hand the batch to a sink,
-// acknowledge. A cold backup's sink appends to its LogStore; a warm backup's
-// feeds the analysis its replay VM is executing against. Everything else —
-// the counters, the failed / timed-out / completed verdict, what is and is
-// not acknowledged — is the same backup seen at two moments, and is written
-// here only.
+// acknowledge. A warm backup executes the records, so its frames are decoded
+// and its sink feeds the analysis its replay VM runs against; a cold backup
+// only logs them (§3), so its frames are validated and stored as they came,
+// and records are built when the log is read. Everything else — the counters,
+// the failed / timed-out / completed verdict, what is and is not acknowledged
+// — is the same backup seen at two moments, and is written here only.
 type receiver struct {
 	cfg BackupConfig // as given, defaults filled in
 
-	// sink takes one admitted frame's records, liveness-only ones removed,
-	// in arrival order; the slice is the sink's to keep.
-	sink  func([]wire.Record) error
-	stats BackupStats
+	// sink takes one admitted frame's (or one loaded log's) decoded records,
+	// liveness-only ones removed, in arrival order; the slice is the sink's
+	// to keep.
+	sink func([]wire.Record) error
+	// rawSink, which the cold backup sets, takes an admitted frame's payload
+	// still encoded — validated, heartbeats cut out — and its record count.
+	rawSink func(payload []byte, n int)
+	natives []int // logFrame's scratch: where the frame's NativeResults start
+	stats   BackupStats
 }
+
+// errCorruptPayload marks an admitted frame whose payload does not parse.
+var errCorruptPayload = errors.New("corrupt frame payload")
 
 // newReceiver validates cfg and fills its defaults. who names the replica
 // kind in errors. The handler set is checked against the registry here, so a
@@ -191,13 +200,11 @@ func (r *receiver) serve() (ServeOutcome, error) {
 			continue
 		}
 		r.stats.FramesReceived++
-		records, err := wire.DecodeAll(frame.Payload)
-		if err != nil {
+		halted, err := r.logFrame(frame.Payload)
+		if errors.Is(err, errCorruptPayload) {
 			r.stats.CorruptFrames++
 			return OutcomePrimaryFailed, nil
-		}
-		halted, err := r.ingest(records, false)
-		if err != nil {
+		} else if err != nil {
 			return 0, err
 		}
 		if frame.AckWanted {
@@ -221,8 +228,57 @@ func (r *receiver) ack(seq uint64) error {
 	return nil
 }
 
-// ingest is the one record-ingest loop, for a batch that arrived in a frame
-// and for one loaded from a captured log alike: heartbeats are counted and
+// logFrame passes one admitted frame's payload to the sink this backup has.
+// Either way every byte is parsed before the caller acknowledges, and of a
+// payload that is corrupt anywhere nothing is counted, routed or logged.
+func (r *receiver) logFrame(payload []byte) (halted bool, err error) {
+	if r.rawSink == nil {
+		records, err := wire.DecodeAll(payload)
+		if err != nil {
+			return false, errCorruptPayload
+		}
+		return r.ingest(records, false)
+	}
+	// The cold path is ingest over encoded records: only NativeResults are
+	// built (routeReceive needs them), once the walk has reached the end. The
+	// payload is this receiver's own, so heartbeats are cut out in place.
+	kept, n, beats := 0, 0, uint64(0)
+	r.natives = r.natives[:0]
+	for d := wire.NewDecoder(payload); d.More(); {
+		start := d.Offset()
+		t, err := d.Skip()
+		if err != nil {
+			return false, errCorruptPayload
+		}
+		switch t {
+		case wire.RecHeartbeat:
+			beats++
+			continue
+		case wire.RecHalt:
+			halted = true
+		case wire.RecNativeResult:
+			r.natives = append(r.natives, kept)
+		}
+		if kept != start { // something was cut out before this record
+			copy(payload[kept:], payload[start:d.Offset()])
+		}
+		kept += d.Offset() - start
+		n++
+	}
+	r.stats.Heartbeats += beats
+	for _, at := range r.natives {
+		built, _ := wire.NewDecoder(payload[at:kept]).Next()
+		if err := r.routeReceive(built.(*wire.NativeResult)); err != nil {
+			return halted, err
+		}
+	}
+	r.stats.RecordsLogged += uint64(n)
+	r.rawSink(payload[:kept], n)
+	return halted, nil
+}
+
+// ingest is the record-ingest loop for decoded records — a warm backup's
+// frame, or a log loaded from a capture: heartbeats are counted and
 // dropped, handler state is delivered to its side-effect handler, and what
 // remains is counted and handed to the sink. records is compacted in place.
 // A clean-halt marker is a record like any other (RecordsLogged counts it)
@@ -289,6 +345,7 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 		b.store.Append(records...)
 		return nil
 	}
+	b.rawSink = b.store.AppendRaw
 	return b, nil
 }
 

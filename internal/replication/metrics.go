@@ -3,6 +3,8 @@ package replication
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // PrimaryMetrics is a point-in-time snapshot of the primary's replication
@@ -11,6 +13,11 @@ import (
 // output-commit acknowledgements, and Record is time spent building/storing
 // lock-acquisition or thread-scheduling records ("Lock Acquire Overhead" /
 // "Rescheduling Overhead").
+//
+// Record is a sampled estimate, not a sum: one such append in 64 is timed and
+// counted 64 times over (Primary.append) — two clock reads cost several times
+// the append between them — so a run with fewer than 64 reads zero. The
+// record counts are exact as of the primary's last flush (or its OnHalt).
 type PrimaryMetrics struct {
 	Communication time.Duration
 	Pessimism     time.Duration
@@ -43,12 +50,9 @@ type primaryMetrics struct {
 	pessimismNS     atomic.Int64
 	recordNS        atomic.Int64
 
-	recordsLogged  atomic.Uint64
-	lockRecords    atomic.Uint64
-	idMapRecords   atomic.Uint64
-	switchRecords  atomic.Uint64
-	nativeRecords  atomic.Uint64
-	outputIntents  atomic.Uint64
+	// byType is the records buffered by wire.RecType as of the primary's last
+	// flush (Primary.publish stores here per frame, nothing per record).
+	byType         [wire.NumRecTypes]atomic.Uint64
 	framesSent     atomic.Uint64
 	bytesSent      atomic.Uint64
 	acksAwaited    atomic.Uint64
@@ -78,16 +82,22 @@ func (m *primaryMetrics) observeFrame(n int) {
 
 // Snapshot returns a consistent-enough copy for reporting.
 func (m *primaryMetrics) Snapshot() PrimaryMetrics {
+	var n [wire.NumRecTypes]uint64
+	var total uint64
+	for t := range n {
+		n[t] = m.byType[t].Load()
+		total += n[t]
+	}
 	return PrimaryMetrics{
 		Communication:   time.Duration(m.communicationNS.Load()),
 		Pessimism:       time.Duration(m.pessimismNS.Load()),
 		Record:          time.Duration(m.recordNS.Load()),
-		RecordsLogged:   m.recordsLogged.Load(),
-		LockRecords:     m.lockRecords.Load(),
-		IDMapRecords:    m.idMapRecords.Load(),
-		SwitchRecords:   m.switchRecords.Load(),
-		NativeRecords:   m.nativeRecords.Load(),
-		OutputIntents:   m.outputIntents.Load(),
+		RecordsLogged:   total,
+		LockRecords:     n[wire.RecLockAcq] + n[wire.RecLockInterval],
+		IDMapRecords:    n[wire.RecIDMap],
+		SwitchRecords:   n[wire.RecSwitch],
+		NativeRecords:   n[wire.RecNativeResult],
+		OutputIntents:   n[wire.RecOutputIntent],
 		FramesSent:      m.framesSent.Load(),
 		BytesSent:       m.bytesSent.Load(),
 		AcksAwaited:     m.acksAwaited.Load(),

@@ -114,6 +114,12 @@ type Primary struct {
 	metrics    primaryMetrics
 	closedDown bool
 
+	// counts tallies the records buffered, by type; timed counts the timed
+	// appends (one in recordSample reads the clock). Both are the VM
+	// goroutine's own; publish copies counts into metrics per flush.
+	counts [wire.NumRecTypes]uint64
+	timed  uint64
+
 	// Open logical interval (ModeLockInterval): the thread currently
 	// accumulating consecutive acquisitions, where its run started, and how
 	// many it has performed.
@@ -218,6 +224,7 @@ func (p *Primary) squelch(err error) error {
 // pessimism, §3.4) — for the pair, the backup's acknowledgement bounded by
 // AckTimeout; for consensus, majority commit.
 func (p *Primary) flush(ack bool) error {
+	p.publish()
 	if p.be.Lost() {
 		// Degraded: nothing ships any more; drop the batch so the buffer
 		// cannot grow without bound.
@@ -250,29 +257,43 @@ func (p *Primary) flush(ack bool) error {
 	return err
 }
 
-func (p *Primary) append(r wire.Record) error {
-	return p.appendTimed(r, false)
+// publish makes the record counts visible to Metrics.
+func (p *Primary) publish() {
+	for t := range p.counts {
+		p.metrics.byType[t].Store(p.counts[t])
+	}
 }
 
-// appendTimed buffers a record; with timed, the encode/store cost is charged
-// to the Record bucket (a batch flush triggered here is communication, not
-// record time).
-func (p *Primary) appendTimed(r wire.Record, timed bool) error {
+// recordSample is how many timed appends share one clock reading (reading it
+// around each cost four times the append it measured): one is timed and
+// charged recordSample times over.
+const recordSample = 64
+
+// append buffers a record and counts it; with timed, the encode/store cost is
+// charged to the Record bucket, by sampling (a batch flush triggered here is
+// communication, not record time).
+func (p *Primary) append(r wire.Record, timed bool) error {
 	if p.be.Lost() {
 		if p.degrade {
 			return nil // unreplicated: the log is gone with the backup
 		}
 		return fmt.Errorf("append %s: %w", r.Type(), ErrBackupLost)
 	}
-	t0 := p.clk.Now()
-	err := p.buf.Append(r)
+	var err error
 	if timed {
-		p.metrics.addRecord(p.clk.Since(t0))
+		p.timed++
+	}
+	if timed && p.timed%recordSample == 0 {
+		t0 := p.clk.Now()
+		err = p.buf.Append(r)
+		p.metrics.addRecord(recordSample * p.clk.Since(t0))
+	} else {
+		err = p.buf.Append(r)
 	}
 	if err != nil {
 		return err
 	}
-	p.metrics.recordsLogged.Add(1)
+	p.counts[r.Type()]++
 	if p.buf.Count() >= p.flushEvery {
 		return p.flush(false)
 	}
@@ -298,9 +319,7 @@ func (p *Primary) OnDescheduled(_ *vm.VM, prev, next *vm.Thread) error {
 		TID: prev.VTID, BrCnt: br, MethodIdx: methodIdx, PCOff: pcOff,
 		MonCnt: mon, LASN: lasn, Reason: uint8(prev.State()), Chk: prev.Progress.Chk, NextTID: next.VTID,
 	}
-	err := p.appendTimed(&p.recSwitch, true)
-	p.metrics.switchRecords.Add(1)
-	return p.squelch(err)
+	return p.squelch(p.append(&p.recSwitch, true))
 }
 
 // BeforeAcquire implements vm.Coordinator (the primary never gates).
@@ -311,15 +330,8 @@ func (p *Primary) BeforeAcquire(*vm.VM, *vm.Thread, *vm.Monitor) (bool, error) {
 // mode needs no id maps: the interval sequence alone determines the
 // acquisition order.
 func (p *Primary) AssignLID(_ *vm.VM, t *vm.Thread, _ *vm.Monitor) (int64, bool, error) {
-	p.lidCounter++
-	lid := p.lidCounter
-	if p.mode != ModeLock {
-		return lid, true, nil
-	}
-	p.recIDMap = wire.IDMap{LID: lid, TID: t.VTID, TASN: t.TASN}
-	err := p.appendTimed(&p.recIDMap, true)
-	p.metrics.idMapRecords.Add(1)
-	return lid, true, p.squelch(err)
+	lid := p.lidCounter + 1
+	return lid, true, p.LogIDMap(t, lid)
 }
 
 // OnAcquired implements vm.Coordinator: in lock mode, log the acquisition
@@ -329,17 +341,13 @@ func (p *Primary) OnAcquired(_ *vm.VM, t *vm.Thread, m *vm.Monitor) error {
 	switch p.mode {
 	case ModeLock:
 		p.recLock = wire.LockAcq{TID: t.VTID, TASN: t.TASN, LID: m.LID, LASN: m.LASN}
-		err := p.appendTimed(&p.recLock, true)
-		p.metrics.lockRecords.Add(1)
-		return p.squelch(err)
+		return p.squelch(p.append(&p.recLock, true))
 	case ModeLockInterval:
-		t0 := p.clk.Now()
-		defer func() { p.metrics.addRecord(p.clk.Since(t0)) }()
 		if p.intCount > 0 && p.intTID == t.VTID {
 			p.intCount++
 			return nil
 		}
-		if err := p.closeInterval(); err != nil {
+		if err := p.closeInterval(true); err != nil {
 			return p.squelch(err)
 		}
 		p.intTID = t.VTID
@@ -353,15 +361,15 @@ func (p *Primary) OnAcquired(_ *vm.VM, t *vm.Thread, m *vm.Monitor) error {
 
 // closeInterval flushes the open logical interval into the log. It must run
 // before any output commit (so recovery can reach the commit point) and at
-// clean shutdown.
-func (p *Primary) closeInterval() error {
+// clean shutdown. timed is append's: an interval rolled by the next
+// acquisition is record time, one closed for a commit or at halt is not.
+func (p *Primary) closeInterval(timed bool) error {
 	if p.intCount == 0 {
 		return nil
 	}
 	p.recInterval = wire.LockInterval{TID: p.intTID, StartTASN: p.intStart, Count: p.intCount}
 	p.intCount = 0
-	p.metrics.lockRecords.Add(1)
-	return p.append(&p.recInterval)
+	return p.append(&p.recInterval, timed)
 }
 
 // NativeReady implements vm.Coordinator (the primary never waits).
@@ -404,7 +412,7 @@ func (p *Primary) CommitOutput(t *vm.Thread, def *native.Def) error {
 		return nil // degraded (or aborting): outputs proceed uncommitted
 	}
 	if p.mode == ModeLockInterval {
-		if err := p.squelch(p.closeInterval()); err != nil {
+		if err := p.squelch(p.closeInterval(false)); err != nil {
 			return err
 		}
 	}
@@ -413,10 +421,9 @@ func (p *Primary) CommitOutput(t *vm.Thread, def *native.Def) error {
 		seq++
 	}
 	intent := &wire.OutputIntent{TID: t.VTID, NatSeq: t.NatSeq, Sig: def.Sig, OutSeq: seq}
-	if err := p.squelch(p.append(intent)); err != nil {
+	if err := p.squelch(p.append(intent, false)); err != nil {
 		return err
 	}
-	p.metrics.outputIntents.Add(1)
 	// "On performing an output, the primary waits until the backup
 	// acknowledges having logged all events up to the output event."
 	return p.squelch(p.flush(true))
@@ -442,11 +449,7 @@ func (p *Primary) LogNativeResult(v *vm.VM, t *vm.Thread, def *native.Def, args,
 		}
 		rec.HandlerData = data
 	}
-	if err := p.squelch(p.append(rec)); err != nil {
-		return err
-	}
-	p.metrics.nativeRecords.Add(1)
-	return nil
+	return p.squelch(p.append(rec, false))
 }
 
 // LogIDMap logs an id-map record for a lock id the caller (a replay
@@ -461,9 +464,7 @@ func (p *Primary) LogIDMap(t *vm.Thread, lid int64) error {
 		return nil
 	}
 	p.recIDMap = wire.IDMap{LID: lid, TID: t.VTID, TASN: t.TASN}
-	err := p.appendTimed(&p.recIDMap, true)
-	p.metrics.idMapRecords.Add(1)
-	return p.squelch(err)
+	return p.squelch(p.append(&p.recIDMap, true))
 }
 
 // ShipSnapshot transfers a recovered log prefix to the backend as ordinary
@@ -474,7 +475,7 @@ func (p *Primary) LogIDMap(t *vm.Thread, lid int64) error {
 // trailing uncertain output intent, which the replay re-commits itself).
 func (p *Primary) ShipSnapshot(records []wire.Record) error {
 	for _, r := range records {
-		if err := p.append(r); err != nil {
+		if err := p.append(r, false); err != nil {
 			return fmt.Errorf("snapshot transfer: %w", err)
 		}
 	}
@@ -496,6 +497,7 @@ func (p *Primary) OnIdle(*vm.VM) (bool, error) { return false, nil }
 // the backup's failure detector takes over (fail-stop, R0).
 func (p *Primary) OnHalt(v *vm.VM, runErr error) error {
 	p.be.Quiesce()
+	p.publish()
 	if p.closedDown {
 		return nil
 	}
@@ -504,11 +506,11 @@ func (p *Primary) OnHalt(v *vm.VM, runErr error) error {
 		return p.be.Close()
 	}
 	if p.mode == ModeLockInterval {
-		if err := p.squelch(p.closeInterval()); err != nil {
+		if err := p.squelch(p.closeInterval(false)); err != nil {
 			return err
 		}
 	}
-	if err := p.squelch(p.append(&wire.Halt{})); err != nil {
+	if err := p.squelch(p.append(&wire.Halt{}, false)); err != nil {
 		return err
 	}
 	if err := p.squelch(p.flush(true)); err != nil {

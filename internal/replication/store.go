@@ -13,22 +13,41 @@ import (
 // primary fails — by the replay coordinators.
 type LogStore struct {
 	mu sync.Mutex
-	// batches holds each Append's slice as it came (one per admitted frame):
-	// no growing array is re-copied, so what a run allocates here is linear
-	// in its record count instead of stepping at the array's growth points.
-	batches [][]wire.Record
-	n       int
+	// segments holds what each admitted frame (or load) contributed, as it
+	// came: no growing array is re-copied, so what a run allocates here is
+	// linear in its record count instead of stepping at growth points.
+	segments []segment
+	n        int
+}
+
+// segment is one frame's worth of log: records still encoded as the primary
+// shipped them (the receive loop parsed every byte before acknowledging, and
+// builds nothing), or already decoded (a loaded log). Exactly one is set.
+type segment struct {
+	raw  []byte
+	recs []wire.Record
 }
 
 // NewLogStore returns an empty store.
 func NewLogStore() *LogStore { return &LogStore{} }
 
-// Append adds records in arrival order; the store keeps the slice.
-func (s *LogStore) Append(recs ...wire.Record) {
+// Append adds decoded records in arrival order; the store keeps the slice.
+func (s *LogStore) Append(recs ...wire.Record) { s.add(segment{recs: recs}, len(recs)) }
+
+// AppendRaw adds n encoded records that a wire Skip walk has validated, which
+// is what lets Records build them later with no error to report.
+func (s *LogStore) AppendRaw(payload []byte, n int) { s.add(segment{raw: payload}, n) }
+
+// add stores nothing for an empty segment: a frame that held only a
+// heartbeat must not grow an idle backup's store.
+func (s *LogStore) add(seg segment, n int) {
+	if n == 0 {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.batches = append(s.batches, recs)
-	s.n += len(recs)
+	s.segments = append(s.segments, seg)
+	s.n += n
 }
 
 // Len returns the number of stored records.
@@ -38,13 +57,21 @@ func (s *LogStore) Len() int {
 	return s.n
 }
 
-// Records returns the stored records as one slice (a copy).
+// Records returns the stored records as one exact-size slice (a copy),
+// building those that are still encoded.
 func (s *LogStore) Records() []wire.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]wire.Record, 0, s.n)
-	for _, b := range s.batches {
-		out = append(out, b...)
+	for _, seg := range s.segments {
+		out = append(out, seg.recs...)
+		for d := wire.NewDecoder(seg.raw); d.More(); {
+			r, err := d.Next()
+			if err != nil {
+				panic(fmt.Sprintf("log store: a validated segment does not decode: %v", err))
+			}
+			out = append(out, r)
+		}
 	}
 	return out
 }

@@ -33,7 +33,9 @@ type Endpoint interface {
 	// next frame.
 	Send(msg []byte) error
 	// Recv blocks for the next message. timeout <= 0 means no timeout.
-	// Returns ErrClosed when the peer closed, ErrTimeout on expiry.
+	// Returns ErrClosed when the peer closed, ErrTimeout on expiry. The
+	// result is the caller's: no endpoint keeps or reuses it, so what is
+	// decoded from it (a wire.Frame's Payload) may alias it and be kept.
 	Recv(timeout time.Duration) ([]byte, error)
 	// Close tears the endpoint down; pending and future Recv calls on the
 	// peer return ErrClosed.

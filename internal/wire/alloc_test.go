@@ -59,3 +59,63 @@ func TestEncodeFrameSingleAlloc(t *testing.T) {
 		t.Errorf("EncodeFrame allocs/run = %v, want <= 1", allocs)
 	}
 }
+
+// lockBatch is a 512-record lock-mode batch: what the primary ships per frame
+// in the db benchmark, id maps and native results at about its rates.
+func lockBatch(tb testing.TB) []byte {
+	tb.Helper()
+	var buf Buffer
+	for i := 0; i < 512; i++ {
+		var r Record = &LockAcq{TID: "0.1", TASN: uint64(40000 + i), LID: int64(i % 7), LASN: uint64(60000 + i)}
+		switch {
+		case i%64 == 0:
+			r = &IDMap{LID: int64(i), TID: "0.1", TASN: uint64(40000 + i)}
+		case i%50 == 0:
+			r = &NativeResult{TID: "0.1", NatSeq: uint64(i), Sig: "sys.rand", Results: []WireValue{{Kind: WireInt, I: int64(i)}}}
+		}
+		if err := buf.Append(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// The cold backup walks every frame with Skip before acknowledging it; the
+// walk must build nothing.
+func TestSkipWalkAllocFree(t *testing.T) {
+	batch := lockBatch(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if n, err := Count(batch); err != nil || n != 512 {
+			t.Fatalf("Count = %d, %v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Skip walk allocs/batch = %v, want 0", allocs)
+	}
+}
+
+// BenchmarkDecoderSkip and BenchmarkDecoderNext are the two walks over one
+// batch: what validating a frame costs against what decoding it cost.
+func BenchmarkDecoderSkip(b *testing.B) {
+	batch := lockBatch(b)
+	b.SetBytes(int64(len(batch)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Count(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/512, "ns/record")
+}
+
+func BenchmarkDecoderNext(b *testing.B) {
+	batch := lockBatch(b)
+	b.SetBytes(int64(len(batch)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeAll(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/512, "ns/record")
+}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -79,45 +80,25 @@ var ErrShortFrame = fmt.Errorf("%w: short frame", ErrBadRecord)
 // shorter than its declared length) fails with ErrShortFrame; an input that
 // can never decode no matter how many bytes follow (an overlong varint, an
 // out-of-range flags byte) fails with plain ErrBadRecord.
+//
+// The frame's Payload aliases b: nothing is copied. A message handed out by
+// transport.Endpoint.Recv is the caller's alone, so a receiver may keep the
+// payload; a caller that goes on to overwrite b must copy it out first.
 func DecodeFramePrefix(b []byte) (*Frame, []byte, error) {
-	seq, n := binary.Uvarint(b)
-	if n == 0 {
-		return nil, nil, fmt.Errorf("%w: frame seq cut short", ErrShortFrame)
+	d := Decoder{b: b}
+	f := &Frame{Seq: d.uv(), Epoch: d.uv()}
+	flags := d.u8()
+	if d.err == nil && flags > 1 {
+		d.fail(ErrBadRecord, fmt.Sprintf("bad frame flags %#x", flags))
 	}
-	if n < 0 {
-		return nil, nil, fmt.Errorf("%w: overlong frame seq varint", ErrBadRecord)
+	f.AckWanted = flags == 1
+	f.Payload = d.span()
+	if errors.Is(d.err, ErrTruncated) {
+		return nil, nil, fmt.Errorf("%w: %d bytes end inside the frame", ErrShortFrame, len(b))
+	} else if d.err != nil {
+		return nil, nil, d.err
 	}
-	b = b[n:]
-	epoch, n := binary.Uvarint(b)
-	if n == 0 {
-		return nil, nil, fmt.Errorf("%w: frame epoch cut short", ErrShortFrame)
-	}
-	if n < 0 {
-		return nil, nil, fmt.Errorf("%w: overlong frame epoch varint", ErrBadRecord)
-	}
-	b = b[n:]
-	if len(b) < 1 {
-		return nil, nil, fmt.Errorf("%w: missing frame flags", ErrShortFrame)
-	}
-	if b[0] > 1 {
-		return nil, nil, fmt.Errorf("%w: bad frame flags %#x", ErrBadRecord, b[0])
-	}
-	ackWanted := b[0] == 1
-	b = b[1:]
-	plen, n := binary.Uvarint(b)
-	if n == 0 {
-		return nil, nil, fmt.Errorf("%w: frame length cut short", ErrShortFrame)
-	}
-	if n < 0 {
-		return nil, nil, fmt.Errorf("%w: overlong frame length varint", ErrBadRecord)
-	}
-	b = b[n:]
-	if uint64(len(b)) < plen {
-		return nil, nil, fmt.Errorf("%w: frame payload %d of %d bytes", ErrShortFrame, len(b), plen)
-	}
-	payload := make([]byte, plen)
-	copy(payload, b[:plen])
-	return &Frame{Seq: seq, Epoch: epoch, AckWanted: ackWanted, Payload: payload}, b[plen:], nil
+	return f, b[d.pos:], nil
 }
 
 // SeqGate validates the frame sequence on the receiving side of the channel.

@@ -75,10 +75,9 @@ func FuzzDecodeAck(f *testing.F) {
 	})
 }
 
-// FuzzDecodeAll: record batches either decode fully or fail; whatever
-// decodes re-encodes through a Buffer into a batch that decodes to the same
-// number of records of the same types.
-func FuzzDecodeAll(f *testing.F) {
+// addRecordSeeds adds the record-batch seeds FuzzDecodeAll and
+// FuzzSkipAgreesWithNext share.
+func addRecordSeeds(f *testing.F) {
 	var buf Buffer
 	_ = buf.Append(&IDMap{LID: 3, TID: "0", TASN: 1})
 	_ = buf.Append(&LockAcq{TID: "1", TASN: 2, LID: 3, LASN: 4})
@@ -92,6 +91,13 @@ func FuzzDecodeAll(f *testing.F) {
 	f.Add([]byte{0xFF, 0x01, 0x02})
 	f.Add(append([]byte(nil), buf.Bytes()[:buf.Len()-1]...))              // trailing partial record
 	f.Add(append([]byte{byte(RecIDMap)}, bytes.Repeat([]byte{0xFF}, 11)...)) // overlong varint field
+}
+
+// FuzzDecodeAll: record batches either decode fully or fail; whatever
+// decodes re-encodes through a Buffer into a batch that decodes to the same
+// number of records of the same types.
+func FuzzDecodeAll(f *testing.F) {
+	addRecordSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeAll(data)
 		if err != nil {
@@ -116,4 +122,72 @@ func FuzzDecodeAll(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSkipAgreesWithNext: the allocation-free walk and the building decoder
+// are one grammar. Over arbitrary bytes a Skip walk and a Next walk see the
+// same records — type and end offset — and stop on the same error: same class
+// (ErrTruncated or plain ErrBadRecord), same offset, same text. The cold
+// backup acknowledges a frame on the strength of the walk alone, so it
+// follows, and is asserted, that what Count accepts DecodeAll decodes.
+func FuzzSkipAgreesWithNext(f *testing.F) {
+	addRecordSeeds(f)
+	for _, r := range []Record{
+		&IDMap{LID: -3, TID: "0.1", TASN: 12},
+		&LockAcq{TID: "0.1", TASN: 1 << 40, LID: 7, LASN: 99},
+		&Switch{TID: "0", BrCnt: 900, MethodIdx: -4, PCOff: 17, MonCnt: 3, LASN: 2, Reason: 1, Chk: 1 << 63, NextTID: "0.1"},
+		&NativeResult{TID: "0", NatSeq: 2, Sig: "sys.rand", HandlerData: []byte("hd"), Results: []WireValue{
+			{Kind: WireNull}, {Kind: WireInt, I: -7}, {Kind: WireFloat, F: 2.5}, {Kind: WireStr, S: "abc"}}},
+		&OutputIntent{TID: "0.1", NatSeq: 9, Sig: "io.print", OutSeq: 4, HandlerData: []byte{0}},
+		&Heartbeat{Seq: 300},
+		&Halt{},
+		&LockInterval{TID: "0.2", StartTASN: 10, Count: 64},
+		&ClientOp{Client: 5, Req: 6, Tenant: 7, Op: 1, Arg: -8, Result: 9},
+	} {
+		var one Buffer
+		_ = one.Append(r)
+		f.Add(one.Bytes())
+	}
+	f.Add([]byte{byte(RecNativeResult), 0x01, '0', 0x01, 0x01, 'r', 0x01, 0x09}) // bad wire value kind
+	f.Add([]byte{byte(NumRecTypes)})                                            // first byte past the type table
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := walkBoth(t, data)
+		count, cerr := Count(data)
+		recs, derr := DecodeAll(data)
+		if (cerr == nil) != (derr == nil) || count != len(recs) {
+			t.Fatalf("Count = %d, %v; DecodeAll = %d records, %v", count, cerr, len(recs), derr)
+		}
+		if cerr == nil && count != n {
+			t.Fatalf("Count = %d, the walks saw %d records", count, n)
+		}
+	})
+}
+
+// walkBoth runs a Skip walk and a Next walk over data in step, fails t where
+// they part, and returns the number of records both got through.
+func walkBoth(t *testing.T, data []byte) (n int) {
+	t.Helper()
+	skip, next := NewDecoder(data), NewDecoder(data)
+	for skip.More() {
+		typ, serr := skip.Skip()
+		rec, nerr := next.Next()
+		if skip.Offset() != next.Offset() {
+			t.Fatalf("record %d: Skip stands at %d (%v), Next at %d (%v)", n, skip.Offset(), serr, next.Offset(), nerr)
+		}
+		if serr != nil || nerr != nil {
+			if serr == nil || nerr == nil || serr.Error() != nerr.Error() ||
+				errors.Is(serr, ErrTruncated) != errors.Is(nerr, ErrTruncated) || !errors.Is(serr, ErrBadRecord) {
+				t.Fatalf("record %d: Skip fails with %v, Next with %v", n, serr, nerr)
+			}
+			return n
+		}
+		if typ != rec.Type() {
+			t.Fatalf("record %d: Skip says %v, Next built a %v", n, typ, rec.Type())
+		}
+		n++
+	}
+	if next.More() {
+		t.Fatalf("Skip walk ended after %d records at %d, Next has more", n, skip.Offset())
+	}
+	return n
 }

@@ -27,31 +27,30 @@ const (
 	RecHalt
 	RecLockInterval
 	RecClientOp
+	NumRecTypes // the length of an array indexed by RecType
 )
 
 func (t RecType) String() string {
-	switch t {
-	case RecIDMap:
-		return "idmap"
-	case RecLockAcq:
-		return "lockacq"
-	case RecSwitch:
-		return "switch"
-	case RecNativeResult:
-		return "native"
-	case RecOutputIntent:
-		return "output"
-	case RecHeartbeat:
-		return "heartbeat"
-	case RecHalt:
-		return "halt"
-	case RecLockInterval:
-		return "lockinterval"
-	case RecClientOp:
-		return "clientop"
-	default:
+	if t == RecInvalid || t >= NumRecTypes {
 		return "invalid"
 	}
+	return recTypes[t].name
+}
+
+// recTypes is the table of record types: each one's name and, for
+// Decoder.Skip, its field grammar in wire order — b byte, u uvarint, v zig-zag
+// varint, s length-prefixed string or byte run, R a NativeResult's counted
+// value list. RecInvalid and anything past the table is not a record type.
+var recTypes = [NumRecTypes]struct{ name, layout string }{
+	RecIDMap:        {"idmap", "vsu"},
+	RecLockAcq:      {"lockacq", "suvu"},
+	RecSwitch:       {"switch", "suvvuubus"},
+	RecNativeResult: {"native", "susRs"},
+	RecOutputIntent: {"output", "susus"},
+	RecHeartbeat:    {"heartbeat", "u"},
+	RecHalt:         {"halt", ""},
+	RecLockInterval: {"lockinterval", "suu"},
+	RecClientOp:     {"clientop", "uuubvv"},
 }
 
 // Record is any replication log record.
@@ -314,20 +313,12 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 // More reports whether records remain and no error has occurred.
 func (d *Decoder) More() bool { return d.err == nil && d.pos < len(d.b) }
 
-// Err returns the first decoding error.
-func (d *Decoder) Err() error { return d.err }
-
-func (d *Decoder) fail(msg string) {
+// fail records the first error. class is ErrTruncated when the input ended
+// inside a record (a proper prefix of a valid stream, which streaming readers
+// tell from corruption), ErrBadRecord when no further byte could mend it.
+func (d *Decoder) fail(class error, msg string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrBadRecord, msg, d.pos)
-	}
-}
-
-// failShort records a truncation: the input is a proper prefix of a valid
-// record stream, distinguished from corruption for streaming readers.
-func (d *Decoder) failShort(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrTruncated, msg, d.pos)
+		d.err = fmt.Errorf("%w: %s at offset %d", class, msg, d.pos)
 	}
 }
 
@@ -336,7 +327,7 @@ func (d *Decoder) u8() uint8 {
 		return 0
 	}
 	if d.pos >= len(d.b) {
-		d.failShort("byte cut short")
+		d.fail(ErrTruncated, "byte cut short")
 		return 0
 	}
 	v := d.b[d.pos]
@@ -350,61 +341,74 @@ func (d *Decoder) uv() uint64 {
 	}
 	v, n := binary.Uvarint(d.b[d.pos:])
 	if n == 0 {
-		d.failShort("uvarint cut short")
+		d.fail(ErrTruncated, "varint cut short")
 		return 0
 	}
 	if n < 0 {
-		d.fail("overlong uvarint")
+		d.fail(ErrBadRecord, "overlong varint")
 		return 0
 	}
 	d.pos += n
 	return v
 }
 
+// sv reads a zig-zag varint: the same bytes as a uvarint, folded as
+// binary.Varint folds them.
 func (d *Decoder) sv() int64 {
-	if d.err != nil {
-		return 0
+	u := d.uv()
+	if u&1 != 0 {
+		return ^int64(u >> 1)
 	}
-	v, n := binary.Varint(d.b[d.pos:])
-	if n == 0 {
-		d.failShort("varint cut short")
-		return 0
-	}
-	if n < 0 {
-		d.fail("overlong varint")
-		return 0
-	}
-	d.pos += n
-	return v
+	return int64(u >> 1)
 }
 
-func (d *Decoder) str() string {
+// span consumes a length-prefixed byte run and returns it un-copied, capped
+// at its own length (nil after an error).
+func (d *Decoder) span() []byte {
 	n := d.uv()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(d.b)-d.pos) < n {
-		d.failShort("string cut short")
-		return ""
+		d.fail(ErrTruncated, "string cut short")
+		return nil
 	}
-	s := string(d.b[d.pos : d.pos+int(n)])
+	s := d.b[d.pos : d.pos+int(n) : d.pos+int(n)]
 	d.pos += int(n)
 	return s
 }
 
-func (d *Decoder) bytes() []byte {
+func (d *Decoder) str() string   { return string(d.span()) }
+func (d *Decoder) bytes() []byte { return append([]byte{}, d.span()...) }
+
+// resultCount reads a NativeResult's value count, rejecting an implausible
+// one before anything is sized by it.
+func (d *Decoder) resultCount() uint64 {
 	n := d.uv()
-	if d.err != nil {
-		return nil
+	if d.err == nil && n > 1<<16 {
+		d.fail(ErrBadRecord, "implausible result count")
 	}
-	if uint64(len(d.b)-d.pos) < n {
-		d.failShort("bytes cut short")
-		return nil
+	return n
+}
+
+// value reads one NativeResult value; without build a string referent is
+// walked over, not copied out.
+func (d *Decoder) value(build bool) WireValue {
+	v := WireValue{Kind: d.u8()}
+	switch v.Kind {
+	case WireNull:
+	case WireInt:
+		v.I = d.sv()
+	case WireFloat:
+		v.F = math.Float64frombits(d.uv())
+	case WireStr:
+		if s := d.span(); build {
+			v.S = string(s)
+		}
+	default:
+		d.fail(ErrBadRecord, "bad wire value kind")
 	}
-	out := make([]byte, n)
-	copy(out, d.b[d.pos:d.pos+int(n)])
-	d.pos += int(n)
-	return out
+	return v
 }
 
 // Next decodes the next record.
@@ -427,24 +431,8 @@ func (d *Decoder) Next() (Record, error) {
 		}
 	case RecNativeResult:
 		rec := &NativeResult{TID: d.str(), NatSeq: d.uv(), Sig: d.str()}
-		n := d.uv()
-		if d.err == nil && n > 1<<16 {
-			d.fail("implausible result count")
-		}
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			v := WireValue{Kind: d.u8()}
-			switch v.Kind {
-			case WireNull:
-			case WireInt:
-				v.I = d.sv()
-			case WireFloat:
-				v.F = math.Float64frombits(d.uv())
-			case WireStr:
-				v.S = d.str()
-			default:
-				d.fail("bad wire value kind")
-			}
-			rec.Results = append(rec.Results, v)
+		for n := d.resultCount(); n > 0 && d.err == nil; n-- {
+			rec.Results = append(rec.Results, d.value(true))
 		}
 		rec.HandlerData = d.bytes()
 		r = rec
@@ -459,7 +447,7 @@ func (d *Decoder) Next() (Record, error) {
 	case RecHalt:
 		r = &Halt{}
 	default:
-		d.fail(fmt.Sprintf("unknown record type %d", t))
+		d.fail(ErrBadRecord, fmt.Sprintf("unknown record type %d", t))
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -467,10 +455,62 @@ func (d *Decoder) Next() (Record, error) {
 	return r, nil
 }
 
-// DecodeAll decodes every record in b.
+// Offset returns how many bytes have been consumed: after a successful Next
+// or Skip, the end offset of that record.
+func (d *Decoder) Offset() int { return d.pos }
+
+// Skip walks over the next record without building it — no allocation — and
+// returns its type. It accepts and rejects exactly what Next does, with the
+// same error class (ErrTruncated or plain ErrBadRecord) at the same offset,
+// so a payload a Skip walk validated is one Next decodes without error.
+func (d *Decoder) Skip() (RecType, error) {
+	t := RecType(d.u8())
+	if d.err == nil && (t == RecInvalid || t >= NumRecTypes) {
+		d.fail(ErrBadRecord, fmt.Sprintf("unknown record type %d", t))
+	}
+	if d.err != nil {
+		return RecInvalid, d.err
+	}
+	for _, field := range []byte(recTypes[t].layout) {
+		switch field {
+		case 'b':
+			d.u8()
+		case 'u', 'v':
+			d.uv()
+		case 's':
+			d.span()
+		case 'R':
+			for n := d.resultCount(); n > 0 && d.err == nil; n-- {
+				d.value(false)
+			}
+		}
+		if d.err != nil {
+			return RecInvalid, d.err
+		}
+	}
+	return t, nil
+}
+
+// Count walks b and returns how many records it holds, or the error DecodeAll
+// would return for it.
+func Count(b []byte) (int, error) {
+	d, n := Decoder{b: b}, 0
+	for d.More() {
+		if _, err := d.Skip(); err != nil {
+			return 0, err
+		}
+		n++
+	}
+	return n, nil
+}
+
+// DecodeAll decodes every record in b into a slice sized by a counting walk.
 func DecodeAll(b []byte) ([]Record, error) {
-	d := NewDecoder(b)
-	var out []Record
+	n, err := Count(b)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	d, out := Decoder{b: b}, make([]Record, 0, n)
 	for d.More() {
 		r, err := d.Next()
 		if err != nil {

@@ -67,7 +67,8 @@ func TestFramePrefixCorruptionIsNotShort(t *testing.T) {
 // TestDecoderEveryTailBoundary cuts an encoded record batch at every byte
 // position: each cut either decodes a shorter batch (the cut landed on a
 // record boundary) or fails with ErrTruncated — never with a plain
-// corruption error, and never silently succeeding past a partial record.
+// corruption error, and never silently succeeding past a partial record —
+// and at each cut the Skip walk and the Next walk agree (walkBoth).
 func TestDecoderEveryTailBoundary(t *testing.T) {
 	var buf Buffer
 	recs := []Record{
@@ -90,6 +91,9 @@ func TestDecoderEveryTailBoundary(t *testing.T) {
 	complete := 0
 	for cut := 0; cut <= len(full); cut++ {
 		got, err := DecodeAll(full[:cut])
+		if n := walkBoth(t, full[:cut]); err == nil && n != len(got) {
+			t.Fatalf("cut at %d/%d: the walks saw %d records, DecodeAll %d", cut, len(full), n, len(got))
+		}
 		if err == nil {
 			complete++
 			if cut == len(full) && len(got) != len(recs) {
