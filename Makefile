@@ -36,7 +36,10 @@ loc:
 # remove as much; a PR that removes more lowers LOC_MAX. PR 18 set 28597;
 # PR 19 raised it by its residue of 107 (the cold backup's validate-and-store
 # receive path and the wire walk under it; CHANGES.md has the accounting).
-LOC_MAX = 28704
+# PR 20 raised it by its residue of 23: the load generator's typed event heap,
+# wire.AppendClientOp / Decoder.ClientOp and the clock's sole-actor Sleep,
+# less what they replaced (CHANGES.md has the accounting).
+LOC_MAX = 28727
 loc-check:
 	./scripts/loc.sh $(LOC_MAX)
 

@@ -152,6 +152,7 @@ type Fleet struct {
 	order      []string
 	repAttempt uint64 // replication attempts, for deterministic fault striking
 	counters   Counters
+	frame      []byte // the encoded frame in flight: scratch reused by every ship
 }
 
 // Node hosts one replica per shard it is seated on.
@@ -388,12 +389,11 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 	}
 	// Fresh request: execute, log, replicate, then reply.
 	result := apply(r.state, req.Tenant, req.Op, req.Arg)
-	rec := &wire.ClientOp{Client: req.Client, Req: req.Req, Tenant: req.Tenant, Op: req.Op, Arg: req.Arg, Result: result}
 	f.counters.Executed++
-	ent = &dedupEntry{req: req.Req, result: result, rec: rec}
+	ent = &dedupEntry{req: req.Req, result: result}
 	r.dedup[req.Client] = ent
-	r.appendLog(rec)
-	cost, ok := f.replicate(r, rec, true)
+	r.appendLog(&wire.ClientOp{Client: req.Client, Req: req.Req, Tenant: req.Tenant, Op: req.Op, Arg: req.Arg, Result: result})
+	cost, ok := f.replicate(r)
 	if !ok {
 		r.pending = ent
 		return Outcome{Cost: f.cfg.NetDelay + cost}
@@ -410,7 +410,7 @@ func (f *Fleet) flushPending(r *replica) bool {
 		return true
 	}
 	f.counters.Resent++
-	if _, ok := f.replicate(r, r.pending.rec, false); !ok {
+	if _, ok := f.replicate(r); !ok {
 		return false
 	}
 	r.pending.committed = true
@@ -439,13 +439,20 @@ func (f *Fleet) strike() bool {
 	return f.repAttempt%f.cfg.FaultEvery == 0
 }
 
-// replicate ships rec to r's backup as a real encoded frame and waits for the
-// ack. fresh marks a first transmission (advancing the stop-and-wait sequence
-// only on acknowledgement keeps retransmissions under the same number).
-// Returns the simulated cost and whether the op committed. A shard currently
-// running without a backup (recruitment found no live node) degrades to
-// primary-only: the op commits locally, like the paper's degraded mode.
-func (f *Fleet) replicate(r *replica, rec *wire.ClientOp, fresh bool) (time.Duration, bool) {
+// ship frames payload into the fleet's scratch buffer.
+func (f *Fleet) ship(seq, epoch uint64, payload []byte) []byte {
+	f.frame = wire.AppendFrame(f.frame[:0], &wire.Frame{Seq: seq, Epoch: epoch, AckWanted: true, Payload: payload})
+	return f.frame
+}
+
+// replicate ships r's un-acked log suffix — under stop-and-wait, exactly the
+// log's last record — to its backup as a real encoded frame and waits for the
+// ack. The sequence advances only on acknowledgement, so a retransmission
+// cuts the same bytes under the same number. Returns the simulated cost and
+// whether the op committed. A shard currently running without a backup
+// (recruitment found no live node) degrades to primary-only: the op commits
+// locally, like the paper's degraded mode.
+func (f *Fleet) replicate(r *replica) (time.Duration, bool) {
 	if f.cfg.Backend == BackendQuorum {
 		return f.replicateQuorum(r)
 	}
@@ -453,12 +460,7 @@ func (f *Fleet) replicate(r *replica, rec *wire.ClientOp, fresh bool) (time.Dura
 	if bak == nil {
 		return f.cfg.OpCost, true
 	}
-	var payload wire.Buffer
-	if err := payload.Append(rec); err != nil {
-		panic(fmt.Sprintf("fleet: encode op: %v", err))
-	}
-	frame := &wire.Frame{Seq: r.seq + 1, Epoch: r.epoch, AckWanted: true, Payload: payload.Bytes()}
-	b := wire.EncodeFrame(frame)
+	b := f.ship(r.seq+1, r.epoch, r.suffixFrom(r.logged-1))
 	if f.cfg.Fault == FaultFrameDrop && f.strike() {
 		f.counters.FramesDropped++
 		return f.cfg.AckTimeout, false
@@ -482,8 +484,7 @@ func (f *Fleet) replicate(r *replica, rec *wire.ClientOp, fresh bool) (time.Dura
 
 // replicateQuorum ships every link its missing log suffix and reports commit
 // under the 2-of-3 rule: the operation commits once any peer acks holding the
-// full log (the primary is the second copy). The record to replicate is
-// already appended to r.log — the log, not the argument, is the authority, so
+// full log (the primary is the second copy). The log is the authority, so
 // the same path serves fresh operations and head-of-line retransmissions.
 // With no links at all the shard is fully degraded and commits locally, like
 // the pair's degraded mode.
@@ -497,8 +498,7 @@ func (f *Fleet) replicateQuorum(r *replica) (time.Duration, bool) {
 			acked++
 			continue
 		}
-		frame := &wire.Frame{Seq: uint64(ln.recs), Epoch: r.epoch, AckWanted: true, Payload: r.suffixFrom(ln.recs)}
-		b := wire.EncodeFrame(frame)
+		b := f.ship(uint64(ln.recs), r.epoch, r.suffixFrom(ln.recs))
 		if f.cfg.Fault == FaultFrameDrop && f.strike() {
 			f.counters.FramesDropped++
 			continue
@@ -679,18 +679,12 @@ func (f *Fleet) InjectStaleFrame(shard int, staleEpoch uint64) bool {
 	if bak == nil || bak.role != roleBackup {
 		return false
 	}
-	rec := &wire.ClientOp{Client: ^uint64(0), Req: 1, Tenant: uint64(shard), Op: wire.OpSet, Arg: -1, Result: -1}
-	var payload wire.Buffer
-	if err := payload.Append(rec); err != nil {
-		panic(err)
-	}
+	payload := wire.AppendClientOp(nil, &wire.ClientOp{Client: ^uint64(0), Req: 1, Tenant: uint64(shard), Op: wire.OpSet, Arg: -1, Result: -1})
 	if f.cfg.Backend == BackendQuorum {
-		b := wire.EncodeFrame(&wire.Frame{Seq: uint64(bak.logged), Epoch: staleEpoch, AckWanted: true, Payload: payload.Bytes()})
-		_, logged := bak.deliverQuorumFrame(f, b)
+		_, logged := bak.deliverQuorumFrame(f, f.ship(uint64(bak.logged), staleEpoch, payload))
 		return logged
 	}
-	b := wire.EncodeFrame(&wire.Frame{Seq: bak.gate.Last() + 1, Epoch: staleEpoch, AckWanted: true, Payload: payload.Bytes()})
-	_, logged := bak.deliverFrame(f, b)
+	_, logged := bak.deliverFrame(f, f.ship(bak.gate.Last()+1, staleEpoch, payload))
 	return logged
 }
 
@@ -721,17 +715,6 @@ func (f *Fleet) shardPrimaries() []*replica {
 func (f *Fleet) IsAlive(name string) bool {
 	n := f.nodes[name]
 	return n != nil && n.Alive
-}
-
-// LiveNodes returns the alive node names in join order.
-func (f *Fleet) LiveNodes() []string {
-	var out []string
-	for _, name := range f.order {
-		if f.nodes[name].Alive {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 // SeatCounts exposes the directory's per-node seat balance.

@@ -20,7 +20,6 @@
 package loadgen
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 	"time"
@@ -123,23 +122,46 @@ type event struct {
 	client int32
 }
 
+// before is the queue's total order: schedule order breaks ties between
+// simultaneous events, so pop order is fully deterministic.
+func (e event) before(o event) bool { return e.at < o.at || e.at == o.at && e.seq < o.seq }
+
+// eventHeap is a binary min-heap of events by value; container/heap would box
+// each one into an interface on the way in and again on the way out.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i], i = q[parent], parent
 	}
-	return h[i].seq < h[j].seq // schedule order breaks ties: fully deterministic
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top, n := q[0], len(q)-1
+	e := q[n] // re-seated from the root down
+	q = q[:n]
+	for i := 0; n > 0; {
+		child := 2*i + 1
+		if child+1 < n && q[child+1].before(q[child]) {
+			child++
+		}
+		if child >= n || !q[child].before(e) {
+			q[i] = e
+			break
+		}
+		q[i], i = q[child], child
+	}
+	*h = q
+	return top
 }
 
 // reqOp derives the operation for (seed, req) — a pure function, so retries
@@ -175,7 +197,7 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 	var seq uint64
 	push := func(at int64, cl int32) {
 		seq++
-		heap.Push(&h, event{at: at, seq: seq, client: cl})
+		h.push(event{at: at, seq: seq, client: cl})
 	}
 	for i := range clients {
 		clients[i] = client{
@@ -199,8 +221,8 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 
 	start := clk.Now()
 	var now int64
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(event)
+	for len(h) > 0 {
+		ev := h.pop()
 		if ev.at > now {
 			clk.Sleep(time.Duration(ev.at - now))
 			now = ev.at

@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/fuzzgen/rand"
 	"repro/internal/simtest/clock"
 )
 
 // runOnce builds a fresh fleet + virtual clock and drives one workload.
-func runOnce(t *testing.T, fcfg fleet.Config, lcfg Config) (*Stats, []fleet.Observation) {
+func runOnce(t testing.TB, fcfg fleet.Config, lcfg Config) (*Stats, []fleet.Observation) {
 	t.Helper()
 	clk := clock.NewVirtual()
 	defer clk.Watchdog(60 * time.Second)()
@@ -162,4 +163,38 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	t.Logf("100k clients: %.0f ops/s virtual, p50 %v p99 %v, blast %.4f, %v wall",
 		st.Throughput, st.P50, st.P99, st.BlastRadius, time.Since(start))
+}
+
+// TestEventHeapOrderAndAllocs: the typed heap pops in the total order
+// (at, seq) whatever the push order — the property that makes the run a pure
+// function of its seed — and, pre-sized as Run sizes it, neither push nor pop
+// allocates (container/heap boxed every event both ways).
+func TestEventHeapOrderAndAllocs(t *testing.T) {
+	const n = 1000
+	h := make(eventHeap, 0, n)
+	r := rand.New(9)
+	fill := func() {
+		for i := 0; i < n; i++ {
+			h.push(event{at: int64(r.Intn(50)), seq: uint64(i + 1), client: int32(i)})
+		}
+	}
+	drain := func() {
+		prev := h.pop()
+		for len(h) > 0 {
+			next := h.pop()
+			if !prev.before(next) {
+				t.Fatalf("popped %+v before %+v", prev, next)
+			}
+			prev = next
+		}
+	}
+	fill()
+	for i := 0; i < n/2; i++ { // interleave: pops with pushes behind them
+		ev := h.pop()
+		h.push(event{at: ev.at + int64(r.Intn(5)), seq: uint64(n + i + 1), client: ev.client})
+	}
+	drain()
+	if allocs := testing.AllocsPerRun(10, func() { fill(); drain() }); allocs != 0 {
+		t.Errorf("event heap push+pop allocs per %d events = %v, want 0", n, allocs)
+	}
 }

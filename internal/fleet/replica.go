@@ -39,7 +39,6 @@ type dedupEntry struct {
 	req       uint64
 	result    int64
 	committed bool
-	rec       *wire.ClientOp
 }
 
 // replica is one copy of one shard. A primary holds live tenant state and the
@@ -60,12 +59,14 @@ type replica struct {
 	// links are the quorum backend's per-peer shipping channels (backup
 	// first, then witness; empty in pair mode and when fully degraded).
 	links []*peerLink
-	// recOffsets[i] is record i's byte offset in log, kept so a lagging
-	// link's missing suffix can be cut without re-decoding (quorum backend).
+	// recOffsets[i] is record i's byte offset in log, kept so the un-acked
+	// suffix — the pair's pending record, a lagging quorum link's missing
+	// tail — is cut from the log instead of being encoded a second time.
 	recOffsets []int
 	// pending is the shard's head-of-line executed-and-logged-but-unacked
 	// entry. Stop-and-wait admits at most one: a fresh operation must flush
-	// it (retransmit until acked) before executing, or the shard stalls.
+	// it (retransmit until acked) before executing, or the shard stalls —
+	// so nothing is logged behind it and it is always the log's last record.
 	// Without this ordering barrier the backup's log could omit an op whose
 	// effect is already baked into later logged results — replay would
 	// diverge from the state the primary actually served.
@@ -77,7 +78,6 @@ type replica struct {
 	// promotion replays.
 	log    []byte
 	logged int
-	enc    wire.Buffer
 	gate   wire.SeqGate
 }
 
@@ -90,32 +90,36 @@ func newReplica(shard int, epoch uint64, r role) *replica {
 	return rep
 }
 
-// appendLog encodes rec onto the replica's log.
-func (r *replica) appendLog(rec *wire.ClientOp) {
-	r.enc.Reset()
-	if err := r.enc.Append(rec); err != nil {
-		panic(fmt.Sprintf("fleet: encode log record: %v", err))
-	}
+// appendLog encodes op straight onto the primary's log: the one encoding of
+// the operation, which replicate then ships as a slice of the log.
+func (r *replica) appendLog(op *wire.ClientOp) {
 	r.recOffsets = append(r.recOffsets, len(r.log))
-	r.log = append(r.log, r.enc.Bytes()...)
+	r.log = wire.AppendClientOp(r.log, op)
 	r.logged++
 }
 
-// rebuildOffsets recomputes recOffsets by walking the log bytes. A replica
-// needs offsets only once it serves as primary; logs adopted at promotion
-// arrive without them.
-func (r *replica) rebuildOffsets() {
-	r.recOffsets = r.recOffsets[:0]
-	for d := wire.NewDecoder(r.log); d.More(); {
-		r.recOffsets = append(r.recOffsets, d.Offset())
-		if _, err := d.Skip(); err != nil {
-			panic(fmt.Sprintf("fleet: rebuilding offsets over undecodable shard %d log: %v", r.shard, err))
+// replayLog is the one walk over an encoded shard log — promotion, Verify and
+// Checksum all run apply from its visit: each record is decoded into a single
+// reused ClientOp and visited with its index and byte offset. A record that
+// does not decode as a ClientOp, or a visit's error, ends the walk.
+func replayLog(log []byte, visit func(i, off int, op *wire.ClientOp) error) error {
+	var op wire.ClientOp
+	d := wire.NewDecoder(log)
+	for i := 0; d.More(); i++ {
+		off := d.Offset()
+		if err := d.ClientOp(&op); err != nil {
+			return err
+		}
+		if err := visit(i, off, &op); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// suffixFrom returns the encoded records from index rec onward — the catch-up
-// payload for a link whose peer last acked holding rec records.
+// suffixFrom returns the encoded records from index rec onward: the pair's
+// pending record (rec = logged-1), or the catch-up payload for a quorum link
+// whose peer last acked holding rec records.
 func (r *replica) suffixFrom(rec int) []byte {
 	if rec >= r.logged {
 		return nil
@@ -131,6 +135,7 @@ func (r *replica) suffixFrom(rec int) []byte {
 // the sender retransmits or the directory reseats. Returns the ack bytes (nil
 // for silence) and whether anything was appended to the log.
 func (r *replica) deliverFrame(f *Fleet, b []byte) (ack []byte, logged bool) {
+	before := r.gate
 	frame, verdict := r.gate.AdmitFrame(b, r.epoch)
 	switch verdict {
 	case wire.StaleEpoch, wire.FutureEpoch:
@@ -145,11 +150,14 @@ func (r *replica) deliverFrame(f *Fleet, b []byte) (ack []byte, logged bool) {
 		}
 		return nil, false
 	}
-	r.log = append(r.log, frame.Payload...)
 	n, err := wire.Count(frame.Payload)
 	if err != nil {
-		panic(fmt.Sprintf("fleet: backup logged undecodable payload: %v", err))
+		// A mangled payload in a sound envelope is Corrupt all the same:
+		// un-admit it, or the retransmission would be acked as a Duplicate.
+		r.gate = before
+		return nil, false
 	}
+	r.log = append(r.log, frame.Payload...)
 	r.logged += n
 	if frame.AckWanted {
 		return wire.EncodeAck(r.epoch, frame.Seq), true
@@ -159,9 +167,12 @@ func (r *replica) deliverFrame(f *Fleet, b []byte) (ack []byte, logged bool) {
 
 // deliverQuorumFrame is the quorum peer's receive path: gate on the epoch,
 // then treat frame.Seq as the absolute index of the payload's first record
-// and append only the records beyond the log's high-water mark. Acks carry
-// the record count now held. A frame starting past the high-water mark is a
-// gap a correct primary never produces; it is dropped in silence.
+// and append only the bytes of the records beyond the log's high-water mark —
+// the payload is a slice of the primary's log, so the peer's stays a byte
+// prefix of it with nothing decoded or re-encoded. Acks carry the record count
+// now held. A frame starting past the high-water mark is a gap a correct
+// primary never produces; it is dropped in silence, as is a payload that does
+// not walk as ClientOp records.
 func (r *replica) deliverQuorumFrame(f *Fleet, b []byte) (ack []byte, logged bool) {
 	frame, err := wire.DecodeFrame(b)
 	if err != nil {
@@ -175,18 +186,19 @@ func (r *replica) deliverQuorumFrame(f *Fleet, b []byte) (ack []byte, logged boo
 	if first > r.logged {
 		return nil, false
 	}
-	recs, err := wire.DecodeAll(frame.Payload)
-	if err != nil {
-		panic(fmt.Sprintf("fleet: quorum peer offered undecodable payload: %v", err))
-	}
-	appended := false
-	for _, rec := range recs[min(r.logged-first, len(recs)):] {
-		op, ok := rec.(*wire.ClientOp)
-		if !ok {
-			panic(fmt.Sprintf("fleet: foreign record %T in quorum frame", rec))
+	n, tail := 0, len(frame.Payload) // records walked; where the first new one starts
+	for d := wire.NewDecoder(frame.Payload); d.More(); n++ {
+		if first+n == r.logged {
+			tail = d.Offset()
 		}
-		r.appendLog(op)
-		appended = true
+		if t, err := d.Skip(); err != nil || t != wire.RecClientOp {
+			return nil, false
+		}
+	}
+	appended := first+n > r.logged
+	if appended {
+		r.log = append(r.log, frame.Payload[tail:]...)
+		r.logged = first + n
 	}
 	if frame.AckWanted {
 		return wire.EncodeAck(r.epoch, uint64(r.logged)), appended
@@ -212,27 +224,23 @@ func (r *replica) promote(epoch uint64) {
 	r.gate = wire.SeqGate{}
 	r.state = make(map[uint64]int64)
 	r.dedup = make(map[uint64]*dedupEntry)
-	r.rebuildOffsets()
-	recs, err := wire.DecodeAll(r.log)
-	if err != nil {
-		panic(fmt.Sprintf("fleet: replaying shard %d log: %v", r.shard, err))
-	}
-	for _, rec := range recs {
-		op, ok := rec.(*wire.ClientOp)
-		if !ok {
-			panic(fmt.Sprintf("fleet: foreign record %T in shard %d log", rec, r.shard))
-		}
+	r.recOffsets = r.recOffsets[:0] // a backup's log has none; a primary ships by them
+	err := replayLog(r.log, func(_, off int, op *wire.ClientOp) error {
+		r.recOffsets = append(r.recOffsets, off)
 		if ent := r.dedup[op.Client]; ent != nil && op.Req <= ent.req {
-			continue // duplicate: the dedup table, not the transport, is the guard
+			return nil // duplicate: the dedup table, not the transport, is the guard
 		}
-		got := apply(r.state, op.Tenant, op.Op, op.Arg)
-		if got != op.Result {
+		if got := apply(r.state, op.Tenant, op.Op, op.Arg); got != op.Result {
 			panic(fmt.Sprintf("fleet: shard %d replay diverged: (%d,%d) got %d, logged %d",
 				r.shard, op.Client, op.Req, got, op.Result))
 		}
 		// Logged means acked means replicated: committed from the new
 		// primary's point of view.
-		r.dedup[op.Client] = &dedupEntry{req: op.Req, result: op.Result, committed: true, rec: op}
+		r.dedup[op.Client] = &dedupEntry{req: op.Req, result: op.Result, committed: true}
+		return nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("fleet: replaying shard %d log: %v", r.shard, err))
 	}
 }
 

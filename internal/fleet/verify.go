@@ -31,33 +31,30 @@ type Observation struct {
 // replica that produced it was killed immediately afterwards.
 func (f *Fleet) Verify(obs []Observation) error {
 	type key struct{ client, req uint64 }
-	logged := make(map[key]int64)
+	// Sized once: every logged record is one first execution, so Executed
+	// bounds the logs' total.
+	logged := make(map[key]int64, f.counters.Executed)
 	for shard, pri := range f.shardPrimaries() {
 		if pri == nil {
 			return fmt.Errorf("fleet: shard %d has no primary replica", shard)
 		}
-		recs, err := wire.DecodeAll(pri.log)
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d log undecodable: %w", shard, err)
-		}
-		model := make(map[uint64]int64)
-		for i, rec := range recs {
-			op, ok := rec.(*wire.ClientOp)
-			if !ok {
-				return fmt.Errorf("fleet: shard %d log[%d] is %T, want ClientOp", shard, i, rec)
-			}
+		model := make(map[uint64]int64, len(pri.state))
+		err := replayLog(pri.log, func(i, _ int, op *wire.ClientOp) error {
 			if f.ShardOf(op.Tenant) != shard {
-				return fmt.Errorf("fleet: shard %d log[%d] holds tenant %d of shard %d", shard, i, op.Tenant, f.ShardOf(op.Tenant))
+				return fmt.Errorf("log[%d] holds tenant %d of shard %d", i, op.Tenant, f.ShardOf(op.Tenant))
 			}
 			k := key{op.Client, op.Req}
 			if _, dup := logged[k]; dup {
-				return fmt.Errorf("fleet: (client %d, req %d) executed twice", op.Client, op.Req)
+				return fmt.Errorf("(client %d, req %d) executed twice", op.Client, op.Req)
 			}
-			got := apply(model, op.Tenant, op.Op, op.Arg)
-			if got != op.Result {
-				return fmt.Errorf("fleet: shard %d log[%d]: model result %d, logged %d", shard, i, got, op.Result)
+			if got := apply(model, op.Tenant, op.Op, op.Arg); got != op.Result {
+				return fmt.Errorf("log[%d]: model result %d, logged %d", i, got, op.Result)
 			}
 			logged[k] = op.Result
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("fleet: shard %d: %w", shard, err)
 		}
 		// Quorum backend: every peer's log must be a byte prefix of the
 		// primary's — the single-writer append order means a peer that holds
@@ -126,15 +123,13 @@ func (f *Fleet) Checksum() uint64 {
 		mix(uint64(shard))
 		mix(uint64(pri.logged))
 		mix(pri.epoch)
-		recs, err := wire.DecodeAll(pri.log)
+		model := make(map[uint64]int64, len(pri.state))
+		err := replayLog(pri.log, func(_, _ int, op *wire.ClientOp) error {
+			apply(model, op.Tenant, op.Op, op.Arg)
+			return nil
+		})
 		if err != nil {
 			panic(fmt.Sprintf("fleet: checksum over undecodable shard %d log: %v", shard, err))
-		}
-		model := make(map[uint64]int64)
-		for _, rec := range recs {
-			if op, ok := rec.(*wire.ClientOp); ok {
-				apply(model, op.Tenant, op.Op, op.Arg)
-			}
 		}
 		for _, t := range sortedTenants(model) {
 			mix(t)

@@ -76,11 +76,23 @@ func (v *Virtual) Elapsed() time.Duration {
 }
 
 // Sleep implements Clock: the calling actor parks until virtual time reaches
-// now+d.
+// now+d. A sole running actor with nothing scheduled at or before now+d does
+// not park: the advance would pop its own timer first and wake it at now+d
+// with nothing else having fired, so the clock jumps there directly — no slot,
+// channel, timer event or heap traffic. Anything due in the window (a
+// cancelled timer included) takes the Park path, which fires it in order.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	v.mu.Lock()
+	if v.actors == 1 && v.blocked == 0 && (len(v.events) == 0 || v.events[0].at > v.now+d) {
+		v.now += d
+		v.progress.Add(1)
+		v.mu.Unlock()
+		return
+	}
+	v.mu.Unlock()
 	v.NewWaitSlot().Park(d)
 }
 
@@ -327,7 +339,6 @@ type event struct {
 	seq      uint64
 	canceled bool
 	fire     func()
-	index    int
 }
 
 // eventHeap orders events by (deadline, priority, schedule order).
@@ -345,16 +356,9 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
 
 func (h *eventHeap) Pop() any {
 	old := *h

@@ -1,6 +1,8 @@
 package simtest
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -209,6 +211,20 @@ func TestConsensusFollowerKillKeepsMajority(t *testing.T) {
 	if r.FinalTerm != 1 || r.FinalLeader != r.FirstLeader {
 		t.Fatalf("leadership moved on a follower kill: term %d, leader %d->%d",
 			r.FinalTerm, r.FirstLeader, r.FinalLeader)
+	}
+}
+
+// TestFleetSweepTraceGolden pins the sha256 of the trace file the default
+// `ftvm-sim -fleet -trace` writes (4 seeds, 1000 clients: 52 combos). Unlike
+// TestSweepTraceDeterminism, which compares a run with itself, this hash was
+// computed at the parent of the commit that added the test, so a change to
+// what the fleet does — a frame, a cost, a counter — fails here.
+func TestFleetSweepTraceGolden(t *testing.T) {
+	const want = "8b8cc1dba8c1a160774c9ec668aa1bd00b8b1f097d756c67a60b82ec129dbe3e"
+	res := RunSweep(SweepConfig{Kind: KindFleet, Seeds: seeds(1, 4), NetSeeds: []int64{1, 2}, Clients: 1000}, nil)
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(res.Trace, "\n")+"\n")))
+	if got != want || len(res.Failures) > 0 {
+		t.Fatalf("default fleet sweep: trace sha256 %s (%d combos, %d failures), want %s", got, res.Combos, len(res.Failures), want)
 	}
 }
 

@@ -94,6 +94,31 @@ func TestSkipWalkAllocFree(t *testing.T) {
 	}
 }
 
+// A fleet shard encodes each op once, onto its log, and replays the log into
+// one reused value: neither direction of the typed ClientOp pair may allocate.
+func TestClientOpPairAllocFree(t *testing.T) {
+	log := make([]byte, 0, 64*40)
+	allocs := testing.AllocsPerRun(100, func() {
+		log = log[:0]
+		for i := 0; i < 64; i++ {
+			log = AppendClientOp(log, &ClientOp{Client: uint64(i) << 20, Req: 2, Tenant: 9, Op: OpAdd, Arg: -int64(i), Result: 1 << 40})
+		}
+		var op ClientOp
+		d, n := Decoder{b: log}, 0
+		for ; d.More(); n++ {
+			if err := d.ClientOp(&op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n != 64 || op.Client != 63<<20 || op.Arg != -63 {
+			t.Fatalf("replayed %d records ending in %+v", n, op)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendClientOp + Decoder.ClientOp allocs/run = %v, want 0", allocs)
+	}
+}
+
 // BenchmarkDecoderSkip and BenchmarkDecoderNext are the two walks over one
 // batch: what validating a frame costs against what decoding it cost.
 func BenchmarkDecoderSkip(b *testing.B) {

@@ -28,20 +28,6 @@ const (
 // Op < OpKinds(). The load generator draws ops modulo this.
 func OpKinds() uint8 { return opMax }
 
-// OpName renders an opcode for traces.
-func OpName(op uint8) string {
-	switch op {
-	case OpGet:
-		return "get"
-	case OpAdd:
-		return "add"
-	case OpSet:
-		return "set"
-	default:
-		return "invalid"
-	}
-}
-
 // Request is one client request addressed to a tenant.
 type Request struct {
 	Client uint64 // client identity (stable across retries)

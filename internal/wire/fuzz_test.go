@@ -130,6 +130,11 @@ func FuzzDecodeAll(f *testing.F) {
 // (ErrTruncated or plain ErrBadRecord), same offset, same text. The cold
 // backup acknowledges a frame on the strength of the walk alone, so it
 // follows, and is asserted, that what Count accepts DecodeAll decodes.
+//
+// The fleet's typed pair rides the same walk (typedAgrees): at every record,
+// Decoder.ClientOp into a caller-owned value agrees with Next on value, end
+// offset, error class and error offset, and AppendClientOp writes what
+// Buffer.Append writes, byte for byte.
 func FuzzSkipAgreesWithNext(f *testing.F) {
 	addRecordSeeds(f)
 	for _, r := range []Record{
@@ -150,6 +155,10 @@ func FuzzSkipAgreesWithNext(f *testing.F) {
 	}
 	f.Add([]byte{byte(RecNativeResult), 0x01, '0', 0x01, 0x01, 'r', 0x01, 0x09}) // bad wire value kind
 	f.Add([]byte{byte(NumRecTypes)})                                            // first byte past the type table
+	extreme := AppendClientOp(nil, &ClientOp{Client: ^uint64(0), Req: 1 << 63, Tenant: ^uint64(0), Op: 0xFF, Arg: -1 << 63, Result: 1<<63 - 1})
+	f.Add(extreme)
+	f.Add(extreme[:len(extreme)-3])                                                    // a clientop cut inside its last field
+	f.Add(append([]byte{byte(RecClientOp), 0x01}, bytes.Repeat([]byte{0xFF}, 11)...)) // overlong varint inside a clientop
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := walkBoth(t, data)
 		count, cerr := Count(data)
@@ -169,8 +178,10 @@ func walkBoth(t *testing.T, data []byte) (n int) {
 	t.Helper()
 	skip, next := NewDecoder(data), NewDecoder(data)
 	for skip.More() {
+		start := next.Offset()
 		typ, serr := skip.Skip()
 		rec, nerr := next.Next()
+		typedAgrees(t, data, start, rec, nerr, next.Offset())
 		if skip.Offset() != next.Offset() {
 			t.Fatalf("record %d: Skip stands at %d (%v), Next at %d (%v)", n, skip.Offset(), serr, next.Offset(), nerr)
 		}
@@ -190,4 +201,38 @@ func walkBoth(t *testing.T, data []byte) (n int) {
 		t.Fatalf("Skip walk ended after %d records at %d, Next has more", n, skip.Offset())
 	}
 	return n
+}
+
+// typedAgrees checks the allocation-free ClientOp decode against what Next
+// made of the record starting at start (rec or nerr, ending at end): the same
+// value, end offset and error on a clientop; on any other type byte a plain
+// ErrBadRecord standing just past that byte, where Next rejects an unknown
+// type. What it decodes, AppendClientOp and Buffer.Append re-encode alike.
+func typedAgrees(t *testing.T, data []byte, start int, rec Record, nerr error, end int) {
+	t.Helper()
+	var op ClientOp
+	d := Decoder{b: data, pos: start}
+	err := d.ClientOp(&op)
+	if RecType(data[start]) != RecClientOp {
+		if err == nil || !errors.Is(err, ErrBadRecord) || errors.Is(err, ErrTruncated) || d.Offset() != start+1 {
+			t.Fatalf("offset %d: ClientOp over a %v record: %v at %d, want ErrBadRecord at %d", start, RecType(data[start]), err, d.Offset(), start+1)
+		}
+		return
+	}
+	if d.Offset() != end || (err == nil) != (nerr == nil) {
+		t.Fatalf("offset %d: ClientOp stands at %d (%v), Next at %d (%v)", start, d.Offset(), err, end, nerr)
+	}
+	if err != nil {
+		if err.Error() != nerr.Error() || errors.Is(err, ErrTruncated) != errors.Is(nerr, ErrTruncated) || !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("offset %d: ClientOp fails with %v, Next with %v", start, err, nerr)
+		}
+		return
+	}
+	if built := rec.(*ClientOp); op != *built {
+		t.Fatalf("offset %d: ClientOp decoded %+v, Next built %+v", start, op, *built)
+	}
+	var buf Buffer
+	if aerr := buf.Append(&op); aerr != nil || !bytes.Equal(buf.Bytes(), AppendClientOp(nil, &op)) {
+		t.Fatalf("offset %d: Buffer.Append wrote %x (%v), AppendClientOp %x", start, buf.Bytes(), aerr, AppendClientOp(nil, &op))
+	}
 }

@@ -284,12 +284,7 @@ func (w *Buffer) Append(r Record) error {
 		w.uv(rec.StartTASN)
 		w.uv(rec.Count)
 	case *ClientOp:
-		w.uv(rec.Client)
-		w.uv(rec.Req)
-		w.uv(rec.Tenant)
-		w.u8(rec.Op)
-		w.sv(rec.Arg)
-		w.sv(rec.Result)
+		w.b = AppendClientOp(w.b[:len(w.b)-1], rec) // it writes the type byte too
 	case *Heartbeat:
 		w.uv(rec.Seq)
 	case *Halt:
@@ -298,6 +293,18 @@ func (w *Buffer) Append(r Record) error {
 	}
 	w.n++
 	return nil
+}
+
+// AppendClientOp appends op's encoding, type byte included, to dst: a fleet
+// shard encodes straight onto its log, with no Buffer and no error to handle.
+func AppendClientOp(dst []byte, op *ClientOp) []byte {
+	dst = append(dst, uint8(RecClientOp))
+	dst = binary.AppendUvarint(dst, op.Client)
+	dst = binary.AppendUvarint(dst, op.Req)
+	dst = binary.AppendUvarint(dst, op.Tenant)
+	dst = append(dst, op.Op)
+	dst = binary.AppendVarint(dst, op.Arg)
+	return binary.AppendVarint(dst, op.Result)
 }
 
 // Decoder reads records from an encoded byte stream.
@@ -441,7 +448,9 @@ func (d *Decoder) Next() (Record, error) {
 	case RecLockInterval:
 		r = &LockInterval{TID: d.str(), StartTASN: d.uv(), Count: d.uv()}
 	case RecClientOp:
-		r = &ClientOp{Client: d.uv(), Req: d.uv(), Tenant: d.uv(), Op: d.u8(), Arg: d.sv(), Result: d.sv()}
+		rec := new(ClientOp)
+		d.clientOp(rec)
+		r = rec
 	case RecHeartbeat:
 		r = &Heartbeat{Seq: d.uv()}
 	case RecHalt:
@@ -453,6 +462,22 @@ func (d *Decoder) Next() (Record, error) {
 		return nil, d.err
 	}
 	return r, nil
+}
+
+func (d *Decoder) clientOp(op *ClientOp) {
+	*op = ClientOp{Client: d.uv(), Req: d.uv(), Tenant: d.uv(), Op: d.u8(), Arg: d.sv(), Result: d.sv()}
+}
+
+// ClientOp decodes the next record, which must be a ClientOp, into the
+// caller's op: the allocation-free Next of a log that holds nothing else. On a
+// ClientOp it accepts and rejects exactly what Next does, with the same error
+// class at the same offset; a record of any other type is ErrBadRecord.
+func (d *Decoder) ClientOp(op *ClientOp) error {
+	if t := RecType(d.u8()); d.err == nil && t != RecClientOp {
+		d.fail(ErrBadRecord, fmt.Sprintf("record type %d where a clientop must be", t))
+	}
+	d.clientOp(op)
+	return d.err
 }
 
 // Offset returns how many bytes have been consumed: after a successful Next
