@@ -169,9 +169,7 @@ func main() {
 	}
 }
 
-// BenchmarkInterpreter is the default (threaded) engine; its before/after
-// ratio against BENCH_PR3.json is the tentpole acceptance number for the
-// threaded tier (BENCH_PR9.json).
+// BenchmarkInterpreter is the default (threaded) engine.
 func BenchmarkInterpreter(b *testing.B) { benchSpin(b, DispatchThreaded) }
 
 // BenchmarkInterpreterSwitch is the same workload on the reference loop. It

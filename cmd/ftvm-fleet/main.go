@@ -10,7 +10,6 @@
 //	ftvm-fleet                                   # 1M clients, one mid-window kill
 //	ftvm-fleet -clients 100000 -kills n2@800ms   # smaller population
 //	ftvm-fleet -fault ackdrop -fault-every 1000  # layer replication faults on top
-//	ftvm-fleet -json BENCH_PR7.json              # write the benchmark record
 //
 // The run fails (non-zero exit) if the model verification finds any request
 // executed other than exactly once, or if the failover blast radius reaches
@@ -18,14 +17,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/atomicio"
 	"repro/internal/fleet"
 	"repro/internal/fleet/loadgen"
 	"repro/internal/simtest/clock"
@@ -36,49 +33,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ftvm-fleet:", err)
 		os.Exit(1)
 	}
-}
-
-// benchRecord is the JSON benchmark shape committed as BENCH_PR7.json.
-type benchRecord struct {
-	PR     int    `json:"pr"`
-	Bench  string `json:"bench"`
-	Method string `json:"method"`
-	Config struct {
-		Clients    int    `json:"clients"`
-		OpsPer     int    `json:"ops_per_client"`
-		Nodes      int    `json:"nodes"`
-		Shards     int    `json:"shards"`
-		Seed       uint64 `json:"seed"`
-		WindowMS   int64  `json:"arrival_window_ms"`
-		Kills      string `json:"kills"`
-		Fault      string `json:"fault"`
-		FaultEvery uint64 `json:"fault_every"`
-	} `json:"config"`
-	Requests        uint64  `json:"requests"`
-	OKs             uint64  `json:"oks"`
-	Retries         uint64  `json:"retries"`
-	Silent          uint64  `json:"silent"`
-	Unavailable     uint64  `json:"unavailable"`
-	NotOwner        uint64  `json:"not_owner"`
-	VirtualMS       float64 `json:"virtual_elapsed_ms"`
-	Throughput      float64 `json:"throughput_ops_per_virtual_sec"`
-	P50US           int64   `json:"p50_us"`
-	P99US           int64   `json:"p99_us"`
-	TenantsActive   int     `json:"tenants_active"`
-	TenantsBlasted  int     `json:"tenants_blasted"`
-	BlastRadius     float64 `json:"blast_radius"`
-	BlastBound      float64 `json:"blast_bound_killed_share"`
-	Executed        uint64  `json:"executed"`
-	DupHits         uint64  `json:"dup_hits"`
-	Resent          uint64  `json:"resent"`
-	Promotions      uint64  `json:"promotions"`
-	Transfers       uint64  `json:"transfers"`
-	StaleFrames     uint64  `json:"stale_frames"`
-	Checksum        string  `json:"checksum"`
-	WallMS          int64   `json:"wall_ms"`
-	SimSpeedup      float64 `json:"virtual_over_wall"`
-	ModelVerified   bool    `json:"model_verified_at_most_once"`
-	SampledVerified int     `json:"observations_verified"`
 }
 
 func run() error {
@@ -93,7 +47,6 @@ func run() error {
 		fault    = flag.String("fault", "none", "replication fault kind: none, framedrop, ackdrop, replydrop")
 		every    = flag.Uint64("fault-every", 0, "strike every Nth replication attempt (0 = never)")
 		sample   = flag.Int("sample", 256, "verify observations from every Nth client")
-		jsonPth  = flag.String("json", "", "write the benchmark record to this file")
 	)
 	flag.Parse()
 
@@ -153,57 +106,6 @@ func run() error {
 	}
 	if len(kills) > 0 && st.BlastRadius >= bound {
 		return fmt.Errorf("blast radius %.4f reached the killed nodes' share %.4f", st.BlastRadius, bound)
-	}
-
-	if *jsonPth != "" {
-		var rec benchRecord
-		rec.PR = 7
-		rec.Bench = "sharded fleet under open-loop load with mid-window failover"
-		rec.Method = "go run ./cmd/ftvm-fleet (virtual clock; deterministic per config+seed, wall_ms reporting only)"
-		rec.Config.Clients = *clients
-		rec.Config.OpsPer = *ops
-		rec.Config.Nodes = *nodes
-		rec.Config.Shards = *shards
-		rec.Config.Seed = *seed
-		rec.Config.WindowMS = int64(*window / time.Millisecond)
-		rec.Config.Kills = *killSpec
-		rec.Config.Fault = *fault
-		rec.Config.FaultEvery = *every
-		rec.Requests = st.Requests
-		rec.OKs = st.OKs
-		rec.Retries = st.Retries
-		rec.Silent = st.Silent
-		rec.Unavailable = st.Unavailable
-		rec.NotOwner = st.NotOwner
-		rec.VirtualMS = float64(st.Elapsed) / float64(time.Millisecond)
-		rec.Throughput = st.Throughput
-		rec.P50US = int64(st.P50 / time.Microsecond)
-		rec.P99US = int64(st.P99 / time.Microsecond)
-		rec.TenantsActive = st.TenantsActive
-		rec.TenantsBlasted = st.TenantsBlasted
-		rec.BlastRadius = st.BlastRadius
-		rec.BlastBound = bound
-		rec.Executed = st.Fleet.Executed
-		rec.DupHits = st.Fleet.DupHits
-		rec.Resent = st.Fleet.Resent
-		rec.Promotions = st.Fleet.Promotions
-		rec.Transfers = st.Fleet.Transfers
-		rec.StaleFrames = st.Fleet.StaleFrames
-		rec.Checksum = fmt.Sprintf("%016x", st.Checksum)
-		rec.WallMS = wall.Milliseconds()
-		if wall > 0 {
-			rec.SimSpeedup = st.Elapsed.Seconds() / wall.Seconds()
-		}
-		rec.ModelVerified = true
-		rec.SampledVerified = len(obs)
-		data, err := json.MarshalIndent(&rec, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := atomicio.WriteFile(*jsonPth, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *jsonPth)
 	}
 	return nil
 }

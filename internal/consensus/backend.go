@@ -23,38 +23,17 @@ type Backend struct {
 	r             *Replica
 	commitTimeout time.Duration
 	lost          atomic.Bool
-	// cluster, when set, is owned by the backend and stopped on Close (the
-	// ftvm convenience path); a harness that owns its own cluster passes
-	// only the leader replica.
-	cluster *Cluster
 }
 
 var _ replication.CoordinationBackend = (*Backend)(nil)
 
-// NewBackend wraps leader r. commitTimeout bounds each output-commit wait
-// (0 = wait forever; under a virtual clock prefer a bound so a partitioned
-// leader surfaces as loss instead of parking the VM).
+// NewBackend wraps leader r; the caller owns r's cluster and stops it.
+// commitTimeout bounds each output-commit wait (0 = wait forever; under a
+// virtual clock prefer a bound so a partitioned leader surfaces as loss
+// instead of parking the VM).
 func NewBackend(r *Replica, commitTimeout time.Duration) *Backend {
 	return &Backend{r: r, commitTimeout: commitTimeout}
 }
-
-// NewClusterBackend wraps the cluster's current ready leader and transfers
-// cluster ownership to the backend: Close stops all replicas.
-func NewClusterBackend(c *Cluster, commitTimeout time.Duration, waitLeader time.Duration) (*Backend, error) {
-	leader, err := c.WaitLeader(waitLeader)
-	if err != nil {
-		return nil, err
-	}
-	b := NewBackend(leader, commitTimeout)
-	b.cluster = c
-	return b, nil
-}
-
-// Replica returns the leader this backend proposes through.
-func (b *Backend) Replica() *Replica { return b.r }
-
-// Cluster returns the owned cluster, if any.
-func (b *Backend) Cluster() *Cluster { return b.cluster }
 
 // Ship implements CoordinationBackend. The payload is copied by Propose, so
 // the primary's reused flush buffer is safe.
@@ -89,10 +68,6 @@ func (b *Backend) Lost() bool { return b.lost.Load() || b.r.Stopped() }
 // must keep running through the final halt flush — so this is a no-op.
 func (b *Backend) Quiesce() {}
 
-// Close implements CoordinationBackend: stops the owned cluster, if any.
-func (b *Backend) Close() error {
-	if b.cluster != nil {
-		b.cluster.Stop()
-	}
-	return nil
-}
+// Close implements CoordinationBackend. The backend owns nothing: whoever
+// built the cluster stops it.
+func (b *Backend) Close() error { return nil }

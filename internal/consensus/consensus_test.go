@@ -332,11 +332,13 @@ func TestBackendShipAndLoss(t *testing.T) {
 	}
 	scenario(t, clk, func() {
 		c.Start()
-		be, err := NewClusterBackend(c, time.Second, time.Second)
+		defer c.Stop()
+		leader, err := c.WaitLeader(time.Second)
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		be := NewBackend(leader, time.Second)
 		if err := be.Ship(recordBatch(t, &wire.IDMap{LID: 2, TID: "t2", TASN: 1}), false); err != nil {
 			t.Errorf("async ship: %v", err)
 			return
@@ -351,7 +353,7 @@ func TestBackendShipAndLoss(t *testing.T) {
 		if be.Epoch() == 0 {
 			t.Error("backend epoch (term) is zero")
 		}
-		recs, err := c.CommittedRecords(be.Replica().ID())
+		recs, err := c.CommittedRecords(leader.ID())
 		if err != nil {
 			t.Error(err)
 			return
@@ -362,7 +364,7 @@ func TestBackendShipAndLoss(t *testing.T) {
 		// Kill a majority: the next committed ship must fail as backup loss.
 		killed := 0
 		for i := 0; i < c.Size() && killed < 2; i++ {
-			if i != be.Replica().ID() {
+			if i != leader.ID() {
 				c.Kill(i)
 				killed++
 			}

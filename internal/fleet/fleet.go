@@ -3,24 +3,29 @@
 //
 // Tenants are lightweight deterministic state machines (an int64 accumulator
 // per tenant: get/add/set), partitioned across shards by tenant id. Every
-// shard is a primary/backup pair seated by a viewsvc.ShardDirectory, and the
-// pair replicates exactly the way the full VM pair does: the primary encodes
-// each executed operation as a wire.ClientOp record, ships it in a real
-// wire.Frame (epoch-stamped, sequence-numbered, ack-wanted) to the backup,
-// and counts the operation committed — eligible to answer the client — only
-// after the backup's ack returns under the current epoch. The backup keeps
-// the encoded log without applying it; promotion replays the log to rebuild
-// both the tenant state and the dedup table, so at-most-once survives
-// failover for free: a client retrying across a primary kill hits the dedup
-// entry the replay reconstructed and receives the original result without
-// re-execution.
+// shard is a primary and its log-holding peers — the backup a
+// viewsvc.ShardDirectory seats and, under BackendQuorum, a fleet-managed
+// witness — and replicates the way the full VM pair does: the primary encodes
+// each executed operation as a wire.ClientOp record onto its log, ships the
+// log's un-acked tail in a real wire.Frame (epoch-stamped, ack-wanted) down
+// each peer's link, and counts the operation committed — eligible to answer
+// the client — only once some peer's ack, under the current epoch, says it
+// holds the whole log. A peer keeps the encoded log without applying it;
+// promotion replays the log to rebuild both the tenant state and the dedup
+// table, so at-most-once survives failover for free: a client retrying across
+// a primary kill hits the dedup entry the replay reconstructed and receives
+// the original result without re-execution.
 //
-// Frame shipping is stop-and-wait per operation: the primary retransmits an
-// unacknowledged operation under the same sequence number, so a dropped
-// frame is repaired by the retry and a dropped ack classifies as a duplicate
-// at the backup's SeqGate (re-acked, not re-logged). The log therefore never
-// holds two copies of one (client, req) — though replay still guards against
-// duplicates, because the guard is the same dedup check the live path uses.
+// There is one link protocol (DESIGN.md §10). A frame's sequence field is the
+// log index of its first record and an ack's is the number of records the peer
+// now holds, so a peer appends only what lies past its high-water mark: a
+// dropped frame is repaired by the retry, a dropped ack's retransmission is
+// re-acked and not re-logged, and the log never holds two copies of one
+// (client, req) — though replay still guards against duplicates, because the
+// guard is the same dedup check the live path uses. With one link an
+// uncommitted operation blocks the shard until its ack returns: the pair's
+// stop-and-wait is the one-link case, not a second protocol. Config.Backend
+// decides how many peers a shard seats and nothing about how bytes move.
 //
 // Everything is clock-injected; under a virtual clock a whole fleet run —
 // including node kills, promotions, recruitment state transfer, and the
@@ -29,7 +34,7 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/simtest/clock"
@@ -49,14 +54,16 @@ const (
 // FaultKinds lists every valid Config.Fault value.
 var FaultKinds = []string{FaultNone, FaultFrameDrop, FaultAckDrop, FaultReplyDrop}
 
-// Coordination backends selectable per fleet (Config.Backend) — the fleet
-// face of the replication.CoordinationBackend split: the same client
-// protocol and verifier run over either commit rule.
+// Coordination backends selectable per fleet (Config.Backend): how many
+// log-holding peers a shard seats. The client protocol, the link protocol,
+// the commit rule (some peer holds the whole log) and the verifier are the
+// same over either.
 const (
-	// BackendPair is the paper's pair per shard: one backup, commit = its ack.
+	// BackendPair is the paper's pair per shard: one peer, the backup, so
+	// commit = its ack.
 	BackendPair = "pair"
-	// BackendQuorum seats a third, fleet-managed witness replica per shard and
-	// commits an operation once the primary plus any one peer hold it (2 of
+	// BackendQuorum seats a second peer per shard, a fleet-managed witness, so
+	// an operation commits once the primary plus any one peer hold it (2 of
 	// 3). A frame lost toward one peer no longer stalls the shard: the op
 	// commits through the other, and the lagging peer is repaired by shipping
 	// it the missing record suffix on the next operation (per-peer catch-up).
@@ -73,7 +80,7 @@ type Config struct {
 	Clock  clock.Clock
 	Nodes  []string // node names, join order; need >= 2
 	Shards int      // shard count; tenant t lives on shard t % Shards
-	// Backend selects the per-shard coordination path (default BackendPair).
+	// Backend selects how many peers a shard seats (default BackendPair).
 	// BackendQuorum needs a third live node per shard to seat its witness;
 	// with none available the shard runs on whatever peers exist.
 	Backend string
@@ -84,7 +91,7 @@ type Config struct {
 
 	// Simulated costs. Zero fields take the defaults below.
 	NetDelay     time.Duration // one-way client <-> node
-	RepDelay     time.Duration // one-way primary <-> backup
+	RepDelay     time.Duration // one-way primary <-> peer
 	OpCost       time.Duration // executing one tenant op
 	AckTimeout   time.Duration // primary gives up waiting for an ack
 	PromoteBase  time.Duration // fixed promotion cost on takeover
@@ -123,11 +130,11 @@ func (c *Config) fill() {
 type Counters struct {
 	Executed      uint64 // operations applied to tenant state (first executions)
 	DupHits       uint64 // requests answered from the dedup table
-	Resent        uint64 // stop-and-wait retransmissions of an uncommitted op
+	Resent        uint64 // retransmissions of a head-of-line uncommitted op
 	FramesDropped uint64
 	AcksDropped   uint64
 	RepliesLost   uint64
-	StaleFrames   uint64 // frames rejected by the backup's epoch gate
+	StaleFrames   uint64 // frames rejected by a peer's epoch gate
 	Promotions    uint64
 	Transfers     uint64 // recruit state transfers
 }
@@ -143,7 +150,7 @@ type Outcome struct {
 	Cost time.Duration
 }
 
-// Fleet is a set of nodes hosting shard replica pairs.
+// Fleet is a set of nodes hosting shard replicas.
 type Fleet struct {
 	cfg        Config
 	clk        clock.Clock
@@ -163,25 +170,15 @@ type Node struct {
 }
 
 // New builds a fleet: every node joins the directory, shards form round-robin,
-// and each shard's pair of replicas is seeded empty under the formation epoch.
+// and each shard's replicas are seeded empty under the formation epoch — the
+// directory's pair first, then (every pair seated, so witness placement sees
+// the final loads) the links and whatever witness the backend adds.
 func New(cfg Config) (*Fleet, error) {
 	cfg.fill()
-	validFault := false
-	for _, k := range FaultKinds {
-		if cfg.Fault == k {
-			validFault = true
-		}
-	}
-	if !validFault {
+	if !slices.Contains(FaultKinds, cfg.Fault) {
 		return nil, fmt.Errorf("fleet: unknown fault kind %q", cfg.Fault)
 	}
-	validBackend := false
-	for _, k := range Backends {
-		if cfg.Backend == k {
-			validBackend = true
-		}
-	}
-	if !validBackend {
+	if !slices.Contains(Backends, cfg.Backend) {
 		return nil, fmt.Errorf("fleet: unknown backend %q", cfg.Backend)
 	}
 	if len(cfg.Nodes) < 2 {
@@ -207,18 +204,12 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	for i, v := range views {
-		pri := newReplica(i, v.Num, rolePrimary)
-		bak := newReplica(i, v.Num, roleBackup)
-		pri.peer, bak.peer = bak, pri
-		f.nodes[v.Primary].replicas[i] = pri
-		f.nodes[v.Backup].replicas[i] = bak
+		f.nodes[v.Primary].replicas[i] = newReplica(i, v.Num, rolePrimary)
+		f.nodes[v.Backup].replicas[i] = newReplica(i, v.Num, roleBackup)
 	}
-	if cfg.Backend == BackendQuorum {
-		for i, v := range views {
-			pri := f.nodes[v.Primary].replicas[i]
-			wit := f.recruitWitness(pri, v.Num)
-			setLinks(pri, f.nodes[v.Backup].replicas[i], wit)
-		}
+	for i, v := range views {
+		pri := f.seated(v.Primary, i)
+		setLinks(pri, f.seated(v.Backup, i), f.recruitWitness(pri, v.Num))
 	}
 	return f, nil
 }
@@ -242,9 +233,13 @@ func (f *Fleet) witnessNode(shard int) string {
 }
 
 // recruitWitness seats a fresh witness for pri's shard under epoch, seeded
-// with a snapshot of the primary's log. Nil when no node can host one — the
-// shard then runs on whatever peers remain.
+// with a snapshot of the primary's log. Nil when the backend seats none
+// (BackendPair) or no node can host one — the shard then runs on whatever
+// peers remain.
 func (f *Fleet) recruitWitness(pri *replica, epoch uint64) *replica {
+	if f.cfg.Backend != BackendQuorum {
+		return nil
+	}
 	name := f.witnessNode(pri.shard)
 	if name == "" {
 		return nil
@@ -273,10 +268,11 @@ func (f *Fleet) findWitness(shard int) (*replica, string) {
 	return nil, ""
 }
 
-// setLinks rebuilds pri's quorum shipping channels (backup first, witness
-// second). Every link restarts under the primary's epoch and records what its
-// peer already holds, so a surviving or snapshot-seeded peer needs no special
-// handshake — the next ship carries exactly its missing suffix.
+// setLinks rebuilds pri's shipping channels (backup first, witness second;
+// nil peers are vacancies). Every link restarts under the primary's epoch and
+// records what its peer already holds, so a surviving or snapshot-seeded peer
+// needs no special handshake — the next ship carries exactly its missing
+// suffix.
 func setLinks(pri *replica, peers ...*replica) {
 	pri.links = pri.links[:0]
 	for _, p := range peers {
@@ -372,8 +368,8 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 		f.counters.DupHits++
 		if !ent.committed {
 			// Executed and logged locally, but never acknowledged: the
-			// output-commit rule forbids replying until the backup holds it.
-			// Retransmit under the same sequence number (stop-and-wait).
+			// output-commit rule forbids replying until a peer holds it.
+			// Retransmit the same bytes under the same sequence number.
 			if !f.flushPending(r) {
 				return Outcome{Cost: f.cfg.NetDelay + f.cfg.AckTimeout}
 			}
@@ -402,9 +398,8 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 	return Outcome{Reply: f.reply(r, req, ent), Cost: rtt + f.cfg.OpCost + cost}
 }
 
-// flushPending retransmits the shard's head-of-line unacknowledged record
-// under its original stop-and-wait sequence. True means the shard's log is
-// fully acknowledged again.
+// flushPending retransmits the shard's head-of-line uncommitted record. True
+// means some peer holds the whole log again.
 func (f *Fleet) flushPending(r *replica) bool {
 	if r.pending == nil {
 		return true
@@ -445,57 +440,21 @@ func (f *Fleet) ship(seq, epoch uint64, payload []byte) []byte {
 	return f.frame
 }
 
-// replicate ships r's un-acked log suffix — under stop-and-wait, exactly the
-// log's last record — to its backup as a real encoded frame and waits for the
-// ack. The sequence advances only on acknowledgement, so a retransmission
-// cuts the same bytes under the same number. Returns the simulated cost and
-// whether the op committed. A shard currently running without a backup
-// (recruitment found no live node) degrades to primary-only: the op commits
-// locally, like the paper's degraded mode.
+// replicate ships every link its missing log suffix as a real encoded frame
+// and reports commit (replica.committed): the operation commits once any peer
+// acks, under the primary's epoch, holding the full log. A link advances only
+// on such an ack, so a retransmission cuts the same bytes under the same
+// sequence; and the log is the authority, so the same path serves fresh
+// operations and head-of-line retransmissions. Returns the simulated cost and
+// whether the op committed. A shard running with no peer at all (recruitment
+// found no live node) degrades to primary-only: the op commits locally, like
+// the paper's degraded mode.
 func (f *Fleet) replicate(r *replica) (time.Duration, bool) {
-	if f.cfg.Backend == BackendQuorum {
-		return f.replicateQuorum(r)
-	}
-	bak := r.peer
-	if bak == nil {
-		return f.cfg.OpCost, true
-	}
-	b := f.ship(r.seq+1, r.epoch, r.suffixFrom(r.logged-1))
-	if f.cfg.Fault == FaultFrameDrop && f.strike() {
-		f.counters.FramesDropped++
-		return f.cfg.AckTimeout, false
-	}
-	ack, _ := bak.deliverFrame(f, b)
-	if ack == nil {
-		// Epoch-gated or gap: the backup stayed silent; primary times out.
-		return f.cfg.AckTimeout, false
-	}
-	if f.cfg.Fault == FaultAckDrop && f.strike() {
-		f.counters.AcksDropped++
-		return f.cfg.AckTimeout, false
-	}
-	epoch, seq, err := wire.DecodeAck(ack)
-	if err != nil || epoch != r.epoch || seq != r.seq+1 {
-		return f.cfg.AckTimeout, false
-	}
-	r.seq = seq
-	return 2 * f.cfg.RepDelay, true
-}
-
-// replicateQuorum ships every link its missing log suffix and reports commit
-// under the 2-of-3 rule: the operation commits once any peer acks holding the
-// full log (the primary is the second copy). The log is the authority, so
-// the same path serves fresh operations and head-of-line retransmissions.
-// With no links at all the shard is fully degraded and commits locally, like
-// the pair's degraded mode.
-func (f *Fleet) replicateQuorum(r *replica) (time.Duration, bool) {
 	if len(r.links) == 0 {
 		return f.cfg.OpCost, true
 	}
-	acked := 0
 	for _, ln := range r.links {
 		if ln.recs >= r.logged {
-			acked++
 			continue
 		}
 		b := f.ship(uint64(ln.recs), r.epoch, r.suffixFrom(ln.recs))
@@ -503,9 +462,9 @@ func (f *Fleet) replicateQuorum(r *replica) (time.Duration, bool) {
 			f.counters.FramesDropped++
 			continue
 		}
-		ack, _ := ln.rep.deliverQuorumFrame(f, b)
+		ack, _ := ln.rep.deliver(f, b)
 		if ack == nil {
-			continue
+			continue // epoch-gated, gap or mangled: the peer stayed silent
 		}
 		if f.cfg.Fault == FaultAckDrop && f.strike() {
 			f.counters.AcksDropped++
@@ -518,11 +477,8 @@ func (f *Fleet) replicateQuorum(r *replica) (time.Duration, bool) {
 		if int(held) > ln.recs {
 			ln.recs = int(held)
 		}
-		if ln.recs >= r.logged {
-			acked++
-		}
 	}
-	if acked == 0 {
+	if !r.committed() {
 		return f.cfg.AckTimeout, false
 	}
 	return 2 * f.cfg.RepDelay, true
@@ -560,9 +516,7 @@ func (f *Fleet) Kill(name string) ([]viewsvc.ShardChange, error) {
 	for _, ch := range changes {
 		f.reseat(ch, name, now)
 	}
-	if f.cfg.Backend == BackendQuorum {
-		f.rewitness(name)
-	}
+	f.rewitness(name)
 	return changes, nil
 }
 
@@ -578,8 +532,8 @@ func (f *Fleet) rewitness(dead string) {
 		}
 		delete(n.replicas, shard)
 		v := f.dir.Shard(shard)
-		pri := f.nodes[v.Primary].replicas[shard]
-		setLinks(pri, pri.peer, f.recruitWitness(pri, pri.epoch))
+		pri := f.seated(v.Primary, shard)
+		setLinks(pri, f.seated(v.Backup, shard), f.recruitWitness(pri, pri.epoch))
 	}
 }
 
@@ -587,18 +541,13 @@ func (f *Fleet) rewitness(dead string) {
 func (f *Fleet) reseat(ch viewsvc.ShardChange, dead string, now time.Time) {
 	shard := ch.Shard
 	delete(f.nodes[dead].replicas, shard)
-	quorum := f.cfg.Backend == BackendQuorum
-	var wit *replica
-	var witNode string
-	if quorum {
-		wit, witNode = f.findWitness(shard)
-	}
+	wit, witNode := f.findWitness(shard)
 	var pri *replica
 	if ch.Old.Primary == dead {
 		// The backup promotes: acquire the exactly-once license for the new
 		// epoch, then replay the shipped log into live state. The shard is
 		// unavailable while the replay runs.
-		pri = f.nodes[ch.Old.Backup].replicas[shard]
+		pri = f.seated(ch.Old.Backup, shard)
 		if pri == nil {
 			panic(fmt.Sprintf("fleet: shard %d backup %s has no replica", shard, ch.Old.Backup))
 		}
@@ -618,49 +567,41 @@ func (f *Fleet) reseat(ch viewsvc.ShardChange, dead string, now time.Time) {
 		f.counters.Promotions++
 	} else {
 		// The backup died; the primary keeps serving under the new epoch.
-		pri = f.nodes[ch.Old.Primary].replicas[shard]
+		pri = f.seated(ch.Old.Primary, shard)
 		if pri == nil {
 			panic(fmt.Sprintf("fleet: shard %d primary %s has no replica", shard, ch.Old.Primary))
 		}
 		pri.epoch = ch.New.Num
-		pri.seq = 0
 	}
-	pri.peer = nil
 	var bak *replica
 	if ch.New.Backup != "" {
-		if quorum && witNode == ch.New.Backup {
+		if witNode == ch.New.Backup {
 			// The directory seated the backup chair on the witness's node:
 			// the witness converts in place — it already holds a log prefix,
 			// so the link repairs it by suffix instead of a snapshot.
 			wit.role = roleBackup
-			bak = wit
-			wit, witNode = nil, ""
+			bak, wit = wit, nil
 		} else {
 			// Recruit by state transfer: the new backup receives a snapshot
-			// of the primary's full log (its replay-equivalent state) and
-			// starts its gate fresh under the new epoch.
+			// of the primary's full log (its replay-equivalent state).
 			bak = newReplica(shard, ch.New.Num, roleBackup)
 			bak.log = append(bak.log, pri.log...)
 			bak.logged = pri.logged
 			f.nodes[ch.New.Backup].replicas[shard] = bak
 			f.counters.Transfers++
 		}
-		bak.peer = pri
-		pri.peer = bak
 	}
-	if quorum {
-		if wit == nil {
-			wit = f.recruitWitness(pri, ch.New.Num)
-		}
-		setLinks(pri, bak, wit)
+	if wit == nil {
+		wit = f.recruitWitness(pri, ch.New.Num)
 	}
+	setLinks(pri, bak, wit)
 	// The snapshot transfer (or, with no recruit, the degraded local-only
 	// mode) leaves every logged record replicated as far as the new
 	// configuration replicates anything — including a head-of-line record
-	// whose ack the old configuration lost. Retransmitting it would log it
-	// twice on a recruit that already holds the snapshot; mark it committed
-	// instead.
-	if pri.pending != nil {
+	// whose ack the old configuration lost: its link starts level, so there
+	// is nothing to retransmit and the transfer itself is the commit. (Only a
+	// shard left with nothing but a lagging survivor keeps its pending.)
+	if pri.pending != nil && pri.committed() {
 		pri.pending.committed = true
 		pri.pending = nil
 	}
@@ -671,42 +612,40 @@ func (f *Fleet) reseat(ch viewsvc.ShardChange, dead string, now time.Time) {
 // that missed its own death. The backup's epoch gate must reject it; the
 // return value reports whether anything was logged (it must never be).
 func (f *Fleet) InjectStaleFrame(shard int, staleEpoch uint64) bool {
-	v := f.dir.Shard(shard)
-	if v.Backup == "" {
-		return false
-	}
-	bak := f.nodes[v.Backup].replicas[shard]
+	bak := f.seated(f.dir.Shard(shard).Backup, shard)
 	if bak == nil || bak.role != roleBackup {
 		return false
 	}
 	payload := wire.AppendClientOp(nil, &wire.ClientOp{Client: ^uint64(0), Req: 1, Tenant: uint64(shard), Op: wire.OpSet, Arg: -1, Result: -1})
-	if f.cfg.Backend == BackendQuorum {
-		_, logged := bak.deliverQuorumFrame(f, f.ship(uint64(bak.logged), staleEpoch, payload))
-		return logged
-	}
-	_, logged := bak.deliverFrame(f, f.ship(bak.gate.Last()+1, staleEpoch, payload))
+	_, logged := bak.deliver(f, f.ship(uint64(bak.logged), staleEpoch, payload))
 	return logged
 }
 
 // TenantValue reads tenant's committed value from its shard's current
 // primary (0 if never written).
 func (f *Fleet) TenantValue(tenant uint64) int64 {
-	v := f.dir.Shard(f.ShardOf(tenant))
-	r := f.nodes[v.Primary].replicas[f.ShardOf(tenant)]
+	shard := f.ShardOf(tenant)
+	r := f.seated(f.dir.Shard(shard).Primary, shard)
 	if r == nil {
 		return 0
 	}
 	return r.state[tenant]
 }
 
+// seated returns node's replica of shard; nil for an empty seat ("") or a
+// node that holds none.
+func (f *Fleet) seated(node string, shard int) *replica {
+	if n := f.nodes[node]; n != nil {
+		return n.replicas[shard]
+	}
+	return nil
+}
+
 // shardPrimaries returns shard -> current primary replica, shard-ordered.
 func (f *Fleet) shardPrimaries() []*replica {
 	out := make([]*replica, f.cfg.Shards)
 	for i := range out {
-		v := f.dir.Shard(i)
-		if n := f.nodes[v.Primary]; n != nil {
-			out[i] = n.replicas[i]
-		}
+		out[i] = f.seated(f.dir.Shard(i).Primary, i)
 	}
 	return out
 }
@@ -728,6 +667,6 @@ func sortedTenants(m map[uint64]int64) []uint64 {
 	for t := range m {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

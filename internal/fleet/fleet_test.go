@@ -144,8 +144,8 @@ func TestFailoverDedupFromReplayedLog(t *testing.T) {
 
 // TestAckDropRetransmitsSameSeq: a lost ack leaves the op logged on the
 // backup but uncommitted on the primary; the retry retransmits under the
-// same stop-and-wait sequence, classifies as a duplicate at the SeqGate, and
-// commits without a second log entry or execution.
+// same sequence, the backup — which holds the record — re-acks it, and the
+// op commits without a second log entry or execution.
 func TestAckDropRetransmitsSameSeq(t *testing.T) {
 	f, _ := newTestFleet(t, Config{Fault: FaultAckDrop, FaultEvery: 1})
 	req := &wire.Request{Client: 5, Req: 1, Tenant: 1, Op: wire.OpSet, Arg: 77}

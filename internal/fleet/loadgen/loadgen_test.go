@@ -134,8 +134,8 @@ func TestFaultsStillAtMostOnce(t *testing.T) {
 }
 
 // TestScaleSmoke: a hundred-thousand-client run completes in bounded wall
-// time on the virtual clock. (The full million-client run lives in
-// cmd/ftvm-fleet, whose output is committed as BENCH_PR7.json.)
+// time on the virtual clock. (The full million-client run is cmd/ftvm-fleet's
+// default; the spine's fleet-kill workload is the same shape at 100k.)
 func TestScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke skipped in -short")

@@ -19,10 +19,10 @@ const (
 	roleWitness
 )
 
-// peerLink is the primary's shipping state toward one log-holding peer. The
-// quorum link speaks record high-water marks rather than per-frame
-// stop-and-wait: each frame's Seq is the absolute index of its first record,
-// the peer appends only the tail beyond what it holds, and the ack's
+// peerLink is the primary's shipping state toward one log-holding peer — the
+// backup, and under BackendQuorum the witness too. The link speaks record
+// high-water marks: each frame's Seq is the absolute index of its first
+// record, the peer appends only the tail beyond what it holds, and the ack's
 // sequence field carries the records now held — so a retransmission after a
 // lost ack advances the link instead of desyncing it, and a lagging peer is
 // repaired by one catch-up frame carrying its missing suffix.
@@ -42,43 +42,40 @@ type dedupEntry struct {
 }
 
 // replica is one copy of one shard. A primary holds live tenant state and the
-// dedup table; a backup holds only the encoded log (plus the SeqGate guarding
-// the channel) and materialises state exclusively by replay at promotion —
-// the same division of labour as the full VM pair, where the backup consumes
-// the log without executing until takeover.
+// dedup table; a backup or witness holds only the encoded log and
+// materialises state exclusively by replay at promotion — the same division
+// of labour as the full VM pair, where the backup consumes the log without
+// executing until takeover.
 type replica struct {
 	shard int
 	role  role
 	epoch uint64
-	peer  *replica // nil while the shard runs degraded without a backup
 
 	// Primary side.
-	seq   uint64 // last acknowledged stop-and-wait sequence (pair backend)
 	state map[uint64]int64
 	dedup map[uint64]*dedupEntry
-	// links are the quorum backend's per-peer shipping channels (backup
-	// first, then witness; empty in pair mode and when fully degraded).
+	// links are the shipping channels to the shard's log-holding peers
+	// (backup first, then witness; empty while the shard runs degraded).
 	links []*peerLink
-	// recOffsets[i] is record i's byte offset in log, kept so the un-acked
-	// suffix — the pair's pending record, a lagging quorum link's missing
-	// tail — is cut from the log instead of being encoded a second time.
+	// recOffsets[i] is record i's byte offset in log, kept so a link's
+	// un-acked suffix is cut from the log instead of being encoded a second
+	// time.
 	recOffsets []int
-	// pending is the shard's head-of-line executed-and-logged-but-unacked
-	// entry. Stop-and-wait admits at most one: a fresh operation must flush
-	// it (retransmit until acked) before executing, or the shard stalls —
-	// so nothing is logged behind it and it is always the log's last record.
-	// Without this ordering barrier the backup's log could omit an op whose
-	// effect is already baked into later logged results — replay would
+	// pending is the shard's head-of-line executed-and-logged-but-uncommitted
+	// entry. At most one exists: a fresh operation must flush it (retransmit
+	// until some peer acks the whole log) before executing, or the shard
+	// stalls — so nothing is logged behind it and it is always the log's last
+	// record. Without this ordering barrier a peer's log could omit an op
+	// whose effect is already baked into later logged results — replay would
 	// diverge from the state the primary actually served.
 	pending     *dedupEntry
 	availableAt time.Time // promotion replay completes at this instant
 
 	// Both sides: the encoded ClientOp log. On the primary it is the
-	// snapshot shipped to a recruit; on the backup it is the authority the
+	// snapshot shipped to a recruit; on a peer it is the authority the
 	// promotion replays.
 	log    []byte
 	logged int
-	gate   wire.SeqGate
 }
 
 func newReplica(shard int, epoch uint64, r role) *replica {
@@ -117,9 +114,19 @@ func replayLog(log []byte, visit func(i, off int, op *wire.ClientOp) error) erro
 	return nil
 }
 
-// suffixFrom returns the encoded records from index rec onward: the pair's
-// pending record (rec = logged-1), or the catch-up payload for a quorum link
-// whose peer last acked holding rec records.
+// committed is the commit rule: some peer holds the whole log (the primary is
+// the other copy), or no peer is seated and the shard runs degraded.
+func (r *replica) committed() bool {
+	for _, ln := range r.links {
+		if ln.recs >= r.logged {
+			return true
+		}
+	}
+	return len(r.links) == 0
+}
+
+// suffixFrom returns the encoded records from index rec onward: what a link
+// whose peer last acked holding rec records is missing.
 func (r *replica) suffixFrom(rec int) []byte {
 	if rec >= r.logged {
 		return nil
@@ -127,53 +134,21 @@ func (r *replica) suffixFrom(rec int) []byte {
 	return r.log[r.recOffsets[rec]:]
 }
 
-// deliverFrame is the backup's receive path: take the shared admission
-// verdict (wire.SeqGate.AdmitFrame — the same policy the VM pair's backup
-// runs), log fresh records, and ack. A frame from another epoch is dropped
-// without an ack — the silence that starves a deposed primary's output
-// commit — and so is anything the channel mangled or lost a frame before:
-// the sender retransmits or the directory reseats. Returns the ack bytes (nil
-// for silence) and whether anything was appended to the log.
-func (r *replica) deliverFrame(f *Fleet, b []byte) (ack []byte, logged bool) {
-	before := r.gate
-	frame, verdict := r.gate.AdmitFrame(b, r.epoch)
-	switch verdict {
-	case wire.StaleEpoch, wire.FutureEpoch:
-		f.counters.StaleFrames++
-		return nil, false
-	case wire.Corrupt, wire.Gap:
-		return nil, false
-	case wire.Duplicate:
-		// Already logged (the ack was lost): re-ack without re-logging.
-		if frame.AckWanted {
-			return wire.EncodeAck(r.epoch, r.gate.Last()), false
-		}
-		return nil, false
-	}
-	n, err := wire.Count(frame.Payload)
-	if err != nil {
-		// A mangled payload in a sound envelope is Corrupt all the same:
-		// un-admit it, or the retransmission would be acked as a Duplicate.
-		r.gate = before
-		return nil, false
-	}
-	r.log = append(r.log, frame.Payload...)
-	r.logged += n
-	if frame.AckWanted {
-		return wire.EncodeAck(r.epoch, frame.Seq), true
-	}
-	return nil, true
-}
-
-// deliverQuorumFrame is the quorum peer's receive path: gate on the epoch,
-// then treat frame.Seq as the absolute index of the payload's first record
-// and append only the bytes of the records beyond the log's high-water mark —
-// the payload is a slice of the primary's log, so the peer's stays a byte
-// prefix of it with nothing decoded or re-encoded. Acks carry the record count
-// now held. A frame starting past the high-water mark is a gap a correct
-// primary never produces; it is dropped in silence, as is a payload that does
-// not walk as ClientOp records.
-func (r *replica) deliverQuorumFrame(f *Fleet, b []byte) (ack []byte, logged bool) {
+// deliver is a peer's receive path, the only one: decode the envelope, gate
+// on the epoch — a frame from another configuration is dropped without an
+// ack, the silence that starves a deposed primary's output commit — then
+// treat frame.Seq as the absolute index of the payload's first record and
+// append only the bytes of the records beyond the log's high-water mark. The
+// payload is a slice of the primary's log, so the peer's stays a byte prefix
+// of it with nothing decoded or re-encoded, and a retransmission of records
+// already held (its ack was lost) is re-acked, not re-logged. Acks carry the
+// record count now held. A frame starting past the high-water mark is a gap a
+// correct primary never produces; it is dropped in silence, as is anything
+// the channel mangled — an envelope that does not decode, a payload that does
+// not walk as ClientOp records — and the sender retransmits or the directory
+// reseats. Returns the ack bytes (nil for silence) and whether anything was
+// appended to the log.
+func (r *replica) deliver(f *Fleet, b []byte) (ack []byte, logged bool) {
 	frame, err := wire.DecodeFrame(b)
 	if err != nil {
 		return nil, false
@@ -210,18 +185,16 @@ func (r *replica) deliverQuorumFrame(f *Fleet, b []byte) (ack []byte, logged boo
 // whole log through the same apply + dedup path the live primary uses, so
 // tenant state and the at-most-once table come back exactly as the old
 // primary would have them for every committed operation. Replay tolerates
-// duplicate (client, req) records (none arise under stop-and-wait, but the
-// guard is the protocol, not the transport).
+// duplicate (client, req) records (none arise while a peer appends only past
+// its high-water mark, but the guard is the protocol, not the transport).
 func (r *replica) promote(epoch uint64) {
 	if r.role != roleBackup {
 		panic(fmt.Sprintf("fleet: promoting a non-backup replica of shard %d", r.shard))
 	}
 	r.role = rolePrimary
 	r.epoch = epoch
-	r.seq = 0
 	r.pending = nil
 	r.links = nil
-	r.gate = wire.SeqGate{}
 	r.state = make(map[uint64]int64)
 	r.dedup = make(map[uint64]*dedupEntry)
 	r.recOffsets = r.recOffsets[:0] // a backup's log has none; a primary ships by them

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,8 +44,8 @@ func TestFreshSubmitAllocBudget(t *testing.T) {
 // TestRetransmitShipsTheSameBytes: the pending record is the log's last, so a
 // retransmission after a lost ack is cut from the same log bytes under the
 // same sequence and epoch — the frame on the wire is byte-identical to the
-// first transmission, which is what lets the backup's gate call it a
-// Duplicate.
+// first transmission, and the backup, which already holds the record,
+// re-acks it without logging it again.
 func TestRetransmitShipsTheSameBytes(t *testing.T) {
 	f, _ := newTestFleet(t, Config{Shards: 1, Fault: FaultAckDrop, FaultEvery: 2})
 	mustOK(t, f.Submit(&wire.Request{Client: 1, Req: 1, Tenant: 0, Op: wire.OpSet, Arg: 40})) // attempt 1: clean
@@ -63,8 +64,9 @@ func TestRetransmitShipsTheSameBytes(t *testing.T) {
 	if !bytes.Equal(f.frame, first) {
 		t.Fatalf("retransmission shipped %x, first transmission %x", f.frame, first)
 	}
-	if c := f.Counters(); c.Executed != 2 || c.Resent != 1 || c.AcksDropped != 1 || pri.peer.logged != 2 {
-		t.Fatalf("counters %+v, backup holds %d records; want 2 executed, 1 resent, 1 ack dropped, 2 held", c, pri.peer.logged)
+	bak := pri.links[0].rep
+	if c := f.Counters(); c.Executed != 2 || c.Resent != 1 || c.AcksDropped != 1 || bak.logged != 2 {
+		t.Fatalf("counters %+v, backup holds %d records; want 2 executed, 1 resent, 1 ack dropped, 2 held", c, bak.logged)
 	}
 	if err := f.Verify([]Observation{{1, 1, 40}, {2, 1, 42}}); err != nil {
 		t.Fatal(err)
@@ -138,50 +140,102 @@ func TestHostileRequests(t *testing.T) {
 }
 
 // TestHostileFramesMetWithSilence: frames are the other input a replica
-// parses. A sound envelope around a payload that does not walk as records is
-// Corrupt like a mangled envelope — nothing logged, nothing acked, and the gate
-// not advanced, so the honest retransmission of that sequence is still Fresh.
-// A quorum peer is as deaf to a payload of the wrong record type, and appends
-// exactly the byte tail past its high-water mark of an overlapping one.
+// parses (TestDeliverAdmission is the verdict table). Here they strike a live
+// shard's backup between two operations, under either backend: each is met
+// with silence, nothing reaches the log, and the shard goes on committing
+// through the very peer that was attacked.
 func TestHostileFramesMetWithSilence(t *testing.T) {
-	const epoch = 3
-	frame := func(seq uint64, payload []byte) []byte {
-		return wire.AppendFrame(nil, &wire.Frame{Seq: seq, Epoch: epoch, AckWanted: true, Payload: payload})
-	}
-	op := func(req uint64) []byte {
-		return wire.AppendClientOp(nil, &wire.ClientOp{Client: 1, Req: req, Tenant: 7, Op: wire.OpAdd, Arg: 1, Result: int64(req)})
-	}
-	var foreign wire.Buffer
-	if err := foreign.Append(&wire.Heartbeat{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	cut := op(1)[:3]
-
-	f := &Fleet{}
-	bak := newReplica(0, epoch, roleBackup)
-	if ack, logged := bak.deliverFrame(f, frame(1, cut)); ack != nil || logged || bak.logged != 0 || len(bak.log) != 0 {
-		t.Fatalf("truncated payload: ack %x, logged %v, %d records held", ack, logged, bak.logged)
-	}
-	ack, logged := bak.deliverFrame(f, frame(1, op(1)))
-	if _, seq, err := wire.DecodeAck(ack); err != nil || seq != 1 || !logged || bak.logged != 1 {
-		t.Fatalf("retransmission after a corrupt payload: ack %x (%v), logged %v; want it Fresh and acked", ack, err, logged)
-	}
-
-	peer := newReplica(0, epoch, roleWitness)
-	for _, bad := range [][]byte{cut, foreign.Bytes(), append(op(1), foreign.Bytes()...)} {
-		if ack, logged := peer.deliverQuorumFrame(f, frame(0, bad)); ack != nil || logged || peer.logged != 0 {
-			t.Fatalf("quorum payload %x: ack %x, logged %v, %d records held", bad, ack, logged, peer.logged)
+	for _, backend := range Backends {
+		f, _ := newTestFleet(t, Config{Backend: backend, Shards: 1})
+		mustOK(t, f.Submit(&wire.Request{Client: 1, Req: 1, Tenant: 0, Op: wire.OpSet, Arg: 5}))
+		pri := f.shardPrimaries()[0]
+		bak := pri.links[0].rep
+		op := wire.AppendClientOp(nil, &wire.ClientOp{Client: 9, Req: 9, Tenant: 0, Op: wire.OpSet, Arg: -1, Result: -1})
+		var foreign wire.Buffer
+		if err := foreign.Append(&wire.Heartbeat{Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+		held := append([]byte(nil), bak.log...)
+		frame := func(first, epoch uint64, payload []byte) []byte {
+			return wire.AppendFrame(nil, &wire.Frame{Seq: first, Epoch: epoch, AckWanted: true, Payload: payload})
+		}
+		for name, msg := range map[string][]byte{
+			"a cut envelope":            frame(1, pri.epoch, op)[:4],
+			"a cut record":              frame(1, pri.epoch, op[:3]),
+			"a foreign record":          frame(1, pri.epoch, foreign.Bytes()),
+			"a record past the log end": frame(2, pri.epoch, op),
+			"another epoch's record":    frame(1, pri.epoch+1, op),
+		} {
+			if ack, logged := bak.deliver(f, msg); ack != nil || logged || !bytes.Equal(bak.log, held) {
+				t.Fatalf("%s, %s: ack %x, logged %v, log %x (was %x)", backend, name, ack, logged, bak.log, held)
+			}
+		}
+		if c := f.Counters(); c.StaleFrames != 1 {
+			t.Fatalf("%s: %d stale frames counted, want the one from another epoch", backend, c.StaleFrames)
+		}
+		if r := mustOK(t, f.Submit(&wire.Request{Client: 1, Req: 2, Tenant: 0, Op: wire.OpAdd, Arg: 2})); r.Value != 7 {
+			t.Fatalf("%s: add after the hostile frames = %d, want 7", backend, r.Value)
+		}
+		if bak.logged != 2 || pri.links[0].recs != 2 {
+			t.Fatalf("%s: backup holds %d records, link says %d; want 2 and 2", backend, bak.logged, pri.links[0].recs)
+		}
+		if err := f.Verify([]Observation{{1, 1, 5}, {1, 2, 7}}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	three := append(append(op(1), op(2)...), op(3)...)
-	peer.deliverQuorumFrame(f, frame(0, three[:len(op(1))+len(op(2))]))
-	ack, logged = peer.deliverQuorumFrame(f, frame(1, three[len(op(1)):])) // overlaps record 1, brings record 2
-	if _, held, err := wire.DecodeAck(ack); err != nil || held != 3 || !logged || !bytes.Equal(peer.log, three) {
-		t.Fatalf("overlapping catch-up: ack %x (%v), logged %v, log %x, want %x", ack, err, logged, peer.log, three)
+}
+
+// TestVerifyRejectsAPeerLogThatIsNotAPrefix: the prefix clause of Verify holds
+// for the pair's backup as it does for quorum peers — a backup whose log was
+// mangled behind the protocol's back fails the fleet, even though the
+// primary's own log and every observation still check out.
+func TestVerifyRejectsAPeerLogThatIsNotAPrefix(t *testing.T) {
+	for _, backend := range Backends {
+		f, _ := newTestFleet(t, Config{Backend: backend, Shards: 1})
+		mustOK(t, f.Submit(&wire.Request{Client: 1, Req: 1, Tenant: 0, Op: wire.OpSet, Arg: 5}))
+		obs := []Observation{{1, 1, 5}}
+		if err := f.Verify(obs); err != nil {
+			t.Fatal(err)
+		}
+		bak := f.shardPrimaries()[0].links[0].rep
+		bak.log[len(bak.log)-1] ^= 0x40
+		if err := f.Verify(obs); err == nil || !strings.Contains(err.Error(), "not a prefix") {
+			t.Fatalf("%s: Verify over a mangled backup log = %v, want the prefix clause to fail", backend, err)
+		}
+		bak.log[len(bak.log)-1] ^= 0x40
+		bak.log = append(bak.log, bak.log...) // longer than the primary's
+		if err := f.Verify(obs); err == nil {
+			t.Fatalf("%s: Verify passed a backup holding more than its primary", backend)
+		}
 	}
-	if ack, logged = peer.deliverQuorumFrame(f, frame(0, three)); logged || !bytes.Equal(peer.log, three) {
-		t.Fatalf("a frame of records already held re-logged: log %x", peer.log)
-	} else if _, held, _ := wire.DecodeAck(ack); held != 3 {
-		t.Fatalf("re-ack carries %d records held, want 3", held)
+}
+
+// TestLaggingSurvivorKeepsThePending: a reseat counts a head-of-line record
+// committed only if the new configuration holds it. Here every frame is lost,
+// then the backup dies on a three-node quorum fleet: the witness converts to
+// backup in place, it never saw the record, and no fresh recruit exists — so
+// the record stays pending until the retry ships it.
+func TestLaggingSurvivorKeepsThePending(t *testing.T) {
+	f, _ := quorumFleet(t, Config{Shards: 1, Nodes: []string{"n1", "n2", "n3"}, Fault: FaultFrameDrop, FaultEvery: 1})
+	req := &wire.Request{Client: 1, Req: 1, Tenant: 0, Op: wire.OpSet, Arg: 9}
+	if out := f.Submit(req); out.Reply != nil {
+		t.Fatalf("replied %+v with every frame dropped", out.Reply)
+	}
+	if _, err := f.Kill(f.Shard(0).Backup); err != nil {
+		t.Fatal(err)
+	}
+	pri := f.shardPrimaries()[0]
+	if pri.pending == nil || len(pri.links) != 1 || pri.links[0].rep.logged != 0 {
+		t.Fatalf("pending %v over %d links: a record no peer holds was called committed", pri.pending, len(pri.links))
+	}
+	f.cfg.Fault = FaultNone
+	if r := mustOK(t, f.Submit(req)); r.Value != 9 || pri.links[0].rep.logged != 1 {
+		t.Fatalf("retry = %d with %d records at the converted backup", r.Value, pri.links[0].rep.logged)
+	}
+	if c := f.Counters(); c.Executed != 1 || c.Resent != 1 {
+		t.Fatalf("counters %+v, want 1 executed and 1 resent", c)
+	}
+	if err := f.Verify([]Observation{{1, 1, 9}}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -25,8 +25,10 @@ type Observation struct {
 //  3. Every observed OK reply matches the logged result for its (client, req)
 //     — output commit held: nothing was answered that failover could lose,
 //     and retries never saw a second execution's differing result.
+//  4. Every live peer's log is a byte prefix of its primary's: a peer holds
+//     nothing the single writer did not ship it.
 //
-// Because the primary replies only after the backup acks the logged record,
+// Because the primary replies only after a peer acks the logged record,
 // every observation must appear in the surviving authority even when the
 // replica that produced it was killed immediately afterwards.
 func (f *Fleet) Verify(obs []Observation) error {
@@ -56,23 +58,21 @@ func (f *Fleet) Verify(obs []Observation) error {
 		if err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", shard, err)
 		}
-		// Quorum backend: every peer's log must be a byte prefix of the
-		// primary's — the single-writer append order means a peer that holds
-		// anything else was fed records outside the protocol.
-		if f.cfg.Backend == BackendQuorum {
-			for _, name := range f.order {
-				n := f.nodes[name]
-				if !n.Alive {
-					continue
-				}
-				r := n.replicas[shard]
-				if r == nil || r == pri {
-					continue
-				}
-				if len(r.log) > len(pri.log) || !bytes.Equal(r.log, pri.log[:len(r.log)]) {
-					return fmt.Errorf("fleet: shard %d peer on %s holds a log that is not a prefix of the primary's (%d vs %d bytes)",
-						shard, name, len(r.log), len(pri.log))
-				}
+		// Every live peer's log must be a byte prefix of the primary's — the
+		// single-writer append order means a peer that holds anything else
+		// was fed records outside the protocol.
+		for _, name := range f.order {
+			n := f.nodes[name]
+			if !n.Alive {
+				continue
+			}
+			r := n.replicas[shard]
+			if r == nil || r == pri {
+				continue
+			}
+			if len(r.log) > len(pri.log) || !bytes.Equal(r.log, pri.log[:len(r.log)]) {
+				return fmt.Errorf("fleet: shard %d peer on %s holds a log that is not a prefix of the primary's (%d vs %d bytes)",
+					shard, name, len(r.log), len(pri.log))
 			}
 		}
 		// The live state a primary serves must equal its log's replay.

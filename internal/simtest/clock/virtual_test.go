@@ -35,6 +35,10 @@ func TestVirtualEventOrdering(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	var done sync.WaitGroup
+	// Hold the clock while the actors launch: with only some of them spawned
+	// and all of those parked, the clock would rightly advance, and a sleeper
+	// launched late would start from a later instant.
+	v.Attach()
 	for _, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
 		d := d
 		done.Add(1)
@@ -46,6 +50,7 @@ func TestVirtualEventOrdering(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	v.Detach()
 	done.Wait()
 	got := strings.Join(order, " ")
 	want := "10ms@10ms 20ms@20ms 30ms@30ms"

@@ -18,6 +18,7 @@ import (
 // the run.
 //
 //	go run ./cmd/ftvm-sim -replay "seed=7,nodes=4,shards=8,clients=2000,ops=3,ka=2@300,kb=0@0,fault=ackdrop/13,inject=1"
+//	go run ./cmd/ftvm-sim -replay "seed=7,nodes=4,shards=8,clients=2000,ops=3,ka=2@300,kb=0@0,fault=framedrop/3,inject=0,backend=quorum"
 type FleetCombo struct {
 	Seed    uint64
 	Nodes   int
@@ -36,6 +37,10 @@ type FleetCombo struct {
 	// InjectStale probes a reseated shard with a deposed epoch's frame after
 	// the workload drains; the backup must drop it unlogged.
 	InjectStale bool
+	// Backend is the fleet's fleet.Config.Backend ("" = the pair default; the
+	// key spells it only when set, so every key written before it existed
+	// renders and replays unchanged).
+	Backend string
 }
 
 // Kind implements Scenario.
@@ -50,6 +55,7 @@ func (cb *FleetCombo) fields() []field {
 		two("ka", "@", &cb.Kill1Node, (*millis)(&cb.Kill1At)),
 		two("kb", "@", &cb.Kill2Node, (*millis)(&cb.Kill2At)),
 		two("fault", "/", &cb.Fault, &cb.FaultEvery), one("inject", &cb.InjectStale),
+		optional(one("backend", &cb.Backend)),
 	}
 }
 
@@ -96,7 +102,7 @@ func fleetCombos(c *SweepConfig) (out []Scenario) {
 // it denotes.
 func (cb *FleetCombo) fleetConfigs(clk clock.Clock) (fleet.Config, loadgen.Config) {
 	node := func(k int) string { return fmt.Sprintf("n%d", k) }
-	fcfg := fleet.Config{Clock: clk, Shards: cb.Shards, Fault: cb.Fault, FaultEvery: cb.FaultEvery}
+	fcfg := fleet.Config{Clock: clk, Shards: cb.Shards, Backend: cb.Backend, Fault: cb.Fault, FaultEvery: cb.FaultEvery}
 	for i := 1; i <= cb.Nodes; i++ {
 		fcfg.Nodes = append(fcfg.Nodes, node(i))
 	}

@@ -179,6 +179,24 @@ var fleetReplaySeeds = []struct{ class, key string }{
 		class: "scale-sampled-verify",
 		key:   "seed=5,nodes=5,shards=16,clients=10000,ops=2,ka=2@400,kb=0@0,fault=none/0,inject=0",
 	},
+	{
+		// Quorum seating on three nodes: every node already holds every
+		// shard, so each of the four reseats the kill causes (two promotions,
+		// two backup deaths) seats the backup chair on the witness's node —
+		// the witness converts in place and its link repairs it by suffix
+		// (transfers=0 in the trace: no snapshot was cut).
+		class: "quorum-witness-converts-in-place",
+		key:   "seed=3,nodes=3,shards=6,clients=600,ops=3,ka=2@250,kb=0@0,fault=none/0,inject=0,backend=quorum",
+	},
+	{
+		// Max-log promotion: every third frame is dropped, so a third of the
+		// operations commit through the witness alone; n4 dies holding two
+		// shards whose backups are one such operation behind. The promoted
+		// backups must adopt the witnesses' longer logs, or answered
+		// operations vanish from the authority and Verify fails.
+		class: "quorum-max-log-promotion",
+		key:   "seed=1,nodes=4,shards=8,clients=1000,ops=3,ka=4@300,kb=0@0,fault=framedrop/3,inject=0,backend=quorum",
+	},
 }
 
 // consensusReplaySeeds pins the consensus backend's historical failure

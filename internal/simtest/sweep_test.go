@@ -9,6 +9,7 @@ import (
 	"time"
 
 	ftvm "repro"
+	"repro/internal/fleet"
 	"repro/internal/fleet/loadgen"
 	"repro/internal/fuzzgen"
 )
@@ -214,18 +215,69 @@ func TestConsensusFollowerKillKeepsMajority(t *testing.T) {
 	}
 }
 
-// TestFleetSweepTraceGolden pins the sha256 of the trace file the default
-// `ftvm-sim -fleet -trace` writes (4 seeds, 1000 clients: 52 combos). Unlike
-// TestSweepTraceDeterminism, which compares a run with itself, this hash was
-// computed at the parent of the commit that added the test, so a change to
-// what the fleet does — a frame, a cost, a counter — fails here.
-func TestFleetSweepTraceGolden(t *testing.T) {
-	const want = "8b8cc1dba8c1a160774c9ec668aa1bd00b8b1f097d756c67a60b82ec129dbe3e"
-	res := RunSweep(SweepConfig{Kind: KindFleet, Seeds: seeds(1, 4), NetSeeds: []int64{1, 2}, Clients: 1000}, nil)
+// sweepTraceGolden runs the sweep `ftvm-sim -progs 4 -nets 2` runs for kind
+// and requires the trace file it would write to hash to want. Unlike
+// TestSweepTraceDeterminism, which compares a run with itself, each hash was
+// computed at the parent of the commit that added its test, so "byte-identical
+// traces" across a commit is a test and not a sentence in CHANGES.md.
+func sweepTraceGolden(t *testing.T, kind Kind, lines int, want string) {
+	t.Helper()
+	res := RunSweep(SweepConfig{Kind: kind, Seeds: seeds(1, 4), NetSeeds: []int64{1, 2}, Clients: 1000}, nil)
 	got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(res.Trace, "\n")+"\n")))
-	if got != want || len(res.Failures) > 0 {
-		t.Fatalf("default fleet sweep: trace sha256 %s (%d combos, %d failures), want %s", got, res.Combos, len(res.Failures), want)
+	if got != want || len(res.Trace) != lines || len(res.Failures) > 0 {
+		t.Fatalf("default %s sweep: trace sha256 %s (%d lines, %d failures), want %s (%d lines)",
+			kind, got, len(res.Trace), len(res.Failures), want, lines)
 	}
+}
+
+// TestFleetSweepTraceGolden pins the trace file the default `ftvm-sim -fleet
+// -trace` writes (4 seeds, 1000 clients: 52 combos): a change to what the
+// fleet does — a frame, a cost, a counter — fails here.
+func TestFleetSweepTraceGolden(t *testing.T) {
+	sweepTraceGolden(t, KindFleet, 52, "8b8cc1dba8c1a160774c9ec668aa1bd00b8b1f097d756c67a60b82ec129dbe3e")
+}
+
+// TestFleetQuorumSweep runs the default fleet schedule space — kill × fault ×
+// inject, 52 combos — with every shard seating a witness (backend=quorum in
+// the key): witness placement, in-place conversion, max-log promotion and
+// per-link catch-up under the same model check as the pair, and run-to-run
+// identical.
+func TestFleetQuorumSweep(t *testing.T) {
+	cfg := SweepConfig{Kind: KindFleet, Seeds: seeds(1, 4), Clients: 1000}
+	run := func() (trace []string) {
+		for _, sc := range cfg.Scenarios() {
+			sc.(*FleetCombo).Backend = fleet.BackendQuorum
+			out := Run(sc)
+			if out.Failed() {
+				t.Errorf("combo failed: %s\nreplay: %s", out.TraceLine(), out.ReplayCommand())
+			}
+			trace = append(trace, out.TraceLine())
+		}
+		return trace
+	}
+	first, second := run(), run()
+	if len(first) != 52 || !strings.Contains(first[0], ",backend=quorum -> ") {
+		t.Fatalf("%d combos, first %q; want 52 quorum keys", len(first), first[0])
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("trace line %d differs between two runs:\n  %s\n  %s", i, first[i], second[i])
+		}
+	}
+}
+
+// TestPairSweepTraceGolden pins the default `ftvm-sim -trace` sweep: record
+// counts, verdicts and simulated timestamps of 216 pair schedules.
+func TestPairSweepTraceGolden(t *testing.T) {
+	sweepTraceGolden(t, KindPair, 216, "156a892a592ec5bcdc828c24e0310f4205b858ea4fe1a8f05189c9531c0d6bb1")
+}
+
+// TestViewSweepTraceGolden pins the default `ftvm-sim -view -trace` sweep (528
+// three-node schedules): the hash was taken while the single-view service,
+// since deleted, seated the cluster, so it is the proof that a one-shard
+// directory issues the same epochs and recruits in the same order.
+func TestViewSweepTraceGolden(t *testing.T) {
+	sweepTraceGolden(t, KindView, 528, "2015455ea52960db63b95afe5271accdf99a3297a1f7444efcf7783b9d957621")
 }
 
 // TestFleetTracePinsTheRun: a clean fleet combo's trace line carries the

@@ -18,10 +18,10 @@ import (
 )
 
 // ViewCombo is one point of the three-node sweep: a generated program, a
-// mode, and a two-stage fault schedule. A view service forms {n1 primary, n2
-// backup, n3 idle}; killing n1 promotes n2, which recruits n3 through a
-// snapshot + live-tail state transfer under the next epoch; killing n2
-// mid-transfer or mid-tail leaves n3 to run the final recovery alone.
+// mode, and a two-stage fault schedule. A one-shard view directory forms {n1
+// primary, n2 backup, n3 idle}; killing n1 promotes n2, which recruits n3
+// through a snapshot + live-tail state transfer under the next epoch; killing
+// n2 mid-transfer or mid-tail leaves n3 to run the final recovery alone.
 // Surviving the whole schedule with reference-identical output is the n−1
 // sequential-failure claim of the view-change design.
 //
@@ -154,8 +154,8 @@ type ViewClusterResult struct {
 	// VirtualElapsed is total simulated time across all phases.
 	VirtualElapsed time.Duration
 
-	// svc is retained for in-package tests that poke at the view service.
-	svc *viewsvc.Service
+	// dir is retained for in-package tests that poke at the view directory.
+	dir *viewsvc.ShardDirectory
 }
 
 // RunViewCluster plays the combo's three-node schedule over prog to completion
@@ -173,20 +173,21 @@ func RunViewCluster(cb ViewCombo, prog *ftvm.Program) (*ViewClusterResult, error
 
 func runViewCluster(clk *clock.Virtual, cfg *clusterBase, cb *ViewCombo) (*ViewClusterResult, error) {
 	environ := env.New(cfg.EnvSeed)
-	svc := viewsvc.New(viewsvc.Config{Clock: clk})
-	svc.Join(nodeA)
-	svc.Join(nodeB)
-	svc.Join(nodeC)
-	view1, err := svc.Form()
+	dir := viewsvc.NewShardDirectory(viewsvc.Config{Clock: clk})
+	dir.Join(nodeA)
+	dir.Join(nodeB)
+	dir.Join(nodeC)
+	views, err := dir.Form(1) // one replica set: the directory's one shard
 	if err != nil {
 		return nil, err
 	}
-	res := &ViewClusterResult{svc: svc}
+	view1 := views[0]
+	res := &ViewClusterResult{dir: dir}
 	t0 := clk.Now()
 	finish := func() (*ViewClusterResult, error) {
 		res.VirtualElapsed = clk.Since(t0)
 		res.Console = environ.Console().Lines()
-		res.FinalView = svc.View()
+		res.FinalView = dir.Shard(0)
 		return res, nil
 	}
 
@@ -209,14 +210,14 @@ func runViewCluster(clk *clock.Virtual, cfg *clusterBase, cb *ViewCombo) (*ViewC
 
 	// ---- View change: n2 reports the failure and acquires the promotion
 	// before any of its outputs may count as committed in view 2. ----
-	view2, err := svc.ReportFailure(nodeB, nodeA)
-	if err != nil {
+	if _, err := dir.ReportFailure(nodeB, nodeA); err != nil {
 		return res, fmt.Errorf("report n1 failure: %w", err)
 	}
+	view2 := dir.Shard(0)
 	if view2.Primary != nodeB || view2.Backup != nodeC {
 		return res, fmt.Errorf("view after n1 death = %+v, want {n2, n3}", view2)
 	}
-	if err := svc.AcquirePromotion(nodeB, view2.Num); err != nil {
+	if err := dir.AcquirePromotion(nodeB, 0, view2.Num); err != nil {
 		return res, fmt.Errorf("n2 promotion: %w", err)
 	}
 	res.Promoted = true
@@ -320,14 +321,14 @@ func runViewCluster(clk *clock.Virtual, cfg *clusterBase, cb *ViewCombo) (*ViewC
 	}
 
 	// ---- View 3: n3, holding snapshot + tail, recovers alone. ----
-	view3, err := svc.ReportFailure(nodeC, nodeB)
-	if err != nil {
+	if _, err := dir.ReportFailure(nodeC, nodeB); err != nil {
 		return res, fmt.Errorf("report n2 failure: %w", err)
 	}
+	view3 := dir.Shard(0)
 	if view3.Primary != nodeC {
 		return res, fmt.Errorf("view after n2 death = %+v, want n3 primary", view3)
 	}
-	if err := svc.AcquirePromotion(nodeC, view3.Num); err != nil {
+	if err := dir.AcquirePromotion(nodeC, 0, view3.Num); err != nil {
 		return res, fmt.Errorf("n3 promotion: %w", err)
 	}
 	res.SecondTakeover = true

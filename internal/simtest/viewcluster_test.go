@@ -155,13 +155,13 @@ func TestViewClusterDoubleTakeoverGuard(t *testing.T) {
 	if !res.Promoted || res.FinalView.Num != 2 {
 		t.Fatalf("promoted=%t view=%d, want a completed view-2 promotion", res.Promoted, res.FinalView.Num)
 	}
-	if err := res.svc.AcquirePromotion(nodeB, 2); !errors.Is(err, viewsvc.ErrAlreadyPromoted) {
+	if err := res.dir.AcquirePromotion(nodeB, 0, 2); !errors.Is(err, viewsvc.ErrAlreadyPromoted) {
 		t.Fatalf("second takeover of view 2: err = %v, want ErrAlreadyPromoted", err)
 	}
-	if err := res.svc.AcquirePromotion(nodeA, 2); !errors.Is(err, viewsvc.ErrDead) {
+	if err := res.dir.AcquirePromotion(nodeA, 0, 2); !errors.Is(err, viewsvc.ErrDead) {
 		t.Fatalf("deposed primary taking over: err = %v, want ErrDead", err)
 	}
-	if err := res.svc.AcquirePromotion(nodeC, 2); !errors.Is(err, viewsvc.ErrNotPrimary) {
+	if err := res.dir.AcquirePromotion(nodeC, 0, 2); !errors.Is(err, viewsvc.ErrNotPrimary) {
 		t.Fatalf("recruit taking over the primary's view: err = %v, want ErrNotPrimary", err)
 	}
 }

@@ -18,112 +18,46 @@ import (
 // seat stays reassigned. Only an explicit re-Join resurrects.
 func TestPingFromDeadNodeIgnored(t *testing.T) {
 	clk := clock.NewVirtual()
-	s := newSvc(t, clk, 50*time.Millisecond, "n1", "n2", "n3")
-	if _, err := s.Form(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReportFailure("n2", "n1"); err != nil {
-		t.Fatal(err)
-	}
-	wantView(t, s.View(), 2, "n2", "n3")
+	d := newSet(t, clk, 50*time.Millisecond, "n1", "n2", "n3")
+	formSet(t, d)
+	wantView(t, report(t, d, "n2", "n1"), 2, "n2", "n3")
 
 	// The deposed primary keeps pinging from the grave: neither the pings
 	// nor a detector pass after them may resurrect it or move the view.
 	for i := 0; i < 5; i++ {
-		s.Ping("n1")
+		d.Ping("n1")
 	}
-	wantView(t, s.Tick(), 2, "n2", "n3")
+	if chs := d.Tick(); len(chs) != 0 {
+		t.Fatalf("a dead node's pings moved the view: %+v", chs)
+	}
+	wantView(t, d.Shard(0), 2, "n2", "n3")
 
 	// A re-Join, by contrast, does resurrect: n1 returns as recruitable and
 	// takes the backup seat when n3 dies.
-	s.Join("n1")
-	if _, err := s.ReportFailure("n2", "n3"); err != nil {
-		t.Fatal(err)
-	}
-	wantView(t, s.View(), 3, "n2", "n1")
+	d.Join("n1")
+	wantView(t, report(t, d, "n2", "n3"), 3, "n2", "n1")
 }
 
 // TestReportFailureOnStaleView: a straggling report about a node that was
 // already reseated away must not advance the view again — the failure was
 // consumed by the first report, and re-reporting is idempotent.
 func TestReportFailureOnStaleView(t *testing.T) {
-	s := newSvc(t, clock.NewVirtual(), 0, "n1", "n2", "n3")
-	if _, err := s.Form(); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.ReportFailure("n2", "n1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantView(t, v, 2, "n2", "n3")
+	d := newSet(t, clock.NewVirtual(), 0, "n1", "n2", "n3")
+	formSet(t, d)
+	wantView(t, report(t, d, "n2", "n1"), 2, "n2", "n3")
 
 	// n3's late, independent report of the same death: view unchanged.
-	v, err = s.ReportFailure("n3", "n1")
-	if err != nil {
-		t.Fatal(err)
+	if chs, err := d.ReportFailure("n3", "n1"); err != nil || len(chs) != 0 {
+		t.Fatalf("second report of one death: %+v, %v; want no change", chs, err)
 	}
-	wantView(t, v, 2, "n2", "n3")
+	wantView(t, d.Shard(0), 2, "n2", "n3")
 
 	// The dead node itself reporting the new primary dead: rejected — a
 	// deposed node cannot vote its successor out.
-	if _, err := s.ReportFailure("n1", "n2"); !errors.Is(err, ErrDead) {
+	if _, err := d.ReportFailure("n1", "n2"); !errors.Is(err, ErrDead) {
 		t.Fatalf("dead reporter: err = %v, want ErrDead", err)
 	}
-	wantView(t, s.View(), 2, "n2", "n3")
-}
-
-// TestWaitViewWakeupOrdering: waiters parked on different view numbers wake
-// exactly when their number is reached, in deterministic order — the waiter
-// for view 2 wakes on the first reseat, the waiter for view 3 only on the
-// second, and a view jump wakes every waiter it satisfies.
-func TestWaitViewWakeupOrdering(t *testing.T) {
-	clk := clock.NewVirtual()
-	defer clk.Watchdog(30 * time.Second)()
-	s := newSvc(t, clk, 0, "n1", "n2", "n3", "n4")
-	if _, err := s.Form(); err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-	clk.Attach() // hold the clock while actors launch
-	for _, want := range []uint64{3, 2, 3, 2} {
-		want := want
-		wg.Add(1)
-		clk.Go(func() {
-			defer wg.Done()
-			v := s.WaitView(want)
-			mu.Lock()
-			order = append(order, fmt.Sprintf("want%d@%d", want, v.Num))
-			mu.Unlock()
-		})
-	}
-	clk.Go(func() {
-		clk.Sleep(10 * time.Millisecond)
-		_, _ = s.ReportFailure("n2", "n1") // view 2
-		clk.Sleep(10 * time.Millisecond)
-		_, _ = s.ReportFailure("n3", "n2") // view 3
-	})
-	clk.Detach()
-	wg.Wait()
-
-	// The two view-2 waiters woke at view 2 (before the second reseat ran at
-	// +20ms they had already resumed — virtual wakeups happen one at a time,
-	// and both record Num=2), the view-3 waiters at view 3; within a view the
-	// park order (registration order) is preserved by the waiter list.
-	want := []string{"want2@2", "want2@2", "want3@3", "want3@3"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("wakeup order = %v, want %v", order, want)
-		}
-	}
-
-	// Re-running the identical schedule reproduces the identical order.
-	// (Determinism of the wakeup path itself, not just the final views.)
+	wantView(t, d.Shard(0), 2, "n2", "n3")
 }
 
 // TestConcurrentAcquirePromotionThreeClaimants: three replicas race to claim
@@ -133,13 +67,9 @@ func TestWaitViewWakeupOrdering(t *testing.T) {
 func TestConcurrentAcquirePromotionThreeClaimants(t *testing.T) {
 	run := func() (winner string, errs map[string]error) {
 		clk := clock.NewVirtual()
-		s := newSvc(t, clk, 0, "n1", "n2", "n3", "n4")
-		if _, err := s.Form(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.ReportFailure("n2", "n1"); err != nil {
-			t.Fatal(err)
-		}
+		d := newSet(t, clk, 0, "n1", "n2", "n3", "n4")
+		formSet(t, d)
+		report(t, d, "n2", "n1")
 		// View 2: {n2, n3}. Claimants: n2 (rightful), n3 (backup), n4 (idle),
 		// plus a second n2 claim racing the first from another goroutine.
 		var mu sync.Mutex
@@ -161,7 +91,7 @@ func TestConcurrentAcquirePromotionThreeClaimants(t *testing.T) {
 			clk.Go(func() {
 				defer wg.Done()
 				clk.Sleep(claim.delay)
-				err := s.AcquirePromotion(claim.node, 2)
+				err := d.AcquirePromotion(claim.node, 0, 2)
 				mu.Lock()
 				errs[key] = err
 				if err == nil {

@@ -45,27 +45,27 @@ func (l *loop) Stop() {
 	<-l.done
 }
 
-// Pinger heartbeats one node's membership to the service on a fixed period —
-// the node-side half of ping-based failure detection. Stop it when the node
+// Pinger heartbeats one node's membership to the directory on a fixed period
+// — the node-side half of ping-based failure detection. Stop it when the node
 // dies (or to simulate its death).
 type Pinger struct{ l *loop }
 
-// NewPinger starts pinging s as name every period.
-func NewPinger(s *Service, name string, every time.Duration) *Pinger {
-	return &Pinger{l: startLoop(s.clk, every, func() { s.Ping(name) })}
+// NewPinger starts pinging d as name every period.
+func NewPinger(d *ShardDirectory, name string, every time.Duration) *Pinger {
+	return &Pinger{l: startLoop(d.clk, every, func() { d.Ping(name) })}
 }
 
-// Stop halts the pinger; the service will declare the node dead one
+// Stop halts the pinger; the directory will declare the node dead one
 // FailTimeout later.
 func (p *Pinger) Stop() { p.l.Stop() }
 
-// Watcher drives the service's failure detector periodically — the
-// service-side half. One Watcher per service suffices.
+// Watcher drives the directory's failure detector periodically — the
+// directory-side half. One Watcher per directory suffices.
 type Watcher struct{ l *loop }
 
-// NewWatcher ticks s every period.
-func NewWatcher(s *Service, every time.Duration) *Watcher {
-	return &Watcher{l: startLoop(s.clk, every, func() { s.Tick() })}
+// NewWatcher ticks d every period.
+func NewWatcher(d *ShardDirectory, every time.Duration) *Watcher {
+	return &Watcher{l: startLoop(d.clk, every, func() { d.Tick() })}
 }
 
 // Stop halts the watcher.

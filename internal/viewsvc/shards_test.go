@@ -18,13 +18,22 @@ func newDir(t *testing.T, timeout time.Duration, nodes ...string) (*ShardDirecto
 	return d, clk
 }
 
+// table reads the directory's n shard views.
+func table(d *ShardDirectory, n int) []View {
+	out := make([]View, n)
+	for i := range out {
+		out[i] = d.Shard(i)
+	}
+	return out
+}
+
 func TestFormShardsRoundRobin(t *testing.T) {
 	d, _ := newDir(t, 0, "n1", "n2", "n3")
 	views, err := d.Form(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(views) != 6 || d.NumShards() != 6 {
+	if len(views) != 6 || d.Shard(5) != views[5] || d.Shard(6) != (View{}) {
 		t.Fatalf("formed %d shards", len(views))
 	}
 	wantPri := []string{"n1", "n2", "n3", "n1", "n2", "n3"}
@@ -60,8 +69,8 @@ func TestNodeDeathReseatsEveryAffectedShard(t *testing.T) {
 	if _, err := d.Form(8); err != nil {
 		t.Fatal(err)
 	}
-	before := d.Shards()
-	epochBefore := d.Epoch()
+	before := table(d, 8)
+	epochBefore := uint64(8) // Form issued 1..8
 
 	changes, err := d.ReportFailure("n1", "n2")
 	if err != nil {
@@ -145,7 +154,7 @@ func TestRecruitmentIsLeastLoaded(t *testing.T) {
 	if _, err := d2.ReportFailure("n1", "n3"); err != nil {
 		t.Fatal(err)
 	}
-	a, b := d.Shards(), d2.Shards()
+	a, b := table(d, 10), table(d2, 10)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("shard %d differs across identical histories: %+v vs %+v", i, a[i], b[i])

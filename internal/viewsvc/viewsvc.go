@@ -1,17 +1,23 @@
 // Package viewsvc tracks replica-set membership as a sequence of numbered
 // views and decides who replaces whom when a replica dies. A view names one
 // primary and (when a node is available) one backup; every configuration
-// change — primary failure, backup failure, recruitment — advances the view
+// change — primary failure, backup failure, recruitment — issues a new view
 // number, and the number doubles as the replication epoch stamped on every
 // wire frame (see internal/replication): receivers reject traffic from older
 // epochs, which is what closes the split-brain window where a deposed primary
 // and its successor both believe their outputs commit.
 //
-// The service is deliberately not itself replicated — in the paper's
+// There is one manager, the ShardDirectory: a table of shards, each its own
+// primary/backup pair drawn from a single member pool. A single replica set —
+// the three-node cluster of internal/simtest — is the one-shard directory,
+// Form(1), not a second service.
+//
+// The directory is deliberately not itself replicated — in the paper's
 // deployment (§2) the pair runs under an external management layer; here the
-// service plays that layer for the simulation harness and tests. It is fully
-// clock-injected: failure detection reads the injected clock.Clock, so whole
-// cluster lifetimes replay deterministically under a virtual clock.
+// directory plays that layer for the fleet, the simulation harness and tests.
+// It is fully clock-injected: failure detection reads the injected
+// clock.Clock, so whole cluster lifetimes replay deterministically under a
+// virtual clock.
 package viewsvc
 
 import (
@@ -28,7 +34,7 @@ var (
 	// ErrUnknownNode: the named node never joined.
 	ErrUnknownNode = errors.New("viewsvc: unknown node")
 	// ErrStaleView: the caller is acting on a view that has been superseded
-	// (e.g. acquiring a promotion for view 2 when the service is at view 3).
+	// (e.g. acquiring a promotion for view 2 when the shard is at view 3).
 	ErrStaleView = errors.New("viewsvc: view superseded")
 	// ErrNotPrimary: the caller is not the primary of the view it names, so
 	// it has no business taking over.
@@ -41,15 +47,16 @@ var (
 )
 
 // View is one replica-set configuration. Num is the epoch: strictly
-// increasing, never reused. Backup is empty when no idle node was available
-// to recruit (the pair runs degraded until one joins).
+// increasing per shard, never reused. Backup is empty when no live node was
+// available to recruit (the pair runs degraded); Primary is empty too once a
+// primary died with no backup to promote — the replica set is gone.
 type View struct {
 	Num     uint64
 	Primary string
 	Backup  string
 }
 
-// Config configures the service.
+// Config configures the directory.
 type Config struct {
 	// Clock supplies time for the failure detector (nil = wall clock).
 	Clock clock.Clock
@@ -59,32 +66,47 @@ type Config struct {
 }
 
 type member struct {
-	name     string
 	lastPing time.Time
 	dead     bool
 }
 
-// Service is the membership tracker / view manager.
-type Service struct {
+// ShardDirectory is the membership tracker and view manager. Every shard's
+// view number is issued from one directory-global epoch sequence, which makes
+// epochs unique across the whole fleet — a frame or ack stamped with an epoch
+// names exactly one (shard, configuration), so the split-brain gate needs no
+// shard id on the wire — while staying strictly increasing per shard, which
+// is all the receivers' staleness checks require. With one shard the sequence
+// is simply 1, 2, 3, ….
+//
+// A node death is a *batch* reconfiguration: every shard where the dead node
+// held a seat reseats in one step (primary dead → backup promotes and a new
+// backup is recruited; backup dead → a new backup is recruited), each under
+// a freshly issued epoch, so the old configuration's frames and acks become
+// rejectable everywhere. Recruitment is deterministic least-loaded: the live
+// node holding the fewest seats takes the vacancy, ties broken by join order
+// — so shard placement, and therefore a whole simulation, is a pure function
+// of the join sequence and the failure schedule.
+type ShardDirectory struct {
 	clk     clock.Clock
 	timeout time.Duration
 
 	mu      sync.Mutex
 	members map[string]*member
-	order   []string // join order: deterministic recruitment preference
-	view    View
-	claimed map[uint64]string // view num -> node that acquired its promotion
-	waiters []*viewWaiter
+	order   []string // join order: deterministic seating preference
+	epoch   uint64   // last issued epoch, shared by every shard
+	shards  []View
+	claimed map[uint64]string // epoch -> node that acquired its promotion
 }
 
-type viewWaiter struct {
-	num  uint64
-	slot clock.WaitSlot
+// ShardChange describes one shard's reconfiguration after a node death.
+type ShardChange struct {
+	Shard    int
+	Old, New View
 }
 
-// New builds a service with no members and view 0 (no configuration yet).
-func New(cfg Config) *Service {
-	return &Service{
+// NewShardDirectory builds a directory with no members and no shards.
+func NewShardDirectory(cfg Config) *ShardDirectory {
+	return &ShardDirectory{
 		clk:     clock.Or(cfg.Clock),
 		timeout: cfg.FailTimeout,
 		members: make(map[string]*member),
@@ -92,207 +114,228 @@ func New(cfg Config) *Service {
 	}
 }
 
-// Join registers a node (idempotent; re-joining refreshes its ping). Joining
-// does not change the current view — a new node waits idle until Form or a
-// failure recruits it.
-func (s *Service) Join(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.members[name]; ok {
-		m.lastPing = s.clk.Now()
+// Join registers a node (idempotent; re-joining refreshes its ping and
+// resurrects a node declared dead). Joining moves no seats — a new node waits
+// as recruitable spare capacity until Form or a failure seats it.
+func (d *ShardDirectory) Join(name string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if m, ok := d.members[name]; ok {
+		m.lastPing = d.clk.Now()
 		m.dead = false
 		return
 	}
-	s.members[name] = &member{name: name, lastPing: s.clk.Now()}
-	s.order = append(s.order, name)
+	d.members[name] = &member{lastPing: d.clk.Now()}
+	d.order = append(d.order, name)
 }
 
-// Form establishes view 1 from the two oldest live members (or one, running
-// degraded). It errors if no live member exists or a view is already formed.
-func (s *Service) Form() (View, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.view.Num != 0 {
-		return s.view, fmt.Errorf("viewsvc: view %d already formed", s.view.Num)
-	}
-	pri := s.nextLiveLocked(nil)
-	if pri == "" {
-		return View{}, errors.New("viewsvc: no live members to form a view")
-	}
-	bak := s.nextLiveLocked(map[string]bool{pri: true})
-	s.installLocked(View{Num: 1, Primary: pri, Backup: bak})
-	return s.view, nil
-}
-
-// Ping records a heartbeat from name. Unknown nodes are ignored (a deposed
-// node's stray ping must not resurrect it under a new identity).
-func (s *Service) Ping(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.members[name]; ok && !m.dead {
-		m.lastPing = s.clk.Now()
+// Ping records a heartbeat from name. Unknown and dead nodes are ignored (a
+// deposed node's stray ping must not resurrect it).
+func (d *ShardDirectory) Ping(name string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if m, ok := d.members[name]; ok && !m.dead {
+		m.lastPing = d.clk.Now()
 	}
 }
 
-// Tick runs the ping-based failure detector once: members silent for longer
-// than FailTimeout are declared dead, and the view advances if one of them
-// held a seat. It returns the (possibly new) current view. Call it from a
-// periodic loop (see Watch) or explicitly in deterministic tests.
-func (s *Service) Tick() View {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.timeout <= 0 {
-		return s.view
+// Form establishes n shards over the current live members, round-robin in
+// join order: shard i's primary is the i-th live member (mod live count) and
+// its backup the next one. With m members each node starts with ~n/m primary
+// seats and ~n/m backup seats — the even spread that keeps a single node
+// kill's blast radius near 1/m of the fleet. A lone live member forms
+// degraded shards with no backup. It errors if no live member exists or
+// shards are already formed.
+func (d *ShardDirectory) Form(n int) ([]View, error) {
+	if n < 1 {
+		return nil, errors.New("viewsvc: shard count must be positive")
 	}
-	now := s.clk.Now()
-	for _, name := range s.order {
-		m := s.members[name]
-		if !m.dead && now.Sub(m.lastPing) > s.timeout {
-			m.dead = true
-			s.reseatLocked(name)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.shards) != 0 {
+		return nil, fmt.Errorf("viewsvc: %d shards already formed", len(d.shards))
+	}
+	var live []string
+	for _, name := range d.order {
+		if !d.members[name].dead {
+			live = append(live, name)
 		}
 	}
-	return s.view
+	if len(live) == 0 {
+		return nil, errors.New("viewsvc: no live members to form a view")
+	}
+	d.shards = make([]View, n)
+	for i := range d.shards {
+		d.epoch++
+		d.shards[i] = View{Num: d.epoch, Primary: live[i%len(live)]}
+		if len(live) > 1 {
+			d.shards[i].Backup = live[(i+1)%len(live)]
+		}
+	}
+	return append([]View(nil), d.shards...), nil
+}
+
+// Shard returns shard i's current view.
+func (d *ShardDirectory) Shard(i int) View {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if i < 0 || i >= len(d.shards) {
+		return View{}
+	}
+	return d.shards[i]
 }
 
 // ReportFailure lets a replica surface a failure its own detector found (a
 // closed transport, heartbeat silence on the replication channel): dead is
-// declared failed immediately and the view advances if it held a seat. The
-// reporter must be a live member — a node that was itself deposed cannot vote
-// its successor dead.
-func (s *Service) ReportFailure(reporter, dead string) (View, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.members[reporter]
+// declared failed immediately and every shard where it held a seat reseats.
+// The reporter must be a live member — a node that was itself deposed cannot
+// vote its successor dead. The returned changes list every reconfiguration in
+// shard order; an already-dead node yields none.
+func (d *ShardDirectory) ReportFailure(reporter, dead string) ([]ShardChange, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.liveLocked(reporter); err != nil {
+		return nil, err
+	}
+	m, ok := d.members[dead]
 	if !ok {
-		return s.view, fmt.Errorf("%w: %s", ErrUnknownNode, reporter)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, dead)
 	}
-	if r.dead {
-		return s.view, fmt.Errorf("%w: %s", ErrDead, reporter)
+	if m.dead {
+		return nil, nil
 	}
-	m, ok := s.members[dead]
-	if !ok {
-		return s.view, fmt.Errorf("%w: %s", ErrUnknownNode, dead)
-	}
-	if !m.dead {
-		m.dead = true
-		s.reseatLocked(dead)
-	}
-	return s.view, nil
+	m.dead = true
+	return d.reseatLocked(dead), nil
 }
 
-// View returns the current view.
-func (s *Service) View() View {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.view
-}
-
-// WaitView blocks until the view number reaches at least num and returns the
-// view that got it there. Each caller parks on its own clock wait slot, so
-// the wait is visible to a virtual clock.
-func (s *Service) WaitView(num uint64) View {
-	s.mu.Lock()
-	if s.view.Num >= num {
-		v := s.view
-		s.mu.Unlock()
-		return v
-	}
-	w := &viewWaiter{num: num, slot: s.clk.NewWaitSlot()}
-	s.waiters = append(s.waiters, w)
-	for s.view.Num < num {
-		s.mu.Unlock()
-		w.slot.Park(0)
-		s.mu.Lock()
-	}
-	v := s.view
-	s.mu.Unlock()
-	return v
-}
-
-// AcquirePromotion is the takeover guard: the primary of view num calls it
-// before it starts counting outputs as committed in that view. Exactly one
-// acquisition per view succeeds — a second takeover attempt (the double-
-// takeover race: two replicas both concluding they should lead) gets
-// ErrAlreadyPromoted instead of a second license to commit. Acting on a
-// superseded view is ErrStaleView; acting from the wrong seat is
-// ErrNotPrimary. Acquiring the same view twice *from the same node* is also
-// an error: promotion is an edge, not a state, and a caller that lost track
-// must rejoin the protocol rather than re-commit.
-func (s *Service) AcquirePromotion(node string, num uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.members[node]
+// liveLocked is the standing every acting node needs: joined and not dead.
+func (d *ShardDirectory) liveLocked(node string) error {
+	m, ok := d.members[node]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, node)
 	}
 	if m.dead {
 		return fmt.Errorf("%w: %s", ErrDead, node)
 	}
-	if num != s.view.Num {
-		return fmt.Errorf("%w: acquiring view %d, current is %d", ErrStaleView, num, s.view.Num)
-	}
-	if s.view.Primary != node {
-		return fmt.Errorf("%w: %s acquiring view %d led by %s", ErrNotPrimary, node, num, s.view.Primary)
-	}
-	if by, dup := s.claimed[num]; dup {
-		return fmt.Errorf("%w: view %d already acquired by %s", ErrAlreadyPromoted, num, by)
-	}
-	s.claimed[num] = node
 	return nil
 }
 
-// reseatLocked advances the view after name died, if it held a seat: a dead
-// primary is replaced by the backup (promotion), a dead backup by a recruited
-// idle node. Either way the epoch moves, so the old configuration's frames
-// and acks become rejectable everywhere.
-func (s *Service) reseatLocked(name string) {
-	v := s.view
-	if v.Num == 0 || (name != v.Primary && name != v.Backup) {
-		return
+// Tick runs the ping-based failure detector once: members silent for longer
+// than FailTimeout are declared dead and their shards reseat. It returns
+// every reconfiguration it caused. Call it from a periodic loop (see Watcher)
+// or explicitly in deterministic tests.
+func (d *ShardDirectory) Tick() []ShardChange {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.timeout <= 0 {
+		return nil
 	}
-	taken := map[string]bool{name: true}
-	next := View{Num: v.Num + 1}
-	if name == v.Primary {
-		next.Primary = v.Backup
-	} else {
-		next.Primary = v.Primary
+	now := d.clk.Now()
+	var changes []ShardChange
+	for _, name := range d.order {
+		m := d.members[name]
+		if !m.dead && now.Sub(m.lastPing) > d.timeout {
+			m.dead = true
+			changes = append(changes, d.reseatLocked(name)...)
+		}
 	}
-	if next.Primary == "" {
-		// The primary died with no backup to promote: the replica set is
-		// gone. Record the terminal, empty view so waiters still wake.
-		s.installLocked(next)
-		return
-	}
-	taken[next.Primary] = true
-	next.Backup = s.nextLiveLocked(taken)
-	s.installLocked(next)
+	return changes
 }
 
-// nextLiveLocked returns the oldest-joined live member not in taken ("" if
-// none) — deterministic recruitment order.
-func (s *Service) nextLiveLocked(taken map[string]bool) string {
-	for _, name := range s.order {
-		if taken[name] {
+// reseatLocked reconfigures every shard where name held a seat: a dead
+// primary is replaced by the backup (promotion), a dead backup by a recruit.
+// A primary that died with no backup leaves the terminal, empty view.
+func (d *ShardDirectory) reseatLocked(name string) []ShardChange {
+	var changes []ShardChange
+	for i, old := range d.shards {
+		if old.Primary != name && old.Backup != name {
 			continue
 		}
-		if m := s.members[name]; !m.dead {
-			return name
+		d.epoch++
+		next := View{Num: d.epoch, Primary: old.Primary}
+		if old.Primary == name {
+			next.Primary = old.Backup // promotion
 		}
+		if next.Primary != "" {
+			next.Backup = d.recruitLocked(next.Primary)
+		}
+		d.shards[i] = next
+		changes = append(changes, ShardChange{Shard: i, Old: old, New: next})
 	}
-	return ""
+	return changes
 }
 
-// installLocked publishes a new view and wakes satisfied waiters.
-func (s *Service) installLocked(v View) {
-	s.view = v
-	kept := s.waiters[:0]
-	for _, w := range s.waiters {
-		if v.Num >= w.num {
-			w.slot.Signal()
-		} else {
-			kept = append(kept, w)
+// recruitLocked picks the live node (other than exclude) currently holding
+// the fewest seats; ties break toward the oldest join. Returns "" when no
+// live node remains — the shard runs without a backup until one joins.
+func (d *ShardDirectory) recruitLocked(exclude string) string {
+	loads := make(map[string]int, len(d.members))
+	for _, v := range d.shards {
+		loads[v.Primary]++
+		loads[v.Backup]++
+	}
+	best := ""
+	for _, name := range d.order {
+		if name == exclude || d.members[name].dead {
+			continue
+		}
+		if best == "" || loads[name] < loads[best] {
+			best = name
 		}
 	}
-	s.waiters = kept
+	return best
+}
+
+// AcquirePromotion is the takeover guard: the primary of shard's current view
+// calls it with the epoch it believes it leads before it counts any output as
+// committed under that epoch. Exactly one acquisition per issued epoch
+// succeeds — a second takeover attempt (the double-takeover race: two
+// replicas both concluding they should lead) gets ErrAlreadyPromoted instead
+// of a second license to commit. Acting on a superseded view is ErrStaleView;
+// acting from the wrong seat is ErrNotPrimary. Acquiring the same epoch twice
+// *from the same node* is also an error: promotion is an edge, not a state,
+// and a caller that lost track must rejoin the protocol rather than re-commit.
+func (d *ShardDirectory) AcquirePromotion(node string, shard int, epoch uint64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.liveLocked(node); err != nil {
+		return err
+	}
+	if shard < 0 || shard >= len(d.shards) {
+		return fmt.Errorf("viewsvc: no shard %d", shard)
+	}
+	v := d.shards[shard]
+	if epoch != v.Num {
+		return fmt.Errorf("%w: acquiring shard %d epoch %d, current is %d", ErrStaleView, shard, epoch, v.Num)
+	}
+	if v.Primary != node {
+		return fmt.Errorf("%w: %s acquiring shard %d led by %s", ErrNotPrimary, node, shard, v.Primary)
+	}
+	if by, dup := d.claimed[epoch]; dup {
+		return fmt.Errorf("%w: shard %d epoch %d already acquired by %s", ErrAlreadyPromoted, shard, epoch, by)
+	}
+	d.claimed[epoch] = node
+	return nil
+}
+
+// SeatCounts returns, per live node in join order, how many primary and
+// backup seats it holds — the balance the fleet's blast-radius report reads.
+func (d *ShardDirectory) SeatCounts() (names []string, primaries, backups []int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	pc := make(map[string]int)
+	bc := make(map[string]int)
+	for _, v := range d.shards {
+		pc[v.Primary]++
+		bc[v.Backup]++
+	}
+	for _, name := range d.order {
+		if d.members[name].dead {
+			continue
+		}
+		names = append(names, name)
+		primaries = append(primaries, pc[name])
+		backups = append(backups, bc[name])
+	}
+	return names, primaries, backups
 }

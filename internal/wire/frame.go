@@ -135,14 +135,10 @@ func (g *SeqGate) Admit(seq uint64) (dup, gap bool) {
 	}
 }
 
-// Last returns the highest admitted frame sequence.
-func (g *SeqGate) Last() uint64 { return g.last }
-
 // Admission is what a log-holding replica must do with one incoming message.
 // Every receiver of a sequenced frame stream (the VM pair's backup, cold or
-// warm, and a fleet shard's backup) takes its verdict from AdmitFrame, so the
-// policy is written once; how a verdict is counted and reported is the
-// receiver's business.
+// warm) takes its verdict from AdmitFrame, so the policy is written once; how
+// a verdict is counted and reported is the receiver's business.
 type Admission uint8
 
 const (

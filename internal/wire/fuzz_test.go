@@ -89,7 +89,7 @@ func addRecordSeeds(f *testing.F) {
 	f.Add(append([]byte(nil), buf.Bytes()...))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01, 0x02})
-	f.Add(append([]byte(nil), buf.Bytes()[:buf.Len()-1]...))              // trailing partial record
+	f.Add(append([]byte(nil), buf.Bytes()[:buf.Len()-1]...))                 // trailing partial record
 	f.Add(append([]byte{byte(RecIDMap)}, bytes.Repeat([]byte{0xFF}, 11)...)) // overlong varint field
 }
 
@@ -154,10 +154,10 @@ func FuzzSkipAgreesWithNext(f *testing.F) {
 		f.Add(one.Bytes())
 	}
 	f.Add([]byte{byte(RecNativeResult), 0x01, '0', 0x01, 0x01, 'r', 0x01, 0x09}) // bad wire value kind
-	f.Add([]byte{byte(NumRecTypes)})                                            // first byte past the type table
+	f.Add([]byte{byte(NumRecTypes)})                                             // first byte past the type table
 	extreme := AppendClientOp(nil, &ClientOp{Client: ^uint64(0), Req: 1 << 63, Tenant: ^uint64(0), Op: 0xFF, Arg: -1 << 63, Result: 1<<63 - 1})
 	f.Add(extreme)
-	f.Add(extreme[:len(extreme)-3])                                                    // a clientop cut inside its last field
+	f.Add(extreme[:len(extreme)-3])                                                   // a clientop cut inside its last field
 	f.Add(append([]byte{byte(RecClientOp), 0x01}, bytes.Repeat([]byte{0xFF}, 11)...)) // overlong varint inside a clientop
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := walkBoth(t, data)
@@ -235,4 +235,41 @@ func typedAgrees(t *testing.T, data []byte, start int, rec Record, nerr error, e
 	if aerr := buf.Append(&op); aerr != nil || !bytes.Equal(buf.Bytes(), AppendClientOp(nil, &op)) {
 		t.Fatalf("offset %d: Buffer.Append wrote %x (%v), AppendClientOp %x", start, buf.Bytes(), aerr, AppendClientOp(nil, &op))
 	}
+}
+
+// FuzzDecodeRequestReply: the client protocol's two decoders — the bytes a
+// fleet node parses from a client and a client from a node — read the same
+// input. Each either fails with ErrBadRecord or accepts a message that
+// re-encodes and decodes to an equal value, with an op or status inside its
+// table (varints may be non-minimal in the input, so values are compared).
+func FuzzDecodeRequestReply(f *testing.F) {
+	f.Add(EncodeRequest(&Request{Client: 1, Req: 1, Tenant: 7, Op: OpAdd, Arg: -3}))
+	f.Add(EncodeRequest(&Request{Client: ^uint64(0), Req: ^uint64(0), Tenant: ^uint64(0), Op: OpSet, Arg: -1 << 63}))
+	f.Add(EncodeReply(&Reply{Client: 1, Req: 1, Status: StatusOK, Value: 42, Epoch: 3}))
+	f.Add(EncodeReply(&Reply{Client: 9, Req: 1 << 40, Status: StatusStaleReq, Value: 1<<63 - 1, Epoch: 1 << 62}))
+	f.Add([]byte{})
+	f.Add([]byte{0x01, 0x01, 0x01})                                 // cut before the op / inside the reply
+	f.Add([]byte{0x01, 0x01, 0x01, opMax, 0x00})                    // op just past the table
+	f.Add([]byte{0x01, 0x01, statusMax, 0x00, 0x00})                // status just past the table
+	f.Add(append(EncodeRequest(&Request{Client: 2, Req: 2}), 0x00)) // trailing byte
+	f.Add(append(EncodeReply(&Reply{Client: 2, Req: 2}), 0xAA))     // trailing byte
+	f.Add(bytes.Repeat([]byte{0xFF}, 11))                           // overlong varint
+	f.Add([]byte{0x80, 0x80, 0x80})                                 // unterminated varint
+	f.Add([]byte{0x81, 0x00, 0x01, 0x00, OpGet, 0x80, 0x00})        // non-minimal varints, still a request
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if req, err := DecodeRequest(data); err != nil {
+			if !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("DecodeRequest error %v does not wrap ErrBadRecord", err)
+			}
+		} else if again, err := DecodeRequest(EncodeRequest(req)); err != nil || *again != *req || req.Op >= OpKinds() {
+			t.Fatalf("request round trip: %+v -> %+v, %v", req, again, err)
+		}
+		if rep, err := DecodeReply(data); err != nil {
+			if !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("DecodeReply error %v does not wrap ErrBadRecord", err)
+			}
+		} else if again, err := DecodeReply(EncodeReply(rep)); err != nil || *again != *rep || StatusName(rep.Status) == "invalid" {
+			t.Fatalf("reply round trip: %+v -> %+v, %v", rep, again, err)
+		}
+	})
 }

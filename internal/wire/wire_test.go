@@ -232,8 +232,8 @@ func TestSeqGate(t *testing.T) {
 	if dup, gap := g.Admit(6); dup || !gap {
 		t.Fatalf("seq 6: dup=%v gap=%v, want gap again", dup, gap)
 	}
-	if g.Last() != 3 {
-		t.Fatalf("Last() = %d, want 3", g.Last())
+	if g.last != 3 {
+		t.Fatalf("Last() = %d, want 3", g.last)
 	}
 	if dup, gap := g.Admit(4); dup || gap {
 		t.Fatalf("seq 4: dup=%v gap=%v, want clean admit", dup, gap)
@@ -266,8 +266,8 @@ func TestAdmitFrame(t *testing.T) {
 		{"the stream goes on", msg(3, epoch), Fresh, 3},
 	} {
 		frame, got := g.AdmitFrame(tc.msg, epoch)
-		if got != tc.want || g.Last() != tc.last || (frame == nil) != (tc.want == Corrupt) {
-			t.Errorf("%s: verdict %d, gate at %d, frame %v; want verdict %d, gate at %d", tc.name, got, g.Last(), frame, tc.want, tc.last)
+		if got != tc.want || g.last != tc.last || (frame == nil) != (tc.want == Corrupt) {
+			t.Errorf("%s: verdict %d, gate at %d, frame %v; want verdict %d, gate at %d", tc.name, got, g.last, frame, tc.want, tc.last)
 		}
 	}
 }
