@@ -169,12 +169,13 @@ func main() {
 	}
 }
 
-// BenchmarkInterpreter is the default (threaded) engine.
+// BenchmarkInterpreter is the engine on its default (fused) stream.
 func BenchmarkInterpreter(b *testing.B) { benchSpin(b, DispatchThreaded) }
 
-// BenchmarkInterpreterSwitch is the same workload on the reference loop. It
-// reports the reference's speed, which is not a target: the loop runs one
-// opcode per bytecode with no superinstructions (about 160 ms here against
-// the fast engine's 61), and no product path selects it. The benchmark is
-// there so bench-smoke runs both engines every time.
+// BenchmarkInterpreterSwitch is the same workload stepped over the unfused
+// stream: one closure per bytecode and every check per instruction, what the
+// engine does for exact-replay and near-budget tails (about 340 ms here
+// against the fused stream's 73). Its speed is not a target and no product
+// path selects it for whole runs; the benchmark is there so bench-smoke runs
+// both streams every time.
 func BenchmarkInterpreterSwitch(b *testing.B) { benchSpin(b, DispatchSwitch) }

@@ -49,7 +49,7 @@ func run() error {
 		noNet     = flag.Bool("no-network", false, "disable the simulated network link")
 		pairFreq  = flag.Bool("pairfreq", false, "dump opcode-pair frequencies over the benchmarks (feeds the fusion table)")
 		pairTop   = flag.Int("pairfreq-top", 48, "pair ranking depth for -pairfreq")
-		dispatch  = flag.String("dispatch", "", "interpreter engine: threaded (default) or switch")
+		dispatch  = flag.String("dispatch", "", "interpreter stream: threaded (fused, default) or switch (unfused, stepped)")
 		perMsg    = flag.Duration("net-per-msg", 150*time.Microsecond, "simulated per-message cost")
 		perKB     = flag.Duration("net-per-kb", 450*time.Microsecond, "simulated per-KB cost")
 	)

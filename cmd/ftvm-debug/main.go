@@ -11,7 +11,7 @@
 //	ftvm-debug trace.ftlog                 # interactive inspection REPL
 //	ftvm-debug -diff a.ftlog b.ftlog       # first diverging branch position
 //	ftvm-debug -every 256 trace.ftlog      # denser checkpoints
-//	ftvm-debug -dispatch switch trace.ftlog  # override the recorded engine
+//	ftvm-debug -dispatch switch trace.ftlog  # override the recorded stream
 //
 // The REPL reads commands from stdin (pipe a script for non-interactive
 // use):
@@ -65,7 +65,7 @@ func run() error {
 	var (
 		diff     = flag.Bool("diff", false, "compare two logs: print the first diverging branch position")
 		every    = flag.Uint64("every", debug.DefaultEvery, "checkpoint interval in global branches")
-		dispatch = flag.String("dispatch", "", "override the recorded interpreter engine: threaded or switch")
+		dispatch = flag.String("dispatch", "", "override the recorded interpreter stream: threaded (fused) or switch (unfused, stepped)")
 	)
 	flag.Parse()
 
@@ -86,7 +86,7 @@ func run() error {
 		return runDiff(args[0], args[1], opts)
 	}
 	if len(args) != 1 {
-		return fmt.Errorf("usage: ftvm-debug [-every N] [-dispatch engine] trace.ftlog  (or -diff a.ftlog b.ftlog)")
+		return fmt.Errorf("usage: ftvm-debug [-every N] [-dispatch stream] trace.ftlog  (or -diff a.ftlog b.ftlog)")
 	}
 	return runREPL(args[0], opts)
 }

@@ -47,16 +47,16 @@ type Stats = vm.Stats
 // Mode selects the multi-threading replica-coordination technique.
 type Mode = replication.Mode
 
-// Dispatch selects the interpreter engine (vm.Dispatch): the default
-// subroutine-threaded fast tier or the reference switch loop. Both produce
-// bit-identical event logs, recovery records and console output.
+// Dispatch selects the stream the interpreter runs (vm.Dispatch): the default
+// wide-fused one, or the unfused one stepped an instruction at a time. Both
+// produce bit-identical event logs, recovery records and console output.
 type Dispatch = vm.Dispatch
 
-// Interpreter dispatch engines.
+// Interpreter streams.
 const (
-	// DispatchThreaded is the subroutine-threaded fast tier (default).
+	// DispatchThreaded runs fused superinstruction blocks (default).
 	DispatchThreaded = vm.DispatchThreaded
-	// DispatchSwitch is the reference switch interpreter.
+	// DispatchSwitch steps the unfused stream; the name is historical.
 	DispatchSwitch = vm.DispatchSwitch
 )
 
@@ -161,9 +161,9 @@ type Options struct {
 	// Ethernet) on a single host. Zero means a raw in-process pipe.
 	NetPerMsg time.Duration
 	NetPerKB  time.Duration
-	// Dispatch selects the interpreter engine for every VM the run builds
-	// (primary and recovery replay alike). The zero value is the threaded
-	// fast tier; DispatchSwitch selects the reference switch loop.
+	// Dispatch selects the interpreter stream for every VM the run builds
+	// (primary and recovery replay alike). The zero value is the fused
+	// stream; DispatchSwitch steps the unfused one.
 	Dispatch Dispatch
 	// Clock supplies time for ack deadlines, heartbeats, kill-trigger
 	// polling, transport waits, and elapsed measurements (nil = wall

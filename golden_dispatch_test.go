@@ -1,14 +1,15 @@
 package ftvm_test
 
-// Dual-mode golden gate for the threaded interpreter tier: the entire golden
+// Dual-mode golden gate for the interpreter's two streams: the entire golden
 // program suite (every benchmark at scale 1 plus the deterministic fuzzgen
-// slice — the same 31 programs TestExecGolden pins) is executed under both
-// dispatch engines and every observable — console output, the Stats
-// counters, and the §4.2 rolling control-path checksums — must be
-// identical between DispatchSwitch and DispatchThreaded. TestExecGolden pins
-// the default engine against testdata; this gate pins the two engines
-// against each other, so a divergence is attributed to the engine and not to
-// a stale golden file.
+// slice — the same 31 programs TestExecGolden pins) is executed on the fused
+// stream and stepped over the unfused one, and every observable — console
+// output, the Stats counters, and the §4.2 rolling control-path checksums —
+// must be identical between DispatchSwitch and DispatchThreaded.
+// TestExecGolden pins the default stream against testdata; this gate pins the
+// two against each other, so a divergence is attributed to the interpreter
+// and not to a stale golden file. (internal/vm's TestThreeWayGolden adds the
+// third column, the reference loop kept as a test oracle.)
 
 import (
 	"reflect"

@@ -1,7 +1,7 @@
 // Package pairfreq counts opcode-pair frequencies: how often instruction B
 // immediately follows instruction A, either statically (adjacent slots in
 // compiled method bodies) or dynamically (consecutive executed instructions,
-// counted by the interpreter's reference loop under vm.Config.PairCounter).
+// counted by the interpreter's step tier under vm.Config.PairCounter).
 //
 // The counts feed the superinstruction fusion table in package bytecode:
 // `ftvm-bench -pairfreq` dumps the executed-pair ranking over the six
@@ -20,7 +20,7 @@ import (
 
 // nOps bounds the opcode space the counter tracks. Base opcodes only: fused
 // superinstructions never appear in the streams being counted (static code is
-// pre-fusion, and the dynamic hook runs on the reference loop).
+// pre-fusion, and the dynamic hook steps the unfused stream).
 const nOps = int(bytecode.OpHalt) + 1
 
 // Counter accumulates pair counts. The zero value is ready to use. Not

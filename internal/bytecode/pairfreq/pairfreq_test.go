@@ -81,7 +81,7 @@ func TestFusionSetPinned(t *testing.T) {
 				continue
 			}
 			if share := float64(c.OpCount(op)) / float64(c.Total()); share >= coldShare {
-				t.Errorf("cold opcode %s is %.2f%% of %s's executed instructions (bar %.1f%%): give it a case in both engines",
+				t.Errorf("cold opcode %s is %.2f%% of %s's executed instructions (bar %.1f%%): give it a closure in compileBase",
 					op, share*100, name, coldShare*100)
 			}
 		}

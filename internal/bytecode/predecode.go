@@ -82,9 +82,9 @@ const fuseWidth = 11 // C-variants per ALU op before the L-variants start
 // Resolved is the decode-once form of a program: one resolved code slice per
 // method, index-aligned with Program.Methods (nil for native stubs).
 type Resolved struct {
-	// Methods is the faithful one-op-per-bytecode form: the reference switch
-	// loop runs it, and with it everything that needs per-bytecode
-	// observation (exact replay tails, near-budget tails, pair profiling).
+	// Methods is the faithful one-op-per-bytecode form: the stream the
+	// interpreter steps for everything that needs per-bytecode observation
+	// (exact replay tails, near-budget tails, pair profiling).
 	Methods [][]RInstr
 	// Wide is the wide-fusion variant consumed by the threaded engine:
 	// multi-instruction superinstruction groups chosen by DP segmentation

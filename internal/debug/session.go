@@ -38,9 +38,9 @@ type Session struct {
 type Options struct {
 	// Every is the checkpoint interval in global branches (default 1024).
 	Every uint64
-	// Dispatch overrides the interpreter engine recorded in the log header
-	// when OverrideDispatch is set — the dual-engine equivalence gate
-	// replays one log under both engines and compares positions.
+	// Dispatch overrides the interpreter stream recorded in the log header
+	// when OverrideDispatch is set — the dual-mode equivalence gate replays
+	// one log on both streams and compares positions.
 	Dispatch         vm.Dispatch
 	OverrideDispatch bool
 }

@@ -317,10 +317,10 @@ func (c *Config) CheckProg(p *Prog, stages []string) *Failure {
 
 		case StageDispatch:
 			// The fifth column: the same program, the same fresh schedule,
-			// once per interpreter engine. Unlike the other columns — which
+			// once per interpreter stream. Unlike the other columns — which
 			// compare per-writer frame streams because cross-writer
-			// interleaving is legally schedule-dependent — the two engines
-			// here run the *identical* schedule, so the full console must
+			// interleaving is legally schedule-dependent — the two runs
+			// here follow the *identical* schedule, so the full console must
 			// match byte for byte and the Stats counters exactly.
 			runWith := func(d ftvm.Dispatch) (*ftvm.Result, error) {
 				return ftvm.Run(prog, ftvm.Options{

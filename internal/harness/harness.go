@@ -210,7 +210,7 @@ func RunBenchmark(name string, cfg Config) (*BenchResult, error) {
 // (executed-pair) counter by name, and the merged static (adjacent-slot)
 // counter. The dynamic counters are what size the superinstruction fusion
 // table (merged) and the interpreter's cold table (per program): profiling
-// runs the reference loop, so the stream is base opcodes only.
+// steps the unfused stream, so it sees base opcodes only.
 func PairFreq(cfg Config) (dynamic map[string]*pairfreq.Counter, static *pairfreq.Counter, err error) {
 	cfg.fill()
 	dynamic, static = map[string]*pairfreq.Counter{}, &pairfreq.Counter{}

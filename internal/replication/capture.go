@@ -66,7 +66,7 @@ type LogHeader struct {
 	MinQuantum, MaxQuantum uint64
 	// Mode is the replication mode the log was recorded under.
 	Mode Mode
-	// Dispatch is the interpreter engine the primary ran.
+	// Dispatch is the interpreter stream the primary ran.
 	Dispatch vm.Dispatch
 	// Epoch is the view epoch the records were sent in.
 	Epoch uint64

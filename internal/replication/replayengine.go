@@ -23,9 +23,9 @@ type RecoverConfig struct {
 	// GCThreshold / MaxInstructions are passed to the VM.
 	GCThreshold     int
 	MaxInstructions uint64
-	// Dispatch selects the recovery VM's interpreter engine. Replay is
-	// engine-agnostic (both engines produce bit-identical logs), so any
-	// log can be recovered under either engine.
+	// Dispatch selects the recovery VM's interpreter stream. Replay does not
+	// care which (both produce bit-identical logs), so any log can be
+	// recovered on either.
 	Dispatch vm.Dispatch
 	// OnVM, when set, receives the recovery VM right after construction and
 	// before it runs. The simulation harness uses it to install kill handles

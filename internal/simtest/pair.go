@@ -24,9 +24,9 @@ type Combo struct {
 	// KillAtSend / KillDeliver crash the primary (see killAtSend).
 	KillAtSend  int
 	KillDeliver bool
-	// Dispatch selects the interpreter engine for the primary and any
+	// Dispatch selects the interpreter stream for the primary and any
 	// recovery VM (default threaded). The epoch-edge regression entries pin
-	// both engines against the same fault schedules.
+	// both streams against the same fault schedules.
 	Dispatch ftvm.Dispatch
 	// Capture, when non-empty, writes the backup's replication log to this
 	// path as a durable .ftlog file (see replication.EncodeLog) after the

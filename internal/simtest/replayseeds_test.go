@@ -72,15 +72,14 @@ var replaySeeds = []struct{ class, key string }{
 	{
 		// PR 9: epoch-based branch counter — a sched-mode kill whose log
 		// cuts between two progress flushes. Recovery replays to an exact
-		// (br_cnt, method, pc) target; the threaded engine must delegate
-		// the stop epoch to the reference loop and land on the identical
-		// instruction.
+		// (br_cnt, method, pc) target; the engine must step the stop epoch
+		// and land on the identical instruction.
 		"sched replay cut between epoch flushes (threaded)",
 		"prog=5,size=small,mode=sched,kill=6,deliver=0,fault=none@0,net=1,reorder=1/8",
 	},
 	{
-		// PR 9: the same schedule on the reference engine — the pair pins
-		// the two engines against one fault schedule, so an epoch-counter
+		// PR 9: the same schedule stepped throughout — the pair pins the
+		// two streams against one fault schedule, so an epoch-counter
 		// drift shows up as exactly one of these two lines failing.
 		"sched replay cut between epoch flushes (switch)",
 		"prog=5,size=small,mode=sched,kill=6,deliver=0,fault=none@0,net=1,reorder=1/8,dispatch=switch",

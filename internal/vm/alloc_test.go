@@ -69,11 +69,11 @@ end
 	}
 }
 
-// TestThreadedHotLoopAllocFree pins the threaded engine's zero-allocation
-// property: the execution context (tctx) is one reusable struct per VM and
-// the compiled closure streams are built at construction, so a multi-million
-// instruction arithmetic loop must not allocate per iteration — only the
-// bounded setup (runtime noise, the odd GC bookkeeping) is allowed.
+// TestThreadedHotLoopAllocFree pins the engine's zero-allocation property on
+// both streams: the execution context (tctx) is one reusable struct per VM
+// and the compiled closure streams are built at construction, so a
+// multi-million instruction arithmetic loop must not allocate per iteration —
+// only the bounded setup (runtime noise, the odd GC bookkeeping) is allowed.
 func TestThreadedHotLoopAllocFree(t *testing.T) {
 	src := `
 method main 0 void
@@ -126,9 +126,10 @@ end
 // TestTrackedSharesFastTier pins the two halves of "tracking rides the fast
 // tier". Same work: a tracked run of each benchmark program executes exactly
 // the instructions, branches and everything else in Stats that an untracked
-// run does. Same code: a tracked VM is built from the one closure stream an
-// untracked VM has, plus one small wrapper closure per branch-flagged slot —
-// never a second compilation of the program.
+// run does. Same code: a tracked VM is built from the closure streams an
+// untracked VM has — the fused one and the step one — plus one small wrapper
+// closure per branch-flagged slot of each, never a third compilation of the
+// program.
 func TestTrackedSharesFastTier(t *testing.T) {
 	for _, name := range programs.Names() {
 		p, err := programs.Compile(name, 1)
@@ -139,15 +140,19 @@ func TestTrackedSharesFastTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots, branchSlots, methods := 0, 0, 0
-		for _, code := range res.Wide {
+		slots, methods := 0, 0
+		branchSlots := [2]int{} // fused stream, step stream
+		for mi, code := range res.Wide {
 			if code != nil {
 				methods++
 			}
 			slots += len(code)
-			for _, in := range code {
-				if in.Branch {
-					branchSlots++
+			for pc := range code {
+				if code[pc].Branch {
+					branchSlots[0]++
+				}
+				if res.Methods[mi][pc].Branch {
+					branchSlots[1]++
 				}
 			}
 		}
@@ -164,21 +169,23 @@ func TestTrackedSharesFastTier(t *testing.T) {
 			}
 			return v, mallocs, bytes
 		}
-		// The switch engine compiles no closures, so it is the zero point.
-		_, noStream, _ := build(true, DispatchSwitch)
+		// A DispatchSwitch VM compiles the step stream only, so the
+		// difference to it is what the fused stream costs.
+		_, stepOnly, _ := build(true, DispatchSwitch)
 		plain, plainMallocs, plainBytes := build(false, DispatchThreaded)
 		tracked, trackedMallocs, trackedBytes := build(true, DispatchThreaded)
 		// One stream is at most a closure per slot and a slot array per
 		// method; a wrapper is a code pointer and the wrapped closure, 16
 		// bytes, on the branch-flagged slots only.
 		const slack = 64
-		if limit := uint64(slots + methods + branchSlots + slack); trackedMallocs-noStream > limit {
-			t.Errorf("%s: the tracked VM's closures took %d allocations; one stream of %d slots in %d methods with %d wrappers allows %d",
-				name, trackedMallocs-noStream, slots, methods, branchSlots, limit)
+		if limit := uint64(slots + methods + branchSlots[0] + slack); trackedMallocs-stepOnly > limit {
+			t.Errorf("%s: the tracked VM's fused closures took %d allocations; one stream of %d slots in %d methods with %d wrappers allows %d",
+				name, trackedMallocs-stepOnly, slots, methods, branchSlots[0], limit)
 		}
-		if trackedMallocs > plainMallocs+uint64(branchSlots)+slack || trackedBytes > plainBytes+16*uint64(branchSlots+slack) {
+		wrappers := uint64(branchSlots[0] + branchSlots[1])
+		if trackedMallocs > plainMallocs+wrappers+slack || trackedBytes > plainBytes+16*(wrappers+slack) {
 			t.Errorf("%s: tracked vm.New made %d allocations / %d bytes, untracked %d / %d; %d wrappers allow %d / %d more",
-				name, trackedMallocs, trackedBytes, plainMallocs, plainBytes, branchSlots, branchSlots, 16*branchSlots)
+				name, trackedMallocs, trackedBytes, plainMallocs, plainBytes, wrappers, wrappers, 16*wrappers)
 		}
 		if err := plain.Run(); err != nil {
 			t.Fatalf("%s untracked: %v", name, err)

@@ -9,9 +9,10 @@ import "repro/internal/heap"
 // snapshot, and every later visit to k..k+N resumes from the snapshot
 // instead of replaying from zero.
 //
-// Shared (immutable after construction): the program, the resolved and
-// fused code, the threaded compilation, the interned-string table, the
-// native registry, and the static method indexes. Deep-copied: the heap
+// Shared (immutable after construction): the program, the resolved code, the
+// closure compilation of both streams (a clone taken inside an exact-replay
+// tail goes on stepping), the interned-string table, the native registry, and
+// the static method indexes. Deep-copied: the heap
 // (Ref numbering preserved, so the shared interned table stays valid), the
 // environment and process, statics, threads (frames, locals, stacks,
 // progress counters), and monitors (owner/queue/waitSet remapped to the

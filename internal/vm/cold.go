@@ -16,13 +16,12 @@ import (
 // and ssub/slen 0.26 % in jack, puts 0.24 % in db, and the thread ops run a
 // handful of times per program) and does not belong to a family that is hot
 // as a whole (the integer ALU, calls and returns, constants). It is written
-// once, in execCold, and both engines reach it through a generic path: the
-// reference loop's default case and the threaded engine's compileCold
-// closure. Every other opcode is specialised per engine — a case in runSlice
-// and a closure in compileBase — and TestOpcodeHomes checks that each opcode
-// has exactly one of the two homes. Moving an opcode across the line is a
-// measured diff: this list, the bodies, and the share assertion move
-// together.
+// once, in execCold, and reached through one generic closure (compileCold)
+// on either stream. Every other opcode has a closure of its own in
+// compileBase, and TestOpcodeHomes checks that each opcode has exactly one of
+// the two homes (and one way through the test oracle). Moving an opcode
+// across the line is a measured diff: this list, the bodies, and the share
+// assertion move together.
 var coldOps = func() (cold [bytecode.OpHalt + 1]bool) {
 	for _, op := range []bytecode.Opcode{
 		bytecode.OpNop, bytecode.OpPop, bytecode.OpSwap,
@@ -39,8 +38,8 @@ var coldOps = func() (cold [bytecode.OpHalt + 1]bool) {
 	return cold
 }()
 
-// IsCold reports whether op is executed by execCold rather than by a
-// per-engine specialisation.
+// IsCold reports whether op is executed by execCold rather than by a closure
+// of its own.
 func IsCold(op bytecode.Opcode) bool { return int(op) < len(coldOps) && coldOps[op] }
 
 // execCold executes one cold instruction on the flushed frame f: f.PC is the

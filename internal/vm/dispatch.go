@@ -2,19 +2,22 @@ package vm
 
 import "fmt"
 
-// Dispatch selects the interpreter engine. The zero value is the threaded
-// engine, the one fast engine: every caller that does not opt out runs (and
-// therefore gates) it. DispatchSwitch runs every slice on the reference loop
-// — one opcode per bytecode, no superinstructions — which the dual-mode
-// golden and differential suites compare the fast engine against.
+// Dispatch selects the stream the one engine (threaded.go) runs a slice on.
+// The zero value is the fused stream: every caller that does not opt out runs
+// (and therefore gates) it. DispatchSwitch steps every slice over the unfused
+// stream — one closure per bytecode, no superinstructions, every check made
+// per instruction — which the dual-mode golden and differential suites
+// compare the fused stream against. The names are historical: "switch" was a
+// second engine, a switch loop, until it became the test oracle
+// (oracle_test.go).
 type Dispatch uint8
 
 const (
-	// DispatchThreaded is the subroutine-threaded engine: per-method arrays
-	// of specialized closures over wide-fused superinstructions, with the
-	// epoch-based branch counter (threaded.go).
+	// DispatchThreaded runs wide-fused superinstruction blocks under the
+	// epoch-based branch counter, stepping only the tails that need
+	// per-instruction resolution.
 	DispatchThreaded Dispatch = iota
-	// DispatchSwitch is the reference switch loop (interp.go).
+	// DispatchSwitch steps the unfused stream throughout.
 	DispatchSwitch
 )
 
@@ -42,15 +45,19 @@ func ParseDispatch(s string) (Dispatch, error) {
 	}
 }
 
-// Dispatch returns the engine this VM executes with.
+// Dispatch returns the stream selection this VM executes with.
 func (vm *VM) Dispatch() Dispatch { return vm.dispatch }
 
-// runSliceDispatch routes a slice to the configured engine. Pair-frequency
-// profiling always runs the reference loop: the dynamic pair stream must see
-// original opcodes, not superinstructions.
-func (vm *VM) runSliceDispatch(t *Thread, target SliceTarget) error {
-	if vm.dispatch == DispatchSwitch || vm.pairs != nil {
-		return vm.runSlice(t, target)
+// sliceOracle is the one test seam: nil in every build of the product, and
+// assigned only by internal/vm's own tests, which point DispatchSwitch VMs at
+// the reference loop (oracle_test.go) to compare the engine against it.
+var sliceOracle func(vm *VM, t *Thread, target SliceTarget) error
+
+// dispatchSlice runs one slice: on the engine, unless a test installed the
+// oracle for this VM's stream selection.
+func (vm *VM) dispatchSlice(t *Thread, target SliceTarget) error {
+	if sliceOracle != nil && vm.dispatch == DispatchSwitch {
+		return sliceOracle(vm, t, target)
 	}
 	return vm.runThreaded(t, target)
 }

@@ -1,10 +1,11 @@
 package vm
 
-// Epoch-counter edge tests: the threaded engine checks kill/budget/preemption
-// only at block boundaries, so the places where that epoch approximation
-// must collapse back to per-instruction precision — an instruction budget
-// running out in the middle of a fused group, a preemption target landing
-// exactly on a block edge — are pinned here by running both engines over the
+// Epoch-counter edge tests: on the fused stream the engine checks
+// kill/budget/preemption only at block boundaries, so the places where that
+// epoch approximation must collapse back to per-instruction precision — an
+// instruction budget running out in the middle of a fused group, a preemption
+// target landing exactly on a block edge — are pinned here by running the
+// three columns (fused stream, step stream, oracle: oracle_test.go) over the
 // same inputs and requiring identical observables. The replication-level
 // variants (a replay cut between two progress flushes, kills on block edges
 // under a live backup) live in the internal/simtest replay-seed table.
@@ -49,8 +50,8 @@ end
 
 // TestBudgetEdgeAcrossEngines sweeps MaxInstructions through every offset of
 // the loop's first iterations — including values that exhaust the budget in
-// the middle of a fused pair or wide group — and requires both engines to
-// fault identically: same error, same instruction count at the fault, same
+// the middle of a fused pair or wide group — and requires all three columns
+// to fault identically: same error, same instruction count at the fault, same
 // progress checksum when tracking.
 func TestBudgetEdgeAcrossEngines(t *testing.T) {
 	p := buildProgram(t, epochLoop)
@@ -62,17 +63,17 @@ func TestBudgetEdgeAcrossEngines(t *testing.T) {
 				stats     Stats
 				chk       uint64
 			}
-			run := func(d Dispatch) outcome {
+			run := func(e Engine) outcome {
 				v, err := New(Config{
 					Program: p, Env: env.New(1),
 					MaxInstructions: budget,
 					TrackProgress:   track,
-					Dispatch:        d,
+					Dispatch:        e.D,
 				})
 				if err != nil {
-					t.Fatalf("new vm (%v): %v", d, err)
+					t.Fatalf("new vm (%v): %v", e, err)
 				}
-				runErr := v.Run()
+				runErr := e.run(v)
 				o := outcome{
 					budgetErr: errors.Is(runErr, ErrInstrBudget),
 					otherErr:  runErr != nil && !errors.Is(runErr, ErrInstrBudget),
@@ -83,10 +84,12 @@ func TestBudgetEdgeAcrossEngines(t *testing.T) {
 				}
 				return o
 			}
-			sw, th := run(DispatchSwitch), run(DispatchThreaded)
-			if sw != th {
-				t.Fatalf("track=%v budget=%d: engines diverged\n  switch: %+v\nthreaded: %+v",
-					track, budget, sw, th)
+			sw := run(OracleEngine)
+			for _, e := range Engines {
+				if got := run(e); got != sw {
+					t.Fatalf("track=%v budget=%d: %v diverged from the oracle\noracle: %+v\n   got: %+v",
+						track, budget, e, sw, got)
+				}
 			}
 			if sw.otherErr {
 				t.Fatalf("track=%v budget=%d: unexpected non-budget error", track, budget)
@@ -97,7 +100,7 @@ func TestBudgetEdgeAcrossEngines(t *testing.T) {
 
 // TestQuantumSweepAcrossEngines drives a two-thread lock workload under
 // degenerate scheduling quanta — quantum 1 preempts at every single branch,
-// so every slice boundary is a block edge — and requires both engines to
+// so every slice boundary is a block edge — and requires all three columns to
 // produce the same console, counters, and per-thread progress checksums.
 func TestQuantumSweepAcrossEngines(t *testing.T) {
 	src := printNative + `
@@ -157,23 +160,23 @@ end
 			stats   Stats
 			chk     uint64
 		}
-		run := func(d Dispatch) outcome {
-			e := env.New(7)
+		run := func(e Engine) outcome {
+			environ := env.New(7)
 			v, err := New(Config{
-				Program: p, Env: e,
+				Program: p, Env: environ,
 				Coordinator:     NewDefaultCoordinator(NewSeededPolicy(11, q.lo, q.hi)),
 				MaxInstructions: 10_000_000,
 				TrackProgress:   true,
-				Dispatch:        d,
+				Dispatch:        e.D,
 			})
 			if err != nil {
-				t.Fatalf("new vm (%v): %v", d, err)
+				t.Fatalf("new vm (%v): %v", e, err)
 			}
-			if err := v.Run(); err != nil {
-				t.Fatalf("quantum %d-%d (%v): %v", q.lo, q.hi, d, err)
+			if err := e.run(v); err != nil {
+				t.Fatalf("quantum %d-%d (%v): %v", q.lo, q.hi, e, err)
 			}
 			var o outcome
-			for _, ln := range e.Console().Lines() {
+			for _, ln := range environ.Console().Lines() {
 				o.console += ln + "\n"
 			}
 			o.stats = v.Stats()
@@ -182,9 +185,11 @@ end
 			}
 			return o
 		}
-		sw, th := run(DispatchSwitch), run(DispatchThreaded)
-		if sw != th {
-			t.Fatalf("quantum %d-%d: engines diverged\n  switch: %+v\nthreaded: %+v", q.lo, q.hi, sw, th)
+		sw := run(OracleEngine)
+		for _, e := range Engines {
+			if got := run(e); got != sw {
+				t.Fatalf("quantum %d-%d: %v diverged from the oracle\noracle: %+v\n   got: %+v", q.lo, q.hi, e, sw, got)
+			}
 		}
 		if sw.console != "100\n" {
 			t.Fatalf("quantum %d-%d: console %q, want 100", q.lo, q.hi, sw.console)
@@ -192,43 +197,49 @@ end
 	}
 }
 
-// exactProbe issues one exact-replay target for the main thread, notes where
-// that slice left it, then lets the program run out.
-type exactProbe struct {
-	*DefaultCoordinator
-	target SliceTarget
-	issued bool
-	stop   *exactStop
-}
-
+// exactStop is where an exact slice left the main thread.
 type exactStop struct {
 	br, instr, chk uint64
 	pc             int32
 	depth          int
 }
 
-func (p *exactProbe) PickNext(v *VM, runnable []*Thread, _ *Thread) (*Thread, SliceTarget, error) {
+// tailScript issues its targets in order for the main thread — noting where
+// each slice left it — then lets the program run out. at fires before every
+// dispatch with the number of targets issued so far.
+type tailScript struct {
+	*DefaultCoordinator
+	targets []SliceTarget
+	issued  int
+	stops   []exactStop
+	at      func(v *VM, issued int)
+}
+
+func (p *tailScript) PickNext(v *VM, runnable []*Thread, _ *Thread) (*Thread, SliceTarget, error) {
 	t := runnable[0]
-	if !p.issued {
-		p.issued = true
-		return t, p.target, nil
-	}
-	if p.stop == nil {
+	if p.issued > 0 && len(p.stops) < p.issued {
 		f := t.Top()
-		p.stop = &exactStop{br: t.BrCnt, instr: v.Stats().Instructions, chk: t.Progress.Chk, pc: f.PC, depth: len(f.Stack)}
+		p.stops = append(p.stops, exactStop{br: t.BrCnt, instr: v.Stats().Instructions, chk: t.Progress.Chk, pc: f.PC, depth: len(f.Stack)})
 	}
-	return t, RunUntilBlocked(), nil
+	if p.at != nil {
+		p.at(v, p.issued)
+	}
+	if p.issued == len(p.targets) {
+		return t, RunUntilBlocked(), nil
+	}
+	p.issued++
+	return t, p.targets[p.issued-1], nil
 }
 
 // TestExactTargetSweepAcrossEngines replays a preemption at every (br_cnt, pc)
-// of the loop's first iterations, tracked, on both engines. The threaded
-// engine runs such a slice on the wide stream up to the block edge where
-// br_cnt reaches the target and hands the tail to runSlice, so the recorded
-// position may lie at a group lead, in the interior of a wide group, or —
-// for the (br_cnt, pc) pairs the program never visits — nowhere, in which case
-// the slice overshoots by one branch. Wherever it stops, both engines must
-// stop there with the same instruction count and the same running checksum,
-// and finish with the same counters.
+// of the loop's first iterations, tracked, in all three columns. The engine
+// runs such a slice on the fused stream up to the block edge where br_cnt
+// reaches the target and steps the tail, so the recorded position may lie at a
+// group lead, in the interior of a wide group, or — for the (br_cnt, pc) pairs
+// the program never visits — nowhere, in which case the slice overshoots by
+// one branch. Wherever it stops, every column must stop there with the same
+// instruction count and the same running checksum, and finish with the same
+// counters.
 func TestExactTargetSweepAcrossEngines(t *testing.T) {
 	p := buildProgram(t, epochLoop)
 	res, err := bytecode.Predecode(p)
@@ -262,26 +273,28 @@ func TestExactTargetSweepAcrossEngines(t *testing.T) {
 				stats Stats
 				chk   uint64
 			}
-			run := func(d Dispatch) outcome {
-				probe := &exactProbe{
+			run := func(e Engine) outcome {
+				probe := &tailScript{
 					DefaultCoordinator: NewDefaultCoordinator(nil),
-					target:             SliceTarget{Br: br, Exact: true, Method: p.Entry, PC: pc, StopRunnable: true},
+					targets:            []SliceTarget{{Br: br, Exact: true, Method: p.Entry, PC: pc, StopRunnable: true}},
 				}
-				v, err := New(Config{Program: p, Env: env.New(1), Coordinator: probe, TrackProgress: true, Dispatch: d})
+				v, err := New(Config{Program: p, Env: env.New(1), Coordinator: probe, TrackProgress: true, Dispatch: e.D})
 				if err != nil {
-					t.Fatalf("new vm (%v): %v", d, err)
+					t.Fatalf("new vm (%v): %v", e, err)
 				}
-				if err := v.Run(); err != nil {
-					t.Fatalf("br=%d pc=%d (%v): %v", br, pc, d, err)
+				if err := e.run(v); err != nil {
+					t.Fatalf("br=%d pc=%d (%v): %v", br, pc, e, err)
 				}
-				if probe.stop == nil {
-					t.Fatalf("br=%d pc=%d (%v): the exact slice ran the program out", br, pc, d)
+				if len(probe.stops) == 0 {
+					t.Fatalf("br=%d pc=%d (%v): the exact slice ran the program out", br, pc, e)
 				}
-				return outcome{stop: *probe.stop, stats: v.Stats(), chk: v.Threads()[0].Progress.Chk}
+				return outcome{stop: probe.stops[0], stats: v.Stats(), chk: v.Threads()[0].Progress.Chk}
 			}
-			sw, th := run(DispatchSwitch), run(DispatchThreaded)
-			if sw != th {
-				t.Fatalf("exact target br=%d pc=%d: engines diverged\n  switch: %+v\nthreaded: %+v", br, pc, sw, th)
+			sw := run(OracleEngine)
+			for _, e := range Engines {
+				if got := run(e); got != sw {
+					t.Fatalf("exact target br=%d pc=%d: %v diverged from the oracle\noracle: %+v\n   got: %+v", br, pc, e, sw, got)
+				}
 			}
 			switch {
 			case sw.stop.br == br && sw.stop.pc == pc:
@@ -295,6 +308,71 @@ func TestExactTargetSweepAcrossEngines(t *testing.T) {
 		}
 	}
 	if landed < 30 || landedInterior < 10 {
-		t.Fatalf("%d targets landed, %d of them inside a wide group; the sweep does not cover the hand-off", landed, landedInterior)
+		t.Fatalf("%d targets landed, %d of them inside a wide group; the sweep does not cover the stepped tail", landed, landedInterior)
+	}
+}
+
+// TestCloneInsideExactTail suspends a replay between two stops that lie in one
+// branch interval, both in the interior of wide groups: the first slice ends
+// part-way down a stepped tail, and the slice after it starts already inside
+// the stop epoch, so it is stepped from its first instruction. A VM cloned at
+// that suspension (the debugger's checkpoints are such clones) must carry the
+// step stream and finish exactly as its original does — same second stop,
+// same counters, same checksum — in every column.
+func TestCloneInsideExactTail(t *testing.T) {
+	p := buildProgram(t, epochLoop)
+	// br_cnt 3 is the second iteration's jz; pcs 10 and 15 sit inside the two
+	// ALU groups of the loop body that follows it.
+	targets := []SliceTarget{
+		{Br: 3, Exact: true, Method: p.Entry, PC: 10, StopRunnable: true},
+		{Br: 3, Exact: true, Method: p.Entry, PC: 15, StopRunnable: true},
+	}
+	type outcome struct {
+		stops [2]exactStop
+		stats Stats
+		chk   uint64
+	}
+	finish := func(v *VM, probe *tailScript) outcome {
+		if len(probe.stops) != 2 {
+			t.Fatalf("%d stops recorded, want 2", len(probe.stops))
+		}
+		return outcome{stops: [2]exactStop(probe.stops), stats: v.Stats(), chk: v.Threads()[0].Progress.Chk}
+	}
+	run := func(e Engine) (orig, clone outcome) {
+		probe := &tailScript{DefaultCoordinator: NewDefaultCoordinator(nil), targets: targets}
+		probe.at = func(v *VM, issued int) {
+			if issued != 1 {
+				return
+			}
+			cp := &tailScript{DefaultCoordinator: NewDefaultCoordinator(nil), targets: targets, issued: 1, stops: probe.stops[:1:1]}
+			cv := v.CloneSuspended(cp)
+			if err := cv.ResumeSuspended(); err != nil {
+				t.Fatalf("%v: clone: %v", e, err)
+			}
+			clone = finish(cv, cp)
+		}
+		v, err := New(Config{Program: p, Env: env.New(1), Coordinator: probe, TrackProgress: true, Dispatch: e.D})
+		if err != nil {
+			t.Fatalf("new vm (%v): %v", e, err)
+		}
+		if err := e.run(v); err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		return finish(v, probe), clone
+	}
+	want, _ := run(OracleEngine)
+	for i, tg := range targets {
+		if s := want.stops[i]; s.br != tg.Br || s.pc != tg.PC {
+			t.Fatalf("stop %d landed at br_cnt %d pc %d, want %d/%d", i, s.br, s.pc, tg.Br, tg.PC)
+		}
+	}
+	for _, e := range append([]Engine{OracleEngine}, Engines...) {
+		orig, clone := run(e)
+		if orig != want {
+			t.Errorf("%v diverged from the oracle\noracle: %+v\n   got: %+v", e, want, orig)
+		}
+		if clone != orig {
+			t.Errorf("%v: the clone diverged from its original\noriginal: %+v\n   clone: %+v", e, orig, clone)
+		}
 	}
 }

@@ -10,10 +10,11 @@ import (
 	"repro/internal/env"
 )
 
-// Fault identity, per opcode, across engines. The dual-mode goldens compare
-// whole programs that end well; this table compares the ends that do not: for
-// every opcode with a fault path, one minimal program per fault class, run
-// under both engines, tracked and untracked, requiring the same error text
+// Fault identity, per opcode, across the three columns (fused stream, step
+// stream, oracle). The dual-mode goldens compare whole programs that end
+// well; this table compares the ends that do not: for every opcode with a
+// fault path, one minimal program per fault class, run in every column,
+// tracked and untracked, requiring the same error text
 // (thread and pc), the same Stats and the same per-thread br_cnt and
 // control-path checksum. Rows that end cleanly ride along: the allocating
 // cold ops on a tiny heap (the "end the block when NeedsGC flips" rule shows
@@ -162,26 +163,26 @@ func faultRows() []faultRow {
 	return rows
 }
 
-// faultOutcome is everything a row compares between the engines.
+// faultOutcome is everything a row compares between the columns.
 type faultOutcome struct {
 	err     string
 	stats   Stats
 	threads string // per thread: vtid, br_cnt, control-path checksum
 }
 
-func runFaultRow(t *testing.T, p *bytecode.Program, r faultRow, d Dispatch, track bool) (faultOutcome, *VM, error) {
+func runFaultRow(t *testing.T, p *bytecode.Program, r faultRow, e Engine, track bool) (faultOutcome, *VM, error) {
 	t.Helper()
 	v, err := New(Config{
 		Program: p, Env: env.New(1),
 		MaxInstructions: 100_000,
 		GCThreshold:     r.gc,
 		TrackProgress:   track,
-		Dispatch:        d,
+		Dispatch:        e.D,
 	})
 	if err != nil {
-		t.Fatalf("new vm (%v): %v", d, err)
+		t.Fatalf("new vm (%v): %v", e, err)
 	}
-	runErr := v.Run()
+	runErr := e.run(v)
 	o := faultOutcome{stats: v.Stats()}
 	if runErr != nil {
 		o.err = runErr.Error()
@@ -201,10 +202,11 @@ func TestOpFaultIdentityAcrossEngines(t *testing.T) {
 			src := r.decls + "method main 0 void\n  " + strings.ReplaceAll(r.body, "; ", "\n  ") + "\nend\n"
 			p := buildProgram(t, src)
 			for _, track := range []bool{false, true} {
-				sw, v, runErr := runFaultRow(t, p, r, DispatchSwitch, track)
-				th, _, _ := runFaultRow(t, p, r, DispatchThreaded, track)
-				if sw != th {
-					t.Fatalf("track=%v: engines diverged\n  switch: %+v\nthreaded: %+v\n%s", track, sw, th, src)
+				sw, v, runErr := runFaultRow(t, p, r, OracleEngine, track)
+				for _, e := range Engines {
+					if got, _, _ := runFaultRow(t, p, r, e, track); got != sw {
+						t.Fatalf("track=%v: %v diverged from the oracle\noracle: %+v\n   got: %+v\n%s", track, e, sw, got, src)
+					}
 				}
 				if r.want == "" {
 					if runErr != nil {

@@ -7,14 +7,14 @@ import (
 	"repro/internal/heap"
 )
 
-// The fast engine: subroutine threading (Options.Dispatch = threaded, the
-// default). runSlice (interp.go) is the reference loop; this file is the one
-// place opcodes are specialised for speed.
+// The engine: subroutine threading. One engine, two streams, one driver.
 //
-// Each predecoded method is compiled once, at VM construction, into an array
-// of per-slot closures (tmethod.code): one specialized closure per resolved
-// instruction, indexed by pc exactly like the RInstr stream it was compiled
-// from. The driver (runThreaded) executes a basic block as
+// Each predecoded method is compiled once, at VM construction, into arrays of
+// per-slot closures indexed by pc exactly like the RInstr stream they were
+// compiled from: tmethod.code from Resolved.Wide (the wide-fusion
+// superinstruction stream) and tmethod.step from Resolved.Methods (one
+// closure per bytecode). The driver (runThreaded) executes a basic block of
+// the fused stream (runBlock) as
 //
 //	for code[c.pc](c) {}
 //
@@ -24,62 +24,65 @@ import (
 // boundary — a branch was executed, the op needs the outer loop (frame
 // change, blocking, possible GC), or it faulted.
 //
-// One compilation exists per method: tcode, built from Resolved.Wide (the
-// wide-fusion superinstruction stream). It runs every slice — untracked,
-// progress-tracked and the free-running part of exact replay. A tracked VM
-// (Config.TrackProgress) differs only in its branch-flagged slots, which
-// compileThreaded wraps in trackBranch to fold the control-path checksum;
-// an untracked VM's stream has no trace of tracking.
+// A tracked VM (Config.TrackProgress) differs only in its branch-flagged
+// slots, which compileStream wraps in trackBranch to fold the control-path
+// checksum; an untracked VM's streams have no trace of tracking.
 //
 // Three kinds of closure fill the slots: wide groups (compileWide), pairs
 // (compilePair) and single opcodes. A single opcode gets its own closure in
-// compileBase, mirroring its runSlice case, unless it is in the cold table
-// (cold.go: measured rare in every benchmark program); those share one
-// generic closure (compileCold) over the same body the reference loop runs.
+// compileBase unless it is in the cold table (cold.go: measured rare in every
+// benchmark program); those share one generic closure (compileCold) over one
+// body. The step stream holds single opcodes only.
 //
-// Epoch-based branch counter. The kill flag, the preemption target and the
-// instruction budget are checked only at block boundaries (every loop
-// contains a branch, so the latency is bounded). A thread is therefore only
-// ever descheduled with its frame flushed at a block edge or a blocking op,
-// which is where the §4.2 progress indicators are read off it (see
-// ProgressSnapshot). Within a block br_cnt cannot change (only branch-flagged
-// instructions bump it, and every branch ends its block), and budget targets
-// lie strictly above the entry br_cnt, so the block-boundary check stops the
-// slice at exactly the same instruction as the historical per-instruction
-// check. Two cases genuinely need per-instruction resolution, and both are
-// delegated to the reference loop (runSlice) at a boundary, which makes them
-// bit-identical by construction:
+// Epoch-based branch counter. On the fused stream the kill flag, the
+// preemption target and the instruction budget are checked only at block
+// boundaries (every loop contains a branch, so the latency is bounded). A
+// thread is therefore only ever descheduled with its frame flushed at a block
+// edge or a blocking op, which is where the §4.2 progress indicators are read
+// off it (see ProgressSnapshot). Within a block br_cnt cannot change (only
+// branch-flagged instructions bump it, and every branch ends its block), and
+// budget targets lie strictly above the entry br_cnt, so the block-boundary
+// check stops the slice at exactly the instruction a per-instruction check
+// would. Two cases genuinely need per-instruction resolution, and for both
+// the driver moves to the step stream at a boundary and stays on it for the
+// rest of the slice, running one closure per iteration with the checks
+// written once, in runThreaded:
 //
 //   - exact replay epochs: while t.BrCnt < target.Br no stop position can
-//     match, so the threaded engine runs freely; the boundary that reaches
-//     the recorded branch count hands the slice tail to runSlice, which does
-//     the per-instruction (method, pc) stop checks;
+//     match, so the fused stream runs freely; from the boundary that reaches
+//     the recorded branch count on, the (method, pc) stop check runs before
+//     every instruction. A wide group's interior is a stop position only
+//     here — the fused stream never stops inside a group;
 //   - budget exhaustion: when fewer than one method body's worth of budget
-//     remains (tmethod.margin), the slice tail runs under runSlice, whose
-//     one-op-per-bytecode stream raises ErrInstrBudget at exactly cap+1
-//     executed instructions.
+//     remains (tmethod.margin), the tail is stepped and ErrInstrBudget is
+//     raised at exactly cap+1 executed instructions.
+//
+// A DispatchSwitch VM and a pair-profiling one (Config.PairCounter) step
+// every slice from its first instruction. Both streams are index-aligned and
+// every slot of the fused stream is executable, so a later slice may resume
+// on the fused stream wherever a stepped one stopped.
 //
 // Fault identity. A wide group or pair that faults materializes the unfused
 // state first — the lead pushes it folded, the pc of the faulting
 // instruction, the instructions completed before the fault — so a fatal error
-// reports the same position and counters as the reference loop.
+// reports the same position and counters as the step stream.
 
 // tclosure executes one resolved instruction (or superinstruction group).
 // It returns true to continue the current basic block, false at a boundary.
 type tclosure func(c *tctx) bool
 
-// tmethod is one method's threaded compilation.
+// tmethod is one method's compilation: the fused stream (nil on a
+// DispatchSwitch VM) and the step stream.
 type tmethod struct {
-	code []tclosure
-	// margin is the near-budget delegation threshold: one straight-line pass
+	code, step []tclosure
+	// margin is the near-budget stepping threshold: one straight-line pass
 	// cannot execute more than len(code) instructions, so while
 	// icnt+margin <= cap the block cannot exhaust the budget.
 	margin uint64
 }
 
-// tctx is the threaded execution state, cached in registers by the closure
-// bodies the same way runSlice caches the frame. One per VM, reused across
-// slices (the hot loop allocates nothing).
+// tctx is the execution state the closure bodies keep in registers. One per
+// VM, reused across slices (the hot loop allocates nothing).
 type tctx struct {
 	vm     *VM
 	t      *Thread
@@ -99,12 +102,13 @@ type tctx struct {
 	branch bool
 	// brTarget/icap are the slice's epoch limits, hoisted so pure branch
 	// closures can stay inside the dispatch loop: brTarget is target.Br, icap
-	// the near-budget delegation threshold (cap minus the method margin).
+	// the near-budget stepping threshold (cap minus the method margin).
 	brTarget uint64
 	icap     uint64
 }
 
-// branchTick counts a branch exactly like the switch loop's dispatch header.
+// branchTick counts a branch: before the instruction executes, so an op that
+// rolls its call back (doCall) can undo it.
 func (c *tctx) branchTick() {
 	c.t.BrCnt++
 	c.vm.stats.Branches++
@@ -134,12 +138,12 @@ func (c *tctx) stepBr() bool {
 	return c.contBr()
 }
 
-// trackBranch wraps a branch-flagged slot of a tracked VM's stream: when the
+// trackBranch wraps a branch-flagged slot of a tracked VM's streams: when the
 // instruction's br_cnt tick stands (no fault; a gated native call rolls its
 // tick back) it folds the position it left the thread at into the
-// control-path checksum, by the same rule as runSlice. Ops that flushed the
-// frame (call, return, join) may have changed it, so they fold the thread's
-// top frame; for the rest the cached pc is the truth.
+// control-path checksum. Ops that flushed the frame (call, return, join) may
+// have changed it, so they fold the thread's top frame; for the rest the
+// cached pc is the truth.
 func trackBranch(op tclosure) tclosure {
 	return func(c *tctx) bool {
 		t := c.t
@@ -156,11 +160,14 @@ func trackBranch(op tclosure) tclosure {
 	}
 }
 
-// runThreaded executes one scheduling slice on the threaded engine. Every
-// boundary first writes the cached pc/stack and instruction count back, so
-// whatever follows (a stop, a hand-off to runSlice, a GC) sees the thread as
-// it stands; the checks then run in the switch loop's historical order
-// (error, kill, preemption target, yield, brk).
+// runThreaded executes one scheduling slice. step selects the stream: false
+// runs fused blocks, true runs the step stream one closure at a time; within
+// a slice it only ever turns on, and only at the dispatch boundary. After a
+// block or a stepped instruction the cached pc/stack and the instruction
+// count are written back first, so whatever follows (a stop, a fault, a GC)
+// sees the thread as it stands; the checks then run in one order — error,
+// pair tick, budget, kill, preemption target, yield, brk — and this function
+// is the only place they are written.
 func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 	capv := vm.instrCap
 	if capv == 0 {
@@ -171,15 +178,22 @@ func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 	c.t = t
 	c.icnt = vm.stats.Instructions
 	c.brTarget = target.Br
+	step := vm.dispatch == DispatchSwitch || vm.pairs != nil
+	// prevOp threads the dynamic opcode-pair profile (Config.PairCounter)
+	// through the slice: consecutive executed instructions, reset per slice.
+	prevOp := bytecode.OpInvalid
 	for {
 		if vm.halted || t.state != StateRunnable || vm.killed.Load() {
 			return nil
 		}
 		if target.Exact && t.BrCnt >= target.Br {
-			// Inside the stop epoch (or past it): the slice tail needs
-			// per-instruction stop-position checks. Delegate to the
-			// reference engine.
-			return vm.runSlice(t, target)
+			// Inside the stop epoch (or past it): the rest of the slice is
+			// stepped, and stops where the thread sits at the recorded
+			// position while still runnable.
+			step = true
+			if f := t.Top(); target.StopRunnable && t.BrCnt == target.Br && f.Method == target.Method && f.PC == target.PC {
+				return nil
+			}
 		}
 		if vm.hp.NeedsGC() {
 			if err := vm.runGC(t); err != nil {
@@ -187,11 +201,11 @@ func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 			}
 		}
 		f := &t.frames[len(t.frames)-1]
-		tm := &vm.tcode[f.Method]
+		tm, ops := &vm.tcode[f.Method], vm.rcode[f.Method]
 		if c.icnt+tm.margin > capv {
-			// Near the instruction budget: the reference engine's
-			// per-dispatch check decides the exact faulting instruction.
-			return vm.runSlice(t, target)
+			// Near the instruction budget: the per-instruction check decides
+			// the exact faulting instruction.
+			step = true
 		}
 		c.icap = capv - tm.margin
 		c.f = f
@@ -199,8 +213,15 @@ func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 		c.stack = f.Stack
 		c.pc = f.PC
 		code := tm.code
+		if step {
+			code = tm.step
+		}
 		for {
-			for code[c.pc](c) {
+			pc := c.pc
+			if step {
+				code[pc](c)
+			} else {
+				runBlock(code, c)
 			}
 			// An op that flushed may have changed the frame stack under f.
 			if !c.flushed {
@@ -214,12 +235,26 @@ func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 				c.err = nil
 				return vm.fatal(t, err)
 			}
+			if step {
+				if vm.pairs != nil {
+					op := ops[pc].Op
+					if prevOp != bytecode.OpInvalid {
+						vm.pairs.Add(prevOp, op)
+					}
+					prevOp = op
+				}
+				if c.icnt > capv {
+					return vm.fatal(t, ErrInstrBudget)
+				}
+			}
 			if vm.killed.Load() {
 				return nil
 			}
 			if target.Exact {
-				if t.BrCnt >= target.Br {
-					return vm.runSlice(t, target)
+				if t.BrCnt > target.Br {
+					// Ran past the recorded switch point: let the coordinator
+					// diagnose the divergence at the next dispatch.
+					return nil
 				}
 			} else if branch && t.BrCnt >= target.Br {
 				return nil
@@ -228,35 +263,54 @@ func (vm *VM) runThreaded(t *Thread, target SliceTarget) error {
 				t.yielded = false
 				return nil
 			}
-			if brk {
+			// Back to the boundary: the op needs it; or an exact slice is in its
+			// stop epoch, where step turns on and the stop check then precedes
+			// every instruction; or the budget is near, where step turns on.
+			if brk || target.Exact && (step || t.BrCnt >= target.Br) || c.icnt+tm.margin > capv {
 				break
-			}
-			if c.icnt+tm.margin > capv {
-				return vm.runSlice(t, target)
 			}
 		}
 	}
 }
 
-// compileThreaded compiles one resolved stream set (per-method, index-aligned
-// with prog.Methods; nil for natives) into closure arrays. Tracking is
-// decided here, once, so an untracked VM pays nothing for it.
-func (vm *VM) compileThreaded(streams [][]bytecode.RInstr) []tmethod {
-	out := make([]tmethod, len(streams))
-	for mi, code := range streams {
+// runBlock runs closures until one ends the block. It is a function of its
+// own, never inlined, so that the dispatch loop keeps two values in registers
+// across each indirect call instead of everything runThreaded has live.
+//
+//go:noinline
+func runBlock(code []tclosure, c *tctx) {
+	for code[c.pc](c) {
+	}
+}
+
+// compileThreaded compiles the resolved streams (per-method, index-aligned
+// with prog.Methods; nil for natives) into closure arrays: the step stream
+// always, the fused stream when Dispatch selects it.
+func (vm *VM) compileThreaded(res *bytecode.Resolved) []tmethod {
+	out := make([]tmethod, len(res.Methods))
+	for mi, code := range res.Methods {
 		if code == nil {
 			continue
 		}
-		cl := make([]tclosure, len(code))
-		for pc := range code {
-			cl[pc] = vm.compileOp(code[pc])
-			if vm.trackProgress && code[pc].Branch {
-				cl[pc] = trackBranch(cl[pc])
-			}
+		out[mi] = tmethod{step: vm.compileStream(code), margin: uint64(len(code)) + 16}
+		if vm.dispatch == DispatchThreaded {
+			out[mi].code = vm.compileStream(res.Wide[mi])
 		}
-		out[mi] = tmethod{code: cl, margin: uint64(len(code)) + 16}
 	}
 	return out
+}
+
+// compileStream compiles one method's stream. Tracking is decided here, once,
+// so an untracked VM pays nothing for it.
+func (vm *VM) compileStream(code []bytecode.RInstr) []tclosure {
+	cl := make([]tclosure, len(code))
+	for pc := range code {
+		cl[pc] = vm.compileOp(code[pc])
+		if vm.trackProgress && code[pc].Branch {
+			cl[pc] = trackBranch(cl[pc])
+		}
+	}
+	return cl
 }
 
 // aluFn returns the integer ALU function of a base opcode (wide-fusion set).
@@ -649,9 +703,9 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 	}
 }
 
-// compileBase builds the closure for a base (unfused) opcode. Each body is a
-// direct transcription of the corresponding runSlice case; step() supplies
-// the shared post-instruction bookkeeping.
+// compileBase builds the closure for a base (unfused) opcode: its one body in
+// the product, on either stream. step() supplies the shared count; everything
+// else that follows an instruction is the driver's.
 func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 	switch in.Op {
 	case bytecode.OpIConst:

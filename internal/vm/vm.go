@@ -64,17 +64,17 @@ type Config struct {
 	// exported only because benchmark/ builds tracked standalone VMs with it
 	// (ROADMAP item 1d removes it in a benchmark PR).
 	TrackProgress bool
-	// Dispatch selects the interpreter engine: DispatchThreaded (default)
-	// runs the subroutine-threaded engine with wide superinstruction fusion
-	// and the epoch-based branch counter; DispatchSwitch runs the reference
-	// switch loop. Both engines are bit-identical on every replication-
-	// visible surface (see threaded.go).
+	// Dispatch selects the stream the engine runs: DispatchThreaded (default)
+	// runs wide-fused superinstruction blocks under the epoch-based branch
+	// counter; DispatchSwitch steps the unfused stream, one bytecode and one
+	// round of checks at a time. Both are bit-identical on every
+	// replication-visible surface (see threaded.go).
 	Dispatch Dispatch
 	// PairCounter, when non-nil, records every executed opcode pair into the
-	// counter. Counting runs on the reference loop regardless of Dispatch
-	// (the dynamic pair stream feeds the fusion table and the cold table, so
-	// it must see original opcodes), making it a profiling mode, not a
-	// serving mode.
+	// counter. Counting steps the unfused stream regardless of Dispatch (the
+	// dynamic pair stream feeds the fusion table and the cold table, so it
+	// must see original opcodes), making it a profiling mode, not a serving
+	// mode.
 	PairCounter *pairfreq.Counter
 }
 
@@ -120,9 +120,9 @@ type VM struct {
 
 	// rcode is the decode-once form of prog: per-method resolved code, one
 	// op per bytecode, index-aligned with prog.Methods (nil for natives) —
-	// the stream the reference loop (runSlice) executes. interned holds the
-	// pre-allocated heap string for every StrPool entry, so executing sconst
-	// never allocates.
+	// what the step stream was compiled from; the pair profiler reads
+	// opcodes off it. interned holds the pre-allocated heap string for every
+	// StrPool entry, so executing sconst never allocates.
 	rcode    [][]bytecode.RInstr
 	interned []heap.Ref
 
@@ -135,15 +135,14 @@ type VM struct {
 	instrCap      uint64
 	stats         Stats
 
-	// dispatch selects the engine; tcode is the subroutine-threaded
-	// compilation of the wide-fused stream, built when dispatch is
-	// DispatchThreaded. tc is the reusable threaded execution context.
+	// dispatch selects the stream; tcode is the closure compilation of both
+	// (the fused one only when dispatch is DispatchThreaded). tc is the
+	// reusable execution context.
 	dispatch Dispatch
 	tcode    []tmethod
 	tc       tctx
 
-	// pairs, when set, runs every slice on the reference loop, counting
-	// (see Config.PairCounter).
+	// pairs, when set, steps every slice, counting (see Config.PairCounter).
 	pairs *pairfreq.Counter
 }
 
@@ -214,11 +213,9 @@ func New(cfg Config) (*VM, error) {
 		}
 		v.interned[i] = ref
 	}
-	if v.dispatch == DispatchThreaded {
-		// Compile after interning: sconst closures capture the interned
-		// refs directly.
-		v.tcode = v.compileThreaded(res.Wide)
-	}
+	// Compile after interning: sconst closures capture the interned refs
+	// directly.
+	v.tcode = v.compileThreaded(res)
 	return v, nil
 }
 
@@ -438,7 +435,7 @@ func (vm *VM) loop() error {
 			}
 		}
 		vm.cur = next
-		if err := vm.runSliceDispatch(next, target); err != nil {
+		if err := vm.dispatchSlice(next, target); err != nil {
 			return err
 		}
 	}

@@ -57,8 +57,8 @@ if ! cmp -s "$tmp/out1" "$tmp/out3"; then
     exit 1
 fi
 
-# Dual-engine: the switch interpreter replays the same log to the same
-# states, so the whole transcript is byte-identical too.
+# Dual-stream: stepping the unfused stream (-dispatch switch) replays the same
+# log to the same states, so the whole transcript is byte-identical too.
 go run ./cmd/ftvm-debug -every 16 -dispatch switch "$tmp/a.ftlog" < "$tmp/script" > "$tmp/out4"
 if ! cmp -s "$tmp/out1" "$tmp/out4"; then
     echo "debug-smoke: switch-dispatch replay differs from threaded" >&2
