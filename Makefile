@@ -47,8 +47,11 @@ loc:
 # internal/vm/interp.go to internal/vm/oracle_test.go (`make loc` prints its
 # size beside internal/vm's). 125 lines of it were deleted on the way (register
 # caching, the watch/slow split, the fast path, pair counting) and the step
-# tier that replaced it in the product added 58.
-LOC_MAX = 27747
+# tier that replaced it in the product added 58. The two-word heap.Value and
+# allocation-free native calls lowered it by 11: they added 107 lines and
+# paid for them by deleting Value.Equal, Value.Truthy, Frame.pop, Frame.top,
+# Thread.popFrame and doCall's argument copy and re-push loops.
+LOC_MAX = 27736
 loc-check:
 	./scripts/loc.sh $(LOC_MAX)
 

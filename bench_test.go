@@ -179,3 +179,30 @@ func BenchmarkInterpreter(b *testing.B) { benchSpin(b, DispatchThreaded) }
 // path selects it for whole runs; the benchmark is there so bench-smoke runs
 // both streams every time.
 func BenchmarkInterpreterSwitch(b *testing.B) { benchSpin(b, DispatchSwitch) }
+
+// BenchmarkNativeCall is a math-heavy loop: 100k iterations of a few float
+// ops around math.sqrt and math.pow, 200k native calls per op. Its allocs/op
+// is the VM's set-up alone (about 300): a deterministic native call allocates
+// nothing (internal/vm's TestNativeCallAllocFree); three allocations a call
+// would add 600k.
+func BenchmarkNativeCall(b *testing.B) {
+	prog, err := CompileSource("natives", `
+func main() {
+	var x float = 2.0;
+	for (var i int = 0; i < 100000; i = i + 1) {
+		x = pow(sqrt(x * 1.5 + 0.25), 1.25) - 0.5;
+	}
+	print(ftoa(x));
+}`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(prog, Options{EnvSeed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Stats.NativeCalls), "native-calls")
+	}
+}

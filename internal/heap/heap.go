@@ -338,7 +338,7 @@ func (h *Heap) ArrSet(r Ref, i int, v Value) error {
 		if v.Kind != KindFloat {
 			return fmt.Errorf("%w: storing %s into float[]", ErrKindMismatch, v.Kind)
 		}
-		o.Floats[i] = v.F
+		o.Floats[i] = v.F()
 	case ObjRefArr:
 		if i < 0 || i >= len(o.Refs) {
 			return fmt.Errorf("%w: %d of %d", ErrIndexOOB, i, len(o.Refs))
@@ -346,7 +346,7 @@ func (h *Heap) ArrSet(r Ref, i int, v Value) error {
 		if v.Kind != KindRef {
 			return fmt.Errorf("%w: storing %s into ref[]", ErrKindMismatch, v.Kind)
 		}
-		o.Refs[i] = v.R
+		o.Refs[i] = v.R()
 	default:
 		return fmt.Errorf("%w: %s is not a writable array", ErrKindMismatch, o.Kind)
 	}
@@ -408,7 +408,7 @@ func (h *Heap) GC(roots func(mark func(Ref))) int {
 		case ObjRecord:
 			for _, f := range o.Fields {
 				if f.Kind == KindRef {
-					mark(f.R)
+					mark(f.R())
 				}
 			}
 		case ObjRefArr:
@@ -451,7 +451,7 @@ func (h *Heap) GC(roots func(mark func(Ref))) int {
 			case ObjRecord:
 				for _, f := range oo.Fields {
 					if f.Kind == KindRef {
-						mark(f.R)
+						mark(f.R())
 					}
 				}
 			case ObjRefArr:

@@ -8,7 +8,10 @@
 // forces the paper's virtual lock-id (l_id) scheme in replicated execution.
 package heap
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // Kind discriminates the runtime value variants held in stack slots, locals,
 // fields and array elements.
@@ -42,25 +45,33 @@ type Ref uint32
 // NullRef is the null heap reference.
 const NullRef Ref = 0
 
-// Value is a tagged runtime value: an integer, a float, or a heap reference.
+// Value is a tagged runtime value: an integer, a float, or a heap reference,
+// in two words. I is the one payload word: an int is stored as itself, a
+// float as its IEEE-754 bits (so -0.0 and every NaN keep their bits), a ref
+// zero-extended. Read a float or a ref through F or R; I is the int only when
+// Kind is KindInt.
 type Value struct {
 	Kind Kind
 	I    int64
-	F    float64
-	R    Ref
 }
 
 // IntVal returns an integer value.
 func IntVal(i int64) Value { return Value{Kind: KindInt, I: i} }
 
 // FloatVal returns a floating-point value.
-func FloatVal(f float64) Value { return Value{Kind: KindFloat, F: f} }
+func FloatVal(f float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(f))} }
 
 // RefVal returns a reference value.
-func RefVal(r Ref) Value { return Value{Kind: KindRef, R: r} }
+func RefVal(r Ref) Value { return Value{Kind: KindRef, I: int64(r)} }
 
 // Null returns the null reference value.
-func Null() Value { return Value{Kind: KindRef, R: NullRef} }
+func Null() Value { return Value{Kind: KindRef} }
+
+// F returns the float payload of a KindFloat value.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// R returns the reference payload of a KindRef value.
+func (v Value) R() Ref { return Ref(v.I) }
 
 // BoolVal returns the integer encoding of b (1 or 0).
 func BoolVal(b bool) Value {
@@ -71,41 +82,20 @@ func BoolVal(b bool) Value {
 }
 
 // IsNull reports whether v is the null reference.
-func (v Value) IsNull() bool { return v.Kind == KindRef && v.R == NullRef }
-
-// Truthy reports whether v is a non-zero integer (conditional jumps pop ints).
-func (v Value) Truthy() bool { return v.Kind == KindInt && v.I != 0 }
+func (v Value) IsNull() bool { return v.Kind == KindRef && v.R() == NullRef }
 
 func (v Value) String() string {
 	switch v.Kind {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindRef:
-		if v.R == NullRef {
+		if v.R() == NullRef {
 			return "null"
 		}
-		return "@" + strconv.FormatUint(uint64(v.R), 10)
+		return "@" + strconv.FormatUint(uint64(v.R()), 10)
 	default:
 		return "<invalid>"
-	}
-}
-
-// Equal reports deep equality of the tagged representation (used by tests and
-// by the backup when cross-checking logged native results).
-func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
-		return false
-	}
-	switch v.Kind {
-	case KindInt:
-		return v.I == o.I
-	case KindFloat:
-		return v.F == o.F
-	case KindRef:
-		return v.R == o.R
-	default:
-		return true
 	}
 }

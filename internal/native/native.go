@@ -89,7 +89,12 @@ type Def struct {
 	// gate) the VM blocks the thread and re-executes the whole native once
 	// the monitor becomes available. They must not also be intercepted.
 	AcquiresLocks bool
-	// Fn is the implementation.
+	// Fn is the implementation. args alias the caller's operand stack for
+	// the duration of the call: Fn must not retain them. A never-intercepted
+	// native (none of NonDeterministic, Output, Handler) may write its
+	// results into args and return a prefix of it; an intercepted one must
+	// leave them intact, because the primary hands them to the managing
+	// side-effect handler's Log after Fn returns.
 	Fn Func
 }
 

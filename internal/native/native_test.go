@@ -93,7 +93,7 @@ func TestConsoleAndChannelNatives(t *testing.T) {
 	}
 	c.e.Messages().Inject("inbound")
 	out := call(t, c, "chan.recv")
-	s, err := c.h.StringAt(out[0].R)
+	s, err := c.h.StringAt(out[0].R())
 	if err != nil || s != "inbound" {
 		t.Fatalf("recv = %q (%v)", s, err)
 	}
@@ -117,7 +117,7 @@ func TestFileNatives(t *testing.T) {
 		t.Fatalf("seek = %v", out)
 	}
 	out = call(t, c, "fs.read", heap.IntVal(fd), heap.IntVal(3))
-	s, _ := c.h.StringAt(out[0].R)
+	s, _ := c.h.StringAt(out[0].R())
 	if s != "cde" {
 		t.Fatalf("read = %q", s)
 	}
@@ -170,13 +170,13 @@ func (m mapTranslator) Real(logged int64) (int64, error) {
 
 func TestMathNatives(t *testing.T) {
 	c := newFakeCtx()
-	if out := call(t, c, "math.sqrt", heap.FloatVal(16)); out[0].F != 4 {
+	if out := call(t, c, "math.sqrt", heap.FloatVal(16)); out[0].F() != 4 {
 		t.Fatalf("sqrt = %v", out)
 	}
-	if out := call(t, c, "math.pow", heap.FloatVal(2), heap.FloatVal(8)); out[0].F != 256 {
+	if out := call(t, c, "math.pow", heap.FloatVal(2), heap.FloatVal(8)); out[0].F() != 256 {
 		t.Fatalf("pow = %v", out)
 	}
-	if out := call(t, c, "math.floor", heap.FloatVal(2.9)); out[0].F != 2 {
+	if out := call(t, c, "math.floor", heap.FloatVal(2.9)); out[0].F() != 2 {
 		t.Fatalf("floor = %v", out)
 	}
 	if _, err := mustDef(t, "math.sqrt").Fn(c, []heap.Value{heap.IntVal(4)}); !errors.Is(err, ErrBadArgs) {
@@ -205,7 +205,7 @@ func TestSysNatives(t *testing.T) {
 		t.Fatal("sys.gc did not reach the VM")
 	}
 	out := call(t, c, "sys.threadid")
-	s, _ := c.h.StringAt(out[0].R)
+	s, _ := c.h.StringAt(out[0].R())
 	if s != "0" {
 		t.Fatalf("threadid = %q", s)
 	}
@@ -216,11 +216,11 @@ func TestSoftWeakRefNatives(t *testing.T) {
 	obj, _ := c.h.AllocIntArr(1)
 	holder := call(t, c, "ref.soft", heap.RefVal(obj))[0]
 	got := call(t, c, "ref.softget", holder)[0]
-	if got.R != obj {
+	if got.R() != obj {
 		t.Fatalf("softget = %v", got)
 	}
 	wholder := call(t, c, "ref.weak", heap.RefVal(obj))[0]
-	if got := call(t, c, "ref.weakget", wholder)[0]; got.R != obj {
+	if got := call(t, c, "ref.weakget", wholder)[0]; got.R() != obj {
 		t.Fatalf("weakget = %v", got)
 	}
 }

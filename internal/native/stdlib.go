@@ -45,14 +45,14 @@ func argFloat(args []heap.Value, i int) (float64, error) {
 	if i >= len(args) || args[i].Kind != heap.KindFloat {
 		return 0, fmt.Errorf("%w: arg %d must be float", ErrBadArgs, i)
 	}
-	return args[i].F, nil
+	return args[i].F(), nil
 }
 
 func argRef(args []heap.Value, i int) (heap.Ref, error) {
 	if i >= len(args) || args[i].Kind != heap.KindRef {
 		return 0, fmt.Errorf("%w: arg %d must be ref", ErrBadArgs, i)
 	}
-	return args[i].R, nil
+	return args[i].R(), nil
 }
 
 func argStr(ctx Ctx, args []heap.Value, i int) (string, error) {
@@ -341,7 +341,8 @@ func StdLib() *Registry {
 		},
 	})
 
-	// Deterministic math natives (never intercepted).
+	// Deterministic math natives: never intercepted, so they return their
+	// result in args[0] (the contract on Def.Fn) and a call allocates nothing.
 	mathUnary := func(sig string, f func(float64) float64) {
 		r.MustRegister(&Def{
 			Sig: sig, Arity: 1, Returns: 1,
@@ -350,7 +351,8 @@ func StdLib() *Registry {
 				if err != nil {
 					return nil, err
 				}
-				return []heap.Value{heap.FloatVal(f(x))}, nil
+				args[0] = heap.FloatVal(f(x))
+				return args[:1], nil
 			},
 		})
 	}
@@ -372,7 +374,8 @@ func StdLib() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			return []heap.Value{heap.FloatVal(math.Pow(x, y))}, nil
+			args[0] = heap.FloatVal(math.Pow(x, y))
+			return args[:1], nil
 		},
 	})
 

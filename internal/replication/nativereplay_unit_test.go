@@ -2,6 +2,8 @@ package replication
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -236,10 +238,10 @@ func TestToWireRejectsNonStringRefs(t *testing.T) {
 		t.Fatalf("wv = %v (%v)", wv, err)
 	}
 	back, err := fromWire(h, wv)
-	if err != nil || len(back) != 4 || !back[0].IsNull() || back[1].I != 1 || back[2].F != 2 {
+	if err != nil || len(back) != 4 || !back[0].IsNull() || back[1].I != 1 || back[2].F() != 2 {
 		t.Fatalf("back = %v (%v)", back, err)
 	}
-	if got, _ := h.StringAt(back[3].R); got != "x" {
+	if got, _ := h.StringAt(back[3].R()); got != "x" {
 		t.Fatalf("string = %q", got)
 	}
 }
@@ -271,5 +273,81 @@ func TestBackupLoadRecordsRoutesHandlers(t *testing.T) {
 	}
 	if ServeOutcome(0).String() == "" || OutcomePrimaryFailed.String() != "primary failed" {
 		t.Fatal("outcome strings broken")
+	}
+}
+
+// argSpy is the file handler with its Log observed: it renders the arguments
+// and results the primary hands Log for each intercepted fs native.
+type argSpy struct {
+	*sehandler.FileHandler
+	args, results map[string]string
+}
+
+func (s *argSpy) Log(ctx sehandler.Ctx, def *native.Def, args, results []heap.Value) ([]byte, error) {
+	render := func(vals []heap.Value) string {
+		out := make([]string, len(vals))
+		for i, v := range vals {
+			out[i] = v.String()
+			if str, err := ctx.Heap.StringAt(v.R()); v.Kind == heap.KindRef && err == nil {
+				out[i] = fmt.Sprintf("%q", str)
+			}
+		}
+		return strings.Join(out, " ")
+	}
+	s.args[def.Sig], s.results[def.Sig] = render(args), render(results)
+	return s.FileHandler.Log(ctx, def, args, results)
+}
+
+// TestInterceptedArgsReachLogIntact: a native's arguments are a view of the
+// caller's operand stack, and the primary logs an intercepted native's
+// handler state after it returns — so Log must still see what the program
+// passed (the descriptor fs.open returned and the data), not anything the
+// native or the call path wrote over them (such as fs.write's byte count).
+func TestInterceptedArgsReachLogIntact(t *testing.T) {
+	prog, err := bytecode.AssembleString(`
+native open fs.open 2 value
+native write fs.write 2 value
+method main 0 void
+  sconst "f.txt"
+  iconst 1
+  call open
+  store 0
+  load 0
+  sconst "twelve bytes"
+  call write
+  store 1
+  ret
+end`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &argSpy{FileHandler: sehandler.NewFileHandler(), args: map[string]string{}, results: map[string]string{}}
+	set, err := sehandler.NewSet(spy, sehandler.NewChannelHandler(), sehandler.NewDevicesHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPrimary(PrimaryConfig{Mode: ModeLock, Backend: &fakeBackend{}, Handlers: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := vm.New(vm.Config{Program: prog, Env: env.New(1), Coordinator: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fd := spy.results["fs.open"]
+	if fd == "" || fd == "-1" || fd == "12" {
+		t.Fatalf("fs.open logged result %q, want a descriptor other than -1 and 12", fd)
+	}
+	if got, want := spy.args["fs.open"], `"f.txt" 1`; got != want {
+		t.Errorf("fs.open Log saw args %s, want %s", got, want)
+	}
+	if got, want := spy.args["fs.write"], fd+` "twelve bytes"`; got != want {
+		t.Errorf("fs.write Log saw args %s, want %s", got, want)
+	}
+	if got := spy.results["fs.write"]; got != "12" {
+		t.Errorf("fs.write Log saw results %s, want 12", got)
 	}
 }

@@ -68,13 +68,13 @@ func toWire(h *heap.Heap, results []heap.Value) ([]wire.WireValue, error) {
 		case heap.KindInt:
 			out[i] = wire.WireValue{Kind: wire.WireInt, I: v.I}
 		case heap.KindFloat:
-			out[i] = wire.WireValue{Kind: wire.WireFloat, F: v.F}
+			out[i] = wire.WireValue{Kind: wire.WireFloat, F: v.F()}
 		case heap.KindRef:
-			if v.R == heap.NullRef {
+			if v.R() == heap.NullRef {
 				out[i] = wire.WireValue{Kind: wire.WireNull}
 				continue
 			}
-			s, err := h.StringAt(v.R)
+			s, err := h.StringAt(v.R())
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadResult, err)
 			}

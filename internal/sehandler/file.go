@@ -100,7 +100,7 @@ func (h *FileHandler) Log(ctx Ctx, def *native.Def, args, results []heap.Value) 
 	}
 	switch def.Sig {
 	case "fs.open":
-		name, err := ctx.Heap.StringAt(args[0].R)
+		name, err := ctx.Heap.StringAt(args[0].R())
 		if err != nil {
 			return nil, fmt.Errorf("fs.open log: %w", err)
 		}
@@ -196,7 +196,7 @@ func (h *FileHandler) Test(ctx Ctx, def *native.Def, args []heap.Value, intent *
 	if len(args) != 2 || args[0].Kind != heap.KindInt || args[1].Kind != heap.KindRef {
 		return false, fmt.Errorf("fs.write test: malformed args")
 	}
-	data, err := ctx.Heap.StringAt(args[1].R)
+	data, err := ctx.Heap.StringAt(args[1].R())
 	if err != nil {
 		return false, fmt.Errorf("fs.write test: %w", err)
 	}

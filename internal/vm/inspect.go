@@ -155,13 +155,13 @@ func writeValue(b *strings.Builder, hp *heap.Heap, v heap.Value) {
 	case heap.KindInt:
 		fmt.Fprintf(b, "%d", v.I)
 	case heap.KindFloat:
-		fmt.Fprintf(b, "%g", v.F)
+		fmt.Fprintf(b, "%g", v.F())
 	case heap.KindRef:
-		if v.R == heap.NullRef {
+		if v.R() == heap.NullRef {
 			b.WriteString("null")
 			return
 		}
-		o, err := hp.Get(v.R)
+		o, err := hp.Get(v.R())
 		if err != nil {
 			b.WriteString("ref?")
 			return

@@ -53,14 +53,14 @@ func wantFloat(v heap.Value) (float64, error) {
 	if v.Kind != heap.KindFloat {
 		return 0, notFloat(v)
 	}
-	return v.F, nil
+	return v.F(), nil
 }
 
 func wantRef(v heap.Value) (heap.Ref, error) {
 	if v.Kind != heap.KindRef {
 		return 0, notRef(v)
 	}
-	return v.R, nil
+	return v.R(), nil
 }
 
 // strAt resolves a string operand (ref to a heap string object).
@@ -68,7 +68,7 @@ func (vm *VM) strAt(v heap.Value) (string, error) {
 	if v.Kind != heap.KindRef {
 		return "", notRef(v)
 	}
-	return vm.hp.StringAt(v.R)
+	return vm.hp.StringAt(v.R())
 }
 
 func cmpInt(a, b int64) int64 {
@@ -96,44 +96,34 @@ func fnv64(s string) int64 {
 func (vm *VM) doCall(t *Thread, f *Frame, methodIdx int32) error {
 	callee := vm.prog.Methods[methodIdx]
 	if !callee.Native {
-		// The argument values are copied into the callee's locals by
-		// pushFrame, so the operand-stack tail can be passed as a view —
-		// no per-call argument slice. Truncate before pushFrame: it may grow
-		// t.frames and leave f dangling.
-		base := len(f.Stack) - callee.NArgs
-		args := f.Stack[base:]
-		f.Stack = f.Stack[:base]
-		f.PC++ // resume after the call
-		t.pushFrame(callee, methodIdx, args)
+		// pushFrame copies the arguments into the callee's locals. Truncate
+		// before it runs: it may grow t.frames and leave f dangling.
+		t.pushFrame(callee, methodIdx, f.takeArgs(callee.NArgs))
 		return nil
 	}
-	if def, ok := vm.natives.Lookup(callee.NativeSig); ok && vm.natives.Intercepted(def.Sig) {
-		if !vm.coord.NativeReady(vm, t, def) {
-			// Gate before popping args or advancing the pc: the call
-			// re-executes when the coordinator re-admits the thread.
-			// Undo this OpCall's branch tick so br_cnt counts the call
-			// exactly once.
-			t.BrCnt--
-			vm.stats.Branches--
-			t.state = StateGated
-			t.blockedOn = nil
-			return nil
-		}
-	}
-	nargs := callee.NArgs
-	args := make([]heap.Value, nargs)
-	for i := nargs - 1; i >= 0; i-- {
-		args[i] = f.pop()
-	}
-	f.PC++ // resume after the call
 	def, ok := vm.natives.Lookup(callee.NativeSig)
+	intercepted := ok && vm.natives.Intercepted(def.Sig)
+	if intercepted && !vm.coord.NativeReady(vm, t, def) {
+		// Gate before popping args or advancing the pc: the call
+		// re-executes when the coordinator re-admits the thread.
+		// Undo this OpCall's branch tick so br_cnt counts the call
+		// exactly once.
+		t.BrCnt--
+		vm.stats.Branches--
+		t.state = StateGated
+		t.blockedOn = nil
+		return nil
+	}
+	// The native reads its arguments in place (the contract on
+	// native.Def.Fn); nothing pushes onto f until it has returned.
+	args := f.takeArgs(callee.NArgs)
 	if !ok {
 		return fmt.Errorf("%v %q", native.ErrUnknownNative, callee.NativeSig)
 	}
 	vm.stats.NativeCalls++
 	var results []heap.Value
 	var err error
-	if vm.natives.Intercepted(def.Sig) {
+	if intercepted {
 		if t.finalizerDepth > 0 {
 			return fmt.Errorf("finalizer called intercepted native %s (violates §4.3 determinism assumption)", def.Sig)
 		}
@@ -153,9 +143,7 @@ func (vm *VM) doCall(t *Thread, f *Frame, methodIdx int32) error {
 			// (AcquiresLocks natives are side-effect-free up to their first
 			// acquisition).
 			f.PC--
-			for _, a := range args {
-				f.push(a)
-			}
+			f.Stack = f.Stack[:len(f.Stack)+len(args)]
 			t.BrCnt--
 			vm.stats.Branches--
 			vm.stats.NativeCalls--
@@ -177,14 +165,15 @@ func (vm *VM) doCall(t *Thread, f *Frame, methodIdx int32) error {
 // doReturn pops the current frame; when the last frame returns, the thread
 // runs its death sequence ($finish) and then dies.
 func (vm *VM) doReturn(t *Thread, hasValue bool) error {
+	f := &t.frames[len(t.frames)-1]
 	var ret heap.Value
 	if hasValue {
-		ret = t.frames[len(t.frames)-1].pop()
+		ret = f.Stack[len(f.Stack)-1]
 	}
-	done := t.popFrame()
-	if done.finalizer {
+	if f.finalizer {
 		t.finalizerDepth--
 	}
+	t.frames = t.frames[:len(t.frames)-1] // the slot keeps its arrays (pushFrame)
 	if len(t.frames) > 0 {
 		if hasValue {
 			t.frames[len(t.frames)-1].push(ret)

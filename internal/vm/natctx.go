@@ -9,6 +9,9 @@ import (
 )
 
 // nativeCtx adapts the VM to the native.Ctx interface for one invocation.
+// Each VM owns one (VM.nctx), re-aimed at the calling thread per call, so a
+// native call allocates no context: natives never nest (none calls back into
+// the interpreter), and none keeps its Ctx after returning.
 type nativeCtx struct {
 	vm *VM
 	t  *Thread
@@ -42,8 +45,9 @@ func (vm *VM) DirectNative(t *Thread, def *native.Def, args []heap.Value) ([]hea
 	if len(args) != def.Arity {
 		return nil, fmt.Errorf("%w: %s: %d args, want %d", native.ErrBadArgs, def.Sig, len(args), def.Arity)
 	}
-	ctx := nativeCtx{vm: vm, t: t}
-	results, err := def.Fn(&ctx, args)
+	ctx := &vm.nctx
+	ctx.vm, ctx.t = vm, t
+	results, err := def.Fn(ctx, args)
 	if err != nil {
 		return nil, fmt.Errorf("native %s: %w", def.Sig, err)
 	}

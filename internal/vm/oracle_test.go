@@ -236,7 +236,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = floatOpErr(a, b)
 				break
 			}
-			f.Stack[n-2] = heap.FloatVal(a.F + b.F)
+			f.Stack[n-2] = heap.FloatVal(a.F() + b.F())
 			f.Stack = f.Stack[:n-1]
 			f.PC++
 		case bytecode.OpFSub:
@@ -246,7 +246,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = floatOpErr(a, b)
 				break
 			}
-			f.Stack[n-2] = heap.FloatVal(a.F - b.F)
+			f.Stack[n-2] = heap.FloatVal(a.F() - b.F())
 			f.Stack = f.Stack[:n-1]
 			f.PC++
 		case bytecode.OpFMul:
@@ -256,7 +256,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = floatOpErr(a, b)
 				break
 			}
-			f.Stack[n-2] = heap.FloatVal(a.F * b.F)
+			f.Stack[n-2] = heap.FloatVal(a.F() * b.F())
 			f.Stack = f.Stack[:n-1]
 			f.PC++
 		case bytecode.OpFDiv:
@@ -266,7 +266,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = floatOpErr(a, b)
 				break
 			}
-			f.Stack[n-2] = heap.FloatVal(a.F / b.F)
+			f.Stack[n-2] = heap.FloatVal(a.F() / b.F())
 			f.Stack = f.Stack[:n-1]
 			f.PC++
 
@@ -299,9 +299,9 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 			}
 			var res int64
 			switch {
-			case a.F < b.F:
+			case a.F() < b.F():
 				res = -1
-			case a.F > b.F:
+			case a.F() > b.F():
 				res = 1
 			}
 			f.Stack[n-2] = heap.IntVal(res)
@@ -318,7 +318,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = notRef(a)
 				break
 			}
-			f.Stack[n-2] = heap.BoolVal(a.R == b.R)
+			f.Stack[n-2] = heap.BoolVal(a.R() == b.R())
 			f.Stack = f.Stack[:n-1]
 			f.PC++
 
@@ -363,7 +363,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = notRef(rv)
 				break
 			}
-			v, gerr := vm.hp.GetField(rv.R, int(in.A))
+			v, gerr := vm.hp.GetField(rv.R(), int(in.A))
 			if gerr != nil {
 				err = gerr
 				break
@@ -377,7 +377,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = notRef(rv)
 				break
 			}
-			if serr := vm.hp.SetField(rv.R, int(in.A), v); serr != nil {
+			if serr := vm.hp.SetField(rv.R(), int(in.A), v); serr != nil {
 				err = serr
 				break
 			}
@@ -398,7 +398,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = notRef(rv)
 				break
 			}
-			v, gerr := vm.hp.ArrGet(rv.R, int(iv.I))
+			v, gerr := vm.hp.ArrGet(rv.R(), int(iv.I))
 			if gerr != nil {
 				err = gerr
 				break
@@ -417,7 +417,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = notRef(rv)
 				break
 			}
-			if serr := vm.hp.ArrSet(rv.R, int(iv.I), v); serr != nil {
+			if serr := vm.hp.ArrSet(rv.R(), int(iv.I), v); serr != nil {
 				err = serr
 				break
 			}
@@ -450,7 +450,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				err = notRef(rv)
 				break
 			}
-			done, merr := vm.monEnter(t, rv.R)
+			done, merr := vm.monEnter(t, rv.R())
 			if merr != nil {
 				err = merr
 				break
@@ -467,7 +467,7 @@ func (vm *VM) runSlice(t *Thread, target SliceTarget) error {
 				break
 			}
 			f.Stack = f.Stack[:len(f.Stack)-1]
-			if merr := vm.monExit(t, rv.R); merr != nil {
+			if merr := vm.monExit(t, rv.R()); merr != nil {
 				err = merr
 				break
 			}

@@ -61,13 +61,15 @@ type Frame struct {
 
 func (f *Frame) push(v heap.Value) { f.Stack = append(f.Stack, v) }
 
-func (f *Frame) pop() heap.Value {
-	v := f.Stack[len(f.Stack)-1]
-	f.Stack = f.Stack[:len(f.Stack)-1]
-	return v
+// takeArgs truncates the operand stack below its top n values and returns
+// them as a view (valid until the next push), advancing the pc past the call.
+func (f *Frame) takeArgs(n int) []heap.Value {
+	base := len(f.Stack) - n
+	args := f.Stack[base:]
+	f.Stack = f.Stack[:base]
+	f.PC++
+	return args
 }
-
-func (f *Frame) top() *heap.Value { return &f.Stack[len(f.Stack)-1] }
 
 // Thread is one BEE: a virtual thread id, a frame stack, scheduling state,
 // and the progress counters replica coordination needs (br_cnt, mon_cnt,
@@ -171,12 +173,6 @@ func (t *Thread) pushFrame(m *bytecode.Method, method int32, args []heap.Value) 
 	} else {
 		f.Stack = f.Stack[:0]
 	}
-}
-
-func (t *Thread) popFrame() Frame {
-	f := t.frames[len(t.frames)-1]
-	t.frames = t.frames[:len(t.frames)-1]
-	return f
 }
 
 func childVTID(parent *Thread) string {

@@ -823,13 +823,13 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 			var r float64
 			switch op {
 			case bytecode.OpFAdd:
-				r = a.F + b.F
+				r = a.F() + b.F()
 			case bytecode.OpFSub:
-				r = a.F - b.F
+				r = a.F() - b.F()
 			case bytecode.OpFMul:
-				r = a.F * b.F
+				r = a.F() * b.F()
 			default:
-				r = a.F / b.F
+				r = a.F() / b.F()
 			}
 			c.stack[n-2] = heap.FloatVal(r)
 			c.stack = c.stack[:n-1]
@@ -873,9 +873,9 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 			}
 			var res int64
 			switch {
-			case a.F < b.F:
+			case a.F() < b.F():
 				res = -1
-			case a.F > b.F:
+			case a.F() > b.F():
 				res = 1
 			}
 			c.stack[n-2] = heap.IntVal(res)
@@ -895,7 +895,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				c.err = notRef(a)
 				return false
 			}
-			c.stack[n-2] = heap.BoolVal(a.R == b.R)
+			c.stack[n-2] = heap.BoolVal(a.R() == b.R())
 			c.stack = c.stack[:n-1]
 			c.pc++
 			return c.step(false)
@@ -963,7 +963,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				c.err = notRef(rv)
 				return false
 			}
-			v, gerr := c.vm.hp.GetField(rv.R, fld)
+			v, gerr := c.vm.hp.GetField(rv.R(), fld)
 			if gerr != nil {
 				c.err = gerr
 				return false
@@ -981,7 +981,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				c.err = notRef(rv)
 				return false
 			}
-			if serr := c.vm.hp.SetField(rv.R, fld, v); serr != nil {
+			if serr := c.vm.hp.SetField(rv.R(), fld, v); serr != nil {
 				c.err = serr
 				return false
 			}
@@ -1009,7 +1009,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				c.err = notRef(rv)
 				return false
 			}
-			v, gerr := c.vm.hp.ArrGet(rv.R, int(iv.I))
+			v, gerr := c.vm.hp.ArrGet(rv.R(), int(iv.I))
 			if gerr != nil {
 				c.err = gerr
 				return false
@@ -1031,7 +1031,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				c.err = notRef(rv)
 				return false
 			}
-			if serr := c.vm.hp.ArrSet(rv.R, int(iv.I), v); serr != nil {
+			if serr := c.vm.hp.ArrSet(rv.R(), int(iv.I), v); serr != nil {
 				c.err = serr
 				return false
 			}
@@ -1073,7 +1073,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				c.err = notRef(rv)
 				return false
 			}
-			done, merr := c.vm.monEnter(c.t, rv.R)
+			done, merr := c.vm.monEnter(c.t, rv.R())
 			if merr != nil {
 				c.err = merr
 				return false
@@ -1096,7 +1096,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				return false
 			}
 			f.Stack = f.Stack[:len(f.Stack)-1]
-			if merr := c.vm.monExit(c.t, rv.R); merr != nil {
+			if merr := c.vm.monExit(c.t, rv.R()); merr != nil {
 				c.err = merr
 				return false
 			}

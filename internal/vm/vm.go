@@ -141,6 +141,8 @@ type VM struct {
 	dispatch Dispatch
 	tcode    []tmethod
 	tc       tctx
+	// nctx is the reusable native-call context (DirectNative).
+	nctx nativeCtx
 
 	// pairs, when set, steps every slice, counting (see Config.PairCounter).
 	pairs *pairfreq.Counter
@@ -477,7 +479,7 @@ func (vm *VM) runGC(t *Thread) error {
 		}
 		for _, s := range vm.statics {
 			if s.Kind == heap.KindRef {
-				mark(s.R)
+				mark(s.R())
 			}
 		}
 		for _, th := range vm.threads {
@@ -486,12 +488,12 @@ func (vm *VM) runGC(t *Thread) error {
 				f := &th.frames[fi]
 				for _, v := range f.Locals {
 					if v.Kind == heap.KindRef {
-						mark(v.R)
+						mark(v.R())
 					}
 				}
 				for _, v := range f.Stack {
 					if v.Kind == heap.KindRef {
-						mark(v.R)
+						mark(v.R())
 					}
 				}
 			}

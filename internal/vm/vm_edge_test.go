@@ -2,11 +2,14 @@ package vm
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
 	"repro/internal/env"
+	"repro/internal/heap"
 )
 
 // runExpectFatal runs src and asserts a fatal error containing wantSub.
@@ -396,5 +399,55 @@ end`
 	s1, s2 := run(), run()
 	if s1 != s2 {
 		t.Fatalf("stats differ across identical runs:\n%+v\n%+v", s1, s2)
+	}
+}
+
+// TestContendedNativeRollbackRestoresStack pins the rollback of a contended
+// AcquiresLocks native. Its arguments are the operand-stack tail the call
+// truncated, so parking the thread must leave the stack exactly as it was
+// before the call — length and every value — with the pc back on the call and
+// the attempt's counters undone.
+func TestContendedNativeRollbackRestoresStack(t *testing.T) {
+	p := buildProgram(t, `
+class Obj d
+native locktouch sys.locktouch 1 void
+method main 0 void
+  ret
+end`)
+	v, err := New(Config{Program: p, Env: env.New(1)})
+	if err != nil {
+		t.Fatalf("new vm: %v", err)
+	}
+	owner, err := v.newThread(nil, v.prog.Entry, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, err := v.newThread(owner, v.prog.Entry, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := v.hp.AllocRecord(0, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := v.monitorOf(obj)
+	m.owner, m.entries = owner, 1
+	touch := slices.IndexFunc(v.prog.Methods, func(m *bytecode.Method) bool { return m.Name == "locktouch" })
+	f := caller.Top()
+	f.Stack = append(f.Stack, heap.IntVal(math.MinInt64), heap.FloatVal(math.Copysign(0, -1)), heap.RefVal(obj))
+	before, pc := slices.Clone(f.Stack), f.PC
+	caller.BrCnt, v.stats.Branches = 1, 1 // the OpCall's tick
+	if err := v.doCall(caller, f, int32(touch)); err != nil {
+		t.Fatalf("contended call: %v", err)
+	}
+	if caller.state != StateBlocked {
+		t.Fatalf("caller is %v, want blocked on the held monitor", caller.state)
+	}
+	if !slices.Equal(f.Stack, before) || f.PC != pc {
+		t.Fatalf("rollback left stack %v pc %d, want %v pc %d", f.Stack, f.PC, before, pc)
+	}
+	if caller.BrCnt != 0 || v.stats.Branches != 0 || v.stats.NativeCalls != 0 {
+		t.Fatalf("rollback left br_cnt %d, branches %d, native calls %d; want 0/0/0",
+			caller.BrCnt, v.stats.Branches, v.stats.NativeCalls)
 	}
 }
