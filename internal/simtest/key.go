@@ -131,7 +131,7 @@ func parseValue(p any, s string) (err error) {
 	case *transport.FaultKind:
 		*v, err = faultKindByName(s)
 	default:
-		panic(fmt.Sprintf("simtest: no key parsing for %T", p))
+		err = fmt.Errorf("no key parsing for a field of type %T", p)
 	}
 	return err
 }

@@ -158,6 +158,12 @@ func TestParseKeyRejects(t *testing.T) {
 	if sc, err := ParseKey(key); err != nil || sc.Kind() != KindFleet {
 		t.Fatalf("ParseKey(value containing kill1) = %v, %v; want a fleet key", sc, err)
 	}
+
+	// A field type the value grammar has no case for is an error naming the
+	// type, not a panic.
+	if err := parseValue(new(float64), "1"); err == nil || !strings.Contains(err.Error(), "float64") {
+		t.Errorf("parseValue(*float64) = %v, want an error naming the type", err)
+	}
 }
 
 // TestFuzzReplayKeyParses pins the bridge from the live fuzzer: the

@@ -132,33 +132,39 @@ end
 // tier". Same work: a tracked run of each benchmark program executes exactly
 // the instructions, branches and everything else in Stats that an untracked
 // run does. Same code: a tracked VM is built from the closure streams an
-// untracked VM has — the fused one and the step one — plus one small wrapper
-// closure per branch-flagged slot of each, never a third compilation of the
-// program.
+// untracked VM has — the fused one and the step one — never a third
+// compilation of the program. A jump or conditional branch folds its
+// compile-time edge in its own closure, so the only extra closures are one
+// small wrapper per slot whose edge is dynamic: call, return, spawn, join.
 func TestTrackedSharesFastTier(t *testing.T) {
 	for _, name := range programs.Names() {
 		p, err := programs.Compile(name, 1)
 		if err != nil {
 			t.Fatalf("compile %s: %v", name, err)
 		}
-		res, err := bytecode.Predecode(p)
+		// Count over the program vm.New compiles: with $joinwait and $finish.
+		aug, _, _ := augment(p)
+		res, err := bytecode.Predecode(aug)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dynamic := func(in bytecode.RInstr) int {
+			switch in.Op {
+			case bytecode.OpCall, bytecode.OpRet, bytecode.OpRetV, bytecode.OpSpawn, bytecode.OpJoin:
+				return 1
+			}
+			return 0
+		}
 		slots, methods := 0, 0
-		branchSlots := [2]int{} // fused stream, step stream
+		wrapped := [2]int{} // fused stream, step stream
 		for mi, code := range res.Wide {
 			if code != nil {
 				methods++
 			}
 			slots += len(code)
 			for pc := range code {
-				if code[pc].Branch {
-					branchSlots[0]++
-				}
-				if res.Methods[mi][pc].Branch {
-					branchSlots[1]++
-				}
+				wrapped[0] += dynamic(code[pc])
+				wrapped[1] += dynamic(res.Methods[mi][pc])
 			}
 		}
 		// Each VM is built three times and the least count kept: what
@@ -189,13 +195,13 @@ func TestTrackedSharesFastTier(t *testing.T) {
 		tracked, trackedMallocs, trackedBytes := build(true, DispatchThreaded)
 		// One stream is at most a closure per slot and a slot array per
 		// method; a wrapper is a code pointer and the wrapped closure, 16
-		// bytes, on the branch-flagged slots only.
+		// bytes, on the dynamic-edge slots only.
 		const slack = 64
-		if limit := uint64(slots + methods + branchSlots[0] + slack); trackedMallocs-stepOnly > limit {
+		if limit := uint64(slots + methods + wrapped[0] + slack); trackedMallocs-stepOnly > limit {
 			t.Errorf("%s: the tracked VM's fused closures took %d allocations; one stream of %d slots in %d methods with %d wrappers allows %d",
-				name, trackedMallocs-stepOnly, slots, methods, branchSlots[0], limit)
+				name, trackedMallocs-stepOnly, slots, methods, wrapped[0], limit)
 		}
-		wrappers := uint64(branchSlots[0] + branchSlots[1])
+		wrappers := uint64(wrapped[0] + wrapped[1])
 		if trackedMallocs > plainMallocs+wrappers+slack || trackedBytes > plainBytes+16*(wrappers+slack) {
 			t.Errorf("%s: tracked vm.New made %d allocations / %d bytes, untracked %d / %d; %d wrappers allow %d / %d more",
 				name, trackedMallocs, trackedBytes, plainMallocs, plainBytes, wrappers, wrappers, 16*wrappers)

@@ -116,10 +116,10 @@ func TestCompileTablesTotal(t *testing.T) {
 		if !ok {
 			t.Fatalf("wide opcode %d has no descriptor", op)
 		}
-		compile(wi.Name, func() bool { return v.compileOp(bytecode.RInstr{Op: op}) != nil })
+		compile(wi.Name, func() bool { return v.compileOp(bytecode.RInstr{Op: op}, 0) != nil })
 	}
 	for op := bytecode.OpIAddC; op <= bytecode.OpICmpL; op++ {
-		compile(op.String(), func() bool { return v.compileOp(bytecode.RInstr{Op: op}) != nil })
+		compile(op.String(), func() bool { return v.compileOp(bytecode.RInstr{Op: op}, 0) != nil })
 	}
 	for rel := bytecode.RelLt; rel <= bytecode.RelNe; rel++ {
 		compile("rel "+rel.String(), func() bool { return relFn(rel) != nil })
@@ -129,6 +129,6 @@ func TestCompileTablesTotal(t *testing.T) {
 		bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul, bytecode.OpIAnd,
 		bytecode.OpIOr, bytecode.OpIXor, bytecode.OpIShl, bytecode.OpIShr,
 	} {
-		compile(op.String(), func() bool { return v.compileOp(bytecode.RInstr{Op: op}) != nil })
+		compile(op.String(), func() bool { return v.compileOp(bytecode.RInstr{Op: op}, 0) != nil })
 	}
 }

@@ -203,15 +203,17 @@ type ProgressSnapshot struct {
 	Chk uint64
 }
 
-func (p *ProgressSnapshot) fold(method, pc int32) {
-	p.Chk = p.Chk*fnvPrime64 ^ (uint64(uint32(method))<<32 | uint64(uint32(pc)))
-}
+// posKey is the fold key of a position: the method in the high word, the pc
+// in the low one.
+func posKey(method, pc int32) uint64 { return uint64(uint32(method))<<32 | uint64(uint32(pc)) }
+
+func (p *ProgressSnapshot) fold(k uint64) { p.Chk = p.Chk*fnvPrime64 ^ k }
 
 // foldTop folds the position of t's top frame. The frame must be flushed.
 func (t *Thread) foldTop() {
+	k := posKey(-1, -1)
 	if f := t.Top(); f != nil {
-		t.Progress.fold(f.Method, f.PC)
-	} else {
-		t.Progress.fold(-1, -1)
+		k = posKey(f.Method, f.PC)
 	}
+	t.Progress.fold(k)
 }

@@ -25,8 +25,9 @@ import (
 // change, blocking, possible GC), or it faulted.
 //
 // A tracked VM (Config.TrackProgress) differs only in its branch-flagged
-// slots, which compileStream wraps in trackBranch to fold the control-path
-// checksum; an untracked VM's streams have no trace of tracking.
+// slots, which fold the control-path checksum: a jump or conditional branch
+// folds the position it took, fixed at compile time (site), and the ops whose
+// destination is known only once they ran are wrapped in trackBranch.
 //
 // Three kinds of closure fill the slots: wide groups (compileWide), pairs
 // (compilePair) and single opcodes. A single opcode gets its own closure in
@@ -138,23 +139,42 @@ func (c *tctx) stepBr() bool {
 	return c.contBr()
 }
 
-// trackBranch wraps a branch-flagged slot of a tracked VM's streams: when the
-// instruction's br_cnt tick stands (no fault; a gated native call rolls its
-// tick back) it folds the position it left the thread at into the
-// control-path checksum. Ops that flushed the frame (call, return, join) may
-// have changed it, so they fold the thread's top frame; for the rest the
-// cached pc is the truth.
-func trackBranch(op tclosure) tclosure {
+// site is what a jump or conditional branch closure knows, from compile time,
+// of the positions it can leave the thread at: their method (the pc is the
+// target or the slot after the group), and the VM's TrackProgress.
+type site struct {
+	method int32
+	track  bool
+}
+
+// fold folds the position (s.method, pc) into the control-path checksum on a
+// tracked VM. A branch calls it once its tick stands and it has moved the pc
+// there; a faulting branch returns before it. Each arm of a conditional branch
+// moves the pc and folds on its own: a pc picked by a conditional move after
+// the comparison made the next dispatch wait for it instead of for branch
+// prediction (untracked compress ran about 5 % slower).
+func (c *tctx) fold(s site, pc int32) {
+	if s.track {
+		c.t.Progress.fold(posKey(s.method, pc))
+	}
+}
+
+// trackBranch wraps, on a tracked VM, a branch-flagged closure whose
+// destination is known only once it ran: a call (a native callee may be
+// gated, or rolled back when its monitor is contended), a return, and the
+// cold branch ops (spawn, join). When the instruction's br_cnt tick stands (no
+// fault, no rollback) it folds the thread's top frame, which every such op
+// has flushed.
+func (vm *VM) trackBranch(in bytecode.RInstr, op tclosure) tclosure {
+	if !vm.trackProgress || !in.Branch {
+		return op
+	}
 	return func(c *tctx) bool {
 		t := c.t
 		br := t.BrCnt
 		cont := op(c)
 		if c.err == nil && t.BrCnt != br {
-			if c.flushed {
-				t.foldTop()
-			} else {
-				t.Progress.fold(c.f.Method, c.pc)
-			}
+			t.foldTop()
 		}
 		return cont
 	}
@@ -292,23 +312,19 @@ func (vm *VM) compileThreaded(res *bytecode.Resolved) []tmethod {
 		if code == nil {
 			continue
 		}
-		out[mi] = tmethod{step: vm.compileStream(code), margin: uint64(len(code)) + 16}
+		out[mi] = tmethod{step: vm.compileStream(int32(mi), code), margin: uint64(len(code)) + 16}
 		if vm.dispatch == DispatchThreaded {
-			out[mi].code = vm.compileStream(res.Wide[mi])
+			out[mi].code = vm.compileStream(int32(mi), res.Wide[mi])
 		}
 	}
 	return out
 }
 
-// compileStream compiles one method's stream. Tracking is decided here, once,
-// so an untracked VM pays nothing for it.
-func (vm *VM) compileStream(code []bytecode.RInstr) []tclosure {
+// compileStream compiles one method's stream.
+func (vm *VM) compileStream(method int32, code []bytecode.RInstr) []tclosure {
 	cl := make([]tclosure, len(code))
 	for pc := range code {
-		cl[pc] = vm.compileOp(code[pc])
-		if vm.trackProgress && code[pc].Branch {
-			cl[pc] = trackBranch(cl[pc])
-		}
+		cl[pc] = vm.compileOp(code[pc], method)
 	}
 	return cl
 }
@@ -379,18 +395,18 @@ func relFn(rel bytecode.WideRel) func(a, b int64) bool {
 	}
 }
 
-// compileOp builds the closure for one resolved instruction.
-func (vm *VM) compileOp(in bytecode.RInstr) tclosure {
+// compileOp builds the closure for one resolved instruction of method.
+func (vm *VM) compileOp(in bytecode.RInstr, method int32) tclosure {
 	if wi, ok := bytecode.WideOpInfo(in.Op); ok {
-		return vm.compileWide(in, wi)
+		return vm.compileWide(in, wi, method)
 	}
 	if in.Op >= bytecode.OpIAddC && in.Op <= bytecode.OpICmpL {
 		return compilePair(in)
 	}
 	if IsCold(in.Op) {
-		return compileCold(in)
+		return vm.trackBranch(in, compileCold(in))
 	}
-	return vm.compileBase(in)
+	return vm.compileBase(in, method)
 }
 
 // pairFault materializes the unfused state of a faulting pair, like the wide
@@ -448,7 +464,7 @@ func compilePair(in bytecode.RInstr) tclosure {
 // the whole group into one dispatch and count its full width; fault paths
 // materialize the unfused state (lead pushes, faulting pc, completed count)
 // so fatal errors are indistinguishable from the faithful stream's.
-func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
+func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32) tclosure {
 	w := uint64(wi.Width)
 	switch wi.Shape {
 	case bytecode.WShapeLC:
@@ -494,13 +510,14 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 			return true
 		}
 	case bytecode.WShapeStJmp:
-		st, tgt := in.A, in.B
+		st, tgt, s := in.A, in.B, site{method, vm.trackProgress}
 		return func(c *tctx) bool {
 			n := len(c.stack) - 1
 			c.locals[st] = c.stack[n]
 			c.stack = c.stack[:n]
 			c.branchTick()
 			c.pc = tgt
+			c.fold(s, tgt)
 			c.icnt += 2
 			return c.contBr()
 		}
@@ -624,7 +641,7 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 			return true
 		}
 	case bytecode.WShapeCmpBr:
-		rel, jnz, tgt := relFn(wi.Rel), wi.JmpNZ, in.A
+		rel, jnz, tgt, s := relFn(wi.Rel), wi.JmpNZ, in.A, site{method, vm.trackProgress}
 		return func(c *tctx) bool {
 			n := len(c.stack)
 			b, a := c.stack[n-1], c.stack[n-2]
@@ -636,8 +653,10 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 			c.branchTick()
 			if rel(a.I, b.I) == jnz {
 				c.pc = tgt
+				c.fold(s, tgt)
 			} else {
 				c.pc += int32(w)
+				c.fold(s, c.pc)
 			}
 			c.icnt += w
 			return c.contBr()
@@ -659,7 +678,7 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 		}
 	case bytecode.WShapeLCCmpBr:
 		rel, jnz, slot, k, tgt := relFn(wi.Rel), wi.JmpNZ, in.A, in.I, in.B
-		kv := heap.IntVal(k)
+		kv, s := heap.IntVal(k), site{method, vm.trackProgress}
 		return func(c *tctx) bool {
 			a := c.locals[slot]
 			if a.Kind != heap.KindInt {
@@ -672,14 +691,17 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 			c.branchTick()
 			if rel(a.I, k) == jnz {
 				c.pc = tgt
+				c.fold(s, tgt)
 			} else {
 				c.pc += int32(w)
+				c.fold(s, c.pc)
 			}
 			c.icnt += w
 			return c.contBr()
 		}
 	case bytecode.WShapeLLCmpBr:
 		rel, jnz, sa, sb, tgt := relFn(wi.Rel), wi.JmpNZ, in.A, in.B, int32(in.I)
+		s := site{method, vm.trackProgress}
 		return func(c *tctx) bool {
 			a, b := c.locals[sa], c.locals[sb]
 			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
@@ -692,8 +714,10 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 			c.branchTick()
 			if rel(a.I, b.I) == jnz {
 				c.pc = tgt
+				c.fold(s, tgt)
 			} else {
 				c.pc += int32(w)
+				c.fold(s, c.pc)
 			}
 			c.icnt += w
 			return c.contBr()
@@ -706,7 +730,7 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo) tclosure {
 // compileBase builds the closure for a base (unfused) opcode: its one body in
 // the product, on either stream. step() supplies the shared count; everything
 // else that follows an instruction is the driver's.
-func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
+func (vm *VM) compileBase(in bytecode.RInstr, method int32) tclosure {
 	switch in.Op {
 	case bytecode.OpIConst:
 		v := heap.IntVal(in.I)
@@ -902,14 +926,15 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 		}
 
 	case bytecode.OpJmp:
-		tgt := in.A
+		tgt, s := in.A, site{method, vm.trackProgress}
 		return func(c *tctx) bool {
 			c.branchTick()
 			c.pc = tgt
+			c.fold(s, tgt)
 			return c.stepBr()
 		}
 	case bytecode.OpJz, bytecode.OpJnz:
-		tgt, nz := in.A, in.Op == bytecode.OpJnz
+		tgt, nz, s := in.A, in.Op == bytecode.OpJnz, site{method, vm.trackProgress}
 		return func(c *tctx) bool {
 			c.branchTick()
 			n := len(c.stack)
@@ -921,15 +946,17 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 			c.stack = c.stack[:n-1]
 			if (v.I != 0) == nz {
 				c.pc = tgt
+				c.fold(s, tgt)
 			} else {
 				c.pc++
+				c.fold(s, c.pc)
 			}
 			return c.stepBr()
 		}
 
 	case bytecode.OpCall:
 		mi := in.A
-		return func(c *tctx) bool {
+		return vm.trackBranch(in, func(c *tctx) bool {
 			c.branchTick()
 			f := c.f
 			f.PC, f.Stack = c.pc, c.stack
@@ -939,10 +966,10 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				return false
 			}
 			return c.step(true)
-		}
+		})
 	case bytecode.OpRet, bytecode.OpRetV:
 		hasVal := in.Op == bytecode.OpRetV
-		return func(c *tctx) bool {
+		return vm.trackBranch(in, func(c *tctx) bool {
 			c.branchTick()
 			f := c.f
 			f.PC, f.Stack = c.pc, c.stack
@@ -952,7 +979,7 @@ func (vm *VM) compileBase(in bytecode.RInstr) tclosure {
 				return false
 			}
 			return c.step(true)
-		}
+		})
 
 	case bytecode.OpGetF:
 		fld := int(in.A)
