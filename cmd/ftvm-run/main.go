@@ -81,7 +81,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			console, st, elapsed = res.Console, res.PrimaryStats, res.PrimaryElapsed
+			console, st, elapsed = res.Console, res.Stats, res.Elapsed
 			fmt.Fprintf(os.Stderr, "warm backup (%s): outcome %v, killed=%v, backup executed %d instructions, caught up: %v\n",
 				m, res.Outcome, res.Killed, res.Warm.Replay.VMStats.Instructions, res.Warm.CaughtUpAtClose)
 			break

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -51,15 +50,8 @@ func TestExecGoldenConsensus(t *testing.T) {
 			}
 			// Each run gets its own virtual clock so elections and commit
 			// waits cost no wall time; the VM work is the same CPU either way.
-			clk := clock.NewVirtual()
-			defer clk.Watchdog(time.Minute)()
-			var res *ftvm.ReplicatedResult
-			var runErr error
-			var wg sync.WaitGroup
-			wg.Add(1)
-			clk.Go(func() {
-				defer wg.Done()
-				res, runErr = ftvm.RunReplicated(cases[name], modes[i%len(modes)], ftvm.Options{
+			res, runErr := clock.Drive(time.Minute, func(clk *clock.Virtual) (*ftvm.ReplicatedResult, error) {
+				return ftvm.RunReplicated(cases[name], modes[i%len(modes)], ftvm.Options{
 					EnvSeed:         20030622,
 					PolicySeed:      1,
 					MaxInstructions: 400_000_000,
@@ -68,7 +60,6 @@ func TestExecGoldenConsensus(t *testing.T) {
 					Clock:           clk,
 				})
 			})
-			wg.Wait()
 			if runErr != nil {
 				t.Fatalf("consensus-backed run: %v", runErr)
 			}

@@ -34,7 +34,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			if cfg.Link != nil {
 				ei, ej = cfg.Link(i, j)
 			} else {
-				ei, ej = transport.PipeClock(cfg.PipeCapacity, clk)
+				ei, ej = transport.PipeClock(transport.PipeCapacity, clk)
 			}
 			c.replicas[i].peers[j] = ei
 			c.replicas[j].peers[i] = ej
@@ -119,6 +119,22 @@ func (c *Cluster) CommittedPayloads(i int, from uint64) ([][]byte, uint64) {
 		out = append(out, cp)
 	}
 	return out, commit
+}
+
+// ReadBack reads the committed record stream back from leader, or — when
+// leader has stopped — from whichever survivor the election then makes leader
+// (within timeout), whose barrier commit fences every entry that survived. It
+// returns the records, the replica it read them at, and that replica's term.
+func (c *Cluster) ReadBack(leader *Replica, timeout time.Duration) ([]wire.Record, *Replica, uint64, error) {
+	if leader.Stopped() {
+		var err error
+		if leader, err = c.WaitLeader(timeout); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	term := leader.Term()
+	recs, err := c.CommittedRecords(leader.ID())
+	return recs, leader, term, err
 }
 
 // CommittedRecords decodes replica i's committed prefix back into the record

@@ -92,8 +92,6 @@ type Config struct {
 	ElectionMin, ElectionMax time.Duration
 	// Heartbeat is the leader's AppendEntries keepalive period (default 5ms).
 	Heartbeat time.Duration
-	// PipeCapacity sizes the default in-process links (default 1024).
-	PipeCapacity int
 	// Link, when set, supplies the transport between replicas i < j (the
 	// simulation harness injects seeded simnet links here); the first
 	// endpoint is i's, the second j's. Nil = transport.PipeClock on Clock.
@@ -115,9 +113,6 @@ func (c *Config) fill() {
 	}
 	if c.Heartbeat == 0 {
 		c.Heartbeat = 5 * time.Millisecond
-	}
-	if c.PipeCapacity == 0 {
-		c.PipeCapacity = 1024
 	}
 }
 

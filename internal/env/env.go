@@ -58,6 +58,9 @@ func New(seed int64) *Env {
 	}
 }
 
+// Seed returns the seed the environment was created with.
+func (e *Env) Seed() int64 { return e.clock.seed }
+
 // Console returns the sequence-numbered console device.
 func (e *Env) Console() *SeqDevice { return e.console }
 

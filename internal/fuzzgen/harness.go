@@ -1,14 +1,13 @@
 package fuzzgen
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	ftvm "repro"
+	"repro/internal/cluster"
 	"repro/internal/env"
 	frand "repro/internal/fuzzgen/rand"
 	"repro/internal/replication"
@@ -275,16 +274,9 @@ func (c *Config) CheckProg(p *Prog, stages []string) *Failure {
 			// coordination path, on its own virtual clock so elections and
 			// commit waits cost no wall time. Both the leader-side console and
 			// the committed-log replay must match the reference streams.
-			vclk := clock.NewVirtual()
-			stopDog := vclk.Watchdog(time.Minute)
 			var envs []*env.Env
-			var res *ftvm.ReplicatedResult
-			var runErr error
-			var wg sync.WaitGroup
-			wg.Add(1)
-			vclk.Go(func() {
-				defer wg.Done()
-				res, _, runErr = ftvm.MeasureReplay(prog, pr.repMode, ftvm.Options{
+			res, runErr := clock.Drive(time.Minute, func(vclk *clock.Virtual) (*ftvm.ReplicatedResult, error) {
+				res, _, err := ftvm.MeasureReplay(prog, pr.repMode, ftvm.Options{
 					EnvSeed: pr.envSeed, PolicySeed: pr.polRef,
 					MinQuantum: pr.minQ, MaxQuantum: pr.maxQ,
 					FlushEvery:      4,
@@ -297,9 +289,8 @@ func (c *Config) CheckProg(p *Prog, stages []string) *Failure {
 					envs = append(envs, e)
 					return e
 				})
+				return res, err
 			})
-			wg.Wait()
-			stopDog()
 			if runErr != nil {
 				return fail(stage, runErr, "consensus run", nil, nil)
 			}
@@ -374,66 +365,31 @@ func (c *Config) CheckProg(p *Prog, stages []string) *Failure {
 // and whatever the channel does the pair must either complete or detect the
 // failure and recover at the backup — with the reference output either way.
 func (c *Config) runFaultyPair(prog *ftvm.Program, pr params) ([]string, error) {
-	environ := env.New(pr.envSeed)
-	pa, pb := transport.Pipe(4096)
-	faulty := transport.NewFaulty(pa, transport.FaultPlan{Kind: pr.faultKind, At: pr.faultAt}, pr.faultSeed)
-	primary, err := replication.NewPrimary(replication.PrimaryConfig{
-		Mode:       pr.repMode,
-		Endpoint:   faulty,
-		Policy:     vm.NewSeededPolicy(pr.polRef, pr.minQ, pr.maxQ),
-		FlushEvery: 4,
-		AckTimeout: 150 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pvm, err := primary.NewVM(vm.Config{Program: prog, Env: environ, MaxInstructions: c.maxInstructions()})
-	if err != nil {
-		return nil, err
-	}
-	backup, err := replication.NewBackup(replication.BackupConfig{
-		Mode:           pr.repMode,
-		Endpoint:       pb,
+	res, err := cluster.Run(cluster.Config{
+		Primary: replication.PrimaryConfig{
+			Mode:       pr.repMode,
+			Policy:     vm.NewSeededPolicy(pr.polRef, pr.minQ, pr.maxQ),
+			FlushEvery: 4,
+			AckTimeout: 150 * time.Millisecond,
+		},
+		// Recovery runs under a deliberately different scheduling policy.
+		Recover: replication.RecoverConfig{
+			Program:         prog,
+			Env:             env.New(pr.envSeed),
+			Policy:          vm.NewSeededPolicy(pr.polAlt, pr.altQlo, pr.altQhi),
+			MaxInstructions: c.maxInstructions(),
+		},
+		Link: func(int, int) (transport.Endpoint, transport.Endpoint) {
+			pEnd, bEnd := transport.Pipe(transport.PipeCapacity)
+			return transport.NewFaulty(pEnd, transport.FaultPlan{Kind: pr.faultKind, At: pr.faultAt}, pr.faultSeed), bEnd
+		},
 		FailureTimeout: 150 * time.Millisecond,
+		FailStopOnLoss: true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	done := make(chan struct{})
-	var outcome replication.ServeOutcome
-	go func() {
-		defer close(done)
-		outcome, _ = backup.Serve()
-		if outcome.Failed() {
-			// A real failover tears the channel down; this also unblocks a
-			// primary still waiting on an ack.
-			_ = pb.Close()
-		}
-	}()
-	runErr := pvm.Run()
-	<-done
-
-	if outcome == replication.OutcomePrimaryCompleted {
-		// The halt marker only ships after every output commit succeeded, so
-		// the console is complete. runErr may still be ErrBackupLost when the
-		// fault ate the final halt-sync ack (the classic last-ack window):
-		// both sides finished, only the goodbye was lost — not a divergence.
-		if runErr != nil && !errors.Is(runErr, replication.ErrBackupLost) {
-			return nil, fmt.Errorf("backup saw clean halt but primary failed: %w", runErr)
-		}
-		return environ.Console().Lines(), nil
-	}
-	// The fault surfaced as a primary failure: recover on the backup under a
-	// deliberately different scheduling policy.
-	if _, _, err := backup.Recover(replication.RecoverConfig{
-		Program:         prog,
-		Env:             environ,
-		Policy:          vm.NewSeededPolicy(pr.polAlt, pr.altQlo, pr.altQhi),
-		MaxInstructions: c.maxInstructions(),
-	}); err != nil {
-		return nil, fmt.Errorf("recover after %v: %w", outcome, err)
-	}
-	return environ.Console().Lines(), nil
+	return res.Console, nil
 }
 
 // CompareFrames reports the first per-writer frame difference between two

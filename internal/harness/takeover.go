@@ -89,9 +89,9 @@ func MeasureTakeover(name string, killFraction float64, cfg Config) (*TakeoverRe
 		}
 		if warm.Killed && warm.Warm != nil {
 			elapsedTotal := cfg.Clock.Since(start)
-			// The primary died at PrimaryElapsed; everything after is the
+			// The primary died at Elapsed; everything after is the
 			// warm backup finishing alone.
-			res.WarmTakeover = elapsedTotal - warm.PrimaryElapsed
+			res.WarmTakeover = elapsedTotal - warm.Elapsed
 			if res.WarmTakeover < 0 {
 				res.WarmTakeover = 0
 			}

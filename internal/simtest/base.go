@@ -2,10 +2,10 @@ package simtest
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	ftvm "repro"
+	"repro/internal/cluster"
 	"repro/internal/env"
 	"repro/internal/fuzzgen"
 	"repro/internal/replication"
@@ -32,8 +32,8 @@ const (
 	failureTimeout = 50 * time.Millisecond
 	// maxInstructions bounds every execution.
 	maxInstructions = 50_000_000
-	// wallLimit is the real-time watchdog on one whole simulation: a
-	// scheduling bug panics instead of hanging the sweep.
+	// wallLimit is the real-time watchdog on one whole simulation
+	// (clock.Drive): a scheduling bug panics instead of hanging the sweep.
 	wallLimit = 30 * time.Second
 )
 
@@ -76,112 +76,73 @@ func sweepBases(c *SweepConfig) (out []ProgCombo) {
 	return out
 }
 
-// clusterBase is what a VM kind's cluster run is given beyond its own
-// schedule fields: the shared key part expanded, in one place, into the
-// program, seeds and link shape it denotes. The seed derivation is the same
-// for every kind, so a program keeps its environment and schedules across all
-// the harnesses.
-type clusterBase struct {
-	Program *ftvm.Program
-	Mode    ftvm.Mode
-	// EnvSeed / PolicySeed seed the shared environment and the primary's
-	// scheduling policy; RecoverSeed seeds the deliberately different
-	// recovery policy.
-	EnvSeed, PolicySeed, RecoverSeed int64
-	// Net shapes every simulated link (Net.Seed drives latency and reorder
-	// draws; zero delays get simnet's defaults).
-	Net simnet.Config
-	// Fault optionally wraps one endpoint in a transport fault
-	// (drop/dup/partition/close...), injected at a deterministic operation
-	// index with FaultSeed jitter — the channel-misbehaves axis. Which
-	// endpoint is the kind's business.
-	Fault     transport.FaultPlan
-	FaultSeed int64
-	// Dispatch selects the interpreter engine for the primary and the
-	// recovery VM (default threaded, like every production path).
-	Dispatch ftvm.Dispatch
-}
-
-func (p *ProgCombo) clusterBase(prog *ftvm.Program) (*clusterBase, error) {
+// config expands the shared key part, in one place, into the cluster run it
+// denotes on clk: the program, the seeds and the constants above. The seed
+// derivation is the same for every kind, so a program keeps its environment
+// and schedules across all the harnesses. Each kind adds its link, its hook
+// and what else differs.
+func (p *ProgCombo) config(prog *ftvm.Program, clk *clock.Virtual) (cluster.Config, error) {
 	if prog == nil {
-		return nil, errors.New("simtest: nil program")
+		return cluster.Config{}, errors.New("simtest: nil program")
 	}
-	envSeed, polRef, polRec := deriveSeeds(p.ProgSeed)
-	return &clusterBase{
-		Program:     prog,
-		Mode:        p.Mode,
-		EnvSeed:     envSeed,
-		PolicySeed:  polRef,
-		RecoverSeed: polRec,
-		Net:         simnet.Config{Seed: p.NetSeed, ReorderNum: p.ReorderNum, ReorderDen: p.ReorderDen},
-		Fault:       transport.FaultPlan{Kind: p.FaultKind, At: p.FaultAt},
-		FaultSeed:   p.NetSeed ^ 0x0F0F0F0F,
+	envSeed, polRef, _ := deriveSeeds(p.ProgSeed)
+	return cluster.Config{
+		Primary: replication.PrimaryConfig{
+			Mode:       p.Mode,
+			Policy:     vm.NewSeededPolicy(polRef, minQuantum, maxQuantum),
+			FlushEvery: flushEvery,
+			AckTimeout: ackTimeout,
+			Clock:      clk,
+		},
+		Recover:        p.recoverConfig(prog, env.New(envSeed), 0),
+		FailureTimeout: failureTimeout,
+		// Every kind's links misbehave on purpose.
+		FailStopOnLoss: true,
 	}, nil
 }
 
-// faulty wraps ep in the configured fault plan, if there is one.
-func (c *clusterBase) faulty(ep transport.Endpoint, clk *clock.Virtual) transport.Endpoint {
-	if c.Fault.Kind == transport.FaultNone {
+// recoverConfig is how every recovery from a log is set up: the same program
+// and environment, under a policy seeded differently from the primary's
+// (folded with fold, for a second takeover that must differ again).
+func (p *ProgCombo) recoverConfig(prog *ftvm.Program, environ *env.Env, fold int64) replication.RecoverConfig {
+	_, _, polRec := deriveSeeds(p.ProgSeed)
+	return replication.RecoverConfig{
+		Program:         prog,
+		Env:             environ,
+		Policy:          vm.NewSeededPolicy(polRec^fold, recoverMinQ, recoverMaxQ),
+		MaxInstructions: maxInstructions,
+	}
+}
+
+// net shapes every simulated link of the combo: the seed drives latency and
+// reorder draws; zero delays get simnet's defaults.
+func (p *ProgCombo) net() simnet.Config {
+	return simnet.Config{Seed: p.NetSeed, ReorderNum: p.ReorderNum, ReorderDen: p.ReorderDen}
+}
+
+// faulty wraps ep in the combo's channel fault, if it has one: a transport
+// fault (drop/dup/partition/close...) injected at a deterministic operation
+// index with jitter seeded from the net seed. Which endpoint is the kind's
+// business.
+func (p *ProgCombo) faulty(ep transport.Endpoint, clk *clock.Virtual) transport.Endpoint {
+	if p.FaultKind == transport.FaultNone {
 		return ep
 	}
-	return transport.NewFaultyClock(ep, c.Fault, c.FaultSeed, clk)
+	return transport.NewFaultyClock(ep, transport.FaultPlan{Kind: p.FaultKind, At: p.FaultAt}, p.NetSeed^0x0F0F0F0F, clk)
 }
 
-// primaryConfig completes pc — the caller sets what differs: endpoint or
-// backend, epoch, ack timeout — with what every primary here shares.
-func (c *clusterBase) primaryConfig(clk *clock.Virtual, pc replication.PrimaryConfig) replication.PrimaryConfig {
-	pc.Mode, pc.FlushEvery, pc.Clock = c.Mode, flushEvery, clk
-	return pc
-}
-
-// newPrimaryVM builds the primary coordinator described by pc and the VM
-// that runs the program under it.
-func (c *clusterBase) newPrimaryVM(clk *clock.Virtual, environ *env.Env, pc replication.PrimaryConfig) (*vm.VM, error) {
-	pc = c.primaryConfig(clk, pc)
-	pc.Policy = vm.NewSeededPolicy(c.PolicySeed, minQuantum, maxQuantum)
-	primary, err := replication.NewPrimary(pc)
-	if err != nil {
-		return nil, err
+// pairLink is a simulated pair's link: one simnet channel, whose primary end
+// it keeps in *raw for a kill hook, wrapped in the combo's fault when
+// faulty.
+func (p *ProgCombo) pairLink(clk *clock.Virtual, faulty bool, raw **simnet.Endpoint) func(int, int) (transport.Endpoint, transport.Endpoint) {
+	return func(int, int) (transport.Endpoint, transport.Endpoint) {
+		pEnd, bEnd := simnet.Link(clk, p.net())
+		*raw = pEnd
+		if faulty {
+			return p.faulty(pEnd, clk), bEnd
+		}
+		return pEnd, bEnd
 	}
-	return primary.NewVM(vm.Config{
-		Program:         c.Program,
-		Env:             environ,
-		MaxInstructions: maxInstructions,
-		Dispatch:        c.Dispatch,
-	})
-}
-
-// recoverConfig is how every recovery from a log is set up: the same program
-// and environment, under a policy seeded differently from the primary's.
-func (c *clusterBase) recoverConfig(environ *env.Env, policySeed int64) replication.RecoverConfig {
-	return replication.RecoverConfig{
-		Program:         c.Program,
-		Env:             environ,
-		Policy:          vm.NewSeededPolicy(policySeed, recoverMinQ, recoverMaxQ),
-		MaxInstructions: maxInstructions,
-		Dispatch:        c.Dispatch,
-	}
-}
-
-// onVirtualClock runs body as an actor on a fresh virtual clock under the
-// real-time watchdog and returns what it returned. The calling goroutine is
-// not an actor, so it may join with a plain WaitGroup without stalling
-// virtual time.
-func onVirtualClock[R any](body func(*clock.Virtual) (R, error)) (R, error) {
-	clk := clock.NewVirtual()
-	defer clk.Watchdog(wallLimit)()
-	var (
-		res R
-		err error
-		wg  sync.WaitGroup
-	)
-	wg.Add(1)
-	clk.Go(func() {
-		defer wg.Done()
-		res, err = body(clk)
-	})
-	wg.Wait()
-	return res, err
 }
 
 // killAtSend crashes a process at its at-th message offered to ep (1-based,
@@ -201,35 +162,4 @@ func killAtSend(ep *simnet.Endpoint, at int, deliver bool, kill func()) {
 		}
 		return n < at // dead processes send nothing
 	})
-}
-
-// serveBackup starts a cold backup for epoch on end as a clock actor and
-// returns it with a wait for its serve verdict.
-func (c *clusterBase) serveBackup(clk *clock.Virtual, end transport.Endpoint, epoch uint64) (*replication.Backup, func() (replication.ServeOutcome, error), error) {
-	backup, err := replication.NewBackup(replication.BackupConfig{
-		Mode:           c.Mode,
-		Endpoint:       end,
-		FailureTimeout: failureTimeout,
-		Clock:          clk,
-		Epoch:          epoch,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	done := clock.NewFlag(clk)
-	var outcome replication.ServeOutcome
-	var serveErr error
-	clk.Go(func() {
-		defer done.Set()
-		outcome, serveErr = backup.Serve()
-		if outcome.Failed() {
-			// A real takeover tears the channel down; this also unblocks a
-			// primary still parked on an ack for a swallowed frame.
-			_ = end.Close()
-		}
-	})
-	return backup, func() (replication.ServeOutcome, error) {
-		done.Wait()
-		return outcome, serveErr
-	}, nil
 }

@@ -293,6 +293,26 @@ func (v *Virtual) pushLocked(e *event) {
 	heap.Push(&v.events, e)
 }
 
+// Drive runs body as an actor on a fresh virtual clock, under a Watchdog of
+// limit, and returns what body returned. The calling goroutine is not an
+// actor, so it joins with a plain WaitGroup without stalling virtual time.
+func Drive[R any](limit time.Duration, body func(*Virtual) (R, error)) (R, error) {
+	clk := NewVirtual()
+	defer clk.Watchdog(limit)()
+	var (
+		res R
+		err error
+		wg  sync.WaitGroup
+	)
+	wg.Add(1)
+	clk.Go(func() {
+		defer wg.Done()
+		res, err = body(clk)
+	})
+	wg.Wait()
+	return res, err
+}
+
 // Watchdog starts a wall-clock monitor that panics if the simulation makes no
 // progress (no park, signal, or advance) for limit. It catches the class of
 // bug the virtual clock cannot see — an actor blocked on a bare channel while

@@ -1,19 +1,16 @@
 package simtest
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	ftvm "repro"
+	"repro/internal/cluster"
 	"repro/internal/consensus"
-	"repro/internal/env"
-	"repro/internal/replication"
 	"repro/internal/simtest/clock"
 	"repro/internal/simtest/simnet"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // ConsensusCombo is one point of the consensus sweep: a generated program, a
@@ -113,11 +110,16 @@ func (cb *ConsensusCombo) run(prog *ftvm.Program, out *Outcome) error {
 	if r == nil {
 		return err
 	}
+	var stale, malformed uint64
+	for _, s := range r.Consensus {
+		stale += s.StaleTerms
+		malformed += s.Malformed
+	}
 	out.Result, out.Console = r, r.Console
 	out.Summary = fmt.Sprintf("killed=%t recovered=%t leader=%d->%d term=%d records=%d stale=%d malformed=%d vtime=%s console=%d",
-		r.Killed, r.Recovered, r.FirstLeader, r.FinalLeader, r.FinalTerm,
-		r.RecordsLogged, r.StaleTerms, r.Malformed, r.VirtualElapsed, len(r.Console))
-	if cb.InjectStale && r.StaleTerms == 0 {
+		r.Killed, r.Recovery != nil, r.FirstLeader, r.FinalLeader, r.FinalTerm,
+		r.Backup.RecordsLogged, stale, malformed, r.Total, len(r.Console))
+	if cb.InjectStale && stale == 0 {
 		out.Detail = "stale-term frame was injected but never rejected (follower acted on old-term traffic?)"
 	}
 	return err
@@ -127,83 +129,45 @@ func (cb *ConsensusCombo) run(prog *ftvm.Program, out *Outcome) error {
 // enough to ride out a re-election.
 const consensusAckTimeout = 2 * time.Second
 
-// ConsensusClusterResult reports what one simulated consensus schedule did.
-// Every field is meant to be a function of the config (VirtualElapsed is
-// simulated time); not all of them are yet — see RunSweep.
-type ConsensusClusterResult struct {
-	// Killed reports the victim kill landed before clean completion;
-	// Recovered that the committed log was re-executed at a cold replica.
-	Killed    bool
-	Recovered bool
-	// Console is the observable output after the schedule fully played out.
-	Console []string
-	// RecordsLogged is the committed record count read back from the final
-	// leader's log.
-	RecordsLogged int
-	// FirstLeader / FinalLeader are the replica ids holding leadership at VM
-	// start and at log read-back; FinalTerm is the final leader's term.
-	FirstLeader, FinalLeader int
-	FinalTerm                uint64
-	// StaleTerms / Malformed aggregate the replicas' rejection counters.
-	StaleTerms, Malformed uint64
-	// PrimaryErr is the VM run's error verbatim (ErrBackupLost is expected
-	// whenever the schedule deposes or kills the leader mid-run).
-	PrimaryErr error
-	// Recovery is the replay report when Recovered.
-	Recovery *replication.RecoveryReport
-	// VirtualElapsed is total simulated time, VM start to recovery end.
-	VirtualElapsed time.Duration
-}
-
 // RunConsensusCluster plays the combo's schedule over prog to completion on a
-// fresh virtual clock. An error means the harness or the protocol contract
+// fresh virtual clock. Not every summary column is yet a function of the
+// combo — see RunSweep. An error means the harness or the protocol contract
 // broke (survivors failed to elect, committed log undecodable, recovery
 // failed) — not merely that the injected failure fired.
-func RunConsensusCluster(cb ConsensusCombo, prog *ftvm.Program) (*ConsensusClusterResult, error) {
-	cfg, err := cb.clusterBase(prog)
-	if err != nil {
-		return nil, err
-	}
-	return onVirtualClock(func(clk *clock.Virtual) (*ConsensusClusterResult, error) {
-		return runConsensusCluster(clk, cfg, &cb)
+func RunConsensusCluster(cb ConsensusCombo, prog *ftvm.Program) (*cluster.Result, error) {
+	return clock.Drive(wallLimit, func(clk *clock.Virtual) (*cluster.Result, error) {
+		cfg, err := cb.config(prog, clk)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Topology, cfg.ConsensusSeed = cluster.Consensus, cb.ESeed
+		cfg.Primary.AckTimeout = consensusAckTimeout
+		// Full mesh over simnet: raw[i][j] is replica i's endpoint toward j,
+		// kept so the schedule's hooks can be installed once roles are known.
+		// Each link forks its own lane seeds from the net seed.
+		var raw [3][3]*simnet.Endpoint
+		cfg.Link = func(i, j int) (transport.Endpoint, transport.Endpoint) {
+			net := cb.net()
+			net.Seed += int64(i*7 + j*13)
+			a, b := simnet.Link(clk, net)
+			raw[i][j], raw[j][i] = a, b
+			if i == 0 {
+				return cb.faulty(a, clk), b
+			}
+			return a, b
+		}
+		cfg.Kill = func(f *cluster.Faults) { cb.schedule(f, &raw) }
+		return cluster.Run(cfg)
 	})
 }
 
-func runConsensusCluster(clk *clock.Virtual, cfg *clusterBase, cb *ConsensusCombo) (*ConsensusClusterResult, error) {
-	environ := env.New(cfg.EnvSeed)
-
-	// Full mesh over simnet: raw[i][j] is replica i's endpoint toward j,
-	// kept so schedule hooks can be installed once roles are known. Each
-	// link forks its own lane seeds from Net.Seed.
-	const n = 3
-	var raw [n][n]*simnet.Endpoint
-	link := func(i, j int) (transport.Endpoint, transport.Endpoint) {
-		net := cfg.Net
-		net.Seed = cfg.Net.Seed + int64(i*7+j*13)
-		a, b := simnet.Link(clk, net)
-		raw[i][j], raw[j][i] = a, b
-		if i == 0 {
-			return cfg.faulty(a, clk), b
-		}
-		return a, b
-	}
-	cluster, err := consensus.NewCluster(consensus.Config{
-		Replicas: n,
-		Seed:     cb.ESeed,
-		Clock:    clk,
-		Link:     link,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cluster.Start()
-	defer cluster.Stop()
-	leader, err := cluster.WaitLeader(10 * time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("initial election: %w", err)
-	}
-	leaderID := leader.ID()
-
+// schedule installs the combo's faults once the election has settled and the
+// VM exists. Send hooks run under the link lock and only count, flip atomics
+// and suppress delivery; the replica fail-stops they ask for run in the
+// cluster's poller (simnet endpoint close takes the same link lock a hook
+// already holds).
+func (cb *ConsensusCombo) schedule(f *cluster.Faults, raw *[3][3]*simnet.Endpoint) {
+	leader := f.Leader.ID()
 	// lowestPeer returns the lowest replica id that is not `of`.
 	lowestPeer := func(of int) int {
 		if of == 0 {
@@ -211,54 +175,31 @@ func runConsensusCluster(clk *clock.Virtual, cfg *clusterBase, cb *ConsensusComb
 		}
 		return 0
 	}
-
-	machine, err := cfg.newPrimaryVM(clk, environ, replication.PrimaryConfig{
-		Backend: consensus.NewBackend(leader, consensusAckTimeout),
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Schedule hooks. Send hooks run under the link lock and only count,
-	// flip atomics, and suppress delivery; the replica fail-stop itself runs
-	// in a poller actor (simnet endpoint close takes the same link lock a
-	// hook already holds).
-	runDone := clock.NewFlag(clk)
-	killDone := clock.NewFlag(clk)
 	if cb.KillAtSend > 0 {
-		victim := leaderID
+		victim := leader
 		if !cb.KillLeader {
-			victim = lowestPeer(leaderID)
+			victim = lowestPeer(leader)
 		}
 		probe := lowestPeer(victim)
-		var killFlag atomic.Bool
+		var dead atomic.Bool
 		// Positions count from hook installation, not link creation — the
 		// election's own traffic must not consume the schedule's indices.
 		at := cb.KillAtSend + raw[victim][probe].Sends()
 		killAtSend(raw[victim][probe], at, cb.KillDeliver, func() {
-			killFlag.Store(true)
-			if victim == leaderID {
-				machine.Kill()
+			dead.Store(true)
+			if victim == leader {
+				f.Process()
+			} else {
+				f.Stop(f.Cluster.Replica(victim))
 			}
 		})
 		// Only the probe lane counts the schedule; the victim's other lane
 		// just goes silent with it.
-		raw[victim][n-victim-probe].SetSendHook(func(int, []byte) bool { return !killFlag.Load() })
-		clk.Go(func() {
-			defer killDone.Set()
-			for !runDone.IsSet() {
-				if killFlag.Load() {
-					cluster.Kill(victim)
-					return
-				}
-				clk.Sleep(200 * time.Microsecond)
-			}
-		})
-	} else {
-		killDone.Set()
+		raw[victim][3-victim-probe].SetSendHook(func(int, []byte) bool { return !dead.Load() })
+		f.Poll(nil)
 	}
 	if cb.PartLen > 0 {
-		lane := raw[leaderID][lowestPeer(leaderID)]
+		lane := raw[leader][lowestPeer(leader)]
 		from := cb.PartAt + lane.Sends()
 		until := from + cb.PartLen
 		lane.SetSendHook(func(sn int, _ []byte) bool {
@@ -266,82 +207,6 @@ func runConsensusCluster(clk *clock.Virtual, cfg *clusterBase, cb *ConsensusComb
 		})
 	}
 	if cb.InjectStale {
-		cluster.Replica(lowestPeer(leaderID)).Inject(consensus.StaleProbe(leaderID))
+		f.Cluster.Replica(lowestPeer(leader)).Inject(consensus.StaleProbe(leader))
 	}
-
-	t0 := clk.Now()
-	runErr := machine.Run()
-	runDone.Set()
-	killDone.Wait()
-
-	res := &ConsensusClusterResult{
-		Killed:      machine.Killed(),
-		Console:     environ.Console().Lines(),
-		FirstLeader: leaderID,
-		PrimaryErr:  runErr,
-	}
-	for i := 0; i < n; i++ {
-		s := cluster.Replica(i).Snapshot()
-		res.StaleTerms += s.StaleTerms
-		res.Malformed += s.Malformed
-	}
-
-	// Read the committed log back from the final leader — after a leader
-	// kill that means waiting out the survivors' election, whose barrier
-	// commit fences every surviving entry.
-	source := leader
-	if source.Stopped() {
-		source, err = cluster.WaitLeader(10 * time.Second)
-		if err != nil {
-			return res, fmt.Errorf("post-kill election: %w", err)
-		}
-	}
-	res.FinalLeader = source.ID()
-	res.FinalTerm = source.Term()
-	recs, err := cluster.CommittedRecords(source.ID())
-	if err != nil {
-		return res, fmt.Errorf("committed log: %w", err)
-	}
-	res.RecordsLogged = len(recs)
-	halted := false
-	for _, r := range recs {
-		if _, ok := r.(*wire.Halt); ok {
-			halted = true
-		}
-	}
-
-	if runErr != nil && !machine.Killed() && !errors.Is(runErr, replication.ErrBackupLost) {
-		return res, fmt.Errorf("primary run: %w", runErr)
-	}
-	clean := !machine.Killed() && runErr == nil
-	if clean && !halted {
-		// No kill, or a follower kill the majority rode out: the committed
-		// log must hold the halt.
-		return res, errors.New("clean run without a committed halt")
-	}
-	if halted {
-		// Clean completion, or a kill or deposition that raced it: every
-		// output commit made it, the console is complete.
-		res.VirtualElapsed = clk.Since(t0)
-		return res, nil
-	}
-
-	// Recovery: load the survivors' committed prefix into a cold backup and
-	// re-execute log-gated against the same environment.
-	res.Recovered = true
-	replay, err := replication.NewBackup(replication.BackupConfig{Mode: cfg.Mode, Clock: clk})
-	if err != nil {
-		return res, err
-	}
-	if err := replay.LoadRecords(recs); err != nil {
-		return res, fmt.Errorf("recovery load: %w", err)
-	}
-	_, report, err := replay.Recover(cfg.recoverConfig(environ, cfg.RecoverSeed))
-	res.VirtualElapsed = clk.Since(t0)
-	res.Recovery = report
-	res.Console = environ.Console().Lines()
-	if err != nil {
-		return res, fmt.Errorf("recovery: %w", err)
-	}
-	return res, nil
 }

@@ -125,7 +125,7 @@ func (cb *FleetCombo) fleetConfigs(clk clock.Clock) (fleet.Config, loadgen.Confi
 // the dead node's seat share, and a stale-epoch frame probed at a reseated
 // shard is dropped unlogged.
 func (cb *FleetCombo) run(_ *ftvm.Program, out *Outcome) error {
-	_, err := onVirtualClock(func(clk *clock.Virtual) (struct{}, error) { return struct{}{}, cb.play(clk, out) })
+	_, err := clock.Drive(wallLimit, func(clk *clock.Virtual) (struct{}, error) { return struct{}{}, cb.play(clk, out) })
 	return err
 }
 

@@ -1,17 +1,13 @@
 package simtest
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	ftvm "repro"
-	"repro/internal/env"
-	"repro/internal/replication"
+	"repro/internal/cluster"
 	"repro/internal/simtest/clock"
 	"repro/internal/simtest/simnet"
 	"repro/internal/transport"
-	"repro/internal/vm"
 )
 
 // Combo is one point of the pair sweep: a generated program, a replication
@@ -74,151 +70,27 @@ func (cb *Combo) run(prog *ftvm.Program, out *Outcome) error {
 	if r != nil {
 		out.Result, out.Console = r, r.Console
 		out.Summary = fmt.Sprintf("outcome=%q killed=%t recovered=%t records=%d vtime=%s console=%d",
-			r.Outcome, r.Killed, r.Recovered, r.RecordsLogged, r.VirtualElapsed, len(r.Console))
+			r.Outcome, r.Killed, r.Recovery != nil, r.Backup.RecordsLogged, r.Total, len(r.Console))
 	}
 	return err
 }
 
-// ClusterResult reports what one simulated schedule did. Every field is a
-// deterministic function of the config (including VirtualElapsed, which is
-// simulated — not wall — time), so results can be compared byte-for-byte
-// across runs.
-type ClusterResult struct {
-	// Outcome is the backup's serve verdict; Killed whether the kill landed
-	// before clean completion; Recovered whether the backup ran recovery.
-	Outcome   replication.ServeOutcome
-	Killed    bool
-	Recovered bool
-	// Console is the observable output after the schedule fully played out
-	// (primary's if it completed, the recovered execution's otherwise).
-	Console []string
-	// RecordsLogged is the backup's log length at takeover (0 if clean).
-	RecordsLogged int
-	// PrimaryErr is the primary run's error verbatim (ErrBackupLost is
-	// expected on many schedules and is not a harness failure).
-	PrimaryErr error
-	// Recovery is the backup's report when Recovered.
-	Recovery *replication.RecoveryReport
-	// VirtualElapsed is total simulated time from first instruction to the
-	// end of recovery.
-	VirtualElapsed time.Duration
-
-	// backup is retained for in-package tests that poke at the promoted
-	// replica after the schedule ends (e.g. double takeover).
-	backup *replication.Backup
-}
-
 // RunCluster plays the combo's schedule over prog to completion on a fresh
-// virtual clock and returns the deterministic result. An error means the
-// harness or the replication contract broke (e.g. the backup saw a clean halt
-// but the primary failed for a reason other than a lost backup), not merely
-// that the injected failure fired.
-func RunCluster(cb Combo, prog *ftvm.Program) (*ClusterResult, error) {
-	cfg, err := cb.clusterBase(prog)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Dispatch = cb.Dispatch
-	return onVirtualClock(func(clk *clock.Virtual) (*ClusterResult, error) {
-		return runCluster(clk, cfg, &cb)
-	})
-}
-
-// pairPhase is one primary running the program to its end or its death while
-// a cold backup logs it: all of a pair run before recovery, and view 1 of the
-// three-node cluster.
-type pairPhase struct {
-	machine *vm.VM
-	backup  *replication.Backup
-	outcome replication.ServeOutcome
-	runErr  error
-}
-
-// runPairPhase plays that phase over a fresh link under epoch. The kill counts
-// the primary's sends below the fault wrapper, which goes on only when
-// faultOnLink (the view cluster keeps its fault for the promoted pair). A nil
-// error leaves two cases: the backup saw a clean halt, or its outcome is a
-// failure and it holds the log to recover from.
-func (c *clusterBase) runPairPhase(clk *clock.Virtual, environ *env.Env, epoch uint64, faultOnLink bool,
-	killAt int, killDeliver bool) (*pairPhase, error) {
-	pRaw, bEnd := simnet.Link(clk, c.Net)
-	var pEnd transport.Endpoint = pRaw
-	if faultOnLink {
-		pEnd = c.faulty(pRaw, clk)
-	}
-	machine, err := c.newPrimaryVM(clk, environ, replication.PrimaryConfig{Endpoint: pEnd, AckTimeout: ackTimeout, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	backup, wait, err := c.serveBackup(clk, bEnd, epoch)
-	if err != nil {
-		return nil, err
-	}
-	killAtSend(pRaw, killAt, killDeliver, machine.Kill)
-
-	ph := &pairPhase{machine: machine, backup: backup}
-	ph.runErr = machine.Run()
-	var serveErr error
-	ph.outcome, serveErr = wait()
-	switch {
-	case serveErr != nil:
-		return ph, fmt.Errorf("backup serve: %w", serveErr)
-	case ph.runErr != nil && !machine.Killed() && !errors.Is(ph.runErr, replication.ErrBackupLost):
-		return ph, fmt.Errorf("primary run: %w", ph.runErr)
-	case ph.outcome != replication.OutcomePrimaryCompleted && !ph.outcome.Failed():
-		return ph, fmt.Errorf("backup outcome %v with primary err %v", ph.outcome, ph.runErr)
-	}
-	return ph, nil
-}
-
-func runCluster(clk *clock.Virtual, cfg *clusterBase, cb *Combo) (*ClusterResult, error) {
-	environ := env.New(cfg.EnvSeed)
-	t0 := clk.Now()
-	ph, err := cfg.runPairPhase(clk, environ, 0, true, cb.KillAtSend, cb.KillDeliver)
-	if ph == nil {
-		return nil, err
-	}
-	res := &ClusterResult{
-		Outcome:       ph.outcome,
-		Killed:        ph.machine.Killed(),
-		Console:       environ.Console().Lines(),
-		RecordsLogged: ph.backup.Store().Len(),
-		PrimaryErr:    ph.runErr,
-		backup:        ph.backup,
-	}
-	if cb.Capture != "" {
-		cerr := replication.WriteLogFile(cb.Capture, replication.LogHeader{
-			EnvSeed:         cfg.EnvSeed,
-			PolicySeed:      cfg.RecoverSeed,
-			MinQuantum:      recoverMinQ,
-			MaxQuantum:      recoverMaxQ,
-			Mode:            cfg.Mode,
-			Dispatch:        cfg.Dispatch,
-			MaxInstructions: maxInstructions,
-		}, cfg.Program, ph.backup.Store().Records())
-		if cerr != nil {
-			return res, fmt.Errorf("capture log: %w", cerr)
+// virtual clock. Every field of the result the summary prints is a
+// deterministic function of the combo (Total is simulated time). An error
+// means the harness or the replication contract broke (e.g. the backup saw a
+// clean halt but the primary failed for a reason other than a lost backup),
+// not merely that the injected failure fired.
+func RunCluster(cb Combo, prog *ftvm.Program) (*cluster.Result, error) {
+	return clock.Drive(wallLimit, func(clk *clock.Virtual) (*cluster.Result, error) {
+		cfg, err := cb.config(prog, clk)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err != nil {
-		return res, err
-	}
-	if ph.outcome == replication.OutcomePrimaryCompleted {
-		// Last-ack window: a schedule can eat the final halt-sync ack, so
-		// the backup sees a clean halt while the primary reports the backup
-		// lost. The console is complete either way (the halt marker only
-		// ships after every output commit).
-		res.VirtualElapsed = clk.Since(t0)
-		return res, nil
-	}
-
-	res.Recovered = true
-	_, report, err := ph.backup.Recover(cfg.recoverConfig(environ, cfg.RecoverSeed))
-	res.VirtualElapsed = clk.Since(t0)
-	res.Recovery = report
-	res.Console = environ.Console().Lines()
-	if err != nil {
-		return res, fmt.Errorf("recovery after %v: %w", ph.outcome, err)
-	}
-	return res, nil
+		cfg.Recover.Dispatch, cfg.Capture = cb.Dispatch, cb.Capture
+		var pRaw *simnet.Endpoint
+		cfg.Link = cb.pairLink(clk, true, &pRaw)
+		cfg.Kill = func(f *cluster.Faults) { killAtSend(pRaw, cb.KillAtSend, cb.KillDeliver, f.Process) }
+		return cluster.Run(cfg)
+	})
 }

@@ -89,7 +89,7 @@ type Scenario interface {
 type Outcome struct {
 	Scenario Scenario
 	// Result is the kind's own result struct, for tests that look past the
-	// verdict (*ClusterResult, *ViewClusterResult, *ConsensusClusterResult,
+	// verdict (*cluster.Result for the pair and consensus, *ViewClusterResult,
 	// *loadgen.Stats).
 	Result any
 	// Summary is the kind's trace columns. Only deterministic fields belong

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	ftvm "repro"
+	"repro/internal/cluster"
 	"repro/internal/fleet"
 	"repro/internal/fleet/loadgen"
 	"repro/internal/fuzzgen"
@@ -205,8 +206,8 @@ func TestConsensusFollowerKillKeepsMajority(t *testing.T) {
 	if out.Failed() {
 		t.Fatalf("follower kill diverged: %s", out.TraceLine())
 	}
-	r := out.Result.(*ConsensusClusterResult)
-	if r.Killed || r.Recovered {
+	r := out.Result.(*cluster.Result)
+	if r.Killed || r.Recovery != nil {
 		t.Fatalf("follower kill must not kill the VM or force recovery: %+v", r)
 	}
 	if r.FinalTerm != 1 || r.FinalLeader != r.FirstLeader {

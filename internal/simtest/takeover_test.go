@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	ftvm "repro"
+	"repro/internal/cluster"
 	"repro/internal/env"
 	"repro/internal/fuzzgen"
 	"repro/internal/replication"
@@ -52,11 +53,11 @@ func TestTakeoverEmptyLogTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Killed || !res.Recovered {
-		t.Fatalf("killed=%t recovered=%t, want both", res.Killed, res.Recovered)
+	if !res.Killed || res.Recovery == nil {
+		t.Fatalf("killed=%t recovered=%t, want both", res.Killed, res.Recovery != nil)
 	}
-	if res.RecordsLogged != 0 {
-		t.Fatalf("backup logged %d records, want an empty log tail", res.RecordsLogged)
+	if res.Backup.RecordsLogged != 0 {
+		t.Fatalf("backup logged %d records, want an empty log tail", res.Backup.RecordsLogged)
 	}
 	if res.Recovery.FedResults != 0 || res.Recovery.SkippedOutputs != 0 {
 		t.Fatalf("empty-log recovery replayed something: %+v", res.Recovery)
@@ -77,15 +78,15 @@ func TestTakeoverMidFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Killed || !res.Recovered {
-		t.Fatalf("killed=%t recovered=%t, want both", res.Killed, res.Recovered)
+	if !res.Killed || res.Recovery == nil {
+		t.Fatalf("killed=%t recovered=%t, want both", res.Killed, res.Recovery != nil)
 	}
-	if res.RecordsLogged == 0 {
+	if res.Backup.RecordsLogged == 0 {
 		t.Fatal("mid-flush kill delivered no records; the edge case was not exercised")
 	}
 	rep := res.Recovery
 	if rep.FedResults+rep.Reinvoked+rep.GatedWakeups+rep.ReplayedSwitches == 0 {
-		t.Fatalf("recovery replayed nothing from a %d-record log: %+v", res.RecordsLogged, rep)
+		t.Fatalf("recovery replayed nothing from a %d-record log: %+v", res.Backup.RecordsLogged, rep)
 	}
 	mustAgree(t, ref, res.Console, "mid-flush takeover output")
 }
@@ -102,14 +103,14 @@ func TestDoubleTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Recovered {
+	if res.Recovery == nil {
 		t.Fatal("first takeover did not happen")
 	}
 	mustAgree(t, ref, res.Console, "first takeover output")
 
 	envSeed, _, recoverSeed := deriveSeeds(cb.ProgSeed)
 	env2 := env.New(envSeed)
-	_, report2, err := res.backup.Recover(replication.RecoverConfig{
+	_, report2, err := res.Cold.Recover(replication.RecoverConfig{
 		Program: prog,
 		Env:     env2,
 		Policy:  vm.NewSeededPolicy(recoverSeed^1, 100, 900),
@@ -130,7 +131,7 @@ func TestDoubleTakeover(t *testing.T) {
 func TestClusterResultStable(t *testing.T) {
 	prog, _, cb := takeoverProgram(t)
 	cb.KillAtSend = 3
-	canon := func(r *ClusterResult) string {
+	canon := func(r *cluster.Result) string {
 		lines := append([]string(nil), r.Console...)
 		sort.Strings(lines)
 		return strings.Join(lines, "\n")
@@ -143,8 +144,8 @@ func TestClusterResultStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.VirtualElapsed != second.VirtualElapsed ||
-		first.RecordsLogged != second.RecordsLogged ||
+	if first.Total != second.Total ||
+		first.Backup.RecordsLogged != second.Backup.RecordsLogged ||
 		canon(first) != canon(second) {
 		t.Fatalf("same combo, different results:\n%+v\nvs\n%+v", first, second)
 	}

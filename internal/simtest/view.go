@@ -7,7 +7,7 @@ import (
 	"time"
 
 	ftvm "repro"
-	"repro/internal/env"
+	"repro/internal/cluster"
 	"repro/internal/replication"
 	"repro/internal/simtest/clock"
 	"repro/internal/simtest/simnet"
@@ -162,17 +162,17 @@ type ViewClusterResult struct {
 // on a fresh virtual clock. An error means the harness or the replication
 // contract broke, not merely that an injected failure fired.
 func RunViewCluster(cb ViewCombo, prog *ftvm.Program) (*ViewClusterResult, error) {
-	cfg, err := cb.clusterBase(prog)
-	if err != nil {
-		return nil, err
-	}
-	return onVirtualClock(func(clk *clock.Virtual) (*ViewClusterResult, error) {
-		return runViewCluster(clk, cfg, &cb)
+	return clock.Drive(wallLimit, func(clk *clock.Virtual) (*ViewClusterResult, error) {
+		return runViewCluster(clk, prog, &cb)
 	})
 }
 
-func runViewCluster(clk *clock.Virtual, cfg *clusterBase, cb *ViewCombo) (*ViewClusterResult, error) {
-	environ := env.New(cfg.EnvSeed)
+func runViewCluster(clk *clock.Virtual, prog *ftvm.Program, cb *ViewCombo) (*ViewClusterResult, error) {
+	cfg, err := cb.config(prog, clk)
+	if err != nil {
+		return nil, err
+	}
+	environ := cfg.Recover.Env
 	dir := viewsvc.NewShardDirectory(viewsvc.Config{Clock: clk})
 	dir.Join(nodeA)
 	dir.Join(nodeB)
@@ -192,19 +192,21 @@ func runViewCluster(clk *clock.Virtual, cfg *clusterBase, cb *ViewCombo) (*ViewC
 	}
 
 	// ---- View 1: n1 primary, n2 backup, n3 idle — a pair run under the
-	// view's epoch. ----
-	ph, err := cfg.runPairPhase(clk, environ, view1.Num, false, cb.Kill1AtSend, cb.Kill1Deliver)
-	if ph == nil {
+	// view's epoch, its fault kept for the promoted pair. A failed run stops
+	// at n2's log. ----
+	var p1Raw *simnet.Endpoint
+	cfg.Link = cb.pairLink(clk, false, &p1Raw)
+	cfg.Primary.Epoch, cfg.SkipRecovery = view1.Num, true
+	cfg.Kill = func(f *cluster.Faults) { killAtSend(p1Raw, cb.Kill1AtSend, cb.Kill1Deliver, f.Process) }
+	r1, err := cluster.Run(cfg)
+	if r1 == nil {
 		return nil, err
 	}
-	backup2 := ph.backup
-	res.Outcome1 = ph.outcome
-	res.Killed1 = ph.machine.Killed()
-	res.PrimaryErr = ph.runErr
+	res.Outcome1, res.Killed1, res.PrimaryErr = r1.Outcome, r1.Killed, r1.PrimaryErr
 	if err != nil {
 		return res, fmt.Errorf("view 1: %w", err)
 	}
-	if ph.outcome == replication.OutcomePrimaryCompleted {
+	if r1.Outcome == replication.OutcomePrimaryCompleted {
 		return finish()
 	}
 
@@ -221,13 +223,15 @@ func runViewCluster(clk *clock.Virtual, cfg *clusterBase, cb *ViewCombo) (*ViewC
 		return res, fmt.Errorf("n2 promotion: %w", err)
 	}
 	res.Promoted = true
-	res.Records2 = backup2.Store().Len()
+	res.Records2 = r1.Cold.Store().Len()
 
 	// ---- View 2: n2 promoted, n3 recruited via state transfer. ----
-	net2 := cfg.Net
+	net2 := cb.net()
 	net2.Seed ^= 0x9E3779B9
 	p2Raw, b2End := simnet.Link(clk, net2)
-	backup3, wait2, err := cfg.serveBackup(clk, b2End, view2.Num)
+	backup3, wait2, err := cluster.Serve(replication.BackupConfig{
+		Mode: cb.Mode, Endpoint: b2End, FailureTimeout: failureTimeout, Clock: clk, Epoch: view2.Num,
+	})
 	if err != nil {
 		return res, err
 	}
@@ -246,11 +250,13 @@ func runViewCluster(clk *clock.Virtual, cfg *clusterBase, cb *ViewCombo) (*ViewC
 		kill2Fired.Store(true)
 	})
 
-	rc := cfg.recoverConfig(environ, cfg.RecoverSeed)
+	rc := cb.recoverConfig(prog, environ, 0)
 	rc.OnVM = func(v *vm.VM) { machine2.Store(v) }
-	prom, err := replication.PreparePromotion(backup2, rc, cfg.primaryConfig(clk, replication.PrimaryConfig{
-		Endpoint: cfg.faulty(p2Raw, clk), AckTimeout: ackTimeout, Epoch: view2.Num,
-	}))
+	// The tail primary tees what the promoted VM does past the log; it
+	// schedules no VM of its own, so it takes no policy.
+	tail := cfg.Primary
+	tail.Endpoint, tail.Epoch, tail.Policy = cb.faulty(p2Raw, clk), view2.Num, nil
+	prom, err := replication.PreparePromotion(r1.Cold, rc, tail)
 	if err != nil {
 		return res, fmt.Errorf("prepare promotion: %w", err)
 	}
@@ -332,7 +338,7 @@ func runViewCluster(clk *clock.Virtual, cfg *clusterBase, cb *ViewCombo) (*ViewC
 		return res, fmt.Errorf("n3 promotion: %w", err)
 	}
 	res.SecondTakeover = true
-	if _, _, err := backup3.Recover(cfg.recoverConfig(environ, cfg.RecoverSeed^0x5D)); err != nil {
+	if _, _, err := backup3.Recover(cb.recoverConfig(prog, environ, 0x5D)); err != nil {
 		return res, fmt.Errorf("n3 recovery: %w", err)
 	}
 	return finish()

@@ -183,7 +183,7 @@ func TestCorruptAckDesync(t *testing.T) {
 	if !errors.Is(res.PrimaryErr, replication.ErrProtocolDesync) {
 		t.Fatalf("primary error = %v, want ErrProtocolDesync", res.PrimaryErr)
 	}
-	if !res.Recovered {
+	if res.Recovery == nil {
 		t.Fatal("backup did not take over after the desync")
 	}
 	mustAgree(t, ref, res.Console, "post-desync takeover output")

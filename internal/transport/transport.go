@@ -83,6 +83,11 @@ type pipeEnd struct {
 	idx int // 0 or 1; sends into s.dir[idx], receives from s.dir[1-idx]
 }
 
+// PipeCapacity is the per-direction capacity, in messages, of the in-process
+// links the system builds by default: a replicated run's log channel and a
+// consensus cluster's mesh.
+const PipeCapacity = 1024
+
 // Pipe returns the two ends of an in-process duplex channel with capacity
 // cap messages per direction (a small buffer decouples the primary's log
 // sender from the backup's consumer, like a socket buffer). Waits run on

@@ -156,7 +156,10 @@ func (p *RoundRobinPolicy) Quantum() uint64 {
 // makes replicated lock acquisition (rather than luck) necessary for
 // convergence.
 type SeededPolicy struct {
-	rng        *fuzzrand.RNG
+	rng *fuzzrand.RNG
+	// Seed is the seed the policy was made with; a capture header names it
+	// so a replayer can make the same policy again.
+	Seed       int64
 	MinQ, MaxQ uint64
 }
 
@@ -169,7 +172,7 @@ func NewSeededPolicy(seed int64, minQ, maxQ uint64) *SeededPolicy {
 	if maxQ < minQ {
 		maxQ = minQ * 4
 	}
-	return &SeededPolicy{rng: fuzzrand.New(uint64(seed) ^ 0x9e3779b97f4a7c15), MinQ: minQ, MaxQ: maxQ}
+	return &SeededPolicy{rng: fuzzrand.New(uint64(seed) ^ 0x9e3779b97f4a7c15), Seed: seed, MinQ: minQ, MaxQ: maxQ}
 }
 
 // Next implements SchedPolicy.
@@ -198,7 +201,7 @@ func (p *RoundRobinPolicy) ClonePolicy() SchedPolicy { return &RoundRobinPolicy{
 // ClonePolicy implements PolicyCloner: the copy's PRNG sits at the same
 // stream position.
 func (p *SeededPolicy) ClonePolicy() SchedPolicy {
-	return &SeededPolicy{rng: p.rng.Clone(), MinQ: p.MinQ, MaxQ: p.MaxQ}
+	return &SeededPolicy{rng: p.rng.Clone(), Seed: p.Seed, MinQ: p.MinQ, MaxQ: p.MaxQ}
 }
 
 // DefaultCoordinator runs the VM standalone (no replication): scheduling

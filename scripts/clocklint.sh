@@ -29,10 +29,11 @@ files=$(find . -name '*.go' \
 # Self-check: the clock-sensitive packages must be in the scan set. The
 # failure detectors in replication (heartbeats, ack timeouts), viewsvc
 # (ping-based membership), and consensus (randomized election timeouts,
-# leader heartbeats) are exactly where a naked wall-clock call would break
-# determinism — if a future exemption swallowed them, this lint would pass
-# vacuously.
-for must in ./internal/replication ./internal/viewsvc ./internal/consensus ./internal/debug; do
+# leader heartbeats), and the kill poller and election waits of the one
+# replicated-run assembly in cluster, are exactly where a naked wall-clock
+# call would break determinism — if a future exemption swallowed them, this
+# lint would pass vacuously.
+for must in ./internal/replication ./internal/viewsvc ./internal/consensus ./internal/debug ./internal/cluster; do
     case "$files" in
         *"$must/"*) ;;
         *) echo "clock-lint: $must is missing from the scan set" >&2; exit 1 ;;

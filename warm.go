@@ -1,24 +1,14 @@
 package ftvm
 
 import (
-	"time"
+	"fmt"
 
-	"repro/internal/env"
-	"repro/internal/replication"
+	"repro/internal/cluster"
 )
 
-// WarmResult describes a warm-replicated run: the primary's metrics plus the
-// warm backup's concurrent execution report.
-type WarmResult struct {
-	PrimaryStats   Stats
-	PrimaryElapsed time.Duration
-	Primary        replication.PrimaryMetrics
-	Outcome        replication.ServeOutcome
-	Killed         bool
-	Warm           *replication.WarmResult
-	Console        []string
-	Env            *env.Env
-}
+// WarmResult describes a warm-replicated run: Stats and Elapsed are the
+// primary's, Warm the warm backup's concurrent execution report.
+type WarmResult = ReplicatedResult
 
 // RunWarmReplicated executes prog with a primary and a *warm* backup: the
 // backup executes the program concurrently, consuming the log as it arrives
@@ -29,18 +19,13 @@ type WarmResult struct {
 // pair's backup: Options.Backend == BackendConsensus and Options.CaptureLog
 // are refused with ErrWarmOption.
 func RunWarmReplicated(prog *Program, mode Mode, trigger KillTrigger, opts Options) (*WarmResult, error) {
-	res, log, err := run(prog, mode, opts, trigger, true)
-	if res == nil {
-		return nil, err
+	switch {
+	case opts.Backend == BackendConsensus:
+		return nil, fmt.Errorf("%w: BackendConsensus", ErrWarmOption)
+	case opts.CaptureLog != "":
+		return nil, fmt.Errorf("%w: CaptureLog", ErrWarmOption)
 	}
-	return &WarmResult{
-		PrimaryStats:   res.Stats,
-		PrimaryElapsed: res.Elapsed,
-		Primary:        res.Primary,
-		Outcome:        res.Outcome,
-		Killed:         res.Killed,
-		Warm:           log.warm,
-		Console:        res.Console,
-		Env:            res.Env,
-	}, err
+	cfg := opts.config(prog, mode, trigger)
+	cfg.Topology = cluster.WarmPair
+	return cluster.Run(cfg)
 }
