@@ -10,13 +10,13 @@ package bytecode
 
 import (
 	"fmt"
-	"os"
+	"strings"
 	"testing"
 )
 
 // wideOpsPinned is the complete wide tier in allocation order:
-// {name, folded width, ends-in-counted-branch}. Regenerate with
-// FTVM_GOLDEN_PRINT=1 go test -run TestWideOpsPinned ./internal/bytecode
+// {name, folded width, ends-in-counted-branch}. When it drifts, the failing
+// test prints the current table to pin.
 var wideOpsPinned = []struct {
 	name   string
 	width  int32
@@ -130,32 +130,27 @@ var wideOpsPinned = []struct {
 
 func TestWideOpsPinned(t *testing.T) {
 	ops := WideOps()
-	if os.Getenv("FTVM_GOLDEN_PRINT") != "" {
-		for _, op := range ops {
-			wi, ok := WideOpInfo(op)
-			if !ok {
-				t.Fatalf("WideOps returned %d with no info", op)
-			}
-			fmt.Printf("\t{%q, %d, %v},\n", wi.Name, wi.Width, wi.Branch())
-		}
-		return
-	}
-	if len(wideOpsPinned) == 0 {
-		t.Fatal("wideOpsPinned is empty: run with FTVM_GOLDEN_PRINT=1 and pin the output")
-	}
 	if len(ops) != len(wideOpsPinned) {
-		t.Fatalf("wide tier has %d opcodes, pin table has %d", len(ops), len(wideOpsPinned))
+		t.Errorf("wide tier has %d opcodes, pin table has %d", len(ops), len(wideOpsPinned))
 	}
+	var table strings.Builder
 	for i, op := range ops {
 		wi, ok := WideOpInfo(op)
 		if !ok {
 			t.Fatalf("WideOps returned %d with no info", op)
+		}
+		fmt.Fprintf(&table, "\t{%q, %d, %v},\n", wi.Name, wi.Width, wi.Branch())
+		if i >= len(wideOpsPinned) {
+			continue
 		}
 		p := wideOpsPinned[i]
 		if wi.Name != p.name || wi.Width != p.width || wi.Branch() != p.branch {
 			t.Errorf("wide op %d drifted: got {%q, %d, %v}, pinned {%q, %d, %v}",
 				i, wi.Name, wi.Width, wi.Branch(), p.name, p.width, p.branch)
 		}
+	}
+	if t.Failed() {
+		t.Logf("the current wide tier, to pin:\n%s", table.String())
 	}
 }
 

@@ -191,7 +191,7 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:   cfg,
 		clk:   clk,
-		dir:   viewsvc.NewShardDirectory(viewsvc.Config{Clock: clk}),
+		dir:   viewsvc.NewShardDirectory(),
 		nodes: make(map[string]*Node, len(cfg.Nodes)),
 	}
 	for _, name := range cfg.Nodes {

@@ -8,6 +8,7 @@ import (
 	ftvm "repro"
 	"repro/internal/bytecode"
 	"repro/internal/env"
+	"repro/internal/identity"
 	"repro/internal/programs"
 	"repro/internal/replication"
 	"repro/internal/transport"
@@ -67,7 +68,7 @@ func TestChecksumCoversPathInsideInterval(t *testing.T) {
 	}
 	logged := spliceDiamond(t, base, "traceRay", bytecode.OpJz)
 	flipped := spliceDiamond(t, base, "traceRay", bytecode.OpJnz)
-	records := runPairRecords(t, logged, ftvm.ModeSched, vm.DispatchThreaded)
+	records, _ := identity.PairLog(t, logged, ftvm.ModeSched, identity.Fused)
 	if n := len(switchIndexes(records)); n < 10 {
 		t.Fatalf("only %d switch records; the log does not exercise scheduling replay", n)
 	}
@@ -106,7 +107,7 @@ func recoverLog(t *testing.T, records []wire.Record, prog *bytecode.Program, d v
 		t.Fatal(err)
 	}
 	_, _, err = backup.Recover(replication.RecoverConfig{
-		Program: prog, Env: env.New(pairGoldenEnvSeed), MaxInstructions: 200_000_000, Dispatch: d,
+		Program: prog, Env: env.New(identity.PairEnvSeed), MaxInstructions: 200_000_000, Dispatch: d,
 	})
 	return err
 }
@@ -120,7 +121,7 @@ func TestSwitchChecksumAlwaysChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := runPairRecords(t, prog, ftvm.ModeSched, vm.DispatchThreaded)
+	records, _ := identity.PairLog(t, prog, ftvm.ModeSched, identity.Fused)
 	at := switchIndexes(records)
 	if len(at) < 10 {
 		t.Fatalf("only %d switch records", len(at))

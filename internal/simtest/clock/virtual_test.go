@@ -233,6 +233,9 @@ func TestVirtualDeterminism(t *testing.T) {
 		var log []string
 		var done sync.WaitGroup
 		slot := v.NewWaitSlot()
+		// Hold the clock while launching: otherwise it jumps as soon as the
+		// first actor sleeps, and later actors start at a later instant.
+		v.Attach()
 		for i := 0; i < 4; i++ {
 			i := i
 			done.Add(1)
@@ -255,6 +258,7 @@ func TestVirtualDeterminism(t *testing.T) {
 			log = append(log, fmt.Sprintf("w:%v@%v", out, v.Elapsed()))
 			mu.Unlock()
 		})
+		v.Detach()
 		done.Wait()
 		return strings.Join(log, " ")
 	}

@@ -173,7 +173,7 @@ func runViewCluster(clk *clock.Virtual, prog *ftvm.Program, cb *ViewCombo) (*Vie
 		return nil, err
 	}
 	environ := cfg.Recover.Env
-	dir := viewsvc.NewShardDirectory(viewsvc.Config{Clock: clk})
+	dir := viewsvc.NewShardDirectory()
 	dir.Join(nodeA)
 	dir.Join(nodeB)
 	dir.Join(nodeC)

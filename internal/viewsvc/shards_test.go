@@ -3,20 +3,7 @@ package viewsvc
 import (
 	"errors"
 	"testing"
-	"time"
-
-	"repro/internal/simtest/clock"
 )
-
-func newDir(t *testing.T, timeout time.Duration, nodes ...string) (*ShardDirectory, *clock.Virtual) {
-	t.Helper()
-	clk := clock.NewVirtual()
-	d := NewShardDirectory(Config{Clock: clk, FailTimeout: timeout})
-	for _, n := range nodes {
-		d.Join(n)
-	}
-	return d, clk
-}
 
 // table reads the directory's n shard views.
 func table(d *ShardDirectory, n int) []View {
@@ -28,7 +15,7 @@ func table(d *ShardDirectory, n int) []View {
 }
 
 func TestFormShardsRoundRobin(t *testing.T) {
-	d, _ := newDir(t, 0, "n1", "n2", "n3")
+	d := newSet(t, "n1", "n2", "n3")
 	views, err := d.Form(6)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +52,7 @@ func TestFormShardsRoundRobin(t *testing.T) {
 // epoch, with promotions where it was primary and recruitment where it was
 // backup.
 func TestNodeDeathReseatsEveryAffectedShard(t *testing.T) {
-	d, _ := newDir(t, 0, "n1", "n2", "n3", "n4")
+	d := newSet(t, "n1", "n2", "n3", "n4")
 	if _, err := d.Form(8); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +105,7 @@ func TestNodeDeathReseatsEveryAffectedShard(t *testing.T) {
 // TestRecruitmentIsLeastLoaded: after a death the vacancies go to the live
 // node with the fewest seats, deterministically.
 func TestRecruitmentIsLeastLoaded(t *testing.T) {
-	d, _ := newDir(t, 0, "n1", "n2", "n3", "n4", "n5")
+	d := newSet(t, "n1", "n2", "n3", "n4", "n5")
 	if _, err := d.Form(10); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +134,7 @@ func TestRecruitmentIsLeastLoaded(t *testing.T) {
 
 	// Determinism: replaying the same join + failure sequence reproduces the
 	// identical shard table.
-	d2, _ := newDir(t, 0, "n1", "n2", "n3", "n4", "n5")
+	d2 := newSet(t, "n1", "n2", "n3", "n4", "n5")
 	if _, err := d2.Form(10); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +152,7 @@ func TestRecruitmentIsLeastLoaded(t *testing.T) {
 // TestShardPromotionGuard: per-shard epochs draw from one global sequence,
 // and exactly one license is issued per epoch.
 func TestShardPromotionGuard(t *testing.T) {
-	d, _ := newDir(t, 0, "n1", "n2", "n3")
+	d := newSet(t, "n1", "n2", "n3")
 	if _, err := d.Form(4); err != nil {
 		t.Fatal(err)
 	}
@@ -198,33 +185,5 @@ func TestShardPromotionGuard(t *testing.T) {
 	}
 	if err := d.AcquirePromotion(newPri, 99, epoch); err == nil {
 		t.Fatal("acquiring a nonexistent shard succeeded")
-	}
-}
-
-// TestDirectoryTickDetection: the ping-based detector reseats shards when a
-// node goes silent on the virtual clock.
-func TestDirectoryTickDetection(t *testing.T) {
-	d, clk := newDir(t, 50*time.Millisecond, "n1", "n2", "n3")
-	if _, err := d.Form(4); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	clk.Go(func() {
-		defer close(done)
-		for i := 0; i < 6; i++ {
-			clk.Sleep(20 * time.Millisecond)
-			d.Ping("n2")
-			d.Ping("n3") // n1 never pings after formation
-			if chs := d.Tick(); len(chs) != 0 {
-				return
-			}
-		}
-	})
-	<-done
-	for i := 0; i < 4; i++ {
-		v := d.Shard(i)
-		if v.Primary == "n1" || v.Backup == "n1" {
-			t.Fatalf("shard %d still seats silent node n1: %+v", i, v)
-		}
 	}
 }

@@ -15,18 +15,15 @@
 // The directory is deliberately not itself replicated — in the paper's
 // deployment (§2) the pair runs under an external management layer; here the
 // directory plays that layer for the fleet, the simulation harness and tests.
-// It is fully clock-injected: failure detection reads the injected
-// clock.Clock, so whole cluster lifetimes replay deterministically under a
-// virtual clock.
+// It detects nothing itself and reads no clock: a replica whose own detector
+// finds a failure reports it (ReportFailure), so a cluster's lifetime is a
+// pure function of its joins and reports.
 package viewsvc
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
-
-	"repro/internal/simtest/clock"
 )
 
 // Errors returned by the promotion guard and membership calls.
@@ -56,20 +53,6 @@ type View struct {
 	Backup  string
 }
 
-// Config configures the directory.
-type Config struct {
-	// Clock supplies time for the failure detector (nil = wall clock).
-	Clock clock.Clock
-	// FailTimeout: a member silent for longer than this is declared dead by
-	// Tick (0 disables ping-based detection; ReportFailure still works).
-	FailTimeout time.Duration
-}
-
-type member struct {
-	lastPing time.Time
-	dead     bool
-}
-
 // ShardDirectory is the membership tracker and view manager. Every shard's
 // view number is issued from one directory-global epoch sequence, which makes
 // epochs unique across the whole fleet — a frame or ack stamped with an epoch
@@ -87,13 +70,10 @@ type member struct {
 // — so shard placement, and therefore a whole simulation, is a pure function
 // of the join sequence and the failure schedule.
 type ShardDirectory struct {
-	clk     clock.Clock
-	timeout time.Duration
-
 	mu      sync.Mutex
-	members map[string]*member
-	order   []string // join order: deterministic seating preference
-	epoch   uint64   // last issued epoch, shared by every shard
+	members map[string]bool // joined node -> declared dead
+	order   []string        // join order: deterministic seating preference
+	epoch   uint64          // last issued epoch, shared by every shard
 	shards  []View
 	claimed map[uint64]string // epoch -> node that acquired its promotion
 }
@@ -105,38 +85,20 @@ type ShardChange struct {
 }
 
 // NewShardDirectory builds a directory with no members and no shards.
-func NewShardDirectory(cfg Config) *ShardDirectory {
-	return &ShardDirectory{
-		clk:     clock.Or(cfg.Clock),
-		timeout: cfg.FailTimeout,
-		members: make(map[string]*member),
-		claimed: make(map[uint64]string),
-	}
+func NewShardDirectory() *ShardDirectory {
+	return &ShardDirectory{members: make(map[string]bool), claimed: make(map[uint64]string)}
 }
 
-// Join registers a node (idempotent; re-joining refreshes its ping and
-// resurrects a node declared dead). Joining moves no seats — a new node waits
-// as recruitable spare capacity until Form or a failure seats it.
+// Join registers a node (idempotent; re-joining resurrects a node declared
+// dead). Joining moves no seats — a new node waits as recruitable spare
+// capacity until Form or a failure seats it.
 func (d *ShardDirectory) Join(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if m, ok := d.members[name]; ok {
-		m.lastPing = d.clk.Now()
-		m.dead = false
-		return
+	if _, ok := d.members[name]; !ok {
+		d.order = append(d.order, name)
 	}
-	d.members[name] = &member{lastPing: d.clk.Now()}
-	d.order = append(d.order, name)
-}
-
-// Ping records a heartbeat from name. Unknown and dead nodes are ignored (a
-// deposed node's stray ping must not resurrect it).
-func (d *ShardDirectory) Ping(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if m, ok := d.members[name]; ok && !m.dead {
-		m.lastPing = d.clk.Now()
-	}
+	d.members[name] = false
 }
 
 // Form establishes n shards over the current live members, round-robin in
@@ -157,7 +119,7 @@ func (d *ShardDirectory) Form(n int) ([]View, error) {
 	}
 	var live []string
 	for _, name := range d.order {
-		if !d.members[name].dead {
+		if !d.members[name] {
 			live = append(live, name)
 		}
 	}
@@ -197,49 +159,27 @@ func (d *ShardDirectory) ReportFailure(reporter, dead string) ([]ShardChange, er
 	if err := d.liveLocked(reporter); err != nil {
 		return nil, err
 	}
-	m, ok := d.members[dead]
+	gone, ok := d.members[dead]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, dead)
 	}
-	if m.dead {
+	if gone {
 		return nil, nil
 	}
-	m.dead = true
+	d.members[dead] = true
 	return d.reseatLocked(dead), nil
 }
 
 // liveLocked is the standing every acting node needs: joined and not dead.
 func (d *ShardDirectory) liveLocked(node string) error {
-	m, ok := d.members[node]
+	dead, ok := d.members[node]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, node)
 	}
-	if m.dead {
+	if dead {
 		return fmt.Errorf("%w: %s", ErrDead, node)
 	}
 	return nil
-}
-
-// Tick runs the ping-based failure detector once: members silent for longer
-// than FailTimeout are declared dead and their shards reseat. It returns
-// every reconfiguration it caused. Call it from a periodic loop (see Watcher)
-// or explicitly in deterministic tests.
-func (d *ShardDirectory) Tick() []ShardChange {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.timeout <= 0 {
-		return nil
-	}
-	now := d.clk.Now()
-	var changes []ShardChange
-	for _, name := range d.order {
-		m := d.members[name]
-		if !m.dead && now.Sub(m.lastPing) > d.timeout {
-			m.dead = true
-			changes = append(changes, d.reseatLocked(name)...)
-		}
-	}
-	return changes
 }
 
 // reseatLocked reconfigures every shard where name held a seat: a dead
@@ -276,7 +216,7 @@ func (d *ShardDirectory) recruitLocked(exclude string) string {
 	}
 	best := ""
 	for _, name := range d.order {
-		if name == exclude || d.members[name].dead {
+		if name == exclude || d.members[name] {
 			continue
 		}
 		if best == "" || loads[name] < loads[best] {
@@ -330,7 +270,7 @@ func (d *ShardDirectory) SeatCounts() (names []string, primaries, backups []int)
 		bc[v.Backup]++
 	}
 	for _, name := range d.order {
-		if d.members[name].dead {
+		if d.members[name] {
 			continue
 		}
 		names = append(names, name)

@@ -2,11 +2,7 @@ package viewsvc
 
 import (
 	"errors"
-	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/simtest/clock"
 )
 
 // The cases in this file and edge_test.go are a single replica set's: a
@@ -14,9 +10,9 @@ import (
 // Shard(0). shards_test.go has the many-shard cases.
 
 // newSet builds an unformed directory that nodes have joined.
-func newSet(t *testing.T, clk clock.Clock, timeout time.Duration, nodes ...string) *ShardDirectory {
+func newSet(t *testing.T, nodes ...string) *ShardDirectory {
 	t.Helper()
-	d := NewShardDirectory(Config{Clock: clk, FailTimeout: timeout})
+	d := NewShardDirectory()
 	for _, n := range nodes {
 		d.Join(n)
 	}
@@ -50,7 +46,7 @@ func wantView(t *testing.T, got View, num uint64, pri, bak string) {
 }
 
 func TestFormAndReportFailurePromotes(t *testing.T) {
-	d := newSet(t, clock.NewVirtual(), 0, "n1", "n2", "n3")
+	d := newSet(t, "n1", "n2", "n3")
 	wantView(t, formSet(t, d), 1, "n1", "n2")
 	if _, err := d.Form(1); err == nil {
 		t.Fatal("second Form should fail")
@@ -66,13 +62,13 @@ func TestFormAndReportFailurePromotes(t *testing.T) {
 	wantView(t, report(t, d, "n3", "n1"), 3, "n3", "")
 
 	// The last node dies: the terminal, empty view. (Nobody live is left to
-	// report it; the detector's Tick is what would — stand in for it.)
+	// report it; a fresh node stands in.)
 	d.Join("n4")
 	wantView(t, report(t, d, "n4", "n3"), 4, "", "")
 }
 
 func TestBackupFailureRecruitsAndAdvancesEpoch(t *testing.T) {
-	d := newSet(t, clock.NewVirtual(), 0, "n1", "n2", "n3")
+	d := newSet(t, "n1", "n2", "n3")
 	formSet(t, d)
 	// Backup dies: primary keeps its seat but the epoch still advances (the
 	// new pair is a new configuration) and the idle node fills in.
@@ -80,7 +76,7 @@ func TestBackupFailureRecruitsAndAdvancesEpoch(t *testing.T) {
 }
 
 func TestDeadReporterAndUnknownNodes(t *testing.T) {
-	d := newSet(t, clock.NewVirtual(), 0, "n1", "n2")
+	d := newSet(t, "n1", "n2")
 	formSet(t, d)
 	report(t, d, "n2", "n1")
 	if _, err := d.ReportFailure("n1", "n2"); !errors.Is(err, ErrDead) {
@@ -96,7 +92,7 @@ func TestDeadReporterAndUnknownNodes(t *testing.T) {
 }
 
 func TestAcquirePromotionGuard(t *testing.T) {
-	d := newSet(t, clock.NewVirtual(), 0, "n1", "n2", "n3")
+	d := newSet(t, "n1", "n2", "n3")
 	formSet(t, d)
 	report(t, d, "n2", "n1")
 
@@ -121,61 +117,14 @@ func TestAcquirePromotionGuard(t *testing.T) {
 	}
 }
 
-func TestTickDeclaresSilentNodesDead(t *testing.T) {
-	clk := clock.NewVirtual()
-	defer clk.Watchdog(30 * time.Second)()
-	d := newSet(t, clk, 100*time.Millisecond, "n1", "n2", "n3")
-	formSet(t, d)
-
-	// n2 and n3 keep pinging; n1 goes silent. Under the virtual clock the
-	// detection instant is exact: at +100ms n1 is still within timeout, just
-	// past it the Tick declares it dead and promotes n2. The test goroutine
-	// stays attached during setup so the clock cannot free-run between actor
-	// launches.
-	clk.Attach()
-	p2 := NewPinger(d, "n2", 20*time.Millisecond)
-	p3 := NewPinger(d, "n3", 20*time.Millisecond)
-	defer p2.Stop()
-	defer p3.Stop()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var got View
-	var detectedAt time.Duration
-	clk.Go(func() {
-		defer wg.Done()
-		for got = d.Shard(0); got.Num < 2; got = d.Shard(0) {
-			clk.Sleep(time.Millisecond)
-		}
-		// Read the instant while this actor still runs (the clock cannot
-		// advance under it); by the time the detached test goroutine resumes,
-		// the surviving pingers have already pushed virtual time further.
-		detectedAt = clk.Elapsed()
-	})
-
-	w := NewWatcher(d, 30*time.Millisecond)
-	defer w.Stop()
-	clk.Detach()
-	wg.Wait()
-	wantView(t, got, 2, "n2", "n3")
-	if detectedAt <= 100*time.Millisecond || detectedAt > 200*time.Millisecond {
-		t.Fatalf("detection at %v, want within (100ms, 200ms]", detectedAt)
-	}
-	// The dead node's late ping must not resurrect it.
-	d.Ping("n1")
-	if chs := d.Tick(); len(chs) != 0 || d.Shard(0).Num != 2 {
-		t.Fatalf("late ping resurrected n1: %+v, view %+v", chs, d.Shard(0))
-	}
-}
-
 func TestFormDegradedSingleNode(t *testing.T) {
-	d := newSet(t, clock.NewVirtual(), 0, "only")
+	d := newSet(t, "only")
 	wantView(t, formSet(t, d), 1, "only", "")
-	if _, err := newSet(t, clock.NewVirtual(), 0).Form(1); err == nil {
+	if _, err := newSet(t).Form(1); err == nil {
 		t.Fatal("forming with no members should fail")
 	}
 	// A member declared dead before formation is no member to form over.
-	d = newSet(t, clock.NewVirtual(), 0, "n1", "n2")
+	d = newSet(t, "n1", "n2")
 	if _, err := d.ReportFailure("n2", "n1"); err != nil {
 		t.Fatal(err)
 	}
