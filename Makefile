@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race loc loc-check check bench bench-smoke bench-spine-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual
+.PHONY: build test vet race loc loc-check check bench bench-smoke bench-spine-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual ab
 
 build:
 	$(GO) build ./...
@@ -66,13 +66,22 @@ loc:
 # Watcher and their loop, ShardDirectory.Ping and Tick, and Config with its
 # FailTimeout and Clock (the directory reads no clock now); nothing outside
 # viewsvc's own tests called them.
-LOC_MAX = 27421
+# Shipping at commit points lowered it by 6: harness.Config.FlushEvery (a
+# second default that would have disagreed with the product's) and the wire
+# package's scratch varint arrays went; the primary's append split in two so
+# the halt marker can be buffered without the auto-flush, and cluster.Run's
+# haltWindow condition went with the bug it tolerated.
+LOC_MAX = 27415
 # The same ratchet on the root module's test lines, internal/identity (test
 # support that only tests may import) included. It was set when the seven
 # suites that assert "the same bytes on every path" came to share one table
 # instead of three copies of each helper, and the ping detector's tests went
-# with it (18286 -> 17836; CHANGES.md has the per-file accounting).
-TEST_LOC_MAX = 17836
+# with it (18286 -> 17836; CHANGES.md has the per-file accounting). The ship
+# policy's tests raised it by 83 (17836 -> 17919): TestHaltRidesTheLastAck
+# (internal/cluster) and, in internal/replication, TestShipAtCommitPoints,
+# TestShipPolicyMovesFrameBoundariesOnly and the pair run they share with
+# BenchmarkColdReceive.
+TEST_LOC_MAX = 17919
 loc-check:
 	./scripts/loc.sh $(LOC_MAX) $(TEST_LOC_MAX)
 
@@ -164,6 +173,17 @@ golden-dual:
 
 bench:
 	$(GO) run ./cmd/ftvm-bench -all
+
+# Alternating A/B pairs of one spine workload: REV's committed tree against
+# the working tree, N pairs at SEED, each side's median and quartiles per
+# end-to-end metric and in how many pairs the working tree won. See
+# scripts/abpairs.sh.
+REV ?= HEAD
+WORKLOAD ?= db-lock
+SEED ?= 1
+N ?= 10
+ab:
+	./scripts/abpairs.sh $(REV) $(WORKLOAD) $(SEED) $(N)
 
 # One iteration of every Go benchmark: catches benchmarks that no longer
 # compile or crash without paying for a real measurement run.

@@ -122,7 +122,8 @@ type Options struct {
 	// MinQuantum/MaxQuantum bound the scheduling quantum in branch counts
 	// (defaults 1024/8192).
 	MinQuantum, MaxQuantum uint64
-	// FlushEvery batches this many log records per frame (default 512).
+	// FlushEvery caps the log records buffered between output commits
+	// (default 4096); frames otherwise ship only at output commits.
 	FlushEvery int
 	// GCThreshold triggers automatic GC at this live-object count
 	// (default 1<<20, negative disables).

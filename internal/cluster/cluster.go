@@ -267,14 +267,8 @@ func Run(cfg Config) (*Result, error) {
 
 	lost := errors.Is(runErr, replication.ErrBackupLost)
 	done := res.Outcome == replication.OutcomePrimaryCompleted
-	// ROADMAP 1(b), the halt window: when the clean-halt marker fills a
-	// batch, the backup can see the halt while the primary, its last ack
-	// never answered, reports the backup lost. The console is complete — the
-	// marker ships only after every output commit — so until that is fixed
-	// this is a clean run.
-	haltWindow := done && lost
 	switch {
-	case runErr != nil && !res.Killed && !haltWindow && !(lost && cfg.FailStopOnLoss):
+	case runErr != nil && !res.Killed && !(lost && cfg.FailStopOnLoss):
 		return res, fmt.Errorf("primary run: %w", runErr)
 	case done:
 		// Including a kill that landed after the halt marker shipped.

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -120,6 +121,54 @@ func TestFaultTable(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// tail logs its last records after its last output: b taken twice is an id
+// map and two acquisitions, and the run's end takes a monitor of its own (an
+// id map and an acquisition). With the halt marker six records follow the
+// output commit, so the marker is the record that fills a batch of one, two
+// or three.
+const tail = `
+class Box { n int; }
+func main() {
+	var b Box = new Box;
+	print("start");
+	for (var i int = 0; i < 2; i = i + 1) {
+		lock (b) { b.n = b.n + 1; }
+	}
+}
+`
+
+// TestHaltRidesTheLastAck: a clean run whose halt marker fills a batch ends
+// clean on every topology. A marker shipped in an unacknowledged frame would
+// end the backup's receive loop and leave the primary's closing sync
+// unanswered until AckTimeout reported the backup lost.
+func TestHaltRidesTheLastAck(t *testing.T) {
+	prog, err := ftvm.CompileSource("tail", tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range topologies {
+		for fe := 1; fe <= 3; fe++ {
+			t.Run(fmt.Sprintf("%s/flush-%d", tp.name, fe), func(t *testing.T) {
+				res, err := clock.Drive(time.Minute, func(clk *clock.Virtual) (*cluster.Result, error) {
+					return cluster.Run(cluster.Config{
+						Topology: tp.topo,
+						Primary: replication.PrimaryConfig{Mode: ftvm.ModeLock, FlushEvery: fe,
+							AckTimeout: 2 * time.Second, Clock: clk},
+						Recover:       replication.RecoverConfig{Program: prog, Env: env.New(5), Policy: vm.NewSeededPolicy(7, 100, 900)},
+						ConsensusSeed: 1,
+					})
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.PrimaryErr != nil || res.Outcome != replication.OutcomePrimaryCompleted {
+					t.Fatalf("primary: %v; log site: %v", res.PrimaryErr, res.Outcome)
+				}
+			})
+		}
 	}
 }
 

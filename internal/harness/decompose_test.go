@@ -64,7 +64,7 @@ func TestNormalized(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.fill()
-	if c.Scale != 1 || c.Repeats != 2 || c.FlushEvery != 512 {
+	if c.Scale != 1 || c.Repeats != 2 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	if len(c.Benchmarks) != 6 {

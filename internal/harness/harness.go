@@ -26,8 +26,6 @@ type Config struct {
 	EnvSeed int64
 	// PolicySeed seeds the primary scheduling policy.
 	PolicySeed int64
-	// FlushEvery batches log records per frame (default 512).
-	FlushEvery int
 	// NetPerMsg/NetPerKB simulate the testbed network, calibrated so the
 	// per-record shipping cost relative to our interpreter's speed matches
 	// the paper's testbed (100 Mbps Ethernet + 2003-era protocol stacks
@@ -59,9 +57,6 @@ func (c *Config) fill() {
 	}
 	if c.PolicySeed == 0 {
 		c.PolicySeed = 42
-	}
-	if c.FlushEvery == 0 {
-		c.FlushEvery = 512
 	}
 	if c.NoNetwork {
 		c.NetPerMsg, c.NetPerKB = 0, 0
@@ -180,7 +175,6 @@ func RunBenchmark(name string, cfg Config) (*BenchResult, error) {
 			primary, replay, err := ftvm.MeasureReplay(prog, mode, ftvm.Options{
 				EnvSeed:    cfg.EnvSeed,
 				PolicySeed: cfg.PolicySeed,
-				FlushEvery: cfg.FlushEvery,
 				NetPerMsg:  cfg.NetPerMsg,
 				NetPerKB:   cfg.NetPerKB,
 				Dispatch:   cfg.Dispatch,

@@ -95,10 +95,8 @@ func captureCleanStream(t *testing.T, prog *bytecode.Program, mode Mode) []*wire
 	t.Helper()
 	pa, pb := transport.Pipe(1024)
 	tap := &tapEndpoint{Endpoint: pa}
-	// FlushEvery 4 keeps the halt marker from being the record that fills a
-	// batch in any mode: a marker shipped that way goes out unacknowledged,
-	// the backup leaves at once and the primary's closing sync is never
-	// answered (ROADMAP item 5e). AckTimeout turns that into a failure here.
+	// FlushEvery 4 cuts the stream into many frames. AckTimeout turns a
+	// closing sync the backup never answers into a failure here.
 	primary, err := NewPrimary(PrimaryConfig{
 		Mode: mode, Endpoint: tap, Epoch: backupEpoch, FlushEvery: 4, AckTimeout: 5 * time.Second,
 		Policy: vm.NewSeededPolicy(3, 64, 512),

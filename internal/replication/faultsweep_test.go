@@ -218,12 +218,12 @@ func TestChannelFaultSweep(t *testing.T) {
 					}
 
 					if outcome == OutcomePrimaryCompleted {
-						// Last-ack window: a fault can eat the final halt-sync
-						// ack, so the backup sees a clean halt while the primary
-						// reports the backup lost. The console is complete on
-						// both sides (the halt marker only ships after every
-						// output commit), so only *other* primary errors are
-						// failures here.
+						// The injected fault can eat the ack of the frame that
+						// carried the halt marker, so the backup sees a clean
+						// halt while the primary reports the backup lost. The
+						// console is complete on both sides (the marker ships
+						// after every output commit), so only *other* primary
+						// errors are failures here.
 						if runErr != nil && !errors.Is(runErr, ErrBackupLost) {
 							t.Fatalf("backup saw clean halt but primary failed: %v", runErr)
 						}

@@ -52,8 +52,10 @@ type PrimaryConfig struct {
 	// Policy drives scheduling (seeded random if nil). The backup replays
 	// with its own, different policy — only the log makes them agree.
 	Policy vm.SchedPolicy
-	// FlushEvery batches this many records per frame between output commits
-	// (default 512; the paper buffers small 36-byte messages the same way).
+	// FlushEvery bounds the records buffered between output commits: a frame
+	// ships, unacknowledged, only when this many are buffered (default 4096,
+	// ≈ 40 KB of lock records). Otherwise frames leave at output commits and
+	// at the clean halt, so the backup is woken per commit, not per batch.
 	FlushEvery int
 	// HeartbeatEvery enables a liveness heartbeat to the backup (0 = off;
 	// with the in-process pipe, endpoint closure already signals failure).
@@ -145,7 +147,7 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	}
 	fe := cfg.FlushEvery
 	if fe <= 0 {
-		fe = 512
+		fe = 4096
 	}
 	p := &Primary{
 		mode:       cfg.Mode,
@@ -269,10 +271,18 @@ func (p *Primary) publish() {
 // charged recordSample times over.
 const recordSample = 64
 
-// append buffers a record and counts it; with timed, the encode/store cost is
-// charged to the Record bucket, by sampling (a batch flush triggered here is
-// communication, not record time).
+// append buffers a record and ships the batch unacknowledged once it holds
+// flushEvery records.
 func (p *Primary) append(r wire.Record, timed bool) error {
+	if err := p.buffer(r, timed); err != nil || p.buf.Count() < p.flushEvery {
+		return err
+	}
+	return p.flush(false)
+}
+
+// buffer encodes a record into the batch and counts it; with timed, the
+// encode/store cost is charged to the Record bucket, by sampling.
+func (p *Primary) buffer(r wire.Record, timed bool) error {
 	if p.be.Lost() {
 		if p.degrade {
 			return nil // unreplicated: the log is gone with the backup
@@ -294,9 +304,6 @@ func (p *Primary) append(r wire.Record, timed bool) error {
 		return err
 	}
 	p.counts[r.Type()]++
-	if p.buf.Count() >= p.flushEvery {
-		return p.flush(false)
-	}
 	return nil
 }
 
@@ -510,7 +517,10 @@ func (p *Primary) OnHalt(v *vm.VM, runErr error) error {
 			return err
 		}
 	}
-	if err := p.squelch(p.append(&wire.Halt{}, false)); err != nil {
+	// The marker rides the acknowledged frame below, never an auto-flushed
+	// one: a backup leaves its receive loop on seeing it, so a sync sent
+	// after it would go unanswered.
+	if err := p.squelch(p.buffer(&wire.Halt{}, false)); err != nil {
 		return err
 	}
 	if err := p.squelch(p.flush(true)); err != nil {

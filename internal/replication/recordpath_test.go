@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -223,45 +224,80 @@ func TestPrimaryClockReadsAreSampled(t *testing.T) {
 	}
 }
 
-// dbFrames runs the db benchmark program replicated in lock mode and returns
-// the frames its primary shipped (FlushEvery 512, the default), record count
-// beside them.
-func dbFrames(b *testing.B) (msgs [][]byte, records int) {
-	b.Helper()
-	prog, err := programs.Compile("db", 1)
+// pairRun runs a benchmark program replicated in lock mode to a cold backup,
+// batching flushEvery records (0: the default), and returns the primary, the
+// backup and the frames the primary shipped.
+func pairRun(tb testing.TB, name string, flushEvery int) (*Primary, *Backup, [][]byte) {
+	tb.Helper()
+	prog, err := programs.Compile(name, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pa, pb := transport.Pipe(64)
 	tap := &tapEndpoint{Endpoint: pa}
-	primary, err := NewPrimary(PrimaryConfig{Mode: ModeLock, Endpoint: tap})
+	primary, err := NewPrimary(PrimaryConfig{Mode: ModeLock, Endpoint: tap, FlushEvery: flushEvery})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pvm, err := primary.NewVM(vm.Config{Program: prog, Env: env.New(1)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	backup, err := NewBackup(BackupConfig{Mode: ModeLock, Endpoint: pb})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { _, err := backup.Serve(); done <- err }()
 	if err := pvm.Run(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := <-done; err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return tap.sent, backup.Store().Len()
+	return primary, backup, tap.sent
+}
+
+// TestShipAtCommitPoints: under the default FlushEvery the db primary ships
+// a frame only where it waits for the backup — at each output commit and at
+// the halt — and never one mid-interval.
+func TestShipAtCommitPoints(t *testing.T) {
+	primary, _, _ := pairRun(t, "db", 0)
+	if m := primary.Metrics(); m.FramesSent != 702 || m.AcksAwaited != 702 {
+		t.Fatalf("%d frames for %d acks awaited, want 702 of each", m.FramesSent, m.AcksAwaited)
+	}
+}
+
+// TestShipPolicyMovesFrameBoundariesOnly: the batch size decides where frames
+// end, never what the backup logs — the record stream is the same bytes
+// under 4-record batches, 512 and the default.
+func TestShipPolicyMovesFrameBoundariesOnly(t *testing.T) {
+	for _, name := range []string{"db", "jack", "mtrt"} {
+		var want []byte
+		for _, fe := range []int{4, 512, 0} {
+			_, backup, _ := pairRun(t, name, fe)
+			var log wire.Buffer
+			for _, r := range backup.Store().Records() {
+				if err := log.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want == nil {
+				want = bytes.Clone(log.Bytes())
+			} else if !bytes.Equal(log.Bytes(), want) {
+				t.Errorf("%s: FlushEvery %d logs %d bytes that differ from 4-record batches' %d", name, fe, log.Len(), len(want))
+			}
+		}
+	}
 }
 
 // BenchmarkColdReceive is the backup's side of the db-lock workload alone:
-// the db program's own frame stream (411 k records, 1.1 k frames) sent down a
-// pipe to a cold backup's receive loop, to the halt marker's acknowledgement.
+// the db program's own frame stream (411 k records in 702 frames, one per
+// output commit under the default FlushEvery) sent down a pipe to a cold
+// backup's receive loop, to the halt marker's acknowledgement.
 func BenchmarkColdReceive(b *testing.B) {
-	msgs, records := dbFrames(b)
+	_, backup, msgs := pairRun(b, "db", 0)
+	records := backup.Store().Len()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()

@@ -86,13 +86,11 @@ type Reply struct {
 // EncodeRequest serialises r.
 func EncodeRequest(r *Request) []byte {
 	buf := make([]byte, 0, 4*binary.MaxVarintLen64+1)
-	var tmp [binary.MaxVarintLen64]byte
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], r.Client)]...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], r.Req)]...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], r.Tenant)]...)
+	buf = binary.AppendUvarint(buf, r.Client)
+	buf = binary.AppendUvarint(buf, r.Req)
+	buf = binary.AppendUvarint(buf, r.Tenant)
 	buf = append(buf, r.Op)
-	buf = append(buf, tmp[:binary.PutVarint(tmp[:], r.Arg)]...)
-	return buf
+	return binary.AppendVarint(buf, r.Arg)
 }
 
 // DecodeRequest parses a Request. Like DecodeFrame, trailing bytes reject
@@ -133,13 +131,11 @@ func DecodeRequest(b []byte) (*Request, error) {
 // EncodeReply serialises r.
 func EncodeReply(r *Reply) []byte {
 	buf := make([]byte, 0, 4*binary.MaxVarintLen64+1)
-	var tmp [binary.MaxVarintLen64]byte
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], r.Client)]...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], r.Req)]...)
+	buf = binary.AppendUvarint(buf, r.Client)
+	buf = binary.AppendUvarint(buf, r.Req)
 	buf = append(buf, r.Status)
-	buf = append(buf, tmp[:binary.PutVarint(tmp[:], r.Value)]...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], r.Epoch)]...)
-	return buf
+	buf = binary.AppendVarint(buf, r.Value)
+	return binary.AppendUvarint(buf, r.Epoch)
 }
 
 // DecodeReply parses a Reply; trailing bytes are a framing violation.

@@ -210,9 +210,8 @@ var ErrTruncated = fmt.Errorf("%w: truncated record", ErrBadRecord)
 
 // Buffer accumulates encoded records.
 type Buffer struct {
-	b   []byte
-	tmp [binary.MaxVarintLen64]byte
-	n   int // record count
+	b []byte
+	n int // record count
 }
 
 // Len returns the byte length of the encoded records.
@@ -228,8 +227,8 @@ func (w *Buffer) Bytes() []byte { return w.b }
 func (w *Buffer) Reset() { w.b = w.b[:0]; w.n = 0 }
 
 func (w *Buffer) u8(v uint8)     { w.b = append(w.b, v) }
-func (w *Buffer) uv(v uint64)    { w.b = append(w.b, w.tmp[:binary.PutUvarint(w.tmp[:], v)]...) }
-func (w *Buffer) sv(v int64)     { w.b = append(w.b, w.tmp[:binary.PutVarint(w.tmp[:], v)]...) }
+func (w *Buffer) uv(v uint64)    { w.b = binary.AppendUvarint(w.b, v) }
+func (w *Buffer) sv(v int64)     { w.b = binary.AppendVarint(w.b, v) }
 func (w *Buffer) str(s string)   { w.uv(uint64(len(s))); w.b = append(w.b, s...) }
 func (w *Buffer) bytes(p []byte) { w.uv(uint64(len(p))); w.b = append(w.b, p...) }
 

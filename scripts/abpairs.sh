@@ -1,0 +1,76 @@
+#!/bin/sh
+# abpairs: alternating A/B runs of one workload of the benchmark spine — a
+# committed revision (A) against the working tree (B).
+#
+#   scripts/abpairs.sh REV WORKLOAD [SEED [N]]
+#   make ab REV=HEAD WORKLOAD=db-lock SEED=1 N=10
+#
+# Both spines are built once: A from `git archive REV` unpacked into a
+# temporary directory, B from the working tree as it stands, uncommitted edits
+# included. Then N pairs run, each side `-seed SEED -seconds 20 -trace 0`,
+# and the side that goes first alternates from pair to pair so a drift of the
+# host hits both alike. Every run's JSON line is kept in $OUT (default: a
+# fresh temporary directory) as a-<i>.json and b-<i>.json. At the end, per
+# end-to-end metric of BENCHMARK.json: each side's median and quartiles, the
+# change of the medians, in how many pairs B was better, and whether the
+# change exceeds A's interquartile range ("unresolved" when it does not).
+# Nothing under benchmark/ is written.
+set -eu
+[ $# -ge 2 ] || { echo "usage: $0 REV WORKLOAD [SEED [N]]" >&2; exit 2; }
+rev=$1 workload=$2 seed=${3:-1} n=${4:-10}
+root=$(cd "$(dirname "$0")/.." && pwd)
+out=${OUT:-$(mktemp -d)}
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir -p "$out" "$work/a"
+git -C "$root" archive "$rev" | tar -x -C "$work/a"
+go build -C "$work/a/benchmark" -o "$work/spine-a" .
+go build -C "$root/benchmark" -o "$work/spine-b" .
+
+# run SIDE I: one run of side a or b, its JSON line kept as SIDE-I.json.
+run() {
+	dir=$root/benchmark
+	[ "$1" = a ] && dir=$work/a/benchmark
+	if ! (cd "$dir" && "$work/spine-$1" -workload "$workload" -seed "$seed" -seconds 20 -trace 0) >"$work/log" 2>&1; then
+		cat "$work/log" >&2
+		echo "abpairs: side $1, pair $2 failed" >&2
+		exit 1
+	fi
+	tail -n 1 "$work/log" >"$out/$1-$2.json"
+}
+
+i=1
+while [ "$i" -le "$n" ]; do
+	if [ $((i % 2)) -eq 1 ]; then run a "$i" && run b "$i"; else run b "$i" && run a "$i"; fi
+	echo "abpairs: pair $i of $n done" >&2
+	i=$((i + 1))
+done
+
+echo "$workload seed $seed, $n alternating pairs; A = $rev, B = working tree; JSON lines in $out"
+python3 - "$root/BENCHMARK.json" "$out" "$n" <<'EOF'
+import json, statistics, sys
+
+spec, out, n = json.load(open(sys.argv[1])), sys.argv[2], int(sys.argv[3])
+runs = {s: [json.load(open(f"{out}/{s}-{i}.json")) for i in range(1, n + 1)] for s in "ab"}
+
+def quartiles(v):
+    if len(v) < 2:
+        return v[0], v[0], v[0]
+    q1, q2, q3 = statistics.quantiles(v, n=4, method="inclusive")
+    return q1, q2, q3
+
+def cell(q1, med, q3):
+    return f"{med:.5g} [{q1:.5g}, {q3:.5g}]"
+
+print(f"ops_failed: A {sum(r['failed'] for r in runs['a'])}, B {sum(r['failed'] for r in runs['b'])}")
+print(f"{'metric':<10} {'A median [q1, q3]':<30} {'B median [q1, q3]':<30} {'change':>7}  B better  verdict")
+for m in spec["end_to_end"]:
+    name, lower = m["name"], m["better"] == "lower"
+    a = [r["metrics"][name]["value"] for r in runs["a"]]
+    b = [r["metrics"][name]["value"] for r in runs["b"]]
+    (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
+    wins = sum(1 for x, y in zip(a, b) if (y < x if lower else y > x))
+    change = (bm - am) / am if am else 0.0
+    verdict = "resolved" if abs(bm - am) > a3 - a1 else "unresolved"
+    print(f"{name:<10} {cell(a1, am, a3):<30} {cell(b1, bm, b3):<30} {100 * change:>+6.1f}%  {wins:>3} / {n:<3} {verdict}")
+EOF
