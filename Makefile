@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race loc loc-check check bench bench-smoke bench-spine-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual ab
+.PHONY: build test vet fmt-check race loc loc-check check bench bench-smoke bench-spine-smoke fuzz-smoke clock-lint sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke replay-seeds golden-dual ab
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over the whole tree, the benchmark spine's module included: a file
+# gofmt would rewrite fails the gate and is named.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./internal/replication/... ./internal/transport/... ./internal/simtest/... ./internal/debug/... \
@@ -71,7 +76,14 @@ loc:
 # package's scratch varint arrays went; the primary's append split in two so
 # the halt marker can be buffered without the auto-flush, and cluster.Run's
 # haltWindow condition went with the bug it tolerated.
-LOC_MAX = 27415
+# Counting the paper's link instead of waiting for it lowered it by 157:
+# transport.Latency (the spin-wait wrapper), Options.NetPerMsg/NetPerKB,
+# harness.Config's three network fields and ftvm-bench's three flags went for
+# one unexported link function with two constants; the primary's second,
+# self-timed accounting path (and LargestFrameLen) went, so every backend is
+# counted in Primary.flush; and PrimaryConfig.DegradeOnBackupLoss with its
+# squelch went with the bug it hid (an output performed after the loss).
+LOC_MAX = 27258
 # The same ratchet on the root module's test lines, internal/identity (test
 # support that only tests may import) included. It was set when the seven
 # suites that assert "the same bytes on every path" came to share one table
@@ -80,8 +92,13 @@ LOC_MAX = 27415
 # policy's tests raised it by 83 (17836 -> 17919): TestHaltRidesTheLastAck
 # (internal/cluster) and, in internal/replication, TestShipAtCommitPoints,
 # TestShipPolicyMovesFrameBoundariesOnly and the pair run they share with
-# BenchmarkColdReceive.
-TEST_LOC_MAX = 17919
+# BenchmarkColdReceive. Counting the link lowered it by 16 (17919 -> 17903):
+# TestLatencyWrapper, TestDegradeOnBackupLoss,
+# TestPrimaryExternalBackendDegrade, BenchmarkAblationNetwork and
+# TestConfigDefaults' network clause went; TestLink, TestFigure2RawAndLinked
+# (internal/harness), TestNoOutputAfterLoss and
+# TestShippedCountsIgnoreDecoration (internal/replication) came in.
+TEST_LOC_MAX = 17903
 loc-check:
 	./scripts/loc.sh $(LOC_MAX) $(TEST_LOC_MAX)
 
@@ -157,7 +174,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRequestReply$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeLog$$' -fuzztime 5s ./internal/replication
 
-check: vet clock-lint loc-check build test race bench-smoke bench-spine-smoke fuzz-smoke sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke
+check: vet fmt-check clock-lint loc-check build test race bench-smoke bench-spine-smoke fuzz-smoke sim-smoke view-smoke fleet-smoke consensus-smoke debug-smoke
 
 # The identity gates: the table in internal/identity run on the golden
 # programs — the fused and step streams at the root (standalone, and over the

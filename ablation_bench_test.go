@@ -6,14 +6,13 @@ package ftvm
 //	                              interval compression (§6), on the two most
 //	                              lock-intensive workloads;
 //	BenchmarkAblationFlushBatch — log batching size vs communication and
-//	                              output-commit pessimism;
-//	BenchmarkAblationNetwork    — the same workload with and without the
-//	                              simulated testbed link (how much of the
-//	                              replication cost is communication).
+//	                              output-commit pessimism.
+//
+// Both ship over the raw pipe and report exact counts; what the paper's link
+// would add to them is internal/harness's arithmetic on those counts.
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/programs"
 )
@@ -27,11 +26,7 @@ func BenchmarkAblationIntervals(b *testing.B) {
 		for _, mode := range []Mode{ModeLock, ModeLockInterval} {
 			b.Run(name+"/"+mode.String(), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := RunReplicated(prog, mode, Options{
-						EnvSeed:   20030622,
-						NetPerMsg: 150 * time.Microsecond,
-						NetPerKB:  450 * time.Microsecond,
-					})
+					res, err := RunReplicated(prog, mode, Options{EnvSeed: 20030622})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -54,8 +49,6 @@ func BenchmarkAblationFlushBatch(b *testing.B) {
 				res, err := RunReplicated(prog, ModeLock, Options{
 					EnvSeed:    20030622,
 					FlushEvery: batch,
-					NetPerMsg:  150 * time.Microsecond,
-					NetPerKB:   450 * time.Microsecond,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -63,36 +56,6 @@ func BenchmarkAblationFlushBatch(b *testing.B) {
 				b.ReportMetric(float64(res.Primary.FramesSent), "frames")
 				b.ReportMetric(res.Primary.Communication.Seconds(), "comm-s")
 				b.ReportMetric(res.Primary.Pessimism.Seconds(), "pessim-s")
-			}
-		})
-	}
-}
-
-func BenchmarkAblationNetwork(b *testing.B) {
-	prog, err := programs.Compile("jess", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfgs := []struct {
-		name   string
-		perMsg time.Duration
-		perKB  time.Duration
-	}{
-		{"pipe", 0, 0},
-		{"lan2003", 150 * time.Microsecond, 450 * time.Microsecond},
-	}
-	for _, c := range cfgs {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunReplicated(prog, ModeLock, Options{
-					EnvSeed:   20030622,
-					NetPerMsg: c.perMsg,
-					NetPerKB:  c.perKB,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Primary.Communication.Seconds(), "comm-s")
 			}
 		})
 	}

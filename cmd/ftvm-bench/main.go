@@ -1,6 +1,10 @@
 // Command ftvm-bench regenerates the paper's evaluation (§5): Table 2 event
 // counts and the Figure 2/3/4 execution-time and overhead-decomposition
-// measurements, for the six SPEC JVM98-analog workloads.
+// measurements, for the six SPEC JVM98-analog workloads. Runs ship over the
+// raw in-process pipe; Figure 2 prints each primary column also with the
+// paper's 100 Mbps link charged as arithmetic on the run's frame, byte and
+// acknowledgement counts, and Figures 3/4 charge that link to Comm. and
+// Pessimistic.
 //
 // Usage:
 //
@@ -9,7 +13,6 @@
 //	ftvm-bench -fig2 -fig3 -fig4    # selected figures
 //	ftvm-bench -bench db,mtrt       # restrict benchmarks
 //	ftvm-bench -scale 2 -repeats 3  # bigger workloads, more rounds
-//	ftvm-bench -no-network          # disable the simulated 100 Mbps link
 //	ftvm-bench -metrics -bench db   # raw replication metrics as JSON
 //	ftvm-bench -quick -metrics      # one fast round, metrics JSON (CI smoke)
 package main
@@ -42,21 +45,17 @@ func run() error {
 		fig4      = flag.Bool("fig4", false, "Figure 4: thread-scheduling overhead decomposition")
 		takeover  = flag.Bool("takeover", false, "extension: cold vs warm backup takeover latency")
 		metrics   = flag.Bool("metrics", false, "dump raw replication metrics as JSON")
-		quick     = flag.Bool("quick", false, "fast preset: one round, no simulated network")
+		quick     = flag.Bool("quick", false, "fast preset: one round")
 		benchList = flag.String("bench", "", "comma-separated benchmark subset (default all six)")
 		scale     = flag.Int("scale", 1, "workload scale factor")
 		repeats   = flag.Int("repeats", 2, "measurement rounds (fastest kept; plus one warm-up)")
-		noNet     = flag.Bool("no-network", false, "disable the simulated network link")
 		pairFreq  = flag.Bool("pairfreq", false, "dump opcode-pair frequencies over the benchmarks (feeds the fusion table)")
 		pairTop   = flag.Int("pairfreq-top", 48, "pair ranking depth for -pairfreq")
 		dispatch  = flag.String("dispatch", "", "interpreter stream: threaded (fused, default) or switch (unfused, stepped)")
-		perMsg    = flag.Duration("net-per-msg", 150*time.Microsecond, "simulated per-message cost")
-		perKB     = flag.Duration("net-per-kb", 450*time.Microsecond, "simulated per-KB cost")
 	)
 	flag.Parse()
 	if *quick {
 		*repeats = 1
-		*noNet = true
 	}
 	if !*table2 && !*fig2 && !*fig3 && !*fig4 && !*takeover && !*metrics && !*pairFreq {
 		*all = true
@@ -68,14 +67,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg := harness.Config{
-		Scale:     *scale,
-		Repeats:   *repeats,
-		NoNetwork: *noNet,
-		NetPerMsg: *perMsg,
-		NetPerKB:  *perKB,
-		Dispatch:  disp,
-	}
+	cfg := harness.Config{Scale: *scale, Repeats: *repeats, Dispatch: disp}
 	if *benchList != "" {
 		cfg.Benchmarks = strings.Split(*benchList, ",")
 	}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/replication"
 	"repro/internal/sehandler"
 	"repro/internal/simtest/clock"
-	"repro/internal/transport"
 	"repro/internal/vm"
 )
 
@@ -149,12 +148,6 @@ type Options struct {
 	// ConsensusSeed pins the consensus cluster's randomized election
 	// schedule (default 1; only meaningful with BackendConsensus).
 	ConsensusSeed uint64
-	// NetPerMsg/NetPerKB add a calibrated cost to every transport message —
-	// the pair's log channel, or every link of the consensus mesh —
-	// simulating the paper's testbed network (two machines on 100 Mbps
-	// Ethernet) on a single host. Zero means a raw in-process pipe.
-	NetPerMsg time.Duration
-	NetPerKB  time.Duration
 	// Dispatch selects the interpreter stream for every VM the run builds
 	// (primary and recovery replay alike). The zero value is the fused
 	// stream; DispatchSwitch steps the unfused one.
@@ -299,15 +292,6 @@ func (o Options) config(prog *Program, mode Mode, trigger KillTrigger) cluster.C
 	}
 	if trigger != nil {
 		cfg.Kill = func(f *cluster.Faults) { f.Poll(trigger) }
-	}
-	if o.NetPerMsg > 0 || o.NetPerKB > 0 {
-		// Every link the run builds (nil: the cluster's plain pipe) carries
-		// the simulated network cost on both ends.
-		cfg.Link = func(int, int) (transport.Endpoint, transport.Endpoint) {
-			pEnd, bEnd := transport.PipeClock(transport.PipeCapacity, o.Clock)
-			return transport.WithLatencyClock(pEnd, o.NetPerMsg, o.NetPerKB, o.Clock),
-				transport.WithLatencyClock(bEnd, o.NetPerMsg, o.NetPerKB, o.Clock)
-		}
 	}
 	return cfg
 }

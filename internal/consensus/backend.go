@@ -15,7 +15,7 @@ import (
 //
 // Failure mapping: any Propose/WaitCommit failure (deposed leader, killed
 // replica, commit timeout) latches Lost and wraps replication.ErrBackupLost,
-// so the primary's existing degrade/abort machinery applies unchanged. That
+// so the primary aborts on it exactly as on a lost pair backup. That
 // is deliberately pessimistic — a deposed leader's entry may still commit
 // under its successor, but the old leader cannot know, which is exactly the
 // output-commit uncertainty the recovery analysis already handles.

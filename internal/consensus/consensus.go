@@ -62,8 +62,8 @@ func (r Role) String() string {
 }
 
 // Errors surfaced by Propose/WaitCommit. The Backend wraps them in
-// replication.ErrBackupLost so the primary's degrade/abort policy applies
-// uniformly.
+// replication.ErrBackupLost so the primary aborts on them as on any backend
+// loss.
 var (
 	// ErrNotLeader: this replica cannot accept proposals.
 	ErrNotLeader = errors.New("consensus: not the leader")

@@ -593,7 +593,7 @@ func (r *Replica) handleAppendLocked(now time.Time, m *message) []outMsg {
 	if prev > 0 && r.log[prev-1].term != prevTerm {
 		// Conflicting entry at prev: drop it and everything after.
 		r.log = r.log[:prev-1]
-		return []outMsg{{to: m.from, msg: encodeAppendResp(r.term, r.id, false, prev - 1)}}
+		return []outMsg{{to: m.from, msg: encodeAppendResp(r.term, r.id, false, prev-1)}}
 	}
 	// Append, overwriting divergent suffixes.
 	for i, e := range m.entries {

@@ -2,7 +2,9 @@
 // it measures the unreplicated baseline, the replicated-lock-acquisition and
 // replicated-thread-scheduling primaries (with the overhead decomposition of
 // Figures 3 and 4), and the backup's log-replay time (the backup columns of
-// Figure 2), and collects the per-benchmark event counts of Table 2.
+// Figure 2), and collects the per-benchmark event counts of Table 2. Runs
+// ship over the raw in-process pipe; the paper's network is charged
+// afterwards, as arithmetic on each run's exact counts (link).
 package harness
 
 import (
@@ -26,14 +28,6 @@ type Config struct {
 	EnvSeed int64
 	// PolicySeed seeds the primary scheduling policy.
 	PolicySeed int64
-	// NetPerMsg/NetPerKB simulate the testbed network, calibrated so the
-	// per-record shipping cost relative to our interpreter's speed matches
-	// the paper's testbed (100 Mbps Ethernet + 2003-era protocol stacks
-	// against a 400 MHz interpreted JVM): 150µs per message plus 450µs per
-	// KB. Set NoNetwork for a raw in-process pipe.
-	NetPerMsg time.Duration
-	NetPerKB  time.Duration
-	NoNetwork bool
 	// Benchmarks restricts the set (nil = all six, paper order).
 	Benchmarks []string
 	// Dispatch selects the interpreter engine for every measured VM
@@ -58,16 +52,6 @@ func (c *Config) fill() {
 	if c.PolicySeed == 0 {
 		c.PolicySeed = 42
 	}
-	if c.NoNetwork {
-		c.NetPerMsg, c.NetPerKB = 0, 0
-	} else {
-		if c.NetPerMsg == 0 {
-			c.NetPerMsg = 150 * time.Microsecond
-		}
-		if c.NetPerKB == 0 {
-			c.NetPerKB = 450 * time.Microsecond
-		}
-	}
 	if len(c.Benchmarks) == 0 {
 		c.Benchmarks = programs.Names()
 	}
@@ -86,8 +70,33 @@ type ModeResult struct {
 	PrimaryStats   vm.Stats
 }
 
+// The paper's testbed link (two machines on 100 Mbps Ethernet, 2003-era
+// protocol stacks, against a 400 MHz interpreted JVM), calibrated so the
+// per-record shipping cost relative to this interpreter's speed matches it:
+// every message costs linkPerMsg, every KB shipped linkPerKB.
+const (
+	linkPerMsg = 150 * time.Microsecond
+	linkPerKB  = 450 * time.Microsecond
+)
+
+// link is what the modelled link adds to a primary's run, from its exact
+// counts instead of a wait: ship for the frames and their bytes, ack for the
+// acknowledgements its output commits awaited.
+func link(m replication.PrimaryMetrics) (ship, ack time.Duration) {
+	ship = time.Duration(m.FramesSent)*linkPerMsg + time.Duration(m.BytesSent)*linkPerKB/1024
+	return ship, time.Duration(m.AcksAwaited) * linkPerMsg
+}
+
+// linked is the primary's execution time with the modelled link charged.
+func (m *ModeResult) linked() time.Duration {
+	ship, ack := link(m.Metrics)
+	return m.PrimaryElapsed + ship + ack
+}
+
 // Overheads decomposes the primary's slowdown relative to the baseline, as
-// in Figures 3/4 (fractions of the baseline execution time).
+// in Figures 3/4 (fractions of the baseline execution time), with the
+// modelled link's shipping charged to Communication and its acknowledgements
+// to Pessimism.
 type Overheads struct {
 	Communication float64
 	Record        float64 // lock-acquire (Fig 3) or rescheduling (Fig 4)
@@ -100,10 +109,11 @@ func (m *ModeResult) Decompose(baseline time.Duration) Overheads {
 	if baseline <= 0 {
 		return Overheads{}
 	}
-	total := m.PrimaryElapsed - baseline
-	comm := m.Metrics.Communication
+	ship, ack := link(m.Metrics)
+	total := m.linked() - baseline
+	comm := m.Metrics.Communication + ship
 	rec := m.Metrics.Record
-	pess := m.Metrics.Pessimism
+	pess := m.Metrics.Pessimism + ack
 	misc := total - comm - rec - pess
 	if misc < 0 {
 		misc = 0
@@ -129,14 +139,16 @@ type BenchResult struct {
 // Normalized returns the Figure 2 bars: lock-primary, lock-backup,
 // ts-primary, ts-backup execution times normalized to the baseline.
 func (r *BenchResult) Normalized() (lockP, lockB, tsP, tsB float64) {
-	b := float64(r.Baseline)
-	if b <= 0 {
-		return 0, 0, 0, 0
+	return r.norm(r.Lock.PrimaryElapsed), r.norm(r.Lock.ReplayElapsed),
+		r.norm(r.Sched.PrimaryElapsed), r.norm(r.Sched.ReplayElapsed)
+}
+
+// norm is d normalized to the baseline (0 without one).
+func (r *BenchResult) norm(d time.Duration) float64 {
+	if r.Baseline <= 0 {
+		return 0
 	}
-	return float64(r.Lock.PrimaryElapsed) / b,
-		float64(r.Lock.ReplayElapsed) / b,
-		float64(r.Sched.PrimaryElapsed) / b,
-		float64(r.Sched.ReplayElapsed) / b
+	return float64(d) / float64(r.Baseline)
 }
 
 // RunBenchmark measures one benchmark under baseline, lock and sched modes.
@@ -175,8 +187,6 @@ func RunBenchmark(name string, cfg Config) (*BenchResult, error) {
 			primary, replay, err := ftvm.MeasureReplay(prog, mode, ftvm.Options{
 				EnvSeed:    cfg.EnvSeed,
 				PolicySeed: cfg.PolicySeed,
-				NetPerMsg:  cfg.NetPerMsg,
-				NetPerKB:   cfg.NetPerKB,
 				Dispatch:   cfg.Dispatch,
 			}, envFactory)
 			if err != nil {

@@ -7,10 +7,10 @@ import (
 
 // TestRunBenchmarkPipeline runs the full measurement pipeline (baseline,
 // lock primary + full-log replay, sched primary + full-log replay) on the
-// two cheapest workloads, without the simulated network.
+// two cheapest workloads.
 func TestRunBenchmarkPipeline(t *testing.T) {
 	for _, name := range []string{"mtrt", "jess"} {
-		r, err := RunBenchmark(name, Config{NoNetwork: true})
+		r, err := RunBenchmark(name, Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -34,7 +34,7 @@ func TestRunBenchmarkPipeline(t *testing.T) {
 }
 
 func TestReportsRender(t *testing.T) {
-	results, err := RunAll(Config{NoNetwork: true, Benchmarks: []string{"mtrt"}})
+	results, err := RunAll(Config{Benchmarks: []string{"mtrt"}})
 	if err != nil {
 		t.Fatal(err)
 	}

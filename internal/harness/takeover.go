@@ -43,8 +43,6 @@ func MeasureTakeover(name string, killFraction float64, cfg Config) (*TakeoverRe
 			EnvSeed:    cfg.EnvSeed,
 			PolicySeed: cfg.PolicySeed,
 			FlushEvery: 64, // fine batches so kill points are precise
-			NetPerMsg:  cfg.NetPerMsg,
-			NetPerKB:   cfg.NetPerKB,
 			Dispatch:   cfg.Dispatch,
 			Clock:      cfg.Clock,
 		}

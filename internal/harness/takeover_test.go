@@ -6,7 +6,7 @@ import (
 )
 
 func TestMeasureTakeover(t *testing.T) {
-	r, err := MeasureTakeover("mtrt", 0.5, Config{NoNetwork: true})
+	r, err := MeasureTakeover("mtrt", 0.5, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,11 @@ import (
 //     of the call; backends that retain them must copy.
 //   - A Ship failure that wraps ErrBackupLost means the backend's failure
 //     detector has fired and latched: the coordination substrate is gone
-//     (backup dead, quorum lost, leadership lost). Lost() reports the latch.
-//     The Primary's degrade-on-loss policy applies uniformly to every
-//     backend.
+//     (backup dead, quorum lost, leadership lost). Lost() reports the latch,
+//     and the Primary aborts on it, whichever backend latched.
+//   - The Primary counts and times every Ship; a backend accounts only what
+//     the Primary cannot see (the pair's heartbeats, ack timeouts, stale
+//     acks, desyncs).
 //   - Epoch is the view/term the backend currently ships under (promotion
 //     hooks: PreparePromotion requires a strictly newer epoch; consensus
 //     advances it on election).
@@ -77,8 +79,8 @@ type PairBackendConfig struct {
 // detector (ack timeout / transport closure → backup lost).
 //
 // A PairBackend is passive until adopted by a Primary: heartbeats start when
-// NewPrimary takes ownership (so metrics land in the owning primary's
-// counters), and Ship may be called directly in tests without one.
+// NewPrimary takes ownership (so its liveness counters land in the owning
+// primary's), and Ship may be called directly in tests without one.
 type PairBackend struct {
 	ep         transport.Endpoint
 	ackTimeout time.Duration
@@ -128,8 +130,8 @@ func NewPairBackend(cfg PairBackendConfig) (*PairBackend, error) {
 	}, nil
 }
 
-// adopt points the backend's instrumentation at the owning primary's counters
-// and starts the heartbeat loop. Called once, from NewPrimary, before any
+// adopt points the backend's liveness counters at the owning primary's and
+// starts the heartbeat loop. Called once, from NewPrimary, before any
 // traffic flows.
 func (pb *PairBackend) adopt(m *primaryMetrics) {
 	pb.metrics = m
@@ -151,17 +153,10 @@ func (pb *PairBackend) Lost() bool { return pb.backupLost.Load() }
 // AckTimeout.
 func (pb *PairBackend) Ship(payload []byte, commit bool) error {
 	wantSeq, err := pb.sendFrame(payload, commit)
-	if err != nil {
+	if err != nil || !commit {
 		return err
 	}
-	if !commit {
-		return nil
-	}
-	pb.metrics.acksAwaited.Add(1)
-	t0 := pb.clk.Now()
-	err = pb.awaitAck(wantSeq)
-	pb.metrics.addPessimism(pb.clk.Since(t0))
-	return err
+	return pb.awaitAck(wantSeq)
 }
 
 // Quiesce stops the heartbeat loop (idempotent; safe with no loop running).
@@ -233,17 +228,12 @@ func (pb *PairBackend) sendFrame(payload []byte, ackWanted bool) (uint64, error)
 	seq := pb.frameSeq
 	pb.lastSent.Store(seq)
 	pb.frameBuf = wire.AppendFrame(pb.frameBuf[:0], &wire.Frame{Seq: seq, Epoch: pb.epoch, AckWanted: ackWanted, Payload: payload})
-	b := pb.frameBuf
-	t0 := pb.clk.Now()
-	err := pb.ep.Send(b)
-	pb.metrics.addCommunication(pb.clk.Since(t0))
-	if err != nil {
+	if err := pb.ep.Send(pb.frameBuf); err != nil {
 		// The channel to the backup is gone (closed or broken mid-write):
 		// that is a backup loss, not merely an I/O error.
 		pb.markBackupLost()
 		return seq, fmt.Errorf("ship log frame %d: %w: %w", seq, ErrBackupLost, err)
 	}
-	pb.metrics.observeFrame(len(b))
 	return seq, nil
 }
 

@@ -2,10 +2,14 @@ package replication
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/env"
+	"repro/internal/minilang"
 	"repro/internal/transport"
+	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
@@ -92,14 +96,17 @@ func TestPairBackendLostLatch(t *testing.T) {
 }
 
 // fakeBackend is a scripted CoordinationBackend for exercising the
-// backend-generic half of Primary.
+// backend-generic half of Primary. With latchAfter set it acknowledges that
+// many commits and then latches Lost without failing a Ship, as a failure
+// detector does between two of them.
 type fakeBackend struct {
-	ships   [][]byte
-	commits int
-	fail    error
-	lost    atomic.Bool
-	epoch   uint64
-	closed  bool
+	ships      [][]byte
+	commits    int
+	fail       error
+	latchAfter int
+	lost       atomic.Bool
+	epoch      uint64
+	closed     bool
 }
 
 func (f *fakeBackend) Ship(payload []byte, commit bool) error {
@@ -108,6 +115,9 @@ func (f *fakeBackend) Ship(payload []byte, commit bool) error {
 	f.ships = append(f.ships, cp)
 	if commit {
 		f.commits++
+		if f.commits == f.latchAfter {
+			f.lost.Store(true)
+		}
 	}
 	if f.fail != nil {
 		f.lost.Store(true)
@@ -177,19 +187,29 @@ func TestPrimaryExternalBackend(t *testing.T) {
 	}
 }
 
-// TestPrimaryExternalBackendDegrade: with DegradeOnBackupLoss the generic
-// path swallows the loss exactly like the pair path does.
-func TestPrimaryExternalBackendDegrade(t *testing.T) {
-	fb := &fakeBackend{fail: ErrBackupLost}
-	p, err := NewPrimary(PrimaryConfig{Mode: ModeLock, Backend: fb, DegradeOnBackupLoss: true})
+// TestNoOutputAfterLoss: a backend that latches Lost between two outputs —
+// a failed heartbeat send, a stopped consensus leader — stops the next output
+// before it is performed: the run aborts with ErrBackupLost and the console
+// holds only what was committed.
+func TestNoOutputAfterLoss(t *testing.T) {
+	prog, err := minilang.Compile("outputs", `func main() { print("a"); print("b"); print("c"); }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.squelch(p.flush(true)); err != nil {
-		t.Fatalf("degraded commit flush surfaced %v", err)
+	fb := &fakeBackend{latchAfter: 1}
+	p, err := NewPrimary(PrimaryConfig{Mode: ModeLock, Backend: fb})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Post-loss appends vanish silently (unreplicated continuation).
-	if err := p.append(&wire.Halt{}, false); err != nil {
-		t.Fatalf("degraded append surfaced %v", err)
+	environ := env.New(1)
+	v, err := p.NewVM(vm.Config{Program: prog, Env: environ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Run(); !errors.Is(err, ErrBackupLost) {
+		t.Fatalf("run after the loss latched: %v, want ErrBackupLost", err)
+	}
+	if lines := environ.Console().Lines(); !slices.Equal(lines, []string{"a"}) || fb.commits != 1 {
+		t.Fatalf("console %q after %d commits, want [\"a\"] after 1", lines, fb.commits)
 	}
 }

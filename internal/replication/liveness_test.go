@@ -138,43 +138,6 @@ func TestBackupLostDuringOutputCommit(t *testing.T) {
 	}
 }
 
-// TestDegradeOnBackupLoss: with DegradeOnBackupLoss set, the same wedged
-// backup does not kill the run — the primary detects the loss, stops
-// replicating, and finishes unreplicated with the full reference output,
-// every line exactly once (the timed-out output is performed by the degraded
-// primary itself, not abandoned). Runs on the virtual clock: the 150ms
-// detection window costs no wall time.
-func TestDegradeOnBackupLoss(t *testing.T) {
-	prog := mustAssemble(t, faultProgram)
-
-	refEnv := env.New(1234)
-	refVM, err := vm.New(vm.Config{
-		Program: prog, Env: refEnv,
-		Coordinator: vm.NewDefaultCoordinator(vm.NewSeededPolicy(77, 64, 512)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refVM.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := canonicalize(refEnv.Console().Lines())
-
-	primary, environ, _, runErr := runAgainstSilentBackup(t, 7, PrimaryConfig{
-		AckTimeout:          150 * time.Millisecond,
-		DegradeOnBackupLoss: true,
-	})
-	if runErr != nil {
-		t.Fatalf("degraded run must complete, got %v", runErr)
-	}
-	if !primary.BackupLost() {
-		t.Fatal("backup loss was never detected")
-	}
-	if got := canonicalize(environ.Console().Lines()); got != want {
-		t.Fatalf("degraded output mismatch:\n%s\nvs want\n%s", got, want)
-	}
-}
-
 // TestMetricsRaceUnderHeartbeat is the -race regression test for the data
 // race between heartbeatLoop (writing counters from its own goroutine) and
 // Metrics() (read from any goroutine): a monitor goroutine hammers Metrics()

@@ -9,10 +9,13 @@ import (
 
 // PrimaryMetrics is a point-in-time snapshot of the primary's replication
 // overhead decomposition, mirroring Figures 3 and 4: Communication is time
-// spent shipping log frames, Pessimism is time spent waiting for
-// output-commit acknowledgements, and Record is time spent building/storing
-// lock-acquisition or thread-scheduling records ("Lock Acquire Overhead" /
-// "Rescheduling Overhead").
+// spent shipping log frames nobody waits for, Pessimism is time spent in
+// output commits (shipping the committing frame and waiting for the backend's
+// commit rule), and Record is time spent building/storing lock-acquisition or
+// thread-scheduling records ("Lock Acquire Overhead" / "Rescheduling
+// Overhead"). The Primary counts and times every backend the same way (one
+// Ship is one frame; BytesSent is the records' bytes, frame headers
+// excluded), so the figures mean the same thing for the pair and consensus.
 //
 // Record is a sampled estimate, not a sum: one such append in 64 is timed and
 // counted 64 times over (Primary.append) — two clock reads cost several times
@@ -23,21 +26,20 @@ type PrimaryMetrics struct {
 	Pessimism     time.Duration
 	Record        time.Duration
 
-	RecordsLogged   uint64 // "Logged Messages" in Table 2
-	LockRecords     uint64
-	IDMapRecords    uint64
-	SwitchRecords   uint64
-	NativeRecords   uint64
-	OutputIntents   uint64
-	FramesSent      uint64
-	BytesSent       uint64
-	AcksAwaited     uint64
-	HeartbeatsSent  uint64
-	AckTimeouts     uint64
-	StaleAcks       uint64 // acks from another epoch, skipped
-	Desyncs         uint64 // undecodable acks / acks for unsent frames
-	LargestFrameLen int
-	BackupLost      bool
+	RecordsLogged  uint64 // "Logged Messages" in Table 2
+	LockRecords    uint64
+	IDMapRecords   uint64
+	SwitchRecords  uint64
+	NativeRecords  uint64
+	OutputIntents  uint64
+	FramesSent     uint64
+	BytesSent      uint64
+	AcksAwaited    uint64
+	HeartbeatsSent uint64
+	AckTimeouts    uint64
+	StaleAcks      uint64 // acks from another epoch, skipped
+	Desyncs        uint64 // undecodable acks / acks for unsent frames
+	BackupLost     bool
 }
 
 // primaryMetrics is the live counterpart of PrimaryMetrics. The VM goroutine
@@ -60,25 +62,12 @@ type primaryMetrics struct {
 	ackTimeouts    atomic.Uint64
 	staleAcks      atomic.Uint64
 	desyncs        atomic.Uint64
-	largestFrame   atomic.Int64
 	backupLost     atomic.Bool
 }
 
 func (m *primaryMetrics) addCommunication(d time.Duration) { m.communicationNS.Add(int64(d)) }
 func (m *primaryMetrics) addPessimism(d time.Duration)     { m.pessimismNS.Add(int64(d)) }
 func (m *primaryMetrics) addRecord(d time.Duration)        { m.recordNS.Add(int64(d)) }
-
-// observeFrame accounts one shipped frame of n bytes.
-func (m *primaryMetrics) observeFrame(n int) {
-	m.framesSent.Add(1)
-	m.bytesSent.Add(uint64(n))
-	for {
-		cur := m.largestFrame.Load()
-		if int64(n) <= cur || m.largestFrame.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
 
 // Snapshot returns a consistent-enough copy for reporting.
 func (m *primaryMetrics) Snapshot() PrimaryMetrics {
@@ -89,23 +78,22 @@ func (m *primaryMetrics) Snapshot() PrimaryMetrics {
 		total += n[t]
 	}
 	return PrimaryMetrics{
-		Communication:   time.Duration(m.communicationNS.Load()),
-		Pessimism:       time.Duration(m.pessimismNS.Load()),
-		Record:          time.Duration(m.recordNS.Load()),
-		RecordsLogged:   total,
-		LockRecords:     n[wire.RecLockAcq] + n[wire.RecLockInterval],
-		IDMapRecords:    n[wire.RecIDMap],
-		SwitchRecords:   n[wire.RecSwitch],
-		NativeRecords:   n[wire.RecNativeResult],
-		OutputIntents:   n[wire.RecOutputIntent],
-		FramesSent:      m.framesSent.Load(),
-		BytesSent:       m.bytesSent.Load(),
-		AcksAwaited:     m.acksAwaited.Load(),
-		HeartbeatsSent:  m.heartbeatsSent.Load(),
-		AckTimeouts:     m.ackTimeouts.Load(),
-		StaleAcks:       m.staleAcks.Load(),
-		Desyncs:         m.desyncs.Load(),
-		LargestFrameLen: int(m.largestFrame.Load()),
-		BackupLost:      m.backupLost.Load(),
+		Communication:  time.Duration(m.communicationNS.Load()),
+		Pessimism:      time.Duration(m.pessimismNS.Load()),
+		Record:         time.Duration(m.recordNS.Load()),
+		RecordsLogged:  total,
+		LockRecords:    n[wire.RecLockAcq] + n[wire.RecLockInterval],
+		IDMapRecords:   n[wire.RecIDMap],
+		SwitchRecords:  n[wire.RecSwitch],
+		NativeRecords:  n[wire.RecNativeResult],
+		OutputIntents:  n[wire.RecOutputIntent],
+		FramesSent:     m.framesSent.Load(),
+		BytesSent:      m.bytesSent.Load(),
+		AcksAwaited:    m.acksAwaited.Load(),
+		HeartbeatsSent: m.heartbeatsSent.Load(),
+		AckTimeouts:    m.ackTimeouts.Load(),
+		StaleAcks:      m.staleAcks.Load(),
+		Desyncs:        m.desyncs.Load(),
+		BackupLost:     m.backupLost.Load(),
 	}
 }

@@ -18,8 +18,8 @@ import (
 // the pair, an output-commit acknowledgement did not arrive within AckTimeout
 // or the transport to the backup failed; for the consensus backend, the
 // quorum (or this replica's leadership) is gone. The coordination substrate
-// is lost; depending on DegradeOnBackupLoss the primary either aborts
-// (surfacing this error) or continues executing unreplicated.
+// is lost and the primary aborts, surfacing this error, with no output
+// performed past the last commit.
 var ErrBackupLost = errors.New("backup lost: ack timeout or transport failure")
 
 // ErrProtocolDesync means the acknowledgement stream itself is broken: the
@@ -65,11 +65,6 @@ type PrimaryConfig struct {
 	// is declared lost (ErrBackupLost) instead of blocking the output path
 	// of a healthy primary behind a dead backup.
 	AckTimeout time.Duration
-	// DegradeOnBackupLoss makes the primary continue executing unreplicated
-	// after the backend is declared lost: pending and future records are
-	// discarded and outputs proceed without commit. When false (default),
-	// the loss surfaces as ErrBackupLost and aborts the run.
-	DegradeOnBackupLoss bool
 	// Clock supplies time for ack deadlines, heartbeat pacing, and metrics
 	// buckets (nil = wall clock). The deterministic simulation harness
 	// injects a virtual clock here.
@@ -92,14 +87,7 @@ type Primary struct {
 	handlers   *sehandler.Set
 	policy     vm.SchedPolicy
 	flushEvery int
-	degrade    bool
 	clk        clock.Clock
-
-	// beSelfTimed marks the internally-adopted pair backend, which accounts
-	// its own communication/pessimism metrics (around the send and the ack
-	// wait, which is what the Figure 3/4 decomposition means). External
-	// backends are timed generically around Ship.
-	beSelfTimed bool
 
 	buf wire.Buffer
 
@@ -154,7 +142,6 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 		handlers:   h,
 		policy:     pol,
 		flushEvery: fe,
-		degrade:    cfg.DegradeOnBackupLoss,
 		clk:        clock.Or(cfg.Clock),
 	}
 	be := cfg.Backend
@@ -172,10 +159,9 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 		be = pb
 	}
 	if pb, ok := be.(*PairBackend); ok {
-		// The pair backend reports into the owning primary's counters and
-		// starts heartbeating only once adopted.
+		// The pair backend reports its liveness counters into the owning
+		// primary's and starts heartbeating only once adopted.
 		pb.adopt(&p.metrics)
-		p.beSelfTimed = true
 	}
 	p.be = be
 	return p, nil
@@ -209,51 +195,36 @@ func (p *Primary) Epoch() uint64 { return p.be.Epoch() }
 // Backend returns the coordination backend (tests, diagnostics).
 func (p *Primary) Backend() CoordinationBackend { return p.be }
 
-// squelch filters replication errors for a primary configured to outlive its
-// backend: once the backend is declared lost and DegradeOnBackupLoss is set,
-// loss errors vanish and execution continues unreplicated. All other errors
-// (and any error in the default abort-on-loss configuration) pass through
-// untouched.
-func (p *Primary) squelch(err error) error {
-	if err != nil && p.degrade && errors.Is(err, ErrBackupLost) {
-		return nil
-	}
-	return err
-}
-
 // flush ships buffered records; with ack it blocks until the backend's
 // commit rule holds for everything up to this point (the output-commit
 // pessimism, §3.4) — for the pair, the backup's acknowledgement bounded by
 // AckTimeout; for consensus, majority commit.
+//
+// Every backend is counted and timed here, one way: a frame is one Ship, its
+// bytes are the records' (whatever header the backend adds is its own), and
+// the Ship's duration is Pessimism when it commits, Communication when not.
 func (p *Primary) flush(ack bool) error {
 	p.publish()
 	if p.be.Lost() {
-		// Degraded: nothing ships any more; drop the batch so the buffer
-		// cannot grow without bound.
-		p.buf.Reset()
 		return fmt.Errorf("flush: %w", ErrBackupLost)
 	}
 	if p.buf.Count() == 0 && !ack {
 		return nil
 	}
-	var err error
-	if p.beSelfTimed {
-		err = p.be.Ship(p.buf.Bytes(), ack)
+	payload := p.buf.Bytes()
+	t0 := p.clk.Now()
+	err := p.be.Ship(payload, ack)
+	d := p.clk.Since(t0)
+	p.metrics.framesSent.Add(1)
+	p.metrics.bytesSent.Add(uint64(len(payload)))
+	if ack {
+		p.metrics.acksAwaited.Add(1)
+		p.metrics.addPessimism(d)
 	} else {
-		payload := p.buf.Bytes()
-		t0 := p.clk.Now()
-		err = p.be.Ship(payload, ack)
-		d := p.clk.Since(t0)
-		if ack {
-			p.metrics.acksAwaited.Add(1)
-			p.metrics.addPessimism(d)
-		} else {
-			p.metrics.addCommunication(d)
-		}
-		p.metrics.observeFrame(len(payload))
-		if err != nil && p.be.Lost() {
-			p.metrics.backupLost.Store(true)
-		}
+		p.metrics.addCommunication(d)
+	}
+	if err != nil && p.be.Lost() {
+		p.metrics.backupLost.Store(true)
 	}
 	p.buf.Reset()
 	return err
@@ -284,9 +255,6 @@ func (p *Primary) append(r wire.Record, timed bool) error {
 // encode/store cost is charged to the Record bucket, by sampling.
 func (p *Primary) buffer(r wire.Record, timed bool) error {
 	if p.be.Lost() {
-		if p.degrade {
-			return nil // unreplicated: the log is gone with the backup
-		}
 		return fmt.Errorf("append %s: %w", r.Type(), ErrBackupLost)
 	}
 	var err error
@@ -326,7 +294,7 @@ func (p *Primary) OnDescheduled(_ *vm.VM, prev, next *vm.Thread) error {
 		TID: prev.VTID, BrCnt: br, MethodIdx: methodIdx, PCOff: pcOff,
 		MonCnt: mon, LASN: lasn, Reason: uint8(prev.State()), Chk: prev.Progress.Chk, NextTID: next.VTID,
 	}
-	return p.squelch(p.append(&p.recSwitch, true))
+	return p.append(&p.recSwitch, true)
 }
 
 // BeforeAcquire implements vm.Coordinator (the primary never gates).
@@ -348,14 +316,14 @@ func (p *Primary) OnAcquired(_ *vm.VM, t *vm.Thread, m *vm.Monitor) error {
 	switch p.mode {
 	case ModeLock:
 		p.recLock = wire.LockAcq{TID: t.VTID, TASN: t.TASN, LID: m.LID, LASN: m.LASN}
-		return p.squelch(p.append(&p.recLock, true))
+		return p.append(&p.recLock, true)
 	case ModeLockInterval:
 		if p.intCount > 0 && p.intTID == t.VTID {
 			p.intCount++
 			return nil
 		}
 		if err := p.closeInterval(true); err != nil {
-			return p.squelch(err)
+			return err
 		}
 		p.intTID = t.VTID
 		p.intStart = t.TASN
@@ -384,11 +352,10 @@ func (p *Primary) NativeReady(*vm.VM, *vm.Thread, *native.Def) bool { return tru
 
 // InvokeNative implements vm.Coordinator (§4.1/§3.4): output commit before
 // outputs; log results of non-deterministic commands, with handler state.
-// When the output-commit wait establishes that the backup is gone, the
-// behaviour forks: by default the loss aborts the run (ErrBackupLost) with
-// the output unperformed, so a restarted pair cannot duplicate it; with
-// DegradeOnBackupLoss the primary performs the output exactly once and
-// continues unreplicated.
+// Once the backend is lost — found by the output-commit wait, or latched
+// between two outputs by a failed heartbeat or a stopped leader — the loss
+// aborts the run (ErrBackupLost) with the output unperformed, so a restarted
+// pair cannot duplicate it.
 func (p *Primary) InvokeNative(v *vm.VM, t *vm.Thread, def *native.Def, args []heap.Value) ([]heap.Value, error) {
 	if def.Output {
 		if err := p.CommitOutput(t, def); err != nil {
@@ -415,11 +382,8 @@ func (p *Primary) InvokeNative(v *vm.VM, t *vm.Thread, def *native.Def, args []h
 // commit the log's uncertain final output against the new configuration
 // before re-deciding whether to perform it.
 func (p *Primary) CommitOutput(t *vm.Thread, def *native.Def) error {
-	if p.be.Lost() {
-		return nil // degraded (or aborting): outputs proceed uncommitted
-	}
 	if p.mode == ModeLockInterval {
-		if err := p.squelch(p.closeInterval(false)); err != nil {
+		if err := p.closeInterval(false); err != nil {
 			return err
 		}
 	}
@@ -428,12 +392,12 @@ func (p *Primary) CommitOutput(t *vm.Thread, def *native.Def) error {
 		seq++
 	}
 	intent := &wire.OutputIntent{TID: t.VTID, NatSeq: t.NatSeq, Sig: def.Sig, OutSeq: seq}
-	if err := p.squelch(p.append(intent, false)); err != nil {
+	if err := p.append(intent, false); err != nil {
 		return err
 	}
 	// "On performing an output, the primary waits until the backup
 	// acknowledges having logged all events up to the output event."
-	return p.squelch(p.flush(true))
+	return p.flush(true)
 }
 
 // LogNativeResult logs the results (and managing-handler state) of a
@@ -441,9 +405,6 @@ func (p *Primary) CommitOutput(t *vm.Thread, def *native.Def) error {
 // primary's output path, reusable by the promotion tail for natives that go
 // live during replay.
 func (p *Primary) LogNativeResult(v *vm.VM, t *vm.Thread, def *native.Def, args, results []heap.Value) error {
-	if p.be.Lost() {
-		return nil
-	}
 	wv, err := toWire(v.Heap(), results)
 	if err != nil {
 		return fmt.Errorf("log %s: %w", def.Sig, err)
@@ -456,7 +417,7 @@ func (p *Primary) LogNativeResult(v *vm.VM, t *vm.Thread, def *native.Def, args,
 		}
 		rec.HandlerData = data
 	}
-	return p.squelch(p.append(rec, false))
+	return p.append(rec, false)
 }
 
 // LogIDMap logs an id-map record for a lock id the caller (a replay
@@ -471,7 +432,7 @@ func (p *Primary) LogIDMap(t *vm.Thread, lid int64) error {
 		return nil
 	}
 	p.recIDMap = wire.IDMap{LID: lid, TID: t.VTID, TASN: t.TASN}
-	return p.squelch(p.append(&p.recIDMap, true))
+	return p.append(&p.recIDMap, true)
 }
 
 // ShipSnapshot transfers a recovered log prefix to the backend as ordinary
@@ -513,17 +474,17 @@ func (p *Primary) OnHalt(v *vm.VM, runErr error) error {
 		return p.be.Close()
 	}
 	if p.mode == ModeLockInterval {
-		if err := p.squelch(p.closeInterval(false)); err != nil {
+		if err := p.closeInterval(false); err != nil {
 			return err
 		}
 	}
 	// The marker rides the acknowledged frame below, never an auto-flushed
 	// one: a backup leaves its receive loop on seeing it, so a sync sent
 	// after it would go unanswered.
-	if err := p.squelch(p.buffer(&wire.Halt{}, false)); err != nil {
+	if err := p.buffer(&wire.Halt{}, false); err != nil {
 		return err
 	}
-	if err := p.squelch(p.flush(true)); err != nil {
+	if err := p.flush(true); err != nil {
 		return err
 	}
 	return p.be.Close()

@@ -67,7 +67,7 @@ func (p *Promotion) Tail() *Primary { return p.tail }
 // Run performs the takeover: state transfer, then tail-teed recovery. The
 // returned VM is the new primary's machine, live past the old log's end. A
 // failed transfer (recruit dead, ack timeout) aborts before any replay
-// side effects unless the tail is configured to degrade.
+// side effects.
 func (p *Promotion) Run() (*vm.VM, *RecoveryReport, error) {
 	if err := p.tail.ShipSnapshot(snapshotRecords(p.backup.store.Records())); err != nil {
 		return nil, nil, fmt.Errorf("promotion: %w", err)

@@ -3,6 +3,7 @@ package replication
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -226,8 +227,10 @@ func TestPrimaryClockReadsAreSampled(t *testing.T) {
 
 // pairRun runs a benchmark program replicated in lock mode to a cold backup,
 // batching flushEvery records (0: the default), and returns the primary, the
-// backup and the frames the primary shipped.
-func pairRun(tb testing.TB, name string, flushEvery int) (*Primary, *Backup, [][]byte) {
+// backup and the frames the primary shipped. With decorate, the primary's
+// pair backend is handed to it behind a pass-through decorator, as the
+// benchmark spine's traced run wraps it.
+func pairRun(tb testing.TB, name string, flushEvery int, decorate bool) (*Primary, *Backup, [][]byte) {
 	tb.Helper()
 	prog, err := programs.Compile(name, 1)
 	if err != nil {
@@ -235,7 +238,15 @@ func pairRun(tb testing.TB, name string, flushEvery int) (*Primary, *Backup, [][
 	}
 	pa, pb := transport.Pipe(64)
 	tap := &tapEndpoint{Endpoint: pa}
-	primary, err := NewPrimary(PrimaryConfig{Mode: ModeLock, Endpoint: tap, FlushEvery: flushEvery})
+	pc := PrimaryConfig{Mode: ModeLock, Endpoint: tap, FlushEvery: flushEvery}
+	if decorate {
+		pair, err := NewPairBackend(PairBackendConfig{Endpoint: tap})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		pc.Backend = struct{ CoordinationBackend }{pair}
+	}
+	primary, err := NewPrimary(pc)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -262,9 +273,22 @@ func pairRun(tb testing.TB, name string, flushEvery int) (*Primary, *Backup, [][
 // a frame only where it waits for the backup — at each output commit and at
 // the halt — and never one mid-interval.
 func TestShipAtCommitPoints(t *testing.T) {
-	primary, _, _ := pairRun(t, "db", 0)
+	primary, _, _ := pairRun(t, "db", 0, false)
 	if m := primary.Metrics(); m.FramesSent != 702 || m.AcksAwaited != 702 {
 		t.Fatalf("%d frames for %d acks awaited, want 702 of each", m.FramesSent, m.AcksAwaited)
+	}
+}
+
+// TestShippedCountsIgnoreDecoration: one definition of what was shipped. The
+// primary counts the same frames, bytes, acknowledgements and records whether
+// it drives its own pair backend or the same backend behind a decorator.
+func TestShippedCountsIgnoreDecoration(t *testing.T) {
+	own, _, _ := pairRun(t, "db", 0, false)
+	wrapped, _, _ := pairRun(t, "db", 0, true)
+	a, b := own.Metrics(), wrapped.Metrics()
+	got := []uint64{b.FramesSent, b.BytesSent, b.AcksAwaited, b.RecordsLogged}
+	if want := []uint64{a.FramesSent, a.BytesSent, a.AcksAwaited, a.RecordsLogged}; !slices.Equal(got, want) {
+		t.Fatalf("decorated pair counts (frames, bytes, acks, records) %v, its own pair %v", got, want)
 	}
 }
 
@@ -275,7 +299,7 @@ func TestShipPolicyMovesFrameBoundariesOnly(t *testing.T) {
 	for _, name := range []string{"db", "jack", "mtrt"} {
 		var want []byte
 		for _, fe := range []int{4, 512, 0} {
-			_, backup, _ := pairRun(t, name, fe)
+			_, backup, _ := pairRun(t, name, fe, false)
 			var log wire.Buffer
 			for _, r := range backup.Store().Records() {
 				if err := log.Append(r); err != nil {
@@ -296,7 +320,7 @@ func TestShipPolicyMovesFrameBoundariesOnly(t *testing.T) {
 // output commit under the default FlushEvery) sent down a pipe to a cold
 // backup's receive loop, to the halt marker's acknowledgement.
 func BenchmarkColdReceive(b *testing.B) {
-	_, backup, msgs := pairRun(b, "db", 0)
+	_, backup, msgs := pairRun(b, "db", 0, false)
 	records := backup.Store().Len()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

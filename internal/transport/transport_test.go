@@ -238,29 +238,3 @@ func TestTCPRecvResumesAfterTimeout(t *testing.T) {
 		t.Fatalf("writer: %v", err)
 	}
 }
-
-func TestLatencyWrapper(t *testing.T) {
-	a, b := Pipe(4)
-	la := WithLatency(a, 2*time.Millisecond, 0)
-	start := time.Now()
-	if err := la.Send([]byte("slow")); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 2*time.Millisecond {
-		t.Fatalf("send too fast: %v", el)
-	}
-	msg, err := b.Recv(time.Second)
-	if err != nil || string(msg) != "slow" {
-		t.Fatalf("recv = %q (%v)", msg, err)
-	}
-	if la.Simulated() < 2*time.Millisecond {
-		t.Fatalf("simulated = %v", la.Simulated())
-	}
-	// Per-KB component scales with size.
-	lb := WithLatency(a, 0, 1024*time.Microsecond) // ~1µs per byte
-	start = time.Now()
-	_ = lb.Send(make([]byte, 4096))
-	if el := time.Since(start); el < 3*time.Millisecond {
-		t.Fatalf("per-KB cost not charged: %v", el)
-	}
-}

@@ -114,8 +114,8 @@ func TestDecoderEveryTailBoundary(t *testing.T) {
 func TestDecoderCorruptionIsNotTruncated(t *testing.T) {
 	overlong := bytes.Repeat([]byte{0xFF}, 11)
 	cases := map[string][]byte{
-		"unknown record type": {0xEE},
-		"overlong varint lid": append([]byte{byte(RecIDMap)}, overlong...),
+		"unknown record type":  {0xEE},
+		"overlong varint lid":  append([]byte{byte(RecIDMap)}, overlong...),
 		"overlong uvarint seq": append([]byte{byte(RecHeartbeat)}, overlong...),
 		// NativeResult claiming 2^20 results: rejected before allocating.
 		"implausible result count": {byte(RecNativeResult), 0x01, '0', 0x01, 0x01, 'r', 0x80, 0x80, 0x40},
