@@ -1,6 +1,7 @@
 package debug_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -275,5 +276,45 @@ func TestCaptureHeaderRoundTrip(t *testing.T) {
 	}
 	if l.Prog == nil || len(l.Prog.Methods) == 0 {
 		t.Fatal("program not embedded")
+	}
+}
+
+// TestEveryCutOfACaptureOpensOrErrs cuts one small capture per mode at every
+// byte, the way a crash mid-write leaves an .ftlog behind, and hands each
+// prefix to the debugger: every cut must give an error or a working session —
+// open, step, run to the end — and never a panic. Most cuts land inside the
+// header, the program image or a frame and fail to decode; a cut on a frame
+// boundary is a shorter, valid log, whose replay runs out of records early.
+// (FuzzDecodeLog cuts only at section boundaries and never replays.)
+func TestEveryCutOfACaptureOpensOrErrs(t *testing.T) {
+	for _, mode := range []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched, ftvm.ModeLockInterval} {
+		data, err := os.ReadFile(capture(t, mode, 7, 11, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened := 0
+		for cut := 0; cut <= len(data); cut++ {
+			l, err := replication.DecodeLog(data[:cut])
+			if err != nil {
+				continue
+			}
+			s, err := debug.OpenLog(l, debug.Options{Every: 64})
+			if err != nil {
+				continue
+			}
+			opened++
+			err = s.Step()
+			if err == nil {
+				err = s.RunToEnd()
+			}
+			if err != nil {
+				t.Errorf("%v, cut at %d of %d bytes: the session opened but does not run: %v", mode, cut, len(data), err)
+			}
+			s.Close()
+		}
+		if opened < 2 {
+			t.Fatalf("%v: %d of %d cuts opened a session; want the whole capture and a shorter one at least", mode, opened, len(data)+1)
+		}
+		t.Logf("%v: %d of %d cuts opened a session", mode, opened, len(data)+1)
 	}
 }

@@ -160,6 +160,7 @@ type Fleet struct {
 	repAttempt uint64 // replication attempts, for deterministic fault striking
 	counters   Counters
 	frame      []byte // the encoded frame in flight: scratch reused by every ship
+	ack        []byte // the encoded ack in flight: scratch reused by every deliver
 }
 
 // Node hosts one replica per shard it is seated on.
@@ -355,16 +356,16 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 			Cost:  rtt,
 		}
 	}
-	ent := r.dedup[req.Client]
+	ent, seen := r.dedup[req.Client]
 	switch {
-	case ent != nil && req.Req < ent.req:
+	case seen && req.Req < ent.req:
 		// A request id below the client's high-water mark: the client moved
 		// on; the old result is gone. Well-behaved clients never do this.
 		return Outcome{
 			Reply: &wire.Reply{Client: req.Client, Req: req.Req, Status: wire.StatusStaleReq, Epoch: r.epoch},
 			Cost:  rtt,
 		}
-	case ent != nil && req.Req == ent.req:
+	case seen && req.Req == ent.req:
 		f.counters.DupHits++
 		if !ent.committed {
 			// Executed and logged locally, but never acknowledged: the
@@ -373,54 +374,51 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 			if !f.flushPending(r) {
 				return Outcome{Cost: f.cfg.NetDelay + f.cfg.AckTimeout}
 			}
-			return Outcome{Reply: f.reply(r, req, ent), Cost: rtt + 2*f.cfg.RepDelay}
+			return Outcome{Reply: f.reply(r, req, ent.result), Cost: rtt + 2*f.cfg.RepDelay}
 		}
-		return Outcome{Reply: f.reply(r, req, ent), Cost: rtt}
+		return Outcome{Reply: f.reply(r, req, ent.result), Cost: rtt}
 	}
 	// Head-of-line: an earlier op is still unacknowledged. Its effect is in
 	// the live state, so nothing later may reach the log before it — flush
 	// it or stall the shard (the client retries into the repaired channel).
-	if r.pending != nil && !f.flushPending(r) {
+	if r.pending && !f.flushPending(r) {
 		return Outcome{Cost: f.cfg.NetDelay + f.cfg.AckTimeout}
 	}
 	// Fresh request: execute, log, replicate, then reply.
 	result := apply(r.state, req.Tenant, req.Op, req.Arg)
 	f.counters.Executed++
-	ent = &dedupEntry{req: req.Req, result: result}
-	r.dedup[req.Client] = ent
 	r.appendLog(&wire.ClientOp{Client: req.Client, Req: req.Req, Tenant: req.Tenant, Op: req.Op, Arg: req.Arg, Result: result})
 	cost, ok := f.replicate(r)
+	r.dedup[req.Client] = dedupEntry{req: req.Req, result: result, committed: ok}
 	if !ok {
-		r.pending = ent
+		r.pending, r.pendingClient = true, req.Client
 		return Outcome{Cost: f.cfg.NetDelay + cost}
 	}
-	ent.committed = true
-	return Outcome{Reply: f.reply(r, req, ent), Cost: rtt + f.cfg.OpCost + cost}
+	return Outcome{Reply: f.reply(r, req, result), Cost: rtt + f.cfg.OpCost + cost}
 }
 
 // flushPending retransmits the shard's head-of-line uncommitted record. True
 // means some peer holds the whole log again.
 func (f *Fleet) flushPending(r *replica) bool {
-	if r.pending == nil {
+	if !r.pending {
 		return true
 	}
 	f.counters.Resent++
 	if _, ok := f.replicate(r); !ok {
 		return false
 	}
-	r.pending.committed = true
-	r.pending = nil
+	r.commitPending()
 	return true
 }
 
-// reply builds the client reply for a committed entry, or loses it when the
+// reply builds the client reply for a committed result, or loses it when the
 // fault schedule says so.
-func (f *Fleet) reply(r *replica, req *wire.Request, ent *dedupEntry) *wire.Reply {
+func (f *Fleet) reply(r *replica, req *wire.Request, result int64) *wire.Reply {
 	if f.cfg.Fault == FaultReplyDrop && f.strike() {
 		f.counters.RepliesLost++
 		return nil
 	}
-	return &wire.Reply{Client: req.Client, Req: req.Req, Status: wire.StatusOK, Value: ent.result, Epoch: r.epoch}
+	return &wire.Reply{Client: req.Client, Req: req.Req, Status: wire.StatusOK, Value: result, Epoch: r.epoch}
 }
 
 // strike reports whether the current replication attempt is fault-struck.
@@ -601,9 +599,8 @@ func (f *Fleet) reseat(ch viewsvc.ShardChange, dead string, now time.Time) {
 	// whose ack the old configuration lost: its link starts level, so there
 	// is nothing to retransmit and the transfer itself is the commit. (Only a
 	// shard left with nothing but a lagging survivor keeps its pending.)
-	if pri.pending != nil && pri.committed() {
-		pri.pending.committed = true
-		pri.pending = nil
+	if pri.pending && pri.committed() {
+		pri.commitPending()
 	}
 }
 
@@ -619,17 +616,6 @@ func (f *Fleet) InjectStaleFrame(shard int, staleEpoch uint64) bool {
 	payload := wire.AppendClientOp(nil, &wire.ClientOp{Client: ^uint64(0), Req: 1, Tenant: uint64(shard), Op: wire.OpSet, Arg: -1, Result: -1})
 	_, logged := bak.deliver(f, f.ship(uint64(bak.logged), staleEpoch, payload))
 	return logged
-}
-
-// TenantValue reads tenant's committed value from its shard's current
-// primary (0 if never written).
-func (f *Fleet) TenantValue(tenant uint64) int64 {
-	shard := f.ShardOf(tenant)
-	r := f.seated(f.dir.Shard(shard).Primary, shard)
-	if r == nil {
-		return 0
-	}
-	return r.state[tenant]
 }
 
 // seated returns node's replica of shard; nil for an empty seat ("") or a
@@ -654,19 +640,4 @@ func (f *Fleet) shardPrimaries() []*replica {
 func (f *Fleet) IsAlive(name string) bool {
 	n := f.nodes[name]
 	return n != nil && n.Alive
-}
-
-// SeatCounts exposes the directory's per-node seat balance.
-func (f *Fleet) SeatCounts() (names []string, primaries, backups []int) {
-	return f.dir.SeatCounts()
-}
-
-// sortedTenants returns the sorted tenant ids present in m.
-func sortedTenants(m map[uint64]int64) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -268,14 +268,18 @@ func TestRebalanceAfterKill(t *testing.T) {
 }
 
 // TestChecksumDeterminism: identical request sequences yield identical
-// checksums; different sequences yield different ones.
+// Audit checksums; different sequences yield different ones.
 func TestChecksumDeterminism(t *testing.T) {
 	run := func(arg int64) uint64 {
 		f, _ := newTestFleet(t, Config{})
 		for i := uint64(1); i <= 20; i++ {
 			mustOK(t, f.Submit(&wire.Request{Client: i, Req: 1, Tenant: i % 7, Op: wire.OpAdd, Arg: arg}))
 		}
-		return f.Checksum()
+		sum, err := f.Audit(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
 	}
 	a, b, c := run(3), run(3), run(4)
 	if a != b {

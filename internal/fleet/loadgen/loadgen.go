@@ -20,8 +20,10 @@
 package loadgen
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/fleet"
@@ -52,9 +54,29 @@ type Config struct {
 	SampleEvery int
 }
 
-func (c *Config) fill() error {
+// fill fills c's defaults (a zero field takes its default) and refuses, by
+// field, a config that cannot run on a fleet of nodes.
+func (c *Config) fill(nodes []string) error {
 	if c.Clients < 1 || c.OpsPerClient < 1 {
 		return fmt.Errorf("loadgen: need >= 1 client and >= 1 op, have %d/%d", c.Clients, c.OpsPerClient)
+	}
+	switch {
+	case c.Window < 0:
+		return fmt.Errorf("loadgen: Window %v is negative", c.Window)
+	case c.ReqTimeout < 0:
+		return fmt.Errorf("loadgen: ReqTimeout %v is negative", c.ReqTimeout)
+	case c.Backoff < 0:
+		return fmt.Errorf("loadgen: Backoff %v is negative", c.Backoff)
+	case c.MaxTries < 0:
+		return fmt.Errorf("loadgen: MaxTries %d is negative", c.MaxTries)
+	}
+	for i, k := range c.Kills {
+		if k.At < 0 {
+			return fmt.Errorf("loadgen: Kills[%d].At %v is negative", i, k.At)
+		}
+		if !slices.Contains(nodes, k.Node) {
+			return fmt.Errorf("loadgen: Kills[%d].Node %q is not a node of the fleet", i, k.Node)
+		}
 	}
 	if c.Tenants == 0 {
 		c.Tenants = uint64(c.Clients / 16)
@@ -126,6 +148,34 @@ type event struct {
 // simultaneous events, so pop order is fully deterministic.
 func (e event) before(o event) bool { return e.at < o.at || e.at == o.at && e.seq < o.seq }
 
+// queue is a run's schedule. Every client's first arrival is known before the
+// run starts, so arrivals are sorted once by (at, seq); the heap takes what
+// the run schedules as it goes — next requests, retries and kills — so it is
+// as deep as the clients in flight, not the population. pop runs the earlier
+// of the two heads: the order one heap over every event would pop.
+type queue struct {
+	arrivals []event
+	heap     eventHeap
+}
+
+func newQueue(arrivals []event) *queue {
+	slices.SortFunc(arrivals, func(a, b event) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq)) })
+	return &queue{arrivals: arrivals}
+}
+
+// pop removes the earliest event; false when none is left.
+func (q *queue) pop() (event, bool) {
+	if len(q.arrivals) > 0 && (len(q.heap) == 0 || q.arrivals[0].before(q.heap[0])) {
+		ev := q.arrivals[0]
+		q.arrivals = q.arrivals[1:]
+		return ev, true
+	}
+	if len(q.heap) == 0 {
+		return event{}, false
+	}
+	return q.heap.pop(), true
+}
+
 // eventHeap is a binary min-heap of events by value; container/heap would box
 // each one into an interface on the way in and again on the way out.
 type eventHeap []event
@@ -176,9 +226,11 @@ func reqOp(seed uint64, req uint32) (op uint8, arg int64) {
 // Run executes the workload against f on clk. Call from a clock-attached
 // goroutine when clk is virtual; the run is the sole driver of simulated
 // time. Returns the stats, the sampled observations already verified against
-// the fleet's model (Run calls f.Verify itself), and the first error.
+// the fleet's model (Run ends with f.Audit, whose checksum is
+// Stats.Checksum), and the first error.
 func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observation, error) {
-	if err := cfg.fill(); err != nil {
+	nodes := f.Nodes()
+	if err := cfg.fill(nodes); err != nil {
 		return nil, nil, err
 	}
 	clk = clock.Or(clk)
@@ -186,19 +238,14 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 	arrival := master.Fork()
 	seeds := master.Fork()
 
-	nodes := f.Nodes()
 	nodeIdx := make(map[string]int32, len(nodes))
 	for i, n := range nodes {
 		nodeIdx[n] = int32(i)
 	}
 
 	clients := make([]client, cfg.Clients)
-	h := make(eventHeap, 0, cfg.Clients+len(cfg.Kills))
+	arrivals := make([]event, cfg.Clients)
 	var seq uint64
-	push := func(at int64, cl int32) {
-		seq++
-		h.push(event{at: at, seq: seq, client: cl})
-	}
 	for i := range clients {
 		clients[i] = client{
 			tenant: uint64(arrival.Intn(int(cfg.Tenants))),
@@ -206,7 +253,13 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 			req:    1,
 			node:   -1,
 		}
-		push(int64(arrival.Intn(int(cfg.Window))), int32(i))
+		seq++
+		arrivals[i] = event{at: int64(arrival.Intn(int(cfg.Window))), seq: seq, client: int32(i)}
+	}
+	q := newQueue(arrivals)
+	push := func(at int64, cl int32) {
+		seq++
+		q.heap.push(event{at: at, seq: seq, client: cl})
 	}
 	for ki, k := range cfg.Kills {
 		push(int64(k.At), int32(-1-ki))
@@ -221,8 +274,7 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 
 	start := clk.Now()
 	var now int64
-	for len(h) > 0 {
-		ev := h.pop()
+	for ev, ok := q.pop(); ok; ev, ok = q.pop() {
 		if ev.at > now {
 			clk.Sleep(time.Duration(ev.at - now))
 			now = ev.at
@@ -307,8 +359,8 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 		st.BlastRadius = float64(st.TenantsBlasted) / float64(st.TenantsActive)
 	}
 	st.Fleet = f.Counters()
-	st.Checksum = f.Checksum()
-	if err := f.Verify(obs); err != nil {
+	var err error
+	if st.Checksum, err = f.Audit(obs); err != nil {
 		return &st, obs, fmt.Errorf("loadgen: model verification: %w", err)
 	}
 	return &st, obs, nil

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,36 +166,95 @@ func TestScaleSmoke(t *testing.T) {
 		st.Throughput, st.P50, st.P99, st.BlastRadius, time.Since(start))
 }
 
-// TestEventHeapOrderAndAllocs: the typed heap pops in the total order
-// (at, seq) whatever the push order — the property that makes the run a pure
-// function of its seed — and, pre-sized as Run sizes it, neither push nor pop
-// allocates (container/heap boxed every event both ways).
+// TestEventHeapOrderAndAllocs: over random schedules, the run's queue —
+// sorted first arrivals merged with the event heap of what the run schedules —
+// pops exactly the (at, seq) sequence one heap over every event pops, the
+// order that makes a run a pure function of its seed. Instants are drawn from
+// a narrow range so in-flight events and kills keep landing on an arrival's
+// instant, where only seq decides. Once warm, neither push nor pop allocates.
 func TestEventHeapOrderAndAllocs(t *testing.T) {
-	const n = 1000
-	h := make(eventHeap, 0, n)
 	r := rand.New(9)
-	fill := func() {
-		for i := 0; i < n; i++ {
-			h.push(event{at: int64(r.Intn(50)), seq: uint64(i + 1), client: int32(i)})
+	for schedule := 0; schedule < 200; schedule++ {
+		n, span := 1+r.Intn(300), 1+r.Intn(40)
+		arrivals := make([]event, n)
+		var one eventHeap
+		var seq uint64
+		for i := range arrivals {
+			seq++
+			arrivals[i] = event{at: int64(r.Intn(span)), seq: seq, client: int32(i)}
+			one.push(arrivals[i])
 		}
-	}
-	drain := func() {
-		prev := h.pop()
-		for len(h) > 0 {
-			next := h.pop()
-			if !prev.before(next) {
-				t.Fatalf("popped %+v before %+v", prev, next)
+		q := newQueue(arrivals)
+		push := func(at int64, cl int32) {
+			seq++
+			q.heap.push(event{at: at, seq: seq, client: cl})
+			one.push(event{at: at, seq: seq, client: cl})
+		}
+		for k, kills := 0, r.Intn(4); k < kills; k++ { // kills, some on an arrival's instant
+			push(int64(r.Intn(span)), int32(-1-k))
+		}
+		for popped := 0; ; popped++ {
+			got, ok := q.pop()
+			if !ok {
+				if len(one) > 0 {
+					t.Fatalf("schedule %d: the queue ran dry with %d events left in one heap", schedule, len(one))
+				}
+				break
 			}
-			prev = next
+			if want := one.pop(); got != want {
+				t.Fatalf("schedule %d, pop %d: queue popped %+v, one heap %+v", schedule, popped, got, want)
+			}
+			if got.client >= 0 && r.Intn(3) > 0 { // the client's next request or retry
+				push(got.at+int64(r.Intn(3)), got.client)
+			}
 		}
 	}
-	fill()
-	for i := 0; i < n/2; i++ { // interleave: pops with pushes behind them
-		ev := h.pop()
-		h.push(event{at: ev.at + int64(r.Intn(5)), seq: uint64(n + i + 1), client: ev.client})
+
+	q := newQueue(nil)
+	warm := func() {
+		for i := 0; i < 64; i++ {
+			q.heap.push(event{at: int64(r.Intn(50)), seq: uint64(i + 1), client: int32(i)})
+		}
+		for _, ok := q.pop(); ok; _, ok = q.pop() {
+		}
 	}
-	drain()
-	if allocs := testing.AllocsPerRun(10, func() { fill(); drain() }); allocs != 0 {
-		t.Errorf("event heap push+pop allocs per %d events = %v, want 0", n, allocs)
+	warm()
+	if allocs := testing.AllocsPerRun(10, warm); allocs != 0 {
+		t.Errorf("queue push+pop allocs per 64 events = %v, want 0", allocs)
+	}
+}
+
+// TestRunRejectsConfigsThatCannotRun: a negative duration or try budget, a
+// kill before the run starts and a kill of a node the fleet does not have are
+// errors naming the field, returned before any event runs (a zero field still
+// means its default).
+func TestRunRejectsConfigsThatCannotRun(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*Config)
+	}{
+		{"negative window", "Window", func(c *Config) { c.Window = -2 * time.Second }},
+		{"negative request timeout", "ReqTimeout", func(c *Config) { c.ReqTimeout = -time.Millisecond }},
+		{"negative backoff", "Backoff", func(c *Config) { c.Backoff = -1 }},
+		{"negative try budget", "MaxTries", func(c *Config) { c.MaxTries = -3 }},
+		{"a kill before the start", "Kills[1].At", func(c *Config) { c.Kills = append(c.Kills, Kill{At: -5 * time.Millisecond, Node: "n2"}) }},
+		{"a kill of an unknown node", "Kills[1].Node", func(c *Config) { c.Kills = append(c.Kills, Kill{At: 100 * time.Millisecond, Node: "n9"}) }},
+	} {
+		clk := clock.NewVirtual()
+		f, err := fleet.New(fleet.Config{Clock: clk, Nodes: []string{"n1", "n2", "n3"}, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Clients: 100, OpsPerClient: 2, Seed: 1, Kills: []Kill{{At: 50 * time.Millisecond, Node: "n1"}}}
+		tc.edit(&cfg)
+		clk.Attach()
+		st, _, err := Run(f, clk, cfg)
+		clk.Detach()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run = %v, want an error naming %s", tc.name, err, tc.want)
+		}
+		if st != nil || f.Counters() != (fleet.Counters{}) || !f.IsAlive("n1") {
+			t.Errorf("%s: events ran before the config was refused: stats %v, counters %+v", tc.name, st, f.Counters())
+		}
 	}
 }

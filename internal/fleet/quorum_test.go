@@ -126,7 +126,7 @@ func TestQuorumMaxLogPromotion(t *testing.T) {
 	if _, err := f.Kill(v.Primary); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.TenantValue(0); got != 17 {
+	if got := f.shardPrimaries()[0].state[0]; got != 17 {
 		t.Fatalf("after max-log promotion tenant 0 = %d, want 17", got)
 	}
 	if err := f.Verify([]Observation{{5, 1, 10}, {5, 2, 17}}); err != nil {

@@ -53,7 +53,7 @@ type replica struct {
 
 	// Primary side.
 	state map[uint64]int64
-	dedup map[uint64]*dedupEntry
+	dedup map[uint64]dedupEntry
 	// links are the shipping channels to the shard's log-holding peers
 	// (backup first, then witness; empty while the shard runs degraded).
 	links []*peerLink
@@ -61,15 +61,16 @@ type replica struct {
 	// un-acked suffix is cut from the log instead of being encoded a second
 	// time.
 	recOffsets []int
-	// pending is the shard's head-of-line executed-and-logged-but-uncommitted
-	// entry. At most one exists: a fresh operation must flush it (retransmit
-	// until some peer acks the whole log) before executing, or the shard
-	// stalls — so nothing is logged behind it and it is always the log's last
-	// record. Without this ordering barrier a peer's log could omit an op
-	// whose effect is already baked into later logged results — replay would
-	// diverge from the state the primary actually served.
-	pending     *dedupEntry
-	availableAt time.Time // promotion replay completes at this instant
+	// pending flags the shard's head-of-line executed-and-logged-but-
+	// uncommitted entry, dedup[pendingClient]. At most one exists: a fresh
+	// operation must flush it (retransmit until some peer acks the whole log)
+	// before executing, or the shard stalls — so nothing is logged behind it
+	// and it is always the log's last record. Without this ordering barrier a
+	// peer's log could omit an op whose effect is already baked into later
+	// logged results — replay would diverge from the state served.
+	pending       bool
+	pendingClient uint64
+	availableAt   time.Time // promotion replay completes at this instant
 
 	// Both sides: the encoded ClientOp log. On the primary it is the
 	// snapshot shipped to a recruit; on a peer it is the authority the
@@ -82,9 +83,18 @@ func newReplica(shard int, epoch uint64, r role) *replica {
 	rep := &replica{shard: shard, role: r, epoch: epoch}
 	if r == rolePrimary {
 		rep.state = make(map[uint64]int64)
-		rep.dedup = make(map[uint64]*dedupEntry)
+		rep.dedup = make(map[uint64]dedupEntry)
 	}
 	return rep
+}
+
+// commitPending marks the head-of-line entry committed: some peer now holds
+// the whole log, the entry's record included.
+func (r *replica) commitPending() {
+	ent := r.dedup[r.pendingClient]
+	ent.committed = true
+	r.dedup[r.pendingClient] = ent
+	r.pending = false
 }
 
 // appendLog encodes op straight onto the primary's log: the one encoding of
@@ -95,8 +105,8 @@ func (r *replica) appendLog(op *wire.ClientOp) {
 	r.logged++
 }
 
-// replayLog is the one walk over an encoded shard log — promotion, Verify and
-// Checksum all run apply from its visit: each record is decoded into a single
+// replayLog is the one walk over an encoded shard log — promotion and Audit
+// both run apply from its visit: each record is decoded into a single
 // reused ClientOp and visited with its index and byte offset. A record that
 // does not decode as a ClientOp, or a visit's error, ends the walk.
 func replayLog(log []byte, visit func(i, off int, op *wire.ClientOp) error) error {
@@ -146,8 +156,8 @@ func (r *replica) suffixFrom(rec int) []byte {
 // correct primary never produces; it is dropped in silence, as is anything
 // the channel mangled — an envelope that does not decode, a payload that does
 // not walk as ClientOp records — and the sender retransmits or the directory
-// reseats. Returns the ack bytes (nil for silence) and whether anything was
-// appended to the log.
+// reseats. Returns the ack bytes (nil for silence), appended into the fleet's
+// scratch buffer, and whether anything was appended to the log.
 func (r *replica) deliver(f *Fleet, b []byte) (ack []byte, logged bool) {
 	frame, err := wire.DecodeFrame(b)
 	if err != nil {
@@ -176,7 +186,8 @@ func (r *replica) deliver(f *Fleet, b []byte) (ack []byte, logged bool) {
 		r.logged = first + n
 	}
 	if frame.AckWanted {
-		return wire.EncodeAck(r.epoch, uint64(r.logged)), appended
+		f.ack = wire.AppendAck(f.ack[:0], r.epoch, uint64(r.logged))
+		return f.ack, appended
 	}
 	return nil, appended
 }
@@ -193,14 +204,14 @@ func (r *replica) promote(epoch uint64) {
 	}
 	r.role = rolePrimary
 	r.epoch = epoch
-	r.pending = nil
+	r.pending = false
 	r.links = nil
 	r.state = make(map[uint64]int64)
-	r.dedup = make(map[uint64]*dedupEntry)
+	r.dedup = make(map[uint64]dedupEntry)
 	r.recOffsets = r.recOffsets[:0] // a backup's log has none; a primary ships by them
 	err := replayLog(r.log, func(_, off int, op *wire.ClientOp) error {
 		r.recOffsets = append(r.recOffsets, off)
-		if ent := r.dedup[op.Client]; ent != nil && op.Req <= ent.req {
+		if ent, seen := r.dedup[op.Client]; seen && op.Req <= ent.req {
 			return nil // duplicate: the dedup table, not the transport, is the guard
 		}
 		if got := apply(r.state, op.Tenant, op.Op, op.Arg); got != op.Result {
@@ -209,7 +220,7 @@ func (r *replica) promote(epoch uint64) {
 		}
 		// Logged means acked means replicated: committed from the new
 		// primary's point of view.
-		r.dedup[op.Client] = &dedupEntry{req: op.Req, result: op.Result, committed: true}
+		r.dedup[op.Client] = dedupEntry{req: op.Req, result: op.Result, committed: true}
 		return nil
 	})
 	if err != nil {

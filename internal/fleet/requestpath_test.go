@@ -9,18 +9,18 @@ import (
 	"repro/internal/wire"
 )
 
-// TestFreshSubmitAllocBudget: a steady-state fresh request costs four heap
-// allocations end to end — the Reply handed to the caller, the client's
-// dedupEntry, the Frame the backup's admission decodes and the ack bytes. The
-// op is encoded once, onto the log; the frame is cut from the log into the
-// fleet's scratch buffer. (Log, offset-table and map growth are amortised
-// below one allocation per request.) Quorum ships to two peers: one more Frame
-// and one more ack.
+// TestFreshSubmitAllocBudget: a steady-state fresh request costs one heap
+// allocation end to end, on either backend — the Reply handed to the caller.
+// The op is encoded once, onto the log; the frame is cut from the log into the
+// fleet's scratch buffer; the dedup entry is held by value; each peer decodes
+// its Frame by value and appends its ack into the fleet's ack buffer. (Log,
+// offset-table and map growth are amortised below one allocation per
+// request.)
 func TestFreshSubmitAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		backend string
 		budget  float64
-	}{{BackendPair, 4}, {BackendQuorum, 6}} {
+	}{{BackendPair, 1}, {BackendQuorum, 1}} {
 		f, _ := newTestFleet(t, Config{Backend: tc.backend, Nodes: []string{"n1", "n2", "n3"}, Shards: 1})
 		client := uint64(0)
 		submit := func() {
@@ -55,8 +55,8 @@ func TestRetransmitShipsTheSameBytes(t *testing.T) {
 	}
 	first := append([]byte(nil), f.frame...)
 	pri := f.shardPrimaries()[0]
-	if pri.pending == nil || !bytes.HasSuffix(first, pri.suffixFrom(pri.logged-1)) {
-		t.Fatalf("pending %v; first transmission %x does not carry the log's last record", pri.pending, first)
+	if !pri.pending || pri.pendingClient != 2 || !bytes.HasSuffix(first, pri.suffixFrom(pri.logged-1)) {
+		t.Fatalf("pending %v (client %d); first transmission %x does not carry the log's last record", pri.pending, pri.pendingClient, first)
 	}
 	if r := mustOK(t, f.Submit(req)); r.Value != 42 { // attempt 3: retransmission, acked
 		t.Fatalf("retry = %d, want 42", r.Value)
@@ -210,6 +210,56 @@ func TestVerifyRejectsAPeerLogThatIsNotAPrefix(t *testing.T) {
 	}
 }
 
+// TestAuditRejectsEveryClause: each clause of the audit fails on its own. A
+// two-shard fleet serves one op per shard, then each row mangles it behind
+// the protocol's back — a record appended straight onto a primary's log, live
+// state edited, an observation no client could have made — and Verify and
+// Audit must both refuse it with that clause's message. (The prefix clause has
+// its own test above, under both backends.)
+func TestAuditRejectsEveryClause(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		mangle     func(pri []*replica, obs *[]Observation)
+	}{
+		{"a record on the wrong shard", "holds tenant 1 of shard 1", func(pri []*replica, _ *[]Observation) {
+			pri[0].appendLog(&wire.ClientOp{Client: 3, Req: 1, Tenant: 1, Op: wire.OpSet, Arg: 1, Result: 1})
+		}},
+		{"a (client, req) logged on two shards", "(client 1, req 1) executed twice", func(pri []*replica, _ *[]Observation) {
+			pri[1].appendLog(&wire.ClientOp{Client: 1, Req: 1, Tenant: 3, Op: wire.OpSet, Arg: 2, Result: 2})
+		}},
+		{"a logged result the model does not reproduce", "model result 6, logged 7", func(pri []*replica, _ *[]Observation) {
+			pri[0].appendLog(&wire.ClientOp{Client: 3, Req: 1, Tenant: 0, Op: wire.OpAdd, Arg: 1, Result: 7})
+		}},
+		{"a live value the replay does not reproduce", "tenant 0 live 6 != replayed 5", func(pri []*replica, _ *[]Observation) {
+			pri[0].state[0]++
+		}},
+		{"a live tenant the log never wrote", "live state has 2 tenants, log replay 1", func(pri []*replica, _ *[]Observation) {
+			pri[0].state[2] = 0
+		}},
+		{"an observation that was never logged", "client 9 observed OK for req 1 never present", func(_ []*replica, obs *[]Observation) {
+			*obs = append(*obs, Observation{9, 1, 0})
+		}},
+		{"an observed value the log does not hold", "client 1 req 1 observed 6, log says 5", func(_ []*replica, obs *[]Observation) {
+			(*obs)[0].Value = 6
+		}},
+	} {
+		f, _ := newTestFleet(t, Config{Shards: 2})
+		mustOK(t, f.Submit(&wire.Request{Client: 1, Req: 1, Tenant: 0, Op: wire.OpSet, Arg: 5}))
+		mustOK(t, f.Submit(&wire.Request{Client: 2, Req: 1, Tenant: 1, Op: wire.OpSet, Arg: 7}))
+		obs := []Observation{{1, 1, 5}, {2, 1, 7}}
+		if err := f.Verify(obs); err != nil {
+			t.Fatalf("%s: before the mangling: %v", tc.name, err)
+		}
+		tc.mangle(f.shardPrimaries(), &obs)
+		if err := f.Verify(obs); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := f.Audit(obs); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Audit = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestLaggingSurvivorKeepsThePending: a reseat counts a head-of-line record
 // committed only if the new configuration holds it. Here every frame is lost,
 // then the backup dies on a three-node quorum fleet: the witness converts to
@@ -225,7 +275,7 @@ func TestLaggingSurvivorKeepsThePending(t *testing.T) {
 		t.Fatal(err)
 	}
 	pri := f.shardPrimaries()[0]
-	if pri.pending == nil || len(pri.links) != 1 || pri.links[0].rep.logged != 0 {
+	if !pri.pending || len(pri.links) != 1 || pri.links[0].rep.logged != 0 {
 		t.Fatalf("pending %v over %d links: a record no peer holds was called committed", pri.pending, len(pri.links))
 	}
 	f.cfg.Fault = FaultNone

@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -15,11 +18,18 @@ type Observation struct {
 	Value  int64
 }
 
-// Verify checks the fleet's end state against the at-most-once model:
+// Verify checks the fleet's end state against the at-most-once model; it is
+// Audit without the fingerprint.
+func (f *Fleet) Verify(obs []Observation) error {
+	_, err := f.Audit(obs)
+	return err
+}
+
+// Audit is the end-of-run check, one replay of every shard's authoritative
+// log (its current primary's) through the tenant state machine:
 //
-//  1. Every shard's authoritative log (its current primary's) executes
-//     cleanly through the tenant state machine with no duplicate
-//     (client, req) — each request ran at most once, fleet-wide.
+//  1. Every log executes cleanly with no duplicate (client, req) — each
+//     request ran at most once, fleet-wide.
 //  2. Replaying each log reproduces the live primary's tenant state exactly —
 //     the state clients will be served from is the state the log proves.
 //  3. Every observed OK reply matches the logged result for its (client, req)
@@ -31,15 +41,25 @@ type Observation struct {
 // Because the primary replies only after a peer acks the logged record,
 // every observation must appear in the surviving authority even when the
 // replica that produced it was killed immediately afterwards.
-func (f *Fleet) Verify(obs []Observation) error {
+//
+// The same walk folds each shard's index, log length, epoch and replayed
+// model state (shard-ordered, tenant-ordered) into one FNV-1a hash: the
+// per-seed fingerprint the deterministic traces compare byte-for-byte; it is
+// 0 with any error.
+func (f *Fleet) Audit(obs []Observation) (checksum uint64, err error) {
+	h, word := fnv.New64a(), make([]byte, 8)
+	mix := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(word[:0], v)) }
 	type key struct{ client, req uint64 }
 	// Sized once: every logged record is one first execution, so Executed
 	// bounds the logs' total.
 	logged := make(map[key]int64, f.counters.Executed)
 	for shard, pri := range f.shardPrimaries() {
 		if pri == nil {
-			return fmt.Errorf("fleet: shard %d has no primary replica", shard)
+			return 0, fmt.Errorf("fleet: shard %d has no primary replica", shard)
 		}
+		mix(uint64(shard))
+		mix(uint64(pri.logged))
+		mix(pri.epoch)
 		model := make(map[uint64]int64, len(pri.state))
 		err := replayLog(pri.log, func(i, _ int, op *wire.ClientOp) error {
 			if f.ShardOf(op.Tenant) != shard {
@@ -56,7 +76,7 @@ func (f *Fleet) Verify(obs []Observation) error {
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("fleet: shard %d: %w", shard, err)
+			return 0, fmt.Errorf("fleet: shard %d: %w", shard, err)
 		}
 		// Every live peer's log must be a byte prefix of the primary's — the
 		// single-writer append order means a peer that holds anything else
@@ -71,70 +91,35 @@ func (f *Fleet) Verify(obs []Observation) error {
 				continue
 			}
 			if len(r.log) > len(pri.log) || !bytes.Equal(r.log, pri.log[:len(r.log)]) {
-				return fmt.Errorf("fleet: shard %d peer on %s holds a log that is not a prefix of the primary's (%d vs %d bytes)",
+				return 0, fmt.Errorf("fleet: shard %d peer on %s holds a log that is not a prefix of the primary's (%d vs %d bytes)",
 					shard, name, len(r.log), len(pri.log))
 			}
 		}
 		// The live state a primary serves must equal its log's replay.
-		if pri.state != nil {
-			if len(model) != len(pri.state) {
-				return fmt.Errorf("fleet: shard %d live state has %d tenants, log replay %d", shard, len(pri.state), len(model))
+		if len(model) != len(pri.state) {
+			return 0, fmt.Errorf("fleet: shard %d live state has %d tenants, log replay %d", shard, len(pri.state), len(model))
+		}
+		tenants := make([]uint64, 0, len(model))
+		for t := range model {
+			tenants = append(tenants, t)
+		}
+		slices.Sort(tenants)
+		for _, t := range tenants {
+			if pri.state[t] != model[t] {
+				return 0, fmt.Errorf("fleet: shard %d tenant %d live %d != replayed %d", shard, t, pri.state[t], model[t])
 			}
-			for _, t := range sortedTenants(model) {
-				if pri.state[t] != model[t] {
-					return fmt.Errorf("fleet: shard %d tenant %d live %d != replayed %d", shard, t, pri.state[t], model[t])
-				}
-			}
+			mix(t)
+			mix(uint64(model[t]))
 		}
 	}
 	for _, o := range obs {
 		want, ok := logged[key{o.Client, o.Req}]
 		if !ok {
-			return fmt.Errorf("fleet: client %d observed OK for req %d never present in any surviving log", o.Client, o.Req)
+			return 0, fmt.Errorf("fleet: client %d observed OK for req %d never present in any surviving log", o.Client, o.Req)
 		}
 		if want != o.Value {
-			return fmt.Errorf("fleet: client %d req %d observed %d, log says %d", o.Client, o.Req, o.Value, want)
+			return 0, fmt.Errorf("fleet: client %d req %d observed %d, log says %d", o.Client, o.Req, o.Value, want)
 		}
 	}
-	return nil
-}
-
-// Checksum folds every shard's replayed model state (shard-ordered, tenant-
-// ordered) and log length into one FNV-1a hash — the per-seed fingerprint the
-// deterministic traces compare byte-for-byte.
-func (f *Fleet) Checksum() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	for shard, pri := range f.shardPrimaries() {
-		if pri == nil {
-			mix(^uint64(0))
-			continue
-		}
-		mix(uint64(shard))
-		mix(uint64(pri.logged))
-		mix(pri.epoch)
-		model := make(map[uint64]int64, len(pri.state))
-		err := replayLog(pri.log, func(_, _ int, op *wire.ClientOp) error {
-			apply(model, op.Tenant, op.Op, op.Arg)
-			return nil
-		})
-		if err != nil {
-			panic(fmt.Sprintf("fleet: checksum over undecodable shard %d log: %v", shard, err))
-		}
-		for _, t := range sortedTenants(model) {
-			mix(t)
-			mix(uint64(model[t]))
-		}
-	}
-	return h
+	return h.Sum64(), nil
 }

@@ -123,7 +123,8 @@ type receiver struct {
 	// rawSink, which the cold backup sets, takes an admitted frame's payload
 	// still encoded — validated, heartbeats cut out — and its record count.
 	rawSink func(payload []byte, n int)
-	natives []int // logFrame's scratch: where the frame's NativeResults start
+	natives []int  // logFrame's scratch: where the frame's NativeResults start
+	ackBuf  []byte // ack's scratch: every acknowledgement is appended here
 	stats   BackupStats
 }
 
@@ -221,7 +222,8 @@ func (r *receiver) serve() (ServeOutcome, error) {
 }
 
 func (r *receiver) ack(seq uint64) error {
-	if err := r.cfg.Endpoint.Send(wire.EncodeAck(r.cfg.Epoch, seq)); err != nil {
+	r.ackBuf = wire.AppendAck(r.ackBuf[:0], r.cfg.Epoch, seq)
+	if err := r.cfg.Endpoint.Send(r.ackBuf); err != nil {
 		return err
 	}
 	r.stats.AcksSent++

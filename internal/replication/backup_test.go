@@ -91,7 +91,7 @@ func (e *scriptEndpoint) Close() error { return nil }
 
 // captureCleanStream runs backupProgram to clean completion against a cold
 // backup and returns the frames the primary shipped.
-func captureCleanStream(t *testing.T, prog *bytecode.Program, mode Mode) []*wire.Frame {
+func captureCleanStream(t *testing.T, prog *bytecode.Program, mode Mode) []wire.Frame {
 	t.Helper()
 	pa, pb := transport.Pipe(1024)
 	tap := &tapEndpoint{Endpoint: pa}
@@ -126,7 +126,7 @@ func captureCleanStream(t *testing.T, prog *bytecode.Program, mode Mode) []*wire
 	if outcome := <-done; outcome != OutcomePrimaryCompleted {
 		t.Fatalf("capture run: backup observed %v", outcome)
 	}
-	frames := make([]*wire.Frame, len(tap.sent))
+	frames := make([]wire.Frame, len(tap.sent))
 	for i, msg := range tap.sent {
 		if frames[i], err = wire.DecodeFrame(msg); err != nil {
 			t.Fatal(err)
@@ -186,7 +186,7 @@ func playWarm(t *testing.T, prog *bytecode.Program, mode Mode, msgs [][]byte, en
 
 // countRecords returns how many of the frames' records a backup logs: all
 // but heartbeats.
-func countRecords(t *testing.T, frames []*wire.Frame) (n uint64) {
+func countRecords(t *testing.T, frames []wire.Frame) (n uint64) {
 	t.Helper()
 	for _, f := range frames {
 		recs, err := wire.DecodeAll(f.Payload)
@@ -222,10 +222,10 @@ func TestBackupAdmissionTable(t *testing.T) {
 	type counts struct{ frames, records, corrupt, stale, dups, gaps, beats uint64 }
 	for _, mode := range []Mode{ModeLock, ModeSched, ModeLockInterval} {
 		clean := captureCleanStream(t, prog, mode)
-		f0, f1 := *clean[0], *clean[1]
+		f0, f1 := clean[0], clean[1]
 		n, all, one, two := uint64(len(clean)), countRecords(t, clean), countRecords(t, clean[:1]), countRecords(t, clean[:2])
 		// wanted counts the frames that ask for an acknowledgement.
-		wanted := func(frames []*wire.Frame) (n uint64) {
+		wanted := func(frames []wire.Frame) (n uint64) {
 			for _, f := range frames {
 				if f.AckWanted {
 					n++
@@ -238,7 +238,6 @@ func TestBackupAdmissionTable(t *testing.T) {
 		// by shift where head holds one frame more than it replaces.
 		script := func(shift uint64, head ...wire.Frame) [][]byte {
 			for _, f := range clean[2:] {
-				f := *f
 				f.Seq += shift
 				head = append(head, f)
 			}

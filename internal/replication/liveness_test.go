@@ -45,7 +45,7 @@ func silentBackup(t *testing.T, clk clock.Clock, ep transport.Endpoint, ackUntil
 			}
 			if frame.AckWanted && acked < ackUntil {
 				acked++
-				if err := ep.Send(wire.EncodeAck(frame.Epoch, frame.Seq)); err != nil {
+				if err := ep.Send(wire.AppendAck(nil, frame.Epoch, frame.Seq)); err != nil {
 					return
 				}
 			}

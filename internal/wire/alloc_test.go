@@ -60,6 +60,32 @@ func TestEncodeFrameSingleAlloc(t *testing.T) {
 	}
 }
 
+// Every receiver decodes each frame it is handed and acknowledges it: the
+// frame comes back by value, its payload aliasing the message, and the ack is
+// appended into the receiver's own buffer, so neither step allocates.
+func TestFrameDecodeAndAckAllocFree(t *testing.T) {
+	msg := EncodeFrame(&Frame{Seq: 12345, Epoch: 3, AckWanted: true, Payload: make([]byte, 4096)})
+	var gate SeqGate
+	ack := AppendAck(nil, 3, 12345)
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := DecodeFrame(msg)
+		if err != nil || f.Seq != 12345 {
+			t.Fatalf("DecodeFrame = %+v, %v", f.Seq, err)
+		}
+		if _, rest, err := DecodeFramePrefix(msg); err != nil || len(rest) != 0 {
+			t.Fatalf("DecodeFramePrefix: %d bytes left, %v", len(rest), err)
+		}
+		gate.last = 12344
+		if _, verdict := gate.AdmitFrame(msg, 3); verdict != Fresh {
+			t.Fatalf("AdmitFrame verdict %d, want Fresh", verdict)
+		}
+		ack = AppendAck(ack[:0], 3, f.Seq)
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeFrame + DecodeFramePrefix + AdmitFrame + AppendAck allocs/run = %v, want 0", allocs)
+	}
+}
+
 // lockBatch is a 512-record lock-mode batch: what the primary ships per frame
 // in the db benchmark, id maps and native results at about its rates.
 func lockBatch(tb testing.TB) []byte {

@@ -49,13 +49,13 @@ func EncodeFrame(f *Frame) []byte {
 // the payload are a framing violation (a mangled length or spliced messages)
 // and reject the whole frame: a receiver that silently ignored them would
 // log a payload whose boundary the sender never chose.
-func DecodeFrame(b []byte) (*Frame, error) {
+func DecodeFrame(b []byte) (Frame, error) {
 	f, rest, err := DecodeFramePrefix(b)
 	if err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	if len(rest) > 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after frame payload", ErrBadRecord, len(rest))
+		return Frame{}, fmt.Errorf("%w: %d trailing bytes after frame payload", ErrBadRecord, len(rest))
 	}
 	return f, nil
 }
@@ -81,12 +81,13 @@ var ErrShortFrame = fmt.Errorf("%w: short frame", ErrBadRecord)
 // can never decode no matter how many bytes follow (an overlong varint, an
 // out-of-range flags byte) fails with plain ErrBadRecord.
 //
-// The frame's Payload aliases b: nothing is copied. A message handed out by
-// transport.Endpoint.Recv is the caller's alone, so a receiver may keep the
-// payload; a caller that goes on to overwrite b must copy it out first.
-func DecodeFramePrefix(b []byte) (*Frame, []byte, error) {
+// The frame is returned by value and its Payload aliases b: nothing is
+// allocated or copied. A message handed out by transport.Endpoint.Recv is the
+// caller's alone, so a receiver may keep the payload; a caller that goes on to
+// overwrite b must copy it out first.
+func DecodeFramePrefix(b []byte) (Frame, []byte, error) {
 	d := Decoder{b: b}
-	f := &Frame{Seq: d.uv(), Epoch: d.uv()}
+	f := Frame{Seq: d.uv(), Epoch: d.uv()}
 	flags := d.u8()
 	if d.err == nil && flags > 1 {
 		d.fail(ErrBadRecord, fmt.Sprintf("bad frame flags %#x", flags))
@@ -94,9 +95,9 @@ func DecodeFramePrefix(b []byte) (*Frame, []byte, error) {
 	f.AckWanted = flags == 1
 	f.Payload = d.span()
 	if errors.Is(d.err, ErrTruncated) {
-		return nil, nil, fmt.Errorf("%w: %d bytes end inside the frame", ErrShortFrame, len(b))
+		return Frame{}, nil, fmt.Errorf("%w: %d bytes end inside the frame", ErrShortFrame, len(b))
 	} else if d.err != nil {
-		return nil, nil, d.err
+		return Frame{}, nil, d.err
 	}
 	return f, b[d.pos:], nil
 }
@@ -168,12 +169,12 @@ const (
 // AdmitFrame decodes msg and classifies it for a receiver serving in epoch.
 // The epoch is checked before the sequence: frames of another epoch belong to
 // another numbering and must not disturb this view's dup/gap accounting. The
-// frame is nil only for Corrupt; only a Fresh frame advances the gate.
-func (g *SeqGate) AdmitFrame(msg []byte, epoch uint64) (*Frame, Admission) {
+// frame is zero only for Corrupt; only a Fresh frame advances the gate.
+func (g *SeqGate) AdmitFrame(msg []byte, epoch uint64) (Frame, Admission) {
 	frame, err := DecodeFrame(msg)
 	switch {
 	case err != nil:
-		return nil, Corrupt
+		return Frame{}, Corrupt
 	case frame.Epoch < epoch:
 		return frame, StaleEpoch
 	case frame.Epoch > epoch:
@@ -188,16 +189,11 @@ func (g *SeqGate) AdmitFrame(msg []byte, epoch uint64) (*Frame, Admission) {
 	return frame, Fresh
 }
 
-// EncodeAck serialises an acknowledgement for frame seq under epoch. The ack
-// echoes the receiver's epoch so a primary can discard acknowledgements from
-// a configuration it no longer (or does not yet) belong to.
-func EncodeAck(epoch, seq uint64) []byte {
-	var buf [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], epoch)
-	n += binary.PutUvarint(buf[n:], seq)
-	out := make([]byte, n)
-	copy(out, buf[:n])
-	return out
+// AppendAck appends an acknowledgement for frame seq under epoch to dst. The
+// ack echoes the receiver's epoch so a primary can discard acknowledgements
+// from a configuration it no longer (or does not yet) belong to.
+func AppendAck(dst []byte, epoch, seq uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(dst, epoch), seq)
 }
 
 // DecodeAck parses an acknowledgement. Trailing bytes reject the ack as

@@ -38,7 +38,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Accepted frames survive an encode/decode round trip unchanged
 		// (varints may be non-minimal in the input, so compare values, not
 		// bytes).
-		fr2, err := DecodeFrame(EncodeFrame(fr))
+		fr2, err := DecodeFrame(EncodeFrame(&fr))
 		if err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}
@@ -53,12 +53,12 @@ func FuzzDecodeFrame(f *testing.F) {
 // this package was DecodeAck accepting trailing bytes, which let a corrupt
 // ack satisfy an output commit.
 func FuzzDecodeAck(f *testing.F) {
-	f.Add(EncodeAck(0, 1))
-	f.Add(EncodeAck(3, 12345))
-	f.Add(EncodeAck(1<<62, 1<<63+9))
+	f.Add(AppendAck(nil, 0, 1))
+	f.Add(AppendAck(nil, 3, 12345))
+	f.Add(AppendAck(nil, 1<<62, 1<<63+9))
 	f.Add([]byte{})
 	f.Add([]byte{0x03})
-	f.Add(append(EncodeAck(1, 9), 0x00))
+	f.Add(append(AppendAck(nil, 1, 9), 0x00))
 	f.Add([]byte{0x80, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		epoch, seq, err := DecodeAck(data)
@@ -68,7 +68,7 @@ func FuzzDecodeAck(f *testing.F) {
 			}
 			return
 		}
-		e2, s2, err := DecodeAck(EncodeAck(epoch, seq))
+		e2, s2, err := DecodeAck(AppendAck(nil, epoch, seq))
 		if err != nil || e2 != epoch || s2 != seq {
 			t.Fatalf("ack round trip changed: (%d,%d) -> (%d,%d) %v", epoch, seq, e2, s2, err)
 		}

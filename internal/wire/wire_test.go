@@ -112,7 +112,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := DecodeFrame(append(EncodeFrame(f), 0xAA)); err == nil {
 		t.Fatal("frame with trailing garbage decoded")
 	}
-	epoch, seq, err := DecodeAck(EncodeAck(3, 12345))
+	epoch, seq, err := DecodeAck(AppendAck(nil, 3, 12345))
 	if err != nil || epoch != 3 || seq != 12345 {
 		t.Fatalf("ack = (%d,%d) (%v)", epoch, seq, err)
 	}
@@ -128,7 +128,7 @@ func TestDecodeAckStrict(t *testing.T) {
 	if _, _, err := DecodeAck([]byte{0x03}); err == nil {
 		t.Fatal("ack missing seq decoded")
 	}
-	if _, _, err := DecodeAck(append(EncodeAck(1, 9), 0x00)); err == nil {
+	if _, _, err := DecodeAck(append(AppendAck(nil, 1, 9), 0x00)); err == nil {
 		t.Fatal("ack with trailing byte decoded")
 	}
 	if _, _, err := DecodeAck([]byte{0x80}); err == nil {
@@ -266,7 +266,7 @@ func TestAdmitFrame(t *testing.T) {
 		{"the stream goes on", msg(3, epoch), Fresh, 3},
 	} {
 		frame, got := g.AdmitFrame(tc.msg, epoch)
-		if got != tc.want || g.last != tc.last || (frame == nil) != (tc.want == Corrupt) {
+		if got != tc.want || g.last != tc.last || (frame.Payload == nil) != (tc.want == Corrupt) {
 			t.Errorf("%s: verdict %d, gate at %d, frame %v; want verdict %d, gate at %d", tc.name, got, g.last, frame, tc.want, tc.last)
 		}
 	}

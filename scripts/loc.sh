@@ -7,7 +7,9 @@
 # files may import it, which the ratchet checks.
 # With numbers as arguments it is the ratchet (`make loc-check`): exit 1 when
 # the root module's non-test count is above the first, or its test count above
-# the second.
+# the second. Without arguments it also runs `go test ./...` once, uncached,
+# and prints its wall time (the ratchet leaves that out: `make check` runs the
+# suite already).
 set -eu
 cd "$(dirname "$0")/.."
 count() { dir=$1 && shift && find "$dir" -name '*.go' "$@" -print0 | xargs -0 cat | wc -l; }
@@ -30,5 +32,11 @@ fi
 if [ $# -gt 1 ] && [ "$tests" -gt "$2" ]; then
 	echo "loc-check: $tests test lines, ceiling $2: remove as much as you add (or lower TEST_LOC_MAX in the Makefile when you remove more)" >&2
 	status=1
+fi
+if [ $# -eq 0 ]; then
+	start=$(date +%s)
+	if out=$(go test -count=1 ./... 2>&1); then verdict=ok; else verdict=FAILED status=1; fi
+	echo "go test ./... wall:    $(($(date +%s) - start)) s ($verdict)"
+	[ "$verdict" = ok ] || echo "$out" >&2
 fi
 exit $status
