@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/bytecode/pairfreq"
 	"repro/internal/harness"
-	"repro/internal/vm"
 )
 
 func main() {
@@ -51,7 +50,6 @@ func run() error {
 		repeats   = flag.Int("repeats", 2, "measurement rounds (fastest kept; plus one warm-up)")
 		pairFreq  = flag.Bool("pairfreq", false, "dump opcode-pair frequencies over the benchmarks (feeds the fusion table)")
 		pairTop   = flag.Int("pairfreq-top", 48, "pair ranking depth for -pairfreq")
-		dispatch  = flag.String("dispatch", "", "interpreter stream: threaded (fused, default) or switch (unfused, stepped)")
 	)
 	flag.Parse()
 	if *quick {
@@ -63,11 +61,7 @@ func run() error {
 	if *all {
 		*table2, *fig2, *fig3, *fig4 = true, true, true, true
 	}
-	disp, err := vm.ParseDispatch(*dispatch)
-	if err != nil {
-		return err
-	}
-	cfg := harness.Config{Scale: *scale, Repeats: *repeats, Dispatch: disp}
+	cfg := harness.Config{Scale: *scale, Repeats: *repeats}
 	if *benchList != "" {
 		cfg.Benchmarks = strings.Split(*benchList, ",")
 	}

@@ -11,7 +11,6 @@
 //	ftvm-debug trace.ftlog                 # interactive inspection REPL
 //	ftvm-debug -diff a.ftlog b.ftlog       # first diverging branch position
 //	ftvm-debug -every 256 trace.ftlog      # denser checkpoints
-//	ftvm-debug -dispatch switch trace.ftlog  # override the recorded stream
 //
 // The REPL reads commands from stdin (pipe a script for non-interactive
 // use):
@@ -32,7 +31,7 @@
 //
 // Every command's output is a pure function of the log and the position, so
 // the same script against the same log is byte-identical across runs,
-// machines, and interpreter engines — that is what `make debug-smoke`
+// machines and checkpoint densities — that is what `make debug-smoke`
 // asserts.
 //
 // -diff replays two captures and binary-searches inspection checksums for
@@ -50,7 +49,6 @@ import (
 	"strconv"
 	"strings"
 
-	ftvm "repro"
 	"repro/internal/debug"
 )
 
@@ -63,20 +61,12 @@ func main() {
 
 func run() error {
 	var (
-		diff     = flag.Bool("diff", false, "compare two logs: print the first diverging branch position")
-		every    = flag.Uint64("every", debug.DefaultEvery, "checkpoint interval in global branches")
-		dispatch = flag.String("dispatch", "", "override the recorded interpreter stream: threaded (fused) or switch (unfused, stepped)")
+		diff  = flag.Bool("diff", false, "compare two logs: print the first diverging branch position")
+		every = flag.Uint64("every", debug.DefaultEvery, "checkpoint interval in global branches")
 	)
 	flag.Parse()
 
 	opts := debug.Options{Every: *every}
-	if *dispatch != "" {
-		d, err := ftvm.ParseDispatch(*dispatch)
-		if err != nil {
-			return err
-		}
-		opts.Dispatch, opts.OverrideDispatch = d, true
-	}
 
 	args := flag.Args()
 	if *diff {
@@ -86,7 +76,7 @@ func run() error {
 		return runDiff(args[0], args[1], opts)
 	}
 	if len(args) != 1 {
-		return fmt.Errorf("usage: ftvm-debug [-every N] [-dispatch stream] trace.ftlog  (or -diff a.ftlog b.ftlog)")
+		return fmt.Errorf("usage: ftvm-debug [-every N] trace.ftlog  (or -diff a.ftlog b.ftlog)")
 	}
 	return runREPL(args[0], opts)
 }

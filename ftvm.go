@@ -57,9 +57,6 @@ const (
 	DispatchSwitch = vm.DispatchSwitch
 )
 
-// ParseDispatch parses "threaded" or "switch" (empty = threaded).
-func ParseDispatch(s string) (Dispatch, error) { return vm.ParseDispatch(s) }
-
 // Replication modes.
 const (
 	// ModeLock replicates the sequence of monitor acquisitions.
@@ -124,33 +121,27 @@ type Options struct {
 	// FlushEvery caps the log records buffered between output commits
 	// (default 4096); frames otherwise ship only at output commits.
 	FlushEvery int
-	// GCThreshold triggers automatic GC at this live-object count
-	// (default 1<<20, negative disables).
-	GCThreshold int
 	// MaxInstructions aborts runaway programs (0 = unlimited).
 	MaxInstructions uint64
 	// Env supplies a pre-built environment (files, channel messages); a
 	// fresh one is created from EnvSeed when nil.
 	Env *env.Env
-	// Heartbeat enables primary→backup heartbeats at this period (0 = rely
-	// on transport closure for failure detection).
-	Heartbeat time.Duration
 	// AckTimeout bounds the primary's output-commit wait: if the backup does
 	// not acknowledge within this window it is declared lost
 	// (replication.ErrBackupLost) instead of blocking the output path
 	// forever (0 = wait forever, the paper's pure pessimism).
 	AckTimeout time.Duration
 	// Backend selects the coordination path for replicated runs (default
-	// BackendPair). BackendConsensus ignores Heartbeat (leader keepalives
-	// live inside the consensus replicas) and reads AckTimeout as the bound
-	// on each majority-commit wait.
+	// BackendPair). BackendConsensus reads AckTimeout as the bound on each
+	// majority-commit wait.
 	Backend BackendKind
 	// ConsensusSeed pins the consensus cluster's randomized election
 	// schedule (default 1; only meaningful with BackendConsensus).
 	ConsensusSeed uint64
 	// Dispatch selects the interpreter stream for every VM the run builds
-	// (primary and recovery replay alike). The zero value is the fused
-	// stream; DispatchSwitch steps the unfused one.
+	// (primary and recovery replay alike); it is the one place a stream is
+	// chosen. The zero value is the fused stream; DispatchSwitch steps the
+	// unfused one.
 	Dispatch Dispatch
 	// Clock supplies time for ack deadlines, heartbeats, kill-trigger
 	// polling, transport waits, and elapsed measurements (nil = wall
@@ -208,7 +199,6 @@ func Run(prog *Program, opts Options) (*Result, error) {
 		Program:         prog,
 		Env:             environ,
 		Coordinator:     vm.NewDefaultCoordinator(vm.NewSeededPolicy(opts.PolicySeed, opts.MinQuantum, opts.MaxQuantum)),
-		GCThreshold:     opts.GCThreshold,
 		MaxInstructions: opts.MaxInstructions,
 		Dispatch:        opts.Dispatch,
 	})
@@ -276,14 +266,13 @@ func (o Options) config(prog *Program, mode Mode, trigger KillTrigger) cluster.C
 	o.fill()
 	cfg := cluster.Config{
 		Primary: replication.PrimaryConfig{
-			Mode:           mode,
-			Policy:         vm.NewSeededPolicy(o.PolicySeed, o.MinQuantum, o.MaxQuantum),
-			FlushEvery:     o.FlushEvery,
-			HeartbeatEvery: o.Heartbeat,
-			AckTimeout:     o.AckTimeout,
-			Clock:          o.Clock,
+			Mode:       mode,
+			Policy:     vm.NewSeededPolicy(o.PolicySeed, o.MinQuantum, o.MaxQuantum),
+			FlushEvery: o.FlushEvery,
+			Clock:      o.Clock,
 		},
 		Recover:       o.recoverConfig(prog, o.environment()),
+		AckTimeout:    o.AckTimeout,
 		ConsensusSeed: o.ConsensusSeed,
 		Capture:       o.CaptureLog,
 	}
@@ -304,7 +293,6 @@ func (o *Options) recoverConfig(prog *Program, environ *env.Env) replication.Rec
 		Program:         prog,
 		Env:             environ,
 		Policy:          vm.NewSeededPolicy(o.PolicySeed^recoveryPolicyFold, o.MinQuantum, o.MaxQuantum),
-		GCThreshold:     o.GCThreshold,
 		MaxInstructions: o.MaxInstructions,
 		Dispatch:        o.Dispatch,
 	}

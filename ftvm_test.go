@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/env"
 	"repro/internal/replication"
@@ -114,9 +113,9 @@ func TestMeasureReplay(t *testing.T) {
 	}
 	factory := func() *env.Env { return env.New(5) }
 	capture := filepath.Join(t.TempDir(), "replay.ftlog")
-	// Heartbeat and CaptureLog were dropped by the pair path's own copy of
-	// the run body before there was one run body.
-	primary, replay, err := MeasureReplay(prog, ModeLock, Options{CaptureLog: capture, Heartbeat: time.Millisecond}, factory)
+	// CaptureLog was dropped by the pair path's own copy of the run body
+	// before there was one run body.
+	primary, replay, err := MeasureReplay(prog, ModeLock, Options{CaptureLog: capture}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}

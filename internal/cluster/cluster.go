@@ -4,8 +4,8 @@
 // replicated-run functions, the deterministic simulator and the differential
 // fuzzer. A run is a cold pair, a warm pair or a 3-replica consensus log, and
 // what those callers differ on is injected: the link, the clock, the primary
-// and recovery configuration, the backup's failure timeout and epoch, and
-// one kill hook.
+// and recovery configuration, the commit bound, the backup's failure timeout,
+// the pair's epoch, and one kill hook.
 package cluster
 
 import (
@@ -43,9 +43,8 @@ const (
 type Config struct {
 	Topology Topology
 	// Primary configures the primary's coordinator; Run fills in its
-	// Endpoint or Backend. Its Mode, Clock (nil = wall clock) and Epoch are
-	// the whole run's: the backup serves in that epoch and every actor runs
-	// on that clock.
+	// Backend. Its Mode and Clock (nil = wall clock) are the whole run's:
+	// every actor runs on that clock.
 	Primary replication.PrimaryConfig
 	// Recover is how a failed run recovers: the program, environment and VM
 	// limits, which the primary's VM runs under too, and the recovery's own
@@ -56,6 +55,13 @@ type Config struct {
 	// the pair's primary (0) and backup (1), or each edge of the consensus
 	// mesh. Nil is an in-process pipe on the run's clock.
 	Link func(i, j int) (transport.Endpoint, transport.Endpoint)
+	// AckTimeout bounds each output-commit wait — the pair backup's ack, or
+	// the consensus log's majority commit — before the primary declares its
+	// backup lost (0 = wait forever).
+	AckTimeout time.Duration
+	// Epoch is the pair's view: the primary stamps it on every frame and the
+	// backup serves in it.
+	Epoch uint64
 	// FailureTimeout is how long a pair's backup tolerates silence before it
 	// declares the primary dead (0 = transport closure only).
 	FailureTimeout time.Duration
@@ -161,26 +167,25 @@ func (f *Faults) Stop(r *consensus.Replica) {
 const pollEvery = 50 * time.Microsecond
 
 // Poll starts the run's one poller actor; call it at most once. Until the VM
-// returns it wakes every pollEvery: it calls Process once trigger (if any)
+// returns it wakes every pollEvery and calls Process once trigger (if any)
 // holds for the number of records logged so far — records the pair backup
-// holds, or records the consensus leader has committed — and once Process or
-// Stop has fired, it stops the replica they named and exits. It exits when
-// the VM returns without looking at its flags once more (ROADMAP 1(a)).
+// holds, or records the consensus leader has committed. Once Process or Stop
+// has fired it stops the replica they named and exits, also when they fired
+// in the last period before the VM returned: that replica must not serve the
+// read-back.
 func (f *Faults) Poll(trigger func(logged int) bool) {
 	f.runDone, f.polled = clock.NewFlag(f.clk), clock.NewFlag(f.clk)
 	f.clk.Go(func() {
 		defer f.polled.Set()
-		for !f.runDone.IsSet() {
+		for !f.runDone.IsSet() && !f.fired.Load() {
 			if trigger != nil && trigger(f.logged()) {
 				f.Process()
+			} else {
+				f.clk.Sleep(pollEvery)
 			}
-			if f.fired.Load() {
-				if r := f.victim.Load(); r != nil {
-					r.Stop()
-				}
-				return
-			}
-			f.clk.Sleep(pollEvery)
+		}
+		if r := f.victim.Load(); r != nil && f.fired.Load() {
+			r.Stop()
 		}
 	})
 }
@@ -231,7 +236,6 @@ func Run(cfg Config) (*Result, error) {
 	machine, err := primary.NewVM(vm.Config{
 		Program:         rc.Program,
 		Env:             rc.Env,
-		GCThreshold:     rc.GCThreshold,
 		MaxInstructions: rc.MaxInstructions,
 		Dispatch:        rc.Dispatch,
 	})
@@ -304,12 +308,17 @@ func (r *run) pair(pc *replication.PrimaryConfig) error {
 		}
 	}
 	pEnd, bEnd := link(0, 1)
-	pc.Endpoint = pEnd
 	// Closing the primary's end releases a backup still waiting in Recv when
 	// the run never started.
 	r.release = func() { _ = pEnd.Close() }
+	pb, err := replication.NewPairBackend(replication.PairBackendConfig{Endpoint: pEnd,
+		AckTimeout: r.cfg.AckTimeout, Clock: r.clk, Epoch: r.cfg.Epoch})
+	if err != nil {
+		return err
+	}
+	pc.Backend = pb
 	bc := replication.BackupConfig{Mode: pc.Mode, Endpoint: bEnd, FailureTimeout: r.cfg.FailureTimeout,
-		Clock: pc.Clock, Epoch: pc.Epoch}
+		Clock: pc.Clock, Epoch: r.cfg.Epoch}
 	if r.cfg.Topology == ColdPair {
 		backup, wait, err := Serve(bc)
 		if err != nil {
@@ -356,7 +365,7 @@ func (r *run) consensus(pc *replication.PrimaryConfig) error {
 	if err != nil {
 		return fmt.Errorf("consensus election: %w", err)
 	}
-	pc.Backend = consensus.NewBackend(leader, pc.AckTimeout)
+	pc.Backend = consensus.NewBackend(leader, r.cfg.AckTimeout)
 	r.faults.Cluster, r.faults.Leader, r.res.FirstLeader = c, leader, leader.ID()
 	// Records logged are records committed at the leader, counted by walking
 	// the newly committed entry payloads (one that does not parse counts 0).
@@ -452,8 +461,6 @@ func capture(path string, mode replication.Mode, rc replication.RecoverConfig, r
 		MinQuantum:      policy.MinQ,
 		MaxQuantum:      policy.MaxQ,
 		Mode:            mode,
-		Dispatch:        rc.Dispatch,
 		MaxInstructions: rc.MaxInstructions,
-		GCThreshold:     int64(rc.GCThreshold),
 	}, rc.Program, records)
 }

@@ -154,10 +154,10 @@ func TestHaltRidesTheLastAck(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/flush-%d", tp.name, fe), func(t *testing.T) {
 				res, err := clock.Drive(time.Minute, func(clk *clock.Virtual) (*cluster.Result, error) {
 					return cluster.Run(cluster.Config{
-						Topology: tp.topo,
-						Primary: replication.PrimaryConfig{Mode: ftvm.ModeLock, FlushEvery: fe,
-							AckTimeout: 2 * time.Second, Clock: clk},
+						Topology:      tp.topo,
+						Primary:       replication.PrimaryConfig{Mode: ftvm.ModeLock, FlushEvery: fe, Clock: clk},
 						Recover:       replication.RecoverConfig{Program: prog, Env: env.New(5), Policy: vm.NewSeededPolicy(7, 100, 900)},
+						AckTimeout:    2 * time.Second,
 						ConsensusSeed: 1,
 					})
 				})
@@ -254,7 +254,7 @@ func (e *exactRun) config(clk *clock.Virtual, prog *ftvm.Program, topo cluster.T
 		// A cold backup that declares the primary dead closes its end, which
 		// frees a primary parked on an ack for a frame the kill swallowed; a
 		// warm one finishes the program first, so the primary needs a bound.
-		cfg.Primary.AckTimeout = 2 * time.Second
+		cfg.AckTimeout = 2 * time.Second
 	}
 	cfg.Link = func(i, j int) (transport.Endpoint, transport.Endpoint) {
 		a, b := simnet.Link(clk, simnet.Config{Seed: int64(1 + i*7 + j*13)})

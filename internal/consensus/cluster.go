@@ -20,16 +20,13 @@ type Cluster struct {
 // NewCluster builds (but does not start) a cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg.fill()
-	if cfg.Replicas < 1 || cfg.Replicas%2 == 0 {
-		return nil, fmt.Errorf("consensus: replica count %d must be odd and positive", cfg.Replicas)
-	}
 	clk := clock.Or(cfg.Clock)
-	c := &Cluster{clk: clk, replicas: make([]*Replica, cfg.Replicas)}
+	c := &Cluster{clk: clk, replicas: make([]*Replica, replicas)}
 	for i := range c.replicas {
 		c.replicas[i] = newReplica(i, &cfg, clk)
 	}
-	for i := 0; i < cfg.Replicas; i++ {
-		for j := i + 1; j < cfg.Replicas; j++ {
+	for i := 0; i < replicas; i++ {
+		for j := i + 1; j < replicas; j++ {
 			var ei, ej transport.Endpoint
 			if cfg.Link != nil {
 				ei, ej = cfg.Link(i, j)

@@ -77,10 +77,11 @@ var (
 	ErrStopped = errors.New("consensus: replica stopped")
 )
 
+// replicas is the cluster size: the smallest that survives one failure.
+const replicas = 3
+
 // Config configures a cluster.
 type Config struct {
-	// Replicas is the cluster size (default 3; must be odd and >= 1).
-	Replicas int
 	// Seed drives every replica's randomized election timeouts (default 1).
 	Seed uint64
 	// Clock supplies all timing (nil = wall clock). Under a virtual clock
@@ -99,9 +100,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Replicas == 0 {
-		c.Replicas = 3
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}

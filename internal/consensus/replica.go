@@ -80,13 +80,13 @@ type outMsg struct {
 func newReplica(id int, cfg *Config, clk clock.Clock) *Replica {
 	r := &Replica{
 		id:       id,
-		n:        cfg.Replicas,
+		n:        replicas,
 		clk:      clk,
 		rng:      electionRNG(cfg.Seed, id),
 		electMin: cfg.ElectionMin,
 		electMax: cfg.ElectionMax,
 		hbEvery:  cfg.Heartbeat,
-		peers:    make([]transport.Endpoint, cfg.Replicas),
+		peers:    make([]transport.Endpoint, replicas),
 		votedFor: -1,
 		leaderID: -1,
 		slot:     clk.NewWaitSlot(),

@@ -38,11 +38,6 @@ type Session struct {
 type Options struct {
 	// Every is the checkpoint interval in global branches (default 1024).
 	Every uint64
-	// Dispatch overrides the interpreter stream recorded in the log header
-	// when OverrideDispatch is set — the dual-mode equivalence gate replays
-	// one log on both streams and compares positions.
-	Dispatch         vm.Dispatch
-	OverrideDispatch bool
 }
 
 // DefaultEvery is the default checkpoint interval.
@@ -103,16 +98,10 @@ func (s *Session) boot() error {
 		return err
 	}
 	st := newStepper(eng.Coordinator())
-	dispatch := hdr.Dispatch
-	if s.opts.OverrideDispatch {
-		dispatch = s.opts.Dispatch
-	}
 	v, err := eng.NewVM(replication.RecoverConfig{
 		Program:         s.log.Prog,
 		Env:             env.New(hdr.EnvSeed),
-		GCThreshold:     int(hdr.GCThreshold),
 		MaxInstructions: hdr.MaxInstructions,
-		Dispatch:        dispatch,
 	}, st)
 	if err != nil {
 		return fmt.Errorf("debug vm: %w", err)

@@ -1,14 +1,16 @@
 package debug_test
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	ftvm "repro"
 	"repro/internal/debug"
 	"repro/internal/replication"
-	"repro/internal/vm"
 )
 
 // A program with contended locks, file output and console writes: every
@@ -143,56 +145,6 @@ func TestGotoMatchesFreshReplay(t *testing.T) {
 	}
 }
 
-// TestDualEnginePositionEquivalence is the dual-engine gate: one captured
-// log replayed to the same positions under the threaded and switch
-// interpreters must expose identical inspection state everywhere — the
-// engines' bit-identical contract extended to every intermediate position,
-// including fused-group interiors and slice-epoch edges.
-func TestDualEnginePositionEquivalence(t *testing.T) {
-	for _, mode := range []ftvm.Mode{ftvm.ModeLock, ftvm.ModeSched} {
-		t.Run(mode.String(), func(t *testing.T) {
-			path := capture(t, mode, 5, 9, 40)
-
-			open := func(d vm.Dispatch) *debug.Session {
-				s, err := debug.Open(path, debug.Options{Every: 256, Dispatch: d, OverrideDispatch: true})
-				if err != nil {
-					t.Fatalf("open dispatch %v: %v", d, err)
-				}
-				return s
-			}
-			th := open(vm.DispatchThreaded)
-			defer th.Close()
-			sw := open(vm.DispatchSwitch)
-			defer sw.Close()
-
-			if err := th.RunToEnd(); err != nil {
-				t.Fatalf("threaded run to end: %v", err)
-			}
-			if err := sw.RunToEnd(); err != nil {
-				t.Fatalf("switch run to end: %v", err)
-			}
-			tf, _, _ := th.Final()
-			sf, _, _ := sw.Final()
-			if tf != sf {
-				t.Fatalf("final positions differ: threaded %d, switch %d", tf, sf)
-			}
-
-			for _, pos := range positionsFor(tf) {
-				if err := th.Goto(pos); err != nil {
-					t.Fatalf("threaded goto %d: %v", pos, err)
-				}
-				if err := sw.Goto(pos); err != nil {
-					t.Fatalf("switch goto %d: %v", pos, err)
-				}
-				a, b := th.Inspect(), sw.Inspect()
-				if a.Text != b.Text || a.Checksum != b.Checksum {
-					t.Errorf("position %d: engines diverge\nthreaded:\n%s\nswitch:\n%s", pos, a.Text, b.Text)
-				}
-			}
-		})
-	}
-}
-
 func TestDiffIdenticalLogs(t *testing.T) {
 	path := capture(t, ftvm.ModeLock, 3, 13, 40)
 	a, err := debug.Open(path, debug.Options{})
@@ -276,6 +228,34 @@ func TestCaptureHeaderRoundTrip(t *testing.T) {
 	}
 	if l.Prog == nil || len(l.Prog.Methods) == 0 {
 		t.Fatal("program not embedded")
+	}
+
+	// The header's two retired slots (the interpreter stream after Mode, the
+	// GC trigger last) are written as 0 and read past: a capture that still
+	// carries values there decodes to the same log.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := func(off, n int) int {
+		for ; n > 0; n-- {
+			_, k := binary.Uvarint(data[off:])
+			off += k
+		}
+		return off
+	}
+	stream := skip(len("FTLOG")+1, 6)
+	gc := skip(stream, 3)
+	if data[stream] != 0 || data[gc] != 0 {
+		t.Fatalf("retired slots hold %#x and %#x, want 0 and 0", data[stream], data[gc])
+	}
+	legacy := slices.Concat(data[:stream], []byte{1}, data[stream+1:gc], binary.AppendVarint(nil, 1<<20), data[gc+1:])
+	old, err := replication.DecodeLog(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(old, l) {
+		t.Fatal("a capture with non-zero retired slots decodes to a different log")
 	}
 }
 

@@ -88,35 +88,19 @@ type Config struct {
 	// replication attempt (0 = no faults).
 	Fault      string
 	FaultEvery uint64
-
-	// Simulated costs. Zero fields take the defaults below.
-	NetDelay     time.Duration // one-way client <-> node
-	RepDelay     time.Duration // one-way primary <-> peer
-	OpCost       time.Duration // executing one tenant op
-	AckTimeout   time.Duration // primary gives up waiting for an ack
-	PromoteBase  time.Duration // fixed promotion cost on takeover
-	PromotePerOp time.Duration // per logged record replay cost on takeover
 }
 
+// The fleet's simulated costs, in virtual time.
+const (
+	netDelay     = 200 * time.Microsecond // one-way client <-> node
+	repDelay     = 100 * time.Microsecond // one-way primary <-> peer
+	opCost       = 10 * time.Microsecond  // executing one tenant op
+	ackTimeout   = 10 * time.Millisecond  // primary gives up waiting for an ack
+	promoteBase  = 2 * time.Millisecond   // fixed promotion cost on takeover
+	promotePerOp = time.Microsecond       // per logged record replay cost on takeover
+)
+
 func (c *Config) fill() {
-	if c.NetDelay == 0 {
-		c.NetDelay = 200 * time.Microsecond
-	}
-	if c.RepDelay == 0 {
-		c.RepDelay = 100 * time.Microsecond
-	}
-	if c.OpCost == 0 {
-		c.OpCost = 10 * time.Microsecond
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = 10 * time.Millisecond
-	}
-	if c.PromoteBase == 0 {
-		c.PromoteBase = 2 * time.Millisecond
-	}
-	if c.PromotePerOp == 0 {
-		c.PromotePerOp = time.Microsecond
-	}
 	if c.Fault == "" {
 		c.Fault = FaultNone
 	}
@@ -325,11 +309,11 @@ func (f *Fleet) SubmitTo(req *wire.Request, to string) Outcome {
 	if to == "" {
 		to = view.Primary
 	}
-	rtt := 2 * f.cfg.NetDelay
+	rtt := 2 * netDelay
 	n := f.nodes[to]
 	if n == nil || !n.Alive {
 		// Dead or unknown node: silence.
-		return Outcome{Cost: f.cfg.NetDelay + f.cfg.AckTimeout}
+		return Outcome{Cost: netDelay + ackTimeout}
 	}
 	r := n.replicas[shard]
 	if r == nil || r.role != rolePrimary || view.Primary != to {
@@ -372,9 +356,9 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 			// output-commit rule forbids replying until a peer holds it.
 			// Retransmit the same bytes under the same sequence number.
 			if !f.flushPending(r) {
-				return Outcome{Cost: f.cfg.NetDelay + f.cfg.AckTimeout}
+				return Outcome{Cost: netDelay + ackTimeout}
 			}
-			return Outcome{Reply: f.reply(r, req, ent.result), Cost: rtt + 2*f.cfg.RepDelay}
+			return Outcome{Reply: f.reply(r, req, ent.result), Cost: rtt + 2*repDelay}
 		}
 		return Outcome{Reply: f.reply(r, req, ent.result), Cost: rtt}
 	}
@@ -382,7 +366,7 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 	// the live state, so nothing later may reach the log before it — flush
 	// it or stall the shard (the client retries into the repaired channel).
 	if r.pending && !f.flushPending(r) {
-		return Outcome{Cost: f.cfg.NetDelay + f.cfg.AckTimeout}
+		return Outcome{Cost: netDelay + ackTimeout}
 	}
 	// Fresh request: execute, log, replicate, then reply.
 	result := apply(r.state, req.Tenant, req.Op, req.Arg)
@@ -392,9 +376,9 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 	r.dedup[req.Client] = dedupEntry{req: req.Req, result: result, committed: ok}
 	if !ok {
 		r.pending, r.pendingClient = true, req.Client
-		return Outcome{Cost: f.cfg.NetDelay + cost}
+		return Outcome{Cost: netDelay + cost}
 	}
-	return Outcome{Reply: f.reply(r, req, result), Cost: rtt + f.cfg.OpCost + cost}
+	return Outcome{Reply: f.reply(r, req, result), Cost: rtt + opCost + cost}
 }
 
 // flushPending retransmits the shard's head-of-line uncommitted record. True
@@ -449,7 +433,7 @@ func (f *Fleet) ship(seq, epoch uint64, payload []byte) []byte {
 // the paper's degraded mode.
 func (f *Fleet) replicate(r *replica) (time.Duration, bool) {
 	if len(r.links) == 0 {
-		return f.cfg.OpCost, true
+		return opCost, true
 	}
 	for _, ln := range r.links {
 		if ln.recs >= r.logged {
@@ -477,14 +461,14 @@ func (f *Fleet) replicate(r *replica) (time.Duration, bool) {
 		}
 	}
 	if !r.committed() {
-		return f.cfg.AckTimeout, false
+		return ackTimeout, false
 	}
-	return 2 * f.cfg.RepDelay, true
+	return 2 * repDelay, true
 }
 
 // Kill fail-stops a node: the directory reseats every shard it was seated on,
-// promotions replay backup logs under fresh epochs (taking PromoteBase +
-// PromotePerOp per record of simulated unavailability), and vacancies are
+// promotions replay backup logs under fresh epochs (taking promoteBase +
+// promotePerOp per record of simulated unavailability), and vacancies are
 // refilled by state transfer to the least-loaded live node. The returned
 // changes list every reconfiguration in shard order.
 func (f *Fleet) Kill(name string) ([]viewsvc.ShardChange, error) {
@@ -561,7 +545,7 @@ func (f *Fleet) reseat(ch viewsvc.ShardChange, dead string, now time.Time) {
 			panic(fmt.Sprintf("fleet: promotion license for shard %d: %v", shard, err))
 		}
 		pri.promote(ch.New.Num)
-		pri.availableAt = now.Add(f.cfg.PromoteBase + time.Duration(pri.logged)*f.cfg.PromotePerOp)
+		pri.availableAt = now.Add(promoteBase + time.Duration(pri.logged)*promotePerOp)
 		f.counters.Promotions++
 	} else {
 		// The backup died; the primary keeps serving under the new epoch.

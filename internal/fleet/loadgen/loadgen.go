@@ -42,17 +42,20 @@ type Kill struct {
 type Config struct {
 	Clients      int
 	OpsPerClient int
-	Tenants      uint64        // tenant id space (default max(Clients/16, 16))
 	Seed         uint64        // master seed; every random choice derives from it
 	Window       time.Duration // arrival window for client start times (default 1s)
-	ReqTimeout   time.Duration // silence → retry after this (default 20ms)
-	Backoff      time.Duration // base retry backoff on Unavailable (default 2ms)
-	MaxTries     int           // per request, before the run fails (default 64)
 	Kills        []Kill
 	// SampleEvery records observations (for fleet.Verify) from every Nth
 	// client; 0 records every client. Large runs sample to bound memory.
 	SampleEvery int
 }
+
+// A client's retry discipline.
+const (
+	reqTimeout = 20 * time.Millisecond // silence → retry after this
+	backoff    = 2 * time.Millisecond  // base retry backoff on Unavailable
+	maxTries   = 64                    // per request, before the run fails
+)
 
 // fill fills c's defaults (a zero field takes its default) and refuses, by
 // field, a config that cannot run on a fleet of nodes.
@@ -60,15 +63,8 @@ func (c *Config) fill(nodes []string) error {
 	if c.Clients < 1 || c.OpsPerClient < 1 {
 		return fmt.Errorf("loadgen: need >= 1 client and >= 1 op, have %d/%d", c.Clients, c.OpsPerClient)
 	}
-	switch {
-	case c.Window < 0:
+	if c.Window < 0 {
 		return fmt.Errorf("loadgen: Window %v is negative", c.Window)
-	case c.ReqTimeout < 0:
-		return fmt.Errorf("loadgen: ReqTimeout %v is negative", c.ReqTimeout)
-	case c.Backoff < 0:
-		return fmt.Errorf("loadgen: Backoff %v is negative", c.Backoff)
-	case c.MaxTries < 0:
-		return fmt.Errorf("loadgen: MaxTries %d is negative", c.MaxTries)
 	}
 	for i, k := range c.Kills {
 		if k.At < 0 {
@@ -78,23 +74,8 @@ func (c *Config) fill(nodes []string) error {
 			return fmt.Errorf("loadgen: Kills[%d].Node %q is not a node of the fleet", i, k.Node)
 		}
 	}
-	if c.Tenants == 0 {
-		c.Tenants = uint64(c.Clients / 16)
-		if c.Tenants < 16 {
-			c.Tenants = 16
-		}
-	}
 	if c.Window == 0 {
 		c.Window = time.Second
-	}
-	if c.ReqTimeout == 0 {
-		c.ReqTimeout = 20 * time.Millisecond
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 2 * time.Millisecond
-	}
-	if c.MaxTries == 0 {
-		c.MaxTries = 64
 	}
 	if c.SampleEvery < 1 {
 		c.SampleEvery = 1
@@ -243,12 +224,14 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 		nodeIdx[n] = int32(i)
 	}
 
+	// The tenant id space: one tenant per 16 clients, and at least 16.
+	tenants := max(cfg.Clients/16, 16)
 	clients := make([]client, cfg.Clients)
 	arrivals := make([]event, cfg.Clients)
 	var seq uint64
 	for i := range clients {
 		clients[i] = client{
-			tenant: uint64(arrival.Intn(int(cfg.Tenants))),
+			tenant: uint64(arrival.Intn(tenants)),
 			seed:   seeds.Next(),
 			req:    1,
 			node:   -1,
@@ -295,8 +278,8 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 			st.Retries++
 		}
 		c.tries++
-		if int(c.tries) > cfg.MaxTries {
-			return nil, nil, fmt.Errorf("loadgen: client %d req %d exceeded %d tries", ev.client, c.req, cfg.MaxTries)
+		if int(c.tries) > maxTries {
+			return nil, nil, fmt.Errorf("loadgen: client %d req %d exceeded %d tries", ev.client, c.req, maxTries)
 		}
 		if c.node < 0 {
 			node, _, _ := f.Route(c.tenant)
@@ -316,10 +299,10 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 			}
 			c.node = -1
 			wait := cost
-			if t := int64(cfg.ReqTimeout); t > wait {
+			if t := int64(reqTimeout); t > wait {
 				wait = t
 			}
-			push(now+wait+jitter(c.seed, c.req, c.tries, cfg.Backoff), ev.client)
+			push(now+wait+jitter(c.seed, c.req, c.tries, backoff), ev.client)
 		case out.Reply.Status == wire.StatusOK:
 			st.OKs++
 			hist.add(time.Duration(now + cost - c.issued))
@@ -341,7 +324,7 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 			// Mid-promotion: back off and retry.
 			st.Unavailable++
 			blasted[c.tenant] = struct{}{}
-			push(now+cost+jitter(c.seed, c.req, c.tries, cfg.Backoff), ev.client)
+			push(now+cost+jitter(c.seed, c.req, c.tries, backoff), ev.client)
 		default:
 			return nil, nil, fmt.Errorf("loadgen: client %d req %d got %s", ev.client, c.req, wire.StatusName(out.Reply.Status))
 		}

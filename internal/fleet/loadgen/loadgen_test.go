@@ -224,9 +224,9 @@ func TestEventHeapOrderAndAllocs(t *testing.T) {
 	}
 }
 
-// TestRunRejectsConfigsThatCannotRun: a negative duration or try budget, a
-// kill before the run starts and a kill of a node the fleet does not have are
-// errors naming the field, returned before any event runs (a zero field still
+// TestRunRejectsConfigsThatCannotRun: a negative window, a kill before the
+// run starts and a kill of a node the fleet does not have are errors naming
+// the field, returned before any event runs (a zero field still
 // means its default).
 func TestRunRejectsConfigsThatCannotRun(t *testing.T) {
 	for _, tc := range []struct {
@@ -234,9 +234,6 @@ func TestRunRejectsConfigsThatCannotRun(t *testing.T) {
 		edit       func(*Config)
 	}{
 		{"negative window", "Window", func(c *Config) { c.Window = -2 * time.Second }},
-		{"negative request timeout", "ReqTimeout", func(c *Config) { c.ReqTimeout = -time.Millisecond }},
-		{"negative backoff", "Backoff", func(c *Config) { c.Backoff = -1 }},
-		{"negative try budget", "MaxTries", func(c *Config) { c.MaxTries = -3 }},
 		{"a kill before the start", "Kills[1].At", func(c *Config) { c.Kills = append(c.Kills, Kill{At: -5 * time.Millisecond, Node: "n2"}) }},
 		{"a kill of an unknown node", "Kills[1].Node", func(c *Config) { c.Kills = append(c.Kills, Kill{At: 100 * time.Millisecond, Node: "n9"}) }},
 	} {

@@ -370,7 +370,6 @@ func (c *Config) runFaultyPair(prog *ftvm.Program, pr params) ([]string, error) 
 			Mode:       pr.repMode,
 			Policy:     vm.NewSeededPolicy(pr.polRef, pr.minQ, pr.maxQ),
 			FlushEvery: 4,
-			AckTimeout: 150 * time.Millisecond,
 		},
 		// Recovery runs under a deliberately different scheduling policy.
 		Recover: replication.RecoverConfig{
@@ -383,6 +382,7 @@ func (c *Config) runFaultyPair(prog *ftvm.Program, pr params) ([]string, error) 
 			pEnd, bEnd := transport.Pipe(transport.PipeCapacity)
 			return transport.NewFaulty(pEnd, transport.FaultPlan{Kind: pr.faultKind, At: pr.faultAt}, pr.faultSeed), bEnd
 		},
+		AckTimeout:     150 * time.Millisecond,
 		FailureTimeout: 150 * time.Millisecond,
 		FailStopOnLoss: true,
 	})

@@ -30,9 +30,6 @@ type Config struct {
 	PolicySeed int64
 	// Benchmarks restricts the set (nil = all six, paper order).
 	Benchmarks []string
-	// Dispatch selects the interpreter engine for every measured VM
-	// (default: the threaded fast tier).
-	Dispatch vm.Dispatch
 	// Repeats measures each configuration this many times and keeps the
 	// fastest (default 2; the first run pays allocator/cache warm-up).
 	Repeats int
@@ -168,7 +165,6 @@ func RunBenchmark(name string, cfg Config) (*BenchResult, error) {
 		base, err := ftvm.Run(prog, ftvm.Options{
 			EnvSeed:    cfg.EnvSeed,
 			PolicySeed: cfg.PolicySeed,
-			Dispatch:   cfg.Dispatch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", name, err)
@@ -187,7 +183,6 @@ func RunBenchmark(name string, cfg Config) (*BenchResult, error) {
 			primary, replay, err := ftvm.MeasureReplay(prog, mode, ftvm.Options{
 				EnvSeed:    cfg.EnvSeed,
 				PolicySeed: cfg.PolicySeed,
-				Dispatch:   cfg.Dispatch,
 			}, envFactory)
 			if err != nil {
 				return nil, fmt.Errorf("%s %v: %w", name, mode, err)

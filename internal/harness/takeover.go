@@ -43,7 +43,6 @@ func MeasureTakeover(name string, killFraction float64, cfg Config) (*TakeoverRe
 			EnvSeed:    cfg.EnvSeed,
 			PolicySeed: cfg.PolicySeed,
 			FlushEvery: 64, // fine batches so kill points are precise
-			Dispatch:   cfg.Dispatch,
 			Clock:      cfg.Clock,
 		}
 	}

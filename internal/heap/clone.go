@@ -9,13 +9,12 @@ package heap
 // exactly the same order as the original.
 func (h *Heap) Clone() *Heap {
 	c := &Heap{
-		slots:        make([]*Object, len(h.slots)),
-		softRefs:     make(map[Ref]Ref, len(h.softRefs)),
-		weakRefs:     make(map[Ref]Ref, len(h.weakRefs)),
-		SoftAsStrong: h.SoftAsStrong,
-		gcThreshold:  h.gcThreshold,
-		maxSlots:     h.maxSlots,
-		stats:        h.stats,
+		slots:       make([]*Object, len(h.slots)),
+		softRefs:    make(map[Ref]Ref, len(h.softRefs)),
+		weakRefs:    make(map[Ref]Ref, len(h.weakRefs)),
+		gcThreshold: h.gcThreshold,
+		maxSlots:    h.maxSlots,
+		stats:       h.stats,
 	}
 	for i, o := range h.slots {
 		if o == nil {

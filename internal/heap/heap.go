@@ -95,11 +95,11 @@ type Heap struct {
 	free  []Ref     // recycled slots, popped in LIFO order
 
 	// softRefs maps reference-holder object -> referent; registered by the
-	// VM's soft-reference native. When SoftAsStrong is false a GC may clear
-	// them; when true (FT mode) they are traced as strong.
-	softRefs     map[Ref]Ref
-	weakRefs     map[Ref]Ref
-	SoftAsStrong bool
+	// VM's soft-reference native. They are traced as strong: whether a cache
+	// hit survives a collection must not depend on a replica's memory
+	// pressure (§4.3).
+	softRefs map[Ref]Ref
+	weakRefs map[Ref]Ref
 
 	// finalizeQueue holds records collected with Finalize set, in
 	// deterministic (ascending ref) order; the VM drains it.
@@ -392,11 +392,9 @@ func (h *Heap) GC(roots func(mark func(Ref))) int {
 		stack = append(stack, r)
 	}
 	roots(mark)
-	if h.SoftAsStrong {
-		for holder, referent := range h.softRefs {
-			if h.isMarkedOrMarkable(holder) {
-				mark(referent)
-			}
+	for holder, referent := range h.softRefs {
+		if h.isMarkedOrMarkable(holder) {
+			mark(referent)
 		}
 	}
 	// Trace.
@@ -416,10 +414,8 @@ func (h *Heap) GC(roots func(mark func(Ref))) int {
 				mark(rr)
 			}
 		}
-		if h.SoftAsStrong {
-			if ref, ok := h.softRefs[r]; ok {
-				mark(ref)
-			}
+		if ref, ok := h.softRefs[r]; ok {
+			mark(ref)
 		}
 	}
 	// Unreached-but-finalizable records survive one cycle via the queue.
@@ -461,14 +457,10 @@ func (h *Heap) GC(roots func(mark func(Ref))) int {
 			}
 		}
 	}
-	// Clear dead soft/weak reference entries and referents.
-	for holder, referent := range h.softRefs {
+	// Drop dead soft reference entries; clear dead weak referents.
+	for holder := range h.softRefs {
 		if !h.isLiveMarked(holder) {
 			delete(h.softRefs, holder)
-			continue
-		}
-		if !h.SoftAsStrong && !h.isLiveMarked(referent) {
-			h.softRefs[holder] = NullRef
 		}
 	}
 	for holder, referent := range h.weakRefs {

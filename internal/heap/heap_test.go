@@ -144,7 +144,6 @@ func TestFinalizerQueueDeterministic(t *testing.T) {
 
 func TestSoftRefsStrongInFTMode(t *testing.T) {
 	h := New()
-	h.SoftAsStrong = true
 	holder, _ := h.AllocRecord(0, 0, false)
 	obj, _ := h.AllocIntArr(3)
 	h.RegisterSoftRef(holder, obj)
@@ -157,21 +156,8 @@ func TestSoftRefsStrongInFTMode(t *testing.T) {
 	}
 }
 
-func TestSoftRefsClearedWhenCollectable(t *testing.T) {
-	h := New()
-	h.SoftAsStrong = false
-	holder, _ := h.AllocRecord(0, 0, false)
-	obj, _ := h.AllocIntArr(3)
-	h.RegisterSoftRef(holder, obj)
-	h.GC(func(mark func(Ref)) { mark(holder) })
-	if r, ok := h.SoftReferent(holder); !ok || r != NullRef {
-		t.Fatalf("soft ref should be cleared: %v %v", r, ok)
-	}
-}
-
 func TestWeakRefsCleared(t *testing.T) {
 	h := New()
-	h.SoftAsStrong = true // weak refs clear regardless of FT mode
 	holder, _ := h.AllocRecord(0, 0, false)
 	obj, _ := h.AllocIntArr(3)
 	h.RegisterWeakRef(holder, obj)

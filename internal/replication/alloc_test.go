@@ -18,7 +18,7 @@ import (
 func allocPrimary(t *testing.T, mode Mode) *Primary {
 	t.Helper()
 	a, _ := transport.Pipe(16)
-	p, err := NewPrimary(PrimaryConfig{Mode: mode, Endpoint: a, FlushEvery: 1 << 30})
+	p, err := NewPrimary(PrimaryConfig{Mode: mode, Backend: pairOf(PairBackendConfig{Endpoint: a}), FlushEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

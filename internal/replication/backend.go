@@ -54,10 +54,8 @@ type CoordinationBackend interface {
 	Close() error
 }
 
-// PairBackendConfig configures the primary/backup pair coordination path.
-// The fields mirror the transport-facing half of PrimaryConfig (which still
-// accepts them directly; NewPrimary builds a PairBackend from them when no
-// explicit Backend is given).
+// PairBackendConfig configures the primary/backup pair coordination path:
+// everything on the primary's side of the link.
 type PairBackendConfig struct {
 	// Endpoint ships log frames to the backup and receives acks (required).
 	Endpoint transport.Endpoint
@@ -68,8 +66,10 @@ type PairBackendConfig struct {
 	HeartbeatEvery time.Duration
 	// Clock supplies time for ack deadlines and heartbeat pacing (nil = wall).
 	Clock clock.Clock
-	// Epoch is the view number stamped on every frame and required on every
-	// ack (see PrimaryConfig.Epoch).
+	// Epoch is the view number this primary holds office in, stamped on
+	// every frame and required on every ack. A plain pair runs in epoch 0;
+	// the view service hands out higher epochs on promotion so receivers can
+	// reject traffic from deposed primaries (see internal/viewsvc).
 	Epoch uint64
 }
 
@@ -113,9 +113,8 @@ type PairBackend struct {
 
 var _ CoordinationBackend = (*PairBackend)(nil)
 
-// NewPairBackend builds the pair coordination backend. Pass it via
-// PrimaryConfig.Backend, or let NewPrimary construct one implicitly from
-// PrimaryConfig's Endpoint/AckTimeout/HeartbeatEvery/Epoch fields.
+// NewPairBackend builds the pair coordination backend, for
+// PrimaryConfig.Backend.
 func NewPairBackend(cfg PairBackendConfig) (*PairBackend, error) {
 	if cfg.Endpoint == nil {
 		return nil, errors.New("pair backend: nil endpoint")

@@ -13,6 +13,15 @@ import (
 	"repro/internal/wire"
 )
 
+// pairOf is the pair backend cfg describes, for a cfg the test knows is valid.
+func pairOf(cfg PairBackendConfig) *PairBackend {
+	pb, err := NewPairBackend(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return pb
+}
+
 // encodeRecords packs records into one backend payload (what Primary.flush
 // hands to Ship).
 func encodeRecords(t *testing.T, recs ...wire.Record) []byte {

@@ -98,7 +98,7 @@ func captureCleanStream(t *testing.T, prog *bytecode.Program, mode Mode) []wire.
 	// FlushEvery 4 cuts the stream into many frames. AckTimeout turns a
 	// closing sync the backup never answers into a failure here.
 	primary, err := NewPrimary(PrimaryConfig{
-		Mode: mode, Endpoint: tap, Epoch: backupEpoch, FlushEvery: 4, AckTimeout: 5 * time.Second,
+		Mode: mode, Backend: pairOf(PairBackendConfig{Endpoint: tap, Epoch: backupEpoch, AckTimeout: 5 * time.Second}), FlushEvery: 4,
 		Policy: vm.NewSeededPolicy(3, 64, 512),
 	})
 	if err != nil {

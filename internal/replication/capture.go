@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/atomicio"
 	"repro/internal/bytecode"
-	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
@@ -19,7 +18,7 @@ import (
 //
 //	magic "FTLOG", then the format version byte (logVersion)
 //	header varints: ProgHash, EnvSeed, PolicySeed, MinQuantum, MaxQuantum,
-//	                Mode, Dispatch, Epoch, MaxInstructions, GCThreshold
+//	                Mode, 0, Epoch, MaxInstructions, 0
 //	uvarint program length, then the bytecode.EncodeBytes image
 //	zero or more wire frames, one logged record per frame (Seq contiguous
 //	from 1, Epoch = header epoch)
@@ -34,6 +33,11 @@ import (
 // to replay (analysis treats a halted log as needing no recovery). The
 // capture of a clean run therefore replays as a crash at its final record,
 // which is exactly the debugger's model — run the log out, then inspect.
+//
+// The two 0 slots are retired: they held the interpreter stream and the GC
+// trigger, neither of which determines the logged execution (both streams
+// write the same log; every replica collects at the VM's default). They are
+// written as 0 and read past, so older captures still open.
 
 // logMagic identifies an .ftlog file; the byte after it is the format
 // version. Version 2 keeps version 1's layout but its Switch records carry
@@ -66,14 +70,10 @@ type LogHeader struct {
 	MinQuantum, MaxQuantum uint64
 	// Mode is the replication mode the log was recorded under.
 	Mode Mode
-	// Dispatch is the interpreter stream the primary ran.
-	Dispatch vm.Dispatch
 	// Epoch is the view epoch the records were sent in.
 	Epoch uint64
 	// MaxInstructions caps replay execution (0 = none).
 	MaxInstructions uint64
-	// GCThreshold is the heap GC trigger the run used (0 = default).
-	GCThreshold int64
 }
 
 // Log is a decoded .ftlog capture.
@@ -113,10 +113,10 @@ func EncodeLog(hdr LogHeader, prog *bytecode.Program, records []wire.Record) ([]
 	uv(hdr.MinQuantum)
 	uv(hdr.MaxQuantum)
 	uv(uint64(hdr.Mode))
-	uv(uint64(hdr.Dispatch))
+	uv(0) // retired: the interpreter stream
 	uv(hdr.Epoch)
 	uv(hdr.MaxInstructions)
-	sv(hdr.GCThreshold)
+	sv(0) // retired: the GC trigger
 	uv(uint64(len(img)))
 	out = append(out, img...)
 
@@ -166,22 +166,22 @@ func DecodeLog(b []byte) (*Log, error) {
 			*dst, err = c.sv(what)
 		}
 	}
-	var mode, dispatch uint64
+	var mode, retired uint64
+	var retiredS int64
 	read(&hdr.ProgHash, "program hash")
 	readS(&hdr.EnvSeed, "env seed")
 	readS(&hdr.PolicySeed, "policy seed")
 	read(&hdr.MinQuantum, "min quantum")
 	read(&hdr.MaxQuantum, "max quantum")
 	read(&mode, "mode")
-	read(&dispatch, "dispatch")
+	read(&retired, "dispatch")
 	read(&hdr.Epoch, "epoch")
 	read(&hdr.MaxInstructions, "instruction cap")
-	readS(&hdr.GCThreshold, "gc threshold")
+	readS(&retiredS, "gc threshold")
 	if err != nil {
 		return nil, err
 	}
 	hdr.Mode = Mode(mode)
-	hdr.Dispatch = vm.Dispatch(dispatch)
 
 	plen, err := c.uv("program length")
 	if err != nil {

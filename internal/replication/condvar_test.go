@@ -94,7 +94,7 @@ func TestCondvarFailoverSweep(t *testing.T) {
 				pa, pb := transport.Pipe(4096)
 				primary, err := NewPrimary(PrimaryConfig{
 					Mode:       mode,
-					Endpoint:   pa,
+					Backend:    pairOf(PairBackendConfig{Endpoint: pa}),
 					Policy:     vm.NewSeededPolicy(31, 48, 300),
 					FlushEvery: 4,
 				})

@@ -156,10 +156,9 @@ func TestChannelFaultSweep(t *testing.T) {
 					faulty := transport.NewFaulty(pa, transport.FaultPlan{Kind: fc.kind, At: fc.at}, seeds.faulty)
 					primary, err := NewPrimary(PrimaryConfig{
 						Mode:       mode,
-						Endpoint:   faulty,
+						Backend:    pairOf(PairBackendConfig{Endpoint: faulty, AckTimeout: 150 * time.Millisecond}),
 						Policy:     vm.NewSeededPolicy(seeds.policy, 64, 512),
 						FlushEvery: 4, // tiny batches: many frames, mid-protocol faults
-						AckTimeout: 150 * time.Millisecond,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -36,7 +36,7 @@ func FuzzDecodeLog(f *testing.F) {
 	for mode, recs := range perMode {
 		data, err := replication.EncodeLog(replication.LogHeader{
 			EnvSeed: -5, PolicySeed: 77, MinQuantum: 100, MaxQuantum: 900, Mode: mode,
-			Epoch: 2, MaxInstructions: 50_000_000, GCThreshold: 1 << 20,
+			Epoch: 2, MaxInstructions: 50_000_000,
 		}, prog, recs)
 		if err != nil {
 			f.Fatal(err)

@@ -35,7 +35,7 @@ func TestIntervalCompressionRatio(t *testing.T) {
 		prog := mustAssemble(t, testProgram)
 		environ := env.New(99)
 		pa, pb := transport.Pipe(1024)
-		primary, err := NewPrimary(PrimaryConfig{Mode: mode, Endpoint: pa, Policy: vm.NewSeededPolicy(11, 64, 512)})
+		primary, err := NewPrimary(PrimaryConfig{Mode: mode, Backend: pairOf(PairBackendConfig{Endpoint: pa}), Policy: vm.NewSeededPolicy(11, 64, 512)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ end`
 	prog := mustAssemble(t, src)
 	environ := env.New(1)
 	pa, pb := transport.Pipe(64)
-	primary, err := NewPrimary(PrimaryConfig{Mode: ModeLockInterval, Endpoint: pa})
+	primary, err := NewPrimary(PrimaryConfig{Mode: ModeLockInterval, Backend: pairOf(PairBackendConfig{Endpoint: pa})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestKillPointSweep(t *testing.T) {
 				pa, pb := transport.Pipe(4096)
 				primary, err := NewPrimary(PrimaryConfig{
 					Mode:       mode,
-					Endpoint:   pa,
+					Backend:    pairOf(PairBackendConfig{Endpoint: pa}),
 					Policy:     vm.NewSeededPolicy(seeds.policy, 64, 512),
 					FlushEvery: 4, // tiny batches: expose mid-protocol kills
 				})

@@ -54,9 +54,9 @@ func silentBackup(t *testing.T, clk clock.Clock, ep transport.Endpoint, ackUntil
 	return &wg
 }
 
-// runAgainstSilentBackup runs faultProgram on the virtual clock under a primary
-// built from pc (completed with the link, policy and clock) whose backup acks
-// only the first output commit ("start") and then wedges. It returns the
+// runAgainstSilentBackup runs faultProgram on the virtual clock under a pair
+// primary that waits at most ackTimeout for an ack, whose backup acks only the
+// first output commit ("start") and then wedges. It returns the
 // primary, the environment, the run's duration in virtual time and its error.
 //
 // The test body holds the clock (Attach) from before the backup actor starts
@@ -65,7 +65,7 @@ func silentBackup(t *testing.T, clk clock.Clock, ep transport.Endpoint, ackUntil
 // timeout while the bare test goroutine is still building the primary, the
 // backup exits, and the *first* commit then times out (console = [], seen in
 // 21 of 400 runs before the hold, 0 of 400 after).
-func runAgainstSilentBackup(t *testing.T, netSeed int64, pc PrimaryConfig) (*Primary, *env.Env, time.Duration, error) {
+func runAgainstSilentBackup(t *testing.T, netSeed int64, ackTimeout time.Duration) (*Primary, *env.Env, time.Duration, error) {
 	t.Helper()
 	prog := mustAssemble(t, faultProgram)
 	clk := clock.NewVirtual()
@@ -75,9 +75,8 @@ func runAgainstSilentBackup(t *testing.T, netSeed int64, pc PrimaryConfig) (*Pri
 	pEnd, bEnd := simnet.Link(clk, simnet.Config{Seed: netSeed})
 	wg := silentBackup(t, clk, bEnd, 1)
 
-	pc.Mode, pc.Endpoint, pc.FlushEvery, pc.Clock = ModeLock, pEnd, 4, clk
-	pc.Policy = vm.NewSeededPolicy(77, 64, 512)
-	primary, err := NewPrimary(pc)
+	primary, err := NewPrimary(PrimaryConfig{Mode: ModeLock, FlushEvery: 4, Clock: clk, Policy: vm.NewSeededPolicy(77, 64, 512),
+		Backend: pairOf(PairBackendConfig{Endpoint: pEnd, Clock: clk, AckTimeout: ackTimeout})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func runAgainstSilentBackup(t *testing.T, netSeed int64, pc PrimaryConfig) (*Pri
 // plus a little message latency, in simulated time.
 func TestBackupLostDuringOutputCommit(t *testing.T) {
 	const ackTimeout = 200 * time.Millisecond
-	primary, environ, elapsed, runErr := runAgainstSilentBackup(t, 99, PrimaryConfig{AckTimeout: ackTimeout})
+	primary, environ, elapsed, runErr := runAgainstSilentBackup(t, 99, ackTimeout)
 
 	if !errors.Is(runErr, ErrBackupLost) {
 		t.Fatalf("run error = %v, want ErrBackupLost", runErr)
@@ -154,11 +153,10 @@ func TestMetricsRaceUnderHeartbeat(t *testing.T) {
 	environ := env.New(1234)
 	pEnd, bEnd := transport.Pipe(4096)
 	primary, err := NewPrimary(PrimaryConfig{
-		Mode:           ModeLock,
-		Endpoint:       pEnd,
-		Policy:         vm.NewSeededPolicy(77, 64, 512),
-		FlushEvery:     4,
-		HeartbeatEvery: time.Millisecond,
+		Mode:       ModeLock,
+		Backend:    pairOf(PairBackendConfig{Endpoint: pEnd, HeartbeatEvery: time.Millisecond}),
+		Policy:     vm.NewSeededPolicy(77, 64, 512),
+		FlushEvery: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,13 +3,11 @@ package replication
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/heap"
 	"repro/internal/native"
 	"repro/internal/sehandler"
 	"repro/internal/simtest/clock"
-	"repro/internal/transport"
 	"repro/internal/vm"
 	"repro/internal/wire"
 )
@@ -38,15 +36,10 @@ var ErrProtocolDesync = errors.New("replication protocol desync: acknowledgement
 type PrimaryConfig struct {
 	// Mode selects lock-acquisition or thread-scheduling replication.
 	Mode Mode
-	// Backend, when set, supplies the coordination path explicitly (e.g. the
-	// consensus-backed replicated log, internal/consensus); the transport
-	// fields below (Endpoint, HeartbeatEvery, AckTimeout, Epoch) are then
-	// ignored — the backend owns transport, liveness, and epochs. When nil, a
-	// PairBackend is built from those fields (the paper's pair path).
+	// Backend is the coordination path (required): the pair's PairBackend,
+	// which owns the link, the ack timeout, heartbeats and the epoch, or the
+	// consensus-backed replicated log (internal/consensus).
 	Backend CoordinationBackend
-	// Endpoint ships log frames to the backup and receives acks (required
-	// unless Backend is set).
-	Endpoint transport.Endpoint
 	// Handlers are the side-effect handlers (sehandler.DefaultSet if nil).
 	Handlers *sehandler.Set
 	// Policy drives scheduling (seeded random if nil). The backup replays
@@ -57,23 +50,9 @@ type PrimaryConfig struct {
 	// ≈ 40 KB of lock records). Otherwise frames leave at output commits and
 	// at the clean halt, so the backup is woken per commit, not per batch.
 	FlushEvery int
-	// HeartbeatEvery enables a liveness heartbeat to the backup (0 = off;
-	// with the in-process pipe, endpoint closure already signals failure).
-	HeartbeatEvery time.Duration
-	// AckTimeout bounds the wait for an output-commit acknowledgement
-	// (0 = wait forever, the original pessimism). When it expires the backup
-	// is declared lost (ErrBackupLost) instead of blocking the output path
-	// of a healthy primary behind a dead backup.
-	AckTimeout time.Duration
-	// Clock supplies time for ack deadlines, heartbeat pacing, and metrics
-	// buckets (nil = wall clock). The deterministic simulation harness
-	// injects a virtual clock here.
+	// Clock times each ship for the metrics (nil = wall clock). The
+	// deterministic simulation harness injects a virtual clock here.
 	Clock clock.Clock
-	// Epoch is the view number this primary holds office in, stamped on
-	// every frame and required on every ack. A plain pair runs in epoch 0;
-	// the view service hands out higher epochs on promotion so receivers can
-	// reject traffic from deposed primaries (see internal/viewsvc).
-	Epoch uint64
 }
 
 // Primary is the vm.Coordinator that turns a VM into the primary replica.
@@ -125,6 +104,9 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	if cfg.Mode != ModeLock && cfg.Mode != ModeSched && cfg.Mode != ModeLockInterval {
 		return nil, fmt.Errorf("primary: bad mode %d", cfg.Mode)
 	}
+	if cfg.Backend == nil {
+		return nil, errors.New("primary: nil coordination backend")
+	}
 	h := cfg.Handlers
 	if h == nil {
 		h = sehandler.DefaultSet()
@@ -139,31 +121,17 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	}
 	p := &Primary{
 		mode:       cfg.Mode,
+		be:         cfg.Backend,
 		handlers:   h,
 		policy:     pol,
 		flushEvery: fe,
 		clk:        clock.Or(cfg.Clock),
 	}
-	be := cfg.Backend
-	if be == nil {
-		pb, err := NewPairBackend(PairBackendConfig{
-			Endpoint:       cfg.Endpoint,
-			AckTimeout:     cfg.AckTimeout,
-			HeartbeatEvery: cfg.HeartbeatEvery,
-			Clock:          cfg.Clock,
-			Epoch:          cfg.Epoch,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("primary: %w", err)
-		}
-		be = pb
-	}
-	if pb, ok := be.(*PairBackend); ok {
+	if pb, ok := cfg.Backend.(*PairBackend); ok {
 		// The pair backend reports its liveness counters into the owning
 		// primary's and starts heartbeating only once adopted.
 		pb.adopt(&p.metrics)
 	}
-	p.be = be
 	return p, nil
 }
 

@@ -31,9 +31,9 @@ type Promotion struct {
 }
 
 // PreparePromotion stages a takeover: b (whose serve loop has ended with a
-// failed primary) will recover with tailCfg's endpoint as its new backup.
-// The tail must run the same mode and a strictly newer epoch than the view b
-// served in — handing out those epochs is the view service's job
+// failed primary) will recover with tailCfg's backend as its new backup.
+// The tail must run the same mode, and its backend a strictly newer epoch
+// than the view b served in — handing out those epochs is the view service's job
 // (internal/viewsvc); enforcing monotonicity here is what keeps a deposed
 // primary's traffic rejectable everywhere.
 func PreparePromotion(b *Backup, rcfg RecoverConfig, tailCfg PrimaryConfig) (*Promotion, error) {
@@ -43,17 +43,11 @@ func PreparePromotion(b *Backup, rcfg RecoverConfig, tailCfg PrimaryConfig) (*Pr
 	if tailCfg.Mode != b.cfg.Mode {
 		return nil, fmt.Errorf("promotion: tail mode %d != backup mode %d", tailCfg.Mode, b.cfg.Mode)
 	}
-	epoch := tailCfg.Epoch
-	if tailCfg.Backend != nil {
-		// An explicit coordination backend owns its epochs; the config field
-		// is ignored by NewPrimary, so validate what will actually be stamped.
-		epoch = tailCfg.Backend.Epoch()
-	}
-	if epoch <= b.cfg.Epoch {
+	if be := tailCfg.Backend; be != nil && be.Epoch() <= b.cfg.Epoch {
 		return nil, fmt.Errorf("promotion: tail epoch %d must exceed the old view's epoch %d",
-			epoch, b.cfg.Epoch)
+			be.Epoch(), b.cfg.Epoch)
 	}
-	tail, err := NewPrimary(tailCfg)
+	tail, err := NewPrimary(tailCfg) // refuses a nil backend
 	if err != nil {
 		return nil, fmt.Errorf("promotion: %w", err)
 	}

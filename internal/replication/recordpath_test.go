@@ -174,7 +174,7 @@ end
 func TestPrimaryClockReadsAreSampled(t *testing.T) {
 	clk := &countingClock{Clock: clock.Real}
 	pa, pb := transport.Pipe(1024)
-	primary, err := NewPrimary(PrimaryConfig{Mode: ModeLock, Endpoint: pa, Clock: clk})
+	primary, err := NewPrimary(PrimaryConfig{Mode: ModeLock, Backend: pairOf(PairBackendConfig{Endpoint: pa, Clock: clk}), Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +238,9 @@ func pairRun(tb testing.TB, name string, flushEvery int, decorate bool) (*Primar
 	}
 	pa, pb := transport.Pipe(64)
 	tap := &tapEndpoint{Endpoint: pa}
-	pc := PrimaryConfig{Mode: ModeLock, Endpoint: tap, FlushEvery: flushEvery}
+	pc := PrimaryConfig{Mode: ModeLock, Backend: pairOf(PairBackendConfig{Endpoint: tap}), FlushEvery: flushEvery}
 	if decorate {
-		pair, err := NewPairBackend(PairBackendConfig{Endpoint: tap})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		pc.Backend = struct{ CoordinationBackend }{pair}
+		pc.Backend = struct{ CoordinationBackend }{pc.Backend}
 	}
 	primary, err := NewPrimary(pc)
 	if err != nil {

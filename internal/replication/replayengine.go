@@ -20,8 +20,7 @@ type RecoverConfig struct {
 	// Policy drives the backup's own scheduling during and after recovery
 	// (deliberately independent of the primary's; defaults per mode).
 	Policy vm.SchedPolicy
-	// GCThreshold / MaxInstructions are passed to the VM.
-	GCThreshold     int
+	// MaxInstructions is passed to the VM.
 	MaxInstructions uint64
 	// Dispatch selects the recovery VM's interpreter stream. Replay does not
 	// care which (both produce bit-identical logs), so any log can be
@@ -122,7 +121,6 @@ func (e *ReplayEngine) NewVM(cfg RecoverConfig, coord vm.Coordinator) (*vm.VM, e
 		Env:             cfg.Env,
 		Natives:         e.natives,
 		Coordinator:     coord,
-		GCThreshold:     cfg.GCThreshold,
 		MaxInstructions: cfg.MaxInstructions,
 		// A scheduling replay keeps the control-path checksum the primary
 		// kept: it must verify the recorded switch points and, past the log's

@@ -156,7 +156,7 @@ func runPairOnce(t *testing.T, mode Mode, src string, kill bool) (*env.Env, []st
 	}
 	primary, err := NewPrimary(PrimaryConfig{
 		Mode:       mode,
-		Endpoint:   primaryEnd,
+		Backend:    pairOf(PairBackendConfig{Endpoint: primaryEnd}),
 		Policy:     vm.NewSeededPolicy(11, 64, 512),
 		FlushEvery: 16, // small batches so the kill lands mid-run
 	})
@@ -246,7 +246,7 @@ func TestCleanCompletionNoRecovery(t *testing.T) {
 		prog := mustAssemble(t, testProgram)
 		environ := env.New(99)
 		pa, pb := transport.Pipe(1) // tiny buffer: forces real interleaving so kills land
-		primary, err := NewPrimary(PrimaryConfig{Mode: mode, Endpoint: pa, Policy: vm.NewSeededPolicy(5, 64, 512)})
+		primary, err := NewPrimary(PrimaryConfig{Mode: mode, Backend: pairOf(PairBackendConfig{Endpoint: pa}), Policy: vm.NewSeededPolicy(5, 64, 512)})
 		if err != nil {
 			t.Fatalf("new primary: %v", err)
 		}

@@ -143,8 +143,7 @@ func TestSnapshotRecordsTable(t *testing.T) {
 
 // TestPreparePromotionBackendEpoch pins the promotion hook at the backend
 // boundary: the epoch that gates a takeover is the one the tail will
-// actually stamp — the config field for an implicit pair backend, the
-// backend's own epoch when one is supplied explicitly.
+// actually stamp, its backend's.
 func TestPreparePromotionBackendEpoch(t *testing.T) {
 	mkBackup := func(epoch uint64) *Backup {
 		_, bEnd := transport.Pipe(4)
@@ -162,16 +161,17 @@ func TestPreparePromotionBackendEpoch(t *testing.T) {
 		}
 		return pb
 	}
-	endpointCfg := func(epoch uint64) PrimaryConfig {
-		pEnd, _ := transport.Pipe(4)
-		return PrimaryConfig{Mode: ModeLock, Endpoint: pEnd, Epoch: epoch}
+	backendCfg := func(epoch uint64) PrimaryConfig {
+		return PrimaryConfig{Mode: ModeLock, Backend: mkPairBackend(epoch)}
 	}
 
 	t.Run("config epoch must exceed view", func(t *testing.T) {
-		if _, err := PreparePromotion(mkBackup(3), RecoverConfig{}, endpointCfg(3)); err == nil {
-			t.Fatal("equal epoch accepted")
+		for _, stale := range []uint64{2, 3} {
+			if _, err := PreparePromotion(mkBackup(3), RecoverConfig{}, backendCfg(stale)); err == nil {
+				t.Fatalf("backend epoch %d accepted over view 3", stale)
+			}
 		}
-		p, err := PreparePromotion(mkBackup(3), RecoverConfig{}, endpointCfg(4))
+		p, err := PreparePromotion(mkBackup(3), RecoverConfig{}, backendCfg(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,25 +180,16 @@ func TestPreparePromotionBackendEpoch(t *testing.T) {
 		}
 	})
 	t.Run("explicit backend epoch wins", func(t *testing.T) {
-		// Backend at epoch 9 with a zero config epoch: allowed, because the
-		// backend owns what gets stamped.
-		cfg := PrimaryConfig{Mode: ModeLock, Backend: mkPairBackend(9)}
-		p, err := PreparePromotion(mkBackup(3), RecoverConfig{}, cfg)
-		if err != nil {
-			t.Fatal(err)
+		p, err := PreparePromotion(mkBackup(3), RecoverConfig{}, backendCfg(9))
+		if err != nil || p.Tail().Epoch() != 9 {
+			t.Fatalf("backend at epoch 9: %v", err)
 		}
-		if got := p.Tail().Epoch(); got != 9 {
-			t.Fatalf("tail epoch = %d, want 9", got)
-		}
-		// Backend at a stale epoch with a high config epoch: rejected — the
-		// config field would never reach the wire.
-		cfg = PrimaryConfig{Mode: ModeLock, Backend: mkPairBackend(2), Epoch: 99}
-		if _, err := PreparePromotion(mkBackup(3), RecoverConfig{}, cfg); err == nil {
-			t.Fatal("stale backend epoch accepted because of the ignored config field")
+		if _, err := PreparePromotion(mkBackup(3), RecoverConfig{}, PrimaryConfig{Mode: ModeLock}); err == nil {
+			t.Fatal("a tail with no backend accepted")
 		}
 	})
 	t.Run("mode mismatch", func(t *testing.T) {
-		cfg := endpointCfg(5)
+		cfg := backendCfg(5)
 		cfg.Mode = ModeSched
 		if _, err := PreparePromotion(mkBackup(1), RecoverConfig{}, cfg); err == nil {
 			t.Fatal("mode mismatch accepted")
@@ -206,10 +197,11 @@ func TestPreparePromotionBackendEpoch(t *testing.T) {
 	})
 }
 
-// TestPrimaryRequiresEndpointOrBackend pins NewPrimary's construction rule.
+// TestPrimaryRequiresEndpointOrBackend pins NewPrimary's construction rule:
+// the backend is required, since the link and its settings live there.
 func TestPrimaryRequiresEndpointOrBackend(t *testing.T) {
 	if _, err := NewPrimary(PrimaryConfig{Mode: ModeLock}); err == nil {
-		t.Fatal("NewPrimary accepted neither endpoint nor backend")
+		t.Fatal("NewPrimary accepted no backend")
 	}
 	pEnd, _ := transport.Pipe(4)
 	pb, err := NewPairBackend(PairBackendConfig{Endpoint: pEnd})

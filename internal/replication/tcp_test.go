@@ -42,7 +42,7 @@ func TestReplicationOverTCP(t *testing.T) {
 	var pvm *vm.VM
 	primary, err := NewPrimary(PrimaryConfig{
 		Mode:       ModeLock,
-		Endpoint:   &fuseEndpoint{Endpoint: primaryEnd, n: 3, fire: func() { pvm.Kill() }},
+		Backend:    pairOf(PairBackendConfig{Endpoint: &fuseEndpoint{Endpoint: primaryEnd, n: 3, fire: func() { pvm.Kill() }}}),
 		Policy:     vm.NewSeededPolicy(11, 64, 512),
 		FlushEvery: 16,
 	})
@@ -118,9 +118,8 @@ func TestHeartbeatTimeoutDetection(t *testing.T) {
 func TestHeartbeatsKeepBackupAlive(t *testing.T) {
 	pEnd, bEnd := transport.Pipe(64)
 	primary, err := NewPrimary(PrimaryConfig{
-		Mode:           ModeLock,
-		Endpoint:       pEnd,
-		HeartbeatEvery: 10 * time.Millisecond,
+		Mode:    ModeLock,
+		Backend: pairOf(PairBackendConfig{Endpoint: pEnd, HeartbeatEvery: 10 * time.Millisecond}),
 	})
 	if err != nil {
 		t.Fatal(err)

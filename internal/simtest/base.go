@@ -91,10 +91,10 @@ func (p *ProgCombo) config(prog *ftvm.Program, clk *clock.Virtual) (cluster.Conf
 			Mode:       p.Mode,
 			Policy:     vm.NewSeededPolicy(polRef, minQuantum, maxQuantum),
 			FlushEvery: flushEvery,
-			AckTimeout: ackTimeout,
 			Clock:      clk,
 		},
 		Recover:        p.recoverConfig(prog, env.New(envSeed), 0),
+		AckTimeout:     ackTimeout,
 		FailureTimeout: failureTimeout,
 		// Every kind's links misbehave on purpose.
 		FailStopOnLoss: true,

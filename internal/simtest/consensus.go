@@ -141,7 +141,7 @@ func RunConsensusCluster(cb ConsensusCombo, prog *ftvm.Program) (*cluster.Result
 			return nil, err
 		}
 		cfg.Topology, cfg.ConsensusSeed = cluster.Consensus, cb.ESeed
-		cfg.Primary.AckTimeout = consensusAckTimeout
+		cfg.AckTimeout = consensusAckTimeout
 		// Full mesh over simnet: raw[i][j] is replica i's endpoint toward j,
 		// kept so the schedule's hooks can be installed once roles are known.
 		// Each link forks its own lane seeds from the net seed.

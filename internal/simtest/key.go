@@ -80,8 +80,6 @@ func renderValue(p any) string {
 		return v.String()
 	case *ftvm.Mode:
 		return v.String()
-	case *ftvm.Dispatch:
-		return v.String()
 	case *transport.FaultKind:
 		return v.String()
 	}
@@ -126,8 +124,6 @@ func parseValue(p any, s string) (err error) {
 		*v, err = fuzzgen.SizeByName(s)
 	case *ftvm.Mode:
 		*v, err = modeByName(s)
-	case *ftvm.Dispatch:
-		*v, err = ftvm.ParseDispatch(s)
 	case *transport.FaultKind:
 		*v, err = faultKindByName(s)
 	default:

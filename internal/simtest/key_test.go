@@ -18,7 +18,7 @@ var fullCombos = []Scenario{
 	&Combo{
 		ProgCombo: ProgCombo{ProgSeed: 7, Size: fuzzgen.SizeMedium, Mode: ftvm.ModeSched,
 			FaultKind: transport.FaultDropSend, FaultAt: 2, NetSeed: -4, ReorderNum: 1, ReorderDen: 8},
-		KillAtSend: 12, KillDeliver: true, Dispatch: ftvm.DispatchSwitch,
+		KillAtSend: 12, KillDeliver: true,
 	},
 	&ViewCombo{
 		ProgCombo: ProgCombo{ProgSeed: 42, Size: fuzzgen.SizeSmall, Mode: ftvm.ModeSched,
@@ -79,17 +79,6 @@ func TestKeyRoundTrip(t *testing.T) {
 			}
 		})
 	}
-
-	// The dispatch field renders only when non-default, so every key written
-	// before it existed renders unchanged.
-	pair := *fullCombos[0].(*Combo)
-	if !strings.HasSuffix(Key(&pair), ",dispatch=switch") {
-		t.Fatalf("switch-engine combo key %q does not end in the dispatch field", Key(&pair))
-	}
-	pair.Dispatch = ftvm.DispatchThreaded
-	if strings.Contains(Key(&pair), "dispatch") {
-		t.Fatalf("default-engine combo key %q carries a dispatch field", Key(&pair))
-	}
 }
 
 // TestParseKeyRejects is the one table of keys that must not parse, each with
@@ -116,7 +105,7 @@ func TestParseKeyRejects(t *testing.T) {
 		{"unknown mode", "mode=warp", `pair combo field "mode=warp": unknown mode`},
 		{"unknown size", "prog=1,size=huge", `"size=huge"`},
 		{"unknown fault kind", "fault=gremlin@2", `"fault=gremlin@2": unknown fault kind`},
-		{"unknown dispatch", "prog=1,dispatch=jit", `"dispatch=jit"`},
+		{"unknown dispatch", "prog=1,dispatch=switch", `"dispatch" is not a pair-combo field`},
 		{"not an int", "clients=x", `fleet combo field "clients=x"`},
 		{"fault missing @", "prog=1,fault=none", `"fault=none" is not two values joined by "@"`},
 		{"reorder missing /", "prog=1,reorder=8", `"reorder=8" is not two values joined by "/"`},

@@ -20,10 +20,6 @@ type Combo struct {
 	// KillAtSend / KillDeliver crash the primary (see killAtSend).
 	KillAtSend  int
 	KillDeliver bool
-	// Dispatch selects the interpreter stream for the primary and any
-	// recovery VM (default threaded). The epoch-edge regression entries pin
-	// both streams against the same fault schedules.
-	Dispatch ftvm.Dispatch
 	// Capture, when non-empty, writes the backup's replication log to this
 	// path as a durable .ftlog file (see replication.EncodeLog) after the
 	// schedule plays out, seeded with the recovery-policy parameters so
@@ -38,7 +34,7 @@ func (cb *Combo) Kind() Kind { return KindPair }
 
 func (cb *Combo) fields() []field {
 	fs := append(cb.progFields(), one("kill", &cb.KillAtSend), one("deliver", &cb.KillDeliver), cb.faultField())
-	return append(append(fs, cb.netFields()...), optional(one("dispatch", &cb.Dispatch)))
+	return append(fs, cb.netFields()...)
 }
 
 // pairCombos: for every base, one clean run, one crash per kill position
@@ -87,7 +83,7 @@ func RunCluster(cb Combo, prog *ftvm.Program) (*cluster.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.Recover.Dispatch, cfg.Capture = cb.Dispatch, cb.Capture
+		cfg.Capture = cb.Capture
 		var pRaw *simnet.Endpoint
 		cfg.Link = cb.pairLink(clk, true, &pRaw)
 		cfg.Kill = func(f *cluster.Faults) { killAtSend(pRaw, cb.KillAtSend, cb.KillDeliver, f.Process) }

@@ -78,11 +78,13 @@ var replaySeeds = []struct{ class, key string }{
 		"prog=5,size=small,mode=sched,kill=6,deliver=0,fault=none@0,net=1,reorder=1/8",
 	},
 	{
-		// PR 9: the same schedule stepped throughout — the pair pins the
-		// two streams against one fault schedule, so an epoch-counter
-		// drift shows up as exactly one of these two lines failing.
+		// The same schedule stepped throughout. A key no longer
+		// names the interpreter stream (it does not change the log), so
+		// this row and the block-edge one below replay the default stream;
+		// the identity gates (TestThreeWay*, TestDispatchDualMode*) pin
+		// the stepped stream to the fused one.
 		"sched replay cut between epoch flushes (switch)",
-		"prog=5,size=small,mode=sched,kill=6,deliver=0,fault=none@0,net=1,reorder=1/8,dispatch=switch",
+		"prog=5,size=small,mode=sched,kill=6,deliver=0,fault=none@0,net=1,reorder=1/8",
 	},
 	{
 		// PR 9: kill delivered on a block edge — the final frame ships and
@@ -94,7 +96,7 @@ var replaySeeds = []struct{ class, key string }{
 	},
 	{
 		"sched kill lands on a block edge (switch)",
-		"prog=6,size=small,mode=sched,kill=4,deliver=1,fault=none@0,net=2,reorder=1/8,dispatch=switch",
+		"prog=6,size=small,mode=sched,kill=4,deliver=1,fault=none@0,net=2,reorder=1/8",
 	},
 }
 

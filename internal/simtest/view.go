@@ -196,7 +196,7 @@ func runViewCluster(clk *clock.Virtual, prog *ftvm.Program, cb *ViewCombo) (*Vie
 	// at n2's log. ----
 	var p1Raw *simnet.Endpoint
 	cfg.Link = cb.pairLink(clk, false, &p1Raw)
-	cfg.Primary.Epoch, cfg.SkipRecovery = view1.Num, true
+	cfg.Epoch, cfg.SkipRecovery = view1.Num, true
 	cfg.Kill = func(f *cluster.Faults) { killAtSend(p1Raw, cb.Kill1AtSend, cb.Kill1Deliver, f.Process) }
 	r1, err := cluster.Run(cfg)
 	if r1 == nil {
@@ -255,7 +255,11 @@ func runViewCluster(clk *clock.Virtual, prog *ftvm.Program, cb *ViewCombo) (*Vie
 	// The tail primary tees what the promoted VM does past the log; it
 	// schedules no VM of its own, so it takes no policy.
 	tail := cfg.Primary
-	tail.Endpoint, tail.Epoch, tail.Policy = cb.faulty(p2Raw, clk), view2.Num, nil
+	tail.Policy = nil
+	if tail.Backend, err = replication.NewPairBackend(replication.PairBackendConfig{Endpoint: cb.faulty(p2Raw, clk),
+		AckTimeout: cfg.AckTimeout, Clock: clk, Epoch: view2.Num}); err != nil {
+		return res, err
+	}
 	prom, err := replication.PreparePromotion(r1.Cold, rc, tail)
 	if err != nil {
 		return res, fmt.Errorf("prepare promotion: %w", err)

@@ -32,19 +32,6 @@ func (d Dispatch) String() string {
 	}
 }
 
-// ParseDispatch parses the spelling of a Dispatch that the CLIs' -dispatch
-// flag and the simulator's dispatch= replay-key field use ("" = threaded).
-func ParseDispatch(s string) (Dispatch, error) {
-	switch s {
-	case "threaded", "":
-		return DispatchThreaded, nil
-	case "switch":
-		return DispatchSwitch, nil
-	default:
-		return 0, fmt.Errorf("unknown dispatch %q (want switch|threaded)", s)
-	}
-}
-
 // Dispatch returns the stream selection this VM executes with.
 func (vm *VM) Dispatch() Dispatch { return vm.dispatch }
 

@@ -11,10 +11,9 @@ import (
 // Inspection: a deterministic, human-readable rendering of the machine
 // state — threads with their frame stacks, monitors with their owners and
 // queues, statics, heap occupancy, and the console written so far. The
-// debugger prints it at any replay position; the dual-engine equivalence
-// gate compares it (and its checksum) between interpreter engines, so the
-// rendering must be a pure function of VM state with a fixed iteration
-// order everywhere.
+// debugger prints it at any replay position and bisects divergences on its
+// checksum, so the rendering must be a pure function of VM state with a
+// fixed iteration order everywhere.
 
 // InspectReport is the rendered state plus its checksum.
 type InspectReport struct {

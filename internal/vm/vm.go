@@ -46,10 +46,6 @@ type Config struct {
 	GCThreshold int
 	// MaxInstructions aborts runaway programs (0 = unlimited).
 	MaxInstructions uint64
-	// SoftRefsCollectable lets GC clear soft references under memory
-	// pressure. The fault-tolerant default is false: soft references are
-	// treated as strong so replicas cannot diverge on cache hits (§4.3).
-	SoftRefsCollectable bool
 	// TrackProgress makes the interpreter maintain each thread's
 	// control-path checksum (Thread.Progress.Chk, folded once per counted
 	// branch) — the bookkeeping replicated thread scheduling requires. The
@@ -194,7 +190,6 @@ func New(cfg Config) (*VM, error) {
 	v.trackProgress = cfg.TrackProgress
 	v.dispatch = cfg.Dispatch
 	v.pairs = cfg.PairCounter
-	v.hp.SoftAsStrong = !cfg.SoftRefsCollectable
 	v.statics = make([]heap.Value, len(prog.Statics))
 	for i := range v.statics {
 		v.statics[i] = heap.Null()
