@@ -190,6 +190,8 @@ func (r *Replica) Propose(payload []byte, ackWanted bool) (index, term uint64, e
 // (the entry may or may not survive — the proposer must assume not),
 // ErrCommitTimeout if timeout > 0 elapses, ErrStopped on kill.
 func (r *Replica) WaitCommit(index, term uint64, timeout time.Duration) error {
+	// A fresh slot per wait, not a reused one: commits signal every waiter
+	// without unregistering it, so a slot can leave here with one latched.
 	slot := r.clk.NewWaitSlot()
 	r.mu.Lock()
 	r.commitWaiters = append(r.commitWaiters, slot)

@@ -181,7 +181,7 @@ func (pb *PairBackend) Close() error {
 func (pb *PairBackend) heartbeatLoop() {
 	defer close(pb.hbDone)
 	var buf wire.Buffer
-	seq := uint64(0)
+	var hb wire.Heartbeat // kept: one beat's encoding allocates nothing
 	for {
 		timedOut := pb.hbSlot.Park(pb.hbEvery)
 		if pb.hbStopped.Load() {
@@ -193,9 +193,9 @@ func (pb *PairBackend) heartbeatLoop() {
 		if pb.backupLost.Load() {
 			return
 		}
-		seq++
+		hb.Seq++
 		buf.Reset()
-		if err := buf.Append(&wire.Heartbeat{Seq: seq}); err != nil {
+		if err := buf.Append(&hb); err != nil {
 			return
 		}
 		if _, err := pb.sendFrame(buf.Bytes(), false); err != nil {

@@ -241,9 +241,10 @@ func (r *receiver) logFrame(payload []byte) (halted bool, err error) {
 		}
 		return r.ingest(records, false)
 	}
-	// The cold path is ingest over encoded records: only NativeResults are
-	// built (routeReceive needs them), once the walk has reached the end. The
-	// payload is this receiver's own, so heartbeats are cut out in place.
+	// The cold path is ingest over encoded records, and builds none: a
+	// NativeResult is routed from its bytes, once the walk has reached the
+	// end. The payload is this receiver's own, so heartbeats are cut out in
+	// place.
 	kept, n, beats := 0, 0, uint64(0)
 	r.natives = r.natives[:0]
 	for d := wire.NewDecoder(payload); d.More(); {
@@ -269,8 +270,8 @@ func (r *receiver) logFrame(payload []byte) (halted bool, err error) {
 	}
 	r.stats.Heartbeats += beats
 	for _, at := range r.natives {
-		built, _ := wire.NewDecoder(payload[at:kept]).Next()
-		if err := r.routeReceive(built.(*wire.NativeResult)); err != nil {
+		sig, data, _ := wire.NewDecoder(payload[at:kept]).NativeSpans()
+		if err := r.routeReceive(sig, data); err != nil {
 			return halted, err
 		}
 	}
@@ -299,7 +300,7 @@ func (r *receiver) ingest(records []wire.Record, dropHalt bool) (halted bool, er
 				continue
 			}
 		case *wire.NativeResult:
-			if err := r.routeReceive(rec); err != nil {
+			if err := r.routeReceive([]byte(rec.Sig), rec.HandlerData); err != nil {
 				return halted, err
 			}
 		}
@@ -309,22 +310,24 @@ func (r *receiver) ingest(records []wire.Record, dropHalt bool) (halted bool, er
 	return halted, r.sink(keep)
 }
 
-// routeReceive delivers handler state to the managing side-effect handler as
-// it arrives (the paper's receive method, which may compress it).
-func (r *receiver) routeReceive(rec *wire.NativeResult) error {
-	if len(rec.HandlerData) == 0 {
+// routeReceive delivers a NativeResult's handler state to the managing
+// side-effect handler as it arrives (the paper's receive method, which may
+// compress it). sig and data may alias a stored payload: nothing keeps sig,
+// and a handler copies what it keeps of data.
+func (r *receiver) routeReceive(sig, data []byte) error {
+	if len(data) == 0 {
 		return nil
 	}
-	def, ok := r.cfg.Natives.Lookup(rec.Sig)
+	def, ok := r.cfg.Natives.Lookup(string(sig))
 	if !ok {
-		return fmt.Errorf("log references unknown native %q", rec.Sig)
+		return fmt.Errorf("log references unknown native %q", string(sig))
 	}
 	h := r.cfg.Handlers.ForDef(def)
 	if h == nil {
-		return fmt.Errorf("native %q logged handler data but has no handler", rec.Sig)
+		return fmt.Errorf("native %q logged handler data but has no handler", string(sig))
 	}
 	r.stats.ReceiveRoutings++
-	return h.Receive(rec.HandlerData)
+	return h.Receive(data)
 }
 
 // Backup is the cold backup: during normal operation it logs records (and
@@ -399,9 +402,10 @@ func (b *Backup) Recover(cfg RecoverConfig) (*vm.VM, *RecoveryReport, error) {
 	return v, report, nil
 }
 
-// replayEngine indexes the closed log and builds the replay set-up over it.
+// replayEngine indexes the closed log, read in place, and builds the replay
+// set-up over it.
 func (b *Backup) replayEngine(cfg RecoverConfig) (*ReplayEngine, error) {
-	a, err := analyze(b.store.Records())
+	a, err := analyze(b.store.each)
 	if err != nil {
 		return nil, fmt.Errorf("analyze log: %w", err)
 	}

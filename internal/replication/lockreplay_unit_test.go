@@ -13,9 +13,21 @@ import (
 // (the end-to-end behaviour is covered by the failover tests; these pin the
 // individual predicates, including the id-map cases the paper spells out).
 
+// walkOf is analyze's walk over a test's records.
+func walkOf(records []wire.Record) func(func(wire.Record) error) error {
+	return func(fn func(wire.Record) error) error {
+		for _, r := range records {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 func lockReplayFor(t *testing.T, records []wire.Record) *lockReplay {
 	t.Helper()
-	a, err := analyze(records)
+	a, err := analyze(walkOf(records))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +251,10 @@ func TestOrphanedTrailingIDMapDoesNotDeadlock(t *testing.T) {
 }
 
 func TestAnalyzeRejectsDuplicateIDMaps(t *testing.T) {
-	_, err := analyze([]wire.Record{
+	_, err := analyze(walkOf([]wire.Record{
 		&wire.IDMap{LID: 1, TID: "0", TASN: 0},
 		&wire.IDMap{LID: 2, TID: "0", TASN: 0},
-	})
+	}))
 	if err == nil {
 		t.Fatal("duplicate id map accepted")
 	}
@@ -250,10 +262,10 @@ func TestAnalyzeRejectsDuplicateIDMaps(t *testing.T) {
 
 func TestAnalyzeUncertainDetection(t *testing.T) {
 	intent := &wire.OutputIntent{TID: "0", NatSeq: 1, Sig: "io.print"}
-	a, err := analyze([]wire.Record{
+	a, err := analyze(walkOf([]wire.Record{
 		&wire.LockAcq{TID: "0", TASN: 0, LID: 1, LASN: 0},
 		intent,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +273,10 @@ func TestAnalyzeUncertainDetection(t *testing.T) {
 		t.Fatal("final intent should be uncertain")
 	}
 	// A trailing result record makes the output certain.
-	a, err = analyze([]wire.Record{
+	a, err = analyze(walkOf([]wire.Record{
 		intent,
 		&wire.NativeResult{TID: "0", NatSeq: 1, Sig: "io.print"},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +286,10 @@ func TestAnalyzeUncertainDetection(t *testing.T) {
 }
 
 func TestIntervalReplayTurnPredicate(t *testing.T) {
-	a, err := analyze([]wire.Record{
+	a, err := analyze(walkOf([]wire.Record{
 		&wire.LockInterval{TID: "0", StartTASN: 0, Count: 2},
 		&wire.LockInterval{TID: "0.1", StartTASN: 0, Count: 1},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

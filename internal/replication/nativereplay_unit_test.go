@@ -52,7 +52,7 @@ func TestUncertainChannelSendPerformed(t *testing.T) {
 	environ := env.New(1)
 	environ.Messages().Send("0", 1, "already delivered")
 	intent := &wire.OutputIntent{TID: "0", NatSeq: 1, Sig: "chan.send", OutSeq: 1}
-	a, err := analyze([]wire.Record{intent})
+	a, err := analyze(walkOf([]wire.Record{intent}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestUncertainChannelSendPerformed(t *testing.T) {
 func TestUncertainChannelSendNotPerformed(t *testing.T) {
 	environ := env.New(1)
 	intent := &wire.OutputIntent{TID: "0", NatSeq: 1, Sig: "chan.send", OutSeq: 1}
-	a, err := analyze([]wire.Record{intent})
+	a, err := analyze(walkOf([]wire.Record{intent}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestUncertainFileWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		intent := &wire.OutputIntent{TID: "0", NatSeq: 1, Sig: "fs.write"}
-		a, err := analyze([]wire.Record{intent})
+		a, err := analyze(walkOf([]wire.Record{intent}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestCertainPrintReinvokeDedups(t *testing.T) {
 	environ.Console().Write("0", 1, "once")
 	intent := &wire.OutputIntent{TID: "0", NatSeq: 1, Sig: "io.print", OutSeq: 1}
 	tail := &wire.NativeResult{TID: "0", NatSeq: 2, Sig: "sys.clock", Results: []wire.WireValue{{Kind: wire.WireInt, I: 5}}}
-	a, err := analyze([]wire.Record{intent, tail})
+	a, err := analyze(walkOf([]wire.Record{intent, tail}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func th2(t *vm.Thread) *vm.Thread { t.NatSeq = 2; return t }
 func TestInvokeSigMismatchIsDivergence(t *testing.T) {
 	environ := env.New(1)
 	rec := &wire.NativeResult{TID: "0", NatSeq: 1, Sig: "sys.rand"}
-	a, err := analyze([]wire.Record{rec})
+	a, err := analyze(walkOf([]wire.Record{rec}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +228,12 @@ func TestInvokeSigMismatchIsDivergence(t *testing.T) {
 func TestToWireRejectsNonStringRefs(t *testing.T) {
 	h := heap.New()
 	arr, _ := h.AllocIntArr(2)
-	if _, err := toWire(h, []heap.Value{heap.RefVal(arr)}); !errors.Is(err, ErrBadResult) {
+	if _, err := appendWire(nil, h, []heap.Value{heap.RefVal(arr)}); !errors.Is(err, ErrBadResult) {
 		t.Fatalf("err = %v, want bad result", err)
 	}
 	// Null, ints, floats and strings all cross fine.
 	s, _ := h.AllocString("x")
-	wv, err := toWire(h, []heap.Value{heap.Null(), heap.IntVal(1), heap.FloatVal(2), heap.RefVal(s)})
+	wv, err := appendWire(nil, h, []heap.Value{heap.Null(), heap.IntVal(1), heap.FloatVal(2), heap.RefVal(s)})
 	if err != nil || len(wv) != 4 {
 		t.Fatalf("wv = %v (%v)", wv, err)
 	}

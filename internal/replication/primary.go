@@ -70,14 +70,17 @@ type Primary struct {
 
 	buf wire.Buffer
 
-	// Scratch records for the per-event log appends. Coordinator callbacks
-	// run on the VM goroutine one at a time and Buffer.Append fully encodes
-	// the record before returning, so reusing one struct per type makes the
-	// steady-state record path allocation-free.
+	// Scratch records for the per-event log appends, native results and
+	// output intents included. Coordinator callbacks run on the VM goroutine
+	// one at a time and Buffer.Append fully encodes the record before
+	// returning, so reusing one struct per type (and recNative's Results
+	// slice) makes the steady-state record path allocation-free.
 	recSwitch   wire.Switch
 	recLock     wire.LockAcq
 	recIDMap    wire.IDMap
 	recInterval wire.LockInterval
+	recNative   wire.NativeResult
+	recIntent   wire.OutputIntent
 
 	lidCounter int64
 	metrics    primaryMetrics
@@ -359,8 +362,8 @@ func (p *Primary) CommitOutput(t *vm.Thread, def *native.Def) error {
 	if def.UsesOutputSeq {
 		seq++
 	}
-	intent := &wire.OutputIntent{TID: t.VTID, NatSeq: t.NatSeq, Sig: def.Sig, OutSeq: seq}
-	if err := p.append(intent, false); err != nil {
+	p.recIntent = wire.OutputIntent{TID: t.VTID, NatSeq: t.NatSeq, Sig: def.Sig, OutSeq: seq}
+	if err := p.append(&p.recIntent, false); err != nil {
 		return err
 	}
 	// "On performing an output, the primary waits until the backup
@@ -373,11 +376,12 @@ func (p *Primary) CommitOutput(t *vm.Thread, def *native.Def) error {
 // primary's output path, reusable by the promotion tail for natives that go
 // live during replay.
 func (p *Primary) LogNativeResult(v *vm.VM, t *vm.Thread, def *native.Def, args, results []heap.Value) error {
-	wv, err := toWire(v.Heap(), results)
+	wv, err := appendWire(p.recNative.Results[:0], v.Heap(), results)
 	if err != nil {
 		return fmt.Errorf("log %s: %w", def.Sig, err)
 	}
-	rec := &wire.NativeResult{TID: t.VTID, NatSeq: t.NatSeq, Sig: def.Sig, Results: wv}
+	rec := &p.recNative
+	*rec = wire.NativeResult{TID: t.VTID, NatSeq: t.NatSeq, Sig: def.Sig, Results: wv}
 	if h := p.handlers.ForDef(def); h != nil {
 		data, err := h.Log(sehandler.Ctx{Heap: v.Heap(), Env: v.Environment(), Proc: v.Process()}, def, args, results)
 		if err != nil {

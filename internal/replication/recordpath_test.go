@@ -42,12 +42,17 @@ func frameOf(tb testing.TB, records ...wire.Record) []byte {
 // TestColdReceiveAllocsPerFrame: receiving, validating, storing and
 // acknowledging a full frame costs the cold backup a constant number of
 // allocations (the frame header, the ack, the store's segment list growing),
-// not one per record — and the one kind of record it does build, a
-// NativeResult, still reaches its side-effect handler at receipt.
+// not one per record. It builds no record: a NativeResult's handler state
+// reaches its side-effect handler at receipt, read from the frame's bytes.
 func TestColdReceiveAllocsPerFrame(t *testing.T) {
+	const draws = 512 / 16 // one sys.rand result among every 16 records
 	locks := make([]wire.Record, 512)
 	for i := range locks {
 		locks[i] = &wire.LockAcq{TID: "0.1", TASN: uint64(40000 + i), LID: int64(i % 7), LASN: uint64(60000 + i)}
+		if i%16 == 15 {
+			locks[i] = &wire.NativeResult{TID: "0.1", NatSeq: uint64(i), Sig: "sys.rand",
+				Results: []wire.WireValue{{Kind: wire.WireInt, I: int64(i)}}, HandlerData: []byte{'r'}}
+		}
 	}
 	msg := frameOf(t, locks...)
 	const runs = 50
@@ -71,7 +76,8 @@ func TestColdReceiveAllocsPerFrame(t *testing.T) {
 	if allocs > 4 {
 		t.Errorf("cold receive of a 512-record frame: %v allocs, want <= 4", allocs)
 	}
-	if s := backup.Stats(); s.RecordsLogged != 512*(runs+1) || s.AcksSent != runs+1 || backup.Store().Len() != 512*(runs+1) {
+	if s := backup.Stats(); s.RecordsLogged != 512*(runs+1) || s.AcksSent != runs+1 || s.ReceiveRoutings != draws*(runs+1) ||
+		backup.Store().Len() != 512*(runs+1) {
 		t.Fatalf("after %d frames: %+v, store holds %d", runs+1, s, backup.Store().Len())
 	}
 
@@ -83,8 +89,8 @@ func TestColdReceiveAllocsPerFrame(t *testing.T) {
 	if _, err := backup.Serve(); err != nil {
 		t.Fatal(err)
 	}
-	if got := backup.Stats().ReceiveRoutings; got != 1 {
-		t.Fatalf("receive routings = %d, want 1: handler state must fold at receipt, not at recovery", got)
+	if got := backup.Stats().ReceiveRoutings; got != draws*(runs+1)+1 {
+		t.Fatalf("receive routings = %d, want %d: handler state must fold at receipt, not at recovery", got, draws*(runs+1)+1)
 	}
 	recs := backup.Store().Records()
 	if _, ok := recs[len(recs)-1].(*wire.NativeResult); !ok || len(recs) != 512*(runs+1)+2 {

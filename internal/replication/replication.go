@@ -58,32 +58,33 @@ var (
 	ErrBadResult  = errors.New("native result not representable on the wire")
 )
 
-// toWire flattens native results into replica-independent wire values. Only
+// appendWire flattens native results into replica-independent wire values,
+// appended to dst (the primary passes its scratch record's kept slice). Only
 // ints, floats, null and string objects may cross (other references would be
 // meaningless at the backup).
-func toWire(h *heap.Heap, results []heap.Value) ([]wire.WireValue, error) {
-	out := make([]wire.WireValue, len(results))
-	for i, v := range results {
+func appendWire(dst []wire.WireValue, h *heap.Heap, results []heap.Value) ([]wire.WireValue, error) {
+	for _, v := range results {
+		w := wire.WireValue{Kind: wire.WireNull}
 		switch v.Kind {
 		case heap.KindInt:
-			out[i] = wire.WireValue{Kind: wire.WireInt, I: v.I}
+			w = wire.WireValue{Kind: wire.WireInt, I: v.I}
 		case heap.KindFloat:
-			out[i] = wire.WireValue{Kind: wire.WireFloat, F: v.F()}
+			w = wire.WireValue{Kind: wire.WireFloat, F: v.F()}
 		case heap.KindRef:
 			if v.R() == heap.NullRef {
-				out[i] = wire.WireValue{Kind: wire.WireNull}
-				continue
+				break
 			}
 			s, err := h.StringAt(v.R())
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadResult, err)
+				return dst, fmt.Errorf("%w: %v", ErrBadResult, err)
 			}
-			out[i] = wire.WireValue{Kind: wire.WireStr, S: s}
+			w = wire.WireValue{Kind: wire.WireStr, S: s}
 		default:
-			return nil, fmt.Errorf("%w: invalid value kind", ErrBadResult)
+			return dst, fmt.Errorf("%w: invalid value kind", ErrBadResult)
 		}
+		dst = append(dst, w)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // fromWire materialises logged results in the backup's heap.

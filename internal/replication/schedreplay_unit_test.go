@@ -45,7 +45,7 @@ func schedReplayFor(t *testing.T, switches []*wire.Switch) *schedReplay {
 	for _, s := range switches {
 		recs = append(recs, s)
 	}
-	a, err := analyze(recs)
+	a, err := analyze(walkOf(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,10 @@ func TestSchedReplayAnalysisKeepsSwitches(t *testing.T) {
 	// Overshoot/position divergence is covered end-to-end by the failover
 	// and checksum tests; here pin that analysis preserves switch records
 	// in order for the coordinator.
-	a, err := analyze([]wire.Record{
+	a, err := analyze(walkOf([]wire.Record{
 		&wire.Switch{TID: "0", BrCnt: 5, Reason: uint8(vm.StateRunnable), NextTID: "0.1"},
 		&wire.Switch{TID: "0.1", BrCnt: 9, Reason: uint8(vm.StateWaiting), NextTID: "0"},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSchedReplayWaitsWhileOpen(t *testing.T) {
 }
 
 func TestAnalyzeCleanHalt(t *testing.T) {
-	a, err := analyze([]wire.Record{&wire.Halt{}})
+	a, err := analyze(walkOf([]wire.Record{&wire.Halt{}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,23 +57,37 @@ func (s *LogStore) Len() int {
 	return s.n
 }
 
-// Records returns the stored records as one exact-size slice (a copy),
-// building those that are still encoded.
+// Records returns the stored records as one slice (a copy), building those
+// that are still encoded.
 func (s *LogStore) Records() []wire.Record {
+	out := make([]wire.Record, 0, s.Len())
+	_ = s.each(func(r wire.Record) error { out = append(out, r); return nil })
+	return out
+}
+
+// each calls fn on every stored record in log order, building the encoded
+// ones one at a time, and stops at fn's first error: recovery indexes the
+// log where it lies instead of from a flat copy.
+func (s *LogStore) each(fn func(wire.Record) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]wire.Record, 0, s.n)
 	for _, seg := range s.segments {
-		out = append(out, seg.recs...)
+		for _, r := range seg.recs {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
 		for d := wire.NewDecoder(seg.raw); d.More(); {
 			r, err := d.Next()
 			if err != nil {
 				panic(fmt.Sprintf("log store: a validated segment does not decode: %v", err))
 			}
-			out = append(out, r)
+			if err := fn(r); err != nil {
+				return err
+			}
 		}
 	}
-	return out
+	return nil
 }
 
 // analysis is the indexed view of a log used during recovery. A cold
@@ -173,13 +187,12 @@ func (a *analysis) close() {
 	}
 }
 
-// analyze indexes a complete log for cold recovery.
-func analyze(records []wire.Record) (*analysis, error) {
+// analyze indexes a complete log for cold recovery, fed by walk: recovery
+// passes the store's in-place walk, tests a walk over their records.
+func analyze(walk func(func(wire.Record) error) error) (*analysis, error) {
 	a := newAnalysis()
-	for _, r := range records {
-		if err := a.add(r); err != nil {
-			return nil, err
-		}
+	if err := walk(a.add); err != nil {
+		return nil, err
 	}
 	a.close()
 	return a, nil

@@ -80,7 +80,7 @@ func TestAnalyzeTable(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := analyze(tc.records)
+			a, err := analyze(walkOf(tc.records))
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("analyze accepted a malformed log")

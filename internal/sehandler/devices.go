@@ -35,6 +35,10 @@ const (
 	devClock byte = 'c'
 )
 
+// The markers as Log returns them: read-only, shared by every draw (the
+// record encoder copies handler data), so logging a draw allocates nothing.
+var randMarker, clockMarker = []byte{devRand}, []byte{devClock}
+
 // NewDevicesHandler returns the seeded-devices handler.
 func NewDevicesHandler() *DevicesHandler { return &DevicesHandler{} }
 
@@ -59,9 +63,9 @@ func (h *DevicesHandler) Register(reg *native.Registry) error {
 func (h *DevicesHandler) Log(_ Ctx, def *native.Def, _, _ []heap.Value) ([]byte, error) {
 	switch def.Sig {
 	case "sys.rand":
-		return []byte{devRand}, nil
+		return randMarker, nil
 	case "sys.clock":
-		return []byte{devClock}, nil
+		return clockMarker, nil
 	default:
 		return nil, fmt.Errorf("devices handler does not manage %s", def.Sig)
 	}

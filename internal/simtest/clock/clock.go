@@ -102,8 +102,13 @@ func (RealClock) Timer(d time.Duration) *time.Timer { return time.NewTimer(d) }
 func (RealClock) NewWaitSlot() WaitSlot { return &realSlot{ch: make(chan struct{}, 1)} }
 
 // realSlot is the wall-clock WaitSlot: a latching one-slot channel plus a
-// timer-bounded receive.
-type realSlot struct{ ch chan struct{} }
+// timer-bounded receive. The timer is made by the first timed Park and Reset
+// by every later one, so a slot that is parked on over and over (a heartbeat
+// loop, a replica's main loop, a pipe's reused waiter) allocates it once.
+type realSlot struct {
+	ch chan struct{}
+	t  *time.Timer
+}
 
 // Park implements WaitSlot.
 func (s *realSlot) Park(timeout time.Duration) bool {
@@ -111,12 +116,21 @@ func (s *realSlot) Park(timeout time.Duration) bool {
 		<-s.ch
 		return false
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	if s.t == nil {
+		s.t = time.NewTimer(timeout)
+	} else {
+		s.t.Reset(timeout)
+	}
 	select {
 	case <-s.ch:
+		// A timer that fired as the signal won may still be sending its
+		// tick (go 1.22's timers send after Stop can no longer stop them),
+		// and a late tick would end the next Park at once: drop that timer.
+		if !s.t.Stop() {
+			s.t = nil
+		}
 		return false
-	case <-t.C:
+	case <-s.t.C:
 		return true
 	}
 }

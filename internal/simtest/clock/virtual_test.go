@@ -212,7 +212,10 @@ func TestDetachAdvances(t *testing.T) {
 }
 
 // TestRealSlotLatchAndTimeout exercises the wall-clock WaitSlot: latched
-// signals are consumed, and timeouts report as such.
+// signals are consumed, and timeouts report as such. The slot keeps its
+// timer: a timed Park after the first allocates nothing, and the reuse never
+// fires early — after a timed-out Park and signalled Park(1h)s, a Park(20ms)
+// still waits its 20 ms.
 func TestRealSlotLatchAndTimeout(t *testing.T) {
 	s := Real.NewWaitSlot()
 	s.Signal()
@@ -221,6 +224,19 @@ func TestRealSlotLatchAndTimeout(t *testing.T) {
 	}
 	if !s.Park(5 * time.Millisecond) {
 		t.Fatal("empty slot did not time out")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Signal()
+		if s.Park(time.Hour) {
+			t.Fatal("latched signal reported as timeout")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("timed Park allocs/run = %v, want 0", allocs)
+	}
+	start := Real.Now()
+	if !s.Park(20*time.Millisecond) || Real.Since(start) < 20*time.Millisecond {
+		t.Fatalf("Park(20ms) on a reused timer returned after %v", Real.Since(start))
 	}
 }
 

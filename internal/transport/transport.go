@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,6 +59,22 @@ type pipeShared struct {
 	// closed[i] reports end i closed. Either closure stops new traffic in
 	// both directions; already-buffered messages remain drainable.
 	closed [2]bool
+	// free holds wait slots to park on again. A slot comes back only after a
+	// Signal woke it, which leaves nothing latched; one that timed out may
+	// yet catch a late Signal, so it is dropped, and a reused slot never
+	// wakes its next parker spuriously.
+	free []clock.WaitSlot
+}
+
+// slot returns a wait slot to park on, a reused one when there is one. The
+// caller holds s.mu.
+func (s *pipeShared) slot() clock.WaitSlot {
+	if n := len(s.free); n > 0 {
+		ws := s.free[n-1]
+		s.free = s.free[:n-1]
+		return ws
+	}
+	return s.clk.NewWaitSlot()
 }
 
 // pipeDir is one direction's queue and its waiters.
@@ -69,7 +86,8 @@ type pipeDir struct {
 }
 
 // wake signals and forgets every parked waiter in list; woken parties
-// re-evaluate their condition and re-park with a fresh slot if needed.
+// re-evaluate their condition and re-park if needed. Each registration is
+// signalled once: wake empties the list it signals.
 func wake(list *[]clock.WaitSlot) {
 	for _, s := range *list {
 		s.Signal()
@@ -125,11 +143,12 @@ func (p *pipeEnd) Send(msg []byte) error {
 		if len(d.queue) < d.capacity {
 			break
 		}
-		slot := s.clk.NewWaitSlot()
+		slot := s.slot()
 		d.sendWait = append(d.sendWait, slot)
 		s.mu.Unlock()
 		slot.Park(0)
 		s.mu.Lock()
+		s.free = append(s.free, slot) // an untimed Park ends only by a Signal
 	}
 	cp := make([]byte, len(msg))
 	copy(cp, msg)
@@ -150,7 +169,12 @@ func (p *pipeEnd) Recv(timeout time.Duration) ([]byte, error) {
 	for {
 		if len(d.queue) > 0 {
 			msg := d.queue[0]
-			d.queue = d.queue[1:]
+			d.queue[0] = nil
+			if len(d.queue) == 1 {
+				d.queue = d.queue[:0] // drained: the next message takes this cell
+			} else {
+				d.queue = d.queue[1:]
+			}
 			wake(&d.sendWait)
 			s.mu.Unlock()
 			return msg, nil
@@ -159,19 +183,19 @@ func (p *pipeEnd) Recv(timeout time.Duration) ([]byte, error) {
 			s.mu.Unlock()
 			return nil, ErrClosed
 		}
-		slot := s.clk.NewWaitSlot()
+		slot := s.slot()
 		d.recvWait = append(d.recvWait, slot)
 		s.mu.Unlock()
 		timedOut := slot.Park(timeout)
 		s.mu.Lock()
-		// Drop our slot if it is still registered (a timeout leaves it in
-		// the list; a wake already cleared it). A stale entry would only
-		// accumulate, never misbehave, but keep the list exact.
-		for i, ws := range d.recvWait {
-			if ws == slot {
-				d.recvWait = append(d.recvWait[:i], d.recvWait[i+1:]...)
-				break
+		if timedOut {
+			// Dropped, and unregistered if it still is (a stale entry would
+			// only accumulate, never misbehave, but keep the list exact).
+			if i := slices.Index(d.recvWait, slot); i >= 0 {
+				d.recvWait = slices.Delete(d.recvWait, i, i+1)
 			}
+		} else {
+			s.free = append(s.free, slot) // a wake signalled it and took it off the list
 		}
 		if timedOut && len(d.queue) == 0 {
 			if s.closed[0] || s.closed[1] {

@@ -98,6 +98,37 @@ func TestPipeTimeout(t *testing.T) {
 	}
 }
 
+// TestPipeWakeAllocatesOnlyTheCopy: a Recv that parks until a Send wakes it
+// parks on a reused wait slot, and the slot on its kept timer, so an echoed
+// round trip allocates its two message copies and nothing else.
+func TestPipeWakeAllocatesOnlyTheCopy(t *testing.T) {
+	a, b := Pipe(4)
+	defer a.Close()
+	go func() {
+		for {
+			msg, err := b.Recv(time.Minute)
+			if err != nil || b.Send(msg) != nil {
+				return
+			}
+		}
+	}()
+	ping := []byte("8 bytes!")
+	roundTrip := func() {
+		if err := a.Send(ping); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Recv(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(1000, roundTrip); allocs > 2 {
+		t.Errorf("echoed round trip allocs = %v, want 2 (the copies)", allocs)
+	}
+}
+
 func TestPipeMessageIsolation(t *testing.T) {
 	a, b := Pipe(1)
 	payload := []byte("mutate-me")

@@ -131,6 +131,10 @@ func FuzzDecodeAll(f *testing.F) {
 // backup acknowledges a frame on the strength of the walk alone, so it
 // follows, and is asserted, that what Count accepts DecodeAll decodes.
 //
+// The backup's span reader rides it too: on every NativeResult the walk
+// accepts, Decoder.NativeSpans returns the Sig and HandlerData Next built,
+// as sub-slices of the input, and stops at the same offset.
+//
 // The fleet's typed pair rides the same walk (typedAgrees): at every record,
 // Decoder.ClientOp into a caller-owned value agrees with Next on value, end
 // offset, error class and error offset, and AppendClientOp writes what
@@ -194,6 +198,14 @@ func walkBoth(t *testing.T, data []byte) (n int) {
 		}
 		if typ != rec.Type() {
 			t.Fatalf("record %d: Skip says %v, Next built a %v", n, typ, rec.Type())
+		}
+		if nr, ok := rec.(*NativeResult); ok {
+			d := Decoder{b: data, pos: start}
+			sig, hd, err := d.NativeSpans()
+			if err != nil || string(sig) != nr.Sig || !bytes.Equal(hd, nr.HandlerData) || d.Offset() != next.Offset() {
+				t.Fatalf("record %d: NativeSpans read %q, %x (%v) to %d; Next built %q, %x to %d",
+					n, sig, hd, err, d.Offset(), nr.Sig, nr.HandlerData, next.Offset())
+			}
 		}
 		n++
 	}

@@ -479,6 +479,25 @@ func (d *Decoder) ClientOp(op *ClientOp) error {
 	return d.err
 }
 
+// NativeSpans reads the next record, which must be a NativeResult, and
+// returns its Sig and HandlerData as sub-slices of the decoder's input: the
+// allocation-free read of a record a Skip walk has already validated, giving
+// the Sig and HandlerData that Next would build. A record of any other type
+// is ErrBadRecord, and one cut short fails as in Next.
+func (d *Decoder) NativeSpans() (sig, handlerData []byte, err error) {
+	if t := RecType(d.u8()); d.err == nil && t != RecNativeResult {
+		d.fail(ErrBadRecord, fmt.Sprintf("record type %d where a native result must be", t))
+	}
+	d.span()
+	d.uv()
+	sig = d.span()
+	for n := d.resultCount(); n > 0 && d.err == nil; n-- {
+		d.value(false)
+	}
+	handlerData = d.span()
+	return sig, handlerData, d.err
+}
+
 // Offset returns how many bytes have been consumed: after a successful Next
 // or Skip, the end offset of that record.
 func (d *Decoder) Offset() int { return d.pos }

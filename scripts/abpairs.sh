@@ -5,16 +5,23 @@
 #   scripts/abpairs.sh REV WORKLOAD [SEED [N]]
 #   make ab REV=HEAD WORKLOAD=db-lock SEED=1 N=10
 #
-# Both spines are built once: A from `git archive REV` unpacked into a
-# temporary directory, B from the working tree as it stands, uncommitted edits
-# included. Then N pairs run, each side `-seed SEED -seconds 20 -trace 0`,
-# and the side that goes first alternates from pair to pair so a drift of the
-# host hits both alike. Every run's JSON line is kept in $OUT (default: a
-# fresh temporary directory) as a-<i>.json and b-<i>.json. At the end, per
-# end-to-end metric of BENCHMARK.json: each side's median and quartiles, the
-# change of the medians, in how many pairs B was better, and whether the
-# change exceeds A's interquartile range ("unresolved" when it does not).
-# Nothing under benchmark/ is written.
+# Both spines are built once, with -trimpath -buildvcs=false so that a
+# binary depends on its source alone: A from `git archive REV` unpacked into
+# a temporary directory, B from the working tree as it stands, uncommitted
+# edits included. When the working tree is REV's tree (an A/A run), the two
+# binaries must be byte-identical, or the script refuses to start. Then N
+# pairs run, each side `-seed SEED -seconds 20 -trace 0` from the same
+# working directory. Which side goes first in each pair is a shuffle (as many
+# A-first pairs as B-first, one more A-first when N is odd) drawn from an
+# order seed that is printed and kept in $OUT/order-seed, so a drift of the
+# host cannot favour one side. Every run's JSON line is kept in $OUT
+# (default: a fresh temporary directory) as a-<i>.json and b-<i>.json. At the
+# end, per end-to-end metric of BENCHMARK.json: each side's median and
+# quartiles, the change of the medians, in how many pairs B was better and
+# how many tied (alloc_mb counts a difference under 0.1 % as a tie: identical
+# builds differ by a few hundred bytes), and whether the change exceeds A's
+# interquartile range ("unresolved" when it does not). Nothing under
+# benchmark/ is written.
 set -eu
 [ $# -ge 2 ] || { echo "usage: $0 REV WORKLOAD [SEED [N]]" >&2; exit 2; }
 rev=$1 workload=$2 seed=${3:-1} n=${4:-10}
@@ -24,14 +31,24 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$out" "$work/a"
 git -C "$root" archive "$rev" | tar -x -C "$work/a"
-go build -C "$work/a/benchmark" -o "$work/spine-a" .
-go build -C "$root/benchmark" -o "$work/spine-b" .
+go build -C "$work/a/benchmark" -trimpath -buildvcs=false -o "$work/spine-a" .
+go build -C "$root/benchmark" -trimpath -buildvcs=false -o "$work/spine-b" .
+if git -C "$root" diff --quiet "$rev" -- && [ -z "$(git -C "$root" ls-files --others --exclude-standard)" ] &&
+	! cmp -s "$work/spine-a" "$work/spine-b"; then
+	echo "abpairs: the working tree is $rev's tree, but the two spines built differ; refusing an A/A run" >&2
+	exit 1
+fi
+order_seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
+echo "$order_seed" >"$out/order-seed"
+order=$(python3 -c 'import random, sys
+n = int(sys.argv[2])
+first = list("a" * ((n + 1) // 2) + "b" * (n // 2))
+random.Random(int(sys.argv[1])).shuffle(first)
+print("".join(first))' "$order_seed" "$n")
 
 # run SIDE I: one run of side a or b, its JSON line kept as SIDE-I.json.
 run() {
-	dir=$root/benchmark
-	[ "$1" = a ] && dir=$work/a/benchmark
-	if ! (cd "$dir" && "$work/spine-$1" -workload "$workload" -seed "$seed" -seconds 20 -trace 0) >"$work/log" 2>&1; then
+	if ! (cd "$work" && "$work/spine-$1" -workload "$workload" -seed "$seed" -seconds 20 -trace 0) >"$work/log" 2>&1; then
 		cat "$work/log" >&2
 		echo "abpairs: side $1, pair $2 failed" >&2
 		exit 1
@@ -41,17 +58,19 @@ run() {
 
 i=1
 while [ "$i" -le "$n" ]; do
-	if [ $((i % 2)) -eq 1 ]; then run a "$i" && run b "$i"; else run b "$i" && run a "$i"; fi
+	if [ "$(printf %s "$order" | cut -c "$i")" = a ]; then run a "$i" && run b "$i"; else run b "$i" && run a "$i"; fi
 	echo "abpairs: pair $i of $n done" >&2
 	i=$((i + 1))
 done
 
-echo "$workload seed $seed, $n alternating pairs; A = $rev, B = working tree; JSON lines in $out"
+echo "$workload seed $seed, $n pairs, first sides $order (order seed $order_seed); A = $rev, B = working tree; JSON lines in $out"
 python3 - "$root/BENCHMARK.json" "$out" "$n" <<'EOF'
 import json, statistics, sys
 
 spec, out, n = json.load(open(sys.argv[1])), sys.argv[2], int(sys.argv[3])
 runs = {s: [json.load(open(f"{out}/{s}-{i}.json")) for i in range(1, n + 1)] for s in "ab"}
+# A relative difference below a metric's resolution is a tie, not a win.
+resolution = {"alloc_mb": 0.001}
 
 def quartiles(v):
     if len(v) < 2:
@@ -63,14 +82,15 @@ def cell(q1, med, q3):
     return f"{med:.5g} [{q1:.5g}, {q3:.5g}]"
 
 print(f"ops_failed: A {sum(r['failed'] for r in runs['a'])}, B {sum(r['failed'] for r in runs['b'])}")
-print(f"{'metric':<10} {'A median [q1, q3]':<30} {'B median [q1, q3]':<30} {'change':>7}  B better  verdict")
+print(f"{'metric':<10} {'A median [q1, q3]':<30} {'B median [q1, q3]':<30} {'change':>7}  B better  ties  verdict")
 for m in spec["end_to_end"]:
     name, lower = m["name"], m["better"] == "lower"
     a = [r["metrics"][name]["value"] for r in runs["a"]]
     b = [r["metrics"][name]["value"] for r in runs["b"]]
     (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
-    wins = sum(1 for x, y in zip(a, b) if (y < x if lower else y > x))
+    tied = [abs(y - x) <= resolution.get(name, 0) * abs(x) for x, y in zip(a, b)]
+    wins = sum(1 for x, y, tie in zip(a, b, tied) if not tie and (y < x if lower else y > x))
     change = (bm - am) / am if am else 0.0
     verdict = "resolved" if abs(bm - am) > a3 - a1 else "unresolved"
-    print(f"{name:<10} {cell(a1, am, a3):<30} {cell(b1, bm, b3):<30} {100 * change:>+6.1f}%  {wins:>3} / {n:<3} {verdict}")
+    print(f"{name:<10} {cell(a1, am, a3):<30} {cell(b1, bm, b3):<30} {100 * change:>+6.1f}%  {wins:>3} / {n:<3} {sum(tied):>4}  {verdict}")
 EOF
