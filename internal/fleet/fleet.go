@@ -143,6 +143,7 @@ type Fleet struct {
 	order      []string
 	repAttempt uint64 // replication attempts, for deterministic fault striking
 	counters   Counters
+	payload    []byte // a link's log suffix spanning chunks, copied for the frame in flight
 	frame      []byte // the encoded frame in flight: scratch reused by every ship
 	ack        []byte // the encoded ack in flight: scratch reused by every deliver
 }
@@ -230,8 +231,7 @@ func (f *Fleet) recruitWitness(pri *replica, epoch uint64) *replica {
 		return nil
 	}
 	w := newReplica(pri.shard, epoch, roleWitness)
-	w.log = append(w.log, pri.log...)
-	w.logged = pri.logged
+	w.adopt(pri)
 	f.nodes[name].replicas[pri.shard] = w
 	if pri.logged > 0 {
 		f.counters.Transfers++
@@ -255,9 +255,10 @@ func (f *Fleet) findWitness(shard int) (*replica, string) {
 
 // setLinks rebuilds pri's shipping channels (backup first, witness second;
 // nil peers are vacancies). Every link restarts under the primary's epoch and
-// records what its peer already holds, so a surviving or snapshot-seeded peer
-// needs no special handshake — the next ship carries exactly its missing
-// suffix.
+// records what its peer already holds: its record count, and its log's size,
+// which is where those records end in the primary's log because a peer's log
+// is a byte prefix of it. So a surviving or snapshot-seeded peer needs no
+// special handshake — the next ship carries exactly its missing suffix.
 func setLinks(pri *replica, peers ...*replica) {
 	pri.links = pri.links[:0]
 	for _, p := range peers {
@@ -265,7 +266,7 @@ func setLinks(pri *replica, peers ...*replica) {
 			continue
 		}
 		p.epoch = pri.epoch
-		pri.links = append(pri.links, &peerLink{rep: p, recs: p.logged})
+		pri.links = append(pri.links, &peerLink{rep: p, recs: p.logged, off: p.log.size})
 	}
 }
 
@@ -351,7 +352,7 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 		}
 	case seen && req.Req == ent.req:
 		f.counters.DupHits++
-		if !ent.committed {
+		if r.pending && r.pendingClient == req.Client {
 			// Executed and logged locally, but never acknowledged: the
 			// output-commit rule forbids replying until a peer holds it.
 			// Retransmit the same bytes under the same sequence number.
@@ -373,7 +374,7 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 	f.counters.Executed++
 	r.appendLog(&wire.ClientOp{Client: req.Client, Req: req.Req, Tenant: req.Tenant, Op: req.Op, Arg: req.Arg, Result: result})
 	cost, ok := f.replicate(r)
-	r.dedup[req.Client] = dedupEntry{req: req.Req, result: result, committed: ok}
+	r.dedup[req.Client] = dedupEntry{req: req.Req, result: result}
 	if !ok {
 		r.pending, r.pendingClient = true, req.Client
 		return Outcome{Cost: netDelay + cost}
@@ -422,12 +423,14 @@ func (f *Fleet) ship(seq, epoch uint64, payload []byte) []byte {
 	return f.frame
 }
 
-// replicate ships every link its missing log suffix as a real encoded frame
-// and reports commit (replica.committed): the operation commits once any peer
-// acks, under the primary's epoch, holding the full log. A link advances only
-// on such an ack, so a retransmission cuts the same bytes under the same
-// sequence; and the log is the authority, so the same path serves fresh
-// operations and head-of-line retransmissions. Returns the simulated cost and
+// replicate ships every link its missing log suffix — the log's bytes from
+// the link's byte offset — as a real encoded frame and reports commit
+// (replica.committed): the operation commits once any peer acks, under the
+// primary's epoch, holding the full log. A link advances, to the whole log,
+// only on such an ack (no other count is a state of the protocol), so a
+// retransmission cuts the same bytes under the same sequence; and the log is
+// the authority, so the same path serves fresh operations and head-of-line
+// retransmissions. Returns the simulated cost and
 // whether the op committed. A shard running with no peer at all (recruitment
 // found no live node) degrades to primary-only: the op commits locally, like
 // the paper's degraded mode.
@@ -439,7 +442,7 @@ func (f *Fleet) replicate(r *replica) (time.Duration, bool) {
 		if ln.recs >= r.logged {
 			continue
 		}
-		b := f.ship(uint64(ln.recs), r.epoch, r.suffixFrom(ln.recs))
+		b := f.ship(uint64(ln.recs), r.epoch, r.log.suffix(ln.off, &f.payload))
 		if f.cfg.Fault == FaultFrameDrop && f.strike() {
 			f.counters.FramesDropped++
 			continue
@@ -456,8 +459,8 @@ func (f *Fleet) replicate(r *replica) (time.Duration, bool) {
 		if err != nil || epoch != r.epoch {
 			continue
 		}
-		if int(held) > ln.recs {
-			ln.recs = int(held)
+		if held == uint64(r.logged) {
+			ln.recs, ln.off = r.logged, r.log.size
 		}
 	}
 	if !r.committed() {
@@ -538,8 +541,7 @@ func (f *Fleet) reseat(ch viewsvc.ShardChange, dead string, now time.Time) {
 			// holds committed operations the backup missed. Peer logs are
 			// byte-prefixes of the dead primary's, so adopting the longer one
 			// is a merge.
-			pri.log = append(pri.log[:0], wit.log...)
-			pri.logged = wit.logged
+			pri.adopt(wit)
 		}
 		if err := f.dir.AcquirePromotion(ch.New.Primary, shard, ch.New.Num); err != nil {
 			panic(fmt.Sprintf("fleet: promotion license for shard %d: %v", shard, err))
@@ -567,8 +569,7 @@ func (f *Fleet) reseat(ch viewsvc.ShardChange, dead string, now time.Time) {
 			// Recruit by state transfer: the new backup receives a snapshot
 			// of the primary's full log (its replay-equivalent state).
 			bak = newReplica(shard, ch.New.Num, roleBackup)
-			bak.log = append(bak.log, pri.log...)
-			bak.logged = pri.logged
+			bak.adopt(pri)
 			f.nodes[ch.New.Backup].replicas[shard] = bak
 			f.counters.Transfers++
 		}

@@ -25,20 +25,22 @@ const (
 // record, the peer appends only the tail beyond what it holds, and the ack's
 // sequence field carries the records now held — so a retransmission after a
 // lost ack advances the link instead of desyncing it, and a lagging peer is
-// repaired by one catch-up frame carrying its missing suffix.
+// repaired by one catch-up frame carrying its missing suffix. The peer's log
+// is a byte prefix of the primary's, so the link also knows where in the
+// primary's log that suffix starts.
 type peerLink struct {
 	rep  *replica
 	recs int // records the peer held at its last ack
+	off  int // the byte length of those records: where its suffix starts
 }
 
-// dedupEntry is one client's at-most-once state: the highest request id seen,
-// its result, and whether the output-commit completed (the backup acked the
-// logged record). An uncommitted entry answers a retry by retransmitting the
-// record, never by re-executing it.
+// dedupEntry is one client's at-most-once state: the highest request id seen
+// and its result. The entry is uncommitted — a retry is answered by
+// retransmitting the record, never by re-executing it — exactly when it is
+// the shard's pending one.
 type dedupEntry struct {
-	req       uint64
-	result    int64
-	committed bool
+	req    uint64
+	result int64
 }
 
 // replica is one copy of one shard. A primary holds live tenant state and the
@@ -57,10 +59,6 @@ type replica struct {
 	// links are the shipping channels to the shard's log-holding peers
 	// (backup first, then witness; empty while the shard runs degraded).
 	links []*peerLink
-	// recOffsets[i] is record i's byte offset in log, kept so a link's
-	// un-acked suffix is cut from the log instead of being encoded a second
-	// time.
-	recOffsets []int
 	// pending flags the shard's head-of-line executed-and-logged-but-
 	// uncommitted entry, dedup[pendingClient]. At most one exists: a fresh
 	// operation must flush it (retransmit until some peer acks the whole log)
@@ -72,10 +70,10 @@ type replica struct {
 	pendingClient uint64
 	availableAt   time.Time // promotion replay completes at this instant
 
-	// Both sides: the encoded ClientOp log. On the primary it is the
-	// snapshot shipped to a recruit; on a peer it is the authority the
-	// promotion replays.
-	log    []byte
+	// Both sides: the encoded ClientOp log and its record count. On the
+	// primary it is the snapshot shipped to a recruit; on a peer it is the
+	// authority the promotion replays.
+	log    shardLog
 	logged int
 }
 
@@ -90,38 +88,20 @@ func newReplica(shard int, epoch uint64, r role) *replica {
 
 // commitPending marks the head-of-line entry committed: some peer now holds
 // the whole log, the entry's record included.
-func (r *replica) commitPending() {
-	ent := r.dedup[r.pendingClient]
-	ent.committed = true
-	r.dedup[r.pendingClient] = ent
-	r.pending = false
-}
+func (r *replica) commitPending() { r.pending = false }
 
 // appendLog encodes op straight onto the primary's log: the one encoding of
-// the operation, which replicate then ships as a slice of the log.
+// the operation, which replicate then ships as the log's bytes.
 func (r *replica) appendLog(op *wire.ClientOp) {
-	r.recOffsets = append(r.recOffsets, len(r.log))
-	r.log = wire.AppendClientOp(r.log, op)
+	r.log.appendOp(op)
 	r.logged++
 }
 
-// replayLog is the one walk over an encoded shard log — promotion and Audit
-// both run apply from its visit: each record is decoded into a single
-// reused ClientOp and visited with its index and byte offset. A record that
-// does not decode as a ClientOp, or a visit's error, ends the walk.
-func replayLog(log []byte, visit func(i, off int, op *wire.ClientOp) error) error {
-	var op wire.ClientOp
-	d := wire.NewDecoder(log)
-	for i := 0; d.More(); i++ {
-		off := d.Offset()
-		if err := d.ClientOp(&op); err != nil {
-			return err
-		}
-		if err := visit(i, off, &op); err != nil {
-			return err
-		}
-	}
-	return nil
+// adopt gives r a copy of src's log: a recruit's state transfer, or a
+// promotion adopting a longer peer log.
+func (r *replica) adopt(src *replica) {
+	r.log = src.log.clone()
+	r.logged = src.logged
 }
 
 // committed is the commit rule: some peer holds the whole log (the primary is
@@ -135,29 +115,22 @@ func (r *replica) committed() bool {
 	return len(r.links) == 0
 }
 
-// suffixFrom returns the encoded records from index rec onward: what a link
-// whose peer last acked holding rec records is missing.
-func (r *replica) suffixFrom(rec int) []byte {
-	if rec >= r.logged {
-		return nil
-	}
-	return r.log[r.recOffsets[rec]:]
-}
-
 // deliver is a peer's receive path, the only one: decode the envelope, gate
 // on the epoch — a frame from another configuration is dropped without an
 // ack, the silence that starves a deposed primary's output commit — then
 // treat frame.Seq as the absolute index of the payload's first record and
 // append only the bytes of the records beyond the log's high-water mark. The
-// payload is a slice of the primary's log, so the peer's stays a byte prefix
-// of it with nothing decoded or re-encoded, and a retransmission of records
-// already held (its ack was lost) is re-acked, not re-logged. Acks carry the
-// record count now held. A frame starting past the high-water mark is a gap a
-// correct primary never produces; it is dropped in silence, as is anything
-// the channel mangled — an envelope that does not decode, a payload that does
-// not walk as ClientOp records — and the sender retransmits or the directory
-// reseats. Returns the ack bytes (nil for silence), appended into the fleet's
-// scratch buffer, and whether anything was appended to the log.
+// payload is a run of the primary's log bytes, appended as they came, so the
+// peer's log stays a byte prefix of it with nothing decoded or re-encoded,
+// and a retransmission of records already held (its ack was lost) is
+// re-acked, not re-logged. Acks carry the record count now held. A frame
+// starting past the high-water mark (compared as a uint64, so no Seq reads as
+// a rewind) is a gap a correct primary never produces; it is dropped in
+// silence, as is anything the channel mangled — an envelope that does not
+// decode, a payload that does not walk as ClientOp records — and the sender
+// retransmits or the directory reseats. Returns the ack bytes (nil for
+// silence), appended into the fleet's scratch buffer, and whether anything
+// was appended to the log.
 func (r *replica) deliver(f *Fleet, b []byte) (ack []byte, logged bool) {
 	frame, err := wire.DecodeFrame(b)
 	if err != nil {
@@ -167,10 +140,10 @@ func (r *replica) deliver(f *Fleet, b []byte) (ack []byte, logged bool) {
 		f.counters.StaleFrames++
 		return nil, false
 	}
-	first := int(frame.Seq)
-	if first > r.logged {
+	if frame.Seq > uint64(r.logged) {
 		return nil, false
 	}
+	first := int(frame.Seq)
 	n, tail := 0, len(frame.Payload) // records walked; where the first new one starts
 	for d := wire.NewDecoder(frame.Payload); d.More(); n++ {
 		if first+n == r.logged {
@@ -182,7 +155,7 @@ func (r *replica) deliver(f *Fleet, b []byte) (ack []byte, logged bool) {
 	}
 	appended := first+n > r.logged
 	if appended {
-		r.log = append(r.log, frame.Payload[tail:]...)
+		r.log.appendRecords(frame.Payload[tail:])
 		r.logged = first + n
 	}
 	if frame.AckWanted {
@@ -208,9 +181,7 @@ func (r *replica) promote(epoch uint64) {
 	r.links = nil
 	r.state = make(map[uint64]int64)
 	r.dedup = make(map[uint64]dedupEntry)
-	r.recOffsets = r.recOffsets[:0] // a backup's log has none; a primary ships by them
-	err := replayLog(r.log, func(_, off int, op *wire.ClientOp) error {
-		r.recOffsets = append(r.recOffsets, off)
+	err := r.log.replay(func(_ int, op *wire.ClientOp) error {
 		if ent, seen := r.dedup[op.Client]; seen && op.Req <= ent.req {
 			return nil // duplicate: the dedup table, not the transport, is the guard
 		}
@@ -219,8 +190,8 @@ func (r *replica) promote(epoch uint64) {
 				r.shard, op.Client, op.Req, got, op.Result))
 		}
 		// Logged means acked means replicated: committed from the new
-		// primary's point of view.
-		r.dedup[op.Client] = dedupEntry{req: op.Req, result: op.Result, committed: true}
+		// primary's point of view, which has nothing pending.
+		r.dedup[op.Client] = dedupEntry{req: op.Req, result: op.Result}
 		return nil
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -61,7 +60,7 @@ func (f *Fleet) Audit(obs []Observation) (checksum uint64, err error) {
 		mix(uint64(pri.logged))
 		mix(pri.epoch)
 		model := make(map[uint64]int64, len(pri.state))
-		err := replayLog(pri.log, func(i, _ int, op *wire.ClientOp) error {
+		err := pri.log.replay(func(i int, op *wire.ClientOp) error {
 			if f.ShardOf(op.Tenant) != shard {
 				return fmt.Errorf("log[%d] holds tenant %d of shard %d", i, op.Tenant, f.ShardOf(op.Tenant))
 			}
@@ -90,9 +89,9 @@ func (f *Fleet) Audit(obs []Observation) (checksum uint64, err error) {
 			if r == nil || r == pri {
 				continue
 			}
-			if len(r.log) > len(pri.log) || !bytes.Equal(r.log, pri.log[:len(r.log)]) {
+			if !r.log.prefixOf(&pri.log) {
 				return 0, fmt.Errorf("fleet: shard %d peer on %s holds a log that is not a prefix of the primary's (%d vs %d bytes)",
-					shard, name, len(r.log), len(pri.log))
+					shard, name, r.log.size, pri.log.size)
 			}
 		}
 		// The live state a primary serves must equal its log's replay.

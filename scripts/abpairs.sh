@@ -17,11 +17,16 @@
 # host cannot favour one side. Every run's JSON line is kept in $OUT
 # (default: a fresh temporary directory) as a-<i>.json and b-<i>.json. At the
 # end, per end-to-end metric of BENCHMARK.json: each side's median and
-# quartiles, the change of the medians, in how many pairs B was better and
-# how many tied (alloc_mb counts a difference under 0.1 % as a tie: identical
-# builds differ by a few hundred bytes), and whether the change exceeds A's
-# interquartile range ("unresolved" when it does not). Nothing under
-# benchmark/ is written.
+# quartiles, and a paired test on the per-pair log ratios ln(b/a). A
+# difference below a metric's resolution is a tie with log ratio 0 (alloc_mb:
+# 0.1 %; identical builds differ by a few hundred bytes). The change is the
+# Hodges-Lehmann estimate (the median of the Walsh averages of the log
+# ratios), with its distribution-free 95 % interval cut from the sorted Walsh
+# averages at the exact Wilcoxon signed-rank critical value; then in how many
+# pairs B was better and how many tied, the exact two-sided sign-test p-value
+# over the untied pairs, and "resolved" when the interval excludes zero
+# ("unresolved" otherwise, and always below 6 pairs, too few for a 95 %
+# interval). Nothing under benchmark/ is written.
 set -eu
 [ $# -ge 2 ] || { echo "usage: $0 REV WORKLOAD [SEED [N]]" >&2; exit 2; }
 rev=$1 workload=$2 seed=${3:-1} n=${4:-10}
@@ -65,7 +70,7 @@ done
 
 echo "$workload seed $seed, $n pairs, first sides $order (order seed $order_seed); A = $rev, B = working tree; JSON lines in $out"
 python3 - "$root/BENCHMARK.json" "$out" "$n" <<'EOF'
-import json, statistics, sys
+import json, math, statistics, sys
 
 spec, out, n = json.load(open(sys.argv[1])), sys.argv[2], int(sys.argv[3])
 runs = {s: [json.load(open(f"{out}/{s}-{i}.json")) for i in range(1, n + 1)] for s in "ab"}
@@ -81,16 +86,47 @@ def quartiles(v):
 def cell(q1, med, q3):
     return f"{med:.5g} [{q1:.5g}, {q3:.5g}]"
 
+def signed_rank_k(m, alpha=0.05):
+    """The largest k with P(T <= k - 1) <= alpha / 2, T being the Wilcoxon
+    signed-rank statistic of m pairs under the null (exact: every subset of
+    the ranks 1..m is equally likely); 0 when no k qualifies."""
+    ways = [1] + [0] * (m * (m + 1) // 2)
+    for r in range(1, m + 1):
+        for t in range(len(ways) - 1, r - 1, -1):
+            ways[t] += ways[t - r]
+    k, below = 0, 0
+    while below + ways[k] <= alpha / 2 * 2**m:
+        below += ways[k]
+        k += 1
+    return k
+
+def sign_p(wins, losses):
+    """Exact two-sided sign-test p-value over the untied pairs."""
+    m = wins + losses
+    if m == 0:
+        return 1.0
+    tail = sum(math.comb(m, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**m)
+
+k = signed_rank_k(n)
+pct = lambda d: f"{100 * math.expm1(d):+.1f}%"
 print(f"ops_failed: A {sum(r['failed'] for r in runs['a'])}, B {sum(r['failed'] for r in runs['b'])}")
-print(f"{'metric':<10} {'A median [q1, q3]':<30} {'B median [q1, q3]':<30} {'change':>7}  B better  ties  verdict")
+print(f"{'metric':<10} {'A median [q1, q3]':<30} {'B median [q1, q3]':<30} {'change':>7}  {'95% interval':<17} B better  ties  sign p  verdict")
 for m in spec["end_to_end"]:
     name, lower = m["name"], m["better"] == "lower"
     a = [r["metrics"][name]["value"] for r in runs["a"]]
     b = [r["metrics"][name]["value"] for r in runs["b"]]
     (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
     tied = [abs(y - x) <= resolution.get(name, 0) * abs(x) for x, y in zip(a, b)]
-    wins = sum(1 for x, y, tie in zip(a, b, tied) if not tie and (y < x if lower else y > x))
-    change = (bm - am) / am if am else 0.0
-    verdict = "resolved" if abs(bm - am) > a3 - a1 else "unresolved"
-    print(f"{name:<10} {cell(a1, am, a3):<30} {cell(b1, bm, b3):<30} {100 * change:>+6.1f}%  {wins:>3} / {n:<3} {sum(tied):>4}  {verdict}")
+    d = [0.0 if tie else math.log(y / x) for x, y, tie in zip(a, b, tied)]
+    wins = sum(1 for v, tie in zip(d, tied) if not tie and (v < 0 if lower else v > 0))
+    losses = n - sum(tied) - wins
+    walsh = sorted((d[i] + d[j]) / 2 for i in range(n) for j in range(i, n))
+    hl = statistics.median(walsh)
+    if k:
+        lo, hi = walsh[k - 1], walsh[-k]
+        interval, verdict = f"[{pct(lo)}, {pct(hi)}]", "resolved" if lo > 0 or hi < 0 else "unresolved"
+    else:
+        interval, verdict = "n/a", "unresolved"
+    print(f"{name:<10} {cell(a1, am, a3):<30} {cell(b1, bm, b3):<30} {pct(hl):>7}  {interval:<17} {wins:>3} / {n:<3} {sum(tied):>4}  {sign_p(wins, losses):6.4f}  {verdict}")
 EOF
