@@ -125,8 +125,8 @@ type Counters struct {
 
 // Outcome reports one Submit call.
 type Outcome struct {
-	// Reply is nil when the client observes silence (dead node, lost frame
-	// or ack, lost reply) and must retry after its timeout.
+	// Reply is the caller's reply, filled in, or nil when the client observes
+	// silence (dead node, lost frame or ack, lost reply) and must retry.
 	Reply *wire.Reply
 	// Cost is the simulated latency until the client observes the reply —
 	// or, with a nil Reply, until the primary gave up (the client's own
@@ -293,18 +293,19 @@ func (f *Fleet) Route(tenant uint64) (node string, shard int, epoch uint64) {
 	return v.Primary, shard, v.Num
 }
 
-// Submit delivers one client request to node `to` and runs it to its outcome.
-// The request executes atomically at the current virtual instant; Outcome.Cost
-// is the latency the client observes. A nil Outcome.Reply is silence — the
-// addressed node is dead, the shard's replication stalled on a fault, or the
-// reply itself was lost — and the client must retry the same request id.
+// Submit delivers one client request to the current primary, answering into a
+// fresh Reply. The request executes atomically at the current virtual instant;
+// Outcome.Cost is the latency the client observes. A nil Outcome.Reply is
+// silence — the addressed node is dead, the shard's replication stalled on a
+// fault, or the reply itself was lost — and the client must retry the same id.
 func (f *Fleet) Submit(req *wire.Request) Outcome {
-	return f.SubmitTo(req, "")
+	return f.SubmitTo(req, "", new(wire.Reply))
 }
 
-// SubmitTo is Submit with an explicit destination node ("" routes to the
-// current primary). Sending to a stale primary exercises the NotOwner path.
-func (f *Fleet) SubmitTo(req *wire.Request, to string) Outcome {
+// SubmitTo is Submit to node `to` ("" routes to the current primary; a stale
+// primary answers NotOwner) into the caller's reply: every status is written
+// into *reply, so a caller that keeps one Reply allocates nothing per request.
+func (f *Fleet) SubmitTo(req *wire.Request, to string, reply *wire.Reply) Outcome {
 	shard := f.ShardOf(req.Tenant)
 	view := f.dir.Shard(shard)
 	if to == "" {
@@ -318,38 +319,24 @@ func (f *Fleet) SubmitTo(req *wire.Request, to string) Outcome {
 	}
 	r := n.replicas[shard]
 	if r == nil || r.role != rolePrimary || view.Primary != to {
-		return Outcome{
-			Reply: &wire.Reply{Client: req.Client, Req: req.Req, Status: wire.StatusNotOwner, Epoch: view.Num},
-			Cost:  rtt,
-		}
+		return Outcome{Reply: f.reply(reply, req, wire.StatusNotOwner, 0, view.Num), Cost: rtt}
 	}
 	if f.clk.Now().Before(r.availableAt) {
 		// Mid-promotion: the replica exists but is still replaying its log.
-		return Outcome{
-			Reply: &wire.Reply{Client: req.Client, Req: req.Req, Status: wire.StatusUnavailable, Epoch: view.Num},
-			Cost:  rtt,
-		}
+		return Outcome{Reply: f.reply(reply, req, wire.StatusUnavailable, 0, view.Num), Cost: rtt}
 	}
-	return f.serve(r, req, rtt)
+	return f.serve(r, req, rtt, reply)
 }
 
 // serve runs the primary-side protocol: dedup, execute, replicate, reply.
-func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome {
-	if req.Op >= wire.OpKinds() {
-		return Outcome{
-			Reply: &wire.Reply{Client: req.Client, Req: req.Req, Status: wire.StatusStaleReq, Epoch: r.epoch},
-			Cost:  rtt,
-		}
-	}
+func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration, reply *wire.Reply) Outcome {
 	ent, seen := r.dedup[req.Client]
 	switch {
-	case seen && req.Req < ent.req:
-		// A request id below the client's high-water mark: the client moved
-		// on; the old result is gone. Well-behaved clients never do this.
-		return Outcome{
-			Reply: &wire.Reply{Client: req.Client, Req: req.Req, Status: wire.StatusStaleReq, Epoch: r.epoch},
-			Cost:  rtt,
-		}
+	case req.Op >= wire.OpKinds() || seen && req.Req < ent.req:
+		// An op the table lacks, or a request id below the client's
+		// high-water mark: the client moved on; the old result is gone.
+		// Well-behaved clients never do either.
+		return Outcome{Reply: f.reply(reply, req, wire.StatusStaleReq, 0, r.epoch), Cost: rtt}
 	case seen && req.Req == ent.req:
 		f.counters.DupHits++
 		if r.pending && r.pendingClient == req.Client {
@@ -359,9 +346,9 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 			if !f.flushPending(r) {
 				return Outcome{Cost: netDelay + ackTimeout}
 			}
-			return Outcome{Reply: f.reply(r, req, ent.result), Cost: rtt + 2*repDelay}
+			return Outcome{Reply: f.reply(reply, req, wire.StatusOK, ent.result, r.epoch), Cost: rtt + 2*repDelay}
 		}
-		return Outcome{Reply: f.reply(r, req, ent.result), Cost: rtt}
+		return Outcome{Reply: f.reply(reply, req, wire.StatusOK, ent.result, r.epoch), Cost: rtt}
 	}
 	// Head-of-line: an earlier op is still unacknowledged. Its effect is in
 	// the live state, so nothing later may reach the log before it — flush
@@ -379,7 +366,7 @@ func (f *Fleet) serve(r *replica, req *wire.Request, rtt time.Duration) Outcome 
 		r.pending, r.pendingClient = true, req.Client
 		return Outcome{Cost: netDelay + cost}
 	}
-	return Outcome{Reply: f.reply(r, req, result), Cost: rtt + opCost + cost}
+	return Outcome{Reply: f.reply(reply, req, wire.StatusOK, result, r.epoch), Cost: rtt + opCost + cost}
 }
 
 // flushPending retransmits the shard's head-of-line uncommitted record. True
@@ -396,14 +383,15 @@ func (f *Fleet) flushPending(r *replica) bool {
 	return true
 }
 
-// reply builds the client reply for a committed result, or loses it when the
-// fault schedule says so.
-func (f *Fleet) reply(r *replica, req *wire.Request, result int64) *wire.Reply {
-	if f.cfg.Fault == FaultReplyDrop && f.strike() {
+// reply answers req into *reply and returns it; a committed result (StatusOK)
+// is lost instead, nil, when the fault schedule says so.
+func (f *Fleet) reply(reply *wire.Reply, req *wire.Request, status uint8, value int64, epoch uint64) *wire.Reply {
+	if status == wire.StatusOK && f.cfg.Fault == FaultReplyDrop && f.strike() {
 		f.counters.RepliesLost++
 		return nil
 	}
-	return &wire.Reply{Client: req.Client, Req: req.Req, Status: wire.StatusOK, Value: result, Epoch: r.epoch}
+	*reply = wire.Reply{Client: req.Client, Req: req.Req, Status: status, Value: value, Epoch: epoch}
+	return reply
 }
 
 // strike reports whether the current replication attempt is fault-struck.

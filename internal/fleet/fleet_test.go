@@ -25,7 +25,9 @@ func newTestFleet(t *testing.T, cfg Config) (*Fleet, *clock.Virtual) {
 	return f, clk
 }
 
-func mustOK(t *testing.T, out Outcome) *wire.Reply {
+// mustOK returns a copy of out's OK reply, so a caller that keeps one Reply
+// across requests cannot see an earlier result overwritten.
+func mustOK(t *testing.T, out Outcome) wire.Reply {
 	t.Helper()
 	if out.Reply == nil {
 		t.Fatal("silent outcome, want OK reply")
@@ -33,7 +35,7 @@ func mustOK(t *testing.T, out Outcome) *wire.Reply {
 	if out.Reply.Status != wire.StatusOK {
 		t.Fatalf("status %s, want ok", wire.StatusName(out.Reply.Status))
 	}
-	return out.Reply
+	return *out.Reply
 }
 
 func TestServeAndDedup(t *testing.T) {
@@ -80,8 +82,9 @@ func TestNotOwnerRouting(t *testing.T) {
 			break
 		}
 	}
-	out := f.SubmitTo(&wire.Request{Client: 1, Req: 1, Tenant: 0, Op: wire.OpGet}, wrong)
-	if out.Reply == nil || out.Reply.Status != wire.StatusNotOwner {
+	var reply wire.Reply
+	out := f.SubmitTo(&wire.Request{Client: 1, Req: 1, Tenant: 0, Op: wire.OpGet}, wrong, &reply)
+	if out.Reply != &reply || reply.Status != wire.StatusNotOwner {
 		t.Fatalf("wrong node: %+v, want NotOwner", out.Reply)
 	}
 	if out.Reply.Epoch != epoch {

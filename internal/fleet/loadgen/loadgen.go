@@ -254,6 +254,7 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 	blasted := make(map[uint64]struct{})
 	var hist histogram
 	var obs []fleet.Observation
+	var reply wire.Reply // every request answers into this one
 
 	start := clk.Now()
 	var now int64
@@ -287,7 +288,7 @@ func Run(f *fleet.Fleet, clk clock.Clock, cfg Config) (*Stats, []fleet.Observati
 		}
 		op, arg := reqOp(c.seed, c.req)
 		req := &wire.Request{Client: uint64(ev.client) + 1, Req: uint64(c.req), Tenant: c.tenant, Op: op, Arg: arg}
-		out := f.SubmitTo(req, nodes[c.node])
+		out := f.SubmitTo(req, nodes[c.node], &reply)
 		cost := int64(out.Cost)
 		switch {
 		case out.Reply == nil:

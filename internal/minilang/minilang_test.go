@@ -284,6 +284,8 @@ func TestCompileErrors(t *testing.T) {
 		{"float int mix", `func main() { var x float = 1.0 + 1; }`, "invalid operands"},
 		{"assign to call", `func main() { clock() = 3; }`, "assignment target"},
 		{"spawn value fn", `func f() int { return 1; } func main() { spawn f(); }`, "must not return"},
+		{"a non-ASCII letter", `é`, "unexpected character"},
+		{"a non-ASCII letter in an identifier", `func main() { var café = 1; }`, "unexpected character"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,7 +9,6 @@ package minilang
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokKind classifies tokens.
@@ -96,7 +95,8 @@ func lex(src string) ([]token, error) {
 				return nil, errAt(line, "unterminated block comment")
 			}
 			i += 2
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+			// ASCII only, like isIdentChar: other bytes are unexpected, below.
 			j := i
 			for j < n && (isIdentChar(src[j])) {
 				j++

@@ -180,8 +180,8 @@ func Key(sc Scenario) string {
 // strict, because a typo that parses replays a different schedule and prints
 // "ok": every comma-separated part must be name=value; at most one
 // kind-marking field (kill1 / clients / who) may appear; every field must
-// belong to the decided kind and appear once; every value must parse. Each
-// error names the offending field.
+// belong to the decided kind and appear once; every value must parse; a kind
+// with a mode field must be given one. Each error names the offending field.
 func ParseKey(key string) (Scenario, error) {
 	if strings.TrimSpace(key) == "" {
 		return nil, errors.New("empty replay key")
@@ -236,6 +236,12 @@ func ParseKey(key string) (Scenario, error) {
 			if err := parseValue(f.vals[i], v); err != nil {
 				return nil, fmt.Errorf("%s combo field %q: %w", kind, p.raw, err)
 			}
+		}
+	}
+	// Mode 0 renders as "invalid": a kind with a mode must be given one.
+	for _, f := range fs {
+		if _, isMode := f.vals[0].(*ftvm.Mode); isMode && !seen[f.name] {
+			return nil, fmt.Errorf("%s replay key has no %q field (lock, sched, lockint)", kind, f.name)
 		}
 	}
 	return sc, nil

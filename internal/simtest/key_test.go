@@ -121,6 +121,9 @@ func TestParseKeyRejects(t *testing.T) {
 		{"repeated field", "prog=1,kill=3,kill=5", `repeats field "kill"`},
 		{"repeated discriminator", "kill1=3,kill1=4", `repeats field "kill1"`},
 		{"repeated fleet field", "clients=10,seed=1,seed=2", `repeats field "seed"`},
+		{"pair key without a mode", "prog=1,kill=3", `pair replay key has no "mode" field`},
+		{"view key without a mode", "kill1=0", `view replay key has no "mode" field`},
+		{"consensus key without a mode", "who=leader,kill=5", `consensus replay key has no "mode" field`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,7 +138,7 @@ func TestParseKeyRejects(t *testing.T) {
 	}
 
 	// Both spellings of each boolean stay accepted.
-	for _, key := range []string{"prog=1,deliver=true", "prog=1,deliver=false", "kill1=2,d1=1,d2=0,inject=true"} {
+	for _, key := range []string{"prog=1,mode=lock,deliver=true", "prog=1,mode=lock,deliver=false", "kill1=2,mode=lock,d1=1,d2=0,inject=true"} {
 		if _, err := ParseKey(key); err != nil {
 			t.Errorf("ParseKey(%q): %v", key, err)
 		}
@@ -153,6 +156,33 @@ func TestParseKeyRejects(t *testing.T) {
 	if err := parseValue(new(float64), "1"); err == nil || !strings.Contains(err.Error(), "float64") {
 		t.Errorf("parseValue(*float64) = %v, want an error naming the type", err)
 	}
+}
+
+// FuzzParseKey: a replay key is typed by hand, so ParseKey must answer any
+// string with a scenario or an error, never a panic; and every key it accepts
+// must render to a canonical key that parses and renders back to itself —
+// the one line a sweep prints must replay what was accepted.
+func FuzzParseKey(f *testing.F) {
+	for _, sc := range fullCombos {
+		f.Add(Key(sc))
+	}
+	for _, key := range []string{"", "kill1=0", "prog=1,mode=lock,deliver=true", "who=leader,mode=sched,kill=5", "clients=10,ka=1@250,fault=ackdrop/3"} {
+		f.Add(key)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		sc, err := ParseKey(key)
+		if err != nil {
+			return
+		}
+		canon := Key(sc)
+		back, err := ParseKey(canon)
+		if err != nil {
+			t.Fatalf("ParseKey(%q) accepted, but its key %q does not parse: %v", key, canon, err)
+		}
+		if again := Key(back); again != canon {
+			t.Fatalf("ParseKey(%q) renders %q, which renders back as %q", key, canon, again)
+		}
+	})
 }
 
 // TestFuzzReplayKeyParses pins the bridge from the live fuzzer: the

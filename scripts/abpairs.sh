@@ -1,15 +1,20 @@
 #!/bin/sh
 # abpairs: alternating A/B runs of one workload of the benchmark spine — a
-# committed revision (A) against the working tree (B).
+# committed revision (A) against the working tree (B), or against a second
+# committed revision BREV.
 #
-#   scripts/abpairs.sh REV WORKLOAD [SEED [N]]
+#   scripts/abpairs.sh REV WORKLOAD [SEED [N [BREV]]]
 #   make ab REV=HEAD WORKLOAD=db-lock SEED=1 N=10
+#   make aa REV=HEAD WORKLOAD=fleet-kill SEED=1 N=10   (BREV = REV)
 #
 # Both spines are built once, with -trimpath -buildvcs=false so that a
 # binary depends on its source alone: A from `git archive REV` unpacked into
-# a temporary directory, B from the working tree as it stands, uncommitted
-# edits included. When the working tree is REV's tree (an A/A run), the two
-# binaries must be byte-identical, or the script refuses to start. Then N
+# a temporary directory, B from `git archive BREV` likewise when BREV is
+# given, else from the working tree as it stands, uncommitted edits included.
+# When B's tree is REV's tree (an A/A run: BREV names REV's tree, or the
+# working tree is REV's), the two binaries must be byte-identical, or the
+# script refuses to start; `make aa` is such a run that a dirty working tree
+# cannot disturb. Then N
 # pairs run, each side `-seed SEED -seconds 20 -trace 0` from the same
 # working directory. Which side goes first in each pair is a shuffle (as many
 # A-first pairs as B-first, one more A-first when N is odd) drawn from an
@@ -28,19 +33,26 @@
 # ("unresolved" otherwise, and always below 6 pairs, too few for a 95 %
 # interval). Nothing under benchmark/ is written.
 set -eu
-[ $# -ge 2 ] || { echo "usage: $0 REV WORKLOAD [SEED [N]]" >&2; exit 2; }
-rev=$1 workload=$2 seed=${3:-1} n=${4:-10}
+[ $# -ge 2 ] || { echo "usage: $0 REV WORKLOAD [SEED [N [BREV]]]" >&2; exit 2; }
+rev=$1 workload=$2 seed=${3:-1} n=${4:-10} brev=${5:-}
 root=$(cd "$(dirname "$0")/.." && pwd)
 out=${OUT:-$(mktemp -d)}
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-mkdir -p "$out" "$work/a"
+mkdir -p "$out" "$work/a" "$work/b"
 git -C "$root" archive "$rev" | tar -x -C "$work/a"
 go build -C "$work/a/benchmark" -trimpath -buildvcs=false -o "$work/spine-a" .
-go build -C "$root/benchmark" -trimpath -buildvcs=false -o "$work/spine-b" .
-if git -C "$root" diff --quiet "$rev" -- && [ -z "$(git -C "$root" ls-files --others --exclude-standard)" ] &&
-	! cmp -s "$work/spine-a" "$work/spine-b"; then
-	echo "abpairs: the working tree is $rev's tree, but the two spines built differ; refusing an A/A run" >&2
+if [ -n "$brev" ]; then
+	git -C "$root" archive "$brev" | tar -x -C "$work/b"
+	bsrc=$work/b bname=$brev
+	[ "$(git -C "$root" rev-parse "$brev^{tree}")" = "$(git -C "$root" rev-parse "$rev^{tree}")" ] && same=1 || same=0
+else
+	bsrc=$root bname="working tree"
+	git -C "$root" diff --quiet "$rev" -- && [ -z "$(git -C "$root" ls-files --others --exclude-standard)" ] && same=1 || same=0
+fi
+go build -C "$bsrc/benchmark" -trimpath -buildvcs=false -o "$work/spine-b" .
+if [ "$same" = 1 ] && ! cmp -s "$work/spine-a" "$work/spine-b"; then
+	echo "abpairs: B ($bname) is $rev's tree, but the two spines built differ; refusing an A/A run" >&2
 	exit 1
 fi
 order_seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
@@ -68,7 +80,7 @@ while [ "$i" -le "$n" ]; do
 	i=$((i + 1))
 done
 
-echo "$workload seed $seed, $n pairs, first sides $order (order seed $order_seed); A = $rev, B = working tree; JSON lines in $out"
+echo "$workload seed $seed, $n pairs, first sides $order (order seed $order_seed); A = $rev, B = $bname; JSON lines in $out"
 python3 - "$root/BENCHMARK.json" "$out" "$n" <<'EOF'
 import json, math, statistics, sys
 
