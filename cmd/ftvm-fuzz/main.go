@@ -1,8 +1,10 @@
 // Command ftvm-fuzz is the open-ended soak driver for the whole-program
-// differential fuzzer (internal/fuzzgen): it generates seeded multi-threaded
-// minilang programs and cross-checks standalone, replicated, failover,
-// consensus, and dispatch-engine execution, shrinking any divergence to a
-// minimized .mini repro artifact.
+// differential fuzzer: it generates seeded multi-threaded minilang programs
+// (internal/fuzzgen) and cross-checks standalone, replicated, failover,
+// consensus, and dispatch-engine execution (internal/simtest's FuzzConfig),
+// shrinking any divergence to a minimized .mini repro artifact. The
+// replicated, failover and consensus stages are simulator scenarios, so a
+// failure there prints the exact `ftvm-sim -replay` key that reproduces it.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/fuzzgen"
+	"repro/internal/simtest"
 )
 
 func main() {
@@ -54,8 +57,8 @@ func run() error {
 	switch *mode {
 	case "all":
 		stages = nil // every stage
-	case fuzzgen.StageStandalone, fuzzgen.StageReplicated, fuzzgen.StageFailover,
-		fuzzgen.StageConsensus, fuzzgen.StageDispatch:
+	case simtest.StageStandalone, simtest.StageReplicated, simtest.StageFailover,
+		simtest.StageConsensus, simtest.StageDispatch:
 		stages = []string{*mode}
 	default:
 		return fmt.Errorf("unknown -mode %q (all, standalone, replicated, failover, consensus, dispatch)", *mode)
@@ -64,7 +67,7 @@ func run() error {
 		*jobs = 1
 	}
 
-	cfg := &fuzzgen.Config{Size: size, ArtifactDir: *artifacts}
+	cfg := &simtest.FuzzConfig{Size: size, ArtifactDir: *artifacts}
 	var (
 		checked  atomic.Int64
 		diverged atomic.Int64

@@ -1,10 +1,6 @@
 package fuzzgen
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	ftvm "repro"
@@ -54,156 +50,22 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestDifferentialSmoke is the CI quota: ≥200 generated programs checked
-// across all five stages (standalone re-schedule, replicated+replay,
-// failover, consensus, dispatch cross-check) with zero divergences. Sharded
-// for parallelism.
-func TestDifferentialSmoke(t *testing.T) {
-	const shards = 8
-	seeds := 240
-	if !testing.Short() {
-		seeds = 480
-	}
-	for sh := 0; sh < shards; sh++ {
-		sh := sh
-		t.Run(fmt.Sprintf("shard%d", sh), func(t *testing.T) {
-			t.Parallel()
-			cfg := &Config{Size: SizeSmall, ArtifactDir: "testdata/artifacts"}
-			for seed := sh; seed < seeds; seed += shards {
-				p := Generate(uint64(seed), cfg.Size)
-				if f := cfg.CheckProg(p, nil); f != nil {
-					t.Fatalf("seed %d diverged:\n%s", seed, cfg.Report(p, f))
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialMediumLarge spot-checks the bigger size tiers (the soak
-// binary's domain) without blowing up CI time.
-func TestDifferentialMediumLarge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("medium/large tiers are covered by the soak binary; smoke uses small")
-	}
-	for _, size := range []Size{SizeMedium, SizeLarge} {
-		size := size
-		t.Run(size.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := &Config{Size: size, ArtifactDir: "testdata/artifacts"}
-			for seed := uint64(0); seed < 12; seed++ {
-				p := Generate(seed, size)
-				if f := cfg.CheckProg(p, nil); f != nil {
-					t.Fatalf("seed %d diverged:\n%s", seed, cfg.Report(p, f))
-				}
-			}
-		})
-	}
-}
-
-// TestInjectedDivergence wires a deliberately broken comparison into the
-// harness (the failover stage's output is corrupted before comparison) and
-// requires the full failure path to work: detection, greedy shrinking to a
-// near-minimal program, and a repro artifact set on disk.
-func TestInjectedDivergence(t *testing.T) {
-	dir := t.TempDir()
-	cfg := &Config{Size: SizeMedium, ArtifactDir: dir}
-	cfg.tamper = func(stage string, lines []string) []string {
-		if stage != StageFailover {
-			return lines
-		}
-		out := append([]string(nil), lines...)
-		for i, ln := range out {
-			if ln == "m|end" {
-				out[i] = "m|end-corrupted"
-			}
-		}
-		return out
-	}
-
-	const seed = 11
-	p := Generate(seed, cfg.Size)
-	f := cfg.CheckProg(p, nil)
-	if f == nil {
-		t.Fatal("tampered harness reported agreement")
-	}
-	if f.Stage != StageFailover {
-		t.Fatalf("failure stage = %q, want %q", f.Stage, StageFailover)
-	}
-
-	report := cfg.Report(p, f)
-	if !strings.Contains(report, "repro written to") {
-		t.Fatalf("report did not write an artifact:\n%s", report)
-	}
-
-	mini := filepath.Join(dir, fmt.Sprintf("seed%d-%s.mini", seed, StageFailover))
-	src, err := os.ReadFile(mini)
-	if err != nil {
-		t.Fatalf("minimized repro: %v", err)
-	}
-	// The tamper only corrupts the "m|end" marker, so the shrinker must be
-	// able to strip every thread and almost every statement while the
-	// divergence persists: the minimized program is main-only and tiny.
-	if strings.Contains(string(src), "spawn") {
-		t.Fatalf("minimized repro still spawns threads:\n%s", src)
-	}
-	if n := strings.Count(string(src), "\n"); n > 20 {
-		t.Fatalf("minimized repro is %d lines, want a near-minimal program:\n%s", n, src)
-	}
-	if !strings.Contains(string(src), "fuzzgen repro: seed 11") {
-		t.Fatalf("missing repro header:\n%s", src)
-	}
-	for _, suffix := range []string{".ref.txt", ".got.txt"} {
-		path := strings.TrimSuffix(mini, ".mini") + suffix
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("missing artifact %s: %v", path, err)
-		}
-	}
-	got, _ := os.ReadFile(strings.TrimSuffix(mini, ".mini") + ".got.txt")
-	if !strings.Contains(string(got), "m|end-corrupted") {
-		t.Fatalf("diverging output not captured:\n%s", got)
-	}
-}
-
-// TestShrinkRejectsUnrelatedFailures: a candidate that fails at a different
-// stage (or stops failing) must not be accepted as "smaller".
-func TestShrinkPreservesStage(t *testing.T) {
-	cfg := &Config{Size: SizeSmall}
-	cfg.tamper = func(stage string, lines []string) []string {
-		if stage != StageReplicated {
-			return lines
-		}
-		return append(append([]string(nil), lines...), "m|ghost")
-	}
-	p := Generate(3, cfg.Size)
-	f := cfg.CheckProg(p, nil)
-	if f == nil {
-		t.Fatal("tampered harness reported agreement")
-	}
-	sp, sf := cfg.Shrink(p, f, 60)
-	if sf.Stage != f.Stage {
-		t.Fatalf("shrunk failure stage = %q, want %q", sf.Stage, f.Stage)
-	}
-	if got := cfg.CheckProg(sp, []string{sf.Stage}); got == nil {
-		t.Fatal("shrunk program no longer reproduces the failure")
-	}
-}
-
 func TestCompareFrames(t *testing.T) {
 	ref := []string{"m|start", "w0|k1=5", "m|end", "w1|k2=7"}
 	// Cross-writer reordering is legal.
-	if d, ok := compareFrames(ref, []string{"w1|k2=7", "m|start", "w0|k1=5", "m|end"}); !ok {
+	if d, ok := CompareFrames(ref, []string{"w1|k2=7", "m|start", "w0|k1=5", "m|end"}); !ok {
 		t.Fatalf("legal reorder flagged: %s", d)
 	}
 	// Per-writer reorder is a divergence.
-	if _, ok := compareFrames(ref, []string{"m|end", "w0|k1=5", "m|start", "w1|k2=7"}); ok {
+	if _, ok := CompareFrames(ref, []string{"m|end", "w0|k1=5", "m|start", "w1|k2=7"}); ok {
 		t.Fatal("per-writer reorder not flagged")
 	}
 	// Missing frame is a divergence.
-	if _, ok := compareFrames(ref, []string{"m|start", "m|end", "w1|k2=7"}); ok {
+	if _, ok := CompareFrames(ref, []string{"m|start", "m|end", "w1|k2=7"}); ok {
 		t.Fatal("missing frame not flagged")
 	}
 	// Extra stream is a divergence.
-	if _, ok := compareFrames(ref, append(append([]string(nil), ref...), "w9|k3=0")); ok {
+	if _, ok := CompareFrames(ref, append(append([]string(nil), ref...), "w9|k3=0")); ok {
 		t.Fatal("extra stream not flagged")
 	}
 }

@@ -2,6 +2,7 @@ package fuzzgen
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -180,4 +181,52 @@ func renderExpr(e Expr) string {
 	default:
 		panic(fmt.Sprintf("fuzzgen: unknown expression %T", e))
 	}
+}
+
+// frames splits console lines into per-writer streams using the generated
+// "<stream>|<payload>" tags. Cross-writer interleaving is legally
+// schedule-dependent; each writer's own subsequence is not.
+func frames(lines []string) map[string][]string {
+	out := make(map[string][]string)
+	for _, ln := range lines {
+		stream := "?"
+		if i := strings.IndexByte(ln, '|'); i >= 0 {
+			stream = ln[:i]
+		}
+		out[stream] = append(out[stream], ln)
+	}
+	return out
+}
+
+// CompareFrames reports the first per-writer frame difference between two
+// consoles of a generated program ("" and true when they agree): the
+// comparison every run of one is held to against its reference.
+func CompareFrames(ref, got []string) (detail string, ok bool) {
+	rf, gf := frames(ref), frames(got)
+	var streams []string
+	for s := range rf {
+		streams = append(streams, s)
+	}
+	for s := range gf {
+		if _, ok := rf[s]; !ok {
+			streams = append(streams, s)
+		}
+	}
+	sort.Strings(streams)
+	for _, s := range streams {
+		r, g := rf[s], gf[s]
+		n := len(r)
+		if len(g) < n {
+			n = len(g)
+		}
+		for i := 0; i < n; i++ {
+			if r[i] != g[i] {
+				return fmt.Sprintf("stream %q frame %d: ref %q vs got %q", s, i, r[i], g[i]), false
+			}
+		}
+		if len(r) != len(g) {
+			return fmt.Sprintf("stream %q: ref has %d frames, got %d", s, len(r), len(g)), false
+		}
+	}
+	return "", true
 }

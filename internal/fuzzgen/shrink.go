@@ -3,31 +3,23 @@ package fuzzgen
 // Greedy program shrinking: when a seed fails, try successively smaller
 // variants of its program — drop whole threads, then whole features (gate,
 // slots, globals), then individual statements, then sub-expressions — and
-// keep any variant that still reproduces the failure at the same stage. The
-// check parameters (schedule seeds, replication mode, fault plan) derive from
-// the seed alone, so every candidate replays the identical scenario.
+// keep any variant that still reproduces the failure. What "reproduces" means
+// is the caller's: the differential check (internal/simtest) re-runs the
+// failing stage, whose schedule derives from the seed alone, so every
+// candidate replays the identical scenario.
 
-// DefaultShrinkBudget bounds how many differential re-checks one shrink run
-// may spend.
+// DefaultShrinkBudget bounds how many reproduction checks one shrink run may
+// spend.
 const DefaultShrinkBudget = 300
 
-// Shrink minimizes p while orig still reproduces. It returns the smallest
-// reproducing program found and its (re-observed) failure; with an
-// unreproducible failure it returns the inputs unchanged.
-func (c *Config) Shrink(p *Prog, orig *Failure, budget int) (*Prog, *Failure) {
-	if orig == nil {
-		return p, nil
-	}
+// Shrink minimizes p while reproduces holds, spending at most budget checks
+// (DefaultShrinkBudget when budget <= 0). It returns the smallest candidate
+// that reproduced, or p itself when none did.
+func Shrink(p *Prog, reproduces func(*Prog) bool, budget int) *Prog {
 	if budget <= 0 {
 		budget = DefaultShrinkBudget
 	}
-	stages := AllStages()
-	for _, s := range AllStages() {
-		if s == orig.Stage {
-			stages = []string{orig.Stage}
-		}
-	}
-	sh := &shrinker{c: c, orig: orig, stages: stages, budget: budget, best: p, bestFail: orig}
+	sh := &shrinker{reproduces: reproduces, budget: budget, best: p}
 	for {
 		improved := false
 		if sh.dropSpawns() {
@@ -49,34 +41,28 @@ func (c *Config) Shrink(p *Prog, orig *Failure, budget int) (*Prog, *Failure) {
 			improved = true
 		}
 		if !improved || sh.checks >= sh.budget {
-			return sh.best, sh.bestFail
+			return sh.best
 		}
 	}
 }
 
 type shrinker struct {
-	c        *Config
-	orig     *Failure
-	stages   []string
-	checks   int
-	budget   int
-	best     *Prog
-	bestFail *Failure
+	reproduces func(*Prog) bool
+	checks     int
+	budget     int
+	best       *Prog
 }
 
-// try re-checks a candidate; a failure at the original stage with the same
-// error-ness (ran-and-diverged vs failed-to-run) counts as reproducing and
-// becomes the new best.
+// try checks a candidate; one that reproduces becomes the new best.
 func (s *shrinker) try(cand *Prog) bool {
 	if s.checks >= s.budget {
 		return false
 	}
 	s.checks++
-	f := s.c.CheckProg(cand, s.stages)
-	if f == nil || f.Stage != s.orig.Stage || (f.Err != nil) != (s.orig.Err != nil) {
+	if !s.reproduces(cand) {
 		return false
 	}
-	s.best, s.bestFail = cand, f
+	s.best = cand
 	return true
 }
 

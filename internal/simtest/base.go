@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	ftvm "repro"
@@ -112,6 +113,29 @@ func (p *ProgCombo) recoverConfig(prog *ftvm.Program, environ *env.Env, fold int
 		Policy:          vm.NewSeededPolicy(polRec^fold, recoverMinQ, recoverMaxQ),
 		MaxInstructions: maxInstructions,
 	}
+}
+
+// replayLog holds a run that completed without recovery to what
+// ftvm.MeasureReplay checks: its whole log, replayed at an offline backup
+// over a fresh environment, must reproduce ref. It returns where the replayed
+// console departs from ref ("" when it does not).
+func (p *ProgCombo) replayLog(prog *ftvm.Program, r *cluster.Result, ref []string) (string, error) {
+	if r.Outcome != replication.OutcomePrimaryCompleted || r.Recovery != nil {
+		return "", nil
+	}
+	backup, err := cluster.Offline(p.Mode, r.Records())
+	if err != nil {
+		return "", fmt.Errorf("full-log replay load: %w", err)
+	}
+	envSeed, _, _ := deriveSeeds(p.ProgSeed)
+	rc := p.recoverConfig(prog, env.New(envSeed), 0)
+	if _, _, err := backup.Recover(rc); err != nil {
+		return "", fmt.Errorf("full-log replay: %w", err)
+	}
+	if detail, ok := fuzzgen.CompareFrames(ref, rc.Env.Console().Lines()); !ok {
+		return "full-log replay: " + detail, nil
+	}
+	return "", nil
 }
 
 // net shapes every simulated link of the combo: the seed drives latency and

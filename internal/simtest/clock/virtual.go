@@ -11,11 +11,15 @@ import (
 // Virtual is a deterministic simulated clock. Time never flows on its own:
 // it jumps forward only when every attached actor goroutine is parked in a
 // virtual wait, at which point the earliest scheduled event fires and wakes
-// someone. Because wakeups happen one event at a time, at global quiescence,
-// in (deadline, priority, schedule-order) order, a simulation driven entirely
-// through one Virtual clock and its WaitSlots executes in an order that is a
-// pure function of its inputs — rerunning the same seed replays the same
-// interleaving, timeouts included.
+// someone. At most one actor runs at a time: a Signal to a parked slot and a
+// Go child do not start a second actor beside the running one, they schedule
+// a wake at the current instant that fires once the running actor parks. So
+// wakeups happen one event at a time, at global quiescence, in (deadline,
+// priority, schedule-order) order, and a simulation driven entirely through
+// one Virtual clock and its WaitSlots executes in an order that is a pure
+// function of its inputs — rerunning the same seed replays the same
+// interleaving, timeouts included. Actors yield only at clock-visible points,
+// as the VM's green threads do at their scheduler's.
 //
 // Rules for code running under a Virtual clock:
 //
@@ -25,11 +29,13 @@ import (
 //     it knows about and freeze.
 //   - Actors must not block on anything the clock cannot see (bare channel
 //     receives, sync.Cond, sync.WaitGroup) while other actors depend on time
-//     advancing; such waits stall virtual time forever. Momentary mutex
+//     advancing; such waits stall virtual time forever. Nor may an actor spin
+//     waiting for another: the other does not run until the spinner parks,
+//     so a spinning actor starves every other one. Momentary mutex
 //     acquisition is fine.
 //   - A non-actor goroutine (e.g. a test's main goroutine) may freely wait on
-//     ordinary sync primitives for actors to finish; it just cannot use
-//     virtual waits itself.
+//     ordinary sync primitives for actors to finish, and may Signal; it just
+//     cannot use virtual waits itself.
 type Virtual struct {
 	mu       sync.Mutex
 	now      time.Duration // offset from epoch
@@ -41,11 +47,13 @@ type Virtual struct {
 	epoch    time.Time
 }
 
-// Event priorities: at equal deadlines, message deliveries fire before timer
-// expiries so that an ack racing its own timeout wins the tie — the generous
-// reading a real network gives you, and the one that keeps timeout-boundary
-// sweep points exploring the interesting schedule rather than a trivial one.
+// Event priorities: at equal deadlines, the wakes that Signal and Go schedule
+// fire first, then message deliveries, then timer expiries, so that an ack
+// racing its own timeout wins the tie — the generous reading a real network
+// gives you, and the one that keeps timeout-boundary sweep points exploring
+// the interesting schedule rather than a trivial one.
 const (
+	priRun     = -1
 	priDeliver = 0
 	priTimer   = 1
 )
@@ -98,12 +106,17 @@ func (v *Virtual) Sleep(d time.Duration) {
 
 // Go implements Clock: fn runs on a new goroutine registered as an actor for
 // its whole lifetime. Registration happens before Go returns, so the caller
-// may immediately park without racing the child's startup.
+// may immediately park without racing the child's startup. The child starts
+// parked, woken at the current instant once the caller parks.
 func (v *Virtual) Go(fn func()) {
+	s := &vslot{clk: v, parked: true, ch: make(chan struct{})}
 	v.mu.Lock()
 	v.actors++
+	v.blocked++
+	v.wakeLocked(s)
 	v.mu.Unlock()
 	go func() {
+		<-s.ch
 		defer v.Detach()
 		fn()
 	}()
@@ -169,6 +182,11 @@ type vslot struct {
 	ch       chan struct{}
 	timedOut bool
 	timerEv  *event
+	// wake is the priRun event a Signal schedules for the parked slot;
+	// wakePending holds while it is in the heap, so a second Signal before
+	// it fires adds nothing.
+	wake        event
+	wakePending bool
 }
 
 // Park implements WaitSlot.
@@ -222,21 +240,47 @@ func (s *vslot) Park(timeout time.Duration) bool {
 	return out
 }
 
-// Signal implements WaitSlot.
+// Signal implements WaitSlot. A parked slot is not woken at once, beside the
+// caller: its wake is scheduled at the current instant (wakeLocked).
 func (s *vslot) Signal() {
 	v := s.clk
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.progress.Add(1)
-	v.signalLocked(s, false)
+	if s.parked {
+		v.wakeLocked(s)
+	} else {
+		s.latched = true
+	}
+}
+
+// wakeLocked schedules a parked slot's wake at now, ahead of every delivery
+// and timer at that instant. It fires at the next quiescence: when the
+// running actor parks or, for a non-actor caller while every actor is
+// already parked, right here.
+func (v *Virtual) wakeLocked(s *vslot) {
+	if s.wakePending {
+		return
+	}
+	s.wakePending = true
+	if s.wake.fire == nil {
+		s.wake.fire = func() {
+			s.wakePending = false
+			v.signalLocked(s, false)
+		}
+	}
+	s.wake.at, s.wake.pri = v.now, priRun
+	v.pushLocked(&s.wake)
+	if v.blocked == v.actors {
+		v.advanceLocked()
+	}
 }
 
 // signalLocked wakes a parked slot (counting it unblocked immediately, so an
 // in-progress advance never mistakes a woken-but-not-yet-resumed actor for a
 // sleeper and fires a second event prematurely), or latches the signal if the
-// slot is idle. Called with v.mu held — including from event fire functions
-// inside advanceLocked, which is why event callbacks may only touch slot
-// state.
+// slot is idle. Called with v.mu held, from event fire functions inside
+// advanceLocked, which is why event callbacks may only touch slot state.
 func (v *Virtual) signalLocked(s *vslot, timedOut bool) {
 	if !s.parked {
 		if !timedOut {
@@ -340,7 +384,7 @@ func (v *Virtual) Watchdog(limit time.Duration) (stop func()) {
 			} else if stale += tick; stale >= limit {
 				v.mu.Lock()
 				msg := fmt.Sprintf(
-					"simtest/clock: watchdog — no simulation progress for %s (virtual t=%s, actors=%d, blocked=%d, pending events=%d); an actor is likely blocked outside the clock",
+					"simtest/clock: watchdog — no simulation progress for %s (virtual t=%s, actors=%d, blocked=%d, pending events=%d); an actor is likely blocked outside the clock, or spinning without parking, which starves every other actor",
 					limit, v.now, v.actors, v.blocked, len(v.events))
 				v.mu.Unlock()
 				panic(msg)

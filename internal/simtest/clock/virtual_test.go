@@ -89,6 +89,61 @@ func TestSignalBeforeTimeout(t *testing.T) {
 	}
 }
 
+// TestOneActorRuns: a Signal to a parked slot and a Go child both wait for
+// the running actor to park — no two actors run at one virtual instant — and
+// then run at that instant, in the order they were scheduled.
+func TestOneActorRuns(t *testing.T) {
+	v := NewVirtual()
+	slot := v.NewWaitSlot()
+	var log []string // appended by one actor at a time, so unguarded
+	var done sync.WaitGroup
+	done.Add(3)
+	v.Attach() // hold the clock while launching, as in TestVirtualEventOrdering
+	v.Go(func() {
+		defer done.Done()
+		slot.Park(0)
+		log = append(log, fmt.Sprintf("woken@%v", v.Elapsed()))
+	})
+	v.Go(func() {
+		defer done.Done()
+		v.Sleep(time.Millisecond)
+		slot.Signal()
+		v.Go(func() {
+			defer done.Done()
+			log = append(log, "child")
+		})
+		log = append(log, "signaller")
+		v.Sleep(time.Millisecond)
+		log = append(log, fmt.Sprintf("signaller@%v", v.Elapsed()))
+	})
+	v.Detach()
+	done.Wait()
+	if got, want := strings.Join(log, " "), "signaller woken@1ms child signaller@2ms"; got != want {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+}
+
+// TestNonActorWakeAdvances: a wake scheduled by a goroutine that is not an
+// actor, while every actor is parked, is itself a scheduling point — no
+// running actor is left to park and fire it. Park and Detach advance until an
+// actor wakes, so the one state with every actor parked is the one a
+// non-actor's Go makes: its child, registered parked, must start at once.
+func TestNonActorWakeAdvances(t *testing.T) {
+	v := NewVirtual()
+	started := make(chan time.Duration, 1)
+	v.Go(func() { started <- v.Elapsed() })
+	timer := Real.Timer(10 * time.Second)
+	defer timer.Stop()
+	select {
+	case at := <-started:
+		if at != 0 {
+			t.Fatalf("child started at %v, want 0", at)
+		}
+	case <-timer.C:
+		t.Fatal("a non-actor's Go, with no actor running, never started the child")
+	}
+}
+
 // TestDeliveryBeatsTimerAtTie: a ScheduleSignal landing exactly on a park's
 // deadline wins the tie (delivery priority < timer priority), modelling an
 // ack that arrives just as the timeout fires.

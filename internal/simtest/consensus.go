@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -103,8 +104,8 @@ func consensusCombos(c *SweepConfig) (out []Scenario) {
 	return out
 }
 
-// run: beyond output equality the verdict asserts the stale-term contract —
-// an injected stale frame must be rejected and counted, never acted on.
+// run: beyond output equality, an injected stale frame must be rejected and
+// counted, never acted on, and a clean end replays the whole committed log.
 func (cb *ConsensusCombo) run(prog *ftvm.Program, out *Outcome) error {
 	r, err := RunConsensusCluster(*cb, prog)
 	if r == nil {
@@ -119,9 +120,14 @@ func (cb *ConsensusCombo) run(prog *ftvm.Program, out *Outcome) error {
 	out.Summary = fmt.Sprintf("killed=%t recovered=%t leader=%d->%d term=%d records=%d stale=%d malformed=%d vtime=%s console=%d",
 		r.Killed, r.Recovery != nil, r.FirstLeader, r.FinalLeader, r.FinalTerm,
 		r.Backup.RecordsLogged, stale, malformed, r.Total, len(r.Console))
+	if err != nil {
+		return err
+	}
 	if cb.InjectStale && stale == 0 {
 		out.Detail = "stale-term frame was injected but never rejected (follower acted on old-term traffic?)"
 	}
+	replayed, err := cb.replayLog(prog, r, out.Ref)
+	out.Detail = strings.TrimSpace(out.Detail + " " + replayed)
 	return err
 }
 
@@ -130,8 +136,8 @@ func (cb *ConsensusCombo) run(prog *ftvm.Program, out *Outcome) error {
 const consensusAckTimeout = 2 * time.Second
 
 // RunConsensusCluster plays the combo's schedule over prog to completion on a
-// fresh virtual clock. Not every summary column is yet a function of the
-// combo — see RunSweep. An error means the harness or the protocol contract
+// fresh virtual clock. Every summary column is a deterministic function of
+// the combo. An error means the harness or the protocol contract
 // broke (survivors failed to elect, committed log undecodable, recovery
 // failed) — not merely that the injected failure fired.
 func RunConsensusCluster(cb ConsensusCombo, prog *ftvm.Program) (*cluster.Result, error) {

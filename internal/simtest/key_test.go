@@ -184,25 +184,3 @@ func FuzzParseKey(f *testing.F) {
 		}
 	})
 }
-
-// TestFuzzReplayKeyParses pins the bridge from the live fuzzer: the
-// `ftvm-sim -replay` string that ftvm-fuzz prints for a failing seed must be
-// accepted by ParseKey as a pair key and name the same generated program.
-func TestFuzzReplayKeyParses(t *testing.T) {
-	f := &fuzzgen.Failure{Seed: 8241, Size: fuzzgen.SizeMedium, Stage: fuzzgen.StageFailover}
-	key := fuzzgen.SimReplayKey(f)
-	sc, err := ParseKey(key)
-	if err != nil {
-		t.Fatalf("ParseKey(%q): %v", key, err)
-	}
-	cb, ok := sc.(*Combo)
-	if !ok {
-		t.Fatalf("ParseKey(%q) is a %s key, want pair", key, sc.Kind())
-	}
-	if cb.ProgSeed != f.Seed || cb.Size != f.Size {
-		t.Fatalf("combo %q lost the program identity (seed %d size %s)", key, f.Seed, f.Size)
-	}
-	if cb.KillAtSend == 0 && cb.FaultKind == 0 {
-		t.Fatalf("combo %q carries no failure schedule", key)
-	}
-}

@@ -61,13 +61,19 @@ func pairCombos(c *SweepConfig) (out []Scenario) {
 	return out
 }
 
+// run: a run that completed without recovery has its whole log replayed too.
 func (cb *Combo) run(prog *ftvm.Program, out *Outcome) error {
 	r, err := RunCluster(*cb, prog)
-	if r != nil {
-		out.Result, out.Console = r, r.Console
-		out.Summary = fmt.Sprintf("outcome=%q killed=%t recovered=%t records=%d vtime=%s console=%d",
-			r.Outcome, r.Killed, r.Recovery != nil, r.Backup.RecordsLogged, r.Total, len(r.Console))
+	if r == nil {
+		return err
 	}
+	out.Result, out.Console = r, r.Console
+	out.Summary = fmt.Sprintf("outcome=%q killed=%t recovered=%t records=%d vtime=%s console=%d",
+		r.Outcome, r.Killed, r.Recovery != nil, r.Backup.RecordsLogged, r.Total, len(r.Console))
+	if err != nil {
+		return err
+	}
+	out.Detail, err = cb.replayLog(prog, r, out.Ref)
 	return err
 }
 

@@ -12,7 +12,7 @@
 // table is its replay-key grammar, an enumerator that expands a SweepConfig
 // into schedules, and a run that plays one schedule and reports deterministic
 // summary columns. Key, ParseKey, Run, Outcome and RunSweep are written once
-// over that contract.
+// over that contract. The differential fuzzer (FuzzConfig) runs on it too.
 //
 // The style follows FoundationDB's simulation testing: virtual time advances
 // only when every participant is blocked, all nondeterminism is drawn from
@@ -146,7 +146,8 @@ func (o *Outcome) ReplayCommand() string {
 
 // deriveSeeds expands a program seed into the run's environment, primary
 // policy, and recovery policy seeds (split from the program seed so shrunken
-// or hand-picked programs keep their schedules, mirroring fuzzgen.derive).
+// or hand-picked programs keep their schedules). Every kind and every stage
+// of the differential check derives them here.
 func deriveSeeds(progSeed uint64) (envSeed, polRef, polRec int64) {
 	drv := frand.New(progSeed ^ 0x51731EED)
 	return int64(drv.Next()>>2) | 1, int64(drv.Next()>>2) | 1, int64(drv.Next()>>2) | 1
@@ -166,27 +167,34 @@ type references map[[2]uint64]*reference
 func (c references) get(seed uint64, size fuzzgen.Size) *reference {
 	id := [2]uint64{seed, uint64(size)}
 	if c[id] == nil {
-		c[id] = newReference(seed, size)
+		c[id] = newReference(fuzzgen.Generate(seed, size))
 	}
 	return c[id]
 }
 
-func newReference(seed uint64, size fuzzgen.Size) *reference {
-	envSeed, polRef, _ := deriveSeeds(seed)
-	src := fuzzgen.Generate(seed, size).Render()
-	prog, err := ftvm.CompileSource(fmt.Sprintf("sim-%d", seed), src)
+// newReference compiles p and runs it alone under the primary's schedule. The
+// program need not be the one its seed generates: the fuzzer's shrinker hands
+// in smaller variants, which keep the seed and so every schedule.
+func newReference(p *fuzzgen.Prog) *reference {
+	seed := p.Seed
+	_, polRef, _ := deriveSeeds(seed)
+	prog, err := ftvm.CompileSource(fmt.Sprintf("sim-%d", seed), p.Render())
 	if err != nil {
 		return &reference{err: fmt.Errorf("compile seed %d: %w", seed, err)}
 	}
-	res, err := ftvm.Run(prog, ftvm.Options{
-		EnvSeed: envSeed, PolicySeed: polRef,
-		MinQuantum: minQuantum, MaxQuantum: maxQuantum,
-		MaxInstructions: maxInstructions,
-	})
+	res, err := runAlone(prog, seed, polRef, minQuantum, maxQuantum, ftvm.DispatchThreaded)
 	if err != nil {
 		return &reference{err: fmt.Errorf("reference run seed %d: %w", seed, err)}
 	}
 	return &reference{prog: prog, console: res.Console}
+}
+
+// runAlone runs prog unreplicated over the environment seed derives, under
+// the given schedule and interpreter stream.
+func runAlone(prog *ftvm.Program, seed uint64, policy int64, minQ, maxQ uint64, d ftvm.Dispatch) (*ftvm.Result, error) {
+	envSeed, _, _ := deriveSeeds(seed)
+	return ftvm.Run(prog, ftvm.Options{EnvSeed: envSeed, PolicySeed: policy,
+		MinQuantum: minQ, MaxQuantum: maxQ, MaxInstructions: maxInstructions, Dispatch: d})
 }
 
 // run plays one scenario and judges it: per-writer output streams against the
@@ -270,13 +278,9 @@ type SweepResult struct {
 }
 
 // RunSweep plays every scenario in order, emitting one trace line per
-// scenario via logf (nil = collect only). For the pair, view and fleet kinds
-// the trace is a pure function of the configuration: the same sweep twice
-// yields byte-identical traces, simulated timestamps included. For the
-// consensus kind the keys, their order and every verdict are, but the
-// records= and vtime= columns — and on a leader-kill line, under enough
-// scheduling pressure, the rest of the summary — are not yet (ROADMAP item 5;
-// the determinism test masks them and gives the reason and the numbers).
+// scenario via logf (nil = collect only). The trace is a pure function of the
+// configuration: the same sweep twice yields byte-identical traces,
+// simulated timestamps included.
 func RunSweep(cfg SweepConfig, logf func(string)) *SweepResult {
 	scenarios := cfg.Scenarios()
 	res := &SweepResult{Combos: len(scenarios)}

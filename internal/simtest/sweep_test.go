@@ -3,7 +3,6 @@ package simtest
 import (
 	"crypto/sha256"
 	"fmt"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -31,59 +30,26 @@ var smokeSweeps = []SweepConfig{
 	{Kind: KindConsensus, Seeds: seeds(1, 2), NetSeeds: []int64{1}},
 }
 
-// contestedConsensus is the consensus sweep whose trace IS stable run to run
-// (55 of 55 double runs, 15 of them under -race): one program, early kills,
-// and election seed 7, which makes two replicas campaign at once.
+// contestedConsensus is one program, early kills, and election seed 7, which
+// makes two replicas campaign at once.
 var contestedConsensus = SweepConfig{Kind: KindConsensus, Seeds: []uint64{3}, Kills: []int{2, 5}, ESeeds: []uint64{1, 7}}
-
-// maskConsensus blanks the parts of a consensus trace line that are not yet a
-// function of the configuration. Measured at the parent of the PR that
-// unified the harness: six runs of `ftvm-sim -consensus -progs 4 -nets 2`
-// gave six different trace hashes where pair, view and fleet gave 6/6
-// identical; one clean key replayed 40 times read vtime=7.942545ms 39 times
-// and 8.320516ms once; records= moved by one on a leader-kill line. With
-// records= and vtime= masked all six runs were identical and every verdict
-// was "ok". The VM goroutine proposes to the leader by a direct call, not
-// through the simulated network, so at one virtual instant it races the
-// leader's replica loop; which wins changes batching and therefore RNG draws.
-//
-// On a leader-kill line the same race decides more: whether the kill lands
-// before the program's last commit (recovered=true or false on kill=12 lines)
-// and whether the harness's kill poller sees its flag before the run ends and
-// fail-stops the dead leader's replica (leader=2->2 term=1 or leader=2->1
-// term=2). With only records= and vtime= masked, on two cores: 3 of 53 runs of
-// -progs 4 -nets 2 differed on such a line, 0 of 60 double runs at smoke
-// size, and 31 of 40 double runs at smoke size under -race. So of such a line
-// only the key is compared — every schedule must still pass in both runs.
-// ROADMAP item 5 carries the bug.
-var consensusUnstable = regexp.MustCompile(`records=\d+|vtime=\S+`)
-
-func maskConsensus(line string) string {
-	key, summary, _ := strings.Cut(line, " -> ")
-	if strings.Contains(key, "who=leader") && !strings.Contains(key, "kill=0,") {
-		return key
-	}
-	return key + " -> " + consensusUnstable.ReplaceAllString(summary, "~")
-}
 
 // TestSweepTraceDeterminism is the harness's core promise, for all four
 // kinds: the same sweep configuration produces a byte-identical trace on
 // every run — outcomes, record counts, and simulated timestamps included —
 // and no schedule fails. Any wall-clock leak into the schedule (a real timer
-// racing a virtual one, an unseeded draw) shows up here as a diff. Exact for
-// pair, view, fleet and the contested-election consensus sweep; masked, for
-// the reason above, for consensus at smoke size.
+// racing a virtual one, an unseeded draw, two actors running at once) shows
+// up here as a diff.
 func TestSweepTraceDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  SweepConfig
-		mask func(string) string
 	}{
-		{"pair", smokeSweeps[KindPair], nil},
-		{"view", smokeSweeps[KindView], nil},
-		{"fleet", smokeSweeps[KindFleet], nil},
-		{"consensus", smokeSweeps[KindConsensus], maskConsensus},
-		{"consensus-contested", contestedConsensus, nil},
+		{"pair", smokeSweeps[KindPair]},
+		{"view", smokeSweeps[KindView]},
+		{"fleet", smokeSweeps[KindFleet]},
+		{"consensus", smokeSweeps[KindConsensus]},
+		{"consensus-contested", contestedConsensus},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			first, second := RunSweep(tc.cfg, nil), RunSweep(tc.cfg, nil)
@@ -94,11 +60,7 @@ func TestSweepTraceDeterminism(t *testing.T) {
 				t.Errorf("combo failed: %s\nreplay: %s", f.TraceLine(), f.ReplayCommand())
 			}
 			for i := range first.Trace {
-				a, b := first.Trace[i], second.Trace[i]
-				if tc.mask != nil {
-					a, b = tc.mask(a), tc.mask(b)
-				}
-				if a != b {
+				if a, b := first.Trace[i], second.Trace[i]; a != b {
 					t.Errorf("trace line %d differs between two runs:\n  %s\n  %s", i, a, b)
 				}
 			}
@@ -271,6 +233,14 @@ func TestFleetQuorumSweep(t *testing.T) {
 // counts, verdicts and simulated timestamps of 216 pair schedules.
 func TestPairSweepTraceGolden(t *testing.T) {
 	sweepTraceGolden(t, KindPair, 216, "156a892a592ec5bcdc828c24e0310f4205b858ea4fe1a8f05189c9531c0d6bb1")
+}
+
+// TestConsensusSweepTraceGolden pins the default `ftvm-sim -consensus -trace`
+// sweep (288 schedules over the 3-replica log): with one actor running at a
+// time on the virtual clock, leader kills, elections and commit batching are
+// a function of the key too.
+func TestConsensusSweepTraceGolden(t *testing.T) {
+	sweepTraceGolden(t, KindConsensus, 288, "cd2fd0cdd2367f836e0c3fbe5ea8b1d38dc3bef914426c3c40357c3dee9eb0eb")
 }
 
 // TestViewSweepTraceGolden pins the default `ftvm-sim -view -trace` sweep (528

@@ -28,7 +28,7 @@ func takeoverProgram(t *testing.T) (*ftvm.Program, []string, Combo) {
 	t.Helper()
 	cb := Combo{ProgCombo: ProgCombo{ProgSeed: 3, Size: fuzzgen.SizeSmall, Mode: ftvm.ModeLock,
 		NetSeed: 5, ReorderNum: 1, ReorderDen: 8}}
-	ref := newReference(cb.ProgSeed, cb.Size)
+	ref := references{}.get(cb.ProgSeed, cb.Size)
 	if ref.err != nil {
 		t.Fatal(ref.err)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fuzzgen"
 	"repro/internal/identity"
 	"repro/internal/programs"
+	"repro/internal/simtest"
 	"repro/internal/vm"
 )
 
@@ -61,18 +62,18 @@ func TestThreeWayGolden(t *testing.T) {
 // TestThreeWayFuzzDispatch runs the fuzzer's dispatch stage — DispatchSwitch
 // against DispatchThreaded on one fresh schedule per seed, full console and
 // Stats — over the fuzz-smoke seed range with DispatchSwitch pointed at the
-// oracle. (internal/fuzzgen's own run of the stage compares the step stream
+// oracle. (The differential smoke's run of the stage compares the step stream
 // with the fused one, which completes the triangle.)
 func TestThreeWayFuzzDispatch(t *testing.T) {
 	seeds := uint64(240)
 	if testing.Short() {
 		seeds = 40
 	}
-	cfg := &fuzzgen.Config{Size: fuzzgen.SizeSmall}
+	cfg := &simtest.FuzzConfig{Size: fuzzgen.SizeSmall}
 	vm.OracleEngine.In(func() {
 		for seed := uint64(0); seed < seeds; seed++ {
 			p := fuzzgen.Generate(seed, cfg.Size)
-			if f := cfg.CheckProg(p, []string{fuzzgen.StageDispatch}); f != nil {
+			if f := cfg.CheckProg(p, []string{simtest.StageDispatch}); f != nil {
 				t.Fatalf("seed %d: fused stream diverged from the oracle:\n%s", seed, cfg.Report(p, f))
 			}
 		}
