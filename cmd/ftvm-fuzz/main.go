@@ -67,7 +67,7 @@ func run() error {
 		*jobs = 1
 	}
 
-	cfg := &simtest.FuzzConfig{Size: size, ArtifactDir: *artifacts}
+	cfg := &simtest.FuzzConfig{ArtifactDir: *artifacts}
 	var (
 		checked  atomic.Int64
 		diverged atomic.Int64

@@ -26,9 +26,9 @@ func TestDifferentialSmoke(t *testing.T) {
 		sh := sh
 		t.Run(fmt.Sprintf("shard%d", sh), func(t *testing.T) {
 			t.Parallel()
-			cfg := &simtest.FuzzConfig{Size: fuzzgen.SizeSmall, ArtifactDir: "testdata/artifacts"}
+			cfg := &simtest.FuzzConfig{ArtifactDir: "testdata/artifacts"}
 			for seed := sh; seed < seeds; seed += shards {
-				p := fuzzgen.Generate(uint64(seed), cfg.Size)
+				p := fuzzgen.Generate(uint64(seed), fuzzgen.SizeSmall)
 				if f := cfg.CheckProg(p, nil); f != nil {
 					t.Fatalf("seed %d diverged:\n%s", seed, cfg.Report(p, f))
 				}
@@ -47,7 +47,7 @@ func TestDifferentialMediumLarge(t *testing.T) {
 		size := size
 		t.Run(size.String(), func(t *testing.T) {
 			t.Parallel()
-			cfg := &simtest.FuzzConfig{Size: size, ArtifactDir: "testdata/artifacts"}
+			cfg := &simtest.FuzzConfig{ArtifactDir: "testdata/artifacts"}
 			for seed := uint64(0); seed < 12; seed++ {
 				p := fuzzgen.Generate(seed, size)
 				if f := cfg.CheckProg(p, nil); f != nil {

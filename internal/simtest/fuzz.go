@@ -33,8 +33,6 @@ func allStages() []string {
 
 // FuzzConfig drives the differential check.
 type FuzzConfig struct {
-	// Size selects the generated-program size tier.
-	Size fuzzgen.Size
 	// ArtifactDir, when non-empty, receives minimized repro artifacts for
 	// every failure Report shrinks (see writeArtifact).
 	ArtifactDir string
@@ -45,37 +43,34 @@ type FuzzConfig struct {
 	tamper func(stage string, lines []string) []string
 }
 
-// FuzzFailure describes one divergence or execution error. Err != nil means
-// the stage failed to run (compile error, VM error, broken replication
-// contract); Err == nil means it ran and diverged from the reference output
-// or broke an invariant.
+// FuzzFailure is one stage's failed verdict on one generated program.
 type FuzzFailure struct {
 	Seed  uint64
 	Size  fuzzgen.Size
 	Stage string
-	// Key is the failing scenario's replay key ("" for the two VM stages).
-	Key    string
-	Err    error
-	Detail string   // which stream/frame diverged
-	Ref    []string // reference console
-	Got    []string // diverging console
-	Source string   // program source at detection time
+	// Outcome is the verdict. Err != nil means the stage failed to run
+	// (compile error, VM error, broken replication contract); otherwise it
+	// ran, and Detail says how Console diverged from Ref or which invariant
+	// broke. A simulated stage's Outcome is its scenario's own; the two VM
+	// stages leave Scenario nil.
+	Outcome *Outcome
+	Source  string // program source at detection time
 }
 
 // Error implements error.
 func (f *FuzzFailure) Error() string {
-	if f.Err != nil {
-		return fmt.Sprintf("seed %d stage %s: %v", f.Seed, f.Stage, f.Err)
+	if f.Outcome.Err != nil {
+		return fmt.Sprintf("seed %d stage %s: %v", f.Seed, f.Stage, f.Outcome.Err)
 	}
-	return fmt.Sprintf("seed %d stage %s: output divergence: %s", f.Seed, f.Stage, f.Detail)
+	return fmt.Sprintf("seed %d stage %s: output divergence: %s", f.Seed, f.Stage, f.Outcome.Detail)
 }
 
 // ReplayCommand renders the shell command that reruns the failure alone: the
 // exact scenario for a simulated stage, the one seed and stage otherwise.
 // Either reruns the program the seed generates, not a shrunken one.
 func (f *FuzzFailure) ReplayCommand() string {
-	if f.Key != "" {
-		return fmt.Sprintf("go run ./cmd/ftvm-sim -replay %q", f.Key)
+	if f.Outcome.Scenario != nil {
+		return f.Outcome.ReplayCommand()
 	}
 	return fmt.Sprintf("go run ./cmd/ftvm-fuzz -seeds 1 -start %d -size %s -mode %s", f.Seed, f.Size, f.Stage)
 }
@@ -96,7 +91,9 @@ type fuzzDraws struct {
 }
 
 // drawFuzz draws them from the seed alone, never from the program's content,
-// so a shrunken candidate replays the identical scenarios. The links never
+// so a shrunken candidate replays the identical scenarios. A kill lands on
+// one of frame sends 1..20, the pair sweep's default kill range (a small
+// program may send fewer; then the kill never fires). The links never
 // reorder (reorder=0/0): a frame that overtakes another is a channel fault
 // the pair fails over on, and the clean stages must stay clean.
 func drawFuzz(seed uint64, size fuzzgen.Size) fuzzDraws {
@@ -107,7 +104,7 @@ func drawFuzz(seed uint64, size fuzzgen.Size) fuzzDraws {
 	if drv.Chance(1, 3) {
 		failover.FaultKind, failover.FaultAt = fuzzFaults[drv.Intn(len(fuzzFaults))], drv.Range(1, 30)
 	} else {
-		failover.KillAtSend, failover.KillDeliver = drv.Range(1, 12), drv.Bool()
+		failover.KillAtSend, failover.KillDeliver = drv.Range(1, 20), drv.Bool()
 	}
 	d := fuzzDraws{scenarios: map[string]Scenario{
 		StageReplicated: &Combo{ProgCombo: base},
@@ -126,55 +123,45 @@ func (c *FuzzConfig) CheckProg(p *fuzzgen.Prog, stages []string) *FuzzFailure {
 	if stages == nil {
 		stages = allStages()
 	}
-	src := p.Render()
-	fail := func(stage, key string, err error, detail string, ref, got []string) *FuzzFailure {
-		return &FuzzFailure{Seed: p.Seed, Size: p.Size, Stage: stage, Key: key, Err: err, Detail: detail,
-			Ref: ref, Got: got, Source: src}
+	fail := func(stage string, out *Outcome) *FuzzFailure {
+		return &FuzzFailure{Seed: p.Seed, Size: p.Size, Stage: stage, Outcome: out, Source: p.Render()}
 	}
 	ref := newReference(p)
 	if ref.err != nil {
-		return fail(StageStandalone, "", ref.err, "reference run", nil, nil)
-	}
-	compare := func(stage, key string, got []string) *FuzzFailure {
-		if c.tamper != nil {
-			got = c.tamper(stage, got)
-		}
-		if detail, ok := fuzzgen.CompareFrames(ref.console, got); !ok {
-			return fail(stage, key, nil, detail, ref.console, got)
-		}
-		return nil
+		return fail(StageStandalone, &Outcome{Err: ref.err, Detail: "reference run"})
 	}
 	d := drawFuzz(p.Seed, p.Size)
 	refs := references{{p.Seed, uint64(p.Size)}: ref}
 	for _, stage := range stages {
-		var f *FuzzFailure
+		var out *Outcome
 		switch stage {
 		case StageStandalone:
 			// Same program, another schedule: output must be a pure
 			// function of the program text.
 			_, _, polRec := deriveSeeds(p.Seed)
 			res, err := runAlone(ref.prog, p.Seed, polRec, recoverMinQ, recoverMaxQ, ftvm.DispatchThreaded)
+			out = &Outcome{Ref: ref.console, Err: err}
 			if err != nil {
-				return fail(stage, "", err, "recovery-schedule run", nil, nil)
+				out.Detail = "recovery-schedule run"
+			} else {
+				out.Console = res.Console
+				out.Detail, _ = fuzzgen.CompareFrames(out.Ref, out.Console)
 			}
-			f = compare(stage, "", res.Console)
 		case StageDispatch:
-			if detail, sw, got, err := c.dispatch(p.Seed, ref.prog, d); err != nil || detail != "" {
-				return fail(stage, "", err, detail, sw, got)
-			}
+			out = c.dispatch(p.Seed, ref.prog, d)
 		default:
 			sc := d.scenarios[stage]
 			if sc == nil {
-				return fail(stage, "", fmt.Errorf("unknown stage %q", stage), "", nil, nil)
+				return fail(stage, &Outcome{Err: fmt.Errorf("unknown stage %q", stage)})
 			}
-			out := refs.run(sc)
-			if out.Failed() {
-				return fail(stage, Key(sc), out.Err, out.Detail, out.Ref, out.Console)
-			}
-			f = compare(stage, Key(sc), out.Console)
+			out = refs.run(sc)
 		}
-		if f != nil {
-			return f
+		if c.tamper != nil && !out.Failed() && stage != StageDispatch {
+			out.Console = c.tamper(stage, out.Console)
+			out.Detail, _ = fuzzgen.CompareFrames(out.Ref, out.Console)
+		}
+		if out.Failed() {
+			return fail(stage, out)
 		}
 	}
 	return nil
@@ -184,32 +171,33 @@ func (c *FuzzConfig) CheckProg(p *fuzzgen.Prog, stages []string) *FuzzFailure {
 // schedule. Unlike the other stages — which compare per-writer frame streams
 // because cross-writer interleaving is legally schedule-dependent — the two
 // runs follow the identical schedule, so the full console must match byte
-// for byte and the Stats counters exactly. It returns the switch stream's
-// console and the (tampered) threaded one with any difference.
-func (c *FuzzConfig) dispatch(seed uint64, prog *ftvm.Program, d fuzzDraws) (detail string, sw, got []string, err error) {
+// for byte and the Stats counters exactly. Its verdict holds the threaded
+// stream's (tampered) console against the switch stream's as Ref.
+func (c *FuzzConfig) dispatch(seed uint64, prog *ftvm.Program, d fuzzDraws) *Outcome {
 	swRes, err := runAlone(prog, seed, d.dispSeed, d.dispQlo, d.dispQhi, ftvm.DispatchSwitch)
 	if err != nil {
-		return "switch-engine run", nil, nil, err
+		return &Outcome{Err: err, Detail: "switch-engine run"}
 	}
 	thRes, err := runAlone(prog, seed, d.dispSeed, d.dispQlo, d.dispQhi, ftvm.DispatchThreaded)
 	if err != nil {
-		return "threaded-engine run", nil, nil, err
+		return &Outcome{Err: err, Detail: "threaded-engine run"}
 	}
-	sw, got = swRes.Console, thRes.Console
+	out := &Outcome{Ref: swRes.Console, Console: thRes.Console}
 	if c.tamper != nil {
-		got = c.tamper(StageDispatch, got)
+		out.Console = c.tamper(StageDispatch, out.Console)
 	}
-	if !slices.Equal(sw, got) {
+	sw, got := out.Ref, out.Console
+	switch {
+	case !slices.Equal(sw, got):
 		i := 0
 		for i < len(sw) && i < len(got) && sw[i] == got[i] {
 			i++
 		}
-		return fmt.Sprintf("engines diverged at console line %d (switch %d lines, threaded %d)", i, len(sw), len(got)), sw, got, nil
+		out.Detail = fmt.Sprintf("engines diverged at console line %d (switch %d lines, threaded %d)", i, len(sw), len(got))
+	case c.tamper == nil && swRes.Stats != thRes.Stats:
+		out.Detail = fmt.Sprintf("engines diverged on stats: switch %+v vs threaded %+v", swRes.Stats, thRes.Stats)
 	}
-	if c.tamper == nil && swRes.Stats != thRes.Stats {
-		return fmt.Sprintf("engines diverged on stats: switch %+v vs threaded %+v", swRes.Stats, thRes.Stats), sw, got, nil
-	}
-	return "", nil, nil, nil
+	return out
 }
 
 // Shrink minimizes p while it still fails at f's stage, the same way (ran
@@ -219,7 +207,7 @@ func (c *FuzzConfig) Shrink(p *fuzzgen.Prog, f *FuzzFailure, budget int) (*fuzzg
 	best := f
 	sp := fuzzgen.Shrink(p, func(cand *fuzzgen.Prog) bool {
 		g := c.CheckProg(cand, []string{f.Stage})
-		if g == nil || g.Stage != f.Stage || (g.Err != nil) != (f.Err != nil) {
+		if g == nil || g.Stage != f.Stage || (g.Outcome.Err != nil) != (f.Outcome.Err != nil) {
 			return false
 		}
 		best = g
@@ -262,11 +250,11 @@ func writeArtifact(dir string, f *FuzzFailure) (string, error) {
 	base := filepath.Join(dir, fmt.Sprintf("seed%d-%s", f.Seed, f.Stage))
 	var hdr strings.Builder
 	fmt.Fprintf(&hdr, "// fuzzgen repro: seed %d diverged at stage %q\n", f.Seed, f.Stage)
-	if f.Err != nil {
-		fmt.Fprintf(&hdr, "// error: %v\n", f.Err)
+	if f.Outcome.Err != nil {
+		fmt.Fprintf(&hdr, "// error: %v\n", f.Outcome.Err)
 	}
-	if f.Detail != "" {
-		fmt.Fprintf(&hdr, "// detail: %s\n", f.Detail)
+	if f.Outcome.Detail != "" {
+		fmt.Fprintf(&hdr, "// detail: %s\n", f.Outcome.Detail)
 	}
 	fmt.Fprintf(&hdr, "// replay (the seed's unshrunken program): %s\n", f.ReplayCommand())
 	lines := func(ls []string) []byte {
@@ -278,7 +266,7 @@ func writeArtifact(dir string, f *FuzzFailure) (string, error) {
 	for _, w := range []struct {
 		suffix string
 		data   []byte
-	}{{".mini", []byte(hdr.String() + f.Source)}, {".ref.txt", lines(f.Ref)}, {".got.txt", lines(f.Got)}} {
+	}{{".mini", []byte(hdr.String() + f.Source)}, {".ref.txt", lines(f.Outcome.Ref)}, {".got.txt", lines(f.Outcome.Console)}} {
 		if err := os.WriteFile(base+w.suffix, w.data, 0o644); err != nil {
 			return "", err
 		}

@@ -17,7 +17,7 @@ import (
 // disk whose header carries the failing scenario's exact replay key.
 func TestInjectedDivergence(t *testing.T) {
 	dir := t.TempDir()
-	cfg := &FuzzConfig{Size: fuzzgen.SizeMedium, ArtifactDir: dir}
+	cfg := &FuzzConfig{ArtifactDir: dir}
 	cfg.tamper = func(stage string, lines []string) []string {
 		if stage != StageFailover {
 			return lines
@@ -32,7 +32,7 @@ func TestInjectedDivergence(t *testing.T) {
 	}
 
 	const seed = 11
-	p := fuzzgen.Generate(seed, cfg.Size)
+	p := fuzzgen.Generate(seed, fuzzgen.SizeMedium)
 	f := cfg.CheckProg(p, nil)
 	if f == nil {
 		t.Fatal("tampered harness reported agreement")
@@ -61,8 +61,8 @@ func TestInjectedDivergence(t *testing.T) {
 		t.Fatalf("minimized repro is %d lines, want a near-minimal program:\n%s", n, src)
 	}
 	if !strings.Contains(string(src), "fuzzgen repro: seed 11") ||
-		!strings.Contains(string(src), fmt.Sprintf("ftvm-sim -replay %q", f.Key)) {
-		t.Fatalf("missing repro header or replay key %q:\n%s", f.Key, src)
+		!strings.Contains(string(src), fmt.Sprintf("ftvm-sim -replay %q", Key(f.Outcome.Scenario))) {
+		t.Fatalf("missing repro header or replay key %q:\n%s", Key(f.Outcome.Scenario), src)
 	}
 	for _, suffix := range []string{".ref.txt", ".got.txt"} {
 		path := strings.TrimSuffix(mini, ".mini") + suffix
@@ -79,14 +79,14 @@ func TestInjectedDivergence(t *testing.T) {
 // TestShrinkPreservesStage: a candidate that fails at a different stage (or
 // stops failing) must not be accepted as "smaller".
 func TestShrinkPreservesStage(t *testing.T) {
-	cfg := &FuzzConfig{Size: fuzzgen.SizeSmall}
+	cfg := &FuzzConfig{}
 	cfg.tamper = func(stage string, lines []string) []string {
 		if stage != StageReplicated {
 			return lines
 		}
 		return append(append([]string(nil), lines...), "m|ghost")
 	}
-	p := fuzzgen.Generate(3, cfg.Size)
+	p := fuzzgen.Generate(3, fuzzgen.SizeSmall)
 	f := cfg.CheckProg(p, nil)
 	if f == nil {
 		t.Fatal("tampered harness reported agreement")

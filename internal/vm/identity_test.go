@@ -69,10 +69,10 @@ func TestThreeWayFuzzDispatch(t *testing.T) {
 	if testing.Short() {
 		seeds = 40
 	}
-	cfg := &simtest.FuzzConfig{Size: fuzzgen.SizeSmall}
+	cfg := &simtest.FuzzConfig{}
 	vm.OracleEngine.In(func() {
 		for seed := uint64(0); seed < seeds; seed++ {
-			p := fuzzgen.Generate(seed, cfg.Size)
+			p := fuzzgen.Generate(seed, fuzzgen.SizeSmall)
 			if f := cfg.CheckProg(p, []string{simtest.StageDispatch}); f != nil {
 				t.Fatalf("seed %d: fused stream diverged from the oracle:\n%s", seed, cfg.Report(p, f))
 			}
