@@ -239,8 +239,7 @@ func KillAfterRecords(n int) KillTrigger {
 
 // ErrWarmOption is returned (wrapped, naming the option) by RunWarmReplicated
 // for an option a warm backup cannot honour: BackendConsensus, because the
-// warm backup is the pair's backup executing, and CaptureLog, because it
-// consumes records as they stream and keeps no log to write.
+// warm backup is the pair's backup executing.
 var ErrWarmOption = errors.New("ftvm: option not supported with a warm backup")
 
 // RunReplicated executes prog under primary-backup replication to clean

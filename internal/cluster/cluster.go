@@ -111,8 +111,9 @@ type Result struct {
 	Consensus                []consensus.Stats
 	FirstLeader, FinalLeader int
 	FinalTerm                uint64
-	// Cold is the cold backup holding the log: the pair's backup, or the
-	// replica a committed consensus log was loaded into for recovery.
+	// Cold is the backup holding the log: the pair's backup, cold or warm
+	// (the warm one is the same backup, replaying its log as it grows), or
+	// the replica a committed consensus log was loaded into for recovery.
 	Cold *replication.Backup
 	// Warm is the warm backup's report (WarmPair only).
 	Warm *replication.WarmResult
@@ -120,8 +121,8 @@ type Result struct {
 	committed []wire.Record // the consensus log, as read back
 }
 
-// Records returns the logged record stream: the cold backup's log or the
-// committed consensus log (nil for a warm pair, which keeps none).
+// Records returns the logged record stream: the pair backup's log or the
+// committed consensus log.
 func (r *Result) Records() []wire.Record {
 	if r.committed == nil && r.Cold != nil {
 		return r.Cold.Store().Records()
@@ -297,9 +298,10 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// pair stands one backup at the far end of the link: cold (it logs, and
-// recovers afterwards if asked) or warm (it executes under cfg.Recover as
-// records arrive). It waits in Recv until the primary exists and speaks.
+// pair stands one backup at the far end of the link. It logs, and then
+// either recovers afterwards if asked (cold) or executes under cfg.Recover
+// as its log grows (warm). It waits in Recv until the primary exists and
+// speaks.
 func (r *run) pair(pc *replication.PrimaryConfig) error {
 	link := r.cfg.Link
 	if link == nil {
@@ -332,16 +334,16 @@ func (r *run) pair(pc *replication.PrimaryConfig) error {
 		}
 		return nil
 	}
-	warm, err := replication.NewWarmBackup(bc)
+	backup, err := replication.NewBackup(bc)
 	if err != nil {
 		return err
 	}
-	r.faults.logged = warm.Logged
+	r.res.Cold, r.faults.logged = backup, backup.Store().Len
 	done := clock.NewFlag(r.clk)
 	var serveErr error
 	r.clk.Go(func() {
 		defer done.Set()
-		if _, r.res.Warm, serveErr = warm.Run(r.cfg.Recover); r.res.Warm != nil {
+		if _, r.res.Warm, serveErr = backup.RunWarm(r.cfg.Recover); r.res.Warm != nil {
 			r.res.Outcome, r.res.Backup = r.res.Warm.Outcome, r.res.Warm.Serve
 		}
 	})

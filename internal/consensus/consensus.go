@@ -80,6 +80,16 @@ var (
 // replicas is the cluster size: the smallest that survives one failure.
 const replicas = 3
 
+// Protocol timing. The randomized election timeout falls in
+// [electionMin, electionMax): in-process transports are microseconds, so the
+// window only pays once at startup. heartbeatEvery is the leader's
+// AppendEntries keepalive period.
+const (
+	electionMin    = 15 * time.Millisecond
+	electionMax    = 30 * time.Millisecond
+	heartbeatEvery = 5 * time.Millisecond
+)
+
 // Config configures a cluster.
 type Config struct {
 	// Seed drives every replica's randomized election timeouts (default 1).
@@ -87,12 +97,6 @@ type Config struct {
 	// Clock supplies all timing (nil = wall clock). Under a virtual clock
 	// the whole cluster is deterministic.
 	Clock clock.Clock
-	// ElectionMin/ElectionMax bound the randomized election timeout
-	// (defaults 15ms/30ms — in-process transports are microseconds, so the
-	// window only pays once at startup).
-	ElectionMin, ElectionMax time.Duration
-	// Heartbeat is the leader's AppendEntries keepalive period (default 5ms).
-	Heartbeat time.Duration
 	// Link, when set, supplies the transport between replicas i < j (the
 	// simulation harness injects seeded simnet links here); the first
 	// endpoint is i's, the second j's. Nil = transport.PipeClock on Clock.
@@ -102,15 +106,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ElectionMin == 0 {
-		c.ElectionMin = 15 * time.Millisecond
-	}
-	if c.ElectionMax <= c.ElectionMin {
-		c.ElectionMax = 2 * c.ElectionMin
-	}
-	if c.Heartbeat == 0 {
-		c.Heartbeat = 5 * time.Millisecond
 	}
 }
 

@@ -38,9 +38,6 @@ type Replica struct {
 	clk clock.Clock
 	rng *frand.RNG
 
-	electMin, electMax time.Duration
-	hbEvery            time.Duration
-
 	// peers[j] is the endpoint to replica j (nil at j == id).
 	peers []transport.Endpoint
 
@@ -83,9 +80,6 @@ func newReplica(id int, cfg *Config, clk clock.Clock) *Replica {
 		n:        replicas,
 		clk:      clk,
 		rng:      electionRNG(cfg.Seed, id),
-		electMin: cfg.ElectionMin,
-		electMax: cfg.ElectionMax,
-		hbEvery:  cfg.Heartbeat,
 		peers:    make([]transport.Endpoint, replicas),
 		votedFor: -1,
 		leaderID: -1,
@@ -317,7 +311,7 @@ func (r *Replica) run() {
 						out = append(out, outMsg{to: j, msg: m})
 					}
 				}
-				r.heartbeatDeadline = now.Add(r.hbEvery)
+				r.heartbeatDeadline = now.Add(heartbeatEvery)
 			}
 		} else if !now.Before(r.electionDeadline) {
 			out = append(out, r.campaignLocked(now)...)
@@ -376,8 +370,8 @@ func (r *Replica) shutdown() {
 }
 
 func (r *Replica) resetElectionDeadlineLocked(now time.Time) {
-	span := uint64(r.electMax - r.electMin)
-	d := r.electMin + time.Duration(r.rng.Next()%span)
+	span := uint64(electionMax - electionMin)
+	d := electionMin + time.Duration(r.rng.Next()%span)
 	r.electionDeadline = now.Add(d)
 }
 
@@ -424,7 +418,7 @@ func (r *Replica) winLocked(now time.Time) []outMsg {
 	}
 	// Barrier: committing it (majority, own term) commits the whole prefix.
 	r.log = append(r.log, entry{term: r.term})
-	r.heartbeatDeadline = now.Add(r.hbEvery)
+	r.heartbeatDeadline = now.Add(heartbeatEvery)
 	r.advanceCommitLocked() // n == 1
 	var out []outMsg
 	for j := range r.peers {

@@ -73,10 +73,10 @@ type BackupConfig struct {
 	// FailureTimeout: receiving nothing for this long counts as a primary
 	// failure (0 = rely on transport closure only).
 	FailureTimeout time.Duration
-	// Clock supplies time for the warm backup's feed waits and serve
-	// goroutine (nil = wall clock). The cold backup needs no clock of its
-	// own — its only timed wait is the endpoint's Recv — but the simulation
-	// harness sets this so warm replicas are fully clock-visible.
+	// Clock supplies time for RunWarm's serve goroutine and its wait for the
+	// log to grow (nil = wall clock). Serve needs no clock of its own — its
+	// only timed wait is the endpoint's Recv — but the simulation harness
+	// sets this so warm replicas are fully clock-visible.
 	Clock clock.Clock
 	// Epoch is the view number this backup serves in. Frames stamped with an
 	// older epoch are from a deposed primary and are dropped *without* an
@@ -91,9 +91,9 @@ type BackupConfig struct {
 // for a cold and a warm backup: both run the one receive loop.
 type BackupStats struct {
 	FramesReceived uint64
-	// RecordsLogged counts every record handed to the sink: all that were
-	// admitted except heartbeats, the clean-halt marker included — cold and
-	// warm alike.
+	// RecordsLogged counts every record stored: all that were admitted
+	// except heartbeats, the clean-halt marker included (a loaded log drops
+	// it).
 	RecordsLogged   uint64
 	AcksSent        uint64
 	Heartbeats      uint64
@@ -104,25 +104,17 @@ type BackupStats struct {
 	StaleEpochs     uint64 // frames from a deposed primary's epoch (dropped, never acked)
 }
 
-// receiver is the backup's half of the channel, and the one receive loop:
-// admit each frame (wire.SeqGate.AdmitFrame), parse its batch, fold handler
-// state through the paper's receive method, hand the batch to a sink,
-// acknowledge. A warm backup executes the records, so its frames are decoded
-// and its sink feeds the analysis its replay VM runs against; a cold backup
-// only logs them (§3), so its frames are validated and stored as they came,
-// and records are built when the log is read. Everything else — the counters,
-// the failed / timed-out / completed verdict, what is and is not acknowledged
-// — is the same backup seen at two moments, and is written here only.
-type receiver struct {
-	cfg BackupConfig // as given, defaults filled in
-
-	// sink takes one admitted frame's (or one loaded log's) decoded records,
-	// liveness-only ones removed, in arrival order; the slice is the sink's
-	// to keep.
-	sink func([]wire.Record) error
-	// rawSink, which the cold backup sets, takes an admitted frame's payload
-	// still encoded — validated, heartbeats cut out — and its record count.
-	rawSink func(payload []byte, n int)
+// Backup is the backup replica, and its receive loop is the one receive
+// path: admit each frame (wire.SeqGate.AdmitFrame), validate its batch, fold
+// handler state through the paper's receive method, store the records as
+// they came, acknowledge. During normal operation that is all it does — it
+// "simply logs the recovery information provided by the primary" (§3) — and
+// on primary failure Recover re-executes the program gated by the log. A
+// warm backup is the same backup with a second reader of its log: RunWarm
+// replays the log while it grows instead of once it has ended.
+type Backup struct {
+	cfg     BackupConfig // as given, defaults filled in
+	store   *LogStore
 	natives []int  // logFrame's scratch: where the frame's NativeResults start
 	ackBuf  []byte // ack's scratch: every acknowledgement is appended here
 	stats   BackupStats
@@ -131,13 +123,14 @@ type receiver struct {
 // errCorruptPayload marks an admitted frame whose payload does not parse.
 var errCorruptPayload = errors.New("corrupt frame payload")
 
-// newReceiver validates cfg and fills its defaults. who names the replica
-// kind in errors. The handler set is checked against the registry here, so a
-// registry that lacks a handler-managed native is refused before any frame
-// arrives rather than at the first receive.
-func newReceiver(cfg BackupConfig, who string) (receiver, error) {
+// NewBackup builds a backup replica. A nil Endpoint makes an offline backup:
+// it can LoadRecords and Recover, and Serve returns an error. The handler
+// set is checked against the registry here, so a registry that lacks a
+// handler-managed native is refused before any frame arrives rather than at
+// the first receive.
+func NewBackup(cfg BackupConfig) (*Backup, error) {
 	if cfg.Mode != ModeLock && cfg.Mode != ModeSched && cfg.Mode != ModeLockInterval {
-		return receiver{}, fmt.Errorf("%s: bad mode %d", who, cfg.Mode)
+		return nil, fmt.Errorf("backup: bad mode %d", cfg.Mode)
 	}
 	if cfg.Handlers == nil {
 		cfg.Handlers = sehandler.DefaultSet()
@@ -146,29 +139,31 @@ func newReceiver(cfg BackupConfig, who string) (receiver, error) {
 		cfg.Natives = native.StdLib()
 	}
 	if err := cfg.Handlers.RegisterAll(cfg.Natives); err != nil {
-		return receiver{}, fmt.Errorf("%s: %w", who, err)
+		return nil, fmt.Errorf("backup: %w", err)
 	}
-	return receiver{cfg: cfg}, nil
+	return &Backup{cfg: cfg, store: NewLogStore()}, nil
 }
 
 // Stats returns a copy of the serve-loop counters.
-func (r *receiver) Stats() BackupStats { return r.stats }
+func (b *Backup) Stats() BackupStats { return b.stats }
 
-// serve runs the receive loop until the primary completes or fails.
+// Serve runs the receive loop until the primary completes or fails: records
+// are stored (and side-effect handler state accumulated via receive),
+// nothing is executed.
 //
 // The loop distinguishes how the primary was lost. Transport closure or a
 // corrupted / gapped frame stream is OutcomePrimaryFailed; heartbeat silence
 // (nothing received for FailureTimeout on a still-open channel) is
 // OutcomePrimaryTimedOut. Both demand recovery — the logged prefix stays
 // consistent in every case, because no record past a gap or a corrupt frame
-// ever reaches the sink.
-func (r *receiver) serve() (ServeOutcome, error) {
-	if r.cfg.Endpoint == nil {
+// ever reaches the store.
+func (b *Backup) Serve() (ServeOutcome, error) {
+	if b.cfg.Endpoint == nil {
 		return 0, errors.New("backup serve: no endpoint (an offline backup only loads and replays)")
 	}
 	var gate wire.SeqGate
 	for {
-		msg, err := r.cfg.Endpoint.Recv(r.cfg.FailureTimeout)
+		msg, err := b.cfg.Endpoint.Recv(b.cfg.FailureTimeout)
 		if errors.Is(err, transport.ErrClosed) {
 			return OutcomePrimaryFailed, nil
 		}
@@ -178,38 +173,38 @@ func (r *receiver) serve() (ServeOutcome, error) {
 		if err != nil {
 			return 0, fmt.Errorf("backup receive: %w", err)
 		}
-		frame, verdict := gate.AdmitFrame(msg, r.cfg.Epoch)
+		frame, verdict := gate.AdmitFrame(msg, b.cfg.Epoch)
 		switch verdict {
 		case wire.Corrupt:
-			r.stats.CorruptFrames++
+			b.stats.CorruptFrames++
 			return OutcomePrimaryFailed, nil
 		case wire.StaleEpoch:
-			r.stats.StaleEpochs++
+			b.stats.StaleEpochs++
 			continue
 		case wire.FutureEpoch:
 			// Surface it as a failed primary so the caller re-enters the view
 			// machinery.
 			return OutcomePrimaryFailed, nil
 		case wire.Gap:
-			r.stats.SeqGaps++
+			b.stats.SeqGaps++
 			return OutcomePrimaryFailed, nil
 		case wire.Duplicate:
-			r.stats.DuplicateFrames++
-			if frame.AckWanted && r.ack(frame.Seq) != nil {
+			b.stats.DuplicateFrames++
+			if frame.AckWanted && b.ack(frame.Seq) != nil {
 				return OutcomePrimaryFailed, nil
 			}
 			continue
 		}
-		r.stats.FramesReceived++
-		halted, err := r.logFrame(frame.Payload)
+		b.stats.FramesReceived++
+		halted, err := b.logFrame(frame.Payload)
 		if errors.Is(err, errCorruptPayload) {
-			r.stats.CorruptFrames++
+			b.stats.CorruptFrames++
 			return OutcomePrimaryFailed, nil
 		} else if err != nil {
 			return 0, err
 		}
 		if frame.AckWanted {
-			if err := r.ack(frame.Seq); errors.Is(err, transport.ErrClosed) {
+			if err := b.ack(frame.Seq); errors.Is(err, transport.ErrClosed) {
 				return OutcomePrimaryFailed, nil
 			} else if err != nil {
 				return 0, fmt.Errorf("send ack %d: %w", frame.Seq, err)
@@ -221,32 +216,23 @@ func (r *receiver) serve() (ServeOutcome, error) {
 	}
 }
 
-func (r *receiver) ack(seq uint64) error {
-	r.ackBuf = wire.AppendAck(r.ackBuf[:0], r.cfg.Epoch, seq)
-	if err := r.cfg.Endpoint.Send(r.ackBuf); err != nil {
+func (b *Backup) ack(seq uint64) error {
+	b.ackBuf = wire.AppendAck(b.ackBuf[:0], b.cfg.Epoch, seq)
+	if err := b.cfg.Endpoint.Send(b.ackBuf); err != nil {
 		return err
 	}
-	r.stats.AcksSent++
+	b.stats.AcksSent++
 	return nil
 }
 
-// logFrame passes one admitted frame's payload to the sink this backup has.
-// Either way every byte is parsed before the caller acknowledges, and of a
-// payload that is corrupt anywhere nothing is counted, routed or logged.
-func (r *receiver) logFrame(payload []byte) (halted bool, err error) {
-	if r.rawSink == nil {
-		records, err := wire.DecodeAll(payload)
-		if err != nil {
-			return false, errCorruptPayload
-		}
-		return r.ingest(records, false)
-	}
-	// The cold path is ingest over encoded records, and builds none: a
-	// NativeResult is routed from its bytes, once the walk has reached the
-	// end. The payload is this receiver's own, so heartbeats are cut out in
-	// place.
+// logFrame validates one admitted frame's payload and stores it as it came.
+// It builds no record: a NativeResult is routed from its bytes, once the
+// walk has reached the end, so of a payload that is corrupt anywhere nothing
+// is counted, routed or logged. The payload is this backup's own, so
+// heartbeats are cut out in place.
+func (b *Backup) logFrame(payload []byte) (halted bool, err error) {
 	kept, n, beats := 0, 0, uint64(0)
-	r.natives = r.natives[:0]
+	b.natives = b.natives[:0]
 	for d := wire.NewDecoder(payload); d.More(); {
 		start := d.Offset()
 		t, err := d.Skip()
@@ -260,7 +246,7 @@ func (r *receiver) logFrame(payload []byte) (halted bool, err error) {
 		case wire.RecHalt:
 			halted = true
 		case wire.RecNativeResult:
-			r.natives = append(r.natives, kept)
+			b.natives = append(b.natives, kept)
 		}
 		if kept != start { // something was cut out before this record
 			copy(payload[kept:], payload[start:d.Offset()])
@@ -268,99 +254,66 @@ func (r *receiver) logFrame(payload []byte) (halted bool, err error) {
 		kept += d.Offset() - start
 		n++
 	}
-	r.stats.Heartbeats += beats
-	for _, at := range r.natives {
+	b.stats.Heartbeats += beats
+	for _, at := range b.natives {
 		sig, data, _ := wire.NewDecoder(payload[at:kept]).NativeSpans()
-		if err := r.routeReceive(sig, data); err != nil {
+		if err := b.routeReceive(sig, data); err != nil {
 			return halted, err
 		}
 	}
-	r.stats.RecordsLogged += uint64(n)
-	r.rawSink(payload[:kept], n)
+	b.stats.RecordsLogged += uint64(n)
+	b.store.AppendRaw(payload[:kept], n)
 	return halted, nil
 }
 
-// ingest is the record-ingest loop for decoded records — a warm backup's
-// frame, or a log loaded from a capture: heartbeats are counted and
-// dropped, handler state is delivered to its side-effect handler, and what
-// remains is counted and handed to the sink. records is compacted in place.
-// A clean-halt marker is a record like any other (RecordsLogged counts it)
-// unless dropHalt is set — loading a log for replay drops it so that the log
-// reads as a crash at its end. halted reports whether one was seen.
-func (r *receiver) ingest(records []wire.Record, dropHalt bool) (halted bool, err error) {
+// ingest is the record-ingest loop for a loaded log's decoded records:
+// heartbeats are counted and dropped, handler state is delivered to its
+// side-effect handler, and what remains is counted and stored. records is
+// compacted in place, and the store keeps it. A clean-halt marker is dropped,
+// so that the log reads as a crash at its end.
+func (b *Backup) ingest(records []wire.Record) error {
 	keep := records[:0]
 	for _, rec := range records {
 		switch rec := rec.(type) {
 		case *wire.Heartbeat:
-			r.stats.Heartbeats++
+			b.stats.Heartbeats++
 			continue
 		case *wire.Halt:
-			halted = true
-			if dropHalt {
-				continue
-			}
+			continue
 		case *wire.NativeResult:
-			if err := r.routeReceive([]byte(rec.Sig), rec.HandlerData); err != nil {
-				return halted, err
+			if err := b.routeReceive([]byte(rec.Sig), rec.HandlerData); err != nil {
+				return err
 			}
 		}
 		keep = append(keep, rec)
 	}
-	r.stats.RecordsLogged += uint64(len(keep))
-	return halted, r.sink(keep)
+	b.stats.RecordsLogged += uint64(len(keep))
+	b.store.Append(keep...)
+	return nil
 }
 
 // routeReceive delivers a NativeResult's handler state to the managing
 // side-effect handler as it arrives (the paper's receive method, which may
 // compress it). sig and data may alias a stored payload: nothing keeps sig,
 // and a handler copies what it keeps of data.
-func (r *receiver) routeReceive(sig, data []byte) error {
+func (b *Backup) routeReceive(sig, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	def, ok := r.cfg.Natives.Lookup(string(sig))
+	def, ok := b.cfg.Natives.Lookup(string(sig))
 	if !ok {
 		return fmt.Errorf("log references unknown native %q", string(sig))
 	}
-	h := r.cfg.Handlers.ForDef(def)
+	h := b.cfg.Handlers.ForDef(def)
 	if h == nil {
 		return fmt.Errorf("native %q logged handler data but has no handler", string(sig))
 	}
-	r.stats.ReceiveRoutings++
+	b.stats.ReceiveRoutings++
 	return h.Receive(data)
 }
 
-// Backup is the cold backup: during normal operation it logs records (and
-// routes handler state to side-effect handlers); on primary failure it
-// re-executes the program gated by the log.
-type Backup struct {
-	receiver
-	store *LogStore
-}
-
-// NewBackup builds a backup replica. A nil Endpoint makes an offline backup:
-// it can LoadRecords and Recover, and Serve returns an error.
-func NewBackup(cfg BackupConfig) (*Backup, error) {
-	r, err := newReceiver(cfg, "backup")
-	if err != nil {
-		return nil, err
-	}
-	b := &Backup{receiver: r, store: NewLogStore()}
-	b.sink = func(records []wire.Record) error {
-		b.store.Append(records...)
-		return nil
-	}
-	b.rawSink = b.store.AppendRaw
-	return b, nil
-}
-
-// Store exposes the logged records (tests, diagnostics).
+// Store exposes the logged records (tests, diagnostics, kill triggers).
 func (b *Backup) Store() *LogStore { return b.store }
-
-// Serve runs the logging loop until the primary completes or fails. It is
-// the "cold" half of the backup: records are stored (and side-effect
-// handler state accumulated via receive), nothing is executed.
-func (b *Backup) Serve() (ServeOutcome, error) { return b.serve() }
 
 // LoadRecords feeds records into the backup as if they had arrived over the
 // transport (handler state is routed through receive); clean-halt markers
@@ -368,8 +321,7 @@ func (b *Backup) Serve() (ServeOutcome, error) { return b.serve() }
 // It is used to stand up an offline replay backup from a captured log.
 func (b *Backup) LoadRecords(records []wire.Record) error {
 	// ingest compacts its argument; the caller keeps its slice.
-	_, err := b.ingest(append([]wire.Record(nil), records...), true)
-	return err
+	return b.ingest(append([]wire.Record(nil), records...))
 }
 
 // Recover re-executes the program from the initial state, gated by the log,

@@ -146,9 +146,9 @@ type played struct {
 	console []string
 }
 
-// playCold and playWarm feed msgs to a fresh backup of their kind — the two
-// sinks of the one receive loop — and, if the stream does not end in a clean
-// halt, let it finish the program (cold: Recover; warm: it already is).
+// playCold and playWarm feed msgs to a fresh backup — the two readers of the
+// one receive loop's log — and, if the stream does not end in a clean halt,
+// let it finish the program (cold: Recover; warm: it already is).
 func playCold(t *testing.T, prog *bytecode.Program, mode Mode, msgs [][]byte, end error) played {
 	t.Helper()
 	ep := &scriptEndpoint{msgs: msgs, end: end}
@@ -172,12 +172,12 @@ func playCold(t *testing.T, prog *bytecode.Program, mode Mode, msgs [][]byte, en
 func playWarm(t *testing.T, prog *bytecode.Program, mode Mode, msgs [][]byte, end error) played {
 	t.Helper()
 	ep := &scriptEndpoint{msgs: msgs, end: end}
-	warm, err := NewWarmBackup(BackupConfig{Mode: mode, Endpoint: ep, Epoch: backupEpoch})
+	warm, err := NewBackup(BackupConfig{Mode: mode, Endpoint: ep, Epoch: backupEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	environ := env.New(7)
-	_, res, err := warm.Run(RecoverConfig{Program: prog, Env: environ})
+	_, res, err := warm.RunWarm(RecoverConfig{Program: prog, Env: environ})
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
@@ -334,10 +334,9 @@ func TestBackupRejectsRegistryMissingHandlerNative(t *testing.T) {
 	}
 	_, pb := transport.Pipe(1)
 	cfg := BackupConfig{Mode: ModeLock, Endpoint: pb, Natives: reg}
-	_, coldErr := NewBackup(cfg)
-	_, warmErr := NewWarmBackup(cfg)
+	_, backupErr := NewBackup(cfg)
 	_, engErr := NewReplayEngine(ModeLock, nil, nil, reg, nil)
-	for who, err := range map[string]error{"NewBackup": coldErr, "NewWarmBackup": warmErr, "NewReplayEngine": engErr} {
+	for who, err := range map[string]error{"NewBackup": backupErr, "NewReplayEngine": engErr} {
 		if err == nil || !strings.Contains(err.Error(), "fs.open") {
 			t.Errorf("%s with a registry missing fs.open: error %v, want one naming fs.open", who, err)
 		}
@@ -354,7 +353,7 @@ func TestOfflineBackupDoesNotServe(t *testing.T) {
 	if outcome, err := b.Serve(); err == nil {
 		t.Fatalf("offline backup served: outcome %v", outcome)
 	}
-	if _, err := NewWarmBackup(BackupConfig{Mode: ModeLock}); err == nil {
-		t.Fatal("warm backup accepted a nil endpoint")
+	if _, _, err := b.RunWarm(RecoverConfig{Program: mustAssemble(t, backupProgram), Env: env.New(7)}); err == nil {
+		t.Fatal("offline backup ran warm")
 	}
 }

@@ -173,26 +173,22 @@ func TestChannelFaultSweep(t *testing.T) {
 					rcfg := RecoverConfig{Program: prog, Env: environ, Policy: vm.NewSeededPolicy(seeds.recover, 100, 900)}
 					done := make(chan struct{})
 					var outcome ServeOutcome
-					var backup *Backup
 					var warmErr error
+					backup, err := NewBackup(bcfg)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if warm {
 						// The warm backup serves and executes in one call: it is
 						// already running when the channel fails, and goes on.
-						wb, err := NewWarmBackup(bcfg)
-						if err != nil {
-							t.Fatal(err)
-						}
 						go func() {
 							defer close(done)
 							var res *WarmResult
-							if _, res, warmErr = wb.Run(rcfg); res != nil {
+							if _, res, warmErr = backup.RunWarm(rcfg); res != nil {
 								outcome = res.Outcome
 							}
 						}()
 					} else {
-						if backup, err = NewBackup(bcfg); err != nil {
-							t.Fatal(err)
-						}
 						go func() {
 							defer close(done)
 							outcome, _ = backup.Serve()

@@ -13,9 +13,10 @@ import (
 )
 
 // TestKillPointSweep is the failure-injection property test: for every
-// replication mode, kill the primary at many different points in the run and
-// verify the recovered execution always produces the same observable outputs
-// as a failure-free reference (exactly-once, identical final state). This
+// replication mode and both backups, cold and warm, kill the primary at many
+// different points in the run and verify the recovered execution always
+// produces the same observable outputs as a failure-free reference
+// (exactly-once, identical final state). This
 // sweeps the crash through all protocol phases — before any output, between
 // output commits, during lock-heavy phases, near completion.
 func TestKillPointSweep(t *testing.T) {
@@ -41,67 +42,91 @@ func TestKillPointSweep(t *testing.T) {
 
 	for _, mode := range []Mode{ModeLock, ModeSched, ModeLockInterval} {
 		for _, killAt := range []int{1, 5, 20, 80, 200, 800} {
-			name := fmt.Sprintf("%v/kill%d", mode, killAt)
-			t.Run(name, func(t *testing.T) {
-				environ := env.New(seeds.env)
-				pa, pb := transport.Pipe(4096)
-				primary, err := NewPrimary(PrimaryConfig{
-					Mode:       mode,
-					Backend:    pairOf(PairBackendConfig{Endpoint: pa}),
-					Policy:     vm.NewSeededPolicy(seeds.policy, 64, 512),
-					FlushEvery: 4, // tiny batches: expose mid-protocol kills
-				})
-				if err != nil {
-					t.Fatal(err)
+			// The warm backup is one more input: the same backup, its log
+			// replayed as it grows, killed on the same stored-record count.
+			for _, warm := range []bool{false, true} {
+				name := fmt.Sprintf("%v/kill%d", mode, killAt)
+				if warm {
+					name += "/warm"
 				}
-				pvm, err := vm.New(vm.Config{
-					Program: prog, Env: environ, Coordinator: primary,
-					TrackProgress: mode == ModeSched,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				backup, err := NewBackup(BackupConfig{Mode: mode, Endpoint: pb})
-				if err != nil {
-					t.Fatal(err)
-				}
-				done := make(chan struct{})
-				var outcome ServeOutcome
-				go func() { defer close(done); outcome, _ = backup.Serve() }()
-				go func() {
-					for backup.Store().Len() < killAt {
-						select {
-						case <-done:
+				t.Run(name, func(t *testing.T) {
+					environ := env.New(seeds.env)
+					pa, pb := transport.Pipe(4096)
+					primary, err := NewPrimary(PrimaryConfig{
+						Mode:       mode,
+						Backend:    pairOf(PairBackendConfig{Endpoint: pa}),
+						Policy:     vm.NewSeededPolicy(seeds.policy, 64, 512),
+						FlushEvery: 4, // tiny batches: expose mid-protocol kills
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					pvm, err := vm.New(vm.Config{
+						Program: prog, Env: environ, Coordinator: primary,
+						TrackProgress: mode == ModeSched,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					backup, err := NewBackup(BackupConfig{Mode: mode, Endpoint: pb})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rcfg := RecoverConfig{
+						Program: prog,
+						Env:     environ,
+						Policy:  vm.NewSeededPolicy(seeds.recover, 100, 900),
+					}
+					done := make(chan struct{})
+					var outcome ServeOutcome
+					var warmErr error
+					go func() {
+						defer close(done)
+						if !warm {
+							outcome, _ = backup.Serve()
 							return
-						default:
-							time.Sleep(50 * time.Microsecond)
+						}
+						var res *WarmResult
+						if _, res, warmErr = backup.RunWarm(rcfg); res != nil {
+							outcome = res.Outcome
+						}
+					}()
+					go func() {
+						for backup.Store().Len() < killAt {
+							select {
+							case <-done:
+								return
+							default:
+								time.Sleep(50 * time.Microsecond)
+							}
+						}
+						pvm.Kill()
+					}()
+					_ = pvm.Run()
+					<-done
+					if warmErr != nil {
+						t.Fatalf("warm backup after %v: %v", outcome, warmErr)
+					}
+
+					if outcome == OutcomePrimaryCompleted {
+						// The primary beat the kill trigger; output is complete
+						// already — still must match the reference.
+						if got := canonicalize(environ.Console().Lines()); got != wantFinal {
+							t.Fatalf("completed run output mismatch:\n%s\nvs\n%s", got, wantFinal)
+						}
+						return
+					}
+					// The warm backup has finished the program already.
+					if !warm {
+						if _, _, err := backup.Recover(rcfg); err != nil {
+							t.Fatalf("recover: %v", err)
 						}
 					}
-					pvm.Kill()
-				}()
-				_ = pvm.Run()
-				<-done
-
-				if outcome == OutcomePrimaryCompleted {
-					// The primary beat the kill trigger; output is complete
-					// already — still must match the reference.
 					if got := canonicalize(environ.Console().Lines()); got != wantFinal {
-						t.Fatalf("completed run output mismatch:\n%s\nvs\n%s", got, wantFinal)
+						t.Fatalf("recovered output mismatch:\n%s\nvs\n%s", got, wantFinal)
 					}
-					return
-				}
-				_, _, err = backup.Recover(RecoverConfig{
-					Program: prog,
-					Env:     environ,
-					Policy:  vm.NewSeededPolicy(seeds.recover, 100, 900),
 				})
-				if err != nil {
-					t.Fatalf("recover: %v", err)
-				}
-				if got := canonicalize(environ.Console().Lines()); got != wantFinal {
-					t.Fatalf("recovered output mismatch:\n%s\nvs\n%s", got, wantFinal)
-				}
-			})
+			}
 		}
 	}
 }

@@ -56,9 +56,9 @@ type RecoveryReport struct {
 // coordinator over it, the side-effect handler set with the receive-state
 // folded in, the replay VM built the way replay needs it, and the report of
 // what replay did. A cold backup's Recover builds one over its closed log and
-// runs it to completion; a warm backup builds one over the log it is still
-// receiving; the debugger builds one from a capture and needs it as a value
-// it can pause, clone for a checkpoint, and resume.
+// runs it to completion; RunWarm builds one over the log while it grows; the
+// debugger builds one from a capture and needs it as a value it can pause,
+// clone for a checkpoint, and resume.
 type ReplayEngine struct {
 	mode     Mode
 	natives  *native.Registry
@@ -110,8 +110,8 @@ func NewReplayEngine(mode Mode, records []wire.Record, handlers *sehandler.Set, 
 // NewVM builds the VM that replays under this engine and installs the
 // handlers' state in it, so natives can translate volatile identifiers. coord
 // is what the VM is to run under when the engine's own coordinator has to be
-// wrapped (the warm backup's feed lock, the debugger's stepper); nil means
-// the engine's coordinator as it is.
+// wrapped (the warm replay's pull, the debugger's stepper); nil means the
+// engine's coordinator as it is.
 func (e *ReplayEngine) NewVM(cfg RecoverConfig, coord vm.Coordinator) (*vm.VM, error) {
 	if coord == nil {
 		coord = e.coord

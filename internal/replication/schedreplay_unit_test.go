@@ -130,28 +130,40 @@ func TestAnalyzeCleanHalt(t *testing.T) {
 	}
 }
 
-func TestWarmFeedCounts(t *testing.T) {
-	f := newWarmFeed(clock.Real)
-	if f.Fed() != 0 {
-		t.Fatal("fresh feed non-empty")
+// TestWarmPull: a warm replay's pull indexes each stored record once, raw or
+// decoded, however the log grew between pulls; only the pull after the serve
+// loop has ended closes the analysis, and it runs the restore exactly once.
+func TestWarmPull(t *testing.T) {
+	s := NewLogStore()
+	s.wake = clock.Real.NewWaitSlot()
+	restores := 0
+	w := &warmCoordinator{store: s, a: newAnalysis(), restore: func() error { restores++; return nil }}
+	pull := func(want bool) {
+		t.Helper()
+		if changed, err := w.pull(); err != nil || changed != want {
+			t.Fatalf("pull = %v, %v; want %v", changed, err, want)
+		}
 	}
-	err := f.append([]wire.Record{
-		&wire.LockAcq{TID: "0", LASN: 0, LID: 1},
-		&wire.NativeResult{TID: "0", NatSeq: 1, Sig: "sys.clock"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var raw wire.Buffer
+	for _, r := range []wire.Record{&wire.IDMap{TID: "0", TASN: 0, LID: 1}, &wire.LockAcq{TID: "0", LASN: 0, LID: 1}} {
+		if err := raw.Append(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if f.Fed() != 2 {
-		t.Fatalf("fed = %d", f.Fed())
+	s.AppendRaw(raw.Bytes(), 2)
+	pull(true)
+	intent := &wire.OutputIntent{TID: "0", NatSeq: 2, Sig: "io.println"}
+	s.Append(&wire.NativeResult{TID: "0", NatSeq: 1, Sig: "sys.clock"}, intent)
+	pull(true) // a second walk of the IDMap would fail as a duplicate
+	pull(false)
+	if a := w.a; a.idmapPending != 1 || a.lockPending != 1 || a.nativePending != 2 || !a.open || restores != 0 {
+		t.Fatalf("open log indexed %d id maps, %d acquisitions, %d native events (open %v, %d restores); want 1, 1, 2, open, none",
+			a.idmapPending, a.lockPending, a.nativePending, a.open, restores)
 	}
-	if !f.a.open {
-		t.Fatal("feed closed prematurely")
-	}
-	if err := f.close(); err != nil {
-		t.Fatal(err)
-	}
-	if f.a.open {
-		t.Fatal("feed still open after close")
+	s.seal()
+	pull(true)
+	pull(false)
+	if w.a.open || w.a.uncertain != intent || restores != 1 {
+		t.Fatalf("after the serve loop: open %v, uncertain %v, %d restores; want closed, the trailing intent, one", w.a.open, w.a.uncertain, restores)
 	}
 }

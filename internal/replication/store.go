@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/simtest/clock"
 	"repro/internal/wire"
 )
 
 // LogStore accumulates the records the backup logs during normal operation
 // (the cold backup "simply logs the recovery information provided by the
-// primary"). It is written by the backup's serve loop and read — after the
-// primary fails — by the replay coordinators.
+// primary"). It is written by the backup's serve loop and read by replay:
+// once the log has ended (Recover), or while it grows (RunWarm).
 type LogStore struct {
 	mu sync.Mutex
 	// segments holds what each admitted frame (or load) contributed, as it
@@ -18,6 +19,11 @@ type LogStore struct {
 	// linear in its record count instead of stepping at growth points.
 	segments []segment
 	n        int
+	// sealed is set once the serve loop has ended: nothing more is stored.
+	sealed bool
+	// wake, when set, is signalled by every add and by seal: a warm replay
+	// parks on it while it waits for the log to grow.
+	wake clock.WaitSlot
 }
 
 // segment is one frame's worth of log: records still encoded as the primary
@@ -48,6 +54,19 @@ func (s *LogStore) add(seg segment, n int) {
 	defer s.mu.Unlock()
 	s.segments = append(s.segments, seg)
 	s.n += n
+	if s.wake != nil {
+		s.wake.Signal()
+	}
+}
+
+// seal records that the serve loop has ended, and wakes a warm replay.
+func (s *LogStore) seal() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sealed = true
+	if s.wake != nil {
+		s.wake.Signal()
+	}
 }
 
 // Len returns the number of stored records.
@@ -69,12 +88,20 @@ func (s *LogStore) Records() []wire.Record {
 // ones one at a time, and stops at fn's first error: recovery indexes the
 // log where it lies instead of from a flat copy.
 func (s *LogStore) each(fn func(wire.Record) error) error {
+	_, _, err := s.eachFrom(0, fn)
+	return err
+}
+
+// eachFrom is each over the segments from index from on, the cursor a warm
+// replay pulls with. It returns the index past the last segment walked and
+// whether the store is sealed, in which case the walk reached the log's end.
+func (s *LogStore) eachFrom(from int, fn func(wire.Record) error) (next int, sealed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, seg := range s.segments {
+	for i, seg := range s.segments[from:] {
 		for _, r := range seg.recs {
 			if err := fn(r); err != nil {
-				return err
+				return from + i, false, err
 			}
 		}
 		for d := wire.NewDecoder(seg.raw); d.More(); {
@@ -83,20 +110,20 @@ func (s *LogStore) each(fn func(wire.Record) error) error {
 				panic(fmt.Sprintf("log store: a validated segment does not decode: %v", err))
 			}
 			if err := fn(r); err != nil {
-				return err
+				return from + i, false, err
 			}
 		}
 	}
-	return nil
+	return len(s.segments), s.sealed, nil
 }
 
 // analysis is the indexed view of a log used during recovery. A cold
-// backup builds it once from the stored records; a warm backup feeds it
-// incrementally while the primary runs (open stays true until the primary
-// halts or fails, and gating predicates treat a temporarily-empty queue as
-// "wait", not "end of recovery").
+// backup builds it once from the stored records; a warm replay pulls into it
+// while the log grows (open stays true until the serve loop has ended, and
+// gating predicates treat a temporarily-empty queue as "wait", not "end of
+// recovery").
 type analysis struct {
-	// open reports that more records may still arrive (warm backup).
+	// open reports that more records may still arrive (warm replay).
 	open bool
 	// last is the most recently added record: if it is an output intent
 	// when the log closes, that output's completion is uncertain.

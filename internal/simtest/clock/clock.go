@@ -36,7 +36,7 @@ type Clock interface {
 	// NewWaitSlot returns a parking slot for condition-style waits with
 	// timeouts — the primitive behind every interruptible wait in the
 	// replication stack (heartbeat pacing, ack waits via the transports,
-	// kill-trigger polls, the warm backup's log feed).
+	// kill-trigger polls, the warm backup's wait for its log to grow).
 	NewWaitSlot() WaitSlot
 	// Go runs fn on a new goroutine that participates in this clock's
 	// scheduling: a Virtual clock counts it as an actor whose running state

@@ -16,14 +16,12 @@ type WarmResult = ReplicatedResult
 // require only minor modifications", §1). With a non-nil trigger the primary
 // is killed mid-run; the warm backup, already mid-execution, finishes the
 // program with the usual exactly-once output guarantees. A warm backup is the
-// pair's backup: Options.Backend == BackendConsensus and Options.CaptureLog
-// are refused with ErrWarmOption.
+// pair's backup, replaying the log it keeps as the log grows: CaptureLog
+// writes that log, and Options.Backend == BackendConsensus is refused with
+// ErrWarmOption.
 func RunWarmReplicated(prog *Program, mode Mode, trigger KillTrigger, opts Options) (*WarmResult, error) {
-	switch {
-	case opts.Backend == BackendConsensus:
+	if opts.Backend == BackendConsensus {
 		return nil, fmt.Errorf("%w: BackendConsensus", ErrWarmOption)
-	case opts.CaptureLog != "":
-		return nil, fmt.Errorf("%w: CaptureLog", ErrWarmOption)
 	}
 	cfg := opts.config(prog, mode, trigger)
 	cfg.Topology = cluster.WarmPair

@@ -1,7 +1,9 @@
 package ftvm
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -125,20 +127,45 @@ func TestWarmReplicatedFailover(t *testing.T) {
 }
 
 // TestWarmRejectsUnsupportedOptions: a warm run used to run a plain pair when
-// asked for the consensus backend, and to write no capture when asked for
-// one. Both are refused by name now.
+// asked for the consensus backend. It is refused by name now.
 func TestWarmRejectsUnsupportedOptions(t *testing.T) {
 	prog, err := CompileSource("warm", facadeProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range map[string]Options{
-		"BackendConsensus": {Backend: BackendConsensus},
-		"CaptureLog":       {CaptureLog: filepath.Join(t.TempDir(), "warm.ftlog")},
-	} {
-		res, err := RunWarmReplicated(prog, ModeLock, nil, opts)
-		if res != nil || !errors.Is(err, ErrWarmOption) {
-			t.Errorf("%s: result %v, error %v; want nil and ErrWarmOption", name, res, err)
+	res, err := RunWarmReplicated(prog, ModeLock, nil, Options{Backend: BackendConsensus})
+	if res != nil || !errors.Is(err, ErrWarmOption) {
+		t.Errorf("BackendConsensus: result %v, error %v; want nil and ErrWarmOption", res, err)
+	}
+}
+
+// TestWarmCaptureMatchesCold: a warm backup keeps its log as a cold one
+// does, so a warm run captures, and the capture is the cold run's byte for
+// byte.
+func TestWarmCaptureMatchesCold(t *testing.T) {
+	prog, err := CompileSource("warm", facadeProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ModeLock, ModeSched, ModeLockInterval} {
+		dir := t.TempDir()
+		cold, warm := filepath.Join(dir, "cold.ftlog"), filepath.Join(dir, "warm.ftlog")
+		if _, err := RunReplicated(prog, mode, Options{EnvSeed: 5, CaptureLog: cold}); err != nil {
+			t.Fatalf("%v cold: %v", mode, err)
+		}
+		if _, err := RunWarmReplicated(prog, mode, nil, Options{EnvSeed: 5, CaptureLog: warm}); err != nil {
+			t.Fatalf("%v warm: %v", mode, err)
+		}
+		cb, err := os.ReadFile(cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := os.ReadFile(warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cb, wb) {
+			t.Errorf("%v: warm capture (%d bytes) differs from cold (%d bytes)", mode, len(wb), len(cb))
 		}
 	}
 }
