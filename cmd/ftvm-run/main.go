@@ -23,6 +23,7 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/minilang"
 	"repro/internal/programs"
+	"repro/internal/replication"
 )
 
 func main() {
@@ -68,7 +69,7 @@ func run() error {
 		}
 		console, st, elapsed = res.Console, res.Stats, res.Elapsed
 	case *mode != "":
-		m, err := parseMode(*mode)
+		m, err := replication.ParseMode(*mode)
 		if err != nil {
 			return err
 		}
@@ -124,19 +125,6 @@ func run() error {
 			st.NativeCalls, st.NMIntercepted, st.NMOutputCommits, st.ThreadsSpawned+1, st.GCs)
 	}
 	return nil
-}
-
-func parseMode(s string) (ftvm.Mode, error) {
-	switch s {
-	case "lock":
-		return ftvm.ModeLock, nil
-	case "sched":
-		return ftvm.ModeSched, nil
-	case "lockint":
-		return ftvm.ModeLockInterval, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want lock, sched or lockint)", s)
-	}
 }
 
 func loadProgram(bench string, scale int, args []string) (*ftvm.Program, error) {

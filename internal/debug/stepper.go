@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 
-	"repro/internal/heap"
-	"repro/internal/native"
 	"repro/internal/vm"
 )
 
@@ -34,12 +32,15 @@ import (
 //     the switch record is consumed at the recorded position, so
 //     re-consulting it after a clamp stop yields the same target.
 //
-// Extra Poll calls at clamp stops are harmless: all three replay
-// coordinators gate admission on log-ordered sequence numbers, so Poll is
+// Extra Poll calls at clamp stops are harmless: the replay coordinators'
+// one admit loop gates admission on log-ordered sequence numbers, so Poll is
 // monotone — it admits a thread exactly when its recorded turn has arrived,
 // however often it is asked.
+//
+// The stepper embeds the replay coordinator and overrides only PickNext;
+// every other hook is the inner coordinator's, unwrapped.
 type stepper struct {
-	inner vm.Coordinator
+	vm.Coordinator
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -76,7 +77,7 @@ type stepCache struct {
 var errAborted = errors.New("debug: machine aborted")
 
 func newStepper(inner vm.Coordinator) *stepper {
-	s := &stepper{inner: inner}
+	s := &stepper{Coordinator: inner}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -117,7 +118,7 @@ func (s *stepper) PickNext(v *vm.VM, runnable []*vm.Thread, cur *vm.Thread) (*vm
 		s.cache.Valid = false
 	}
 
-	t, tgt, err := s.inner.PickNext(v, runnable, cur)
+	t, tgt, err := s.Coordinator.PickNext(v, runnable, cur)
 	if err != nil || t == nil {
 		return t, tgt, err
 	}
@@ -148,45 +149,6 @@ func (s *stepper) clampTarget(t *vm.Thread, tgt vm.SliceTarget, g uint64) vm.Sli
 	}
 	return tgt
 }
-
-// OnDescheduled implements vm.Coordinator.
-func (s *stepper) OnDescheduled(v *vm.VM, prev, next *vm.Thread) error {
-	return s.inner.OnDescheduled(v, prev, next)
-}
-
-// BeforeAcquire implements vm.Coordinator.
-func (s *stepper) BeforeAcquire(v *vm.VM, t *vm.Thread, m *vm.Monitor) (bool, error) {
-	return s.inner.BeforeAcquire(v, t, m)
-}
-
-// AssignLID implements vm.Coordinator.
-func (s *stepper) AssignLID(v *vm.VM, t *vm.Thread, m *vm.Monitor) (int64, bool, error) {
-	return s.inner.AssignLID(v, t, m)
-}
-
-// OnAcquired implements vm.Coordinator.
-func (s *stepper) OnAcquired(v *vm.VM, t *vm.Thread, m *vm.Monitor) error {
-	return s.inner.OnAcquired(v, t, m)
-}
-
-// NativeReady implements vm.Coordinator.
-func (s *stepper) NativeReady(v *vm.VM, t *vm.Thread, def *native.Def) bool {
-	return s.inner.NativeReady(v, t, def)
-}
-
-// InvokeNative implements vm.Coordinator.
-func (s *stepper) InvokeNative(v *vm.VM, t *vm.Thread, def *native.Def, args []heap.Value) ([]heap.Value, error) {
-	return s.inner.InvokeNative(v, t, def, args)
-}
-
-// Poll implements vm.Coordinator.
-func (s *stepper) Poll(v *vm.VM) (bool, error) { return s.inner.Poll(v) }
-
-// OnIdle implements vm.Coordinator.
-func (s *stepper) OnIdle(v *vm.VM) (bool, error) { return s.inner.OnIdle(v) }
-
-// OnHalt implements vm.Coordinator.
-func (s *stepper) OnHalt(v *vm.VM, runErr error) error { return s.inner.OnHalt(v, runErr) }
 
 // waitPaused blocks until the machine pauses at the target (true) or the
 // run goroutine finishes first — halt, replayed crash end, or abort (false).

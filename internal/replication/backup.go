@@ -129,7 +129,7 @@ var errCorruptPayload = errors.New("corrupt frame payload")
 // handler-managed native is refused before any frame arrives rather than at
 // the first receive.
 func NewBackup(cfg BackupConfig) (*Backup, error) {
-	if cfg.Mode != ModeLock && cfg.Mode != ModeSched && cfg.Mode != ModeLockInterval {
+	if !cfg.Mode.valid() {
 		return nil, fmt.Errorf("backup: bad mode %d", cfg.Mode)
 	}
 	if cfg.Handlers == nil {

@@ -11,25 +11,21 @@ import (
 // current interval may perform real monitor acquisitions; after it performs
 // its recorded count, the next interval takes over. Because each thread's
 // program is deterministic, the interval sequence totally orders all
-// acquisitions without per-acquisition records, lock ids, or id maps.
+// acquisitions without per-acquisition records, lock ids, or id maps. It
+// overrides BeforeAcquire, OnAcquired and Poll; scheduling (free, like lock
+// mode) and lock ids (purely local) are the base's.
 type intervalReplay struct {
 	*nativeReplay
-	policy   vm.SchedPolicy
 	idx      int
 	consumed uint64
-	lidNext  int64
-
-	// GatedWakeups counts threads admitted by Poll.
-	GatedWakeups uint64
 }
 
 var _ vm.Coordinator = (*intervalReplay)(nil)
 
 func newIntervalReplay(a *analysis, handlers *sehandler.Set, policy vm.SchedPolicy) *intervalReplay {
-	if policy == nil {
-		policy = vm.NewSeededPolicy(0x696e74, 1024, 8192)
-	}
-	return &intervalReplay{nativeReplay: newNativeReplay(a, handlers), policy: policy}
+	c := &intervalReplay{nativeReplay: newNativeReplay(a, handlers)}
+	c.Policy = seededOr(policy, 0x696e74)
+	return c
 }
 
 func (c *intervalReplay) drained() bool {
@@ -54,24 +50,9 @@ func (c *intervalReplay) turnOf(t *vm.Thread) (bool, error) {
 	return t.TASN == want, nil
 }
 
-// PickNext implements vm.Coordinator (free scheduling, like lock mode).
-func (c *intervalReplay) PickNext(_ *vm.VM, runnable []*vm.Thread, cur *vm.Thread) (*vm.Thread, vm.SliceTarget, error) {
-	t := c.policy.Next(runnable, cur)
-	return t, vm.BudgetTarget(t, c.policy.Quantum()), nil
-}
-
-// OnDescheduled implements vm.Coordinator.
-func (c *intervalReplay) OnDescheduled(*vm.VM, *vm.Thread, *vm.Thread) error { return nil }
-
 // BeforeAcquire implements vm.Coordinator.
 func (c *intervalReplay) BeforeAcquire(_ *vm.VM, t *vm.Thread, _ *vm.Monitor) (bool, error) {
 	return c.turnOf(t)
-}
-
-// AssignLID implements vm.Coordinator: ids are purely local in this mode.
-func (c *intervalReplay) AssignLID(*vm.VM, *vm.Thread, *vm.Monitor) (int64, bool, error) {
-	c.lidNext++
-	return c.lidNext, true, nil
 }
 
 // OnAcquired implements vm.Coordinator: advance within the interval.
@@ -99,27 +80,5 @@ func (c *intervalReplay) OnAcquired(v *vm.VM, t *vm.Thread, m *vm.Monitor) error
 
 // Poll implements vm.Coordinator: admit the gated thread whose turn arrived.
 func (c *intervalReplay) Poll(v *vm.VM) (bool, error) {
-	progress := false
-	for _, t := range v.Threads() {
-		if t.State() != vm.StateGated {
-			continue
-		}
-		var ok bool
-		var err error
-		if t.BlockedOn() == nil {
-			// Gated before an intercepted native call (warm backup).
-			ok = c.ready(t)
-		} else {
-			ok, err = c.turnOf(t)
-		}
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			v.Ungate(t)
-			c.GatedWakeups++
-			progress = true
-		}
-	}
-	return progress, nil
+	return c.admit(v, func(t *vm.Thread, _ *vm.Monitor) (bool, error) { return c.turnOf(t) })
 }

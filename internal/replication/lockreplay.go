@@ -14,22 +14,20 @@ import (
 // the recorded l_asn. Virtual lock ids are reproduced through the logged id
 // maps; threads acquiring a not-yet-identified lock wait until the map is
 // matched or, when no maps remain, assign a fresh id (end-of-recovery rule).
+// It overrides BeforeAcquire, AssignLID, OnAcquired and Poll; scheduling is
+// the base's, by the replay's policy.
 type lockReplay struct {
 	*nativeReplay
-	policy  vm.SchedPolicy
+	// lidNext mints the ids of locks first acquired past the id maps.
 	lidNext int64
-
-	// GatedWakeups counts threads admitted by Poll (recovery diagnostics).
-	GatedWakeups uint64
 }
 
 var _ vm.Coordinator = (*lockReplay)(nil)
 
 func newLockReplay(a *analysis, handlers *sehandler.Set, policy vm.SchedPolicy) *lockReplay {
-	if policy == nil {
-		policy = vm.NewSeededPolicy(0x6261636b7570, 1024, 8192) // distinct default seed
-	}
-	return &lockReplay{nativeReplay: newNativeReplay(a, handlers), policy: policy}
+	c := &lockReplay{nativeReplay: newNativeReplay(a, handlers)}
+	c.Policy = seededOr(policy, 0x6261636b7570)
+	return c
 }
 
 // recoveryDone reports whether every logged event has been consumed.
@@ -99,17 +97,8 @@ func (c *lockReplay) canAcquire(t *vm.Thread, m *vm.Monitor) (bool, error) {
 	return m.LASN == rec.LASN, nil
 }
 
-// PickNext implements vm.Coordinator: the backup schedules with its own
-// policy; only the gates make the lock order agree with the primary.
-func (c *lockReplay) PickNext(_ *vm.VM, runnable []*vm.Thread, cur *vm.Thread) (*vm.Thread, vm.SliceTarget, error) {
-	t := c.policy.Next(runnable, cur)
-	return t, vm.BudgetTarget(t, c.policy.Quantum()), nil
-}
-
-// OnDescheduled implements vm.Coordinator.
-func (c *lockReplay) OnDescheduled(*vm.VM, *vm.Thread, *vm.Thread) error { return nil }
-
-// BeforeAcquire implements vm.Coordinator.
+// BeforeAcquire implements vm.Coordinator: the backup schedules with its own
+// policy; only this gate makes the lock order agree with the primary.
 func (c *lockReplay) BeforeAcquire(_ *vm.VM, t *vm.Thread, m *vm.Monitor) (bool, error) {
 	return c.canAcquire(t, m)
 }
@@ -168,29 +157,4 @@ func (c *lockReplay) OnAcquired(v *vm.VM, t *vm.Thread, m *vm.Monitor) error {
 
 // Poll implements vm.Coordinator: admit gated threads whose recorded turn
 // has arrived.
-func (c *lockReplay) Poll(v *vm.VM) (bool, error) {
-	progress := false
-	for _, t := range v.Threads() {
-		if t.State() != vm.StateGated {
-			continue
-		}
-		m := t.BlockedOn()
-		var ok bool
-		var err error
-		if m == nil {
-			// Gated before an intercepted native call (warm backup).
-			ok = c.ready(t)
-		} else {
-			ok, err = c.canAcquire(t, m)
-		}
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			v.Ungate(t)
-			c.GatedWakeups++
-			progress = true
-		}
-	}
-	return progress, nil
-}
+func (c *lockReplay) Poll(v *vm.VM) (bool, error) { return c.admit(v, c.canAcquire) }

@@ -9,14 +9,19 @@ import (
 )
 
 // nativeReplay is what the three replay coordinators have in common, and
-// each embeds it: the indexed log, the promotion tail, and the backup-side
-// native-method machinery (§4.1) — it feeds logged results to the program,
-// re-invokes natives that must reproduce volatile output, and gives the
-// uncertain final output exactly-once semantics via the handler's test
-// method (§4.4). Side-effect handler state was already accumulated by the
-// serve loop (the paper's receive method runs when log state arrives) and
-// volatile environment state was rebuilt by restore before replay began.
+// each embeds it: the VM's default coordinator — scheduling by the replay's
+// one policy, a fresh lock-id counter, no-op hooks — plus the native hooks
+// (NativeReady, InvokeNative, OnHalt) and the admit loop every mode's Poll
+// runs; a mode overrides only what its records decide. Beneath the hooks sit
+// the indexed log, the promotion tail, and the backup-side native-method
+// machinery (§4.1) — it feeds logged results to the program, re-invokes
+// natives that must reproduce volatile output, and gives the uncertain final
+// output exactly-once semantics via the handler's test method (§4.4).
+// Side-effect handler state was already accumulated by the serve loop (the
+// paper's receive method runs when log state arrives) and volatile
+// environment state was rebuilt by restore before replay began.
 type nativeReplay struct {
+	vm.DefaultCoordinator
 	handlers *sehandler.Set
 	a        *analysis
 
@@ -34,10 +39,22 @@ type nativeReplay struct {
 	SkippedOuts uint64
 	TestedOuts  uint64
 	LiveInvokes uint64
+	// GatedWakeups counts the gated threads admit let run.
+	GatedWakeups uint64
 }
 
 func newNativeReplay(a *analysis, handlers *sehandler.Set) *nativeReplay {
 	return &nativeReplay{handlers: handlers, a: a}
+}
+
+// seededOr is policy or, when it is nil, the default seeded policy on seed.
+// Each role has its own seed, so a backup interleaves differently from its
+// primary unless told otherwise.
+func seededOr(policy vm.SchedPolicy, seed int64) vm.SchedPolicy {
+	if policy == nil {
+		return vm.NewSeededPolicy(seed, 1024, 8192)
+	}
+	return policy
 }
 
 func (nr *nativeReplay) ctx(v *vm.VM) sehandler.Ctx {
@@ -53,16 +70,42 @@ func (nr *nativeReplay) InvokeNative(v *vm.VM, t *vm.Thread, def *native.Def, ar
 	return nr.invoke(v, t, def, args)
 }
 
-// OnIdle implements vm.Coordinator: Poll already ran this iteration, so an
-// idle scheduler means genuine deadlock (or divergence).
-func (nr *nativeReplay) OnIdle(*vm.VM) (bool, error) { return false, nil }
-
 // OnHalt implements vm.Coordinator.
 func (nr *nativeReplay) OnHalt(v *vm.VM, runErr error) error {
 	if nr.tail != nil {
 		return nr.tail.OnHalt(v, runErr)
 	}
 	return nil
+}
+
+// admit is every replay's Poll: it ungates each gated thread whose turn has
+// arrived and reports whether it ungated any. A thread gated before an
+// intercepted native call waits for its record (ready); one gated on a
+// monitor waits for turn, the mode's acquisition rule. A nil turn gates no
+// monitor: under replicated scheduling the acquisition order reproduces
+// itself (R4B).
+func (nr *nativeReplay) admit(v *vm.VM, turn func(*vm.Thread, *vm.Monitor) (bool, error)) (bool, error) {
+	progress := false
+	for _, t := range v.Threads() {
+		if t.State() != vm.StateGated {
+			continue
+		}
+		ok, err := false, error(nil)
+		if m := t.BlockedOn(); m == nil {
+			ok = nr.ready(t)
+		} else if turn != nil {
+			ok, err = turn(t, m)
+		}
+		if err != nil {
+			return false, err
+		}
+		if ok {
+			v.Ungate(t)
+			nr.GatedWakeups++
+			progress = true
+		}
+	}
+	return progress, nil
 }
 
 // drained reports whether every logged native event has been consumed and

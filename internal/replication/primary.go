@@ -55,16 +55,19 @@ type PrimaryConfig struct {
 	Clock clock.Clock
 }
 
-// Primary is the vm.Coordinator that turns a VM into the primary replica.
-// It owns the backend-generic half of coordination — record buffering and
-// scratch encoding, flush batching, output-commit points, interval state —
-// and delegates "how a batch reaches a durable committed log" to its
-// CoordinationBackend (the pair path by default).
+// Primary is the vm.Coordinator that turns a VM into the primary replica:
+// the VM's default coordinator — scheduling by its policy, never gating,
+// never waiting — plus the hooks that log (OnDescheduled, AssignLID,
+// OnAcquired, InvokeNative) and OnHalt. It owns the backend-generic half of
+// coordination — record buffering and scratch encoding, flush batching,
+// output-commit points, interval state — and delegates "how a batch reaches a
+// durable committed log" to its CoordinationBackend (the pair path by
+// default).
 type Primary struct {
+	vm.DefaultCoordinator
 	mode       Mode
 	be         CoordinationBackend
 	handlers   *sehandler.Set
-	policy     vm.SchedPolicy
 	flushEvery int
 	clk        clock.Clock
 
@@ -104,7 +107,7 @@ var _ vm.Coordinator = (*Primary)(nil)
 
 // NewPrimary builds a primary coordinator.
 func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
-	if cfg.Mode != ModeLock && cfg.Mode != ModeSched && cfg.Mode != ModeLockInterval {
+	if !cfg.Mode.valid() {
 		return nil, fmt.Errorf("primary: bad mode %d", cfg.Mode)
 	}
 	if cfg.Backend == nil {
@@ -114,21 +117,17 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	if h == nil {
 		h = sehandler.DefaultSet()
 	}
-	pol := cfg.Policy
-	if pol == nil {
-		pol = vm.NewSeededPolicy(1, 1024, 8192)
-	}
 	fe := cfg.FlushEvery
 	if fe <= 0 {
 		fe = 4096
 	}
 	p := &Primary{
-		mode:       cfg.Mode,
-		be:         cfg.Backend,
-		handlers:   h,
-		policy:     pol,
-		flushEvery: fe,
-		clk:        clock.Or(cfg.Clock),
+		DefaultCoordinator: vm.DefaultCoordinator{Policy: seededOr(cfg.Policy, 1)},
+		mode:               cfg.Mode,
+		be:                 cfg.Backend,
+		handlers:           h,
+		flushEvery:         fe,
+		clk:                clock.Or(cfg.Clock),
 	}
 	if pb, ok := cfg.Backend.(*PairBackend); ok {
 		// The pair backend reports its liveness counters into the owning
@@ -246,12 +245,6 @@ func (p *Primary) buffer(r wire.Record, timed bool) error {
 	return nil
 }
 
-// PickNext implements vm.Coordinator.
-func (p *Primary) PickNext(_ *vm.VM, runnable []*vm.Thread, cur *vm.Thread) (*vm.Thread, vm.SliceTarget, error) {
-	t := p.policy.Next(runnable, cur)
-	return t, vm.BudgetTarget(t, p.policy.Quantum()), nil
-}
-
 // OnDescheduled implements vm.Coordinator: in sched mode, log a thread
 // scheduling record (br_cnt, pc_off, mon_cnt, l_asn, next t_id).
 func (p *Primary) OnDescheduled(_ *vm.VM, prev, next *vm.Thread) error {
@@ -267,9 +260,6 @@ func (p *Primary) OnDescheduled(_ *vm.VM, prev, next *vm.Thread) error {
 	}
 	return p.append(&p.recSwitch, true)
 }
-
-// BeforeAcquire implements vm.Coordinator (the primary never gates).
-func (p *Primary) BeforeAcquire(*vm.VM, *vm.Thread, *vm.Monitor) (bool, error) { return true, nil }
 
 // AssignLID implements vm.Coordinator: fresh counter, plus an id map record
 // in lock mode so the backup can reproduce the assignment (§4.2). Interval
@@ -317,9 +307,6 @@ func (p *Primary) closeInterval(timed bool) error {
 	p.intCount = 0
 	return p.append(&p.recInterval, timed)
 }
-
-// NativeReady implements vm.Coordinator (the primary never waits).
-func (p *Primary) NativeReady(*vm.VM, *vm.Thread, *native.Def) bool { return true }
 
 // InvokeNative implements vm.Coordinator (§4.1/§3.4): output commit before
 // outputs; log results of non-deterministic commands, with handler state.
@@ -424,12 +411,6 @@ func (p *Primary) ShipSnapshot(records []wire.Record) error {
 	}
 	return nil
 }
-
-// Poll implements vm.Coordinator.
-func (p *Primary) Poll(*vm.VM) (bool, error) { return false, nil }
-
-// OnIdle implements vm.Coordinator.
-func (p *Primary) OnIdle(*vm.VM) (bool, error) { return false, nil }
 
 // OnHalt implements vm.Coordinator: on clean completion, ship the halt
 // marker and synchronise with the backend; on a kill, fatal error or lost

@@ -39,7 +39,11 @@ type RecoverConfig struct {
 	Tail *Primary
 }
 
-// RecoveryReport summarises what recovery did.
+// RecoveryReport summarises what recovery did. GatedWakeups counts the gated
+// threads the replay's Poll admitted, in every mode: a thread gated on a
+// monitor (lock and interval modes) or before an intercepted native whose
+// record had not arrived. Only a warm replay gates natives — a closed log is
+// always ready — so a cold sched replay reads 0.
 type RecoveryReport struct {
 	RecordsInLog     int
 	FedResults       uint64
@@ -176,15 +180,11 @@ func (e *ReplayEngine) Report(v *vm.VM, recordsInLog int) *RecoveryReport {
 		SkippedOutputs: e.nr.SkippedOuts,
 		TestedOutputs:  e.nr.TestedOuts,
 		LiveInvokes:    e.nr.LiveInvokes,
+		GatedWakeups:   e.nr.GatedWakeups,
 		VMStats:        v.Stats(),
 	}
-	switch c := e.coord.(type) {
-	case *lockReplay:
-		report.GatedWakeups = c.GatedWakeups
-	case *schedReplay:
+	if c, ok := e.coord.(*schedReplay); ok {
 		report.ReplayedSwitches = c.Replayed
-	case *intervalReplay:
-		report.GatedWakeups = c.GatedWakeups
 	}
 	return report
 }
@@ -205,20 +205,20 @@ func (e *ReplayEngine) Clone() (*ReplayEngine, error) {
 	a := e.a.clone()
 	nr := e.nr.cloneWith(a, handlers)
 	c := &ReplayEngine{mode: e.mode, natives: e.natives, handlers: handlers, a: a, nr: nr}
-	// Beyond the shared base and the policy, a coordinator's cursor state is
-	// plain values: copy the struct and replace those two.
+	// Beyond the shared base, a coordinator's cursor state is plain values:
+	// copy the struct and swap the base.
 	switch cur := e.coord.(type) {
 	case *lockReplay:
 		cp := *cur
-		cp.nativeReplay, cp.policy = nr, clonePolicy(cur.policy)
+		cp.nativeReplay = nr
 		c.coord = &cp
 	case *schedReplay:
 		cp := *cur
-		cp.nativeReplay, cp.livePolicy = nr, clonePolicy(cur.livePolicy)
+		cp.nativeReplay = nr
 		c.coord = &cp
 	case *intervalReplay:
 		cp := *cur
-		cp.nativeReplay, cp.policy = nr, clonePolicy(cur.policy)
+		cp.nativeReplay = nr
 		c.coord = &cp
 	default:
 		return nil, fmt.Errorf("replay engine: cannot clone coordinator %T", e.coord)
@@ -262,11 +262,12 @@ func (a *analysis) clone() *analysis {
 	return &c
 }
 
-// cloneWith copies the native-replay machinery against a cloned analysis
-// and handler set. The tail is never carried over: a debugger clone is not
-// a promoted primary.
+// cloneWith copies the replay base against a cloned analysis and handler
+// set, its policy at the same decision position. The tail is never carried
+// over: a debugger clone is not a promoted primary.
 func (nr *nativeReplay) cloneWith(a *analysis, handlers *sehandler.Set) *nativeReplay {
 	c := *nr
 	c.handlers, c.a, c.tail = handlers, a, nil
+	c.Policy = clonePolicy(nr.Policy)
 	return &c
 }

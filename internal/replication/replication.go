@@ -52,6 +52,18 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode inverts String.
+func ParseMode(name string) (Mode, error) {
+	for m := ModeLock; m.valid(); m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want lock, sched or lockint)", name)
+}
+
+func (m Mode) valid() bool { return m >= ModeLock && m <= ModeLockInterval }
+
 // Errors shared across the package.
 var (
 	ErrDivergence = errors.New("replica divergence detected")

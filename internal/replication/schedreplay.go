@@ -14,15 +14,14 @@ import (
 // cross-checks pc offset and mon_cnt at every switch. After the final record
 // the backup must still schedule the thread the primary intended to run next
 // (it may have interacted with the environment); once its logged native
-// events are reproduced the VM continues under a live policy.
+// events are reproduced the VM continues under the replay's policy, the live
+// one. It overrides PickNext, OnDescheduled and Poll; acquisitions are not
+// gated (R4B) and lock ids are the base's counter.
 type schedReplay struct {
 	*nativeReplay
-	idx        int
-	expect     string // vtid that should be running per the chain
-	forced     bool   // the final record's NextTID was dispatched post-drain
-	livePolicy vm.SchedPolicy
-	lidNext    int64
-	strict     bool
+	idx    int
+	expect string // vtid that should be running per the chain
+	forced bool   // the final record's NextTID was dispatched post-drain
 	// pendingSwitch suppresses one tail tee: consuming the final switch
 	// record leaves idx == len(switches), but the VM's OnDescheduled call for
 	// that very switch arrives *after* PickNext consumed it — the record is
@@ -36,15 +35,9 @@ type schedReplay struct {
 var _ vm.Coordinator = (*schedReplay)(nil)
 
 func newSchedReplay(a *analysis, handlers *sehandler.Set, policy vm.SchedPolicy) *schedReplay {
-	if policy == nil {
-		policy = vm.NewSeededPolicy(0x7363686564, 1024, 8192)
-	}
-	return &schedReplay{
-		nativeReplay: newNativeReplay(a, handlers),
-		expect:       "0", // the chain starts at the main thread
-		livePolicy:   policy,
-		strict:       true,
-	}
+	c := &schedReplay{nativeReplay: newNativeReplay(a, handlers), expect: "0"} // the chain starts at the main thread
+	c.Policy = seededOr(policy, 0x7363686564)
+	return c
 }
 
 // PickNext implements vm.Coordinator: walk the switch-record chain. A nil
@@ -69,10 +62,8 @@ func (c *schedReplay) PickNext(v *vm.VM, runnable []*vm.Thread, cur *vm.Thread) 
 			return nil, none, divergence("thread %s overshot: br_cnt %d past recorded %d",
 				t.VTID, t.BrCnt, head.BrCnt)
 		case atSwitch:
-			if c.strict {
-				if err := c.verifySwitch(t, head); err != nil {
-					return nil, none, err
-				}
+			if err := c.verifySwitch(t, head); err != nil {
+				return nil, none, err
 			}
 			c.idx++
 			c.Replayed++
@@ -107,11 +98,10 @@ func (c *schedReplay) PickNext(v *vm.VM, runnable []*vm.Thread, cur *vm.Thread) 
 	if !c.forced && c.Replayed > 0 {
 		c.forced = true
 		if t := v.ThreadByVTID(c.expect); t != nil && t.State() == vm.StateRunnable {
-			return t, vm.BudgetTarget(t, c.livePolicy.Quantum()), nil
+			return t, vm.BudgetTarget(t, c.Policy.Quantum()), nil
 		}
 	}
-	t := c.livePolicy.Next(runnable, cur)
-	return t, vm.BudgetTarget(t, c.livePolicy.Quantum()), nil
+	return c.DefaultCoordinator.PickNext(v, runnable, cur)
 }
 
 // atPosition reports whether t sits exactly at the recorded switch position
@@ -163,28 +153,6 @@ func (c *schedReplay) OnDescheduled(v *vm.VM, prev, next *vm.Thread) error {
 	return c.tail.OnDescheduled(v, prev, next)
 }
 
-// BeforeAcquire implements vm.Coordinator: under identical scheduling the
-// acquisition order reproduces itself; no gating needed (R4B).
-func (c *schedReplay) BeforeAcquire(*vm.VM, *vm.Thread, *vm.Monitor) (bool, error) { return true, nil }
-
-// AssignLID implements vm.Coordinator.
-func (c *schedReplay) AssignLID(*vm.VM, *vm.Thread, *vm.Monitor) (int64, bool, error) {
-	c.lidNext++
-	return c.lidNext, true, nil
-}
-
-// OnAcquired implements vm.Coordinator.
-func (c *schedReplay) OnAcquired(*vm.VM, *vm.Thread, *vm.Monitor) error { return nil }
-
 // Poll implements vm.Coordinator: admit native-gated threads whose records
 // arrived (warm backup; the dispatch chain still controls who runs).
-func (c *schedReplay) Poll(v *vm.VM) (bool, error) {
-	progress := false
-	for _, t := range v.Threads() {
-		if t.State() == vm.StateGated && t.BlockedOn() == nil && c.ready(t) {
-			v.Ungate(t)
-			progress = true
-		}
-	}
-	return progress, nil
-}
+func (c *schedReplay) Poll(v *vm.VM) (bool, error) { return c.admit(v, nil) }

@@ -118,6 +118,34 @@ func TestSchedReplayWaitsWhileOpen(t *testing.T) {
 	if err != nil || picked != main {
 		t.Fatalf("post-close pick = %v (%v)", picked, err)
 	}
+
+	// The chain runs main toward a switch past a native whose record has not
+	// arrived: main gates there, and Poll admits it, counting the wakeup,
+	// only once the record is in.
+	prog, err := bytecode.AssembleString("native clock sys.clock 0 value\nmethod main 0 void\n  call clock\n  pop\n  ret\nend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = newAnalysis()
+	c = newSchedReplay(a, sehandler.DefaultSet(), nil)
+	if err := a.add(&wire.Switch{TID: "0", BrCnt: 100, NextTID: "0"}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err = vm.New(vm.Config{Program: prog, Env: env.New(1), Coordinator: c}); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Run(); !errors.Is(err, vm.ErrDeadlock) {
+		t.Fatalf("run with the native's record missing = %v, want a deadlock", err)
+	}
+	if woke, err := c.Poll(v); woke || err != nil {
+		t.Fatalf("poll before the record = %v, %v; want no wakeup", woke, err)
+	}
+	if err := a.add(&wire.NativeResult{TID: "0", NatSeq: 1, Sig: "sys.clock", Results: []wire.WireValue{{Kind: wire.WireInt, I: 7}}}); err != nil {
+		t.Fatal(err)
+	}
+	if woke, err := c.Poll(v); !woke || err != nil || c.GatedWakeups != 1 {
+		t.Fatalf("poll after the record = %v, %v with %d wakeups; want one", woke, err, c.GatedWakeups)
+	}
 }
 
 func TestAnalyzeCleanHalt(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 
 	ftvm "repro"
 	"repro/internal/fuzzgen"
+	"repro/internal/replication"
 	"repro/internal/transport"
 )
 
@@ -123,7 +124,7 @@ func parseValue(p any, s string) (err error) {
 	case *fuzzgen.Size:
 		*v, err = fuzzgen.SizeByName(s)
 	case *ftvm.Mode:
-		*v, err = modeByName(s)
+		*v, err = replication.ParseMode(s)
 	case *transport.FaultKind:
 		*v, err = faultKindByName(s)
 	default:
@@ -143,16 +144,6 @@ func faultKindByName(name string) (transport.FaultKind, error) {
 			return k, nil
 		}
 	}
-}
-
-// modeByName inverts replication.Mode.String.
-func modeByName(name string) (ftvm.Mode, error) {
-	for _, m := range allModes {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mode %q (lock, sched, lockint)", name)
 }
 
 // Key renders the scenario as its canonical replay string. It round-trips
