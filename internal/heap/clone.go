@@ -20,7 +20,7 @@ func (h *Heap) Clone() *Heap {
 		if o == nil {
 			continue
 		}
-		n := &Object{Kind: o.Kind, Class: o.Class, Mark: o.Mark, Finalize: o.Finalize}
+		n := &Object{Kind: o.Kind, Class: o.Class, Mark: o.Mark, Finalize: o.Finalize, Mon: o.Mon}
 		if o.Fields != nil {
 			n.Fields = append([]Value(nil), o.Fields...)
 		}

@@ -66,7 +66,9 @@ var (
 // Object is a heap cell. Exactly one of the payload slices is used, selected
 // by Kind. Class is the class index for records (or the thread id for
 // ObjThread); Mark is GC state; Finalize marks records whose class declares a
-// finalizer that has not run yet.
+// finalizer that has not run yet. Mon is the object's monitor as the owning
+// VM's monitor-table index plus one (0: no monitor yet) — the VM keeps it,
+// the heap only carries it; it fills padding, so an Object stays 136 bytes.
 type Object struct {
 	Kind     ObjKind
 	Class    int32
@@ -77,6 +79,7 @@ type Object struct {
 	Str      []byte    // ObjString
 	Mark     bool
 	Finalize bool
+	Mon      int32
 }
 
 // Stats carries allocation and GC counters for the experiment harness.

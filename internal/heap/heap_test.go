@@ -234,10 +234,14 @@ func TestArrayStoreProperty(t *testing.T) {
 }
 
 // TestValueLayout pins the two-word value: every stack slot, local, static
-// and record field is a Kind and one payload word, with no pointer in it.
+// and record field is a Kind and one payload word, with no pointer in it. It
+// also pins the object header: the monitor index fills padding.
 func TestValueLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Value{}); n != 16 {
 		t.Fatalf("heap.Value is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(Object{}); n != 136 {
+		t.Fatalf("heap.Object is %d bytes, want 136", n)
 	}
 }
 

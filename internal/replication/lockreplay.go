@@ -3,7 +3,6 @@ package replication
 import (
 	"repro/internal/sehandler"
 	"repro/internal/vm"
-	"repro/internal/wire"
 )
 
 // lockReplay is the backup-side coordinator for replicated lock acquisition
@@ -35,20 +34,11 @@ func (c *lockReplay) recoveryDone() bool {
 	return c.a.lockPending == 0 && c.a.idmapPending == 0 && c.drained()
 }
 
-// head returns t's next recorded acquisition, if any.
-func (c *lockReplay) head(t *vm.Thread) (*wire.LockAcq, bool) {
-	q := c.a.lockQ[t.VTID]
-	if len(q) == 0 {
-		return nil, false
-	}
-	return q[0], true
-}
-
 // canAcquire evaluates — without consuming anything — whether t's pending
 // acquisition of m may proceed now. It implements the waiting rules of §4.2.
 func (c *lockReplay) canAcquire(t *vm.Thread, m *vm.Monitor) (bool, error) {
-	rec, ok := c.head(t)
-	if !ok {
+	tl := c.threadLog(t)
+	if len(tl.lock) == 0 {
 		// No record for this acquisition: either the primary never got here
 		// (cold recovery: wait for the global drain, then run free — "end
 		// of recovery at the backup") or, while the log is open, the record
@@ -62,18 +52,19 @@ func (c *lockReplay) canAcquire(t *vm.Thread, m *vm.Monitor) (bool, error) {
 		// Without this, the orphaned map holds idmapPending above zero and
 		// deadlocks every thread gated on the global drain.
 		if !c.a.open && m.LID < 0 {
-			if _, hasMap := c.a.idmaps[t.VTID][t.TASN]; hasMap {
+			if _, hasMap := tl.idmaps[t.TASN]; hasMap {
 				return true, nil
 			}
 		}
 		return c.a.lockPending == 0 && c.a.idmapPending == 0 && !c.a.open, nil
 	}
+	rec := tl.lock[0]
 	if rec.TASN != t.TASN {
 		return false, divergence("thread %s at t_asn %d, log head has t_asn %d", t.VTID, t.TASN, rec.TASN)
 	}
 	if m.LID < 0 {
 		// The lock has no id yet at the backup.
-		if im, ok := c.a.idmaps[t.VTID][t.TASN]; ok {
+		if im, ok := tl.idmaps[t.TASN]; ok {
 			// This thread performed the first-ever acquisition at the
 			// primary: it may proceed and will assign im.LID itself.
 			if im.LID != rec.LID {
@@ -106,8 +97,9 @@ func (c *lockReplay) BeforeAcquire(_ *vm.VM, t *vm.Thread, m *vm.Monitor) (bool,
 // AssignLID implements vm.Coordinator: reproduce the primary's assignment
 // through the id map, or mint a fresh id once no maps remain.
 func (c *lockReplay) AssignLID(_ *vm.VM, t *vm.Thread, _ *vm.Monitor) (int64, bool, error) {
-	if im, ok := c.a.idmaps[t.VTID][t.TASN]; ok {
-		delete(c.a.idmaps[t.VTID], t.TASN)
+	tl := c.threadLog(t)
+	if im, ok := tl.idmaps[t.TASN]; ok {
+		delete(tl.idmaps, t.TASN)
 		c.a.idmapPending--
 		return im.LID, true, nil
 	}
@@ -132,8 +124,8 @@ func (c *lockReplay) AssignLID(_ *vm.VM, t *vm.Thread, _ *vm.Monitor) (int64, bo
 // OnAcquired implements vm.Coordinator: consume and cross-check the
 // acquisition record.
 func (c *lockReplay) OnAcquired(v *vm.VM, t *vm.Thread, m *vm.Monitor) error {
-	rec, ok := c.head(t)
-	if !ok {
+	tl := c.threadLog(t)
+	if len(tl.lock) == 0 {
 		// This thread ran past its logged acquisitions (live). Under
 		// promotion the acquisition is a fresh event the new backup must log;
 		// this also pairs up the orphan-id-map case, whose map came from the
@@ -143,6 +135,7 @@ func (c *lockReplay) OnAcquired(v *vm.VM, t *vm.Thread, m *vm.Monitor) error {
 		}
 		return nil
 	}
+	rec := tl.lock[0]
 	if rec.TASN != t.TASN {
 		return divergence("thread %s acquired at t_asn %d, log head has t_asn %d", t.VTID, t.TASN, rec.TASN)
 	}
@@ -150,7 +143,7 @@ func (c *lockReplay) OnAcquired(v *vm.VM, t *vm.Thread, m *vm.Monitor) error {
 		return divergence("thread %s t_asn %d acquired lid %d l_asn %d, log says lid %d l_asn %d",
 			t.VTID, t.TASN, m.LID, m.LASN, rec.LID, rec.LASN)
 	}
-	c.a.lockQ[t.VTID] = c.a.lockQ[t.VTID][1:]
+	tl.lock = tl.lock[1:]
 	c.a.lockPending--
 	return nil
 }

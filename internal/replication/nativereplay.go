@@ -24,6 +24,10 @@ type nativeReplay struct {
 	vm.DefaultCoordinator
 	handlers *sehandler.Set
 	a        *analysis
+	// logs caches each thread's record of a by Thread.Slot (append-only
+	// within a VM), so a replayed event finds its queue without hashing the
+	// thread's name; threadLog fills it.
+	logs []*threadLog
 
 	// tail, when set, is the promoted replica's own outgoing primary: every
 	// event past the recovered log — lock acquisitions, scheduling decisions,
@@ -55,6 +59,22 @@ func seededOr(policy vm.SchedPolicy, seed int64) vm.SchedPolicy {
 		return vm.NewSeededPolicy(seed, 1024, 8192)
 	}
 	return policy
+}
+
+// threadLog returns t's record of the log, found by t's slot. A hit is
+// confirmed by the thread's name, so a slot that was cached for another
+// thread is looked up again.
+func (nr *nativeReplay) threadLog(t *vm.Thread) *threadLog {
+	if int(t.Slot) < len(nr.logs) {
+		if tl := nr.logs[t.Slot]; tl != nil && tl.tid == t.VTID {
+			return tl
+		}
+	} else {
+		nr.logs = append(nr.logs, make([]*threadLog, int(t.Slot)+1-len(nr.logs))...)
+	}
+	tl := nr.a.thread(t.VTID)
+	nr.logs[t.Slot] = tl
+	return tl
 }
 
 func (nr *nativeReplay) ctx(v *vm.VM) sehandler.Ctx {
@@ -112,8 +132,9 @@ func (nr *nativeReplay) admit(v *vm.VM, turn func(*vm.Thread, *vm.Monitor) (bool
 // no more can arrive.
 func (nr *nativeReplay) drained() bool { return nr.a.nativePending == 0 && !nr.a.open }
 
-func (nr *nativeReplay) consume(tid string) {
-	nr.a.nativeQ[tid] = nr.a.nativeQ[tid][1:]
+// consume pops the head of tl's native queue.
+func (nr *nativeReplay) consume(tl *threadLog) {
+	tl.native = tl.native[1:]
 	nr.a.nativePending--
 }
 
@@ -122,7 +143,7 @@ func (nr *nativeReplay) consume(tid string) {
 // "wait for the primary's record", and the globally-newest record cannot be
 // consumed if it is an output intent — its certainty is not yet known.
 func (nr *nativeReplay) ready(t *vm.Thread) bool {
-	q := nr.a.nativeQ[t.VTID]
+	q := nr.threadLog(t).native
 	if len(q) == 0 {
 		return !nr.a.open
 	}
@@ -137,7 +158,8 @@ func (nr *nativeReplay) ready(t *vm.Thread) bool {
 // invoke handles one intercepted native invocation during recovery or live
 // post-recovery execution.
 func (nr *nativeReplay) invoke(v *vm.VM, t *vm.Thread, def *native.Def, args []heap.Value) ([]heap.Value, error) {
-	q := nr.a.nativeQ[t.VTID]
+	tl := nr.threadLog(t)
+	q := tl.native
 	if len(q) == 0 {
 		// This thread has run past the primary's logged execution: live.
 		nr.LiveInvokes++
@@ -155,17 +177,17 @@ func (nr *nativeReplay) invoke(v *vm.VM, t *vm.Thread, def *native.Def, args []h
 			return nil, divergence("thread %s native #%d is %s, log has %s #%d",
 				t.VTID, t.NatSeq, def.Sig, rec.Sig, rec.NatSeq)
 		}
-		nr.consume(t.VTID)
+		nr.consume(tl)
 		if rec == nr.a.uncertain {
 			return nr.handleUncertain(v, t, def, args, rec)
 		}
-		return nr.handleCertainOutput(v, t, def, args)
+		return nr.handleCertainOutput(v, t, tl, def, args)
 	case *wire.NativeResult:
 		if rec.Sig != def.Sig || rec.NatSeq != t.NatSeq {
 			return nil, divergence("thread %s native #%d is %s, log has %s #%d",
 				t.VTID, t.NatSeq, def.Sig, rec.Sig, rec.NatSeq)
 		}
-		nr.consume(t.VTID)
+		nr.consume(tl)
 		return nr.useLogged(v, t, def, args, rec)
 	default:
 		return nil, divergence("thread %s: unexpected %s record in native queue", t.VTID, q[0].Type())
@@ -173,8 +195,8 @@ func (nr *nativeReplay) invoke(v *vm.VM, t *vm.Thread, def *native.Def, args []h
 }
 
 // handleCertainOutput processes an output the primary certainly performed
-// (records exist after it in the log).
-func (nr *nativeReplay) handleCertainOutput(v *vm.VM, t *vm.Thread, def *native.Def, args []heap.Value) ([]heap.Value, error) {
+// (records exist after it in the log); tl is t's record.
+func (nr *nativeReplay) handleCertainOutput(v *vm.VM, t *vm.Thread, tl *threadLog, def *native.Def, args []heap.Value) ([]heap.Value, error) {
 	if def.ReinvokeOnReplay {
 		// Idempotent output (e.g. sequence-numbered console writes): replay
 		// it; the environment deduplicates.
@@ -191,12 +213,11 @@ func (nr *nativeReplay) handleCertainOutput(v *vm.VM, t *vm.Thread, def *native.
 	if def.NonDeterministic {
 		// The result record follows the intent in this thread's queue (the
 		// VM is single-threaded between commit and result logging).
-		q := nr.a.nativeQ[t.VTID]
-		res, ok := headResult(q)
+		res, ok := headResult(tl.native)
 		if !ok || res.Sig != def.Sig || res.NatSeq != t.NatSeq {
 			return nil, divergence("thread %s: output %s missing its result record", t.VTID, def.Sig)
 		}
-		nr.consume(t.VTID)
+		nr.consume(tl)
 		return nr.useLogged(v, t, def, args, res)
 	}
 	return nil, nil

@@ -2,6 +2,8 @@ package replication
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/bytecode"
 	"repro/internal/env"
@@ -236,38 +238,33 @@ func clonePolicy(p vm.SchedPolicy) vm.SchedPolicy {
 	return p
 }
 
-// clone copies the analysis mid-consumption. Record values are immutable
-// and shared (preserving the pointer identities the uncertain-output check
-// relies on); the queue maps are copied as slice headers — consumption only
-// re-slices, and a closed log never appends — and the id maps are copied
-// deeply because AssignLID deletes from them.
+// clone copies the analysis mid-consumption, cursors included: each
+// thread's record is copied, its queues as slice headers capped at their
+// length (consumption only re-slices, and an append on either side — a warm
+// replay's — reallocates rather than writing into the other's view) and its
+// id maps deeply, because AssignLID deletes from them. Record values are
+// immutable and shared, preserving the pointer identities the
+// uncertain-output check relies on.
 func (a *analysis) clone() *analysis {
 	c := *a
-	c.nativeQ = make(map[string][]wire.Record, len(a.nativeQ))
-	c.lockQ = make(map[string][]*wire.LockAcq, len(a.lockQ))
-	c.idmaps = make(map[string]map[uint64]*wire.IDMap, len(a.idmaps))
-	for k, v := range a.nativeQ {
-		c.nativeQ[k] = v
-	}
-	for k, v := range a.lockQ {
-		c.lockQ[k] = v
-	}
-	for k, inner := range a.idmaps {
-		m := make(map[uint64]*wire.IDMap, len(inner))
-		for kk, vv := range inner {
-			m[kk] = vv
+	c.threads = make(map[string]*threadLog, len(a.threads))
+	for tid, tl := range a.threads {
+		n := &threadLog{tid: tid, native: slices.Clip(tl.native), lock: slices.Clip(tl.lock)}
+		if tl.idmaps != nil {
+			n.idmaps = maps.Clone(tl.idmaps)
 		}
-		c.idmaps[k] = m
+		c.threads[tid] = n
 	}
 	return &c
 }
 
 // cloneWith copies the replay base against a cloned analysis and handler
-// set, its policy at the same decision position. The tail is never carried
-// over: a debugger clone is not a promoted primary.
+// set, its policy at the same decision position; its slot cache starts empty
+// and fills from a. The tail is never carried over: a debugger clone is not a
+// promoted primary.
 func (nr *nativeReplay) cloneWith(a *analysis, handlers *sehandler.Set) *nativeReplay {
 	c := *nr
-	c.handlers, c.a, c.tail = handlers, a, nil
+	c.handlers, c.a, c.logs, c.tail = handlers, a, nil, nil
 	c.Policy = clonePolicy(nr.Policy)
 	return &c
 }

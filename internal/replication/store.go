@@ -129,13 +129,10 @@ type analysis struct {
 	// when the log closes, that output's completion is uncertain.
 	last wire.Record
 
-	// Per-thread native-event queues (NativeResult and OutputIntent), in
-	// log order.
-	nativeQ map[string][]wire.Record
-	// Per-thread lock acquisition record queues (lock mode).
-	lockQ map[string][]*wire.LockAcq
-	// Id maps indexed by (t_id, t_asn) (lock mode).
-	idmaps map[string]map[uint64]*wire.IDMap
+	// threads holds each thread's share of the log, by t_id. A replay
+	// coordinator looks a thread's record up here once and then finds it by
+	// the thread's slot (nativeReplay.threadLog).
+	threads map[string]*threadLog
 	// Logical interval records in log order (lock-interval mode).
 	intervals []*wire.LockInterval
 	// Scheduling records in log order (sched mode).
@@ -151,35 +148,52 @@ type analysis struct {
 	cleanHalt     bool
 }
 
+// threadLog is one thread's share of the log, each part in log order:
+// its native events (NativeResult and OutputIntent) and its lock
+// acquisitions (lock mode), both consumed from the front, and its id maps by
+// t_asn (lock mode), deleted as they are matched.
+type threadLog struct {
+	tid    string
+	native []wire.Record
+	lock   []*wire.LockAcq
+	idmaps map[uint64]*wire.IDMap
+}
+
 // newAnalysis returns an empty, open analysis ready for feeding.
 func newAnalysis() *analysis {
-	return &analysis{
-		open:    true,
-		nativeQ: make(map[string][]wire.Record),
-		lockQ:   make(map[string][]*wire.LockAcq),
-		idmaps:  make(map[string]map[uint64]*wire.IDMap),
+	return &analysis{open: true, threads: make(map[string]*threadLog)}
+}
+
+// thread returns tid's record, made empty on first use: records a warm
+// replay indexes later land in the same record.
+func (a *analysis) thread(tid string) *threadLog {
+	tl := a.threads[tid]
+	if tl == nil {
+		tl = &threadLog{tid: tid}
+		a.threads[tid] = tl
 	}
+	return tl
 }
 
 // add indexes one record.
 func (a *analysis) add(r wire.Record) error {
 	switch rec := r.(type) {
 	case *wire.IDMap:
-		byTASN, ok := a.idmaps[rec.TID]
-		if !ok {
-			byTASN = make(map[uint64]*wire.IDMap)
-			a.idmaps[rec.TID] = byTASN
+		tl := a.thread(rec.TID)
+		if tl.idmaps == nil {
+			tl.idmaps = make(map[uint64]*wire.IDMap)
 		}
-		if _, dup := byTASN[rec.TASN]; dup {
+		if _, dup := tl.idmaps[rec.TASN]; dup {
 			return fmt.Errorf("duplicate id map for (%s,%d)", rec.TID, rec.TASN)
 		}
-		byTASN[rec.TASN] = rec
+		tl.idmaps[rec.TASN] = rec
 		a.idmapPending++
 		if rec.LID > a.maxLID {
 			a.maxLID = rec.LID
 		}
 	case *wire.LockAcq:
-		a.lockQ[rec.TID] = append(a.lockQ[rec.TID], rec)
+		tl := a.thread(rec.TID)
+		tl.lock = append(tl.lock, rec)
 		a.lockPending++
 		if rec.LID > a.maxLID {
 			a.maxLID = rec.LID
@@ -189,10 +203,12 @@ func (a *analysis) add(r wire.Record) error {
 	case *wire.Switch:
 		a.switches = append(a.switches, rec)
 	case *wire.NativeResult:
-		a.nativeQ[rec.TID] = append(a.nativeQ[rec.TID], rec)
+		tl := a.thread(rec.TID)
+		tl.native = append(tl.native, rec)
 		a.nativePending++
 	case *wire.OutputIntent:
-		a.nativeQ[rec.TID] = append(a.nativeQ[rec.TID], rec)
+		tl := a.thread(rec.TID)
+		tl.native = append(tl.native, rec)
 		a.nativePending++
 	case *wire.Heartbeat:
 		return nil // liveness only

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -77,26 +78,18 @@ end
 // TestThreadedHotLoopAllocFree pins the engine's zero-allocation property on
 // both streams: the execution context (tctx) is one reusable struct per VM
 // and the compiled closure streams are built at construction, so a
-// multi-million instruction arithmetic loop must not allocate per iteration —
-// only the bounded setup (runtime noise, the odd GC bookkeeping) is allowed.
+// multi-million instruction loop must not allocate per iteration — only the
+// bounded setup (runtime noise, the odd GC bookkeeping) is allowed. The
+// loops are an arithmetic one and an uncontended monitorenter/monitorexit
+// pair on one object (the monitor lives in the object's header).
 func TestThreadedHotLoopAllocFree(t *testing.T) {
-	src := `
-method main 0 void
-  iconst 0
-  store 0
-  iconst 0
-  store 1
+	const loop = `
 loop:
   load 1
   iconst 300000
   icmp
   jz done
-  load 0
-  iconst 31
-  imul
-  load 1
-  iadd
-  store 0
+%s
   load 1
   iconst 1
   iadd
@@ -106,23 +99,49 @@ done:
   ret
 end
 `
-	p := buildProgram(t, src)
-	for _, d := range []Dispatch{DispatchThreaded, DispatchSwitch} {
-		for _, track := range []bool{false, true} {
-			v, err := New(Config{Program: p, Env: env.New(1), MaxInstructions: 50_000_000, Dispatch: d, TrackProgress: track})
-			if err != nil {
-				t.Fatalf("new vm (%v): %v", d, err)
-			}
-			n := mallocsDuring(func() {
-				if err := v.Run(); err != nil {
-					t.Fatalf("run (%v): %v", d, err)
+	progs := map[string]string{
+		"arith": `
+method main 0 void
+  iconst 0
+  store 0
+  iconst 0
+  store 1` + fmt.Sprintf(loop, `  load 0
+  iconst 31
+  imul
+  load 1
+  iadd
+  store 0`),
+		"lock": `
+class L d
+method main 0 void
+  new L
+  store 0
+  iconst 0
+  store 1` + fmt.Sprintf(loop, `  load 0
+  menter
+  load 0
+  mexit`),
+	}
+	for name, src := range progs {
+		p := buildProgram(t, src)
+		for _, d := range []Dispatch{DispatchThreaded, DispatchSwitch} {
+			for _, track := range []bool{false, true} {
+				v, err := New(Config{Program: p, Env: env.New(1), MaxInstructions: 50_000_000, Dispatch: d, TrackProgress: track})
+				if err != nil {
+					t.Fatalf("%s: new vm (%v): %v", name, d, err)
 				}
-			})
-			// ~3.9M executed instructions: one allocation per iteration (or
-			// per block, or per folded branch) would show up as hundreds of
-			// thousands.
-			if n > 1000 {
-				t.Errorf("%v track=%v: hot loop performed %d allocations, want bounded setup-only (<1000)", d, track, n)
+				n := mallocsDuring(func() {
+					if err := v.Run(); err != nil {
+						t.Fatalf("%s: run (%v): %v", name, d, err)
+					}
+				})
+				// ~4M executed instructions, 300k iterations: one
+				// allocation per iteration (or per block, or per folded
+				// branch, or per acquisition) would show up as hundreds of
+				// thousands.
+				if n > 1000 {
+					t.Errorf("%s %v track=%v: hot loop performed %d allocations, want bounded setup-only (<1000)", name, d, track, n)
+				}
 			}
 		}
 	}

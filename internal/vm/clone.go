@@ -36,7 +36,7 @@ func (vm *VM) CloneSuspended(coord Coordinator) *VM {
 		coord:   coord,
 
 		statics:  append([]heap.Value(nil), vm.statics...),
-		monitors: make(map[heap.Ref]*Monitor, len(vm.monitors)),
+		monitors: make([]*Monitor, len(vm.monitors)),
 
 		joinIdx:   vm.joinIdx,
 		finishIdx: vm.finishIdx,
@@ -100,7 +100,9 @@ func (vm *VM) CloneSuspended(coord Coordinator) *VM {
 		}
 		return c.threads[t.Slot]
 	}
-	for r, m := range vm.monitors {
+	// The table is copied by index: the cloned heap's headers hold the same
+	// indexes.
+	for i, m := range vm.monitors {
 		nm := &Monitor{
 			Ref:     m.Ref,
 			LID:     m.LID,
@@ -114,11 +116,14 @@ func (vm *VM) CloneSuspended(coord Coordinator) *VM {
 		for _, w := range m.waitSet {
 			nm.waitSet = append(nm.waitSet, remap(w))
 		}
-		c.monitors[r] = nm
+		c.monitors[i] = nm
 	}
 	for i, t := range vm.threads {
-		if t.blockedOn != nil {
-			c.threads[i].blockedOn = c.monitors[t.blockedOn.Ref]
+		if t.blockedOn == nil {
+			continue
+		}
+		if o, err := c.hp.Get(t.blockedOn.Ref); err == nil && o.Mon > 0 {
+			c.threads[i].blockedOn = c.monitors[o.Mon-1]
 		}
 	}
 	c.cur = remap(vm.cur)

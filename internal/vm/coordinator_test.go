@@ -10,6 +10,9 @@ import (
 // gateCoordinator wraps the default coordinator and gates the first N
 // intercepted native calls / first M lock acquisitions, releasing them via
 // Poll — exercising the replay-style gating machinery without replication.
+// A lock acquisition is gated in BeforeAcquire, or with gateLID in
+// AssignLID, as a lock replay gates a thread whose id map is not matched yet.
+// With kill, OnAcquired fail-stops the VM, as a primary's record send can.
 type gateCoordinator struct {
 	*DefaultCoordinator
 	nativeHoldoffs int
@@ -17,6 +20,7 @@ type gateCoordinator struct {
 	nativeGated    int
 	lockGated      int
 	polls          int
+	gateLID, kill  bool
 }
 
 func (g *gateCoordinator) NativeReady(_ *VM, _ *Thread, _ *native.Def) bool {
@@ -28,11 +32,26 @@ func (g *gateCoordinator) NativeReady(_ *VM, _ *Thread, _ *native.Def) bool {
 }
 
 func (g *gateCoordinator) BeforeAcquire(_ *VM, _ *Thread, _ *Monitor) (bool, error) {
-	if g.lockHoldoffs > 0 {
+	if g.lockHoldoffs > 0 && !g.gateLID {
 		g.lockGated++
 		return false, nil
 	}
 	return true, nil
+}
+
+func (g *gateCoordinator) AssignLID(v *VM, t *Thread, m *Monitor) (int64, bool, error) {
+	if g.lockHoldoffs > 0 && g.gateLID {
+		g.lockGated++
+		return 0, false, nil
+	}
+	return g.DefaultCoordinator.AssignLID(v, t, m)
+}
+
+func (g *gateCoordinator) OnAcquired(v *VM, _ *Thread, _ *Monitor) error {
+	if g.kill {
+		v.Kill()
+	}
+	return nil
 }
 
 func (g *gateCoordinator) Poll(v *VM) (bool, error) {
@@ -106,8 +125,9 @@ end`), Env: env.New(1)})
 	}
 }
 
-func TestLockGatingAndRelease(t *testing.T) {
-	p := buildProgram(t, `
+// lockProgram takes and releases one lock: new, store, load, menter, then
+// load, mexit, ret.
+const lockProgram = `
 class L d
 method main 0 void
   new L
@@ -117,20 +137,50 @@ method main 0 void
   load 0
   mexit
   ret
-end`)
-	g := &gateCoordinator{DefaultCoordinator: NewDefaultCoordinator(nil), lockHoldoffs: 2}
-	v, err := New(Config{Program: p, Env: env.New(1), Coordinator: g})
-	if err != nil {
-		t.Fatal(err)
+end`
+
+// TestLockGatingAndRelease gates the program's acquisition before it
+// (BeforeAcquire) and on its lock's first id (AssignLID). Either way the
+// readmitted thread re-executes its monitorenter, so the critical section
+// runs with the lock held and its monitorexit finds the monitor owned.
+func TestLockGatingAndRelease(t *testing.T) {
+	p := buildProgram(t, lockProgram)
+	for _, gateLID := range []bool{false, true} {
+		for _, d := range []Dispatch{DispatchThreaded, DispatchSwitch} {
+			g := &gateCoordinator{DefaultCoordinator: NewDefaultCoordinator(nil), lockHoldoffs: 2, gateLID: gateLID}
+			v, err := New(Config{Program: p, Env: env.New(1), Coordinator: g, Dispatch: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Run(); err != nil {
+				t.Fatalf("gateLID=%v %v: run: %v", gateLID, d, err)
+			}
+			if g.lockGated == 0 {
+				t.Fatalf("gateLID=%v %v: lock gate never engaged", gateLID, d)
+			}
+			if s := v.Stats(); s.LocksAcquired != 2 || s.ObjectsLocked != 2 { // program lock + $finish thread lock
+				t.Fatalf("gateLID=%v %v: locks = %d on %d objects, want 2 on 2", gateLID, d, s.LocksAcquired, s.ObjectsLocked)
+			}
+		}
 	}
-	if err := v.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if g.lockGated == 0 {
-		t.Fatal("lock gate never engaged")
-	}
-	if v.Stats().LocksAcquired < 2 { // program lock + $finish thread lock
-		t.Fatalf("locks = %d", v.Stats().LocksAcquired)
+}
+
+// TestKillDuringAcquireStopsAtTheAcquire: an uncontended monitorenter stays
+// in its block, but one during which a kill arrived still leaves it, so the
+// VM stops right after the acquire, as at a boundary.
+func TestKillDuringAcquireStopsAtTheAcquire(t *testing.T) {
+	p := buildProgram(t, lockProgram)
+	for _, d := range []Dispatch{DispatchThreaded, DispatchSwitch} {
+		v, err := New(Config{Program: p, Env: env.New(1), Dispatch: d,
+			Coordinator: &gateCoordinator{DefaultCoordinator: NewDefaultCoordinator(nil), kill: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = v.Run()
+		if s := v.Stats(); !v.Killed() || s.Instructions != 4 || s.LocksAcquired != 1 {
+			t.Fatalf("%v: run returned %v after %d instructions, %d locks; want killed after 4 (through the menter), 1",
+				d, err, s.Instructions, s.LocksAcquired)
+		}
 	}
 }
 

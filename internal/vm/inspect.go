@@ -65,15 +65,14 @@ func (vm *VM) Inspect() InspectReport {
 	// Monitors in ascending heap-ref order; only interesting ones (assigned
 	// an id, held, contended or waited on) — an unlocked never-used monitor
 	// is not state.
-	refs := make([]heap.Ref, 0, len(vm.monitors))
-	for r, m := range vm.monitors {
+	mons := make([]*Monitor, 0, len(vm.monitors))
+	for _, m := range vm.monitors {
 		if m.LID >= 0 || m.owner != nil || len(m.queue) > 0 || len(m.waitSet) > 0 {
-			refs = append(refs, r)
+			mons = append(mons, m)
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	for _, r := range refs {
-		m := vm.monitors[r]
+	sort.Slice(mons, func(i, j int) bool { return mons[i].Ref < mons[j].Ref })
+	for _, m := range mons {
 		fmt.Fprintf(&b, "monitor lid=%d lasn=%d", m.LID, m.LASN)
 		if m.owner != nil {
 			fmt.Fprintf(&b, " owner=%s entries=%d", m.owner.VTID, m.entries)

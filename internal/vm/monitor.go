@@ -32,32 +32,50 @@ var (
 	ErrMonitorContends = errors.New("native-held monitor would contend")
 )
 
-// Owner returns the owning thread (nil when free).
-func (m *Monitor) Owner() *Thread { return m.owner }
-
-// Entries returns the reentrancy count.
-func (m *Monitor) Entries() int { return m.entries }
-
-// WaitSetLen returns the number of waiting threads.
-func (m *Monitor) WaitSetLen() int { return len(m.waitSet) }
-
-func (m *Monitor) removeFromQueue(t *Thread) {
-	for i, q := range m.queue {
-		if q == t {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			return
-		}
+// monitorOf returns (creating if needed) the monitor for object r. The
+// object's header holds its index in the monitor table, so finding it costs
+// no map lookup (Bacon et al.'s thin locks keep a monitor in the header too).
+func (vm *VM) monitorOf(r heap.Ref) (*Monitor, error) {
+	o, err := vm.hp.Get(r)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// monitorOf returns (creating if needed) the monitor for object r.
-func (vm *VM) monitorOf(r heap.Ref) *Monitor {
-	if m, ok := vm.monitors[r]; ok {
-		return m
+	if o.Mon > 0 {
+		return vm.monitors[o.Mon-1], nil
 	}
 	m := &Monitor{Ref: r, LID: -1}
-	vm.monitors[r] = m
-	return m
+	vm.monitors = append(vm.monitors, m)
+	o.Mon = int32(len(vm.monitors))
+	return m, nil
+}
+
+// heldMonitor returns r's monitor when t owns it; op names the operation in
+// the error otherwise.
+func (vm *VM) heldMonitor(t *Thread, r heap.Ref, op string) (*Monitor, error) {
+	if o, err := vm.hp.Get(r); err == nil && o.Mon > 0 {
+		if m := vm.monitors[o.Mon-1]; m.owner == t {
+			return m, nil
+		}
+	}
+	return nil, fmt.Errorf("%s @%d: %w", op, r, ErrNotOwner)
+}
+
+// compactMonitors drops the monitors of collected objects — inactive ones:
+// an owned, contended or waited-on monitor keeps its object alive — and
+// rewrites the survivors' headers, so the table never outgrows the live heap.
+// Table order (creation order) is kept; nothing observes it.
+func (vm *VM) compactMonitors() {
+	live := vm.monitors[:0]
+	for _, m := range vm.monitors {
+		o, err := vm.hp.Get(m.Ref)
+		if err != nil {
+			continue
+		}
+		live = append(live, m)
+		o.Mon = int32(len(live))
+	}
+	clear(vm.monitors[len(live):])
+	vm.monitors = live
 }
 
 // monEnter attempts to acquire r's monitor for t. On contention or replay
@@ -71,7 +89,10 @@ func (vm *VM) monEnter(t *Thread, r heap.Ref) (bool, error) {
 	if t.finalizerDepth > 0 {
 		return false, errors.New("finalizer used a monitor (violates the deterministic-finalizer assumption, §4.3)")
 	}
-	m := vm.monitorOf(r)
+	m, err := vm.monitorOf(r)
+	if err != nil {
+		return false, fmt.Errorf("monitorenter: %w", err)
+	}
 	if m.owner == t {
 		m.entries++
 		t.MonCnt++
@@ -96,7 +117,12 @@ func (vm *VM) monEnter(t *Thread, r heap.Ref) (bool, error) {
 		m.queue = append(m.queue, t)
 		return false, nil
 	}
-	return true, vm.completeAcquire(t, m)
+	if err := vm.completeAcquire(t, m); err != nil {
+		return false, err
+	}
+	// AssignLID may have gated the thread: it re-executes the acquire when
+	// readmitted, like a thread BeforeAcquire gated.
+	return t.state != StateGated, nil
 }
 
 // completeAcquire finalises a granted, uncontended acquisition: assigns the
@@ -139,9 +165,9 @@ func (vm *VM) monExit(t *Thread, r heap.Ref) error {
 	if r == heap.NullRef {
 		return fmt.Errorf("monitorexit: %w", heap.ErrNullRef)
 	}
-	m, ok := vm.monitors[r]
-	if !ok || m.owner != t {
-		return fmt.Errorf("monitorexit @%d: %w", r, ErrNotOwner)
+	m, err := vm.heldMonitor(t, r, "monitorexit")
+	if err != nil {
+		return err
 	}
 	m.entries--
 	t.MonCnt++
@@ -176,9 +202,9 @@ func (vm *VM) monWait(t *Thread, r heap.Ref) error {
 	if r == heap.NullRef {
 		return fmt.Errorf("wait: %w", heap.ErrNullRef)
 	}
-	m, ok := vm.monitors[r]
-	if !ok || m.owner != t {
-		return fmt.Errorf("wait @%d: %w", r, ErrNotOwner)
+	m, err := vm.heldMonitor(t, r, "wait")
+	if err != nil {
+		return err
 	}
 	t.savedEntries = m.entries
 	t.reacquiring = true
@@ -198,9 +224,9 @@ func (vm *VM) monNotify(t *Thread, r heap.Ref, n int) error {
 	if r == heap.NullRef {
 		return fmt.Errorf("notify: %w", heap.ErrNullRef)
 	}
-	m, ok := vm.monitors[r]
-	if !ok || m.owner != t {
-		return fmt.Errorf("notify @%d: %w", r, ErrNotOwner)
+	m, err := vm.heldMonitor(t, r, "notify")
+	if err != nil {
+		return err
 	}
 	if n < 0 || n > len(m.waitSet) {
 		n = len(m.waitSet)
@@ -219,7 +245,10 @@ func (vm *VM) monNotify(t *Thread, r heap.Ref, n int) error {
 // reacquireAfterWait is the second half of OpWait: acquire the monitor and
 // restore the saved reentrancy count. Returns whether it completed.
 func (vm *VM) reacquireAfterWait(t *Thread, r heap.Ref) (bool, error) {
-	m := vm.monitorOf(r)
+	m, err := vm.monitorOf(r)
+	if err != nil {
+		return false, fmt.Errorf("wait reacquire: %w", err)
+	}
 	if m.owner == t {
 		// Cannot happen: a waiting thread does not own the monitor.
 		return false, fmt.Errorf("wait reacquire @%d: already owner", r)
@@ -263,7 +292,10 @@ func (vm *VM) nativeMonEnter(t *Thread, r heap.Ref) error {
 	if r == heap.NullRef {
 		return fmt.Errorf("native monitorenter: %w", heap.ErrNullRef)
 	}
-	m := vm.monitorOf(r)
+	m, err := vm.monitorOf(r)
+	if err != nil {
+		return fmt.Errorf("native monitorenter: %w", err)
+	}
 	if m.owner == t {
 		m.entries++
 		t.MonCnt++

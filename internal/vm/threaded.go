@@ -22,7 +22,9 @@ import (
 // nothing else: no opcode switch, no per-instruction kill/budget/replay
 // checks. A closure returns true to stay in the block and false at a
 // boundary — a branch was executed, the op needs the outer loop (frame
-// change, blocking, possible GC), or it faulted.
+// change, blocking or gating, possible GC), or it faulted. A monitor op that
+// completes — an acquire granted at once, a release — is no boundary: it
+// neither counts a branch nor leaves the loop (monStep).
 //
 // A tracked VM (Config.TrackProgress) differs only in its branch-flagged
 // slots, which fold the control-path checksum: a jump or conditional branch
@@ -93,8 +95,8 @@ type tctx struct {
 	pc     int32
 	icnt   uint64
 	err    error
-	// brk: leave the inner loop after this boundary (frame change, blocking,
-	// allocation that tripped the GC threshold, yield, halt).
+	// brk: leave the inner loop after this boundary (frame change, blocking or
+	// gating, allocation that tripped the GC threshold, yield, halt).
 	brk bool
 	// flushed: the frame already holds the truth; the driver must not write
 	// the cached pc/stack back (they may be stale after a frame change).
@@ -127,10 +129,25 @@ func (c *tctx) step(exit bool) bool {
 // interpreter can observe state between branches unless the slice target or
 // the budget epoch arrived, or a kill was requested — so when none of those
 // hold, execution stays inside the dispatch loop and the whole check costs
-// two compares and the kill poll. Ops that change frames, block, allocate or
-// fault always exit to the driver instead.
+// two compares and the kill poll. Ops that change frames, allocate or fault
+// always exit to the driver instead; a monitor op exits only when it blocked
+// or gated the thread (monStep).
 func (c *tctx) contBr() bool {
 	return c.t.BrCnt < c.brTarget && c.icnt <= c.icap && !c.vm.killed.Load()
+}
+
+// monStep finishes a monitor op that completed — an acquire granted at once,
+// or a release. It is no branch and no boundary: the block goes on while the
+// thread is still runnable, with no trip to the driver and no flush. A kill
+// that arrived while it ran (an acquisition's record send can fire one) still
+// stops the thread at this op, as a boundary would.
+func (c *tctx) monStep() bool {
+	c.icnt++
+	if c.t.state == StateRunnable && !c.vm.killed.Load() {
+		return true
+	}
+	c.brk = true
+	return false
 }
 
 // stepBr finishes a successfully executed single branch instruction.
@@ -1092,10 +1109,8 @@ func (vm *VM) compileBase(in bytecode.RInstr, method int32) tclosure {
 
 	case bytecode.OpMEnter:
 		return func(c *tctx) bool {
-			f := c.f
-			f.PC, f.Stack = c.pc, c.stack
-			c.flushed, c.brk = true, true
-			rv := c.stack[len(c.stack)-1]
+			n := len(c.stack)
+			rv := c.stack[n-1]
 			if rv.Kind != heap.KindRef {
 				c.err = notRef(rv)
 				return false
@@ -1105,30 +1120,30 @@ func (vm *VM) compileBase(in bytecode.RInstr, method int32) tclosure {
 				c.err = merr
 				return false
 			}
-			if done {
-				f.Stack = f.Stack[:len(f.Stack)-1]
-				f.PC = c.pc + 1
+			if !done {
+				// Blocked or gated: PC unchanged, re-execute on resume.
+				c.brk = true
+				return c.step(true)
 			}
-			// Blocked or gated: PC unchanged, re-execute on resume.
-			return c.step(true)
+			c.stack = c.stack[:n-1]
+			c.pc++
+			return c.monStep()
 		}
 	case bytecode.OpMExit:
 		return func(c *tctx) bool {
-			f := c.f
-			f.PC, f.Stack = c.pc, c.stack
-			c.flushed, c.brk = true, true
-			rv := c.stack[len(c.stack)-1]
+			n := len(c.stack)
+			rv := c.stack[n-1]
 			if rv.Kind != heap.KindRef {
 				c.err = notRef(rv)
 				return false
 			}
-			f.Stack = f.Stack[:len(f.Stack)-1]
+			c.stack = c.stack[:n-1]
 			if merr := c.vm.monExit(c.t, rv.R()); merr != nil {
 				c.err = merr
 				return false
 			}
-			f.PC = c.pc + 1
-			return c.step(true)
+			c.pc++
+			return c.monStep()
 		}
 
 	default:

@@ -105,9 +105,11 @@ type VM struct {
 	natives *native.Registry
 	coord   Coordinator
 
-	statics  []heap.Value
-	threads  []*Thread
-	monitors map[heap.Ref]*Monitor
+	statics []heap.Value
+	threads []*Thread
+	// monitors is the monitor table; an object's header (heap.Object.Mon)
+	// holds its monitor's index plus one. runGC compacts it.
+	monitors []*Monitor
 
 	joinIdx   int32
 	finishIdx int32
@@ -181,7 +183,6 @@ func New(cfg Config) (*VM, error) {
 		proc:         cfg.Env.Attach(),
 		natives:      reg,
 		coord:        coord,
-		monitors:     make(map[heap.Ref]*Monitor),
 		joinIdx:      joinIdx,
 		finishIdx:    finishIdx,
 		handlerState: make(map[string]any),
@@ -316,9 +317,6 @@ func (vm *VM) ThreadByVTID(vtid string) *Thread {
 
 // Statics returns the static slot values (live view).
 func (vm *VM) Statics() []heap.Value { return vm.statics }
-
-// Monitors returns the monitor table (live view).
-func (vm *VM) Monitors() map[heap.Ref]*Monitor { return vm.monitors }
 
 // Ungate makes a replay-gated thread runnable again; it re-executes its
 // pending acquisition, re-consulting the coordinator.
@@ -493,20 +491,13 @@ func (vm *VM) runGC(t *Thread) error {
 				}
 			}
 		}
-		for ref, m := range vm.monitors {
+		for _, m := range vm.monitors {
 			if m.owner != nil || len(m.queue) > 0 || len(m.waitSet) > 0 {
-				mark(ref)
+				mark(m.Ref)
 			}
 		}
 	})
-	// Drop monitors of collected, inactive objects.
-	for ref, m := range vm.monitors {
-		if m.owner == nil && len(m.queue) == 0 && len(m.waitSet) == 0 {
-			if _, err := vm.hp.Get(ref); err != nil {
-				delete(vm.monitors, ref)
-			}
-		}
-	}
+	vm.compactMonitors()
 	// Run finalizers on the triggering thread, in deterministic queue order
 	// (frames are LIFO, so push in reverse).
 	queue := vm.hp.DrainFinalizeQueue()

@@ -430,7 +430,10 @@ end`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := v.monitorOf(obj)
+	m, err := v.monitorOf(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.owner, m.entries = owner, 1
 	touch := slices.IndexFunc(v.prog.Methods, func(m *bytecode.Method) bool { return m.Name == "locktouch" })
 	f := caller.Top()

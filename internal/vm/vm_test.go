@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -271,8 +272,13 @@ end
 	}
 }
 
+// TestGCCollectsGarbage drops 5000 Nodes under a 1000-object GC threshold.
+// In the locked variant each Node's monitor is taken and released before the
+// Node is dropped: the monitor table follows the heap (runGC drops the
+// monitors of collected objects and rewrites the survivors' headers), and an
+// object allocated into a recycled slot starts with no monitor.
 func TestGCCollectsGarbage(t *testing.T) {
-	p := buildProgram(t, `
+	const src = `
 class Node next
 method main 0 void
   iconst 0
@@ -283,7 +289,7 @@ loop:
   icmp
   jz done
   new Node
-  pop
+%s
   load 0
   iconst 1
   iadd
@@ -292,19 +298,47 @@ loop:
 done:
   ret
 end
-`)
-	v, err := New(Config{Program: p, Env: env.New(1), GCThreshold: 1000})
-	if err != nil {
-		t.Fatalf("new vm: %v", err)
-	}
-	if err := v.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if v.Stats().GCs == 0 {
-		t.Fatal("expected at least one GC")
-	}
-	if v.Heap().Size() > 2100 {
-		t.Fatalf("heap size = %d, want garbage collected", v.Heap().Size())
+`
+	for _, locked := range []bool{false, true} {
+		body := "  pop"
+		if locked {
+			body = "  store 1\n  load 1\n  menter\n  load 1\n  mexit"
+		}
+		v, err := New(Config{Program: buildProgram(t, fmt.Sprintf(src, body)), Env: env.New(1), GCThreshold: 1000})
+		if err != nil {
+			t.Fatalf("new vm: %v", err)
+		}
+		if err := v.Run(); err != nil {
+			t.Fatalf("locked=%v: run: %v", locked, err)
+		}
+		if v.Stats().GCs == 0 {
+			t.Fatalf("locked=%v: expected at least one GC", locked)
+		}
+		if v.Heap().Size() > 2100 {
+			t.Fatalf("locked=%v: heap size = %d, want garbage collected", locked, v.Heap().Size())
+		}
+		if !locked {
+			continue
+		}
+		if len(v.monitors) > v.Heap().Size() {
+			t.Fatalf("monitor table holds %d monitors for %d live objects", len(v.monitors), v.Heap().Size())
+		}
+		for i, m := range v.monitors {
+			if o, err := v.hp.Get(m.Ref); err != nil || int(o.Mon) != i+1 {
+				t.Fatalf("monitor %d (@%d) is not in its object's header", i, m.Ref)
+			}
+		}
+		r, err := v.hp.AllocRecord(0, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := v.monitorOf(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.LID != -1 || m.LASN != 0 {
+			t.Fatalf("recycled slot @%d starts with monitor lid %d lasn %d, want a fresh one", r, m.LID, m.LASN)
+		}
 	}
 }
 
