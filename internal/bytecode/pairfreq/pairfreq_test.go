@@ -34,12 +34,12 @@ var topPairsPinned = []string{
 	"load;iconst", // wide lead w.lc (and the lc.* ALU / compare families)
 	"gets;load",   // w.gets.l
 	"jz;load",     // block entry: not fusable (branch boundary)
-	"iconst;ishr", // pair tier ishrC
+	"iconst;ishr", // w.c.ishr
 	"icmp;iconst", // compare epilogue interior
-	"iconst;iadd", // pair tier iaddC
+	"iconst;iadd", // w.c.iadd
 	"ishr;ineg",   // compare epilogue interior (lt/ge)
-	"load;aload",  // not fused: aload keeps its bounds-fault path
-	"iconst;icmp", // pair tier icmpC / compare lead
+	"load;aload",  // w.gets.l.aload and its float-op groups (slow path on a fault)
+	"iconst;icmp", // w.c.icmp / compare lead
 	"store;load",  // w.st.l
 	"store;jmp",   // w.st.jmp
 	"load;gets",   // w.l.gets
@@ -58,10 +58,14 @@ var familyRanks = []struct {
 	{"w.st.jmp", bytecode.OpStore, bytecode.OpJmp, 12},
 	{"w.l.gets", bytecode.OpLoad, bytecode.OpGetS, 12},
 	{"w.ll (load+load lead)", bytecode.OpLoad, bytecode.OpLoad, 32},
-	{"pair tier iaddC", bytecode.OpIConst, bytecode.OpIAdd, 8},
-	{"pair tier icmpC / compare lead", bytecode.OpIConst, bytecode.OpICmp, 10},
+	{"w.c.* (iconst;alu)", bytecode.OpIConst, bytecode.OpIAdd, 8},
+	{"w.c.icmp / compare lead", bytecode.OpIConst, bytecode.OpICmp, 10},
 	{"compare epilogue (icmp;dup for ne/eq)", bytecode.OpICmp, bytecode.OpDup, 20},
 	{"w.*.st (alu+store tail)", bytecode.OpIAdd, bytecode.OpStore, 20},
+	{"w.gets.l.aload (static array read)", bytecode.OpLoad, bytecode.OpALoad, 10},
+	{"w.gets.l.aload.falu, w.l.gets.l.aload.falu", bytecode.OpALoad, bytecode.OpFMul, 32},
+	{"w.falu.falu (fmul;fadd)", bytecode.OpFMul, bytecode.OpFAdd, 32},
+	{"falu in w.*.st", bytecode.OpFAdd, bytecode.OpStore, 48},
 }
 
 func TestFusionSetPinned(t *testing.T) {
@@ -116,7 +120,7 @@ func TestCounterBasics(t *testing.T) {
 	a.Add(bytecode.OpLoad, bytecode.OpIConst)
 	a.Add(bytecode.OpIConst, bytecode.OpIAdd)
 	b.Add(bytecode.OpIConst, bytecode.OpIAdd)
-	b.Add(bytecode.OpIAddC, bytecode.OpLoad) // fused opcode: must be ignored
+	b.Add(bytecode.WideOps()[0], bytecode.OpLoad) // fused opcode: must be ignored
 	a.Merge(&b)
 	if a.Total() != 4 {
 		t.Fatalf("total %d, want 4 (fused-op pair dropped)", a.Total())

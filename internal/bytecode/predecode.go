@@ -36,49 +36,6 @@ type RInstr struct {
 	F float64
 }
 
-// Pair superinstructions. These exist only in resolved code — the wide-fusion
-// DP (widefuse.go) emits them into Resolved.Wide where no wider group fits;
-// they are never serialized, assembled, or verified. Each one executes an
-// operand-push (iconst with the constant in I, or load with the slot in A)
-// and the following integer ALU op in a single dispatch, advancing the pc by
-// two and counting two instructions. The slot of the second instruction keeps
-// the original op, so jumps that land between the pair still execute
-// correctly.
-const (
-	OpIAddC Opcode = OpHalt + 1 + iota
-	OpISubC
-	OpIMulC
-	OpIDivC
-	OpIRemC
-	OpIAndC
-	OpIOrC
-	OpIXorC
-	OpIShlC
-	OpIShrC
-	OpICmpC
-	OpIAddL
-	OpISubL
-	OpIMulL
-	OpIDivL
-	OpIRemL
-	OpIAndL
-	OpIOrL
-	OpIXorL
-	OpIShlL
-	OpIShrL
-	OpICmpL
-)
-
-// fuseDelta maps a fusable integer ALU op to the distance between its
-// const-variant fused opcode and OpIAddC; the local-variant sits fuseWidth
-// further up.
-var fuseDelta = map[Opcode]Opcode{
-	OpIAdd: 0, OpISub: 1, OpIMul: 2, OpIDiv: 3, OpIRem: 4,
-	OpIAnd: 5, OpIOr: 6, OpIXor: 7, OpIShl: 8, OpIShr: 9, OpICmp: 10,
-}
-
-const fuseWidth = 11 // C-variants per ALU op before the L-variants start
-
 // Resolved is the decode-once form of a program: one resolved code slice per
 // method, index-aligned with Program.Methods (nil for native stubs).
 type Resolved struct {
@@ -110,6 +67,7 @@ func Predecode(p *Program) (*Resolved, error) {
 		Methods: make([][]RInstr, len(p.Methods)),
 		Wide:    make([][]RInstr, len(p.Methods)),
 	}
+	var cands []wcand
 	for mi, m := range p.Methods {
 		if m.Native {
 			continue
@@ -181,7 +139,7 @@ func Predecode(p *Program) (*Resolved, error) {
 			code[pc] = r
 		}
 		res.Methods[mi] = code
-		res.Wide[mi] = widefuse(code)
+		res.Wide[mi], cands = widefuse(code, cands)
 	}
 	return res, nil
 }

@@ -28,6 +28,29 @@ var wideOpsPinned = []struct {
 	{"w.l.gets", 2, false},
 	{"w.st.l", 2, false},
 	{"w.st.jmp", 2, true},
+	{"w.gets.l.aload", 3, false},
+	{"w.c.iadd", 2, false},
+	{"w.c.isub", 2, false},
+	{"w.c.imul", 2, false},
+	{"w.c.idiv", 2, false},
+	{"w.c.irem", 2, false},
+	{"w.c.iand", 2, false},
+	{"w.c.ior", 2, false},
+	{"w.c.ixor", 2, false},
+	{"w.c.ishl", 2, false},
+	{"w.c.ishr", 2, false},
+	{"w.c.icmp", 2, false},
+	{"w.l.iadd", 2, false},
+	{"w.l.isub", 2, false},
+	{"w.l.imul", 2, false},
+	{"w.l.idiv", 2, false},
+	{"w.l.irem", 2, false},
+	{"w.l.iand", 2, false},
+	{"w.l.ior", 2, false},
+	{"w.l.ixor", 2, false},
+	{"w.l.ishl", 2, false},
+	{"w.l.ishr", 2, false},
+	{"w.l.icmp", 2, false},
 	{"w.iadd.st", 2, false},
 	{"w.isub.st", 2, false},
 	{"w.imul.st", 2, false},
@@ -36,6 +59,10 @@ var wideOpsPinned = []struct {
 	{"w.ixor.st", 2, false},
 	{"w.ishl.st", 2, false},
 	{"w.ishr.st", 2, false},
+	{"w.fadd.st", 2, false},
+	{"w.fsub.st", 2, false},
+	{"w.fmul.st", 2, false},
+	{"w.fdiv.st", 2, false},
 	{"w.lc.iadd", 3, false},
 	{"w.lc.isub", 3, false},
 	{"w.lc.imul", 3, false},
@@ -52,6 +79,10 @@ var wideOpsPinned = []struct {
 	{"w.ll.ixor", 3, false},
 	{"w.ll.ishl", 3, false},
 	{"w.ll.ishr", 3, false},
+	{"w.ll.fadd", 3, false},
+	{"w.ll.fsub", 3, false},
+	{"w.ll.fmul", 3, false},
+	{"w.ll.fdiv", 3, false},
 	{"w.c.iadd.st", 3, false},
 	{"w.c.isub.st", 3, false},
 	{"w.c.imul.st", 3, false},
@@ -68,6 +99,10 @@ var wideOpsPinned = []struct {
 	{"w.l.ixor.st", 3, false},
 	{"w.l.ishl.st", 3, false},
 	{"w.l.ishr.st", 3, false},
+	{"w.l.fadd.st", 3, false},
+	{"w.l.fsub.st", 3, false},
+	{"w.l.fmul.st", 3, false},
+	{"w.l.fdiv.st", 3, false},
 	{"w.lc.iadd.st", 4, false},
 	{"w.lc.isub.st", 4, false},
 	{"w.lc.imul.st", 4, false},
@@ -84,6 +119,34 @@ var wideOpsPinned = []struct {
 	{"w.ll.ixor.st", 4, false},
 	{"w.ll.ishl.st", 4, false},
 	{"w.ll.ishr.st", 4, false},
+	{"w.ll.fadd.st", 4, false},
+	{"w.ll.fsub.st", 4, false},
+	{"w.ll.fmul.st", 4, false},
+	{"w.ll.fdiv.st", 4, false},
+	{"w.fadd.fadd", 2, false},
+	{"w.fadd.fsub", 2, false},
+	{"w.fadd.fmul", 2, false},
+	{"w.fadd.fdiv", 2, false},
+	{"w.fsub.fadd", 2, false},
+	{"w.fsub.fsub", 2, false},
+	{"w.fsub.fmul", 2, false},
+	{"w.fsub.fdiv", 2, false},
+	{"w.fmul.fadd", 2, false},
+	{"w.fmul.fsub", 2, false},
+	{"w.fmul.fmul", 2, false},
+	{"w.fmul.fdiv", 2, false},
+	{"w.fdiv.fadd", 2, false},
+	{"w.fdiv.fsub", 2, false},
+	{"w.fdiv.fmul", 2, false},
+	{"w.fdiv.fdiv", 2, false},
+	{"w.gets.l.aload.fadd", 4, false},
+	{"w.gets.l.aload.fsub", 4, false},
+	{"w.gets.l.aload.fmul", 4, false},
+	{"w.gets.l.aload.fdiv", 4, false},
+	{"w.l.gets.l.aload.fadd", 5, false},
+	{"w.l.gets.l.aload.fsub", 5, false},
+	{"w.l.gets.l.aload.fmul", 5, false},
+	{"w.l.gets.l.aload.fdiv", 5, false},
 	{"w.br.lt.z", 5, true},
 	{"w.br.lt.nz", 5, true},
 	{"w.br.ge.z", 7, true},
@@ -164,7 +227,7 @@ func wf(op Opcode, a int32, i int64) RInstr {
 // every interior slot keeps an executable instruction for jump-ins.
 func TestWideFuseDP(t *testing.T) {
 	t.Run("declines pair that strands an epilogue", func(t *testing.T) {
-		// iconst;icmp is pair-fusable (OpICmpC) and is the widest match at
+		// iconst;icmp is fusable (w.c.icmp) and is the widest match at
 		// slot 0 — but taking it strands the dup;imul;jz tail (4 dispatches).
 		// The DP leaves the iconst bare so the whole relational idiom fuses
 		// into one compare-branch group (2 dispatches).
@@ -175,7 +238,7 @@ func TestWideFuseDP(t *testing.T) {
 			wf(OpIMul, 0, 0),
 			wf(OpJz, 0, 0),
 		}
-		out := widefuse(code)
+		out, _ := widefuse(code, nil)
 		if out[0].Op != OpIConst {
 			t.Fatalf("slot 0: got %v, want bare iconst (greedy would take icmpC)", out[0].Op)
 		}
@@ -200,7 +263,7 @@ func TestWideFuseDP(t *testing.T) {
 			wf(OpINeg, 0, 0),
 			wf(OpJz, 1, 0),
 		}
-		out := widefuse(code)
+		out, _ := widefuse(code, nil)
 		wi, ok := WideOpInfo(out[0].Op)
 		if !ok || wi.Shape != WShapeLCCmpBr || wi.Rel != RelLt || wi.JmpNZ || wi.Width != 7 {
 			t.Fatalf("slot 0: got %v (info %+v), want w.lc.br.lt.z width 7", out[0].Op, wi)
@@ -216,7 +279,7 @@ func TestWideFuseDP(t *testing.T) {
 			wf(OpIAdd, 0, 0),
 			wf(OpStore, 4, 0),
 		}
-		out := widefuse(code)
+		out, _ := widefuse(code, nil)
 		wi, ok := WideOpInfo(out[0].Op)
 		if !ok || wi.Shape != WShapeLCAluSt || wi.ALU != OpIAdd || wi.Width != 4 {
 			t.Fatalf("slot 0: got %v (info %+v), want w.lc.iadd.st", out[0].Op, wi)
@@ -237,7 +300,7 @@ func TestWideFuseDP(t *testing.T) {
 			wf(OpINeg, 0, 0),
 			wf(OpJnz, 1, 0),
 		}
-		out := widefuse(code)
+		out, _ := widefuse(code, nil)
 		wi, ok := WideOpInfo(out[2].Op)
 		if !ok || wi.Shape != WShapeCmpBr || wi.Rel != RelLt || !wi.JmpNZ || wi.Width != 5 {
 			t.Fatalf("slot 2: got %v (info %+v), want w.br.lt.nz width 5", out[2].Op, wi)

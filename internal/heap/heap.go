@@ -210,15 +210,45 @@ func (h *Heap) AllocThread(id int32) (Ref, error) {
 	return h.alloc(&Object{Kind: ObjThread, Class: id})
 }
 
+// obj is the slot read every accessor starts with: the object at r, or nil
+// for a null, dangling or out-of-range reference (slot 0, the null one, is
+// always nil). It is small enough to inline; the accessors build their errors
+// out of line, in refErr and fieldErr, so the common path makes no call: no
+// accessor that builds an error in line fits the inliner's budget.
+func (h *Heap) obj(r Ref) *Object {
+	if uint(r) < uint(len(h.slots)) {
+		return h.slots[r]
+	}
+	return nil
+}
+
+// refErr is the error of a reference obj found no object at.
+//
+//go:noinline
+func refErr(r Ref) error {
+	if r == NullRef {
+		return ErrNullRef
+	}
+	return fmt.Errorf("%w: @%d", ErrBadRef, r)
+}
+
+// fieldErr is the error of an access to field i of r that failed.
+//
+//go:noinline
+func (h *Heap) fieldErr(r Ref, i int) error {
+	o, err := h.GetKind(r, ObjRecord)
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: field %d of %d", ErrFieldOOB, i, len(o.Fields))
+}
+
 // Get resolves r, failing on null or dangling references.
 func (h *Heap) Get(r Ref) (*Object, error) {
-	if r == NullRef {
-		return nil, ErrNullRef
+	if o := h.obj(r); o != nil {
+		return o, nil
 	}
-	if int(r) >= len(h.slots) || h.slots[r] == nil {
-		return nil, fmt.Errorf("%w: @%d", ErrBadRef, r)
-	}
-	return h.slots[r], nil
+	return nil, refErr(r)
 }
 
 // GetKind resolves r and checks its kind.
@@ -244,24 +274,18 @@ func (h *Heap) StringAt(r Ref) (string, error) {
 
 // GetField reads field i of record r.
 func (h *Heap) GetField(r Ref, i int) (Value, error) {
-	o, err := h.GetKind(r, ObjRecord)
-	if err != nil {
-		return Value{}, err
-	}
-	if i < 0 || i >= len(o.Fields) {
-		return Value{}, fmt.Errorf("%w: field %d of %d", ErrFieldOOB, i, len(o.Fields))
+	o := h.obj(r)
+	if o == nil || o.Kind != ObjRecord || uint(i) >= uint(len(o.Fields)) {
+		return Value{}, h.fieldErr(r, i)
 	}
 	return o.Fields[i], nil
 }
 
 // SetField writes field i of record r.
 func (h *Heap) SetField(r Ref, i int, v Value) error {
-	o, err := h.GetKind(r, ObjRecord)
-	if err != nil {
-		return err
-	}
-	if i < 0 || i >= len(o.Fields) {
-		return fmt.Errorf("%w: field %d of %d", ErrFieldOOB, i, len(o.Fields))
+	o := h.obj(r)
+	if o == nil || o.Kind != ObjRecord || uint(i) >= uint(len(o.Fields)) {
+		return h.fieldErr(r, i)
 	}
 	o.Fields[i] = v
 	return nil
@@ -269,9 +293,9 @@ func (h *Heap) SetField(r Ref, i int, v Value) error {
 
 // ArrLen returns the length of any array object.
 func (h *Heap) ArrLen(r Ref) (int, error) {
-	o, err := h.Get(r)
-	if err != nil {
-		return 0, err
+	o := h.obj(r)
+	if o == nil {
+		return 0, refErr(r)
 	}
 	switch o.Kind {
 	case ObjIntArr:
@@ -287,43 +311,54 @@ func (h *Heap) ArrLen(r Ref) (int, error) {
 	}
 }
 
+// Elem is ArrGet on values, without its error: element idx of array arr, and
+// whether arr is a ref to an array, idx an int and the element there. The
+// interpreter's array reads call it, and build a fault (from ArrGet) only
+// when it refuses.
+func (h *Heap) Elem(arr, idx Value) (Value, bool) {
+	if arr.Kind != KindRef || idx.Kind != KindInt {
+		return Value{}, false
+	}
+	if o, i := h.obj(arr.R()), int(idx.I); o != nil {
+		switch o.Kind {
+		case ObjIntArr:
+			if uint(i) < uint(len(o.Ints)) {
+				return IntVal(o.Ints[i]), true
+			}
+		case ObjFloatArr:
+			if uint(i) < uint(len(o.Floats)) {
+				return FloatVal(o.Floats[i]), true
+			}
+		case ObjRefArr:
+			if uint(i) < uint(len(o.Refs)) {
+				return RefVal(o.Refs[i]), true
+			}
+		case ObjString:
+			if uint(i) < uint(len(o.Str)) {
+				return IntVal(int64(o.Str[i])), true
+			}
+		}
+	}
+	return Value{}, false
+}
+
 // ArrGet reads element i of array r.
 func (h *Heap) ArrGet(r Ref, i int) (Value, error) {
-	o, err := h.Get(r)
+	if v, ok := h.Elem(RefVal(r), IntVal(int64(i))); ok {
+		return v, nil
+	}
+	n, err := h.ArrLen(r)
 	if err != nil {
 		return Value{}, err
 	}
-	switch o.Kind {
-	case ObjIntArr:
-		if i < 0 || i >= len(o.Ints) {
-			return Value{}, fmt.Errorf("%w: %d of %d", ErrIndexOOB, i, len(o.Ints))
-		}
-		return IntVal(o.Ints[i]), nil
-	case ObjFloatArr:
-		if i < 0 || i >= len(o.Floats) {
-			return Value{}, fmt.Errorf("%w: %d of %d", ErrIndexOOB, i, len(o.Floats))
-		}
-		return FloatVal(o.Floats[i]), nil
-	case ObjRefArr:
-		if i < 0 || i >= len(o.Refs) {
-			return Value{}, fmt.Errorf("%w: %d of %d", ErrIndexOOB, i, len(o.Refs))
-		}
-		return RefVal(o.Refs[i]), nil
-	case ObjString:
-		if i < 0 || i >= len(o.Str) {
-			return Value{}, fmt.Errorf("%w: %d of %d", ErrIndexOOB, i, len(o.Str))
-		}
-		return IntVal(int64(o.Str[i])), nil
-	default:
-		return Value{}, fmt.Errorf("%w: %s is not an array", ErrKindMismatch, o.Kind)
-	}
+	return Value{}, fmt.Errorf("%w: %d of %d", ErrIndexOOB, i, n)
 }
 
 // ArrSet writes element i of array r, coercing v to the element type.
 func (h *Heap) ArrSet(r Ref, i int, v Value) error {
-	o, err := h.Get(r)
-	if err != nil {
-		return err
+	o := h.obj(r)
+	if o == nil {
+		return refErr(r)
 	}
 	switch o.Kind {
 	case ObjIntArr:

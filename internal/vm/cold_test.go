@@ -88,10 +88,10 @@ func TestOpcodeHomes(t *testing.T) {
 	}
 }
 
-// TestCompileTablesTotal: threaded.go has three panics — aluFn's "not a wide
-// ALU op", relFn's "no relation" and compileWide's "unhandled wide shape" —
-// and each guards a table invariant, not an input: the opcodes a stream can
-// hold are the base set, the pair tier and bytecode.WideOps(), all emitted by
+// TestCompileTablesTotal: threaded.go has three panics — aluFn's "not an ALU
+// op", relFn's "no relation" and compileWide's "unhandled wide shape" — and
+// each guards a table invariant, not an input: the opcodes a stream can hold
+// are the base set and bytecode.WideOps(), all emitted by
 // Predecode from a verified program and never read from an image. Compiling
 // every one of them, and every relation, shows no verified program reaches a
 // panic; a wide opcode added without its closure fails here, by name.
@@ -118,16 +118,14 @@ func TestCompileTablesTotal(t *testing.T) {
 		}
 		compile(wi.Name, func() bool { return v.compileOp(bytecode.RInstr{Op: op}, 0) != nil })
 	}
-	for op := bytecode.OpIAddC; op <= bytecode.OpICmpL; op++ {
-		compile(op.String(), func() bool { return v.compileOp(bytecode.RInstr{Op: op}, 0) != nil })
-	}
 	for rel := bytecode.RelLt; rel <= bytecode.RelNe; rel++ {
 		compile("rel "+rel.String(), func() bool { return relFn(rel) != nil })
 	}
 	// The base ops that reach aluFn directly (compileBase's shared ALU case).
 	for _, op := range []bytecode.Opcode{
-		bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul, bytecode.OpIAnd,
-		bytecode.OpIOr, bytecode.OpIXor, bytecode.OpIShl, bytecode.OpIShr,
+		bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul, bytecode.OpIDiv, bytecode.OpIRem,
+		bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor, bytecode.OpIShl, bytecode.OpIShr,
+		bytecode.OpICmp, bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv,
 	} {
 		compile(op.String(), func() bool { return v.compileOp(bytecode.RInstr{Op: op}, 0) != nil })
 	}

@@ -18,7 +18,7 @@ import (
 	"repro/internal/env"
 )
 
-// epochLoop compiles into pair- and wide-fused groups (load+const compare
+// epochLoop compiles into fused groups (load+const compare
 // branches, load+const+alu+store chains), so small instruction budgets land
 // at every offset inside fused groups across the sweep.
 const epochLoop = `
@@ -50,7 +50,7 @@ end
 
 // TestBudgetEdgeAcrossEngines sweeps MaxInstructions through every offset of
 // the loop's first iterations — including values that exhaust the budget in
-// the middle of a fused pair or wide group — and requires all three columns
+// the middle of a fused group — and requires all three columns
 // to fault identically: same error, same instruction count at the fault, same
 // progress checksum when tracking.
 func TestBudgetEdgeAcrossEngines(t *testing.T) {
@@ -259,8 +259,6 @@ func TestExactTargetSweepAcrossEngines(t *testing.T) {
 			for i := pc + 1; i < pc+w; i++ {
 				interior[i] = true
 			}
-		} else if wide[pc].Op >= bytecode.OpIAddC && wide[pc].Op <= bytecode.OpICmpL {
-			w = 2
 		}
 		pc += w
 	}

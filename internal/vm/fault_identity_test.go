@@ -3,6 +3,8 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,6 +33,9 @@ type faultRow struct {
 	body  string
 	want  string // substring of the fatal error; "" = the run ends cleanly
 	gc    int    // GCThreshold; rows that set it must collect at least once
+	// group names a wide group that main's fused stream, walked from its
+	// first slot, must execute: the row exists for that group's slow path.
+	group string
 }
 
 func faultRows() []faultRow {
@@ -39,29 +44,40 @@ func faultRows() []faultRow {
 	add := func(class string, o bytecode.Opcode, decls, body, want string) {
 		rows = append(rows, faultRow{class: class, ops: op(o), decls: decls, body: body, want: want})
 	}
+	// in adds a row whose fault sits inside the wide group named group.
+	in := func(group, class string, o bytecode.Opcode, decls, body, want string) {
+		rows = append(rows, faultRow{class: class, ops: op(o), decls: decls, body: body, want: want, group: group})
+	}
 
-	// Integer ALU: a float under an int, reached as a plain op, as a
-	// const-pair, as a local-pair and inside a wide group; div/rem by zero
-	// the same three ways (wide groups exclude them).
+	// Integer ALU: a float under an int, reached as a plain op, inside the
+	// iconst;alu and load;alu groups (the two-instruction "pairs") and inside
+	// a wider group; div/rem by zero the same ways.
 	for _, o := range []bytecode.Opcode{
 		bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul, bytecode.OpIDiv, bytecode.OpIRem,
 		bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor, bytecode.OpIShl, bytecode.OpIShr, bytecode.OpICmp,
 	} {
 		add("kind/plain", o, "", fmt.Sprintf("iconst 1; fconst 1.5; %s; pop; ret", o), "not an int")
-		add("kind/pairC", o, "", fmt.Sprintf("fconst 1.5; iconst 1; %s; pop; ret", o), "not an int")
-		add("kind/pairL", o, "", fmt.Sprintf("iconst 1; store 0; fconst 1.5; load 0; %s; pop; ret", o), "not an int")
+		in("w.c."+o.String(), "kind/pairC", o, "", fmt.Sprintf("fconst 1.5; iconst 1; %s; pop; ret", o), "not an int")
+		in("w.l."+o.String(), "kind/pairL", o, "", fmt.Sprintf("iconst 1; store 0; fconst 1.5; load 0; %s; pop; ret", o), "not an int")
 		add("kind/wide", o, "", fmt.Sprintf("fconst 1.5; store 0; load 0; iconst 1; %s; store 1; ret", o), "not an int")
 	}
 	for _, o := range []bytecode.Opcode{bytecode.OpIDiv, bytecode.OpIRem} {
 		add("divzero/plain", o, "", fmt.Sprintf("iconst 0; iconst 1; swap; %s; pop; ret", o), "division by zero")
-		add("divzero/pairC", o, "", fmt.Sprintf("iconst 1; iconst 0; %s; pop; ret", o), "division by zero")
-		add("divzero/pairL", o, "", fmt.Sprintf("iconst 0; store 0; iconst 1; load 0; %s; pop; ret", o), "division by zero")
+		in("w.c."+o.String(), "divzero/pairC", o, "", fmt.Sprintf("iconst 1; iconst 0; %s; pop; ret", o), "division by zero")
+		in("w.l."+o.String(), "divzero/pairL", o, "", fmt.Sprintf("iconst 0; store 0; iconst 1; load 0; %s; pop; ret", o), "division by zero")
 	}
 	add("kind", bytecode.OpINeg, "", "fconst 1.5; ineg; pop; ret", "not an int")
 	add("kind", bytecode.OpI2F, "", "fconst 1.5; i2f; pop; ret", "not an int")
 	for _, o := range []bytecode.Opcode{bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv, bytecode.OpFCmp} {
 		add("kind", o, "", fmt.Sprintf("iconst 1; fconst 1.5; %s; pop; ret", o), "not a float")
 	}
+	// Float ALU inside the groups that fold it: an int operand of each.
+	in("w.fadd.st", "kind/aluSt", bytecode.OpFAdd, "", "fconst 1.5; iconst 1; fadd; store 0; ret", "not a float")
+	in("w.ll.fmul", "kind/ll", bytecode.OpFMul, "", "iconst 1; store 0; fconst 1.5; store 1; load 0; load 1; fmul; pop; ret", "not a float")
+	in("w.l.fsub.st", "kind/lSt", bytecode.OpFSub, "", "iconst 2; store 0; fconst 1.5; load 0; fsub; store 1; ret", "not a float")
+	in("w.ll.fdiv.st", "kind/llSt", bytecode.OpFDiv, "", "iconst 1; store 0; fconst 1.5; store 1; fconst 2.5; pop; load 1; load 0; fdiv; store 2; ret", "not a float")
+	in("w.fdiv.fsub", "kind/first", bytecode.OpFDiv, "", "fconst 1.5; iconst 1; fconst 2.5; fdiv; fsub; pop; ret", "not a float")
+	in("w.fmul.fadd", "kind/third", bytecode.OpFAdd, "", "iconst 1; fconst 1.5; fconst 2.5; fmul; fadd; pop; ret", "not a float")
 	add("kind", bytecode.OpFNeg, "", "iconst 1; fneg; pop; ret", "not a float")
 	add("kind", bytecode.OpF2I, "", "iconst 1; f2i; pop; ret", "not a float")
 	add("kind", bytecode.OpF2S, "", "iconst 1; f2s; pop; ret", "not a float")
@@ -101,6 +117,18 @@ func faultRows() []faultRow {
 	add("null", bytecode.OpAStore, "", "null; iconst 0; iconst 7; astore; ret", "null reference")
 	add("bounds", bytecode.OpAStore, "", "iconst 2; newarr float; iconst 2; fconst 1.5; astore; ret", "out of bounds")
 	add("kind", bytecode.OpALen, "", "iconst 1; alen; pop; ret", "not a ref")
+
+	// Static array reads, gets;load;aload, alone and under a float op: a
+	// null static, an index out of bounds or not an int, an int element under
+	// the float op, and an int local lead of `x * arr[i]`.
+	const arr = "static S.a\n"
+	in("w.gets.l.aload", "null/static", bytecode.OpALoad, arr, "iconst 0; store 0; gets S.a; load 0; aload; pop; ret", "null reference")
+	in("w.gets.l.aload", "bounds/static", bytecode.OpALoad, arr, "iconst 2; newarr float; puts S.a; iconst 2; store 0; gets S.a; load 0; aload; pop; ret", "out of bounds")
+	in("w.gets.l.aload", "kind/static", bytecode.OpALoad, arr, "iconst 2; newarr float; puts S.a; fconst 1.5; store 0; gets S.a; load 0; aload; pop; ret", "not an int")
+	in("w.gets.l.aload.fadd", "null/static.falu", bytecode.OpALoad, arr, "iconst 0; store 0; fconst 1.5; gets S.a; load 0; aload; fadd; pop; ret", "null reference")
+	in("w.gets.l.aload.fmul", "intelem/static.falu", bytecode.OpFMul, arr, "iconst 2; newarr int; puts S.a; iconst 0; store 0; fconst 1.5; gets S.a; load 0; aload; fmul; pop; ret", "not a float")
+	in("w.l.gets.l.aload.fsub", "bounds/l.static.falu", bytecode.OpALoad, arr, "iconst 5; store 0; fconst 1.5; store 1; iconst 2; newarr float; puts S.a; load 1; gets S.a; load 0; aload; fsub; pop; ret", "out of bounds")
+	in("w.l.gets.l.aload.fmul", "intlead/l.static.falu", bytecode.OpFMul, arr, "iconst 0; store 0; iconst 3; store 1; iconst 2; newarr float; puts S.a; load 1; gets S.a; load 0; aload; fmul; pop; ret", "not a float")
 	add("null", bytecode.OpALen, "", "null; alen; pop; ret", "null reference")
 
 	// Monitors: a non-ref, a null, an object whose monitor the thread does
@@ -149,6 +177,14 @@ func faultRows() []faultRow {
 
 	// The cold ops with no fault path, and a wait/notify hand-off that
 	// completes.
+	// fmul;fadd is not contracted: at a = 1+2^-30, b = 1-2^-30, c = -1, the
+	// rounded product is 1 and c + a*b is 0, where a fused multiply-add gives
+	// -2^-60, takes the jnz and divides by zero.
+	fp := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	rows = append(rows, faultRow{class: "nocontract", group: "w.fmul.fadd",
+		ops: []bytecode.Opcode{bytecode.OpFMul, bytecode.OpFAdd},
+		body: fmt.Sprintf("fconst -1; fconst %s; fconst %s; fmul; fadd; fconst 0; fcmp; jnz bad; ret; bad:; iconst 1; iconst 0; idiv; pop; ret",
+			fp(1+math.Ldexp(1, -30)), fp(1-math.Ldexp(1, -30)))})
 	rows = append(rows, faultRow{class: "clean",
 		ops:   []bytecode.Opcode{bytecode.OpNop, bytecode.OpPop, bytecode.OpSwap, bytecode.OpPutS, bytecode.OpYield, bytecode.OpMarkDead, bytecode.OpHalt},
 		decls: "static S.x\n",
@@ -161,6 +197,26 @@ func faultRows() []faultRow {
 			"check:; gets S.go; jnz woke; gets S.l; wait; jmp check; woke:; gets S.l; mexit; " +
 			"load 0; join; load 0; alive; pop; ret"})
 	return rows
+}
+
+// runsGroup reports whether main's fused stream, walked from its first slot
+// one group at a time, holds the wide group named name.
+func runsGroup(t *testing.T, p *bytecode.Program, name string) bool {
+	t.Helper()
+	res, err := bytecode.Predecode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := res.Wide[p.Entry]
+	for pc := 0; pc < len(wide); pc++ {
+		if wi, ok := bytecode.WideOpInfo(wide[pc].Op); ok {
+			if wi.Name == name {
+				return true
+			}
+			pc += int(wi.Width) - 1
+		}
+	}
+	return false
 }
 
 // faultOutcome is everything a row compares between the columns.
@@ -201,6 +257,9 @@ func TestOpFaultIdentityAcrossEngines(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%s", r.ops[0], r.class), func(t *testing.T) {
 			src := r.decls + "method main 0 void\n  " + strings.ReplaceAll(r.body, "; ", "\n  ") + "\nend\n"
 			p := buildProgram(t, src)
+			if r.group != "" && !runsGroup(t, p, r.group) {
+				t.Fatalf("main's fused stream does not run %s\n%s", r.group, src)
+			}
 			for _, track := range []bool{false, true} {
 				sw, v, runErr := runFaultRow(t, p, r, OracleEngine, track)
 				for _, e := range Engines {

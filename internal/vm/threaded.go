@@ -31,11 +31,12 @@ import (
 // folds the position it took, fixed at compile time (site), and the ops whose
 // destination is known only once they ran are wrapped in trackBranch.
 //
-// Three kinds of closure fill the slots: wide groups (compileWide), pairs
-// (compilePair) and single opcodes. A single opcode gets its own closure in
-// compileBase unless it is in the cold table (cold.go: measured rare in every
-// benchmark program); those share one generic closure (compileCold) over one
-// body. The step stream holds single opcodes only.
+// Two kinds of closure fill the slots: fused groups (compileWide) and single
+// opcodes. A single opcode gets its own closure in compileBase unless it is in
+// the cold table (cold.go: measured rare in every benchmark program); those
+// share one generic closure (compileCold) over one body. The step stream
+// holds single opcodes only, and a fused-stream slot the fusion DP left
+// unfused shares the step stream's closure.
 //
 // Epoch-based branch counter. On the fused stream the kill flag, the
 // preemption target and the instruction budget are checked only at block
@@ -65,10 +66,16 @@ import (
 // every slot of the fused stream is executable, so a later slice may resume
 // on the fused stream wherever a stepped one stopped.
 //
-// Fault identity. A wide group or pair that faults materializes the unfused
-// state first — the lead pushes it folded, the pc of the faulting
-// instruction, the instructions completed before the fault — so a fatal error
-// reports the same position and counters as the step stream.
+// Fault identity: one slow path. A fused group's closure checks only what its
+// fast path needs — operand kinds, a divisor that is not zero, an array
+// element that exists — and when a check fails it runs the group's own step
+// closures from its first slot (slow). Each of them faults exactly as the
+// step stream does, so a fatal error reports the same position, stack and
+// counters by construction; no group materializes unfused state by hand. An
+// ALU result is rounded to float64 where it is computed (aluFn), so a group of
+// two float ops is never contracted into a fused multiply-add: the fused
+// stream, which a primary runs, and the step stream, which its backup's exact
+// replay tail runs, compute the same bits on every platform.
 
 // tclosure executes one resolved instruction (or superinstruction group).
 // It returns true to continue the current basic block, false at a boundary.
@@ -329,65 +336,129 @@ func (vm *VM) compileThreaded(res *bytecode.Resolved) []tmethod {
 		if code == nil {
 			continue
 		}
-		out[mi] = tmethod{step: vm.compileStream(int32(mi), code), margin: uint64(len(code)) + 16}
+		step := vm.compileStream(int32(mi), code, nil, nil)
+		out[mi] = tmethod{step: step, margin: uint64(len(code)) + 16}
 		if vm.dispatch == DispatchThreaded {
-			out[mi].code = vm.compileStream(int32(mi), res.Wide[mi])
+			out[mi].code = vm.compileStream(int32(mi), res.Wide[mi], code, step)
 		}
 	}
 	return out
 }
 
-// compileStream compiles one method's stream.
-func (vm *VM) compileStream(method int32, code []bytecode.RInstr) []tclosure {
+// compileStream compiles one method's stream. Given the step stream (base
+// and its closures, step), a slot that holds the same instruction as base —
+// one the fusion DP left unfused — shares its step closure.
+func (vm *VM) compileStream(method int32, code, base []bytecode.RInstr, step []tclosure) []tclosure {
 	cl := make([]tclosure, len(code))
-	for pc := range code {
-		cl[pc] = vm.compileOp(code[pc], method)
+	for pc, in := range code {
+		if step != nil && in == base[pc] {
+			cl[pc] = step[pc]
+		} else {
+			cl[pc] = vm.compileOp(in, method)
+		}
 	}
 	return cl
 }
 
-// aluFn returns the integer ALU function of a base opcode (wide-fusion set).
-func aluFn(op bytecode.Opcode) func(a, b int64) int64 {
+// aluFn returns the fast path of an ALU opcode: its result, and whether the
+// operands let it compute one — the right kinds, and a divisor that is not
+// zero. When they do not, the step closure builds the fault (aluErr). A
+// float result is rounded to float64 where it is computed (the conversion),
+// so two float ops in one fused group are never contracted into one fused
+// multiply-add: the fused stream and the step stream compute the same bits on
+// every platform.
+func aluFn(op bytecode.Opcode) func(a, b heap.Value) (heap.Value, bool) {
 	switch op {
 	case bytecode.OpIAdd:
-		return func(a, b int64) int64 { return a + b }
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.IntVal(a.I + b.I), ints(a, b) }
 	case bytecode.OpISub:
-		return func(a, b int64) int64 { return a - b }
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.IntVal(a.I - b.I), ints(a, b) }
 	case bytecode.OpIMul:
-		return func(a, b int64) int64 { return a * b }
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.IntVal(a.I * b.I), ints(a, b) }
+	case bytecode.OpIDiv:
+		return func(a, b heap.Value) (heap.Value, bool) {
+			if !ints(a, b) || b.I == 0 {
+				return heap.Value{}, false
+			}
+			return heap.IntVal(a.I / b.I), true
+		}
+	case bytecode.OpIRem:
+		return func(a, b heap.Value) (heap.Value, bool) {
+			if !ints(a, b) || b.I == 0 {
+				return heap.Value{}, false
+			}
+			return heap.IntVal(a.I % b.I), true
+		}
 	case bytecode.OpIAnd:
-		return func(a, b int64) int64 { return a & b }
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.IntVal(a.I & b.I), ints(a, b) }
 	case bytecode.OpIOr:
-		return func(a, b int64) int64 { return a | b }
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.IntVal(a.I | b.I), ints(a, b) }
 	case bytecode.OpIXor:
-		return func(a, b int64) int64 { return a ^ b }
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.IntVal(a.I ^ b.I), ints(a, b) }
 	case bytecode.OpIShl:
-		return func(a, b int64) int64 { return a << (uint64(b) & 63) }
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.IntVal(a.I << (uint64(b.I) & 63)), ints(a, b) }
 	case bytecode.OpIShr:
-		return func(a, b int64) int64 { return a >> (uint64(b) & 63) }
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.IntVal(a.I >> (uint64(b.I) & 63)), ints(a, b) }
+	case bytecode.OpICmp:
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.IntVal(cmpInt(a.I, b.I)), ints(a, b) }
+	case bytecode.OpFAdd:
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.FloatVal(float64(a.F() + b.F())), floats(a, b) }
+	case bytecode.OpFSub:
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.FloatVal(float64(a.F() - b.F())), floats(a, b) }
+	case bytecode.OpFMul:
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.FloatVal(float64(a.F() * b.F())), floats(a, b) }
+	case bytecode.OpFDiv:
+		return func(a, b heap.Value) (heap.Value, bool) { return heap.FloatVal(float64(a.F() / b.F())), floats(a, b) }
 	default:
-		panic("threaded: not a wide ALU op: " + op.String())
+		panic("threaded: not an ALU op: " + op.String())
 	}
 }
 
-// pairALU lists the pair-fusion tier's ALU set in fuseDelta allocation order
-// (OpIAddC+d / OpIAddL+d): add, sub, mul, div, rem, and, or, xor, shl, shr,
-// icmp. div marks the divide-by-zero fault path.
-var pairALU = [...]struct {
-	fn  func(a, b int64) int64
-	div bool
-}{
-	{func(a, b int64) int64 { return a + b }, false},
-	{func(a, b int64) int64 { return a - b }, false},
-	{func(a, b int64) int64 { return a * b }, false},
-	{func(a, b int64) int64 { return a / b }, true},
-	{func(a, b int64) int64 { return a % b }, true},
-	{func(a, b int64) int64 { return a & b }, false},
-	{func(a, b int64) int64 { return a | b }, false},
-	{func(a, b int64) int64 { return a ^ b }, false},
-	{func(a, b int64) int64 { return a << (uint64(b) & 63) }, false},
-	{func(a, b int64) int64 { return a >> (uint64(b) & 63) }, false},
-	{cmpInt, false},
+func ints(a, b heap.Value) bool { return a.Kind == heap.KindInt && b.Kind == heap.KindInt }
+
+func floats(a, b heap.Value) bool { return a.Kind == heap.KindFloat && b.Kind == heap.KindFloat }
+
+// aluErr is the fault of an ALU op whose fast path declined: the operand of
+// the wrong kind, the right one first, or else the zero divisor.
+func aluErr(op bytecode.Opcode, a, b heap.Value) error {
+	switch {
+	case op >= bytecode.OpFAdd && op <= bytecode.OpFDiv:
+		return floatOpErr(a, b)
+	case !ints(a, b):
+		return intOpErr(a, b)
+	}
+	return errDivByZero
+}
+
+// aloadErr is the fault of an aload heap.Elem refused: the index's kind, the
+// array's, then ArrGet's error.
+func (vm *VM) aloadErr(rv, iv heap.Value) error {
+	if iv.Kind != heap.KindInt {
+		return notInt(iv)
+	}
+	if rv.Kind != heap.KindRef {
+		return notRef(rv)
+	}
+	_, err := vm.hp.ArrGet(rv.R(), int(iv.I))
+	return err
+}
+
+// slow is the slow path of every fused group: it runs the group's width
+// instructions from c.pc on the step stream. A group's closure checks only
+// what its fast path needs and, when a check fails, returns slow(width)
+// instead; each step closure faults exactly as in an unfused run, so a
+// faulting group leaves the same stack, pc, counts and error. Kept out of
+// line so the fast paths stay small.
+//
+//go:noinline
+func (c *tctx) slow(width int) bool {
+	steps := c.vm.tcode[c.f.Method].step
+	for ; width > 1; width-- {
+		if !steps[c.pc](c) {
+			return false
+		}
+	}
+	return steps[c.pc](c)
 }
 
 // relFn returns the boolean relation a compare idiom computes: the unfused
@@ -417,70 +488,16 @@ func (vm *VM) compileOp(in bytecode.RInstr, method int32) tclosure {
 	if wi, ok := bytecode.WideOpInfo(in.Op); ok {
 		return vm.compileWide(in, wi, method)
 	}
-	if in.Op >= bytecode.OpIAddC && in.Op <= bytecode.OpICmpL {
-		return compilePair(in)
-	}
 	if IsCold(in.Op) {
 		return vm.trackBranch(in, compileCold(in))
 	}
 	return vm.compileBase(in, method)
 }
 
-// pairFault materializes the unfused state of a faulting pair, like the wide
-// groups do: the folded push b executed (on the stack, counted, pc past it)
-// and the ALU op behind it faulted with err.
-func (c *tctx) pairFault(b heap.Value, err error) bool {
-	c.stack = append(c.stack, b)
-	c.pc++
-	c.icnt++
-	c.err = err
-	return false
-}
-
-// compilePair builds the pair closures (iconst/load + ALU in one dispatch).
-func compilePair(in bytecode.RInstr) tclosure {
-	if in.Op >= bytecode.OpIAddL {
-		p := pairALU[in.Op-bytecode.OpIAddL]
-		slot := in.A
-		fn, div := p.fn, p.div
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			a, b := c.stack[n-1], c.locals[slot]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				return c.pairFault(b, intOpErr(a, b))
-			}
-			if div && b.I == 0 {
-				return c.pairFault(b, errDivByZero)
-			}
-			c.stack[n-1] = heap.IntVal(fn(a.I, b.I))
-			c.pc += 2
-			c.icnt += 2
-			return true
-		}
-	}
-	p := pairALU[in.Op-bytecode.OpIAddC]
-	k := in.I
-	fn, div := p.fn, p.div
-	return func(c *tctx) bool {
-		n := len(c.stack)
-		a := c.stack[n-1]
-		if a.Kind != heap.KindInt {
-			return c.pairFault(heap.IntVal(k), notInt(a))
-		}
-		if div && k == 0 {
-			return c.pairFault(heap.IntVal(k), errDivByZero)
-		}
-		c.stack[n-1] = heap.IntVal(fn(a.I, k))
-		c.pc += 2
-		c.icnt += 2
-		return true
-	}
-}
-
-// compileWide builds the wide superinstruction closures. Success paths fold
-// the whole group into one dispatch and count its full width; fault paths
-// materialize the unfused state (lead pushes, faulting pc, completed count)
-// so fatal errors are indistinguishable from the faithful stream's.
+// compileWide builds the wide superinstruction closures. The fast path folds
+// the whole group into one dispatch and counts its full width; when one of
+// its checks fails it takes the slow path with the group's width, a constant
+// of each shape, so the slow path captures nothing.
 func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32) tclosure {
 	w := uint64(wi.Width)
 	switch wi.Shape {
@@ -538,34 +555,54 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32
 			c.icnt += 2
 			return c.contBr()
 		}
+	case bytecode.WShapeCAlu:
+		fn, k := aluFn(wi.ALU), heap.IntVal(in.I)
+		return func(c *tctx) bool {
+			n := len(c.stack)
+			r, ok := fn(c.stack[n-1], k)
+			if !ok {
+				return c.slow(2)
+			}
+			c.stack[n-1] = r
+			c.pc += 2
+			c.icnt += 2
+			return true
+		}
+	case bytecode.WShapeLAlu:
+		fn, slot := aluFn(wi.ALU), in.A
+		return func(c *tctx) bool {
+			n := len(c.stack)
+			r, ok := fn(c.stack[n-1], c.locals[slot])
+			if !ok {
+				return c.slow(2)
+			}
+			c.stack[n-1] = r
+			c.pc += 2
+			c.icnt += 2
+			return true
+		}
 	case bytecode.WShapeAluSt:
 		fn, st := aluFn(wi.ALU), in.A
 		return func(c *tctx) bool {
 			n := len(c.stack)
-			b, a := c.stack[n-1], c.stack[n-2]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.err = intOpErr(a, b)
-				return false
+			r, ok := fn(c.stack[n-2], c.stack[n-1])
+			if !ok {
+				return c.slow(2)
 			}
-			c.locals[st] = heap.IntVal(fn(a.I, b.I))
+			c.locals[st] = r
 			c.stack = c.stack[:n-2]
 			c.pc += 2
 			c.icnt += 2
 			return true
 		}
 	case bytecode.WShapeLCAlu:
-		fn, slot, k := aluFn(wi.ALU), in.A, in.I
-		kv := heap.IntVal(k)
+		fn, slot, k := aluFn(wi.ALU), in.A, heap.IntVal(in.I)
 		return func(c *tctx) bool {
-			a := c.locals[slot]
-			if a.Kind != heap.KindInt {
-				c.stack = append(c.stack, a, kv)
-				c.pc += 2
-				c.icnt += 2
-				c.err = notInt(a)
-				return false
+			r, ok := fn(c.locals[slot], k)
+			if !ok {
+				return c.slow(3)
 			}
-			c.stack = append(c.stack, heap.IntVal(fn(a.I, k)))
+			c.stack = append(c.stack, r)
 			c.pc += 3
 			c.icnt += 3
 			return true
@@ -573,33 +610,24 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32
 	case bytecode.WShapeLLAlu:
 		fn, sa, sb := aluFn(wi.ALU), in.A, in.B
 		return func(c *tctx) bool {
-			a, b := c.locals[sa], c.locals[sb]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.stack = append(c.stack, a, b)
-				c.pc += 2
-				c.icnt += 2
-				c.err = intOpErr(a, b)
-				return false
+			r, ok := fn(c.locals[sa], c.locals[sb])
+			if !ok {
+				return c.slow(3)
 			}
-			c.stack = append(c.stack, heap.IntVal(fn(a.I, b.I)))
+			c.stack = append(c.stack, r)
 			c.pc += 3
 			c.icnt += 3
 			return true
 		}
 	case bytecode.WShapeCAluSt:
-		fn, k, st := aluFn(wi.ALU), in.I, in.A
-		kv := heap.IntVal(k)
+		fn, k, st := aluFn(wi.ALU), heap.IntVal(in.I), in.A
 		return func(c *tctx) bool {
 			n := len(c.stack)
-			a := c.stack[n-1]
-			if a.Kind != heap.KindInt {
-				c.stack = append(c.stack, kv)
-				c.pc++
-				c.icnt++
-				c.err = notInt(a)
-				return false
+			r, ok := fn(c.stack[n-1], k)
+			if !ok {
+				return c.slow(3)
 			}
-			c.locals[st] = heap.IntVal(fn(a.I, k))
+			c.locals[st] = r
 			c.stack = c.stack[:n-1]
 			c.pc += 3
 			c.icnt += 3
@@ -609,34 +637,24 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32
 		fn, ld, st := aluFn(wi.ALU), in.B, in.A
 		return func(c *tctx) bool {
 			n := len(c.stack)
-			a, b := c.stack[n-1], c.locals[ld]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.stack = append(c.stack, b)
-				c.pc++
-				c.icnt++
-				c.err = intOpErr(a, b)
-				return false
+			r, ok := fn(c.stack[n-1], c.locals[ld])
+			if !ok {
+				return c.slow(3)
 			}
-			c.stack[n-1] = heap.IntVal(fn(a.I, b.I))
-			c.locals[st] = c.stack[n-1]
+			c.locals[st] = r
 			c.stack = c.stack[:n-1]
 			c.pc += 3
 			c.icnt += 3
 			return true
 		}
 	case bytecode.WShapeLCAluSt:
-		fn, slot, k, st := aluFn(wi.ALU), in.A, in.I, in.B
-		kv := heap.IntVal(k)
+		fn, slot, k, st := aluFn(wi.ALU), in.A, heap.IntVal(in.I), in.B
 		return func(c *tctx) bool {
-			a := c.locals[slot]
-			if a.Kind != heap.KindInt {
-				c.stack = append(c.stack, a, kv)
-				c.pc += 2
-				c.icnt += 2
-				c.err = notInt(a)
-				return false
+			r, ok := fn(c.locals[slot], k)
+			if !ok {
+				return c.slow(4)
 			}
-			c.locals[st] = heap.IntVal(fn(a.I, k))
+			c.locals[st] = r
 			c.pc += 4
 			c.icnt += 4
 			return true
@@ -644,17 +662,68 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32
 	case bytecode.WShapeLLAluSt:
 		fn, sa, sb, st := aluFn(wi.ALU), in.A, in.B, int32(in.I)
 		return func(c *tctx) bool {
-			a, b := c.locals[sa], c.locals[sb]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.stack = append(c.stack, a, b)
-				c.pc += 2
-				c.icnt += 2
-				c.err = intOpErr(a, b)
-				return false
+			r, ok := fn(c.locals[sa], c.locals[sb])
+			if !ok {
+				return c.slow(4)
 			}
-			c.locals[st] = heap.IntVal(fn(a.I, b.I))
+			c.locals[st] = r
 			c.pc += 4
 			c.icnt += 4
+			return true
+		}
+	case bytecode.WShapeAluAlu:
+		// stack z, a, b: z falu2 (a falu1 b), each result rounded (aluFn).
+		f1, f2 := aluFn(wi.ALU), aluFn(wi.ALU2)
+		return func(c *tctx) bool {
+			n := len(c.stack)
+			t, ok1 := f1(c.stack[n-2], c.stack[n-1])
+			r, ok2 := f2(c.stack[n-3], t)
+			if !ok1 || !ok2 {
+				return c.slow(2)
+			}
+			c.stack[n-3] = r
+			c.stack = c.stack[:n-2]
+			c.pc += 2
+			c.icnt += 2
+			return true
+		}
+	case bytecode.WShapeGetsLA:
+		gs, slot := in.A, in.B
+		return func(c *tctx) bool {
+			v, ok := c.vm.hp.Elem(c.vm.statics[gs], c.locals[slot])
+			if !ok {
+				return c.slow(3)
+			}
+			c.stack = append(c.stack, v)
+			c.pc += 3
+			c.icnt += 3
+			return true
+		}
+	case bytecode.WShapeGetsLAAlu:
+		fn, gs, slot := aluFn(wi.ALU), in.A, in.B
+		return func(c *tctx) bool {
+			n := len(c.stack)
+			v, ok := c.vm.hp.Elem(c.vm.statics[gs], c.locals[slot])
+			r, ok2 := fn(c.stack[n-1], v)
+			if !ok || !ok2 {
+				return c.slow(4)
+			}
+			c.stack[n-1] = r
+			c.pc += 4
+			c.icnt += 4
+			return true
+		}
+	case bytecode.WShapeLGetsLAAlu:
+		fn, ld, gs, slot := aluFn(wi.ALU), int32(in.I), in.A, in.B
+		return func(c *tctx) bool {
+			v, ok := c.vm.hp.Elem(c.vm.statics[gs], c.locals[slot])
+			r, ok2 := fn(c.locals[ld], v)
+			if !ok || !ok2 {
+				return c.slow(5)
+			}
+			c.stack = append(c.stack, r)
+			c.pc += 5
+			c.icnt += 5
 			return true
 		}
 	case bytecode.WShapeCmpBr:
@@ -662,9 +731,8 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32
 		return func(c *tctx) bool {
 			n := len(c.stack)
 			b, a := c.stack[n-1], c.stack[n-2]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.err = intOpErr(a, b)
-				return false
+			if !ints(a, b) {
+				return c.slow(int(w))
 			}
 			c.stack = c.stack[:n-2]
 			c.branchTick()
@@ -683,9 +751,8 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32
 		return func(c *tctx) bool {
 			n := len(c.stack)
 			b, a := c.stack[n-1], c.stack[n-2]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.err = intOpErr(a, b)
-				return false
+			if !ints(a, b) {
+				return c.slow(int(w))
 			}
 			c.stack[n-2] = heap.BoolVal(rel(a.I, b.I))
 			c.stack = c.stack[:n-1]
@@ -695,15 +762,11 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32
 		}
 	case bytecode.WShapeLCCmpBr:
 		rel, jnz, slot, k, tgt := relFn(wi.Rel), wi.JmpNZ, in.A, in.I, in.B
-		kv, s := heap.IntVal(k), site{method, vm.trackProgress}
+		s := site{method, vm.trackProgress}
 		return func(c *tctx) bool {
 			a := c.locals[slot]
 			if a.Kind != heap.KindInt {
-				c.stack = append(c.stack, a, kv)
-				c.pc += 2
-				c.icnt += 2
-				c.err = notInt(a)
-				return false
+				return c.slow(int(w))
 			}
 			c.branchTick()
 			if rel(a.I, k) == jnz {
@@ -721,12 +784,8 @@ func (vm *VM) compileWide(in bytecode.RInstr, wi bytecode.WideInfo, method int32
 		s := site{method, vm.trackProgress}
 		return func(c *tctx) bool {
 			a, b := c.locals[sa], c.locals[sb]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.stack = append(c.stack, a, b)
-				c.pc += 2
-				c.icnt += 2
-				c.err = intOpErr(a, b)
-				return false
+			if !ints(a, b) {
+				return c.slow(int(w))
 			}
 			c.branchTick()
 			if rel(a.I, b.I) == jnz {
@@ -802,39 +861,19 @@ func (vm *VM) compileBase(in bytecode.RInstr, method int32) tclosure {
 			return c.step(false)
 		}
 
-	case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul, bytecode.OpIAnd,
-		bytecode.OpIOr, bytecode.OpIXor, bytecode.OpIShl, bytecode.OpIShr:
-		fn := aluFn(in.Op)
+	case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul, bytecode.OpIDiv, bytecode.OpIRem,
+		bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor, bytecode.OpIShl, bytecode.OpIShr,
+		bytecode.OpICmp, bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv:
+		fn, op := aluFn(in.Op), in.Op
 		return func(c *tctx) bool {
 			n := len(c.stack)
-			b, a := c.stack[n-1], c.stack[n-2]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.err = intOpErr(a, b)
+			a, b := c.stack[n-2], c.stack[n-1]
+			r, ok := fn(a, b)
+			if !ok {
+				c.err = aluErr(op, a, b)
 				return false
 			}
-			c.stack[n-2] = heap.IntVal(fn(a.I, b.I))
-			c.stack = c.stack[:n-1]
-			c.pc++
-			return c.step(false)
-		}
-	case bytecode.OpIDiv, bytecode.OpIRem:
-		rem := in.Op == bytecode.OpIRem
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			b, a := c.stack[n-1], c.stack[n-2]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.err = intOpErr(a, b)
-				return false
-			}
-			if b.I == 0 {
-				c.err = errDivByZero
-				return false
-			}
-			if rem {
-				c.stack[n-2] = heap.IntVal(a.I % b.I)
-			} else {
-				c.stack[n-2] = heap.IntVal(a.I / b.I)
-			}
+			c.stack[n-2] = r
 			c.stack = c.stack[:n-1]
 			c.pc++
 			return c.step(false)
@@ -852,32 +891,6 @@ func (vm *VM) compileBase(in bytecode.RInstr, method int32) tclosure {
 			return c.step(false)
 		}
 
-	case bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv:
-		op := in.Op
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			b, a := c.stack[n-1], c.stack[n-2]
-			if a.Kind != heap.KindFloat || b.Kind != heap.KindFloat {
-				c.err = floatOpErr(a, b)
-				return false
-			}
-			var r float64
-			switch op {
-			case bytecode.OpFAdd:
-				r = a.F() + b.F()
-			case bytecode.OpFSub:
-				r = a.F() - b.F()
-			case bytecode.OpFMul:
-				r = a.F() * b.F()
-			default:
-				r = a.F() / b.F()
-			}
-			c.stack[n-2] = heap.FloatVal(r)
-			c.stack = c.stack[:n-1]
-			c.pc++
-			return c.step(false)
-		}
-
 	case bytecode.OpI2F:
 		return func(c *tctx) bool {
 			n := len(c.stack)
@@ -891,19 +904,6 @@ func (vm *VM) compileBase(in bytecode.RInstr, method int32) tclosure {
 			return c.step(false)
 		}
 
-	case bytecode.OpICmp:
-		return func(c *tctx) bool {
-			n := len(c.stack)
-			b, a := c.stack[n-1], c.stack[n-2]
-			if a.Kind != heap.KindInt || b.Kind != heap.KindInt {
-				c.err = intOpErr(a, b)
-				return false
-			}
-			c.stack[n-2] = heap.IntVal(cmpInt(a.I, b.I))
-			c.stack = c.stack[:n-1]
-			c.pc++
-			return c.step(false)
-		}
 	case bytecode.OpFCmp:
 		return func(c *tctx) bool {
 			n := len(c.stack)
@@ -1044,18 +1044,9 @@ func (vm *VM) compileBase(in bytecode.RInstr, method int32) tclosure {
 	case bytecode.OpALoad:
 		return func(c *tctx) bool {
 			n := len(c.stack)
-			iv, rv := c.stack[n-1], c.stack[n-2]
-			if iv.Kind != heap.KindInt {
-				c.err = notInt(iv)
-				return false
-			}
-			if rv.Kind != heap.KindRef {
-				c.err = notRef(rv)
-				return false
-			}
-			v, gerr := c.vm.hp.ArrGet(rv.R(), int(iv.I))
-			if gerr != nil {
-				c.err = gerr
+			v, ok := c.vm.hp.Elem(c.stack[n-2], c.stack[n-1])
+			if !ok {
+				c.err = c.vm.aloadErr(c.stack[n-2], c.stack[n-1])
 				return false
 			}
 			c.stack[n-2] = v
